@@ -54,14 +54,21 @@ let memory_ns_per_step () =
   ignore (Sys.opaque_identity !p);
   dt *. 1e9 /. float_of_int chase_steps
 
-(* [(alu ns/iteration, memory ns/step)]. *)
+(* Run the probes and print "<alu ns/iteration> <memory ns/step>": the
+   body of the [--probe] child process. *)
+let print_probe () = Printf.printf "%.17g %.17g\n%!" (alu_ns_per_iter ()) (memory_ns_per_step ())
+
+(* [(alu ns/iteration, memory ns/step)], measured in a child process
+   running this executable with [--probe]: the 16 MB chase array never
+   enters this process, whose VmHWM is a high-water mark that freeing
+   the array could not lower. *)
 let probe () =
-  let alu = alu_ns_per_iter () in
-  let mem = memory_ns_per_step () in
-  (* Free the chase array before the workload runs, so it never shows
-     in the workload's peak resident set. *)
-  Gc.full_major ();
-  (alu, mem)
+  let exe = Sys.executable_name in
+  let ic = Unix.open_process_args_in exe [| exe; "--probe" |] in
+  let line = try Some (input_line ic) with End_of_file -> None in
+  match (Unix.close_process_in ic, Option.bind line (fun l -> Scanf.sscanf_opt l "%f %f" (fun a m -> (a, m)))) with
+  | Unix.WEXITED 0, Some p -> p
+  | _ -> failwith "benchmark: the host probe failed"
 
 (* Cores this process may run on, as `nproc` reports them. *)
 let nproc () =

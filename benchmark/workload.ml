@@ -1,4 +1,4 @@
-(* The three workloads: their fixed settings, the seeded request
+(* The two workloads: their fixed settings, the seeded request
    streams the analysts send, and the bring-up that makes a system
    ready to serve them.
 
@@ -18,9 +18,9 @@ module Corpus = Mycelium_query.Corpus
 module Runtime = Mycelium_core.Runtime
 module Serve = Mycelium_serve.Serve
 
-type kind = Direct_mixed | Serve_mixnet | Serve_warm
+type kind = Direct_mixed | Serve_mixnet
 
-let all = [ ("direct-mixed", Direct_mixed); ("serve-mixnet", Serve_mixnet); ("serve-warm", Serve_warm) ]
+let all = [ ("direct-mixed", Direct_mixed); ("serve-mixnet", Serve_mixnet) ]
 let name kind = fst (List.find (fun (_, k) -> k = kind) all)
 
 type request = {
@@ -41,21 +41,9 @@ type settings = {
   relin_degree : int option;
   graph_seed : int64;
   mixnet : Sim.config option;
-  clients : int;  (** closed-loop clients; on the serve workloads also the batch size *)
+  clients : int;  (** closed-loop clients; on serve-mixnet also the batch size *)
   cache_capacity : int;
 }
-
-let serve_settings =
-  {
-    params = Params.test_small;
-    population = 16;
-    degree = 4;
-    relin_degree = None;
-    graph_seed = 4242L;
-    mixnet = None;
-    clients = 4;
-    cache_capacity = 64;
-  }
 
 let settings = function
   | Direct_mixed ->
@@ -72,11 +60,13 @@ let settings = function
     }
   | Serve_mixnet ->
     {
-      serve_settings with
+      params = Params.test_small;
       (* onion routing costs about 0.5 s per member at 12 devices; with
-         two members a batch, a 55 s run sees 40 to 60 batches, so the
-         tail (one sample per batch) rests on well over 20 *)
+         two members a batch, a 55 s run sees 40 to 60 batches *)
       population = 12;
+      degree = 4;
+      relin_degree = None;
+      graph_seed = 4242L;
       clients = 2;
       mixnet =
         Some
@@ -94,16 +84,13 @@ let settings = function
          miss, put and evict paths all run *)
       cache_capacity = 8;
     }
-  | Serve_warm -> serve_settings
 
 (* The 2-hop Q1 and the 1-hop single-ciphertext shapes; §4.5 sequence
    shapes (Q3, Q6, Q7, Q9, Q10) cost five times as much at these
    settings and would put the tail percentile in a second cost mode. *)
 let direct_deck = [| "Q1"; "Q2"; "Q4"; "Q5"; "Q8" |]
 
-(* One member of each of these shapes needs 61 + 6 + 60 + 72 = 199
-   plaintext slots at d = 4, so a batch of four fits one N = 256
-   decryption session. *)
+(* The 1-hop single-ciphertext shapes, each asked with seeded windows. *)
 let serve_deck = [| "Q2"; "Q4"; "Q5"; "Q8" |]
 
 let corpus_sql id = (Corpus.find id).Corpus.sql
@@ -162,20 +149,20 @@ let rec distinct_variant s id tries =
   else distinct_variant s id (tries - 1)
 
 let refill s =
-  let deck = Array.copy (match s.kind with Direct_mixed -> direct_deck | Serve_mixnet | Serve_warm -> serve_deck) in
+  let deck = Array.copy (match s.kind with Direct_mixed -> direct_deck | Serve_mixnet -> serve_deck) in
   Rng.shuffle s.rng deck;
   Array.iter
     (fun id ->
       let sql =
         match s.kind with
         | Serve_mixnet -> distinct_variant s id 1000
-        | Direct_mixed | Serve_warm -> corpus_sql id
+        | Direct_mixed -> corpus_sql id
       in
       Queue.add (id, sql) s.queue)
     deck
 
 (* Exact probes: the first deck pass on direct-mixed (one per shape),
-   the first member of every batch on the serve workloads. *)
+   the first member of every batch on serve-mixnet. *)
 let next s =
   if Queue.is_empty s.queue then refill s;
   let name, sql = Queue.pop s.queue in
@@ -184,7 +171,7 @@ let next s =
   let probe =
     match s.kind with
     | Direct_mixed -> i < Array.length direct_deck
-    | Serve_mixnet | Serve_warm -> i mod (settings s.kind).clients = 0
+    | Serve_mixnet -> i mod (settings s.kind).clients = 0
   in
   { sql; name; epsilon = (if probe then Float.infinity else finite_epsilon) }
 
@@ -219,14 +206,10 @@ let submit sys srv ~client r =
 
 (* The warm-up that finishes lazy set-up: on serve-mixnet one request
    triggers the mixnet's path set-up (the corpus Q4 carries no age
-   window, so no timed request repeats its shape); on serve-warm one
-   batch primes the cache with every shape the timed phase asks. *)
+   window, so no timed request repeats its shape). *)
 let warm_up_requests = function
   | Direct_mixed -> []
   | Serve_mixnet -> [ { sql = corpus_sql "Q4"; name = "Q4"; epsilon = Float.infinity } ]
-  | Serve_warm ->
-    Array.to_list
-      (Array.map (fun id -> { sql = corpus_sql id; name = id; epsilon = Float.infinity }) serve_deck)
 
 (* One bring-up: graph generation, Runtime.init, Serve.create and the
    warm-up.  Returns the warm-up's releases so the caller can check
@@ -248,7 +231,7 @@ let bring_up kind ~seed =
   in
   match kind with
   | Direct_mixed -> ({ kind; rt; srv = None; clock = 0. }, [])
-  | Serve_mixnet | Serve_warm ->
+  | Serve_mixnet ->
     let srv =
       Serve.create
         ~config:
