@@ -28,13 +28,11 @@ module Json = Obs.Json
 let now = Unix.gettimeofday
 
 (* Every metric the benchmark prints, by name and unit; BENCHMARK.json
-   declares the same lists (the self-test holds them equal).  The tail
-   latency is printed beside them as a diagnostic, not as a metric: it
-   follows the host's slowest contention phase within a run, and its
-   run-to-run spread reaches the largest bound a metric may have. *)
+   declares the same lists (the self-test holds them equal). *)
 let end_to_end =
   [
-    ("latency_mean_s", "s");
+    ("latency_p50_s", "s");
+    ("latency_tail_s", "s");
     ("throughput_qps", "1/s");
     ("setup_s", "s");
     ("peak_rss_mb", "MB");
@@ -101,7 +99,7 @@ type outcome = {
 }
 
 (* One round of the closed loop: one request on direct-mixed, one batch
-   (every client submits once) on serve-mixnet. *)
+   (every client submits once) on the serve workloads. *)
 type round = {
   outcomes : outcome list;
   busy_s : float;  (** summed duration of the entry-point calls *)
@@ -278,102 +276,156 @@ let probe_json (alu, mem) = Json.Obj [ ("alu_ns_per_iter", Json.Num alu); ("memo
    set-up never rests on one short interval of a contended host (the
    first bring-up in a process is also the slow one).
 
-   Latency is reported as the mean over the run's requests; the median
-   is printed beside it.  The host runs in a fast and a slow state that
-   switch every few seconds to minutes (README.md, Host noise), so a
-   run's latencies fall in two modes: the median jumps between them with
-   the share of the run each state held, while the mean, like the
-   throughput, moves in proportion to that share. *)
+   Every time the run reports is in nominal seconds: the wall seconds of
+   a bring-up, or of a chunk of rounds, scaled by the host-speed factor
+   of the reference samples taken right before and after it (Calib).
+   The wall-clock figures are printed beside them. *)
 let segments = 5
+
+(* Rounds run between two host-speed samples: at least one, and as many
+   as fill a quarter of a second, so the samples stay a few percent of
+   the loop on serve-warm's short batches too. *)
+let chunk_s = 0.25
+
+let run_chunk sys stream =
+  let t0 = now () in
+  let rec go acc =
+    let acc = run_round sys stream :: acc in
+    if now () -. t0 < chunk_s then go acc else List.rev acc
+  in
+  go []
 
 let timed_run kind ~seed ~seconds ~quick =
   let probe_before = Host.probe () in
   let segments = if quick then 1 else segments in
+  let reference = (Workload.settings kind).Workload.reference in
   let stream = Workload.stream kind ~seed in
   (* Each round is checked and folded as soon as it completes: the run
      keeps numbers, not releases, so memory never grows with speed. *)
-  let bad = ref [] and setups = ref [] and wall = ref 0. and busy = ref 0. and warm_requests = ref 0 in
-  let requests = ref 0 and latencies = ref [] and tail_samples = ref [] and mixnet_bytes = ref 0 in
+  let bad = ref [] and setups = ref [] and wall_setups = ref [] and warm_requests = ref 0 in
+  let wall = ref 0. and busy = ref 0. and wall_busy = ref 0. and speeds = ref [] in
+  let requests = ref 0 and latencies = ref [] and wall_latencies = ref [] in
+  let tail_samples = ref [] and wall_tail_samples = ref [] in
+  let mixnet_bytes = ref 0 in
   for _ = 1 to segments do
     Gc.compact ();
-    let t0 = now () in
-    let sys, warm = Workload.bring_up kind ~seed in
-    setups := (now () -. t0) :: !setups;
+    let (setup, (sys, warm)), speed =
+      Calib.around reference (fun () ->
+          let t0 = now () in
+          let r = Workload.bring_up kind ~seed in
+          (now () -. t0, r))
+    in
+    setups := (setup *. speed) :: !setups;
+    wall_setups := setup :: !wall_setups;
     warm_requests := !warm_requests + List.length warm;
     bad := List.rev_append (failures sys.Workload.rt (warm_outcomes warm)) !bad;
     Gc.compact ();
     let t_start = now () in
     while now () -. t_start < seconds /. float_of_int segments do
-      let round = run_round sys stream in
-      busy := !busy +. round.busy_s;
-      requests := !requests + List.length round.outcomes;
-      bad := List.rev_append (failures sys.Workload.rt round.outcomes) !bad;
-      let released =
-        List.filter_map
-          (fun o ->
-            Result.to_option o.result
-            |> Option.map (fun q ->
-                   mixnet_bytes := !mixnet_bytes + q.Runtime.mixnet_bytes;
-                   o.latency))
-          round.outcomes
-      in
-      latencies := List.rev_append released !latencies;
-      (* The members of one batch finish together: one tail sample each. *)
-      if released <> [] then tail_samples := List.fold_left Float.max 0. released :: !tail_samples
+      let rounds, speed = Calib.around reference (fun () -> run_chunk sys stream) in
+      speeds := speed :: !speeds;
+      List.iter
+        (fun round ->
+          busy := !busy +. (round.busy_s *. speed);
+          wall_busy := !wall_busy +. round.busy_s;
+          requests := !requests + List.length round.outcomes;
+          bad := List.rev_append (failures sys.Workload.rt round.outcomes) !bad;
+          let released =
+            List.filter_map
+              (fun o ->
+                Result.to_option o.result
+                |> Option.map (fun q ->
+                       mixnet_bytes := !mixnet_bytes + q.Runtime.mixnet_bytes;
+                       o.latency))
+              round.outcomes
+          in
+          wall_latencies := List.rev_append released !wall_latencies;
+          (* The members of one batch finish together: one tail sample each. *)
+          if released <> [] then begin
+            let slowest = List.fold_left Float.max 0. released in
+            wall_tail_samples := slowest :: !wall_tail_samples;
+            tail_samples := (slowest *. speed) :: !tail_samples
+          end;
+          latencies := List.rev_append (List.map (fun l -> l *. speed) released) !latencies)
+        rounds
     done;
     wall := !wall +. (now () -. t_start)
   done;
-  let wall = !wall and busy = !busy in
+  let wall = !wall and busy = !busy and wall_busy = !wall_busy in
   let rss = Host.peak_rss_mb () in
   let bad = List.rev !bad and latencies = Array.of_list !latencies in
-  let tail_samples = Array.of_list !tail_samples in
+  let wall_latencies = Array.of_list !wall_latencies in
+  let tail_samples = Array.of_list !tail_samples and wall_tail_samples = Array.of_list !wall_tail_samples in
   let probe_after = Host.probe () in
   if Array.length latencies = 0 then failwith "benchmark: no request was released";
   let tail_s, tail_p, tail_beyond = tail tail_samples in
-  let setups = Array.of_list (List.rev !setups) in
-  let mixnet_bytes = float_of_int !mixnet_bytes /. float_of_int (Array.length latencies) in
-  let p50 = Stats.median latencies in
+  let wall_tail_s, _, _ = tail wall_tail_samples in
+  let setups = Array.of_list (List.rev !setups) and wall_setups = Array.of_list (List.rev !wall_setups) in
+  let speed = Stats.median (Array.of_list !speeds) in
+  let released = Array.length latencies in
+  let mixnet_bytes = float_of_int !mixnet_bytes /. float_of_int released in
   let values =
     [
-      ("latency_mean_s", Stats.mean latencies);
-      ("throughput_qps", float_of_int (Array.length latencies) /. busy);
+      ("latency_p50_s", Stats.median latencies);
+      ("latency_tail_s", tail_s);
+      ("throughput_qps", float_of_int released /. busy);
       ("setup_s", Stats.median setups);
       ("peak_rss_mb", rss);
     ]
   in
+  let wall_values =
+    [
+      ("latency_p50_s", Stats.median wall_latencies);
+      ("latency_tail_s", wall_tail_s);
+      ("throughput_qps", float_of_int released /. wall_busy);
+      ("setup_s", Stats.median wall_setups);
+    ]
+  in
+  let notes =
+    [
+      ("latency_p50_s", Printf.sprintf "median of %d requests" released);
+      ( "latency_tail_s",
+        Printf.sprintf "p%.2f of %d %s, %d samples beyond" tail_p (Array.length tail_samples)
+          (if kind = Workload.Direct_mixed then "requests" else "batches")
+          tail_beyond );
+      ("throughput_qps", Printf.sprintf "%d released in %.3f s of calls" released busy);
+      ( "setup_s",
+        Printf.sprintf "median of %d bring-ups: %s" segments
+          (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.4f") setups))) );
+      ("peak_rss_mb", "VmHWM");
+    ]
+  in
   List.iter (fun why -> Printf.printf "FAILED %s\n" why) bad;
-  Printf.printf "%-18s %12.6f s    (mean of %d requests)\n" "latency_mean_s" (List.assoc "latency_mean_s" values)
-    (Array.length latencies);
-  Printf.printf "%-18s %12.6f s    (not a metric)\n" "latency_p50_s" p50;
-  Printf.printf "%-18s %12.6f s    (p%.2f of %d %s, %d samples beyond; not a metric)\n" "latency_tail_s" tail_s
-    tail_p (Array.length tail_samples)
-    (if kind = Workload.Direct_mixed then "requests" else "batches")
-    tail_beyond;
-  Printf.printf "%-18s %12.6f 1/s  (%d released in %.3f s of calls; %.3f s wall)\n" "throughput_qps"
-    (List.assoc "throughput_qps" values) (Array.length latencies) busy wall;
-  Printf.printf "%-18s %12.6f s    (median of %d bring-ups: %s)\n" "setup_s" (List.assoc "setup_s" values)
-    segments (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.4f") setups)));
-  Printf.printf "%-18s %12.3f MB   (VmHWM)\n" "peak_rss_mb" rss;
-  Printf.printf "%-18s %12.1f B    (mean per release; not a metric)\n" "mixnet_bytes/query" mixnet_bytes;
+  Printf.printf "times in nominal seconds; host speed factor %.4f (median over chunks); %.3f s wall\n" speed wall;
+  List.iter
+    (fun (name, unit) ->
+      let wall = match List.assoc_opt name wall_values with Some w -> Printf.sprintf "%.6f wall" w | None -> "" in
+      Printf.printf "%-16s %14.6f %-4s %-14s (%s)\n" name (List.assoc name values) unit wall (List.assoc name notes))
+    end_to_end;
+  Printf.printf "%-16s %14.6f %-4s %.6f wall (diagnostic)\n" "latency_mean_s" (Stats.mean latencies) "s"
+    (Stats.mean wall_latencies);
+  Printf.printf "%-16s %14.1f %-4s (mean per release; per-layer metric)\n" "mixnet_bytes/q" mixnet_bytes "B";
   print_endline
     (Json.to_string
        (Json.Obj
           [
             ( "provenance",
               provenance kind ~seed
-                [
-                  ("requests", Json.Int !requests);
-                  ("released", Json.Int (Array.length latencies));
-                  ("timed_wall_s", Json.Num wall);
-                  ("benchmark_own_s", Json.Num (wall -. busy));
-                  ("latency_p50_s", Json.Num p50);
-                  ("latency_tail_s", Json.Num tail_s);
-                  ("tail_percentile", Json.Num tail_p);
-                  ("tail_samples", Json.Int (Array.length tail_samples));
-                  ("tail_samples_beyond", Json.Int tail_beyond);
-                  ("bring_ups", Json.Int segments);
-                  ("mixnet_bytes_per_query", Json.Num mixnet_bytes);
-                ] );
+                ([
+                   ("requests", Json.Int !requests);
+                   ("released", Json.Int released);
+                   ("timed_wall_s", Json.Num wall);
+                   ("benchmark_own_s", Json.Num (wall -. wall_busy));
+                   ("host_speed", Json.Num speed);
+                   ("latency_mean_s", Json.Num (Stats.mean latencies));
+                   ("wall_latency_mean_s", Json.Num (Stats.mean wall_latencies));
+                   ("tail_percentile", Json.Num tail_p);
+                   ("tail_samples", Json.Int (Array.length tail_samples));
+                   ("tail_samples_beyond", Json.Int tail_beyond);
+                   ("bring_ups", Json.Int segments);
+                   ("mixnet_bytes_per_query", Json.Num mixnet_bytes);
+                 ]
+                @ List.map (fun (name, v) -> ("wall_" ^ name, Json.Num v)) wall_values) );
             ("host_probe", Json.Obj [ ("before", probe_json probe_before); ("after", probe_json probe_after) ]);
           ]));
   let failed = List.length bad in
@@ -392,6 +444,8 @@ let traced_sizes kind ~quick =
   | Workload.Direct_mixed, true -> (2, 2, 1)
   | Workload.Serve_mixnet, false -> (2, 2, 1)
   | Workload.Serve_mixnet, true -> (1, 1, 1)
+  | Workload.Serve_warm, false -> (40, 40, 10)
+  | Workload.Serve_warm, true -> (5, 5, 2)
 
 let mixnet_metrics =
   [
@@ -407,9 +461,14 @@ let mixnet_metrics =
 (* The bypass predictions: which layers a workload must never touch. *)
 let prediction_failures kind value =
   let must name ok why = if ok then [] else [ Printf.sprintf "%s = %g: %s" name (value name) why ] in
+  let no_mixnet () = List.concat_map (fun n -> must n (value n = 0.) "the abstract channel bypasses the mixnet") mixnet_metrics in
   match kind with
-  | Workload.Direct_mixed ->
-    List.concat_map (fun n -> must n (value n = 0.) "the abstract channel bypasses the mixnet") mixnet_metrics
+  | Workload.Direct_mixed -> no_mixnet ()
+  | Workload.Serve_warm ->
+    no_mixnet ()
+    @ must "contribution.build_calls" (value "contribution.build_calls" = 0.) "cache hits build nothing"
+    @ must "bgv.encrypts" (value "bgv.encrypts" = 0.) "cache hits encrypt nothing"
+    @ must "serve.cache_hit_ratio" (value "serve.cache_hit_ratio" = 1.) "every request hits"
   | Workload.Serve_mixnet ->
     must "serve.cache_hit_ratio" (value "serve.cache_hit_ratio" = 0.) "every request misses"
     @ must "mixnet.deposited_bytes" (value "mixnet.deposited_bytes" > 0.) "rows travel the mixnet"
@@ -451,6 +510,8 @@ let traced_run kind ~seed ~quick =
   (* Replay a seeded sample of the traced rounds on the benchmark's own
      fixture. *)
   let fx = Replay.create sys.Workload.rt ~seed in
+  if kind = Workload.Serve_warm then Replay.prime fx (Workload.warm_up_requests kind);
+  Replay.reset_counts fx;
   Spans.reset ();
   let traced_arr = Array.of_list traced in
   let sample =
@@ -466,7 +527,8 @@ let traced_run kind ~seed ~quick =
       let reqs = List.map (fun o -> o.req) round.outcomes in
       (match kind with
       | Workload.Direct_mixed -> List.iter (Replay.direct fx) reqs
-      | Workload.Serve_mixnet -> Replay.mixnet_batch fx reqs);
+      | Workload.Serve_mixnet -> Replay.mixnet_batch fx reqs
+      | Workload.Serve_warm -> Replay.warm_batch fx reqs);
       real_s := !real_s +. round.busy_s;
       replayed := !replayed + List.length reqs)
     sample;

@@ -34,6 +34,8 @@ type t = {
   mutable comm : Committee.t;
   mixnet : Sim.t option;
   setup_paths_s : float;
+  cached : (string, Analysis.info * Bgv.ciphertext) Hashtbl.t;
+      (** serve-warm's cache: sql -> relinearized aggregate *)
   (* counts the spans do not carry *)
   mutable wire_bytes : int;
   mutable discarded : int;
@@ -86,6 +88,7 @@ let create rt ~seed =
     comm;
     mixnet;
     setup_paths_s;
+    cached = Hashtbl.create 8;
     wire_bytes = 0;
     discarded = 0;
     leaves = 0;
@@ -93,6 +96,14 @@ let create rt ~seed =
     releases = 0;
     mismatches = 0;
   }
+
+let reset_counts t =
+  t.wire_bytes <- 0;
+  t.discarded <- 0;
+  t.leaves <- 0;
+  t.shares <- 0;
+  t.releases <- 0;
+  t.mismatches <- 0
 
 let admit t (req : Workload.request) =
   match Spans.span "query.parse" (fun () -> Parser.parse ~name:req.Workload.name req.Workload.sql) with
@@ -334,10 +345,12 @@ let release_batch t members =
     rotate t;
     List.iter2 (fun (info, _) r -> check t info r) members releases
 
+let aggregate_abstract t info = summation t (aggregate t info (gather_abstract t info))
+
 (* direct-mixed: one Runtime.run_query. *)
 let direct t req =
   let info = admit t req in
-  release_one t info (summation t (aggregate t info (gather_abstract t info)))
+  release_one t info (aggregate_abstract t info)
 
 (* serve-mixnet: one batch of cache misses sharing a mixnet round and a
    decryption session. *)
@@ -349,3 +362,21 @@ let mixnet_batch t reqs =
     let rows = gather_mixnet t sim infos in
     release_batch t
       (Array.to_list (Array.mapi (fun i info -> (info, summation t (aggregate t info rows.(i)))) infos))
+
+(* serve-warm's cache contents, computed once outside any measurement. *)
+let prime t reqs =
+  List.iter
+    (fun (req : Workload.request) ->
+      let info = admit t req in
+      Hashtbl.replace t.cached req.Workload.sql (info, aggregate_abstract t info))
+    reqs
+
+(* serve-warm: one batch of cache hits — admission, then straight to
+   the shared decryption session. *)
+let warm_batch t reqs =
+  release_batch t
+    (List.map
+       (fun (req : Workload.request) ->
+         let (_ : Analysis.info) = admit t req in
+         Hashtbl.find t.cached req.Workload.sql)
+       reqs)

@@ -10,5 +10,6 @@ if [ ! -f dune-project ] || [ ! -d lib ]; then
   exit 2
 fi
 # Build output goes to stderr: the last line of stdout is the result.
-dune build --root . ./benchmark/main.exe 1>&2
+# The shared build cache lives outside the checkout, so it stays off.
+DUNE_CACHE=disabled dune build --root . ./benchmark/main.exe 1>&2
 exec ./_build/default/benchmark/main.exe "$@"

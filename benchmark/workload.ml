@@ -1,4 +1,4 @@
-(* The two workloads: their fixed settings, the seeded request
+(* The three workloads: their fixed settings, the seeded request
    streams the analysts send, and the bring-up that makes a system
    ready to serve them.
 
@@ -18,9 +18,9 @@ module Corpus = Mycelium_query.Corpus
 module Runtime = Mycelium_core.Runtime
 module Serve = Mycelium_serve.Serve
 
-type kind = Direct_mixed | Serve_mixnet
+type kind = Direct_mixed | Serve_mixnet | Serve_warm
 
-let all = [ ("direct-mixed", Direct_mixed); ("serve-mixnet", Serve_mixnet) ]
+let all = [ ("direct-mixed", Direct_mixed); ("serve-mixnet", Serve_mixnet); ("serve-warm", Serve_warm) ]
 let name kind = fst (List.find (fun (_, k) -> k = kind) all)
 
 type request = {
@@ -41,8 +41,9 @@ type settings = {
   relin_degree : int option;
   graph_seed : int64;
   mixnet : Sim.config option;
-  clients : int;  (** closed-loop clients; on serve-mixnet also the batch size *)
+  clients : int;  (** closed-loop clients; on the serve workloads also the batch size *)
   cache_capacity : int;
+  reference : Calib.reference;  (** the host-speed reference that slows like this workload *)
 }
 
 let settings = function
@@ -57,6 +58,8 @@ let settings = function
       mixnet = None;
       clients = 1;
       cache_capacity = 0;
+      (* contributions: proofs, hashes and wire format besides the ring *)
+      reference = Calib.Mixed;
     }
   | Serve_mixnet ->
     {
@@ -83,6 +86,21 @@ let settings = function
       (* smaller than the shapes between two repeats of a shape, so the
          miss, put and evict paths all run *)
       cache_capacity = 8;
+      (* onion layers and Merkle hashes over byte arenas *)
+      reference = Calib.Mixed;
+    }
+  | Serve_warm ->
+    {
+      params = Params.test_small;
+      population = 16;
+      degree = 4;
+      relin_degree = None;
+      graph_seed = 4242L;
+      mixnet = None;
+      clients = 4;
+      cache_capacity = 64;
+      (* decryption and rotation: ring arithmetic alone *)
+      reference = Calib.Arithmetic;
     }
 
 (* The 2-hop Q1 and the 1-hop single-ciphertext shapes; §4.5 sequence
@@ -90,7 +108,10 @@ let settings = function
    settings and would put the tail percentile in a second cost mode. *)
 let direct_deck = [| "Q1"; "Q2"; "Q4"; "Q5"; "Q8" |]
 
-(* The 1-hop single-ciphertext shapes, each asked with seeded windows. *)
+(* The 1-hop single-ciphertext shapes: asked with seeded windows on
+   serve-mixnet, as the corpus has them on serve-warm.  One member of
+   each needs 61 + 6 + 60 + 72 = 199 plaintext slots at d = 4, so a
+   serve-warm batch of four fits one N = 256 decryption session. *)
 let serve_deck = [| "Q2"; "Q4"; "Q5"; "Q8" |]
 
 let corpus_sql id = (Corpus.find id).Corpus.sql
@@ -149,20 +170,20 @@ let rec distinct_variant s id tries =
   else distinct_variant s id (tries - 1)
 
 let refill s =
-  let deck = Array.copy (match s.kind with Direct_mixed -> direct_deck | Serve_mixnet -> serve_deck) in
+  let deck = Array.copy (match s.kind with Direct_mixed -> direct_deck | Serve_mixnet | Serve_warm -> serve_deck) in
   Rng.shuffle s.rng deck;
   Array.iter
     (fun id ->
       let sql =
         match s.kind with
         | Serve_mixnet -> distinct_variant s id 1000
-        | Direct_mixed -> corpus_sql id
+        | Direct_mixed | Serve_warm -> corpus_sql id
       in
       Queue.add (id, sql) s.queue)
     deck
 
 (* Exact probes: the first deck pass on direct-mixed (one per shape),
-   the first member of every batch on serve-mixnet. *)
+   the first member of every batch on the serve workloads. *)
 let next s =
   if Queue.is_empty s.queue then refill s;
   let name, sql = Queue.pop s.queue in
@@ -171,7 +192,7 @@ let next s =
   let probe =
     match s.kind with
     | Direct_mixed -> i < Array.length direct_deck
-    | Serve_mixnet -> i mod (settings s.kind).clients = 0
+    | Serve_mixnet | Serve_warm -> i mod (settings s.kind).clients = 0
   in
   { sql; name; epsilon = (if probe then Float.infinity else finite_epsilon) }
 
@@ -206,10 +227,14 @@ let submit sys srv ~client r =
 
 (* The warm-up that finishes lazy set-up: on serve-mixnet one request
    triggers the mixnet's path set-up (the corpus Q4 carries no age
-   window, so no timed request repeats its shape). *)
+   window, so no timed request repeats its shape); on serve-warm one
+   batch primes the cache with every shape the timed phase asks. *)
 let warm_up_requests = function
   | Direct_mixed -> []
   | Serve_mixnet -> [ { sql = corpus_sql "Q4"; name = "Q4"; epsilon = Float.infinity } ]
+  | Serve_warm ->
+    Array.to_list
+      (Array.map (fun id -> { sql = corpus_sql id; name = id; epsilon = Float.infinity }) serve_deck)
 
 (* One bring-up: graph generation, Runtime.init, Serve.create and the
    warm-up.  Returns the warm-up's releases so the caller can check
@@ -231,7 +256,7 @@ let bring_up kind ~seed =
   in
   match kind with
   | Direct_mixed -> ({ kind; rt; srv = None; clock = 0. }, [])
-  | Serve_mixnet ->
+  | Serve_mixnet | Serve_warm ->
     let srv =
       Serve.create
         ~config:
