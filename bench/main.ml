@@ -139,7 +139,7 @@ let bench_config faults =
 let time_query faults =
   let sys = Runtime.init (bench_config faults) (bench_graph 4242L) in
   let t0 = Unix.gettimeofday () in
-  match Runtime.run_query sys (Mycelium_query.Corpus.find "Q5").Mycelium_query.Corpus.sql with
+  match Runtime.run_query ~epsilon:1.0 sys (Mycelium_query.Corpus.find "Q5").Mycelium_query.Corpus.sql with
   | Ok r -> (Unix.gettimeofday () -. t0, r)
   | Error _ -> failwith "bench: query failed"
 
@@ -1053,7 +1053,7 @@ let () =
             (fun () ->
               let timed () =
                 let t0 = Unix.gettimeofday () in
-                let res = A.run ~cache ~roots:aroots () in
+                let res = A.run ~cache ~source_root:root ~roots:aroots () in
                 (res, (Unix.gettimeofday () -. t0) *. 1e3)
               in
               let cold, cold_ms = timed () in
@@ -1200,47 +1200,53 @@ let () =
             ]))
 
 (* ------------------------------------------------------------------ *)
-(* --check: the ringops CI gate (runs last so --json stays intact)     *)
+(* --check gates (run last so --json stays intact)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Fails the process unless the Montgomery forward at N=8192 measured
-   above is at least 2x faster than the ntt_forward_ns committed in
-   BENCH_pr4.json (the Reference-backend number of record).  Keeps the
-   backend's reason to exist from silently regressing. *)
+(* A failed gate prints its reason and exits 1. *)
+let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt
+
+(* The committed baseline [name], parsed, from the nearest directory
+   upward of the working directory that holds it: the gates run from
+   the repository root and from _build/default/test. *)
+let committed_baseline name =
+  let rec find_root dir =
+    if Sys.file_exists (Filename.concat dir name) then Some dir
+    else
+      let parent = Filename.dirname dir in
+      if String.equal parent dir then None else find_root parent
+  in
+  match find_root (Sys.getcwd ()) with
+  | None -> fail "%s not found upward of %s" name (Sys.getcwd ())
+  | Some root ->
+    let ic = open_in_bin (Filename.concat root name) in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    (match Json.parse s with
+    | Error e -> fail "%s does not parse: %s" name e
+    | Ok doc -> doc)
+
+let ( >>= ) o f = Option.bind o f
+
+(* The ringops gate fails the process unless the Montgomery forward at
+   N=8192 measured above is at least 2x faster than the ntt_forward_ns
+   committed in BENCH_pr4.json (the Reference-backend number of
+   record).  Keeps the backend's reason to exist from silently
+   regressing. *)
 let () =
   if check_mode && wants "ringops" then begin
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt in
     let reference_ns =
-      let rec find_root dir =
-        if Sys.file_exists (Filename.concat dir "BENCH_pr4.json") then Some dir
-        else
-          let parent = Filename.dirname dir in
-          if String.equal parent dir then None else find_root parent
+      let row =
+        Json.member "sections" (committed_baseline "BENCH_pr4.json")
+        >>= Json.member "ringops" >>= Json.member "degrees"
+        >>= function
+        | List rows ->
+          List.find_opt (fun r -> Json.member "degree" r = Some (Int 8192)) rows
+        | _ -> None
       in
-      match find_root (Sys.getcwd ()) with
-      | None -> fail "BENCH_pr4.json not found upward of %s" (Sys.getcwd ())
-      | Some root ->
-        let path = Filename.concat root "BENCH_pr4.json" in
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        (match Json.parse s with
-        | Error e -> fail "%s does not parse: %s" path e
-        | Ok doc ->
-          let ( >>= ) o f = Option.bind o f in
-          let row =
-            Json.member "sections" doc >>= Json.member "ringops"
-            >>= Json.member "degrees"
-            >>= function
-            | List rows ->
-              List.find_opt
-                (fun r -> Json.member "degree" r = Some (Int 8192))
-                rows
-            | _ -> None
-          in
-          (match row >>= Json.member "ntt_forward_ns" with
-          | Some (Num ns) -> ns
-          | _ -> fail "%s has no ntt_forward_ns row at degree 8192" path))
+      match row >>= Json.member "ntt_forward_ns" with
+      | Some (Num ns) -> ns
+      | _ -> fail "BENCH_pr4.json has no ntt_forward_ns row at degree 8192"
     in
     match !mont_fwd_8192_ns with
     | None -> fail "ringops section did not measure the N=8192 forward"
@@ -1263,7 +1269,6 @@ let () =
    of three against one cold, so scheduler noise cannot flip it). *)
 let () =
   if check_mode && wants "lint" then begin
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt in
     match !analyze_cold_warm_ms with
     | None -> say "check: analyzer cells skipped (no build tree); cache gate not applicable\n"
     | Some (cold_ms, warm_ms, warm_summarized) ->
@@ -1290,26 +1295,7 @@ let () =
    the 10^6 measurement of record cannot silently vanish. *)
 let () =
   if check_mode && wants "mixnet" then begin
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt in
-    let ( >>= ) o f = Option.bind o f in
-    let doc =
-      let rec find_root dir =
-        if Sys.file_exists (Filename.concat dir "BENCH_pr7.json") then Some dir
-        else
-          let parent = Filename.dirname dir in
-          if String.equal parent dir then None else find_root parent
-      in
-      match find_root (Sys.getcwd ()) with
-      | None -> fail "BENCH_pr7.json not found upward of %s" (Sys.getcwd ())
-      | Some root ->
-        let path = Filename.concat root "BENCH_pr7.json" in
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        (match Json.parse s with
-        | Error e -> fail "BENCH_pr7.json does not parse: %s" e
-        | Ok doc -> doc)
-    in
+    let doc = committed_baseline "BENCH_pr7.json" in
     let cells =
       match Json.member "sections" doc >>= Json.member "mixnet" >>= Json.member "cells" with
       | Some (List cells) -> cells
@@ -1358,27 +1344,9 @@ let () =
    scheduler noise on shared CI hosts. *)
 let () =
   if check_mode && wants "telemetry" then begin
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt in
-    let ( >>= ) o f = Option.bind o f in
-    let doc =
-      let rec find_root dir =
-        if Sys.file_exists (Filename.concat dir "BENCH_pr8.json") then Some dir
-        else
-          let parent = Filename.dirname dir in
-          if String.equal parent dir then None else find_root parent
-      in
-      match find_root (Sys.getcwd ()) with
-      | None -> fail "BENCH_pr8.json not found upward of %s" (Sys.getcwd ())
-      | Some root ->
-        let path = Filename.concat root "BENCH_pr8.json" in
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        (match Json.parse s with
-        | Error e -> fail "BENCH_pr8.json does not parse: %s" e
-        | Ok doc -> doc)
+    let sec =
+      Json.member "sections" (committed_baseline "BENCH_pr8.json") >>= Json.member "telemetry"
     in
-    let sec = Json.member "sections" doc >>= Json.member "telemetry" in
     let committed_pct, committed_rate =
       match
         ( sec >>= Json.member "sampler_1ms_overhead_pct",
@@ -1413,7 +1381,6 @@ let () =
    ratio, so the gate is host-speed independent. *)
 let () =
   if check_mode && wants "serving" then begin
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt in
     match !serving_measured with
     | None -> fail "serving section did not run"
     | Some speedup ->

@@ -75,9 +75,9 @@ let rec recruit rng ~candidates ~needed ~churn ~max_attempts ~attempt =
     else recruit rng ~candidates ~needed ~churn ~max_attempts ~attempt:(attempt + 1)
   end
 
-(* The §4.4 final processing, shared by the single-query and batched
-   decryption paths: calibrated Laplace noise per histogram bin for
-   HISTO, per group sum for GSUM, drawn from [noise_rng]. *)
+(* The §4.4 final processing of one member's exact counts: calibrated
+   Laplace noise per histogram bin for HISTO, per group sum for GSUM,
+   drawn from [noise_rng]. *)
 let release_from_counts ~noise_rng ~info ~epsilon ~participants ~attempts counts =
   let sensitivity = info.Analysis.sensitivity in
   match info.Analysis.query.Ast.output with
@@ -110,19 +110,6 @@ let recruit_and_decrypt ?(churn = 0.) ?(max_attempts = 10) ?(excluded = []) t rn
     (match Threshold.decrypt ctx rng ~threshold:t.thresh ~live ct with
     | Error e -> Error e
     | Ok (pt, participants) -> Ok (pt, participants, attempts))
-
-let decrypt_and_release ?churn ?max_attempts ?excluded t rng ctx ~info ~epsilon ct =
-  Obs.span "committee.decrypt"
-    ~attrs:[ ("size", Obs.Json.Int t.size); ("threshold", Obs.Json.Int t.thresh) ]
-  @@ fun () ->
-  if Bgv.degree ct <> 1 then Error "ciphertext must be relinearized to degree 1"
-  else
-    match recruit_and_decrypt ?churn ?max_attempts ?excluded t rng ctx ct with
-    | Error e -> Error e
-    | Ok (pt, participants, attempts) ->
-      let total_bins = info.Analysis.layout.Analysis.total_bins in
-      let counts = Array.init total_bins (fun i -> Plaintext.coeff pt i) in
-      release_from_counts ~noise_rng:rng ~info ~epsilon ~participants ~attempts counts
 
 type batch_member = {
   b_info : Analysis.info;
@@ -221,6 +208,14 @@ let decrypt_batch ?churn ?max_attempts ?excluded t rng ctx ~members =
           collect [] releases
       end
     end
+
+(* A session of one: the member's window sits at offset 0, so no
+   monomial shift happens, and [rng] doubles as the noise stream — the
+   draws come in the order of recruitment, decryption, then noise. *)
+let decrypt_and_release ?churn ?max_attempts ?excluded t rng ctx ~info ~epsilon ct =
+  Result.map List.hd
+    (decrypt_batch ?churn ?max_attempts ?excluded t rng ctx
+       ~members:[ ({ b_info = info; b_epsilon = epsilon; b_noise_rng = rng }, ct) ])
 
 let reconstruct_for_tests t ctx =
   Threshold.reconstruct_secret_key ctx

@@ -44,28 +44,6 @@ type release = {
           (1 when everyone answers; the Fig 8b liveness story) *)
 }
 
-val decrypt_and_release :
-  ?churn:float ->
-  ?max_attempts:int ->
-  ?excluded:int list ->
-  t ->
-  Mycelium_util.Rng.t ->
-  Mycelium_bgv.Bgv.ctx ->
-  info:Mycelium_query.Analysis.info ->
-  epsilon:float ->
-  Mycelium_bgv.Bgv.ciphertext ->
-  (release, string) result
-(** Threshold-decrypt a relinearized aggregate, apply the §4.4 final
-    processing with calibrated Laplace noise (per histogram bin for
-    HISTO; per group sum for GSUM), and release. Each member is
-    independently unreachable with probability [churn] (default 0);
-    with fewer than threshold+1 present the committee "waits for some
-    amount of time... and retries" (§6.5) up to [max_attempts]
-    (default 10). [excluded] members (crashed, per the fault plan)
-    never answer: decryption still succeeds with any threshold+1 of
-    the remaining live shares. Fails if the ciphertext is not degree 1
-    or liveness never recovers. *)
-
 type batch_member = {
   b_info : Mycelium_query.Analysis.info;
   b_epsilon : float;
@@ -94,10 +72,35 @@ val decrypt_batch :
     windows cannot wrap (the call fails if the batch's total bin count
     exceeds the ring degree N), so each member's sliced counts — and
     therefore its noised release, drawn from its own [b_noise_rng] —
-    are bit-identical to a solo {!decrypt_and_release} session seeded
-    with the same noise stream. [rng] drives only recruitment and the
+    are bit-identical to a session of that member alone seeded with
+    the same noise stream. [rng] drives only recruitment and the
     decryption smudging noise, neither of which can move a released
-    byte. Raises [Invalid_argument] on an empty batch. *)
+    byte.
+
+    Each committee member is independently unreachable with
+    probability [churn] (default 0); with fewer than threshold+1
+    present the committee "waits for some amount of time... and
+    retries" (§6.5) up to [max_attempts] (default 10). [excluded]
+    members (crashed, per the fault plan) never answer: decryption
+    still succeeds with any threshold+1 of the remaining live shares.
+    Fails if a ciphertext is not degree 1 or liveness never recovers;
+    raises [Invalid_argument] on an empty batch. *)
+
+val decrypt_and_release :
+  ?churn:float ->
+  ?max_attempts:int ->
+  ?excluded:int list ->
+  t ->
+  Mycelium_util.Rng.t ->
+  Mycelium_bgv.Bgv.ctx ->
+  info:Mycelium_query.Analysis.info ->
+  epsilon:float ->
+  Mycelium_bgv.Bgv.ciphertext ->
+  (release, string) result
+(** A {!decrypt_batch} session of one: threshold-decrypt a relinearized
+    aggregate, apply the §4.4 final processing with calibrated Laplace
+    noise (per histogram bin for HISTO; per group sum for GSUM) drawn
+    from [rng] after recruitment and decryption, and release. *)
 
 val reconstruct_for_tests : t -> Mycelium_bgv.Bgv.ctx -> Mycelium_bgv.Bgv.secret_key
 (** Rebuild the secret key from shares — the committee-capture failure

@@ -199,9 +199,33 @@ let unpad b =
     if l < 0 || 4 + l > Bytes.length b then None else Some (Bytes.sub b 4 l)
   end
 
-(* Collect, for every origin, the verified neighbor rows — either over
-   the abstract channel or through the mixnet. Returns
-   (rows per origin, discarded count, transit losses, mixnet bytes). *)
+(* One contributor's encrypted row for [info]; a Byzantine contributor
+   submits an over-weighted value with a forged proof (§4.6's
+   attack). *)
+let build_row t info rng contributor edge =
+  if t.byzantine.(contributor) then
+    Contribution.build_malicious t.ctx rng t.pk info ~exponent:1 ~coeff:200
+  else
+    Contribution.build t.srs t.ctx rng t.pk info ~dest:(Cg.vertex t.graph contributor) ~edge
+
+(* Collect, for every origin, the verified neighbor rows over the
+   abstract reliable channel: used when the experiment under
+   measurement is the query pipeline, not the mixnet, and for
+   multi-hop queries. Fault injection makes the channel droppable:
+   each row delivery is retried with exponential backoff up to the
+   plan's budget, and churned contributors' rows get §6.3
+   default-value substitution (the row is absent from the local
+   aggregate).
+
+   Three phases keep the report and rows deterministic: (1) a
+   sequential pass makes every injector decision in the original
+   iteration order; (2) the surviving (origin, contributor) builds —
+   the dominant cost: BGV encrypt plus ZKP prove/verify — run on the
+   pool with per-pair Rng streams; (3) a sequential merge assembles
+   rows and counters in the original order.
+
+   Returns (rows per origin, discarded count, transit losses, mixnet
+   bytes); the last two are always 0 here. *)
 let gather_rows t inj info =
   let n = Cg.population t.graph in
   let pool = Pool.default () in
@@ -209,164 +233,50 @@ let gather_rows t inj info =
      derived from stable (contributor, destination) coordinates: builds
      can run on any domain in any order with identical output. *)
   let gather_seed = Rng.int64 t.rng in
-  let discarded = ref 0 and losses = ref 0 and mix_bytes = ref 0 in
-  let build_for rng dest_dev edge =
-    if t.byzantine.(dest_dev) then
-      (* Over-weighted value with a forged proof (§4.6's attack). *)
-      Contribution.build_malicious t.ctx rng t.pk info ~exponent:1 ~coeff:200
-    else Contribution.build t.srs t.ctx rng t.pk info ~dest:(Cg.vertex t.graph dest_dev) ~edge
-  in
+  let discarded = ref 0 in
   let rows = Array.make n [] in
-  (match t.mixnet with
-  | Some mix when info.Analysis.query.Ast.hops = 1 ->
-    (* Route every row through the onion-routing layer. *)
-    if not t.mixnet_ready then begin
-      let targets =
-        Array.init n (fun v ->
-            let neigh = List.map fst (Cg.neighbors t.graph v) in
-            (* Exactly d targets per vertex (§3.2): clip an over-degree
-               vertex to its first d neighbors, pad an under-degree one
-               with self-loops.  Without the clip a vertex with more
-               than d contacts would emit more than d circuits and break
-               the sensitivity analysis. *)
-            let neigh = List.filteri (fun i _ -> i < t.cfg.degree_bound) neigh in
-            let pad = t.cfg.degree_bound - List.length neigh in
-            Array.of_list (neigh @ List.init (max 0 pad) (fun _ -> v)))
-      in
-      ignore (Sim.setup_paths ~targets mix);
-      t.mixnet_ready <- true
-    end;
-    if Injector.active inj then begin
-      (* Injected transit loss rides on the simulator's replica copies
-         (a dropped copy can still be covered by its siblings). *)
-      Sim.set_fault_hook mix
-        (Some
-           (fun ~round ~source ~dest ~copy ->
-             let dropped =
-               Fault_plan.send_dropped (Injector.plan inj) ~round ~source ~dest
-                 ~attempt:copy
-             in
-             if dropped then Injector.note_dropped inj;
-             dropped));
-      (* §6.3 default-value substitution for churned senders, decided
-         up front from the plan so the report does not depend on
-         delivery outcomes. *)
-      for v = 0 to n - 1 do
-        if not (Injector.device_offline inj ~device:v) then
-          List.iter
-            (fun (u, _) ->
-              if Injector.device_offline inj ~device:u then Injector.note_substituted inj)
-            (Cg.neighbors t.graph v)
-      done
-    end;
-    let frame = Contribution.wire_size t.ctx info in
-    (* [payload_of] is called from the simulator's parallel wrap phase:
-       it must be pure, so each (source, dest) pair gets its own derived
-       Rng stream instead of sharing [t.rng]. *)
-    let payload_of ~source ~dest =
-      if source = dest then pad_to frame (Bytes.make 1 '\x00') (* self-loop padding *)
-      else begin
-        let edge = Cg.edge t.graph source dest in
-        pad_to frame (Contribution.to_bytes (build_for (task_rng gather_seed source dest) source edge))
-      end
-    in
-    let stats = Sim.run_query_round_with mix ~payload_of in
-    mix_bytes := stats.Sim.deposited_bytes;
-    Sim.set_fault_hook mix None;
-    let delivered = Array.of_list (Sim.deliveries mix) in
-    (* Count expected edge messages that did not arrive. *)
-    let expected = Cg.edge_count t.graph * 2 in
-    let arrived = ref 0 in
-    (* Parse + ZKP-verify each delivery in parallel (pure given the
-       bytes), then fold the verdicts in delivery order so counters and
-       per-origin row order never depend on the domain count. *)
-    let verdicts =
-      Pool.map_array pool
-        (fun (src, dst, body) ->
-          if src = dst then `Self_loop
-          else if Injector.device_offline inj ~device:src then
-            (* Already counted as substituted above; the delivered
-               bytes of an offline device are ignored. *)
-            `Offline
-          else begin
-            match Option.bind (unpad body) (Contribution.of_bytes t.ctx) with
-            | Some row ->
-              if Contribution.verify t.srs t.ctx info row then `Row row else `Bad_proof
-            | None -> `Bad_bytes
-          end)
-        delivered
-    in
-    Array.iteri
-      (fun i verdict ->
-        let src, dst, _ = delivered.(i) in
-        match verdict with
-        | `Self_loop -> ()
-        | `Offline -> incr arrived
-        | `Row row ->
-          incr arrived;
-          rows.(dst) <- (src, Cg.edge t.graph dst src, row) :: rows.(dst)
-        | `Bad_proof ->
-          incr arrived;
-          incr discarded
-        | `Bad_bytes -> incr discarded)
-      verdicts;
-    losses := expected - !arrived
-  | Some _ | None ->
-    (* Abstract reliable channel: used when the experiment under
-       measurement is the query pipeline, not the mixnet. Fault
-       injection makes the channel droppable: each row delivery is
-       retried with exponential backoff up to the plan's budget, and
-       churned contributors' rows get §6.3 default-value
-       substitution (the row is absent from the local aggregate).
-
-       Three phases keep the report and rows deterministic: (1) a
-       sequential pass makes every injector decision in the original
-       iteration order; (2) the surviving (origin, contributor) builds
-       — the dominant cost: BGV encrypt plus ZKP prove/verify — run on
-       the pool with per-pair Rng streams; (3) a sequential merge
-       assembles rows and counters in the original order. *)
-    let tasks = ref [] in
-    for origin = 0 to n - 1 do
-      if not (Injector.device_offline inj ~device:origin) then begin
-        let members = Cg.k_hop t.graph origin ~k:info.Analysis.query.Ast.hops in
-        let parents = Cg.spanning_parents t.graph origin ~k:info.Analysis.query.Ast.hops in
-        let first_edge m =
-          let rec walk v =
-            match Hashtbl.find_opt parents v with
-            | Some p when p = origin -> Some v
-            | Some p -> walk p
-            | None -> None
-          in
-          match walk m with Some hop -> Cg.edge t.graph origin hop | None -> None
+  let tasks = ref [] in
+  for origin = 0 to n - 1 do
+    if not (Injector.device_offline inj ~device:origin) then begin
+      let members = Cg.k_hop t.graph origin ~k:info.Analysis.query.Ast.hops in
+      let parents = Cg.spanning_parents t.graph origin ~k:info.Analysis.query.Ast.hops in
+      let first_edge m =
+        let rec walk v =
+          match Hashtbl.find_opt parents v with
+          | Some p when p = origin -> Some v
+          | Some p -> walk p
+          | None -> None
         in
-        List.iter
-          (fun (m, _dist) ->
-            if Injector.device_offline inj ~device:m then Injector.note_substituted inj
-            else if not (Injector.send inj ~round:0 ~source:m ~dest:origin) then
-              (* Permanently lost after the retry budget: same shape
-                 as a missing row. *)
-              ()
-            else tasks := (origin, m, first_edge m) :: !tasks)
-          members
-      end
-    done;
-    let tasks = Array.of_list (List.rev !tasks) in
-    let built =
-      Pool.map_array pool
-        (fun (origin, m, edge) ->
-          (* lint: allow rng-capture — task_rng is the rng.mli pre-split
-             pattern: a pure Rng.mix64 derivation from (seed, coords),
-             not a shared mutable stream *)
-          let row = build_for (task_rng gather_seed origin m) m edge in
-          (Contribution.verify t.srs t.ctx info row, row))
-        tasks
-    in
-    Array.iteri
-      (fun i (ok, row) ->
-        let origin, m, edge = tasks.(i) in
-        if ok then rows.(origin) <- (m, edge, row) :: rows.(origin) else incr discarded)
-      built);
-  (rows, !discarded, !losses, !mix_bytes)
+        match walk m with Some hop -> Cg.edge t.graph origin hop | None -> None
+      in
+      List.iter
+        (fun (m, _dist) ->
+          if Injector.device_offline inj ~device:m then Injector.note_substituted inj
+          else if not (Injector.send inj ~round:0 ~source:m ~dest:origin) then
+            (* Permanently lost after the retry budget: same shape as a
+               missing row. *)
+            ()
+          else tasks := (origin, m, first_edge m) :: !tasks)
+        members
+    end
+  done;
+  let tasks = Array.of_list (List.rev !tasks) in
+  let built =
+    Pool.map_array pool
+      (fun (origin, m, edge) ->
+        (* lint: allow rng-capture — task_rng is the rng.mli pre-split
+           pattern: a pure Rng.mix64 derivation from (seed, coords),
+           not a shared mutable stream *)
+        let row = build_row t info (task_rng gather_seed origin m) m edge in
+        (Contribution.verify t.srs t.ctx info row, row))
+      tasks
+  in
+  Array.iteri
+    (fun i (ok, row) ->
+      let origin, m, edge = tasks.(i) in
+      if ok then rows.(origin) <- (m, edge, row) :: rows.(origin) else incr discarded)
+    built;
+  (rows, !discarded, 0, 0)
 
 (* Wall-clock phase durations and the charge latch for the audit
    ledger.  Diagnostic only: filled in as the pipeline runs, read once
@@ -381,16 +291,18 @@ type phase_times = {
          reflects spend even for queries that fail after the charge *)
 }
 
-let timed set f =
+(* Run one pipeline phase under its span and return its result with
+   its wall-clock duration, which the ledger needs whether or not
+   tracing is on; the span itself is recorded only while it is. *)
+let phase ?attrs name f =
   let t0 = Obs.now_s () in
-  let r = f () in
-  set (Obs.now_s () -. t0);
-  r
+  let r = Obs.span ?attrs name f in
+  (r, Obs.now_s () -. t0)
 
-(* Static admission checks, shared by the single-query path and the
-   batched serving path: analysis, parameter feasibility, predicate
-   placement and the multi-hop restrictions.  Pure — never touches the
-   budget or any Rng stream. *)
+(* Static admission checks of [run_batch], exported so the serving
+   layer can validate before it charges: analysis, parameter
+   feasibility, predicate placement and the multi-hop restrictions.
+   Pure — never touches the budget or any Rng stream. *)
 let validate_query t query =
   let ( let* ) = Result.bind in
   let* info =
@@ -426,82 +338,28 @@ let validate_query t query =
   in
   Ok info
 
-let rec run_query_ast_inner ~epsilon ~ph t query =
-  let ( let* ) = Result.bind in
-  let* info = validate_query t query in
-  let* () =
-    (* epsilon = infinity means "release exactly" — a debugging mode
-       that bypasses privacy entirely, so it is not budget-charged. *)
-    if epsilon = Float.infinity then Ok ()
-    else begin
-      match Dp.budget_charge t.budget epsilon with
-      | Ok () ->
-        ph.charged <- true;
-        Ok ()
-      | Error (`Exhausted r) -> Error (Budget_exhausted r)
-    end
-  in
-  (* One injector per query: the plan's decisions are stateless, the
-     injector only accumulates the degradation report. *)
-  let inj = Injector.create (Option.value t.cfg.faults ~default:Fault_plan.none) in
-  let rows, discarded_rows, mixnet_losses, mixnet_bytes =
-    timed
-      (fun dt -> ph.gather_s <- dt)
-      (fun () ->
-        Obs.span "query.gather"
-          ~attrs:[ ("hops", Obs.Json.Int query.Ast.hops) ]
-          (fun () -> gather_rows t inj info))
-  in
-  let* linear, origins_included, discarded =
-    aggregate_phase ~ph t inj info rows ~discarded_rows
-  in
-  (* Crashed committee members never answer; decryption still
-     succeeds with any threshold+1 of the remaining live shares. *)
-  let excluded =
-    Fault_plan.crashed_members (Injector.plan inj)
-      ~size:(Committee.committee_size t.comm)
-  in
-  if Injector.active inj then Injector.note_excluded_committee inj (List.length excluded);
-  (match
-     timed
-       (fun dt -> ph.decrypt_s <- dt)
-       (fun () ->
-         Obs.span "query.decrypt" (fun () ->
-             Committee.decrypt_and_release ~excluded t.comm t.rng t.ctx ~info ~epsilon
-               linear))
-   with
-  | Error e -> Error (Pipeline_error e)
-  | Ok release ->
-    if Injector.active inj then
-      Injector.note_decryption_attempts inj release.Committee.attempts;
-    (* Rotate the committee for the next query (§4.2). *)
-    t.comm <- Committee.rotate t.comm t.rng ~population:(Cg.population t.graph);
-    let mix_hops =
-      match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
-    in
-    Ok
-      {
-        info;
-        result = release.Committee.result;
-        noisy_bins = release.Committee.noisy_bins;
-        discarded_contributions = discarded;
-        origins_included;
-        committee_generation = Committee.generation t.comm - 1;
-        committee_shares = Array.length release.Committee.participants;
-        mixnet_losses;
-        mixnet_bytes;
-        c_rounds = 2 * query.Ast.hops * (mix_hops + 1);
-        degradation = Injector.report inj;
-      })
+type prepared = {
+  p_info : Analysis.info;
+  p_ct : Bgv.ciphertext;
+  p_origins_included : int;
+  p_discarded : int;
+  p_mixnet_losses : int;
+  p_mixnet_bytes : int;
+  p_degradation : Injector.report;
+}
+
+let prepared_info p = p.p_info
 
 (* Every origin aggregates its neighborhood and submits (Byzantine
    origins submit garbage with forged transcript proofs), then the
    aggregator builds the §4.2 summation tree — probe audit and restart
    drill included — and performs the §5 deferred relinearization.
-   Shared by the single-query path and the batched serving path.
-   Returns the degree-1 aggregate, origins included and the total
-   discarded count. *)
-and aggregate_phase ~ph t inj info rows ~discarded_rows =
+   Returns the member's degree-1 aggregate with its counters.
+
+   The gathered counters arrive as separate arguments, not as the
+   gather tuple, so nothing keeps [rows] reachable once the
+   aggregation pool is done with them. *)
+let aggregate_phase t ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
   let n = Cg.population t.graph in
   let discarded = ref discarded_rows in
   let origin_cts = ref [] in
@@ -587,9 +445,8 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
      degradation report is identical at any domain count. *)
   let agg_seed = Rng.int64 t.rng in
   let pool = Pool.default () in
-  let outcomes =
-    timed (fun dt -> ph.aggregate_s <- dt) @@ fun () ->
-    Obs.span "query.aggregate" ~attrs:[ ("origins", Obs.Json.Int n) ] @@ fun () ->
+  let outcomes, dt =
+    phase "query.aggregate" ~attrs:[ ("origins", Obs.Json.Int n) ] @@ fun () ->
     Pool.init pool n (fun origin ->
         (* lint: allow rng-capture — task_rng is the rng.mli pre-split
            pattern; the task-local generator is derived, never shared *)
@@ -627,6 +484,7 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
           | Error _ -> `Failed 0
         end)
   in
+  ph.aggregate_s <- dt;
   Array.iter
     (function
       | `Substituted ct ->
@@ -651,14 +509,12 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
        tree so every device can audit that its contribution is included
        exactly once; the root goes on the bulletin board. *)
     let leaves = Array.of_list !origin_cts in
-    let tree =
-      timed
-        (fun dt -> ph.summation_s <- dt)
-        (fun () ->
-          Obs.span "query.summation"
-            ~attrs:[ ("leaves", Obs.Json.Int (Array.length leaves)) ]
-            (fun () -> Summation_tree.build leaves))
+    let tree, dt =
+      phase "query.summation"
+        ~attrs:[ ("leaves", Obs.Json.Int (Array.length leaves)) ]
+        (fun () -> Summation_tree.build leaves)
     in
+    ph.summation_s <- dt;
     ignore (Bulletin.post t.bulletin ~author:"aggregator" (Summation_tree.root_hash tree));
     (* Play one device's audit as a self-check of the commitment. *)
     let probe = Rng.int t.rng (Array.length leaves) in
@@ -695,7 +551,16 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
     let linear =
       if Bgv.degree sum <= 1 then sum else Bgv.relinearize t.ctx t.relin sum
     in
-    Ok (linear, !origins_included, !discarded)
+    Ok
+      {
+        p_info = info;
+        p_ct = linear;
+        p_origins_included = !origins_included;
+        p_discarded = !discarded;
+        p_mixnet_losses = losses;
+        p_mixnet_bytes = bytes;
+        p_degradation = Injector.report inj;
+      }
 
 let degradation_json (r : Injector.report) =
   Obs.Json.Obj
@@ -790,69 +655,44 @@ let ledger_entry t ~qid ~query ~epsilon ~ph res =
         ("budget_remaining", Num (Dp.budget_remaining t.budget));
       ])
 
-(* lint: allow epsilon-flow — the 1.0 default is the documented
-   single-query debugging convenience; serving paths always pass the
-   epsilon parsed from the workload line, and the serving layer
-   refuses to admit requests that never charge (Unbudgeted). *)
-let run_query_ast ?(epsilon = 1.0) t query =
-  t.queries_run <- t.queries_run + 1;
-  let qid = t.queries_run in
-  let ph =
-    { gather_s = 0.; aggregate_s = 0.; summation_s = 0.; decrypt_s = 0.; charged = false }
-  in
-  let res = run_query_ast_inner ~epsilon ~ph t query in
-  (match t.ledger with
-  | Some l -> Obs.Ledger.append l (ledger_entry t ~qid ~query ~epsilon ~ph res)
-  | None -> ());
-  res
-
-let run_query ?epsilon t src =
-  match Parser.parse src with
-  | Error e -> Error (Parse_error (Printf.sprintf "at %d: %s" e.Parser.position e.Parser.message))
-  | Ok q -> run_query_ast ?epsilon t q
-
 (* ------------------------------------------------------------------ *)
-(* Batched serving entry points (DESIGN.md §14)                        *)
+(* Execution: every query runs as a member of a batch (DESIGN.md §14)  *)
 (* ------------------------------------------------------------------ *)
-
-type prepared = {
-  p_info : Analysis.info;
-  p_ct : Bgv.ciphertext;
-  p_origins_included : int;
-  p_discarded : int;
-  p_mixnet_losses : int;
-  p_mixnet_bytes : int;
-  p_degradation : Injector.report;
-}
 
 type batch_item = {
   bi_query : Ast.t;
   bi_epsilon : float;
   bi_noise_seed : int64;
-  bi_fault_round : int;
   bi_cached : prepared option;
 }
 
-let prepared_info p = p.p_info
+(* A member's logical transit-fault coordinate, fed to
+   [Fault_plan.send_dropped] in place of the shared physical mixnet
+   round: a digest of the query shape with the analyst-chosen name
+   blanked. The same query therefore sees the same drop decisions
+   alone or in any batch, at any position, and a recomputation after
+   a cache miss reproduces the cached aggregate bit for bit. *)
+let fault_round (query : Ast.t) =
+  let d = Digest.string (Ast.to_string { query with Ast.name = "" }) in
+  let b i = Char.code d.[i] in
+  (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)) land 0x3FFFFFFF
 
-(* Gather rows for several 1-hop queries in a single mixnet query
-   round: each (source, dest) message carries the concatenation of one
-   padded frame per batch member, so the whole batch pays one
-   round-trip of C-rounds instead of one per query.
+(* Gather rows for every 1-hop member in a single mixnet query round:
+   each (source, dest) message carries the concatenation of one padded
+   frame per member, so the whole batch pays one round-trip of
+   C-rounds instead of one per query.
 
    Injected transit loss is applied per member at slice time, from the
-   member's own logical fault coordinate [bi_fault_round] — a pure
-   function of the member's identity, never of the shared physical
-   round counter — replaying the per-replica-copy drop semantics of
-   the single-query path.  This is what makes a member's gathered rows
-   (and so its released bytes) independent of who shares the physical
-   round: the same member in a batch of one or a batch of eight sees
-   the same drop decisions.  (The simulator's own churn/malicious
-   losses, when configured, remain physical and hit the whole
-   concatenated frame.) *)
+   member's own [fault_round] — never the shared physical round
+   counter — with per-replica-copy drop semantics: a message is lost
+   only when every copy is dropped.  This is what makes a member's
+   gathered rows (and so its released bytes) independent of who shares
+   the physical round.  (The simulator's own churn/malicious losses,
+   when configured, remain physical and hit the whole concatenated
+   frame.) *)
 let gather_rows_mixnet_batch t mix members =
-  (* members : (info, injector, fault_round) array; every query in it
-     has hops = 1 (checked by the caller). *)
+  (* members : (info, injector) array; every query in it has hops = 1
+     (checked by the caller). *)
   let n = Cg.population t.graph in
   let pool = Pool.default () in
   let k = Array.length members in
@@ -860,6 +700,11 @@ let gather_rows_mixnet_batch t mix members =
     let targets =
       Array.init n (fun v ->
           let neigh = List.map fst (Cg.neighbors t.graph v) in
+          (* Exactly d targets per vertex (§3.2): clip an over-degree
+             vertex to its first d neighbors, pad an under-degree one
+             with self-loops.  Without the clip a vertex with more than
+             d contacts would emit more than d circuits and break the
+             sensitivity analysis. *)
           let neigh = List.filteri (fun i _ -> i < t.cfg.degree_bound) neigh in
           let pad = t.cfg.degree_bound - List.length neigh in
           Array.of_list (neigh @ List.init (max 0 pad) (fun _ -> v)))
@@ -871,7 +716,7 @@ let gather_rows_mixnet_batch t mix members =
      front from each member's plan so its report does not depend on
      delivery outcomes. *)
   Array.iter
-    (fun (_, inj, _) ->
+    (fun (_, inj) ->
       if Injector.active inj then
         for v = 0 to n - 1 do
           if not (Injector.device_offline inj ~device:v) then
@@ -882,7 +727,8 @@ let gather_rows_mixnet_batch t mix members =
               (Cg.neighbors t.graph v)
         done)
     members;
-  let frames = Array.map (fun (info, _, _) -> Contribution.wire_size t.ctx info) members in
+  let fault_rounds = Array.map (fun (info, _) -> fault_round info.Analysis.query) members in
+  let frames = Array.map (fun (info, _) -> Contribution.wire_size t.ctx info) members in
   let padded = Array.map (fun f -> f + 4) frames in
   let offsets = Array.make k 0 in
   for i = 1 to k - 1 do
@@ -890,25 +736,18 @@ let gather_rows_mixnet_batch t mix members =
   done;
   let body_len = offsets.(k - 1) + padded.(k - 1) in
   let gather_seeds = Array.map (fun _ -> Rng.int64 t.rng) members in
-  let build_for info rng contributor edge =
-    if t.byzantine.(contributor) then
-      Contribution.build_malicious t.ctx rng t.pk info ~exponent:1 ~coeff:200
-    else
-      Contribution.build t.srs t.ctx rng t.pk info
-        ~dest:(Cg.vertex t.graph contributor) ~edge
-  in
   (* Pure per-pair payload (the simulator probes and parallelizes it):
      one padded frame per member, concatenated at fixed offsets. *)
   let payload_of ~source ~dest =
     let out = Bytes.create body_len in
     Array.iteri
-      (fun i (info, _, _) ->
+      (fun i (info, _) ->
         let frame =
           if source = dest then pad_to frames.(i) (Bytes.make 1 '\x00')
           else
             pad_to frames.(i)
               (Contribution.to_bytes
-                 (build_for info (task_rng gather_seeds.(i) source dest) source
+                 (build_row t info (task_rng gather_seeds.(i) source dest) source
                     (Cg.edge t.graph source dest)))
         in
         Bytes.blit frame 0 out offsets.(i) padded.(i))
@@ -931,14 +770,14 @@ let gather_rows_mixnet_batch t mix members =
         if src = dst then Array.make k `Self_loop
         else
           Array.mapi
-            (fun i (info, inj, fault_round) ->
+            (fun i (info, inj) ->
               let dropped_copies =
                 if not (Injector.active inj) then 0
                 else begin
                   let d = ref 0 in
                   for copy = 0 to replicas - 1 do
                     if
-                      Fault_plan.send_dropped (Injector.plan inj) ~round:fault_round
+                      Fault_plan.send_dropped (Injector.plan inj) ~round:fault_rounds.(i)
                         ~source:src ~dest:dst ~attempt:copy
                     then incr d
                   done;
@@ -959,7 +798,7 @@ let gather_rows_mixnet_batch t mix members =
       delivered
   in
   Array.init k (fun i ->
-      let _, inj, _ = members.(i) in
+      let _, inj = members.(i) in
       let rows = Array.make n [] in
       let discarded = ref 0 and arrived = ref 0 in
       let note_drops c =
@@ -975,6 +814,8 @@ let gather_rows_mixnet_batch t mix members =
           | `Self_loop -> ()
           | `Lost c -> note_drops c
           | `Offline c ->
+            (* Already counted as substituted above; the delivered
+               bytes of an offline device are ignored. *)
             note_drops c;
             incr arrived
           | `Row (c, row) ->
@@ -1021,9 +862,10 @@ let run_batch t items =
     in
     (* Admission: static validation, then the budget charge — both in
        submission order, so the rejection order under a full budget is
-       deterministic. epsilon = infinity keeps the legacy "release
-       exactly, never charged" debug semantics; the serving layer
-       refuses to admit it without an explicit override. *)
+       deterministic. epsilon = infinity means "release exactly": a
+       debugging mode that bypasses privacy entirely, so it is never
+       charged; the serving layer refuses it without an explicit
+       override. *)
     let states =
       Array.mapi
         (fun i it ->
@@ -1040,6 +882,8 @@ let run_batch t items =
             end)
         items
     in
+    (* One injector per member: the plan's decisions are stateless, the
+       injector only accumulates the member's degradation report. *)
     let injs =
       Array.map
         (fun _ -> Injector.create (Option.value t.cfg.faults ~default:Fault_plan.none))
@@ -1063,76 +907,57 @@ let run_batch t items =
       | Some _ -> List.partition (fun (_, info) -> info.Analysis.query.Ast.hops = 1) fresh
       | None -> ([], fresh)
     in
-    let gathered = Hashtbl.create 8 in
+    let gathered = Array.make k None in
     (match (t.mixnet, mix_members) with
     | Some mix, _ :: _ ->
-      let arr =
-        Array.of_list
-          (List.map
-             (fun (i, info) -> (info, injs.(i), items.(i).bi_fault_round))
-             mix_members)
+      let members = Array.of_list (List.map (fun (i, info) -> (info, injs.(i))) mix_members) in
+      let per, dt =
+        phase "query.gather"
+          ~attrs:[ ("members", Obs.Json.Int (Array.length members)) ]
+          (fun () -> gather_rows_mixnet_batch t mix members)
       in
       let weights =
         List.map (fun (_, info) -> Contribution.wire_size t.ctx info + 4) mix_members
       in
       let total_w = List.fold_left ( + ) 0 weights in
-      let t0 = Obs.now_s () in
-      let per =
-        Obs.span "batch.gather"
-          ~attrs:[ ("members", Obs.Json.Int (List.length mix_members)) ]
-          (fun () -> gather_rows_mixnet_batch t mix arr)
-      in
-      let dt = Obs.now_s () -. t0 in
       List.iteri
         (fun j (i, _) ->
           (* The shared round-trip's wall clock is attributed in
              proportion to each member's share of the frame bytes. *)
           phs.(i).gather_s <-
             dt *. float_of_int (List.nth weights j) /. float_of_int total_w;
-          Hashtbl.replace gathered i per.(j))
+          gathered.(i) <- Some per.(j))
         mix_members
     | Some _, [] | None, _ -> ());
     List.iter
       (fun (i, info) ->
-        let g =
-          timed
-            (fun dt -> phs.(i).gather_s <- dt)
-            (fun () ->
-              Obs.span "query.gather"
-                ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
-                (fun () -> gather_rows t injs.(i) info))
+        let g, dt =
+          phase "query.gather"
+            ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
+            (fun () -> gather_rows t injs.(i) info)
         in
-        Hashtbl.replace gathered i g)
+        phs.(i).gather_s <- dt;
+        gathered.(i) <- Some g)
       abstract_members;
     (* Aggregation per member: each member's summation tree is its own,
-       timed individually — only the genuinely shared phases (the
+       measured individually — only the genuinely shared phases (the
        gather round-trip, the decryption session) are split. *)
     let prepareds = Array.make k None in
     Array.iteri
       (fun i it ->
-        match states.(i) with
-        | Error _ -> ()
-        | Ok info -> (
-          match it.bi_cached with
-          | Some p -> prepareds.(i) <- Some p
-          | None -> (
-            match Hashtbl.find_opt gathered i with
-            | None -> ()
-            | Some (rows, discarded_rows, losses, bytes) -> (
-              match aggregate_phase ~ph:phs.(i) t injs.(i) info rows ~discarded_rows with
-              | Error e -> states.(i) <- Error e
-              | Ok (linear, origins, discarded) ->
-                prepareds.(i) <-
-                  Some
-                    {
-                      p_info = info;
-                      p_ct = linear;
-                      p_origins_included = origins;
-                      p_discarded = discarded;
-                      p_mixnet_losses = losses;
-                      p_mixnet_bytes = bytes;
-                      p_degradation = Injector.report injs.(i);
-                    }))))
+        match (states.(i), it.bi_cached, gathered.(i)) with
+        | Ok _, Some p, _ -> prepareds.(i) <- Some p
+        | Ok info, None, Some (rows, discarded_rows, losses, bytes) -> (
+          (* Clear the member's slot first, so its rows die with the
+             aggregation pool instead of living through the summation
+             tree and relinearization. *)
+          gathered.(i) <- None;
+          match
+            aggregate_phase t ~ph:phs.(i) injs.(i) info ~rows ~discarded_rows ~losses ~bytes
+          with
+          | Ok p -> prepareds.(i) <- Some p
+          | Error e -> states.(i) <- Error e)
+        | Ok _, None, None | Error _, _, _ -> ())
       items;
     (* One committee threshold-decryption session for the whole batch,
        cached members included. *)
@@ -1145,6 +970,8 @@ let run_batch t items =
     (match decrypt_idx with
     | [] -> ()
     | _ :: _ ->
+      (* Crashed committee members never answer; decryption still
+         succeeds with any threshold+1 of the remaining live shares. *)
       let plan = Option.value t.cfg.faults ~default:Fault_plan.none in
       let excluded =
         Fault_plan.crashed_members plan ~size:(Committee.committee_size t.comm)
@@ -1170,13 +997,11 @@ let run_batch t items =
           (fun acc (_, p) -> acc + p.p_info.Analysis.layout.Analysis.total_bins)
           0 decrypt_idx
       in
-      let t0 = Obs.now_s () in
-      let res =
-        Obs.span "batch.decrypt"
+      let res, dt =
+        phase "query.decrypt"
           ~attrs:[ ("members", Obs.Json.Int (List.length members)) ]
           (fun () -> Committee.decrypt_batch ~excluded t.comm t.rng t.ctx ~members)
       in
-      let dt = Obs.now_s () -. t0 in
       List.iter
         (fun (i, p) ->
           (* The shared session's wall clock is attributed in proportion
@@ -1191,6 +1016,7 @@ let run_batch t items =
       | Error e ->
         List.iter (fun (i, _) -> states.(i) <- Error (Pipeline_error e)) decrypt_idx
       | Ok releases ->
+        (* Rotate the committee for the next batch (§4.2). *)
         t.comm <- Committee.rotate t.comm t.rng ~population:(Cg.population t.graph);
         let mix_hops =
           match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
@@ -1249,5 +1075,25 @@ let run_batch t items =
         out
     | None -> ());
     out
+
+(* A single query is a batch of one. Its noise stream is keyed by
+   (runtime seed, query id) — the id [run_batch] is about to assign
+   it — the way the serving layer keys a member's by (serving seed,
+   admission seq). *)
+let run_query_ast ~epsilon t query =
+  let item =
+    {
+      bi_query = query;
+      bi_epsilon = epsilon;
+      bi_noise_seed = Rng.mix64 t.cfg.seed (Int64.of_int (t.queries_run + 1));
+      bi_cached = None;
+    }
+  in
+  Result.map fst (List.hd (run_batch t [ item ]))
+
+let run_query ~epsilon t src =
+  match Parser.parse src with
+  | Error e -> Error (Parse_error (Printf.sprintf "at %d: %s" e.Parser.position e.Parser.message))
+  | Ok q -> run_query_ast ~epsilon t q
 
 let exact_bins_for_tests t info = Semantics.global_histogram info t.graph

@@ -128,28 +128,33 @@ type query_result = {
           graph and query reproduce this report exactly. *)
 }
 
-val run_query : ?epsilon:float -> t -> string -> (query_result, query_error) result
-(** Parse and execute a query (default epsilon 1.0). On success the
-    committee rotates. *)
+val run_query : epsilon:float -> t -> string -> (query_result, query_error) result
+(** Parse and execute a query, charging [epsilon] against {!budget}
+    ([infinity] releases exactly and is never charged). The query runs
+    as a batch of one through {!run_batch}; its DP noise comes from a
+    stream keyed by (config seed, query id). On success the committee
+    rotates. *)
 
 val run_query_ast :
-  ?epsilon:float -> t -> Mycelium_query.Ast.t -> (query_result, query_error) result
+  epsilon:float -> t -> Mycelium_query.Ast.t -> (query_result, query_error) result
 
 val exact_bins_for_tests : t -> Mycelium_query.Analysis.info -> int array
 (** The plaintext oracle on the same graph (for equality checks with
     epsilon = infinity). *)
 
-(** {2 Batched serving entry points (DESIGN.md §14)}
+(** {2 Batched execution (DESIGN.md §14)}
 
-    The serving layer ({!Mycelium_serve}) executes admitted queries in
-    batches: one mixnet round-trip gathers the rows of every 1-hop
-    member at once, aggregation stays per member, and one committee
-    threshold-decryption session releases the whole batch. The member
-    contract that makes batching invisible in the released bytes: a
-    member's DP noise comes from its own [bi_noise_seed] stream and its
-    injected transit faults from its own [bi_fault_round] coordinate,
-    both pure functions of the member's identity — never of the batch
-    composition, the physical round counter or the shared session. *)
+    Every query executes as a member of a batch: {!run_query} is a
+    batch of one, and the serving layer ({!Mycelium_serve}) submits
+    admitted queries in batches. One mixnet round-trip gathers the rows
+    of every 1-hop member at once, aggregation stays per member, and
+    one committee threshold-decryption session releases the whole
+    batch. The member contract that makes batching invisible in the
+    released bytes: a member's DP noise comes from its own
+    [bi_noise_seed] stream, and its injected transit faults are
+    evaluated at a coordinate the runtime derives from its query shape
+    (name blanked) — never from the batch composition, the physical
+    round counter or the shared session. *)
 
 type prepared
 (** A member's gather + aggregation output, ready for (repeated)
@@ -170,10 +175,6 @@ type batch_item = {
           explicit override) *)
   bi_noise_seed : int64;
       (** seed of the member's private DP-noise stream *)
-  bi_fault_round : int;
-      (** the member's logical transit-fault coordinate, fed to
-          {!Mycelium_faults.Fault_plan.send_dropped} in place of the
-          shared physical mixnet round *)
   bi_cached : prepared option;
       (** a cache hit: skip gather and aggregation, go straight to the
           shared decryption session *)
@@ -198,5 +199,5 @@ val run_batch :
     charged epsilon; the genuinely shared phase durations (gather
     round-trip, decryption session) are attributed proportionally —
     by frame-byte share for gather, by plaintext-window share for
-    decryption — while per-member phases are timed individually.
+    decryption — while per-member phases are measured individually.
     Returns the member's {!prepared} so a caller can cache it. *)

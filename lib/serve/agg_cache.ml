@@ -69,16 +69,6 @@ let key t (query : Ast.t) ~(info : Analysis.info) =
   Printf.sprintf "g=%s|d=%d|clip=%s|q=%s" t.graph_sig info.Analysis.degree_bound clip
     (Ast.to_string { query with Ast.name = "" })
 
-(* A member's logical transit-fault coordinate (Runtime.bi_fault_round)
-   is derived from the key digest: a pure function of the query shape,
-   so a recomputation after a cache miss — or the same query in any
-   batch, at any position — replays the identical drop decisions and
-   reproduces the cached aggregate bit for bit. *)
-let fault_round_of_key k =
-  let d = Digest.string k in
-  let b i = Char.code d.[i] in
-  (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)) land 0x3FFFFFFF
-
 let find t k =
   if t.capacity = 0 then begin
     t.misses <- t.misses + 1;

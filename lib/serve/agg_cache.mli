@@ -25,13 +25,6 @@ val key :
 (** The composite cache key; the query's analyst-chosen name is
     blanked so equal-shaped queries share an entry. *)
 
-val fault_round_of_key : string -> int
-(** The member's logical transit-fault coordinate
-    ({!Mycelium_core.Runtime.batch_item.bi_fault_round}), derived from
-    the key digest — a pure function of the query shape, so a
-    recomputation after a miss replays the identical drop decisions
-    and reproduces the cached aggregate bit for bit. *)
-
 val find : t -> string -> Mycelium_core.Runtime.prepared option
 (** Counts a hit or a miss, and refreshes recency on hit. *)
 

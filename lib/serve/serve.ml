@@ -102,8 +102,9 @@ let pending_count t = List.length t.pending
    the time its duplicates look up they decrypt the cached aggregate
    instead of recomputing the gather + aggregation.  The split is
    release-byte-safe — a member's noise stream is a pure function of
-   its own admission seq, its fault coordinate of its key, never of
-   the batch composition (the batched ≡ sequential suite pins this). *)
+   its own admission seq, its transit-fault coordinate of its query
+   shape, never of the batch composition (the batched ≡ sequential
+   suite pins this). *)
 let run_chunk t chunk =
   Obs.Metrics.incr t.c_batches;
   Obs.Metrics.add t.c_members (List.length chunk);
@@ -119,7 +120,6 @@ let run_chunk t chunk =
                serving seed and the member's admission sequence number —
                never of the batch composition. *)
             bi_noise_seed = Rng.mix64 t.cfg.seed (Int64.of_int pd.pd_seq);
-            bi_fault_round = Agg_cache.fault_round_of_key pd.pd_key;
             bi_cached = cached;
           })
         lookups
@@ -217,9 +217,9 @@ let submit t ~arrival (req : request) =
       | Error e -> Rejected (Invalid e)
       | Ok info ->
         if req.epsilon = Float.infinity && not t.cfg.allow_unbudgeted then
-          (* The single-query path treats epsilon = infinity as a
-             debugging mode; a serving layer must refuse to release
-             unbudgeted results unless explicitly overridden. *)
+          (* The runtime treats epsilon = infinity as a debugging
+             mode; a serving layer must refuse to release unbudgeted
+             results unless explicitly overridden. *)
           Rejected Unbudgeted
         else if req.epsilon <> Float.infinity then begin
           match Accountant.charge t.acct ~user:req.user req.epsilon with

@@ -389,7 +389,7 @@ let test_e2e_q1_infeasible_at_small_params () =
   (* §6.2's generality result at this parameter scale: the 2-hop query
      exceeds the multiplication budget. *)
   let sys = Lazy.force e2e_system in
-  match Runtime.run_query sys (Corpus.find "Q1").Corpus.sql with
+  match Runtime.run_query ~epsilon:1.0 sys (Corpus.find "Q1").Corpus.sql with
   | Error (Runtime.Infeasible _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (err_to_string e)
   | Ok _ -> Alcotest.fail "Q1 should be infeasible at test_small"
@@ -551,10 +551,10 @@ let test_e2e_over_degree_graph_clipped () =
 
 let test_e2e_parse_and_analysis_errors () =
   let sys = Lazy.force e2e_system in
-  (match Runtime.run_query sys "SELECT nonsense" with
+  (match Runtime.run_query ~epsilon:1.0 sys "SELECT nonsense" with
   | Error (Runtime.Parse_error _) -> ()
   | _ -> Alcotest.fail "parse error expected");
-  match Runtime.run_query sys "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE self.inf OR dest.inf" with
+  match Runtime.run_query ~epsilon:1.0 sys "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE self.inf OR dest.inf" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unplaceable OR should fail"
 

@@ -30,8 +30,13 @@ let checki = Alcotest.(check int)
 
 let chaos_seed =
   match Sys.getenv_opt "MYCELIUM_CHAOS_SEED" with
-  | Some s -> Int64.of_string s
   | None -> 1L
+  | Some s -> (
+    match Int64.of_string_opt s with
+    | Some seed -> seed
+    | None ->
+      Printf.eprintf "MYCELIUM_CHAOS_SEED=%S is not an integer seed\n" s;
+      exit 2)
 
 let small_graph ?(n = 16) ?(d = 4) ?(seed = 4242L) () =
   let rng = Rng.create seed in

@@ -458,7 +458,7 @@ let run_q ~trace () =
       }
       (small_graph ())
   in
-  match Runtime.run_query sys (Corpus.find "Q5").Corpus.sql with
+  match Runtime.run_query ~epsilon:1.0 sys (Corpus.find "Q5").Corpus.sql with
   | Ok r -> r
   | Error _ -> Alcotest.fail "acceptance query failed"
 
@@ -562,7 +562,7 @@ let test_ledger_exact_totals () =
   | Ok _ -> Alcotest.fail "over-budget query should be rejected"
   | Error _ -> Alcotest.fail "over-budget query failed for the wrong reason");
   (* A parse failure never reaches the executor, so no record. *)
-  (match Runtime.run_query sys "SELECT" with
+  (match Runtime.run_query ~epsilon:1.0 sys "SELECT" with
   | Error (Runtime.Parse_error _) -> ()
   | _ -> Alcotest.fail "malformed query should be a parse error");
   let records =

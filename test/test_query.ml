@@ -497,8 +497,8 @@ let neg_err_to_string = function
   | Runtime.Budget_exhausted r -> Printf.sprintf "budget exhausted (%.2f left)" r
   | Runtime.Pipeline_error m -> "pipeline: " ^ m
 
-let run_no_raise sys ?epsilon src =
-  try Runtime.run_query ?epsilon sys src
+let run_no_raise sys ?(epsilon = 1.0) src =
+  try Runtime.run_query ~epsilon sys src
   with ex -> Alcotest.failf "raised %s on %S" (Printexc.to_string ex) src
 
 let test_negative_malformed_histo_gsum () =

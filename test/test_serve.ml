@@ -14,6 +14,7 @@ module Params = Mycelium_bgv.Params
 module Runtime = Mycelium_core.Runtime
 module Sim = Mycelium_mixnet.Sim
 module Fault_plan = Mycelium_faults.Fault_plan
+module Injector = Mycelium_faults.Injector
 module Pool = Mycelium_parallel.Pool
 module Obs = Mycelium_obs.Obs
 module Serve = Mycelium_serve.Serve
@@ -305,7 +306,6 @@ let test_cache_eviction_deterministic () =
         Runtime.bi_query = query;
         bi_epsilon = Float.infinity;
         bi_noise_seed = 1L;
-        bi_fault_round = Agg_cache.fault_round_of_key key;
         bi_cached = None;
       }
     in
@@ -355,6 +355,49 @@ let test_batched_equals_sequential () =
   (* An intermediate batch size chunks the same members differently
      but releases the same bytes. *)
   checkb "batch-3 ≡ sequential" true (run ~batch_size:3 ~domains:1 () = sequential)
+
+(* One execution path: [Runtime.run_query] is a batch of one, so a
+   single query through the faulted mixnet is released exactly like
+   the same query served inside a larger batch — the same rows, the
+   same transit drops at its shape's fault coordinate, the same
+   degradation report. *)
+let test_single_query_equals_served_member () =
+  let single =
+    match
+      Runtime.run_query ~epsilon:Float.infinity (serve_runtime ()) (Corpus.find "Q5").Corpus.sql
+    with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "single Q5 failed"
+  in
+  let srv =
+    Serve.create
+      ~config:{ Serve.default_config with Serve.batch_size = 3; allow_unbudgeted = true }
+      (serve_runtime ())
+  in
+  let flushed =
+    List.concat_map
+      (fun q ->
+        snd
+          (Serve.submit srv ~arrival:0.0
+             { Serve.user = "alice"; epsilon = Float.infinity;
+               sql = (Corpus.find q).Corpus.sql; name = Some q }))
+      [ "Q4"; "Q5"; "Q8" ]
+  in
+  checki "one batch of three" 3 (List.length flushed);
+  let served =
+    match
+      (List.find (fun r -> String.equal r.Serve.query_name "Q5") flushed).Serve.outcome
+    with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "served Q5 failed"
+  in
+  checkb "copies were dropped" true (single.Runtime.degradation.Injector.dropped_messages > 0);
+  checkb "same bins" true (single.Runtime.noisy_bins = served.Runtime.noisy_bins);
+  checki "same mixnet losses" served.Runtime.mixnet_losses single.Runtime.mixnet_losses;
+  checki "same discards" served.Runtime.discarded_contributions
+    single.Runtime.discarded_contributions;
+  checkb "same degradation report" true
+    (Injector.report_equal single.Runtime.degradation served.Runtime.degradation)
 
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)
@@ -425,6 +468,8 @@ let () =
         [
           Alcotest.test_case "batched ≡ sequential, faults on, 1/2/8 domains" `Quick
             test_batched_equals_sequential;
+          Alcotest.test_case "single query ≡ served member, faulted mixnet" `Quick
+            test_single_query_equals_served_member;
         ] );
       ( "ledger",
         [
