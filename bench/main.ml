@@ -6,7 +6,7 @@
      dune exec bench/main.exe                     -- everything
      dune exec bench/main.exe -- --only fig7      -- one figure
      dune exec bench/main.exe -- --only parallel  -- domain scaling
-     dune exec bench/main.exe -- --only ringops   -- ring backend old-vs-new
+     dune exec bench/main.exe -- --only ringops   -- ring backends, Reference vs Montgomery
      dune exec bench/main.exe -- --only mixnet    -- mixnet scale sweep (Figs 7-9)
      dune exec bench/main.exe -- --only lint      -- full-repo static analysis
      dune exec bench/main.exe -- --skip-micro     -- figures only
@@ -311,25 +311,23 @@ let () =
 (* Telemetry: sampler overhead, recorder throughput, ledger appends    *)
 (* ------------------------------------------------------------------ *)
 
-(* The PR8 instrumentation has three costs worth tracking: the
-   background sampler stealing cycles from the query (measured at off /
-   10ms / 1ms periods on the same end-to-end fixture, with the release
-   checked identical across settings), the flight recorder's lock-free
-   note path, and the ledger's append+flush.  The 1ms overhead and
-   recorder throughput gate against BENCH_pr8.json under --check. *)
+(* The telemetry layer has three costs worth tracking: the background
+   sampler stealing cycles from the query (measured at off / 10ms / 1ms
+   periods on the same end-to-end fixture, with the release checked
+   identical across settings), the flight recorder's lock-free note
+   path, and the ledger's append+flush.  The 1ms overhead and recorder
+   throughput gate against BENCH_pr8.json under --check.
+
+   Host speed drifts by more than the overhead being measured, so the
+   three settings run interleaved: each repetition times all three
+   back to back, starting from a different setting each time, and an
+   overhead is the median over repetitions of that repetition's ratio
+   to its own sampler-off time. *)
 let telemetry_measured = ref None
 
 let () =
   section "telemetry" (fun () ->
-      let best_of n f =
-        let best = ref infinity and last = ref None in
-        for _ = 1 to n do
-          let s, r = f () in
-          if s < !best then best := s;
-          last := Some r
-        done;
-        (!best, Option.get !last)
-      in
+      let module Stats = Mycelium_util.Stats in
       let with_sampler period f =
         match period with
         | None -> f ()
@@ -339,18 +337,29 @@ let () =
       in
       ignore (time_query None);
       (* warm *)
-      let off_s, off_r = best_of 3 (fun () -> with_sampler None (fun () -> time_query None)) in
-      let s10_s, s10_r =
-        best_of 3 (fun () -> with_sampler (Some 0.010) (fun () -> time_query None))
+      let periods = [| None; Some 0.010; Some 0.001 |] in
+      let reps = 11 in
+      let times = Array.make_matrix reps (Array.length periods) 0. in
+      let released = ref None in
+      for r = 0 to reps - 1 do
+        Array.iteri
+          (fun j _ ->
+            let i = (r + j) mod Array.length periods in
+            let s, res = with_sampler periods.(i) (fun () -> time_query None) in
+            times.(r).(i) <- s;
+            match !released with
+            | None -> released := Some res.Runtime.noisy_bins
+            | Some bins ->
+              if bins <> res.Runtime.noisy_bins then
+                failwith "bench telemetry: query result differs with the sampler running")
+          periods
+      done;
+      let median_s i = Stats.median (Array.init reps (fun r -> times.(r).(i))) in
+      let pct i =
+        let overhead r = (times.(r).(i) /. times.(r).(0) -. 1.0) *. 100.0 in
+        Stats.median (Array.init reps overhead)
       in
-      let s1_s, s1_r =
-        best_of 3 (fun () -> with_sampler (Some 0.001) (fun () -> time_query None))
-      in
-      if
-        off_r.Runtime.noisy_bins <> s10_r.Runtime.noisy_bins
-        || off_r.Runtime.noisy_bins <> s1_r.Runtime.noisy_bins
-      then failwith "bench telemetry: query result differs with the sampler running";
-      let pct s = (s /. off_s -. 1.0) *. 100.0 in
+      let off_s = median_s 0 and s10_s = median_s 1 and s1_s = median_s 2 in
       let ticks = Obs.Sampler.tick_count () in
       (* Recorder throughput: the hot [note] path (fetch_and_add plus a
          slot write) at a realistic detail size, ring wrapping freely. *)
@@ -397,23 +406,25 @@ let () =
       Obs.Ledger.close l;
       Sys.remove path;
       let append_us = led_s *. 1e6 /. float_of_int n_rec in
-      telemetry_measured := Some (pct s1_s, events_per_s);
+      telemetry_measured := Some (pct 2, events_per_s);
       say "\n";
       say "=== Telemetry: sampler / flight recorder / audit ledger ===\n";
+      say "  (medians of %d interleaved repetitions)\n" reps;
       say "  sampler off         %8.2f ms\n" (off_s *. 1e3);
-      say "  sampler @ 10 ms     %8.2f ms  (%+.1f%%)\n" (s10_s *. 1e3) (pct s10_s);
+      say "  sampler @ 10 ms     %8.2f ms  (%+.1f%%)\n" (s10_s *. 1e3) (pct 1);
       say "  sampler @ 1 ms      %8.2f ms  (%+.1f%%, %d ticks total)\n" (s1_s *. 1e3)
-        (pct s1_s) ticks;
+        (pct 2) ticks;
       say "  recorder note       %8.0f ns/event  (%.2f M events/s)\n"
         (rec_s *. 1e9 /. float_of_int n_events)
         (events_per_s /. 1e6);
       say "  ledger append       %8.2f us/record (flushed)\n" append_us;
       [
+        ("sampler_repetitions", Int reps);
         ("sampler_off_ms", Num (off_s *. 1e3));
         ("sampler_10ms_ms", Num (s10_s *. 1e3));
-        ("sampler_10ms_overhead_pct", Num (pct s10_s));
+        ("sampler_10ms_overhead_pct", Num (pct 1));
         ("sampler_1ms_ms", Num (s1_s *. 1e3));
-        ("sampler_1ms_overhead_pct", Num (pct s1_s));
+        ("sampler_1ms_overhead_pct", Num (pct 2));
         ("sampler_ticks", Int ticks);
         ("recorder_events_per_s", Num events_per_s);
         ("recorder_event_ns", Num (rec_s *. 1e9 /. float_of_int n_events));
@@ -543,107 +554,13 @@ let () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Ringops: the ring backend, old representation vs new               *)
+(* Ringops: the ring backends, Reference vs Montgomery                *)
 (* ------------------------------------------------------------------ *)
 
-(* Old-vs-new cost of the polynomial arithmetic the whole pipeline sits
-   on, at degrees 1024..8192.  "Old" is the pre-evaluation-domain
-   backend, reconstructed locally so the baseline stays honest as the
-   live code moves on: butterflies that pay a hardware division
-   ("* w mod p"), a fresh Array.copy per multiply input, and a
-   Bgv-level multiply whose every cross term runs the full
-   forward/pointwise/inverse NTT pipeline per limb.  "New" is the live
-   code: Shoup butterflies, copy-free transforms and Eval-resident
-   ciphertexts whose products are one pointwise pass per limb. *)
-module Old_kernels = struct
-  type plan = { p : int; n : int; psi_pows : int array; inv_psi_pows : int array; n_inv : int }
-
-  let bit_reverse_index bits i =
-    let r = ref 0 and v = ref i in
-    for _ = 1 to bits do
-      r := (!r lsl 1) lor (!v land 1);
-      v := !v lsr 1
-    done;
-    !r
-
-  let make ~p ~degree:n =
-    let log_n =
-      let rec go k acc = if acc = n then k else go (k + 1) (acc * 2) in
-      go 0 1
-    in
-    let open Mycelium_math in
-    let psi = Modarith.nth_root_of_unity p (2 * n) in
-    let inv_psi = Modarith.inv p psi in
-    let table root =
-      let t = Array.make n 1 in
-      let pow = Array.make n 1 in
-      for i = 1 to n - 1 do
-        pow.(i) <- Modarith.mul p pow.(i - 1) root
-      done;
-      for i = 0 to n - 1 do
-        t.(i) <- pow.(bit_reverse_index log_n i)
-      done;
-      t
-    in
-    { p; n; psi_pows = table psi; inv_psi_pows = table inv_psi; n_inv = Modarith.inv p n }
-
-  let forward t a =
-    let p = t.p and n = t.n in
-    let m = ref 1 and len = ref (n / 2) in
-    while !len >= 1 do
-      let m_v = !m and len_v = !len in
-      for i = 0 to m_v - 1 do
-        let w = t.psi_pows.(m_v + i) in
-        let j1 = 2 * i * len_v in
-        for j = j1 to j1 + len_v - 1 do
-          let u = a.(j) in
-          let v = a.(j + len_v) * w mod p in
-          let s = u + v in
-          a.(j) <- (if s >= p then s - p else s);
-          let d = u - v in
-          a.(j + len_v) <- (if d < 0 then d + p else d)
-        done
-      done;
-      m := m_v * 2;
-      len := len_v / 2
-    done
-
-  let inverse t a =
-    let p = t.p and n = t.n in
-    let m = ref (n / 2) and len = ref 1 in
-    while !m >= 1 do
-      let m_v = !m and len_v = !len in
-      for i = 0 to m_v - 1 do
-        let w = t.inv_psi_pows.(m_v + i) in
-        let j1 = 2 * i * len_v in
-        for j = j1 to j1 + len_v - 1 do
-          let u = a.(j) in
-          let v = a.(j + len_v) in
-          let s = u + v in
-          a.(j) <- (if s >= p then s - p else s);
-          let d = u - v in
-          let d = if d < 0 then d + p else d in
-          a.(j + len_v) <- d * w mod p
-        done
-      done;
-      m := m_v / 2;
-      len := len_v * 2
-    done;
-    for i = 0 to n - 1 do
-      a.(i) <- a.(i) * t.n_inv mod p
-    done
-
-  let multiply t a b =
-    let fa = Array.copy a and fb = Array.copy b in
-    forward t fa;
-    forward t fb;
-    let p = t.p in
-    for i = 0 to t.n - 1 do
-      fa.(i) <- fa.(i) * fb.(i) mod p
-    done;
-    inverse t fa;
-    fa
-end
+(* Cost of the polynomial arithmetic the whole pipeline sits on, at
+   degrees 1024..32768, on both ring backends: Reference (Shoup
+   butterflies) and Montgomery (Bigarray radix-4 with lazy reduction),
+   then the paper-profile pipeline end to end. *)
 
 (* The measured Montgomery forward at N=8192 from the table below,
    compared against the committed BENCH_pr4.json by --check. *)
@@ -651,7 +568,6 @@ let mont_fwd_8192_ns = ref None
 
 let () =
   section "ringops" (fun () ->
-      let module Modarith = Mycelium_math.Modarith in
       let module Rns = Mycelium_math.Rns in
       let module Rq = Mycelium_math.Rq in
       let module Ring_backend = Mycelium_math.Ring_backend in
@@ -731,57 +647,6 @@ let () =
                 ] ))
           [ 1024; 2048; 4096; 8192; 32768 ]
       in
-      (* Representation ablation at 4096, pinning the PR4 acceptance
-         metric: the pre-evaluation-domain backend (Old_kernels, full
-         coefficient-domain convolution per cross term) vs the live
-         Eval-resident Bgv.mul. *)
-      let degree = 4096 in
-      let rng = Rng.create (Int64.of_int (9000 + degree)) in
-      let basis =
-        Rns.make ~primes:(Ntt.find_primes ~degree ~bits:30 ~count:levels) ~degree ()
-      in
-      let oplans = Array.map (fun p -> Old_kernels.make ~p ~degree) (Rns.primes basis) in
-      let rows_of v =
-        let c = Rq.of_residues ~repr:(Rq.repr_of v) basis (Rq.residues v) in
-        Rq.force_coeff c;
-        Rq.residues c
-      in
-      let params =
-        { Params.degree; plain_modulus = 65537; prime_bits = 30; levels; error_eta = 2 }
-      in
-      let ctx = Bgv.make_ctx params in
-      let _sk, pk = Bgv.keygen ctx rng in
-      let ct_a = Bgv.encrypt_value ctx rng pk 1 in
-      let ct_b = Bgv.encrypt_value ctx rng pk 2 in
-      let ca = Array.map rows_of (Bgv.components ct_a) in
-      let cb = Array.map rows_of (Bgv.components ct_b) in
-      let primes = Rns.primes basis in
-      let old_bgv_mul () =
-        let da = Array.length ca and db = Array.length cb in
-        Array.init (da + db - 1) (fun k ->
-            let acc = Array.map (fun _ -> Array.make degree 0) primes in
-            for i = max 0 (k - db + 1) to min (da - 1) k do
-              Array.iteri
-                (fun j p ->
-                  let prod = Old_kernels.multiply oplans.(j) ca.(i).(j) cb.(k - i).(j) in
-                  let accj = acc.(j) in
-                  for c = 0 to degree - 1 do
-                    accj.(c) <- Modarith.add p accj.(c) prod.(c)
-                  done)
-                primes
-            done;
-            acc)
-      in
-      (* Sanity: old and new representations agree before we time them. *)
-      let expected = old_bgv_mul () in
-      let got = Array.map rows_of (Bgv.components (Bgv.mul ct_a ct_b)) in
-      if got <> expected then failwith "bench ringops: old and new representations disagree";
-      let heavy = max 2 (65_536 / degree) in
-      let bgv_old = ns_per_op ~inner:heavy (fun () -> ignore (old_bgv_mul ())) in
-      let bgv_new = ns_per_op ~inner:heavy (fun () -> ignore (Bgv.mul ct_a ct_b)) in
-      let speedup_4096 = bgv_old /. bgv_new in
-      say "  bgv.mul at 4096: old representation %.1fus, live %.1fus -> %.1fx (floor: 2x)\n"
-        (bgv_old /. 1e3) (bgv_new /. 1e3) speedup_4096;
       (* Paper profile (§5): N=32768, 19 30-bit primes (~550-bit q),
          t=2^30 — the full keygen/encrypt/mul/relinearize/decrypt
          pipeline at the parameters the paper deploys, run end-to-end
@@ -817,9 +682,6 @@ let () =
         failwith "bench ringops: paper-profile pipeline decrypted incorrectly";
       say "  decrypt(x^3 * x^5) = x^8: ok\n";
       [ ("levels", Int levels);
-        ("bgv_mul_speedup_4096", Num speedup_4096);
-        ("bgv_mul_old_ns_4096", Num bgv_old);
-        ("bgv_mul_ns_4096", Num bgv_new);
         ( "paper_profile",
           Obj
             ([
@@ -1336,7 +1198,8 @@ let () =
 (* ------------------------------------------------------------------ *)
 
 (* Compares the telemetry section against the committed BENCH_pr8.json:
-   the 1ms-sampler overhead may drift at most 10 percentage points
+   the 1ms-sampler overhead (the median over interleaved repetitions)
+   may drift at most 10 percentage points
    above the committed figure (the sampler must stay in the noise of a
    ~100ms query), and the recorder's note throughput must hold 0.2x the
    committed rate (losing the lock-free path costs an order of

@@ -33,10 +33,6 @@ type config = {
   faults : Fault_plan.t option;
       (** deterministic fault plan injected into every query this
           runtime executes; [None] disables injection entirely *)
-  domains : int;
-      (** domain count for the parallel work pool (1 = sequential);
-          overridden by the [MYCELIUM_DOMAINS] environment variable.
-          Results are byte-identical at any domain count. *)
   trace : bool;
       (** enable the lib/obs tracing + metrics registry for this
           process ([MYCELIUM_TRACE=1] also enables it). Never affects
@@ -62,22 +58,13 @@ let default_config =
     relin_degree = None;
     accounting = Dp.Basic;
     faults = None;
-    domains = 1;
     trace = false;
     ledger = None;
   }
 
-(* Every parallel task derives its own Rng from a fresh per-phase seed
-   and its stable coordinates, never from the runtime's [t.rng]: Rng
-   handles are single-domain-owned (see lib/util/rng.mli), and the
-   pre-split streams make results independent of the domain count. *)
-let task_rng seed a b =
-  Rng.create (Rng.mix64 seed (Rng.mix64 (Int64.of_int a) (Int64.of_int b)))
-
 type t = {
   cfg : config;
   ctx : Bgv.ctx;
-  rng : Rng.t;
   graph : Cg.t;
   pk : Bgv.public_key;
   relin : Bgv.relin_key;
@@ -100,7 +87,6 @@ let graph t = t.graph
 
 let init cfg graph =
   Params.validate cfg.params;
-  Pool.configure ~domains:cfg.domains;
   if cfg.trace then Obs.enable ();
   Obs.span "runtime.init" @@ fun () ->
   (* Graphs loaded from external data may exceed d; the sensitivity
@@ -112,6 +98,8 @@ let init cfg graph =
     else graph
   in
   let ctx = Bgv.make_ctx cfg.params in
+  (* Set-up's own stream: the keys, the first committee and the
+     Byzantine set.  Every later draw is keyed by purpose. *)
   let rng = Rng.create cfg.seed in
   (* Relinearization must cover the largest 1-hop local product: up to
      d neighbor rows, the origin's own row, and a filler. Multi-hop
@@ -139,7 +127,6 @@ let init cfg graph =
   {
     cfg;
     ctx;
-    rng;
     graph;
     pk;
     relin;
@@ -199,10 +186,11 @@ let unpad b =
     if l < 0 || 4 + l > Bytes.length b then None else Some (Bytes.sub b 4 l)
   end
 
-(* One contributor's encrypted row for [info]; a Byzantine contributor
-   submits an over-weighted value with a forged proof (§4.6's
-   attack). *)
-let build_row t info rng contributor edge =
+(* One contributor's encrypted row for [info], sent to [origin], from
+   the row's own keyed stream; a Byzantine contributor submits an
+   over-weighted value with a forged proof (§4.6's attack). *)
+let build_row t ~qid info ~origin contributor edge =
+  let rng = Rng.keyed t.cfg.seed Rng.Contribution_row [ qid; contributor; origin ] in
   if t.byzantine.(contributor) then
     Contribution.build_malicious t.ctx rng t.pk info ~exponent:1 ~coeff:200
   else
@@ -221,18 +209,14 @@ let build_row t info rng contributor edge =
    sequential pass makes every injector decision in the original
    iteration order; (2) the surviving (origin, contributor) builds —
    the dominant cost: BGV encrypt plus ZKP prove/verify — run on the
-   pool with per-pair Rng streams; (3) a sequential merge assembles
-   rows and counters in the original order.
+   pool, each from its own keyed row stream; (3) a sequential merge
+   assembles rows and counters in the original order.
 
    Returns (rows per origin, discarded count, transit losses, mixnet
    bytes); the last two are always 0 here. *)
-let gather_rows t inj info =
+let gather_rows t ~qid inj info =
   let n = Cg.population t.graph in
   let pool = Pool.default () in
-  (* One draw from the runtime stream, then per-contribution streams
-     derived from stable (contributor, destination) coordinates: builds
-     can run on any domain in any order with identical output. *)
-  let gather_seed = Rng.int64 t.rng in
   let discarded = ref 0 in
   let rows = Array.make n [] in
   let tasks = ref [] in
@@ -264,10 +248,7 @@ let gather_rows t inj info =
   let built =
     Pool.map_array pool
       (fun (origin, m, edge) ->
-        (* lint: allow rng-capture — task_rng is the rng.mli pre-split
-           pattern: a pure Rng.mix64 derivation from (seed, coords),
-           not a shared mutable stream *)
-        let row = build_row t info (task_rng gather_seed origin m) m edge in
+        let row = build_row t ~qid info ~origin m edge in
         (Contribution.verify t.srs t.ctx info row, row))
       tasks
   in
@@ -359,7 +340,7 @@ let prepared_info p = p.p_info
    The gathered counters arrive as separate arguments, not as the
    gather tuple, so nothing keeps [rows] reachable once the
    aggregation pool is done with them. *)
-let aggregate_phase t ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
+let aggregate_phase t ~qid ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
   let n = Cg.population t.graph in
   let discarded = ref discarded_rows in
   let origin_cts = ref [] in
@@ -438,19 +419,16 @@ let aggregate_phase t ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
     (result, !local_discarded)
   in
   (* Per-origin aggregation (BGV ops plus transcript proofs) runs on
-     the pool: each origin's work is pure given its own derived Rng
-     stream and read-only runtime state.  Injector lookups inside the
+     the pool: each origin's work is pure given its own keyed stream
+     and read-only runtime state.  Injector lookups inside the
      tasks are stateless plan queries; the report counters are applied
      in the sequential merge below, in ascending-origin order, so the
      degradation report is identical at any domain count. *)
-  let agg_seed = Rng.int64 t.rng in
   let pool = Pool.default () in
   let outcomes, dt =
     phase "query.aggregate" ~attrs:[ ("origins", Obs.Json.Int n) ] @@ fun () ->
     Pool.init pool n (fun origin ->
-        (* lint: allow rng-capture — task_rng is the rng.mli pre-split
-           pattern; the task-local generator is derived, never shared *)
-        let rng = task_rng agg_seed origin 0 in
+        let rng = Rng.keyed t.cfg.seed Rng.Origin_aggregate [ qid; origin ] in
         if Injector.device_offline inj ~device:origin then
           (* Offline origin: the aggregator substitutes the §6.3 default
              value — an encryption of zero — so the leaf count (and every
@@ -517,7 +495,9 @@ let aggregate_phase t ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
     ph.summation_s <- dt;
     ignore (Bulletin.post t.bulletin ~author:"aggregator" (Summation_tree.root_hash tree));
     (* Play one device's audit as a self-check of the commitment. *)
-    let probe = Rng.int t.rng (Array.length leaves) in
+    let probe =
+      Rng.int (Rng.keyed t.cfg.seed Rng.Audit_probe [ qid ]) (Array.length leaves)
+    in
     if
       not
         (Summation_tree.verify_audit leaves.(probe)
@@ -666,14 +646,16 @@ type batch_item = {
   bi_cached : prepared option;
 }
 
+let shape (query : Ast.t) = Ast.to_string { query with Ast.name = "" }
+
 (* A member's logical transit-fault coordinate, fed to
    [Fault_plan.send_dropped] in place of the shared physical mixnet
-   round: a digest of the query shape with the analyst-chosen name
-   blanked. The same query therefore sees the same drop decisions
-   alone or in any batch, at any position, and a recomputation after
-   a cache miss reproduces the cached aggregate bit for bit. *)
-let fault_round (query : Ast.t) =
-  let d = Digest.string (Ast.to_string { query with Ast.name = "" }) in
+   round: a digest of the query's shape. The same query therefore sees
+   the same drop decisions alone or in any batch, at any position, and
+   a recomputation after a cache miss reproduces the cached aggregate
+   bit for bit. *)
+let fault_round query =
+  let d = Digest.string (shape query) in
   let b i = Char.code d.[i] in
   (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)) land 0x3FFFFFFF
 
@@ -691,8 +673,8 @@ let fault_round (query : Ast.t) =
    when configured, remain physical and hit the whole concatenated
    frame.) *)
 let gather_rows_mixnet_batch t mix members =
-  (* members : (info, injector) array; every query in it has hops = 1
-     (checked by the caller). *)
+  (* members : (qid, info, injector) array; every query in it has
+     hops = 1 (checked by the caller). *)
   let n = Cg.population t.graph in
   let pool = Pool.default () in
   let k = Array.length members in
@@ -716,7 +698,7 @@ let gather_rows_mixnet_batch t mix members =
      front from each member's plan so its report does not depend on
      delivery outcomes. *)
   Array.iter
-    (fun (_, inj) ->
+    (fun (_, _, inj) ->
       if Injector.active inj then
         for v = 0 to n - 1 do
           if not (Injector.device_offline inj ~device:v) then
@@ -727,28 +709,26 @@ let gather_rows_mixnet_batch t mix members =
               (Cg.neighbors t.graph v)
         done)
     members;
-  let fault_rounds = Array.map (fun (info, _) -> fault_round info.Analysis.query) members in
-  let frames = Array.map (fun (info, _) -> Contribution.wire_size t.ctx info) members in
+  let fault_rounds = Array.map (fun (_, info, _) -> fault_round info.Analysis.query) members in
+  let frames = Array.map (fun (_, info, _) -> Contribution.wire_size t.ctx info) members in
   let padded = Array.map (fun f -> f + 4) frames in
   let offsets = Array.make k 0 in
   for i = 1 to k - 1 do
     offsets.(i) <- offsets.(i - 1) + padded.(i - 1)
   done;
   let body_len = offsets.(k - 1) + padded.(k - 1) in
-  let gather_seeds = Array.map (fun _ -> Rng.int64 t.rng) members in
   (* Pure per-pair payload (the simulator probes and parallelizes it):
      one padded frame per member, concatenated at fixed offsets. *)
   let payload_of ~source ~dest =
     let out = Bytes.create body_len in
     Array.iteri
-      (fun i (info, _) ->
+      (fun i (qid, info, _) ->
         let frame =
           if source = dest then pad_to frames.(i) (Bytes.make 1 '\x00')
           else
             pad_to frames.(i)
               (Contribution.to_bytes
-                 (build_row t info (task_rng gather_seeds.(i) source dest) source
-                    (Cg.edge t.graph source dest)))
+                 (build_row t ~qid info ~origin:dest source (Cg.edge t.graph source dest)))
         in
         Bytes.blit frame 0 out offsets.(i) padded.(i))
       members;
@@ -770,7 +750,7 @@ let gather_rows_mixnet_batch t mix members =
         if src = dst then Array.make k `Self_loop
         else
           Array.mapi
-            (fun i (info, inj) ->
+            (fun i (_, info, inj) ->
               let dropped_copies =
                 if not (Injector.active inj) then 0
                 else begin
@@ -798,7 +778,7 @@ let gather_rows_mixnet_batch t mix members =
       delivered
   in
   Array.init k (fun i ->
-      let _, inj = members.(i) in
+      let _, _, inj = members.(i) in
       let rows = Array.make n [] in
       let discarded = ref 0 and arrived = ref 0 in
       let note_drops c =
@@ -910,7 +890,9 @@ let run_batch t items =
     let gathered = Array.make k None in
     (match (t.mixnet, mix_members) with
     | Some mix, _ :: _ ->
-      let members = Array.of_list (List.map (fun (i, info) -> (info, injs.(i))) mix_members) in
+      let members =
+        Array.of_list (List.map (fun (i, info) -> (qids.(i), info, injs.(i))) mix_members)
+      in
       let per, dt =
         phase "query.gather"
           ~attrs:[ ("members", Obs.Json.Int (Array.length members)) ]
@@ -934,7 +916,7 @@ let run_batch t items =
         let g, dt =
           phase "query.gather"
             ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
-            (fun () -> gather_rows t injs.(i) info)
+            (fun () -> gather_rows t ~qid:qids.(i) injs.(i) info)
         in
         phs.(i).gather_s <- dt;
         gathered.(i) <- Some g)
@@ -953,7 +935,8 @@ let run_batch t items =
              tree and relinearization. *)
           gathered.(i) <- None;
           match
-            aggregate_phase t ~ph:phs.(i) injs.(i) info ~rows ~discarded_rows ~losses ~bytes
+            aggregate_phase t ~qid:qids.(i) ~ph:phs.(i) injs.(i) info ~rows ~discarded_rows
+              ~losses ~bytes
           with
           | Ok p -> prepareds.(i) <- Some p
           | Error e -> states.(i) <- Error e)
@@ -997,10 +980,16 @@ let run_batch t items =
           (fun acc (_, p) -> acc + p.p_info.Analysis.layout.Analysis.total_bins)
           0 decrypt_idx
       in
+      (* Recruitment and smudging are keyed by the batch, never by the
+         committee generation: a failed session leaves the generation
+         as it is, and the next batch must not smudge a different
+         ciphertext with the same noise, which would expose the
+         shares. *)
+      let session = Rng.keyed t.cfg.seed Rng.Decrypt_session [ qids.(0) ] in
       let res, dt =
         phase "query.decrypt"
           ~attrs:[ ("members", Obs.Json.Int (List.length members)) ]
-          (fun () -> Committee.decrypt_batch ~excluded t.comm t.rng t.ctx ~members)
+          (fun () -> Committee.decrypt_batch ~excluded t.comm session t.ctx ~members)
       in
       List.iter
         (fun (i, p) ->
@@ -1017,7 +1006,11 @@ let run_batch t items =
         List.iter (fun (i, _) -> states.(i) <- Error (Pipeline_error e)) decrypt_idx
       | Ok releases ->
         (* Rotate the committee for the next batch (§4.2). *)
-        t.comm <- Committee.rotate t.comm t.rng ~population:(Cg.population t.graph);
+        let generation = Committee.generation t.comm + 1 in
+        t.comm <-
+          Committee.rotate t.comm
+            (Rng.keyed t.cfg.seed Rng.Committee_rotation [ generation ])
+            ~population:(Cg.population t.graph);
         let mix_hops =
           match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
         in
@@ -1078,14 +1071,15 @@ let run_batch t items =
 
 (* A single query is a batch of one. Its noise stream is keyed by
    (runtime seed, query id) — the id [run_batch] is about to assign
-   it — the way the serving layer keys a member's by (serving seed,
+   it — under its own purpose, so it never meets the stream of a
+   served member, which the serving layer keys by (serving seed,
    admission seq). *)
 let run_query_ast ~epsilon t query =
   let item =
     {
       bi_query = query;
       bi_epsilon = epsilon;
-      bi_noise_seed = Rng.mix64 t.cfg.seed (Int64.of_int (t.queries_run + 1));
+      bi_noise_seed = Rng.key t.cfg.seed Rng.Query_noise [ t.queries_run + 1 ];
       bi_cached = None;
     }
   in

@@ -22,6 +22,9 @@ type config = {
   epsilon_budget : float;
   degree_bound : int;  (** d; must be >= the graph's max degree *)
   seed : int64;
+      (** root of all randomness: set-up (keys, first committee,
+          Byzantine set) draws one stream from it; every later draw is
+          keyed by purpose ({!Mycelium_util.Rng.keyed}) *)
   byzantine_fraction : float;
       (** fraction of devices submitting over-weighted contributions
           with forged proofs (§4.6's attack) *)
@@ -45,15 +48,6 @@ type config = {
           shares, and aggregator restarts rebuild the summation tree
           from its durable leaves. What actually fired is returned in
           [query_result.degradation]. *)
-  domains : int;
-      (** domain count for the parallel work pool threaded through
-          contribution build/verify, RNS/NTT limb ops, summation-tree
-          construction and mixnet round processing (1 = sequential;
-          the default). The [MYCELIUM_DOMAINS] environment variable
-          overrides this. Query results, DP noise and degradation
-          reports are byte-identical at any domain count: all task
-          randomness comes from pre-split seed streams and every
-          reduction uses a fixed combine order. *)
   trace : bool;
       (** enable the lib/obs tracing + metrics registry for this
           process (the [MYCELIUM_TRACE] environment variable also
@@ -79,7 +73,7 @@ val default_config : config
 (** test_medium BGV parameters, committee of 10 with threshold 4,
     budget 10, d=6, honest devices, abstract channel, no faults. *)
 
-(* lint: allow interface — the runtime is a stateful orchestrator (graph, keys, rng, pools); handles are compared by identity only *)
+(* lint: allow interface — the runtime is a stateful orchestrator (graph, keys, committee, ledger); handles are compared by identity only *)
 type t
 
 val init : config -> Mycelium_graph.Contact_graph.t -> t
@@ -131,9 +125,10 @@ type query_result = {
 val run_query : epsilon:float -> t -> string -> (query_result, query_error) result
 (** Parse and execute a query, charging [epsilon] against {!budget}
     ([infinity] releases exactly and is never charged). The query runs
-    as a batch of one through {!run_batch}; its DP noise comes from a
-    stream keyed by (config seed, query id). On success the committee
-    rotates. *)
+    as a batch of one through {!run_batch}; its DP noise comes from
+    the [Query_noise] stream of (config seed, query id), which no
+    served member's [Member_noise] stream can equal. On success the
+    committee rotates. *)
 
 val run_query_ast :
   epsilon:float -> t -> Mycelium_query.Ast.t -> (query_result, query_error) result
@@ -174,11 +169,17 @@ type batch_item = {
           debug semantics (the serving layer refuses it without an
           explicit override) *)
   bi_noise_seed : int64;
-      (** seed of the member's private DP-noise stream *)
+      (** seed of the member's private DP-noise stream: a
+          {!Mycelium_util.Rng.key} of its own purpose and coordinates *)
   bi_cached : prepared option;
       (** a cache hit: skip gather and aggregation, go straight to the
           shared decryption session *)
 }
+
+val shape : Mycelium_query.Ast.t -> string
+(** The query's canonical printed form with the analyst-chosen name
+    blanked: the serving layer's cache key, and the digest behind a
+    member's transit-fault coordinate. *)
 
 val validate_query :
   t -> Mycelium_query.Ast.t -> (Mycelium_query.Analysis.info, query_error) result

@@ -70,39 +70,27 @@ let equal a b =
   && Float.equal a.forge_rate b.forge_rate
   && Int.equal a.aggregator_restarts b.aggregator_restarts
 
-(* Fault-class salts keep the decision streams of different classes
-   independent even at identical coordinates. *)
-let salt_churn = 0x43485552L (* "CHUR" *)
-let salt_drop = 0x44524F50L (* "DROP" *)
-let salt_delay = 0x44454C41L (* "DELA" *)
-let salt_forge = 0x464F5247L (* "FORG" *)
-
-let key t salt coords =
-  List.fold_left
-    (fun acc v -> Rng.mix64 acc (Int64.of_int v))
-    (Rng.mix64 t.seed salt) coords
-
 (* 53 uniform bits of the decision key as a float in [0, 1). *)
 let chance k = Int64.to_float (Int64.shift_right_logical k 11) *. 0x1.0p-53
 
 let device_churned t ~device =
-  t.churn_rate > 0. && chance (key t salt_churn [ device ]) < t.churn_rate
+  t.churn_rate > 0. && chance (Rng.key t.seed Rng.Fault_churn [ device ]) < t.churn_rate
 
 let contribution_forged t ~device =
   t.forge_rate > 0.
   && (not (device_churned t ~device))
-  && chance (key t salt_forge [ device ]) < t.forge_rate
+  && chance (Rng.key t.seed Rng.Fault_forge [ device ]) < t.forge_rate
 
 let send_dropped t ~round ~source ~dest ~attempt =
   t.drop_rate > 0.
-  && chance (key t salt_drop [ round; source; dest; attempt ]) < t.drop_rate
+  && chance (Rng.key t.seed Rng.Fault_drop [ round; source; dest; attempt ]) < t.drop_rate
 
 let send_delay t ~round ~source ~dest =
-  if rate_zero t.delay_rate then 0
+  let key = Rng.key t.seed Rng.Fault_delay in
+  if rate_zero t.delay_rate || chance (key [ round; source; dest ]) >= t.delay_rate then 0
   else begin
-    let k = key t salt_delay [ round; source; dest ] in
-    if chance k >= t.delay_rate then 0
-    else 1 + Int64.to_int (Int64.rem (Int64.shift_right_logical (Rng.mix64 k 1L) 1) (Int64.of_int t.max_delay_rounds))
+    let lateness = Int64.shift_right_logical (key [ round; source; dest; 1 ]) 1 in
+    1 + Int64.to_int (Int64.rem lateness (Int64.of_int t.max_delay_rounds))
   end
 
 let committee_crashed t ~member = List.exists (Int.equal member) t.crashed_committee

@@ -4,8 +4,9 @@
     drops and delays on droppable channels, device churn, crashed
     committee members, forged ZKP contributions, and aggregator
     restarts — without holding any mutable state. Every decision is a
-    pure function of [(plan.seed, fault class, event coordinates)]
-    computed with {!Mycelium_util.Rng.mix64}, so:
+    pure function of [(plan.seed, fault class, event coordinates)]:
+    the key {!Mycelium_util.Rng.key} derives under the class's purpose
+    ([Fault_churn], [Fault_drop], [Fault_delay] or [Fault_forge]), so:
 
     - the same plan injects exactly the same faults on every run
       (reproducible chaos: rerunning a failing seed replays the run);

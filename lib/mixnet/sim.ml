@@ -48,7 +48,6 @@ type config = {
   degree : int;
   malicious_fraction : float;
   churn : float;
-  payload_bytes : int;
   fast_setup : bool;
   fast_keys : bool;
   verify_proofs : bool;
@@ -67,7 +66,6 @@ let default_config =
     degree = 10;
     malicious_fraction = 0.02;
     churn = 0.;
-    payload_bytes = 64;
     fast_setup = false;
     fast_keys = false;
     verify_proofs = true;
@@ -144,7 +142,6 @@ type t = {
   scratch : Ivec.t;
   scratch2 : Ivec.t;
   mutable last_deliveries : (int * int * bytes) list;
-  mutable fault_hook : (round:int -> source:int -> dest:int -> copy:int -> bool) option;
 }
 
 let beacon t = t.beacon
@@ -241,7 +238,6 @@ let create cfg =
     scratch = Ivec.create ();
     scratch2 = Ivec.create ();
     last_deliveries = [];
-    fault_hook = None;
   }
   |> fun t ->
   (* Footprint telemetry for the background sampler.  The source reads
@@ -261,8 +257,6 @@ let create cfg =
         (Obs.Names.mixnet_mailboxes_in_use, float_of_int (Ivec.length t.touched));
       ]);
   t
-
-let set_fault_hook t hook = t.fault_hook <- hook
 
 let audit_all t =
   let ok = ref true in
@@ -614,9 +608,9 @@ type round_stats = {
 
 (* Established paths grouped by logical message, in the iteration order
    of the legacy per-round hash table (same keys, same insertion
-   sequence, so the replay — churn draws, fault-hook consults, stats
-   order — is unchanged).  Paths only change at [setup_paths], so the
-   grouping is cached. *)
+   sequence, so the replay — churn draws, stats order — is
+   unchanged).  Paths only change at [setup_paths], so the grouping is
+   cached. *)
 let groups_of t =
   match t.groups_cache with
   | Some g -> g
@@ -870,39 +864,28 @@ let run_query_round_impl t ~payload_of =
   let deposits_count = ref 0 in
   (* ---- Round 0: deposits ----
      Three phases, so the result never depends on the domain count.
-     Phase 1 (sequential) makes every Rng draw (sender churn) and
-     fault-hook consult in the original iteration order and lays out
-     the arena.  Phase 2 runs the expensive crypto — payload
-     construction, inner AE layer, onion wrapping — on the pool,
-     each task writing its copies' disjoint arena ranges; [payload_of]
-     must be pure (see the mli).  Phase 3 (sequential) links the slots
-     into the mailboxes in the original order. *)
+     Phase 1 (sequential) makes every Rng draw (sender churn) in the
+     original iteration order and lays out the arena.  Phase 2 runs
+     the expensive crypto — payload construction, inner AE layer,
+     onion wrapping — on the pool, each task writing its copies'
+     disjoint arena ranges; [payload_of] must be pure (see the mli).
+     Phase 3 (sequential) links the slots into the mailboxes in the
+     original order. *)
   let g_online = Array.make (max 1 ng) false in
-  let g_offs = Array.make (max 1 ng) [||] in  (* per-copy slot index, -1 dropped *)
+  let g_offs = Array.make (max 1 ng) [||] in  (* per-copy slot index *)
   let dep_pid = Ivec.create () in
   Array.iteri
     (fun gi pids ->
       let p0 = pids.(0) in
       if online t (t.p_src.(p0)) then begin
         g_online.(gi) <- true;
-        let offs = Array.make (Array.length pids) (-1) in
-        Array.iteri
-          (fun copy pid ->
-            (* Injected transit loss: the copy vanishes on its first
-               link (the replicas are the protocol's own redundancy
-               against exactly this). *)
-            let injected_drop =
-              match t.fault_hook with
-              | Some hook ->
-                hook ~round:query_round ~source:(t.p_src.(pid)) ~dest:(t.p_dst.(pid)) ~copy
-              | None -> false
-            in
-            if not injected_drop then begin
-              offs.(copy) <- Ivec.length dep_pid;
-              Ivec.push dep_pid pid
-            end)
-          pids;
-        g_offs.(gi) <- offs
+        g_offs.(gi) <-
+          Array.map
+            (fun pid ->
+              let slot = Ivec.length dep_pid in
+              Ivec.push dep_pid pid;
+              slot)
+            pids
       end)
     groups;
   (* Probe the first sending group's payload once for the slot length;
@@ -966,15 +949,12 @@ let run_query_round_impl t ~payload_of =
         else begin
           Array.iteri
             (fun copy pid ->
-              let slot = offs.(copy) in
-              if slot >= 0 then begin
-                let koff i = ((pid * (k + 1)) + i) * ksz in
-                let dkey = Bytes.sub karena (koff k) ksz in
-                let inner = Onion.seal_inner ~key:dkey ~round:query_round payload in
-                let hop_keys = Array.init k (fun i -> Bytes.sub karena (koff i) ksz) in
-                Onion.wrap_into ~hop_keys ~round:query_round ~inner ~dst:arena_out
-                  ~dst_pos:(slot * blen)
-              end)
+              let koff i = ((pid * (k + 1)) + i) * ksz in
+              let dkey = Bytes.sub karena (koff k) ksz in
+              let inner = Onion.seal_inner ~key:dkey ~round:query_round payload in
+              let hop_keys = Array.init k (fun i -> Bytes.sub karena (koff i) ksz) in
+              Onion.wrap_into ~hop_keys ~round:query_round ~inner ~dst:arena_out
+                ~dst_pos:(offs.(copy) * blen))
             pids;
           plen
         end)

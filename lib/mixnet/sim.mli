@@ -44,7 +44,6 @@ type config = {
   degree : int;  (** d: messages per device per query round *)
   malicious_fraction : float;
   churn : float;  (** per-device per-round offline probability *)
-  payload_bytes : int;
   fast_setup : bool;
   fast_keys : bool;
       (** draw device keypairs without the modular exponentiation;
@@ -85,16 +84,6 @@ val current_round : t -> int
 
 val audit_all : t -> bool
 (** Every honest device runs its §3.3 M1/M2 audits. *)
-
-val set_fault_hook :
-  t -> (round:int -> source:int -> dest:int -> copy:int -> bool) option -> unit
-(** Install (or clear) an external fault-injection hook consulted once
-    per replica copy at deposit time; returning [true] drops that copy
-    in transit before it reaches its first relay. Lets a deterministic
-    fault plan add message loss on top of the simulator's own churn
-    and Byzantine drops; a message whose copies are all dropped
-    surfaces as a §6.3 default-value substitution at the
-    destination. *)
 
 type setup_stats = {
   paths_requested : int;
@@ -143,8 +132,8 @@ val run_query_round_with : t -> payload_of:(source:int -> dest:int -> bytes) -> 
     mutable state): it is invoked at least once per logical message
     from the parallel wrap phase, on an arbitrary pool domain, and one
     sending pair is probed an extra time sequentially to size the body
-    arena.  Derive any randomness it needs from a pre-split per-pair
-    seed. *)
+    arena.  Draw any randomness it needs from a stream keyed by the
+    pair ({!Mycelium_util.Rng.keyed}). *)
 
 val deliveries : t -> (int * int * bytes) list
 (** [(source_device, dest_pseudonym, payload)] messages opened by their

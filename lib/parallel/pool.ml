@@ -215,25 +215,18 @@ let reduce t ~combine ~init f arr =
 (* The process-wide default pool                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* [MYCELIUM_DOMAINS], or 1 (sequential) when unset or invalid. *)
 let env_domains =
   lazy
-    (match Sys.getenv_opt "MYCELIUM_DOMAINS" with
-    | None -> None
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None -> None))
+    (let parse s = int_of_string_opt (String.trim s) in
+     match Option.bind (Sys.getenv_opt "MYCELIUM_DOMAINS") parse with
+     | Some n when n >= 1 -> n
+     | Some _ | None -> 1)
 
-let configured = Atomic.make 1
 let forced : int option Atomic.t = Atomic.make None
 
 let resolve () =
-  match Atomic.get forced with
-  | Some n -> n
-  | None -> (
-    match Lazy.force env_domains with
-    | Some n -> n
-    | None -> Atomic.get configured)
+  match Atomic.get forced with Some n -> n | None -> Lazy.force env_domains
 
 let current_domains () = resolve ()
 
@@ -280,10 +273,6 @@ let default () =
     Mutex.unlock current_mutex;
     p
   end
-
-let configure ~domains =
-  Atomic.set configured (max 1 domains);
-  ignore (default ())
 
 let with_domains n f =
   let saved = Atomic.get forced in

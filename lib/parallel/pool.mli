@@ -11,8 +11,8 @@
     number of domains nor the scheduling of chunks can influence the
     output, so query results are byte-identical at 1, 2 or 8 domains.
     Tasks must not share mutable state (in particular [Rng.t] handles —
-    see [lib/util/rng.mli]); derive a per-task seed with [Rng.mix64]
-    instead.
+    see [lib/util/rng.mli]); a task makes its own generator with
+    [Rng.keyed] from its stable coordinates instead.
 
     {b Nesting.}  A task that itself calls into the pool (e.g. an
     [Rq.mul] inside a per-device build) runs that inner work sequentially
@@ -78,22 +78,17 @@ val reduce : t -> combine:('b -> 'b -> 'b) -> init:'b -> ('a -> 'b) -> 'a array 
 (** {1 The process-wide default pool}
 
     Most call sites use [default ()] rather than threading a pool handle
-    through every API.  Its size is resolved, in decreasing precedence,
-    from: a [with_domains] override (tests), the [MYCELIUM_DOMAINS]
-    environment variable, and the last [configure] call (runtime
-    config); the fallback is 1 (sequential). *)
+    through every API.  Its size is a [with_domains] override (tests)
+    if one is active, else the [MYCELIUM_DOMAINS] environment variable,
+    else 1 (sequential). *)
 
 val default : unit -> t
 (** The shared pool, (re)sized on demand to the resolved domain count.
     Worker domains are joined automatically at process exit. *)
 
-val configure : domains:int -> unit
-(** Set the domain count requested by runtime configuration.  Overridden
-    by [MYCELIUM_DOMAINS] and by an active [with_domains]. *)
-
 val with_domains : int -> (unit -> 'a) -> 'a
 (** [with_domains n f] runs [f] with the default pool forced to [n]
-    domains (taking precedence over [MYCELIUM_DOMAINS] and [configure]),
+    domains (taking precedence over [MYCELIUM_DOMAINS]),
     restoring the previous setting afterwards.  Used by the determinism
     tests to compare runs at 1/2/8 domains within one process. *)
 

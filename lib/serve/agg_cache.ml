@@ -1,6 +1,3 @@
-module Cg = Mycelium_graph.Contact_graph
-module Analysis = Mycelium_query.Analysis
-module Ast = Mycelium_query.Ast
 module Runtime = Mycelium_core.Runtime
 module Obs = Mycelium_obs.Obs
 
@@ -11,7 +8,6 @@ type entry = {
 
 type t = {
   capacity : int;
-  graph_sig : string;
   table : (string, entry) Hashtbl.t;
   mutable clock : int;
   mutable evictions : int;
@@ -22,30 +18,10 @@ type t = {
   c_evictions : Obs.Metrics.counter;
 }
 
-(* The neighborhood signature: a digest over the adjacency structure
-   and every vertex's neighbor list, in vertex order.  Two runtimes
-   whose graphs differ anywhere produce different keys, so a cached
-   aggregate can never be served against the wrong population. *)
-let graph_signature g =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "n=%d;e=%d;" (Cg.population g) (Cg.edge_count g));
-  for v = 0 to Cg.population g - 1 do
-    Buffer.add_string buf (string_of_int v);
-    Buffer.add_char buf ':';
-    List.iter
-      (fun (u, _) ->
-        Buffer.add_string buf (string_of_int u);
-        Buffer.add_char buf ',')
-      (Cg.neighbors g v);
-    Buffer.add_char buf ';'
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let create ~capacity ~graph =
+let create ~capacity =
   if capacity < 0 then invalid_arg "Agg_cache.create: negative capacity";
   {
     capacity;
-    graph_sig = graph_signature graph;
     table = Hashtbl.create (max 16 capacity);
     clock = 0;
     evictions = 0;
@@ -56,18 +32,10 @@ let create ~capacity ~graph =
     c_evictions = Obs.Metrics.counter Obs.Names.serve_cache_evictions;
   }
 
-(* The cache key: (neighborhood signature, clip + degree bounds, query
-   shape).  The shape is the canonical printed form of the query with
-   the analyst-chosen name blanked, so two differently-named queries
-   with the same meaning share an entry. *)
-let key t (query : Ast.t) ~(info : Analysis.info) =
-  let clip =
-    match info.Analysis.clip with
-    | Some (lo, hi) -> Printf.sprintf "%h..%h" lo hi
-    | None -> "-"
-  in
-  Printf.sprintf "g=%s|d=%d|clip=%s|q=%s" t.graph_sig info.Analysis.degree_bound clip
-    (Ast.to_string { query with Ast.name = "" })
+(* A cache belongs to one serving layer over one runtime, whose graph
+   and degree bound are fixed at init; the clip bounds are part of the
+   query text.  So the shape alone identifies the aggregate. *)
+let key = Runtime.shape
 
 let find t k =
   if t.capacity = 0 then begin

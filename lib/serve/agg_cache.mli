@@ -1,5 +1,5 @@
 (** The serving layer's encrypted-aggregate cache (DESIGN.md §14):
-    maps (neighborhood signature, clip/degree bounds, query shape) to a
+    maps a query shape ({!Mycelium_core.Runtime.shape}) to a
     {!Mycelium_core.Runtime.prepared} — the relinearized aggregate a
     repeated ego-centric query can decrypt directly, skipping gather
     and aggregation entirely. Cached ciphertexts stay decryptable
@@ -15,15 +15,16 @@
    Obs counters; handles are compared by identity only *)
 type t
 
-val create : capacity:int -> graph:Mycelium_graph.Contact_graph.t -> t
+val create : capacity:int -> t
 (** [capacity = 0] disables the cache: every {!find} misses, {!put} is
-    a no-op. The graph is digested once into the neighborhood
-    signature every key embeds. *)
+    a no-op. A cache serves one runtime: its graph, degree bound and
+    keys are fixed at init, so entries of different runtimes must never
+    share a cache. *)
 
-val key :
-  t -> Mycelium_query.Ast.t -> info:Mycelium_query.Analysis.info -> string
-(** The composite cache key; the query's analyst-chosen name is
-    blanked so equal-shaped queries share an entry. *)
+val key : Mycelium_query.Ast.t -> string
+(** The cache key: {!Mycelium_core.Runtime.shape}, the canonical query
+    text with the analyst-chosen name blanked, so equal-shaped queries
+    share an entry. Clip bounds are part of the text. *)
 
 val find : t -> string -> Mycelium_core.Runtime.prepared option
 (** Counts a hit or a miss, and refreshes recency on hit. *)

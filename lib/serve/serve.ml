@@ -78,7 +78,7 @@ let create ?(config = default_config) runtime =
     acct =
       Accountant.create ~accounting:config.accounting
         ~per_user_total:config.per_user_budget ();
-    cache = Agg_cache.create ~capacity:config.cache_capacity ~graph:(Runtime.graph runtime);
+    cache = Agg_cache.create ~capacity:config.cache_capacity;
     ring_degree = (Runtime.config runtime).Runtime.params.Params.degree;
     pending = [];
     next_seq = 0;
@@ -119,7 +119,7 @@ let run_chunk t chunk =
             (* The member's private noise stream: a pure function of the
                serving seed and the member's admission sequence number —
                never of the batch composition. *)
-            bi_noise_seed = Rng.mix64 t.cfg.seed (Int64.of_int pd.pd_seq);
+            bi_noise_seed = Rng.key t.cfg.seed Rng.Member_noise [ pd.pd_seq ];
             bi_cached = cached;
           })
         lookups
@@ -202,7 +202,7 @@ let submit t ~arrival (req : request) =
         pd_epsilon = req.epsilon;
         pd_query = query;
         pd_info = info;
-        pd_key = Agg_cache.key t.cache query ~info;
+        pd_key = Agg_cache.key query;
         pd_arrival = arrival;
       }
       :: t.pending;

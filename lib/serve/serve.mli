@@ -8,11 +8,13 @@
     oldest pending member has waited [deadline_s] (checked against the
     caller-supplied arrival clock, so scheduling is deterministic and
     replayable from a workload file). Batching is invisible in the
-    released bytes: every member's DP noise comes from its own seed
-    stream ([seed] mixed with the member's admission sequence number)
-    and its injected transit faults from its own query-shape-derived
-    fault coordinate, so a query releases byte-identical results at
-    batch size 1 or 8, cache hit or miss.
+    released bytes: every member's DP noise comes from its own
+    [Member_noise] stream, keyed by [seed] and its admission sequence
+    number ({!Mycelium_util.Rng.keyed}), and its injected transit
+    faults from its own query-shape-derived fault coordinate, so a
+    query releases byte-identical results at batch size 1 or 8, cache
+    hit or miss. Two [Serve] instances over one runtime with the same
+    [seed] share member streams: give each its own seed.
 
     Duplicate query shapes arriving in the same batch also hit the
     cache: a chunk runs in two passes — first occurrences compute and
@@ -31,7 +33,7 @@ type config = {
       (** admit [epsilon = infinity] queries (the single-query debug
           semantics); off by default — a serving layer refuses to
           release unbudgeted results *)
-  seed : int64;  (** root of the per-member DP-noise seed streams *)
+  seed : int64;  (** root of the per-member DP-noise streams *)
 }
 
 val default_config : config

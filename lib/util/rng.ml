@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function: one additive step plus two xor-shift
    multiplies (variant "mix13"). *)
 let next_int64 t =
@@ -17,17 +15,51 @@ let next_int64 t =
 
 let int64 = next_int64
 
-let split t =
-  let seed = next_int64 t in
-  (* Mix once more so that split streams do not share prefixes with the
-     parent stream shifted by one. *)
-  { state = Int64.mul seed 0xDA942042E4DD58B5L }
-
 let mix64 a b =
   (* One SplitMix64 step keyed by [a] with [b] folded into the state:
      a stateless hash-combine for deriving decision keys. *)
   let t = { state = Int64.logxor a (Int64.mul b 0xFF51AFD7ED558CCDL) } in
   next_int64 t
+
+type purpose =
+  | Contribution_row
+  | Origin_aggregate
+  | Audit_probe
+  | Decrypt_session
+  | Committee_rotation
+  | Query_noise
+  | Member_noise
+  | Fault_churn
+  | Fault_drop
+  | Fault_delay
+  | Fault_forge
+
+(* Four ASCII bytes, big-endian.  A tag names a stream family for
+   good: changing a fault tag would move every fault decision, and
+   with them the chaos suite's expected counts. *)
+let tag p =
+  let name =
+    match p with
+    | Contribution_row -> "CROW"
+    | Origin_aggregate -> "OAGG"
+    | Audit_probe -> "AUDT"
+    | Decrypt_session -> "DSES"
+    | Committee_rotation -> "CROT"
+    | Query_noise -> "QNOI"
+    | Member_noise -> "MNOI"
+    | Fault_churn -> "CHUR"
+    | Fault_drop -> "DROP"
+    | Fault_delay -> "DELA"
+    | Fault_forge -> "FORG"
+  in
+  String.fold_left
+    (fun acc c -> Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code c)))
+    0L name
+
+let key root purpose coords =
+  List.fold_left (fun acc v -> mix64 acc (Int64.of_int v)) (mix64 root (tag purpose)) coords
+
+let keyed root purpose coords = create (key root purpose coords)
 
 let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 

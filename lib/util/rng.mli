@@ -3,30 +3,23 @@
     Every randomized component of the library threads an explicit [Rng.t]
     so that simulations, tests and benchmarks are reproducible from a
     seed. The generator is SplitMix64 (Steele et al., OOPSLA'14): tiny
-    state, full 64-bit output, and a cheap [split] that derives
-    independent streams — convenient for giving each simulated device
-    its own generator. Not cryptographically secure; protocol-level
-    randomness in the simulation that must be unpredictable to the
-    simulated adversary is modeled separately.
+    state and full 64-bit output. Not cryptographically secure;
+    protocol-level randomness in the simulation that must be
+    unpredictable to the simulated adversary is modeled separately.
+
+    {b Keyed streams.}  Every draw the query pipeline makes after
+    set-up comes from {!keyed}: a stream named by (root, purpose,
+    coordinates), so a pure function of {e what} it is for, never of
+    how many draws, queries or batches came before it, nor of the
+    domain a task runs on.  Two purposes never share a stream.
 
     {b Domain ownership rule.}  A [t] is mutable, unsynchronised state:
     it must only ever be advanced by the domain that created it.  Never
-    capture a shared handle (e.g. the runtime's per-system stream) in a
-    task submitted to [Mycelium_parallel.Pool] — concurrent draws are a
-    data race, and even a benign race would make the stream, and thus
-    every result derived from it, depend on scheduling.  The pattern
-    used throughout the pipeline instead:
-
-    + on the owning domain, draw one fresh seed per parallel phase
-      ([int64]);
-    + derive a per-task key from that seed and the task's {e stable
-      coordinates} (device id, (source, dest) pair, ...) with the pure
-      [mix64] — never from the task's position in a work queue;
-    + [create] a task-local generator from the key inside the task.
-
-    This pre-splits the stream so results are byte-identical at any
-    domain count.  [split] and [copy] are for single-domain use; they do
-    not make sharing safe. *)
+    capture a handle created outside a [Mycelium_parallel.Pool] task
+    inside that task — concurrent draws are a data race, and even a
+    benign race would make the stream, and every result derived from
+    it, depend on scheduling.  A task makes its own generator with
+    {!keyed} from its stable coordinates. *)
 
 (* lint: allow interface — a generator is an owned mutable stream;
    handles are compared by identity, never by structure *)
@@ -36,21 +29,49 @@ val create : int64 -> t
 (** [create seed] makes a fresh generator. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of [t]'s subsequent output. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val mix64 : int64 -> int64 -> int64
 (** [mix64 a b] hash-combines two words through the SplitMix64
-    finalizer. Pure: equal inputs give equal outputs. Used to derive
-    stateless per-event decision keys (fault injection) where the
-    outcome must not depend on evaluation order. *)
+    finalizer. Pure: equal inputs give equal outputs. {!key} is built
+    from it. *)
+
+(** What a keyed stream is for.  Each purpose has its own tag, so
+    streams of different purposes differ at equal roots and
+    coordinates.  The coordinates each purpose is keyed by:
+
+    - [Contribution_row]: [\[query id; contributor; destination\]]
+    - [Origin_aggregate]: [\[query id; origin\]]
+    - [Audit_probe]: [\[query id\]]
+    - [Decrypt_session]: [\[query id of the batch's first member\]] —
+      recruitment and decryption smudging; keyed by the batch, never by
+      the committee generation, which a failed session leaves unchanged
+    - [Committee_rotation]: [\[generation the rotation creates\]]
+    - [Query_noise]: [\[query id\]], from the runtime seed
+    - [Member_noise]: [\[admission seq\]], from the serving seed
+    - [Fault_churn], [Fault_drop], [Fault_delay], [Fault_forge]: the
+      fault plan's decision coordinates, from the plan seed *)
+type purpose =
+  | Contribution_row
+  | Origin_aggregate
+  | Audit_probe
+  | Decrypt_session
+  | Committee_rotation
+  | Query_noise
+  | Member_noise
+  | Fault_churn
+  | Fault_drop
+  | Fault_delay
+  | Fault_forge
+
+val key : int64 -> purpose -> int list -> int64
+(** [key root purpose coords] folds {!mix64} over [coords], starting
+    from [root] mixed with the purpose's tag. Pure. *)
+
+val keyed : int64 -> purpose -> int list -> t
+(** [keyed root purpose coords] is [create (key root purpose coords)]:
+    the stream of one purpose at one set of coordinates. *)
 
 val bits62 : t -> int
 (** Uniform non-negative [int] using 62 of the 64 output bits. *)

@@ -1,5 +1,5 @@
-(* Fixture: the pre-split pattern, with a suppression citing rng.mli. *)
+(* Fixture: a captured stream, with a suppression. *)
 
 let jitter pool rng xs =
-  (* lint: allow rng-capture — fixture: task_rng-style pre-split stream *)
+  (* lint: allow rng-capture — fixture: a suppressed capture *)
   Pool.map_array pool (fun x -> x + Rng.int rng 3) xs

@@ -439,10 +439,10 @@ let test_chaos_through_mixnet () =
 let test_mixnet_arena_domains_identical () =
   (* The arena/sharded forwarding path (DESIGN.md §12) carries the same
      determinism contract as the query pipeline: a mixnet run with
-     churn, Byzantine forwarders, injected transit drops and sampled
-     verification must produce byte-identical deliveries and stats at
-     1, 2 and 8 domains — the sequential-decide / parallel-compute /
-     sequential-merge split leaves nothing to scheduling. *)
+     churn, Byzantine forwarders and sampled verification must produce
+     byte-identical deliveries and stats at 1, 2 and 8 domains — the
+     sequential-decide / parallel-compute / sequential-merge split
+     leaves nothing to scheduling. *)
   let cfg =
     {
       Sim.default_config with
@@ -462,15 +462,11 @@ let test_mixnet_arena_domains_identical () =
     Pool.with_domains domains (fun () ->
         let t = Sim.create cfg in
         ignore (Sim.setup_paths t);
-        Sim.set_fault_hook t
-          (Some
-             (fun ~round ~source ~dest ~copy -> (round + source + dest + copy) mod 7 = 0));
         let r1 = Sim.run_query_round t ~payload:(Bytes.of_string "chaos-a") in
         let r2 = Sim.run_query_round t ~payload:(Bytes.of_string "chaos-b") in
         (r1, r2, Sim.deliveries t))
   in
   let a1, a2, del1 = run 1 in
-  checkb "hook dropped copies" true (a1.Sim.copies_lost > 0);
   List.iter
     (fun d ->
       let b1, b2, del = run d in

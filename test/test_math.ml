@@ -53,12 +53,31 @@ let test_rng_int_uniformity () =
       checkb "within 5% of uniform" true (dev < 0.05))
     counts
 
-let test_rng_split_independent () =
-  let parent = Rng.create 3L in
-  let child = Rng.split parent in
-  let a = Array.init 32 (fun _ -> Rng.int64 parent) in
-  let b = Array.init 32 (fun _ -> Rng.int64 child) in
-  checkb "streams differ" true (a <> b)
+let all_purposes =
+  Rng.
+    [
+      Contribution_row; Origin_aggregate; Audit_probe; Decrypt_session; Committee_rotation;
+      Query_noise; Member_noise; Fault_churn; Fault_drop; Fault_delay; Fault_forge;
+    ]
+
+let test_rng_keyed_streams () =
+  let draws g = Array.init 32 (fun _ -> Rng.int64 g) in
+  let stream root p coords = draws (Rng.keyed root p coords) in
+  checkb "equal keys give equal streams" true
+    (stream 7L Rng.Contribution_row [ 1; 2; 3 ] = stream 7L Rng.Contribution_row [ 1; 2; 3 ]);
+  checkb "keyed = create of key" true
+    (stream 7L Rng.Member_noise [ 4 ] = draws (Rng.create (Rng.key 7L Rng.Member_noise [ 4 ])));
+  checkb "another purpose, another stream" true
+    (stream 7L Rng.Query_noise [ 1 ] <> stream 7L Rng.Member_noise [ 1 ]);
+  checkb "another coordinate, another stream" true
+    (stream 7L Rng.Contribution_row [ 1; 2; 3 ] <> stream 7L Rng.Contribution_row [ 1; 3; 2 ]);
+  checkb "another root, another stream" true
+    (stream 7L Rng.Audit_probe [ 1 ] <> stream 8L Rng.Audit_probe [ 1 ]);
+  (* [mix64 root] is a bijection of the tag, so distinct keys at one
+     root and no coordinates mean pairwise distinct tags. *)
+  let keys = List.map (fun p -> Rng.key 0L p []) all_purposes in
+  checki "tags pairwise distinct" (List.length all_purposes)
+    (List.length (List.sort_uniq Int64.compare keys))
 
 let test_rng_sample_without_replacement () =
   let rng = Rng.create 5L in
@@ -645,7 +664,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniformity" `Slow test_rng_int_uniformity;
-          Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+          Alcotest.test_case "keyed streams" `Quick test_rng_keyed_streams;
           Alcotest.test_case "sampling without replacement" `Quick test_rng_sample_without_replacement;
           Alcotest.test_case "laplace moments" `Slow test_rng_laplace_moments;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;

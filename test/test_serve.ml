@@ -292,15 +292,10 @@ let test_cache_hits_within_one_batch () =
 
 let test_cache_eviction_deterministic () =
   let rt = serve_runtime ~faults:false () in
-  let cache = Agg_cache.create ~capacity:2 ~graph:(Runtime.graph rt) in
+  let cache = Agg_cache.create ~capacity:2 in
   let prepared q =
     let query = (Corpus.find q).Corpus.query in
-    let info =
-      match Runtime.validate_query rt query with
-      | Ok i -> i
-      | Error _ -> Alcotest.failf "%s did not validate" q
-    in
-    let key = Agg_cache.key cache query ~info in
+    let key = Agg_cache.key query in
     let item =
       {
         Runtime.bi_query = query;
@@ -399,6 +394,50 @@ let test_single_query_equals_served_member () =
   checkb "same degradation report" true
     (Injector.report_equal single.Runtime.degradation served.Runtime.degradation)
 
+(* Single-query noise and served-member noise never share a stream,
+   even with the serving seed equal to the runtime seed: Q5 as single
+   query #1 and an equal-layout variant as served member #1 must draw
+   different noise, or subtracting the two releases would expose the
+   exact difference of their histograms. *)
+let test_single_and_served_noise_separate () =
+  let rt =
+    Runtime.init
+      {
+        Runtime.default_config with
+        Runtime.params = Params.test_small;
+        degree_bound = 4;
+        seed = 7L;
+      }
+      (small_graph ())
+  in
+  let noise (r : Runtime.query_result) =
+    let exact = Runtime.exact_bins_for_tests rt r.Runtime.info in
+    Array.mapi (fun i b -> b -. float_of_int exact.(i)) r.Runtime.noisy_bins
+  in
+  let single =
+    match Runtime.run_query ~epsilon:0.5 rt (Corpus.find "Q5").Corpus.sql with
+    | Ok r -> noise r
+    | Error _ -> Alcotest.fail "single Q5 failed"
+  in
+  let srv = Serve.create ~config:{ Serve.default_config with Serve.seed = 7L } rt in
+  let submit sql =
+    match Serve.submit srv ~arrival:0.0 { Serve.user = "alice"; epsilon = 0.5; sql; name = None } with
+    | Serve.Queued seq, [] -> seq
+    | Serve.Queued _, _ :: _ | Serve.Rejected _, _ -> Alcotest.fail "unexpected admission"
+  in
+  checki "Q4 is seq 0" 0 (submit (Corpus.find "Q4").Corpus.sql);
+  checki "the variant is seq 1" 1
+    (submit
+       "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE (dest.age IN [20, 70]) GROUP BY self.age");
+  let served =
+    match List.find (fun r -> r.Serve.seq = 1) (Serve.drain srv) with
+    | { Serve.outcome = Ok r; _ } -> noise r
+    | { Serve.outcome = Error _; _ } -> Alcotest.fail "served variant failed"
+  in
+  checki "same bin layout" (Array.length single) (Array.length served);
+  checkb "noise differs in some bin" true
+    (Array.exists2 (fun a b -> Float.abs (a -. b) > 1e-6) single served)
+
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -470,6 +509,8 @@ let () =
             test_batched_equals_sequential;
           Alcotest.test_case "single query ≡ served member, faulted mixnet" `Quick
             test_single_query_equals_served_member;
+          Alcotest.test_case "single-query and served-member noise separate" `Quick
+            test_single_and_served_noise_separate;
         ] );
       ( "ledger",
         [

@@ -148,8 +148,8 @@ let determinism ~file str =
    [Pool] task is a data race and a scheduling dependence.  Flag any
    closure literal passed to Pool.map_array/mapi_array/init/reduce
    that references an rng-ish name it does not bind itself — the
-   sanctioned pattern derives a task-local stream from a pre-drawn
-   seed via [Rng.mix64] inside the task. *)
+   sanctioned pattern makes a task-local stream with [Rng.keyed] from
+   the task's stable coordinates inside the task. *)
 
 let pool_entry_points = [ "map_array"; "mapi_array"; "init"; "reduce" ]
 
@@ -164,9 +164,9 @@ let rng_capture ~file str =
           out :=
             viol "rng-capture" file loc
               (Printf.sprintf
-                 "Rng stream `%s' captured by a Pool task; pre-split the stream \
-                  (Rng.mix64 on stable coordinates) and create a task-local \
-                  generator instead (rng.mli, domain ownership rule)"
+                 "Rng stream `%s' captured by a Pool task; make a task-local \
+                  generator with Rng.keyed from the task's stable coordinates \
+                  instead (rng.mli, domain ownership rule)"
                  n)
             :: !out
         | lid when (match List.rev (flatten lid) with
