@@ -22,13 +22,18 @@ type config = {
   epsilon_budget : float;
   degree_bound : int;  (** d; must be >= the graph's max degree *)
   seed : int64;
-      (** root of all randomness: set-up (keys, first committee,
-          Byzantine set) draws one stream from it; every later draw is
-          keyed by purpose ({!Mycelium_util.Rng.keyed}) *)
+      (** root of all randomness but the mixnet's: set-up (keys, first
+          committee, Byzantine set) draws one stream from it; every
+          later draw is keyed by purpose ({!Mycelium_util.Rng.keyed}) *)
   byzantine_fraction : float;
       (** fraction of devices submitting over-weighted contributions
           with forged proofs (§4.6's attack) *)
   route_through_mixnet : Mycelium_mixnet.Sim.config option;
+      (** the runtime overrides only [n_devices] and [degree]; this
+          [seed], not the runtime's, roots the mixnet's draws.  It stays
+          fixed: it fixes the beacon, and a new beacon can empty a hop
+          slice and fail set-up (0.6^12 ≈ 0.2% per slice on a 12-device
+          graph at f=0.4, k=2). *)
   relin_degree : int option;
       (** relinearization-key degree bound; default d+3 covers 1-hop *)
   accounting : Mycelium_dp.Dp.accounting;

@@ -96,28 +96,25 @@ let tag_dummy_malicious = 4
 
 type t = {
   cfg : config;
-  rng : Rng.t;
   devices : device array;
   vmap : Vmap.t;
   bulletin : Bulletin.t;
   beacon : bytes;
   mutable round : int;
   (* Flat path store: field f of path p lives at p_f.(p); hop pseudonyms
-     at p_hops.(p*k .. p*k+k-1); the k hop keys then the destination AE
-     key packed at key_arena[p*(k+1)*32 ..].  Link i of path p carries
-     id p_base.(p) + i. *)
+     at p_hops.(p*k .. p*k+k-1).  Link i of path p carries id
+     p_base.(p) + i, and its key derives from that id ([link_key]). *)
   mutable n_paths : int;
   mutable p_src : int array;
   mutable p_dst : int array;
   mutable p_msg : int array;
   mutable p_hops : int array;
   mutable p_base : int64 array;
-  mutable key_arena : Bytes.t;
   (* Per-device forwarding duties, packed (pid lsl 4) lor stage; the
      key, in/out links and next pseudonym all derive from the path
      store, so a route entry is one immediate int. *)
   routes : Ivec.t array;
-  mutable groups_cache : int array array option;
+  mutable next_msg : int;
   mutable next_link : int64;
   (* Slot slab, reused across query rounds: sids restart at 0 each
      round and index these arrays.  Bodies live in two ping-pong
@@ -165,6 +162,10 @@ let create cfg =
     invalid_arg "Sim.create: sampling strides must be non-negative";
   if cfg.fast_keys && not cfg.fast_setup then
     invalid_arg "Sim.create: fast_keys requires fast_setup (setup exercises PEnc)";
+  (* The one sequential stream: the Byzantine set and the device keys,
+     which fix the beacon.  Every later draw comes from a stream keyed
+     by its coordinates (the [Mix_*] purposes in rng.mli), so no audit,
+     set-up attempt or earlier round can shift another draw. *)
   let rng = Rng.create cfg.seed in
   let n_mal =
     int_of_float (Float.round (float_of_int cfg.n_devices *. cfg.malicious_fraction))
@@ -204,7 +205,6 @@ let create cfg =
   let beacon = Sha256.digest (Bulletin.head_hash bulletin) in
   {
     cfg;
-    rng;
     devices;
     vmap;
     bulletin;
@@ -216,9 +216,8 @@ let create cfg =
     p_msg = [||];
     p_hops = [||];
     p_base = [||];
-    key_arena = Bytes.create 0;
     routes = Array.init cfg.n_devices (fun _ -> Ivec.create ());
-    groups_cache = None;
+    next_msg = 0;
     next_link = 0L;
     next_sid = 0;
     cur_base = 0;
@@ -250,7 +249,6 @@ let create cfg =
         (Obs.Names.mixnet_established_paths, float_of_int t.n_paths);
         ( Obs.Names.mixnet_arena_bytes,
           float_of_int (Bytes.length t.arena_cur + Bytes.length t.arena_next) );
-        (Obs.Names.mixnet_key_bytes, float_of_int (Bytes.length t.key_arena));
         ( Obs.Names.mixnet_route_entries,
           float_of_int
             (Array.fold_left (fun acc v -> acc + Ivec.length v) 0 t.routes) );
@@ -268,20 +266,26 @@ let audit_all t =
             (Vmap.audit_own_pseudonyms t.vmap ~device:d.id
                ~pseudonyms:(Array.to_list d.pseudonyms))
         then ok := false;
-        if not (Vmap.audit_spot_check t.vmap t.rng ~samples:4) then ok := false
+        let rng = Rng.keyed t.cfg.seed Rng.Mix_audit [ t.round; d.id ] in
+        if not (Vmap.audit_spot_check t.vmap rng ~samples:4) then ok := false
       end)
     t.devices;
   !ok
 
-let online t _device = not (Rng.bernoulli t.rng t.cfg.churn)
+(* One churn decision per (C-round, device). *)
+let online t ~round device =
+  not (Rng.bernoulli (Rng.keyed t.cfg.seed Rng.Mix_churn [ round; device ]) t.cfg.churn)
 
 (* ------------------------------------------------------------------ *)
 (* Path store                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let key_off t pid i = ((pid * (t.cfg.hops + 1)) + i) * Onion.layer_key_size
-let hop_key t pid i = Bytes.sub t.key_arena (key_off t pid i) Onion.layer_key_size
-let dest_key t pid = hop_key t pid t.cfg.hops
+(* The symmetric key of link [base + i].  Hop i (0-based) of a path
+   whose links start at [base] holds the key of link base + i, its
+   destination the AE key of link base + k; the hand-shake, wrap, peels
+   and pickup each derive the key they use. *)
+let link_key seed base i =
+  Rng.bytes (Rng.keyed seed Rng.Mix_link_key [ Int64.to_int base + i ]) Onion.layer_key_size
 
 let ensure_path_capacity t =
   let k = t.cfg.hops in
@@ -293,11 +297,7 @@ let ensure_path_capacity t =
     t.p_dst <- grow t.p_dst;
     t.p_msg <- grow t.p_msg;
     t.p_hops <- (let b = Array.make (cap' * k) 0 in Array.blit t.p_hops 0 b 0 (cap * k); b);
-    t.p_base <- (let b = Array.make cap' 0L in Array.blit t.p_base 0 b 0 cap; b);
-    t.key_arena <-
-      (let b = Bytes.create (cap' * (k + 1) * Onion.layer_key_size) in
-       Bytes.blit t.key_arena 0 b 0 (Bytes.length t.key_arena);
-       b)
+    t.p_base <- (let b = Array.make cap' 0L in Array.blit t.p_base 0 b 0 cap; b)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -322,33 +322,30 @@ let default_targets t =
    persistently-offline relay during setup surfaces as a failed
    extension, which the source detects by timeout and reports.
 
-   The candidate path occupies slot [t.n_paths] of the flat store while
-   the handshake runs; only a successful extension commits it (and its
-   route entries).  A failed slot is simply overwritten by the next
-   attempt — but its Rng draws and link ids are consumed either way,
-   exactly as the legacy record-based code behaved. *)
+   Each attempt consumes k+1 link ids, failed or not, and draws from
+   its own stream keyed by the first of them.  The candidate path
+   occupies slot [t.n_paths] of the flat store while the handshake
+   runs; only a successful extension commits it (and its route
+   entries).  A failed slot is simply overwritten by the next
+   attempt. *)
 let establish_path t ~source ~dest ~msg_id =
   let k = t.cfg.hops in
+  let base = t.next_link in
+  t.next_link <- Int64.add base (Int64.of_int (k + 1));
+  let rng = Rng.keyed t.cfg.seed Rng.Mix_path [ Int64.to_int base ] in
   let hop_pseudos =
-    Hopselect.draw_path t.rng ~beacon:t.beacon ~fraction:t.cfg.fraction ~hops:k
+    Hopselect.draw_path rng ~beacon:t.beacon ~fraction:t.cfg.fraction ~hops:k
       ~total:(Vmap.size t.vmap)
   in
   ensure_path_capacity t;
   let pid = t.n_paths in
   Array.blit hop_pseudos 0 t.p_hops (pid * k) k;
-  (* One contiguous fill draws the identical stream as k+1 separate
-     32-byte draws: k hop keys, then the destination AE key. *)
-  Rng.fill t.rng t.key_arena ~pos:(key_off t pid 0)
-    ~len:((k + 1) * Onion.layer_key_size);
-  let base = t.next_link in
-  t.next_link <- Int64.add base (Int64.of_int (k + 1));
   let commit () =
     t.p_src.(pid) <- source;
     t.p_dst.(pid) <- dest;
     t.p_msg.(pid) <- msg_id;
     t.p_base.(pid) <- base;
     t.n_paths <- pid + 1;
-    t.groups_cache <- None;
     for i = 0 to k - 1 do
       let dev = device_of t hop_pseudos.(i) in
       Ivec.push t.routes.(dev) ((pid lsl 4) lor (i + 1))
@@ -360,8 +357,7 @@ let establish_path t ~source ~dest ~msg_id =
   end
   else begin
     let m1_root = Vmap.m1_root t.vmap in
-    let lookup_pk who_looks idx =
-      ignore who_looks;
+    let lookup_pk idx =
       let l = Vmap.lookup t.vmap idx in
       if not (Vmap.verify_lookup ~m1_root ~index:idx l) then None
       else Vmap.pub_of_lookup l
@@ -369,31 +365,25 @@ let establish_path t ~source ~dest ~msg_id =
     let rec extend i =
       if i > k then Ok ()
       else begin
-        (* The extension request relays over the established prefix;
-           any relay that is offline for the whole exchange, or
-           Byzantine and dropping, kills the extension. *)
-        let relay_failure =
-          (* A relay kills the extension if it stays offline through the
-             exchange and its buffered retry (two consecutive samples at
-             the churn rate). Byzantine relays follow the setup protocol
-             — dropping here would only deny themselves observations. *)
-          let failed = ref false in
-          for j = 0 to i - 2 do
-            let relay = device_of t hop_pseudos.(j) in
-            if (not (online t relay)) && not (online t relay) then failed := true
-          done;
-          !failed
-        in
-        if relay_failure then Error (`Dropped_at i)
+        (* The extension request relays over the established prefix.  A
+           relay kills the extension if it stays offline through the
+           exchange and its buffered retry (two consecutive samples at
+           the churn rate).  Byzantine relays follow the setup protocol
+           — dropping here would only deny themselves observations. *)
+        let offline () = Rng.bernoulli rng t.cfg.churn in
+        let relay_failure = ref false in
+        for _relay = 1 to i - 1 do
+          if offline () && offline () then relay_failure := true
+        done;
+        if !relay_failure then Error (`Dropped_at i)
         else begin
-          let looker = if i = 1 then source else hop_pseudos.(i - 2) in
-          match lookup_pk looker hop_pseudos.(i - 1) with
+          match lookup_pk hop_pseudos.(i - 1) with
           | None -> Error (`Bad_proof i)
           | Some hop_pk ->
             (* PEnc the fresh symmetric key to the hop; the hop decrypts
                and acknowledges. *)
-            let key = hop_key t pid (i - 1) in
-            let sealed = Elgamal.encrypt t.rng hop_pk key in
+            let key = link_key t.cfg.seed base (i - 1) in
+            let sealed = Elgamal.encrypt rng hop_pk key in
             let hop_sk = sk_of t hop_pseudos.(i - 1) in
             (match Elgamal.decrypt hop_sk sealed with
             | Some k' when Bytes.equal k' key -> extend (i + 1)
@@ -407,11 +397,11 @@ let establish_path t ~source ~dest ~msg_id =
       (* Final step: the last hop looks up the destination's key and the
          source establishes the end-to-end AE key (used for the §3.5
          inner layer). *)
-      match lookup_pk hop_pseudos.(k - 1) dest with
+      match lookup_pk dest with
       | None -> Error (`Bad_proof (k + 1))
       | Some dst_pk -> (
-        let dkey = dest_key t pid in
-        let sealed = Elgamal.encrypt t.rng dst_pk dkey in
+        let dkey = link_key t.cfg.seed base k in
+        let sealed = Elgamal.encrypt rng dst_pk dkey in
         match Elgamal.decrypt (sk_of t dest) sealed with
         | Some k' when Bytes.equal k' dkey ->
           commit ();
@@ -423,13 +413,12 @@ let setup_paths ?targets t =
   Obs.span "mixnet.setup" ~attrs:[ ("hops", Obs.Json.Int t.cfg.hops) ] @@ fun () ->
   let targets = match targets with Some x -> x | None -> default_targets t in
   let requested = ref 0 and established = ref 0 and failed = ref 0 and complaints = ref 0 in
-  let next_msg = ref 0 in
   Array.iteri
     (fun source dests ->
       Array.iter
         (fun dest ->
-          let msg_id = !next_msg in
-          incr next_msg;
+          let msg_id = t.next_msg in
+          t.next_msg <- msg_id + 1;
           for _replica = 1 to t.cfg.replicas do
             incr requested;
             match establish_path t ~source ~dest ~msg_id with
@@ -606,29 +595,18 @@ type round_stats = {
   rounds_used : int;
 }
 
-(* Established paths grouped by logical message, in the iteration order
-   of the legacy per-round hash table (same keys, same insertion
-   sequence, so the replay — churn draws, stats order — is
-   unchanged).  Paths only change at [setup_paths], so the grouping is
-   cached. *)
+(* Established paths grouped by logical message, in message order.  A
+   message's replica paths are committed one after another and message
+   ids only grow, so a group is a run of equal [p_msg]. *)
 let groups_of t =
-  match t.groups_cache with
-  | Some g -> g
-  | None ->
-    let by_message = Hashtbl.create 256 in
-    for pid = t.n_paths - 1 downto 0 do
-      let m = t.p_msg.(pid) in
-      Hashtbl.replace by_message m
-        (pid :: Option.value ~default:[] (Hashtbl.find_opt by_message m))
-    done;
-    let acc = ref [] in
-    (* lint: allow determinism — unseeded Hashtbl iteration is reproducible
-       for a fixed insertion sequence, and messages are inserted in a fixed
-       order; the group order matches the legacy per-round construction *)
-    Hashtbl.iter (fun _msg pids -> acc := Array.of_list pids :: !acc) by_message;
-    let g = Array.of_list (List.rev !acc) in
-    t.groups_cache <- Some g;
-    g
+  let acc = ref [] and start = ref 0 in
+  for pid = 1 to t.n_paths do
+    if pid = t.n_paths || t.p_msg.(pid) <> t.p_msg.(!start) then begin
+      acc := Array.init (pid - !start) (fun i -> !start + i) :: !acc;
+      start := pid
+    end
+  done;
+  Array.of_list (List.rev !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Adversary analysis                                                  *)
@@ -847,7 +825,6 @@ let run_query_round_impl t ~payload_of =
   let k = t.cfg.hops in
   let query_round = t.round in
   let pool = Pool.default () in
-  let ksz = Onion.layer_key_size in
   let groups = groups_of t in
   let ng = Array.length groups in
   (* Per-query-round lifecycle: sids restart at 0, the observer tables
@@ -864,20 +841,19 @@ let run_query_round_impl t ~payload_of =
   let deposits_count = ref 0 in
   (* ---- Round 0: deposits ----
      Three phases, so the result never depends on the domain count.
-     Phase 1 (sequential) makes every Rng draw (sender churn) in the
-     original iteration order and lays out the arena.  Phase 2 runs
-     the expensive crypto — payload construction, inner AE layer,
-     onion wrapping — on the pool, each task writing its copies'
-     disjoint arena ranges; [payload_of] must be pure (see the mli).
-     Phase 3 (sequential) links the slots into the mailboxes in the
-     original order. *)
+     Phase 1 (sequential) decides sender churn and lays out the arena
+     in message order.  Phase 2 runs the expensive crypto — payload
+     construction, inner AE layer, onion wrapping — on the pool, each
+     task writing its copies' disjoint arena ranges; [payload_of] must
+     be pure (see the mli).  Phase 3 (sequential) links the slots into
+     the mailboxes in the same order. *)
   let g_online = Array.make (max 1 ng) false in
   let g_offs = Array.make (max 1 ng) [||] in  (* per-copy slot index *)
   let dep_pid = Ivec.create () in
   Array.iteri
     (fun gi pids ->
       let p0 = pids.(0) in
-      if online t (t.p_src.(p0)) then begin
+      if online t ~round:query_round t.p_src.(p0) then begin
         g_online.(gi) <- true;
         g_offs.(gi) <-
           Array.map
@@ -933,7 +909,8 @@ let run_query_round_impl t ~payload_of =
   in
   let blen = t.body_len
   and arena_out = t.arena_next
-  and karena = t.key_arena
+  and seed = t.cfg.seed
+  and p_base = t.p_base
   and p_src = t.p_src
   and p_dst = t.p_dst in
   let wrap_res =
@@ -949,10 +926,9 @@ let run_query_round_impl t ~payload_of =
         else begin
           Array.iteri
             (fun copy pid ->
-              let koff i = ((pid * (k + 1)) + i) * ksz in
-              let dkey = Bytes.sub karena (koff k) ksz in
-              let inner = Onion.seal_inner ~key:dkey ~round:query_round payload in
-              let hop_keys = Array.init k (fun i -> Bytes.sub karena (koff i) ksz) in
+              let key = link_key seed p_base.(pid) in
+              let inner = Onion.seal_inner ~key:(key k) ~round:query_round payload in
+              let hop_keys = Array.init k key in
               Onion.wrap_into ~hop_keys ~round:query_round ~inner ~dst:arena_out
                 ~dst_pos:(offs.(copy) * blen))
             pids;
@@ -974,12 +950,17 @@ let run_query_round_impl t ~payload_of =
   commit_round t pool;
   t.round <- t.round + 1;
   (* ---- Rounds 1..k: forwarding ----
-     Same three-phase shape: the sequential pass replays the exact Rng
-     stream (churn draws, mixing shuffles, dummy bodies) and allocates
-     sids in the original shuffled order; only the layer-peeling of
-     honest forwards — pure symmetric crypto — runs on the pool,
-     straight from the previous round's arena into the next one's. *)
+     Same three-phase shape: the sequential pass decides churn, mixes,
+     writes dummy bodies and allocates sids in device order, then
+     shuffled order; only the layer-peeling of honest forwards — pure
+     symmetric crypto — runs on the pool, straight from the previous
+     round's arena into the next one's. *)
   let dummies = ref 0 in
+  let write_dummy sid off =
+    Onion.dummy_into
+      (Rng.keyed seed Rng.Mix_dummy [ t.round; sid ])
+      ~dst:t.arena_next ~dst_pos:off ~length:t.body_len
+  in
   for stage = 1 to k do
     Obs.span "mixnet.stage" ~attrs:[ ("stage", Obs.Json.Int stage) ] @@ fun () ->
     let new_base = t.next_sid in
@@ -997,11 +978,11 @@ let run_query_round_impl t ~payload_of =
       done;
       if Ivec.length t.scratch > 0 then begin
         let malicious = t.devices.(dev).malicious in
-        if online t dev then begin
+        if online t ~round:t.round dev then begin
           record_download t dev ~key:((dev * k) + (stage - 1));
           (* Process in a random order: the mixing step. *)
           let expected = Ivec.to_array t.scratch in
-          Rng.shuffle t.rng expected;
+          Rng.shuffle (Rng.keyed seed Rng.Mix_shuffle [ t.round; dev ]) expected;
           Array.iter
             (fun e ->
               let pid = e lsr 4 in
@@ -1025,7 +1006,7 @@ let run_query_round_impl t ~payload_of =
                 incr dummies;
                 Bytes.set_uint8 t.s_tag sid tag_fwd_malicious;
                 t.s_a.(sid) <- src_sid;
-                Onion.dummy_into t.rng ~dst:t.arena_next ~dst_pos:off ~length:t.body_len
+                write_dummy sid off
               | None ->
                 (* Missing input: cover with a dummy so the traffic
                    pattern is unchanged (§3.5). *)
@@ -1036,7 +1017,7 @@ let run_query_round_impl t ~payload_of =
                   t.s_a.(sid) <- dev;
                   t.s_b.(sid) <- t.round
                 end;
-                Onion.dummy_into t.rng ~dst:t.arena_next ~dst_pos:off ~length:t.body_len);
+                write_dummy sid off);
               Ivec.push dep_route e)
             expected
         end
@@ -1051,12 +1032,11 @@ let run_query_round_impl t ~payload_of =
     and arena_dst = t.arena_next
     and blen = t.body_len
     and base_src = t.cur_base
-    and karena = t.key_arena
     and st = stage - 1 in
     ignore
       (Pool.map_array pool
          (fun (pid, src_sid, dst_sid) ->
-           let key = Bytes.sub karena (((pid * (k + 1)) + st) * ksz) ksz in
+           let key = link_key seed p_base.(pid) st in
            Onion.peel_into ~key ~round:query_round ~src:arena_src
              ~src_pos:((src_sid - base_src) * blen)
              ~dst:arena_dst
@@ -1101,7 +1081,7 @@ let run_query_round_impl t ~payload_of =
     Obs.span "mixnet.pickup" @@ fun () ->
     Pool.map_array pool
       (fun (pid, sid) ->
-        let key = Bytes.sub karena (((pid * (k + 1)) + k) * ksz) ksz in
+        let key = link_key seed p_base.(pid) k in
         let body = Bytes.sub arena_in ((sid - base_in) * blen) blen in
         Onion.open_inner ~key ~round:query_round body)
       (Array.init (Ivec.length open_pids) (fun i ->
@@ -1131,7 +1111,7 @@ let run_query_round_impl t ~payload_of =
         pids)
     groups;
   clear_mailboxes t;
-  t.last_deliveries <- !deliveries;
+  t.last_deliveries <- List.rev !deliveries;
   (* ---- adversary analysis ---- *)
   let n = t.cfg.n_devices in
   let stats = analyze t ~groups ~query_round ~n in
@@ -1172,7 +1152,6 @@ type footprint = {
   route_entries : int;
   slot_capacity : int;
   arena_bytes : int;
-  key_bytes : int;
   download_entries : int;
   link_index_entries : int;
   mailboxes_in_use : int;
@@ -1184,7 +1163,6 @@ let footprint t =
     route_entries = Array.fold_left (fun acc v -> acc + Ivec.length v) 0 t.routes;
     slot_capacity = Array.length t.s_next;
     arena_bytes = Bytes.length t.arena_cur + Bytes.length t.arena_next;
-    key_bytes = Bytes.length t.key_arena;
     download_entries = Hashtbl.length t.downloads;
     link_index_entries = Hashtbl.length t.link_index;
     mailboxes_in_use = Ivec.length t.touched;

@@ -27,6 +27,13 @@
     out of band ([fast_setup = true]) for large Monte Carlo runs where
     only the forwarding phase is being measured.
 
+    Randomness: {!create} draws the Byzantine set and the device keys
+    (which fix the beacon) from one stream seeded by [seed]; every
+    later draw is keyed by its coordinates ({!Mycelium_util.Rng.keyed},
+    the [Mix_*] purposes), a link's symmetric key by its link id.  No
+    audit, failed set-up attempt or earlier {!setup_paths} call shifts
+    another draw, and results agree at any domain count.
+
     Memory model (DESIGN.md §12): mailbox slots live in a flat slab
     and their bodies in two ping-pong byte arenas reused across
     C-rounds and query rounds, so a run's footprint is a function of
@@ -43,14 +50,14 @@ type config = {
   fraction : float;  (** f *)
   degree : int;  (** d: messages per device per query round *)
   malicious_fraction : float;
-  churn : float;  (** per-device per-round offline probability *)
+  churn : float;  (** offline probability, one decision per (C-round, device) *)
   fast_setup : bool;
   fast_keys : bool;
       (** draw device keypairs without the modular exponentiation;
           the public keys parse, range-check and fingerprint but cannot
           decrypt, so this is valid only together with [fast_setup]
-          (enforced by {!create}).  Changes the Rng stream relative to
-          [fast_keys = false]: a new mode, not a replay of the old one. *)
+          (enforced by {!create}).  Changes the device keys, and with
+          them every hop choice, relative to [fast_keys = false]. *)
   verify_proofs : bool;  (** devices check mailbox MHT proofs *)
   verify_sample : int;
       (** 0 or 1: verify an inclusion proof for every non-empty mailbox
@@ -83,7 +90,8 @@ val is_malicious : t -> int -> bool
 val current_round : t -> int
 
 val audit_all : t -> bool
-(** Every honest device runs its §3.3 M1/M2 audits. *)
+(** Every honest device runs its §3.3 M1/M2 audits.  Read-only: it
+    changes no later outcome. *)
 
 type setup_stats = {
   paths_requested : int;
@@ -97,7 +105,7 @@ val setup_paths : ?targets:int array array -> t -> setup_stats
 (** [targets.(device)] lists destination *pseudonym numbers* (defaults
     to [degree] copies of the device's own pseudonym, the §3.2
     self-loop padding). Each target gets [replicas] independent
-    paths. *)
+    paths. A later call adds its messages to the earlier calls'. *)
 
 type round_stats = {
   messages_sent : int;  (** logical messages (before replication) *)
@@ -137,15 +145,15 @@ val run_query_round_with : t -> payload_of:(source:int -> dest:int -> bytes) -> 
 
 val deliveries : t -> (int * int * bytes) list
 (** [(source_device, dest_pseudonym, payload)] messages opened by their
-    destinations in the last query round; lets callers (the vertex
-    program runtime) consume actual message contents. *)
+    destinations in the last query round, in message order; lets
+    callers (the vertex program runtime) consume actual message
+    contents. *)
 
 type footprint = {
   established_paths : int;
   route_entries : int;  (** forwarding duties across all devices *)
   slot_capacity : int;  (** slot-slab high-water mark, in slots *)
   arena_bytes : int;  (** both body arenas *)
-  key_bytes : int;  (** packed per-path symmetric keys *)
   download_entries : int;  (** observer download records held *)
   link_index_entries : int;  (** live slots in the C-round link index *)
   mailboxes_in_use : int;  (** currently non-empty mailboxes *)

@@ -448,7 +448,6 @@ module Names = struct
   let mixnet_anonymity_set = "mixnet.anonymity_set"
   let mixnet_established_paths = "mixnet.established_paths"
   let mixnet_arena_bytes = "mixnet.arena_bytes"
-  let mixnet_key_bytes = "mixnet.key_bytes"
   let mixnet_route_entries = "mixnet.route_entries"
   let mixnet_mailboxes_in_use = "mixnet.mailboxes_in_use"
 
@@ -495,7 +494,6 @@ module Names = struct
       mixnet_anonymity_set;
       mixnet_established_paths;
       mixnet_arena_bytes;
-      mixnet_key_bytes;
       mixnet_route_entries;
       mixnet_mailboxes_in_use;
       serve_admitted;

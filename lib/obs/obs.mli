@@ -123,7 +123,6 @@ module Names : sig
   val mixnet_anonymity_set : string
   val mixnet_established_paths : string
   val mixnet_arena_bytes : string
-  val mixnet_key_bytes : string
   val mixnet_route_entries : string
   val mixnet_mailboxes_in_use : string
   val serve_admitted : string

@@ -33,6 +33,12 @@ type purpose =
   | Fault_drop
   | Fault_delay
   | Fault_forge
+  | Mix_path
+  | Mix_link_key
+  | Mix_churn
+  | Mix_shuffle
+  | Mix_dummy
+  | Mix_audit
 
 (* Four ASCII bytes, big-endian.  A tag names a stream family for
    good: changing a fault tag would move every fault decision, and
@@ -51,6 +57,12 @@ let tag p =
     | Fault_drop -> "DROP"
     | Fault_delay -> "DELA"
     | Fault_forge -> "FORG"
+    | Mix_path -> "MPTH"
+    | Mix_link_key -> "MKEY"
+    | Mix_churn -> "MCHU"
+    | Mix_shuffle -> "MSHF"
+    | Mix_dummy -> "MDUM"
+    | Mix_audit -> "MAUD"
   in
   String.fold_left
     (fun acc c -> Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code c)))

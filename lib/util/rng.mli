@@ -7,11 +7,12 @@
     protocol-level randomness in the simulation that must be
     unpredictable to the simulated adversary is modeled separately.
 
-    {b Keyed streams.}  Every draw the query pipeline makes after
-    set-up comes from {!keyed}: a stream named by (root, purpose,
-    coordinates), so a pure function of {e what} it is for, never of
-    how many draws, queries or batches came before it, nor of the
-    domain a task runs on.  Two purposes never share a stream.
+    {b Keyed streams.}  Every draw the query pipeline and the mixnet
+    simulator make after set-up comes from {!keyed}: a stream named by
+    (root, purpose, coordinates), so a pure function of {e what} it is
+    for, never of how many draws, queries, batches, audits or path
+    set-ups came before it, nor of the domain a task runs on.  Two
+    purposes never share a stream.
 
     {b Domain ownership rule.}  A [t] is mutable, unsynchronised state:
     it must only ever be advanced by the domain that created it.  Never
@@ -51,7 +52,18 @@ val mix64 : int64 -> int64 -> int64
     - [Query_noise]: [\[query id\]], from the runtime seed
     - [Member_noise]: [\[admission seq\]], from the serving seed
     - [Fault_churn], [Fault_drop], [Fault_delay], [Fault_forge]: the
-      fault plan's decision coordinates, from the plan seed *)
+      fault plan's decision coordinates, from the plan seed
+
+    The mixnet simulator's purposes, all from its config seed; a
+    C-round is the simulator's clock:
+
+    - [Mix_path]: [\[first link id of the attempt\]] — one path set-up
+      attempt: hop choice, relay-offline checks, hand-shake encryptions
+    - [Mix_link_key]: [\[link id\]] — the link's symmetric key
+    - [Mix_churn]: [\[C-round; device\]] — whether the device is online
+    - [Mix_shuffle]: [\[C-round; device\]] — a forwarder's mixing order
+    - [Mix_dummy]: [\[C-round; slot id\]] — a dummy body
+    - [Mix_audit]: [\[C-round; device\]] — the device's map spot checks *)
 type purpose =
   | Contribution_row
   | Origin_aggregate
@@ -64,6 +76,12 @@ type purpose =
   | Fault_drop
   | Fault_delay
   | Fault_forge
+  | Mix_path
+  | Mix_link_key
+  | Mix_churn
+  | Mix_shuffle
+  | Mix_dummy
+  | Mix_audit
 
 val key : int64 -> purpose -> int list -> int64
 (** [key root purpose coords] folds {!mix64} over [coords], starting

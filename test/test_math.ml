@@ -58,6 +58,7 @@ let all_purposes =
     [
       Contribution_row; Origin_aggregate; Audit_probe; Decrypt_session; Committee_rotation;
       Query_noise; Member_noise; Fault_churn; Fault_drop; Fault_delay; Fault_forge;
+      Mix_path; Mix_link_key; Mix_churn; Mix_shuffle; Mix_dummy; Mix_audit;
     ]
 
 let test_rng_keyed_streams () =

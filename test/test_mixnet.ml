@@ -519,7 +519,6 @@ let test_sim_footprint_stable () =
   checki "route entries stable" f1.Sim.route_entries f5.Sim.route_entries;
   checki "slot slab at high-water mark" f1.Sim.slot_capacity f5.Sim.slot_capacity;
   checki "arenas at high-water mark" f1.Sim.arena_bytes f5.Sim.arena_bytes;
-  checki "key arena stable" f1.Sim.key_bytes f5.Sim.key_bytes;
   checki "downloads bounded per round" f1.Sim.download_entries f5.Sim.download_entries;
   checki "link index drained" 0 f5.Sim.link_index_entries;
   checki "mailboxes drained" 0 f5.Sim.mailboxes_in_use;
@@ -528,6 +527,41 @@ let test_sim_footprint_stable () =
   checki "delivered stable" r1.Sim.delivered r5.Sim.delivered;
   checki "dummies stable" r1.Sim.dummies_uploaded r5.Sim.dummies_uploaded;
   checki "deposited bytes stable" r1.Sim.deposited_bytes r5.Sim.deposited_bytes
+
+let test_sim_repeated_setup () =
+  (* A second [setup_paths] call adds messages of its own: its paths
+     must not merge into the first call's messages as extra replicas. *)
+  let n = small_cfg.Sim.n_devices in
+  let t = Sim.create { small_cfg with Sim.malicious_fraction = 0. } in
+  let ring step = Array.init n (fun i -> [| (i + step) mod n |]) in
+  let s1 = Sim.setup_paths ~targets:(ring 1) t in
+  let s3 = Sim.setup_paths ~targets:(ring 3) t in
+  checki "paths established" (2 * n * 2) (s1.Sim.paths_established + s3.Sim.paths_established);
+  let payload = Bytes.of_string "two rings" in
+  let r = Sim.run_query_round t ~payload in
+  checki "messages sent" (2 * n) r.Sim.messages_sent;
+  let plus3 = List.filter (fun (src, dst, _) -> dst = (src + 3) mod n) (Sim.deliveries t) in
+  checki "+3 ring delivered" n (List.length plus3);
+  List.iter (fun (_, _, body) -> checkb "payload intact" true (Bytes.equal body payload)) plus3
+
+let test_sim_audit_changes_nothing () =
+  (* [audit_all] only reads: a round run after it delivers exactly what
+     the same round delivers without it, churn and Byzantine drops
+     included. *)
+  let cfg = { small_cfg with Sim.churn = 0.2; malicious_fraction = 0.1; fast_setup = true } in
+  let run ~audit =
+    let t = Sim.create cfg in
+    ignore (Sim.setup_paths t);
+    if audit then checkb "audits pass" true (Sim.audit_all t);
+    let r = Sim.run_query_round t ~payload:(Bytes.of_string "audit") in
+    (r, Sim.deliveries t)
+  in
+  let r0, d0 = run ~audit:false in
+  let r1, d1 = run ~audit:true in
+  checki "delivered" r0.Sim.delivered r1.Sim.delivered;
+  checki "dummies" r0.Sim.dummies_uploaded r1.Sim.dummies_uploaded;
+  checkb "round stats identical" true (r0 = r1);
+  checkb "deliveries identical" true (d0 = d1)
 
 let test_sim_acceptance_100k () =
   (* ISSUE.md acceptance cell: a 10^5-device, 2-query-round run under
@@ -650,6 +684,8 @@ let () =
           Alcotest.test_case "rounds advance the clock" `Quick test_sim_rounds_advance_clock;
           Alcotest.test_case "explicit targets" `Quick test_sim_explicit_targets;
           Alcotest.test_case "footprint stable over rounds" `Quick test_sim_footprint_stable;
+          Alcotest.test_case "second setup adds its own messages" `Quick test_sim_repeated_setup;
+          Alcotest.test_case "audit changes no round" `Quick test_sim_audit_changes_nothing;
           Alcotest.test_case "100k acceptance under heap bound" `Slow test_sim_acceptance_100k;
         ] );
     ]
