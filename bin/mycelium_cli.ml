@@ -213,6 +213,8 @@ let run_cmd =
       | Error (Runtime.Analysis_error m) -> Printf.eprintf "analysis error: %s\n" m; 1
       | Error (Runtime.Infeasible m) -> Printf.eprintf "infeasible: %s\n" m; 1
       | Error (Runtime.Budget_exhausted v) -> Printf.eprintf "budget exhausted (%.2f left)\n" v; 1
+      | Error (Runtime.Invalid_epsilon e) ->
+        Printf.eprintf "invalid epsilon %g (must be finite and positive)\n" e; 1
       | Error (Runtime.Pipeline_error m) -> Printf.eprintf "pipeline error: %s\n" m; 1
     end
   in

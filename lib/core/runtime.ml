@@ -149,7 +149,16 @@ type query_error =
   | Analysis_error of string
   | Infeasible of string
   | Budget_exhausted of float
+  | Invalid_epsilon of float
   | Pipeline_error of string
+
+(* Checked once at admission by both entry points ([run_batch] and the
+   serving layer's [submit]), before any charge: a NaN would poison
+   the budget's running sums, and zero or a negative value has no
+   meaning as a privacy loss. *)
+let check_epsilon eps =
+  if eps = Float.infinity || (Float.is_finite eps && eps > 0.) then Ok ()
+  else Error (Invalid_epsilon eps)
 
 type query_result = {
   info : Analysis.info;
@@ -568,6 +577,7 @@ let ledger_entry t ~qid ~query ~epsilon ~ph res =
     match res with
     | Ok _ -> ("ok", None)
     | Error (Budget_exhausted _) -> ("rejected", Some "budget_exhausted")
+    | Error (Invalid_epsilon _) -> ("rejected", Some "invalid_epsilon")
     | Error (Parse_error _) -> ("error", Some "parse")
     | Error (Analysis_error _) -> ("error", Some "analysis")
     | Error (Infeasible _) -> ("error", Some "infeasible")
@@ -840,16 +850,19 @@ let run_batch t items =
           })
         items
     in
-    (* Admission: static validation, then the budget charge — both in
-       submission order, so the rejection order under a full budget is
-       deterministic. epsilon = infinity means "release exactly": a
-       debugging mode that bypasses privacy entirely, so it is never
-       charged; the serving layer refuses it without an explicit
-       override. *)
+    (* Admission: the epsilon check, static validation, then the budget
+       charge — all in submission order, so the rejection order under a
+       full budget is deterministic. epsilon = infinity means "release
+       exactly": a debugging mode that bypasses privacy entirely, so it
+       is never charged; the serving layer refuses it without an
+       explicit override. *)
     let states =
       Array.mapi
         (fun i it ->
-          match validate_query t it.bi_query with
+          let admitted =
+            Result.bind (check_epsilon it.bi_epsilon) (fun () -> validate_query t it.bi_query)
+          in
+          match admitted with
           | Error e -> Error e
           | Ok info ->
             if it.bi_epsilon = Float.infinity then Ok info
@@ -870,22 +883,21 @@ let run_batch t items =
         items
     in
     (* Members that still need gather + aggregation (a cache hit skips
-       both). 1-hop members share one mixnet round when the runtime
-       routes through the mixnet; everything else gathers over the
-       abstract channel, whose fault decisions are already
-       coordinate-pure (never round-counter dependent). *)
-    let fresh =
-      List.filter_map
-        (fun i ->
-          match (states.(i), items.(i).bi_cached) with
-          | Ok info, None -> Some (i, info)
-          | Ok _, Some _ | Error _, _ -> None)
-        (List.init k Fun.id)
-    in
-    let mix_members, abstract_members =
+       both). 1-hop members share one mixnet round, before any
+       aggregation, when the runtime routes through the mixnet;
+       everything else gathers over the abstract channel, whose fault
+       decisions are already coordinate-pure (never round-counter
+       dependent), in the aggregation loop below. *)
+    let mix_members =
       match t.mixnet with
-      | Some _ -> List.partition (fun (_, info) -> info.Analysis.query.Ast.hops = 1) fresh
-      | None -> ([], fresh)
+      | None -> []
+      | Some _ ->
+        List.filter_map
+          (fun i ->
+            match (states.(i), items.(i).bi_cached) with
+            | Ok info, None when info.Analysis.query.Ast.hops = 1 -> Some (i, info)
+            | Ok _, _ | Error _, _ -> None)
+          (List.init k Fun.id)
     in
     let gathered = Array.make k None in
     (match (t.mixnet, mix_members) with
@@ -911,36 +923,43 @@ let run_batch t items =
           gathered.(i) <- Some per.(j))
         mix_members
     | Some _, [] | None, _ -> ());
-    List.iter
-      (fun (i, info) ->
-        let g, dt =
-          phase "query.gather"
-            ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
-            (fun () -> gather_rows t ~qid:qids.(i) injs.(i) info)
-        in
-        phs.(i).gather_s <- dt;
-        gathered.(i) <- Some g)
-      abstract_members;
-    (* Aggregation per member: each member's summation tree is its own,
-       measured individually — only the genuinely shared phases (the
-       gather round-trip, the decryption session) are split. *)
+    (* Aggregation per member, in member order: each member's summation
+       tree is its own, measured individually — only the genuinely
+       shared phases (the gather round-trip, the decryption session)
+       are split.  A member on the abstract channel gathers right
+       before its own aggregation, so only one member's rows are live
+       at a time; its rows come from keyed streams and its faults from
+       its own injector, so the order cannot move a released byte. *)
     let prepareds = Array.make k None in
     Array.iteri
       (fun i it ->
-        match (states.(i), it.bi_cached, gathered.(i)) with
-        | Ok _, Some p, _ -> prepareds.(i) <- Some p
-        | Ok info, None, Some (rows, discarded_rows, losses, bytes) -> (
-          (* Clear the member's slot first, so its rows die with the
-             aggregation pool instead of living through the summation
-             tree and relinearization. *)
-          gathered.(i) <- None;
+        match (states.(i), it.bi_cached) with
+        | Ok _, Some p -> prepareds.(i) <- Some p
+        | Ok info, None -> (
+          let rows, discarded_rows, losses, bytes =
+            match gathered.(i) with
+            | Some g ->
+              (* Clear the member's slot first, so its rows die with
+                 the aggregation pool instead of living through the
+                 summation tree and relinearization. *)
+              gathered.(i) <- None;
+              g
+            | None ->
+              let g, dt =
+                phase "query.gather"
+                  ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
+                  (fun () -> gather_rows t ~qid:qids.(i) injs.(i) info)
+              in
+              phs.(i).gather_s <- dt;
+              g
+          in
           match
             aggregate_phase t ~qid:qids.(i) ~ph:phs.(i) injs.(i) info ~rows ~discarded_rows
               ~losses ~bytes
           with
           | Ok p -> prepareds.(i) <- Some p
           | Error e -> states.(i) <- Error e)
-        | Ok _, None, None | Error _, _, _ -> ())
+        | Error _, _ -> ())
       items;
     (* One committee threshold-decryption session for the whole batch,
        cached members included. *)

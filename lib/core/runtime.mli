@@ -99,7 +99,17 @@ type query_error =
   | Analysis_error of string
   | Infeasible of string
   | Budget_exhausted of float
+  | Invalid_epsilon of float
+      (** an epsilon that is neither finite and positive nor infinity
+          (NaN, zero, a negative value, negative infinity); refused
+          before any charge *)
   | Pipeline_error of string
+
+val check_epsilon : float -> (unit, query_error) result
+(** The admission check on an analyst's epsilon, which both
+    {!run_batch} and the serving layer's [submit] make before any
+    charge: finite and positive, or [infinity] (release exactly).
+    Anything else is [Error (Invalid_epsilon eps)]. *)
 
 type query_result = {
   info : Mycelium_query.Analysis.info;

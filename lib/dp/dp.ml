@@ -81,7 +81,6 @@ type budget = {
   total : float;
   accounting : accounting;
   lock : Mutex.t;
-  mutable history : float list;  (* newest first, for [budget_history] *)
   mutable sum : float;           (* Σ eps, oldest-first accumulation *)
   mutable sum_sq : float;        (* Σ eps², for Advanced *)
   mutable linear : float;        (* Σ eps (e^eps - 1), for Advanced *)
@@ -97,7 +96,6 @@ let budget_create ?(accounting = Basic) ~total () =
     total;
     accounting;
     lock = Mutex.create ();
-    history = [];
     sum = 0.;
     sum_sq = 0.;
     linear = 0.;
@@ -119,7 +117,11 @@ let budget_spent b = with_lock b (fun () -> spent_locked b)
 let budget_remaining b = with_lock b (fun () -> b.total -. spent_locked b)
 
 let budget_charge b eps =
-  if eps <= 0. then invalid_arg "Dp.budget_charge: epsilon must be positive";
+  (* [not (eps > 0.)] also catches NaN, which would otherwise poison
+     the running sums: every later comparison with a NaN total is
+     false, so nothing would ever be refused again.  An infinite eps
+     overdraws any budget and is refused below. *)
+  if not (eps > 0.) then invalid_arg "Dp.budget_charge: epsilon must be positive";
   with_lock b (fun () ->
       let sum = b.sum +. eps in
       let sum_sq = b.sum_sq +. (eps *. eps) in
@@ -128,11 +130,8 @@ let budget_charge b eps =
       if would_be > b.total +. 1e-12 then
         Error (`Exhausted (b.total -. spent_locked b))
       else begin
-        b.history <- eps :: b.history;
         b.sum <- sum;
         b.sum_sq <- sum_sq;
         b.linear <- linear;
         Ok ()
       end)
-
-let budget_history b = with_lock b (fun () -> b.history)

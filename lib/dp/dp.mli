@@ -63,11 +63,11 @@ val budget_spent : budget -> float
 
 val budget_charge : budget -> float -> (unit, [ `Exhausted of float ]) result
 (** Deduct the full epsilon of a query ("safe but conservative", §4.4);
-    fails, charging nothing, if it would overdraw. Atomic: check and
-    deduction happen under one lock acquisition. *)
-
-val budget_history : budget -> float list
-(** Charges so far, newest first. *)
+    fails, charging nothing, if it would overdraw (an infinite epsilon
+    always does). Atomic: check and deduction happen under one lock
+    acquisition. Raises [Invalid_argument] unless [eps > 0.], so NaN,
+    zero and negative values are never admitted; the query entry
+    points refuse them before they get here. *)
 
 val composed_epsilon : accounting -> float list -> float
 (** Total privacy loss of a list of per-query epsilons under the given

@@ -73,36 +73,12 @@ let redistribute_rq rng ~new_threshold ~new_parties old_shares =
     let xs = Array.of_list (List.map (fun s -> s.Shamir.idx) old_shares) in
     if Array.length xs <> (Array.to_list xs |> List.sort_uniq Int.compare |> List.length) then
       invalid_arg "Vsr.redistribute_rq: duplicate share index";
-    let lambdas = Shamir.lambda_rows basis xs in
-    let primes = Rns.primes basis in
-    let n = Rns.degree basis in
-    (* Each old member re-shares its ring share; accumulate
-       lambda-weighted sub-shares per new member. *)
-    let acc = Array.init new_parties (fun _ -> Array.map (fun _ -> Array.make n 0) primes) in
-    List.iteri
-      (fun i old ->
-        let subs = Shamir.share_rq rng ~threshold:new_threshold ~parties:new_parties old.Shamir.value in
-        Array.iteri
-          (fun j sub ->
-            (* share_rq emits Eval-domain shares; the accumulate below
-               is linear, so the redistributed shares stay Eval. *)
-            let rows = Rq.residues sub.Shamir.value in
-            Array.iteri
-              (fun pi p ->
-                (* Fixed weight per row: Shoup companion, as in
-                   Shamir.reconstruct_rq. *)
-                let l = lambdas.(pi).(i) in
-                let l' = Modarith.shoup_precompute p l in
-                for c = 0 to n - 1 do
-                  acc.(j).(pi).(c) <-
-                    Modarith.add p acc.(j).(pi).(c) (Modarith.shoup_mul p l l' rows.(pi).(c))
-                done)
-              primes)
-          subs)
-      old_shares;
-    Array.mapi
-      (fun j rows -> { Shamir.idx = j + 1; value = Rq.of_residues ~repr:Rq.Eval basis rows })
-      acc
+    (* Each old member re-shares its ring share, weighted by its
+       Lagrange coefficient; the kernel sums the weighted sharing
+       polynomials before it evaluates them for the new members. *)
+    Shamir.share_rq_weighted rng ~threshold:new_threshold ~parties:new_parties
+      ~weights:(Shamir.lambda_rows basis xs)
+      (List.map (fun s -> s.Shamir.value) old_shares)
 
 let batch_weights basis ~context =
   let primes = Rns.primes basis in

@@ -18,11 +18,16 @@
       caught;
     + new member j's share is y'_j = sum_{i in U} lambda_i yhat_{ij}.
 
-    The BGV key is a ring element (N coefficients x L primes); the
-    committee hand-off runs {!redistribute_rq} for the share arithmetic
-    and checks a Fiat–Shamir random linear combination of coefficients
-    with the scalar verified protocol ({!batch_weights} + scalar
-    dealings), rather than publishing N*L commitment vectors. *)
+    The BGV key is a ring element (N coefficients x L primes). The
+    runtime's committee hand-off ([Committee.rotate]) runs
+    {!redistribute_rq} alone, and that ring hand-off is unchecked: no
+    commitment is published and no new member verifies what it
+    receives, so a lying dealer would go unnoticed. The scalar verified
+    protocol above, and the hooks that would let it vouch for a ring
+    dealing without N*L commitment vectors — a Fiat–Shamir random
+    linear combination of coefficients ({!batch_weights}, {!fold_rq})
+    checked with scalar dealings — are implemented and tested, but no
+    caller in the runtime uses them (DESIGN.md §2). *)
 
 type dealing = {
   from_x : int;  (** the old member's share index *)
@@ -71,8 +76,20 @@ val redistribute_rq :
   Shamir.rq_share list ->
   Shamir.rq_share array
 (** Redistribute a shared ring element (e.g. the BGV key): takes t+1
-    old shares, returns the new committee's shares. Reconstruction of
-    the new shares equals reconstruction of the old. *)
+    old shares, returns the new committee's shares at idx = 1..n'.
+    Reconstruction of the new shares equals reconstruction of the old.
+
+    Combine, then evaluate: each old member i, in list order, deals its
+    share with fresh sharing polynomials f_i, drawn from [rng] prime by
+    prime, coefficient by coefficient, k = 1..t' (the order of
+    {!Shamir.share_rq}); the kernel ({!Shamir.share_rq_weighted})
+    sums lambda_i * f_i into one polynomial F per residue coefficient,
+    with lambda_i the dealers' Lagrange coefficients at zero, and
+    evaluates F once at each new member's point. The shares equal, bit
+    for bit, one {!Shamir.share_rq} per dealer followed by the
+    lambda-weighted sum of its sub-shares. The dealings are not
+    checked (see above). Raises [Invalid_argument] on an empty list, a
+    duplicate share index, t' < 0, n' < t' + 1 or n' >= p. *)
 
 val batch_weights :
   Mycelium_math.Rns.t -> context:bytes -> int array array

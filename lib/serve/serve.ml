@@ -182,10 +182,11 @@ let drain t =
 let oldest_arrival t =
   match List.rev t.pending with [] -> None | pd :: _ -> Some pd.pd_arrival
 
-(* Admission: parse, static validation, the unbudgeted-query gate and
-   the per-user budget charge — all before any crypto work.  A
-   deadline flush happens before the new arrival is considered, so the
-   batch a query joins depends only on the arrival sequence. *)
+(* Admission: the epsilon check, parse, static validation, the
+   unbudgeted-query gate and the per-user budget charge — all before
+   any crypto work.  A deadline flush happens before the new arrival
+   is considered, so the batch a query joins depends only on the
+   arrival sequence. *)
 let submit t ~arrival (req : request) =
   let flushed =
     match oldest_arrival t with
@@ -209,24 +210,27 @@ let submit t ~arrival (req : request) =
     Queued seq
   in
   let admit () =
-    match Parser.parse ?name:req.name req.sql with
-    | Error e ->
-      Rejected (Parse_rejected (Printf.sprintf "at %d: %s" e.Parser.position e.Parser.message))
-    | Ok query -> (
-      match Runtime.validate_query t.runtime query with
-      | Error e -> Rejected (Invalid e)
-      | Ok info ->
-        if req.epsilon = Float.infinity && not t.cfg.allow_unbudgeted then
-          (* The runtime treats epsilon = infinity as a debugging
-             mode; a serving layer must refuse to release unbudgeted
-             results unless explicitly overridden. *)
-          Rejected Unbudgeted
-        else if req.epsilon <> Float.infinity then begin
-          match Accountant.charge t.acct ~user:req.user req.epsilon with
-          | Ok () -> queue query info
-          | Error (`Exhausted r) -> Rejected (Budget_rejected r)
-        end
-        else queue query info)
+    match Runtime.check_epsilon req.epsilon with
+    | Error e -> Rejected (Invalid e)
+    | Ok () -> (
+      match Parser.parse ?name:req.name req.sql with
+      | Error e ->
+        Rejected (Parse_rejected (Printf.sprintf "at %d: %s" e.Parser.position e.Parser.message))
+      | Ok query -> (
+        match Runtime.validate_query t.runtime query with
+        | Error e -> Rejected (Invalid e)
+        | Ok info ->
+          if req.epsilon = Float.infinity && not t.cfg.allow_unbudgeted then
+            (* The runtime treats epsilon = infinity as a debugging
+               mode; a serving layer must refuse to release unbudgeted
+               results unless explicitly overridden. *)
+            Rejected Unbudgeted
+          else if req.epsilon <> Float.infinity then begin
+            match Accountant.charge t.acct ~user:req.user req.epsilon with
+            | Ok () -> queue query info
+            | Error (`Exhausted r) -> Rejected (Budget_rejected r)
+          end
+          else queue query info))
   in
   let admission = admit () in
   (match admission with
@@ -244,6 +248,8 @@ let rejection_to_string = function
   | Invalid (Runtime.Infeasible m) -> Printf.sprintf "infeasible: %s" m
   | Invalid (Runtime.Budget_exhausted r) ->
     Printf.sprintf "budget exhausted (%.3f remaining)" r
+  | Invalid (Runtime.Invalid_epsilon e) ->
+    Printf.sprintf "invalid epsilon %g (must be finite and positive, or infinity)" e
   | Invalid (Runtime.Pipeline_error m) -> Printf.sprintf "pipeline: %s" m
   | Unbudgeted -> "unbudgeted query (epsilon = infinity) refused without --no-budget"
   | Budget_rejected r -> Printf.sprintf "user budget exhausted (%.3f remaining)" r

@@ -81,8 +81,10 @@ val create : ?config:config -> Mycelium_core.Runtime.t -> t
 val submit : t -> arrival:float -> request -> admission * response list
 (** Admit one request at time [arrival] (monotone, caller-supplied):
     deadline-flush the queue if the oldest member timed out, then
-    parse, validate, gate unbudgeted queries and charge the user's
-    budget — all before any crypto work. The returned responses are
+    check the epsilon ({!Mycelium_core.Runtime.check_epsilon}; a bad
+    one is [Rejected (Invalid (Invalid_epsilon eps))]), parse,
+    validate, gate unbudgeted queries and charge the user's budget —
+    all before any crypto work. The returned responses are
     whatever batches flushed during this call (deadline or size
     trigger), possibly including the new member. *)
 

@@ -18,6 +18,7 @@ module Committee = Mycelium_core.Committee
 module Runtime = Mycelium_core.Runtime
 module Contribution = Mycelium_core.Contribution
 module Sim = Mycelium_mixnet.Sim
+module Dp = Mycelium_dp.Dp
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -37,6 +38,7 @@ let err_to_string = function
   | Runtime.Analysis_error m -> "analysis: " ^ m
   | Runtime.Infeasible m -> "infeasible: " ^ m
   | Runtime.Budget_exhausted r -> Printf.sprintf "budget exhausted (%.2f left)" r
+  | Runtime.Invalid_epsilon e -> Printf.sprintf "invalid epsilon %g" e
   | Runtime.Pipeline_error m -> "pipeline: " ^ m
 
 (* ------------------------------------------------------------------ *)
@@ -420,6 +422,33 @@ let test_e2e_budget_enforced () =
   | Error e -> Alcotest.failf "wrong error: %s" (err_to_string e)
   | Ok _ -> Alcotest.fail "over-budget query accepted"
 
+(* The NaN probe through the single-query entry point: an epsilon that
+   is not finite and positive (or infinity) comes back as a typed
+   rejection before any charge, and the budget keeps refusing what it
+   must. *)
+let test_e2e_invalid_epsilon_rejected () =
+  let sys = Runtime.init { e2e_config with Runtime.epsilon_budget = 1.0 } (small_graph ~n:12 ~seed:6L ()) in
+  let run eps = Runtime.run_query ~epsilon:eps sys (Corpus.find "Q4").Corpus.sql in
+  (match run 0.6 with Ok _ -> () | Error e -> Alcotest.fail (err_to_string e));
+  (match run 0.6 with
+  | Error (Runtime.Budget_exhausted _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (err_to_string e)
+  | Ok _ -> Alcotest.fail "over-budget query accepted");
+  List.iter
+    (fun eps ->
+      match run eps with
+      | Error (Runtime.Invalid_epsilon _) -> ()
+      | Error e -> Alcotest.failf "epsilon %g: wrong error: %s" eps (err_to_string e)
+      | Ok _ -> Alcotest.failf "epsilon %g admitted" eps)
+    [ Float.nan; 0.; -1.; Float.neg_infinity ];
+  checkb "spent unchanged" true (Float.abs (Dp.budget_spent (Runtime.budget sys) -. 0.6) < 1e-9);
+  for _ = 1 to 3 do
+    match run 100. with
+    | Error (Runtime.Budget_exhausted _) -> ()
+    | Error e -> Alcotest.failf "epsilon 100: wrong error: %s" (err_to_string e)
+    | Ok _ -> Alcotest.fail "epsilon 100 admitted"
+  done
+
 let test_e2e_committee_rotates_per_query () =
   let sys = Runtime.init e2e_config (small_graph ~n:12 ~seed:7L ()) in
   let g1 = (run_exact sys "Q4").Runtime.committee_generation in
@@ -602,6 +631,7 @@ let () =
           Alcotest.test_case "Q1 infeasible at small params" `Quick test_e2e_q1_infeasible_at_small_params;
           Alcotest.test_case "noise at finite epsilon" `Slow test_e2e_noise_present_at_finite_epsilon;
           Alcotest.test_case "budget enforced" `Slow test_e2e_budget_enforced;
+          Alcotest.test_case "invalid epsilon rejected" `Slow test_e2e_invalid_epsilon_rejected;
           Alcotest.test_case "committee rotates per query" `Slow test_e2e_committee_rotates_per_query;
           Alcotest.test_case "byzantine discarded" `Slow test_e2e_byzantine_contributions_discarded;
           Alcotest.test_case "through the mixnet" `Slow test_e2e_through_mixnet;

@@ -59,7 +59,6 @@ let test_budget_accounting () =
   | Ok () -> Alcotest.fail "over-budget query accepted");
   (* Failed charges spend nothing. *)
   checkf "unchanged after refusal" 0.2 (Dp.budget_remaining b);
-  checki "history has two entries" 2 (List.length (Dp.budget_history b));
   checkb "exact exhaustion allowed" true (Dp.budget_charge b 0.2 = Ok ())
 
 let test_advanced_composition () =
@@ -122,6 +121,25 @@ let test_above_threshold () =
   probe_until_positive 100;
   checkb "exhausted after the positive" true (Dp.above_threshold_exhausted t);
   checkb "further probes refused" true (Dp.above_threshold_query t 500. = Error `Exhausted)
+
+(* A NaN charge must never be admitted: it would turn the running sums
+   into NaN, after which every over-budget comparison is false and
+   nothing is ever refused again. *)
+let test_budget_nan_never_admitted () =
+  let b = Dp.budget_create ~total:1.0 () in
+  checkb "0.6 admitted" true (Dp.budget_charge b 0.6 = Ok ());
+  checkb "second 0.6 refused" true (Result.is_error (Dp.budget_charge b 0.6));
+  Alcotest.check_raises "NaN refused" (Invalid_argument "Dp.budget_charge: epsilon must be positive")
+    (fun () -> ignore (Dp.budget_charge b Float.nan));
+  Alcotest.check_raises "zero refused" (Invalid_argument "Dp.budget_charge: epsilon must be positive")
+    (fun () -> ignore (Dp.budget_charge b 0.));
+  checkf "spent unchanged" 0.6 (Dp.budget_spent b);
+  checkf "remaining unchanged" 0.4 (Dp.budget_remaining b);
+  for _ = 1 to 3 do
+    checkb "epsilon 100 refused" true (Result.is_error (Dp.budget_charge b 100.))
+  done;
+  checkb "infinite epsilon refused" true (Result.is_error (Dp.budget_charge b Float.infinity));
+  checkf "still unchanged" 0.4 (Dp.budget_remaining b)
 
 let test_budget_validation () =
   Alcotest.check_raises "bad total" (Invalid_argument "Dp.budget_create: total must be positive")
@@ -281,6 +299,7 @@ let () =
           Alcotest.test_case "advanced composition" `Quick test_advanced_composition;
           Alcotest.test_case "sparse vector (above threshold)" `Quick test_above_threshold;
           Alcotest.test_case "budget validation" `Quick test_budget_validation;
+          Alcotest.test_case "NaN never admitted" `Quick test_budget_nan_never_admitted;
         ] );
       ( "zkp",
         [

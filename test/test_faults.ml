@@ -53,6 +53,7 @@ let err_to_string = function
   | Runtime.Analysis_error m -> "analysis: " ^ m
   | Runtime.Infeasible m -> "infeasible: " ^ m
   | Runtime.Budget_exhausted r -> Printf.sprintf "budget exhausted (%.2f left)" r
+  | Runtime.Invalid_epsilon e -> Printf.sprintf "invalid epsilon %g" e
   | Runtime.Pipeline_error m -> "pipeline: " ^ m
 
 (* Acceptance shape: committee of 10 with threshold 4 over a 16-device

@@ -495,6 +495,7 @@ let neg_err_to_string = function
   | Runtime.Analysis_error m -> "analysis: " ^ m
   | Runtime.Infeasible m -> "infeasible: " ^ m
   | Runtime.Budget_exhausted r -> Printf.sprintf "budget exhausted (%.2f left)" r
+  | Runtime.Invalid_epsilon e -> Printf.sprintf "invalid epsilon %g" e
   | Runtime.Pipeline_error m -> "pipeline: " ^ m
 
 let run_no_raise sys ?(epsilon = 1.0) src =

@@ -345,6 +345,133 @@ let test_vsr_fold_commutes_with_reconstruction () =
     primes
 
 (* ------------------------------------------------------------------ *)
+(* The ring-sharing kernel against per-dealer evaluation               *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference sharing: every party evaluates every coefficient's
+   polynomial by Horner ([Shamir.eval_poly]), drawing in the order
+   prime, coefficient, k = 1..threshold. *)
+let reference_share_rq rng ~threshold ~parties v =
+  let basis = Rq.basis_of v in
+  let primes = Rns.primes basis in
+  let n = Rns.degree basis in
+  Rq.force_eval v;
+  let rows = Rq.residues v in
+  let outs = Array.init parties (fun _ -> Array.map (fun _ -> Array.make n 0) primes) in
+  let coeffs = Array.make (threshold + 1) 0 in
+  Array.iteri
+    (fun pi p ->
+      for c = 0 to n - 1 do
+        coeffs.(0) <- rows.(pi).(c);
+        for k = 1 to threshold do
+          coeffs.(k) <- Rng.int rng p
+        done;
+        for j = 0 to parties - 1 do
+          outs.(j).(pi).(c) <- Shamir.eval_poly ~p coeffs (j + 1)
+        done
+      done)
+    primes;
+  Array.mapi (fun j rows -> { Shamir.idx = j + 1; value = Rq.of_residues ~repr:Rq.Eval basis rows }) outs
+
+(* Reference redistribution: one reference sharing per dealer, in list
+   order, then the Lagrange-weighted sum of the sub-shares. *)
+let reference_redistribute_rq rng ~new_threshold ~new_parties old_shares =
+  let basis = Rq.basis_of (List.hd old_shares).Shamir.value in
+  let xs = Array.of_list (List.map (fun s -> s.Shamir.idx) old_shares) in
+  let lambdas = Shamir.lambda_rows basis xs in
+  let primes = Rns.primes basis in
+  let n = Rns.degree basis in
+  let acc = Array.init new_parties (fun _ -> Array.map (fun _ -> Array.make n 0) primes) in
+  List.iteri
+    (fun i old ->
+      let subs =
+        reference_share_rq rng ~threshold:new_threshold ~parties:new_parties old.Shamir.value
+      in
+      Array.iteri
+        (fun j sub ->
+          let rows = Rq.residues sub.Shamir.value in
+          Array.iteri
+            (fun pi p ->
+              for c = 0 to n - 1 do
+                acc.(j).(pi).(c) <-
+                  Modarith.add p acc.(j).(pi).(c) (Modarith.mul p lambdas.(pi).(i) rows.(pi).(c))
+              done)
+            primes)
+        subs)
+    old_shares;
+  Array.mapi (fun j rows -> { Shamir.idx = j + 1; value = Rq.of_residues ~repr:Rq.Eval basis rows }) acc
+
+(* Bit-for-bit: same indices, both in Eval, identical residue rows. *)
+let same_shares (a : Shamir.rq_share array) (b : Shamir.rq_share array) =
+  let eval v = match Rq.repr_of v with Rq.Eval -> true | Rq.Coeff -> false in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Shamir.rq_share) (y : Shamir.rq_share) ->
+         x.Shamir.idx = y.Shamir.idx
+         && eval x.Shamir.value && eval y.Shamir.value
+         && Array.for_all2 (Array.for_all2 Int.equal) (Rq.residues x.Shamir.value)
+              (Rq.residues y.Shamir.value))
+       a b
+
+(* (t, n) -> (t', n') shapes, t' = 0 and n' = t' + 1 included. *)
+let kernel_shapes = [ ((4, 10), (4, 10)); ((2, 6), (4, 10)); ((3, 8), (3, 8));
+                      ((0, 2), (0, 1)); ((1, 3), (5, 9)); ((6, 14), (6, 14)) ]
+
+let test_kernel_matches_reference () =
+  List.iteri
+    (fun pi_case (pname, params) ->
+      let basis = Bgv.basis (Bgv.make_ctx params) in
+      List.iteri
+        (fun case ((t, n), (t', n')) ->
+          let label = Printf.sprintf "%s (%d,%d)->(%d,%d)" pname t n t' n' in
+          let seed = Int64.of_int (400 + (16 * pi_case) + case) in
+          let secret = Rq.random_uniform basis (Rng.create seed) in
+          (* share_rq against per-party Horner evaluation, and the same
+             number of draws (the next draw agrees too). *)
+          let rng_k = Rng.create (Int64.add seed 1000L) and rng_r = Rng.create (Int64.add seed 1000L) in
+          let old_shares = Shamir.share_rq rng_k ~threshold:t ~parties:n secret in
+          checkb (label ^ ": share_rq bit-identical") true
+            (same_shares old_shares (reference_share_rq rng_r ~threshold:t ~parties:n secret));
+          checki (label ^ ": share_rq draw count") (Rng.int rng_r field) (Rng.int rng_k field);
+          (* A seeded, unordered dealer set of t+1 old members. *)
+          let dealers =
+            Array.to_list
+              (Array.map (fun i -> old_shares.(i))
+                 (Rng.sample_without_replacement (Rng.create seed) (t + 1) n))
+          in
+          let rng_k = Rng.create (Int64.add seed 2000L) and rng_r = Rng.create (Int64.add seed 2000L) in
+          let fresh = Vsr.redistribute_rq rng_k ~new_threshold:t' ~new_parties:n' dealers in
+          checkb (label ^ ": redistribute_rq bit-identical") true
+            (same_shares fresh (reference_redistribute_rq rng_r ~new_threshold:t' ~new_parties:n' dealers));
+          checki (label ^ ": redistribute_rq draw count") (Rng.int rng_r field) (Rng.int rng_k field);
+          checkb (label ^ ": secret intact") true
+            (Rq.equal secret (Shamir.reconstruct_rq basis (Array.to_list (Array.sub fresh 0 (t' + 1))))))
+        kernel_shapes)
+    [ ("test_small", Params.test_small); ("test_medium", Params.test_medium) ]
+
+let test_kernel_validation () =
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 420L in
+  let shares = Shamir.share_rq rng ~threshold:1 ~parties:3 (Rq.random_uniform basis rng) in
+  let dealers = [ shares.(0); shares.(2) ] in
+  let redistribute ~new_threshold ~new_parties old () =
+    ignore (Vsr.redistribute_rq rng ~new_threshold ~new_parties old)
+  in
+  Alcotest.check_raises "t' < 0" (Invalid_argument "Shamir: negative threshold")
+    (redistribute ~new_threshold:(-1) ~new_parties:3 dealers);
+  Alcotest.check_raises "n' < t' + 1" (Invalid_argument "Shamir: too few parties for threshold")
+    (redistribute ~new_threshold:3 ~new_parties:3 dealers);
+  (* Checked before anything is allocated for the new parties. *)
+  Alcotest.check_raises "n' >= p" (Invalid_argument "Shamir: more parties than field elements")
+    (redistribute ~new_threshold:1 ~new_parties:(1 lsl 31) dealers);
+  Alcotest.check_raises "no dealers" (Invalid_argument "Vsr.redistribute_rq: no shares")
+    (redistribute ~new_threshold:1 ~new_parties:3 []);
+  Alcotest.check_raises "duplicate dealer" (Invalid_argument "Vsr.redistribute_rq: duplicate share index")
+    (redistribute ~new_threshold:1 ~new_parties:3 [ shares.(1); shares.(1) ]);
+  Alcotest.check_raises "share_rq t < 0" (Invalid_argument "Shamir: negative threshold") (fun () ->
+      ignore (Shamir.share_rq rng ~threshold:(-1) ~parties:3 shares.(0).Shamir.value))
+
+(* ------------------------------------------------------------------ *)
 (* Threshold decryption                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -510,6 +637,8 @@ let () =
           Alcotest.test_case "repeated hand-offs" `Quick test_vsr_repeated_handoffs;
           Alcotest.test_case "batch weights deterministic" `Quick test_vsr_batch_weights_deterministic;
           Alcotest.test_case "fold commutes with reconstruction" `Quick test_vsr_fold_commutes_with_reconstruction;
+          Alcotest.test_case "kernel matches per-dealer evaluation" `Quick test_kernel_matches_reference;
+          Alcotest.test_case "kernel validation" `Quick test_kernel_validation;
         ] );
       ( "threshold",
         [

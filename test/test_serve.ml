@@ -227,6 +227,40 @@ let test_user_budget_gates_admission () =
   | Serve.Queued _ -> checki "admitted members pending" 3 (Serve.pending_count srv)
   | Serve.Rejected _ -> Alcotest.fail "bob's budget is his own"
 
+(* The NaN probe through [Serve.submit]: an epsilon that is not finite
+   and positive (or infinity) is a typed rejection before any charge,
+   and the user's budget keeps refusing what it must. *)
+let test_invalid_epsilon_rejected () =
+  let rt = serve_runtime ~faults:false () in
+  let config = { Serve.default_config with Serve.per_user_budget = 1.0; batch_size = 32 } in
+  let srv = Serve.create ~config rt in
+  let q = (Corpus.find "Q5").Corpus.sql in
+  let submit eps =
+    fst (Serve.submit srv ~arrival:0.0 { Serve.user = "alice"; epsilon = eps; sql = q; name = None })
+  in
+  (match submit 0.6 with
+  | Serve.Queued _ -> ()
+  | Serve.Rejected r -> Alcotest.failf "first charge rejected: %s" (Serve.rejection_to_string r));
+  (match submit 0.6 with
+  | Serve.Rejected (Serve.Budget_rejected _) -> ()
+  | _ -> Alcotest.fail "over-budget submit must be rejected");
+  List.iter
+    (fun eps ->
+      match submit eps with
+      | Serve.Rejected (Serve.Invalid (Runtime.Invalid_epsilon _)) -> ()
+      | Serve.Rejected r ->
+        Alcotest.failf "epsilon %g: wrong rejection: %s" eps (Serve.rejection_to_string r)
+      | Serve.Queued _ -> Alcotest.failf "epsilon %g admitted" eps)
+    [ Float.nan; 0.; -1.; Float.neg_infinity ];
+  checkb "spent unchanged" true
+    (Float.abs (Accountant.spent (Serve.accountant srv) ~user:"alice" -. 0.6) < 1e-9);
+  for _ = 1 to 3 do
+    match submit 100. with
+    | Serve.Rejected (Serve.Budget_rejected _) -> ()
+    | _ -> Alcotest.fail "epsilon 100 must be rejected"
+  done;
+  checki "only the first request pending" 1 (Serve.pending_count srv)
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -493,6 +527,7 @@ let () =
             test_unbudgeted_rejected;
           Alcotest.test_case "per-user budget gates admission" `Quick
             test_user_budget_gates_admission;
+          Alcotest.test_case "invalid epsilon rejected" `Quick test_invalid_epsilon_rejected;
         ] );
       ( "cache",
         [
