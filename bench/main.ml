@@ -6,7 +6,7 @@
      dune exec bench/main.exe                     -- everything
      dune exec bench/main.exe -- --only fig7      -- one figure
      dune exec bench/main.exe -- --only parallel  -- domain scaling
-     dune exec bench/main.exe -- --only ringops   -- ring backends, Reference vs Montgomery
+     dune exec bench/main.exe -- --only ringops   -- ring kernels, Reference vs Montgomery
      dune exec bench/main.exe -- --only mixnet    -- mixnet scale sweep (Figs 7-9)
      dune exec bench/main.exe -- --only lint      -- full-repo static analysis
      dune exec bench/main.exe -- --skip-micro     -- figures only
@@ -554,13 +554,13 @@ let () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Ringops: the ring backends, Reference vs Montgomery                *)
+(* Ringops: the ring kernels, Reference vs Montgomery                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Cost of the polynomial arithmetic the whole pipeline sits on, at
-   degrees 1024..32768, on both ring backends: Reference (Shoup
-   butterflies) and Montgomery (Bigarray radix-4 with lazy reduction),
-   then the paper-profile pipeline end to end. *)
+   degrees 1024..32768: the Montgomery kernels Rq runs (Bigarray
+   radix-4 with lazy reduction) beside the Reference Shoup kernels of
+   Ntt, then Rq.mul and the paper-profile pipeline end to end. *)
 
 (* The measured Montgomery forward at N=8192 from the table below,
    compared against the committed BENCH_pr4.json by --check. *)
@@ -570,7 +570,7 @@ let () =
   section "ringops" (fun () ->
       let module Rns = Mycelium_math.Rns in
       let module Rq = Mycelium_math.Rq in
-      let module Ring_backend = Mycelium_math.Ring_backend in
+      let module Mont_backend = Mycelium_math.Mont_backend in
       let levels = 3 in
       let ns_per_op ?(reps = 5) ~inner f =
         let best = ref infinity in
@@ -585,17 +585,16 @@ let () =
         !best *. 1e9 /. float_of_int inner
       in
       say "\n";
-      say "=== Ringops: ring backends, Reference (Shoup) vs Montgomery (Bigarray radix-4) ===\n";
-      say "  %7s %12s %12s %8s %12s %12s %8s %12s %12s %12s\n" "degree" "fwd ref"
-        "fwd mont" "speedup" "inv ref" "inv mont" "speedup" "pointwise" "rq.mul ref"
-        "rq.mul mont";
+      say "=== Ringops: ring kernels, Reference (Shoup) vs Montgomery (Bigarray radix-4) ===\n";
+      say "  %7s %12s %12s %8s %12s %12s %8s %12s %12s\n" "degree" "fwd ref"
+        "fwd mont" "speedup" "inv ref" "inv mont" "speedup" "pointwise" "rq.mul";
       let rows =
         List.map
           (fun degree ->
             let rng = Rng.create (Int64.of_int (9000 + degree)) in
             let p = List.hd (Ntt.find_primes ~degree ~bits:30 ~count:1) in
-            let rplan = Ring_backend.Reference.make_plan ~p ~degree in
-            let mplan = Ring_backend.Montgomery.make_plan ~p ~degree in
+            let rplan = Ntt.make_plan ~p ~degree in
+            let mplan = Mont_backend.make_plan ~p ~degree in
             let rand () = Array.init degree (fun _ -> Rng.int rng p) in
             let a = rand () and b = rand () in
             (* Kernel-level: transforms run in place on a scratch row
@@ -603,34 +602,30 @@ let () =
                application measures steady-state cost). *)
             let scratch = Array.copy a in
             let inner = max 4 (524_288 / degree) in
-            let fwd_ref = ns_per_op ~inner (fun () -> Ring_backend.forward rplan scratch) in
-            let fwd_mont = ns_per_op ~inner (fun () -> Ring_backend.forward mplan scratch) in
-            let inv_ref = ns_per_op ~inner (fun () -> Ring_backend.inverse rplan scratch) in
-            let inv_mont = ns_per_op ~inner (fun () -> Ring_backend.inverse mplan scratch) in
+            let fwd_ref = ns_per_op ~inner (fun () -> Ntt.forward rplan scratch) in
+            let fwd_mont = ns_per_op ~inner (fun () -> Mont_backend.forward mplan scratch) in
+            let inv_ref = ns_per_op ~inner (fun () -> Ntt.inverse rplan scratch) in
+            let inv_mont = ns_per_op ~inner (fun () -> Mont_backend.inverse mplan scratch) in
             let pw =
-              ns_per_op ~inner (fun () -> Ring_backend.pointwise_into mplan ~dst:scratch a b)
+              ns_per_op ~inner (fun () -> Mont_backend.pointwise_into mplan ~dst:scratch a b)
             in
             if degree = 8192 then mont_fwd_8192_ns := Some fwd_mont;
-            (* Rq level: a 3-limb basis per backend, matching the
-               pipeline shape (Eval-resident operands, so this measures
-               the pointwise path plus dispatch). *)
-            let primes = Ntt.find_primes ~degree ~bits:30 ~count:levels in
-            let b_ref = Rns.make ~backend:"reference" ~primes ~degree () in
-            let b_mont = Rns.make ~backend:"montgomery" ~primes ~degree () in
+            (* Rq level: a 3-limb basis, matching the pipeline shape
+               (Eval-resident operands, so this measures the pointwise
+               path plus dispatch). *)
+            let basis = Rns.standard ~degree ~prime_bits:30 ~levels in
             let heavy = max 2 (65_536 / degree) in
-            let rq_on basis =
+            let rq_mul =
               let x = Rq.random_uniform basis (Rng.create 77L) in
               let y = Rq.random_uniform basis (Rng.create 78L) in
               Rq.force_eval x;
               Rq.force_eval y;
               ns_per_op ~inner:heavy (fun () -> ignore (Rq.mul x y))
             in
-            let rq_ref = rq_on b_ref in
-            let rq_mont = rq_on b_mont in
-            say "  %7d %10.1fus %10.1fus %7.2fx %10.1fus %10.1fus %7.2fx %10.2fus %10.1fus %10.1fus\n"
+            say "  %7d %10.1fus %10.1fus %7.2fx %10.1fus %10.1fus %7.2fx %10.2fus %10.1fus\n"
               degree (fwd_ref /. 1e3) (fwd_mont /. 1e3) (fwd_ref /. fwd_mont)
               (inv_ref /. 1e3) (inv_mont /. 1e3) (inv_ref /. inv_mont) (pw /. 1e3)
-              (rq_ref /. 1e3) (rq_mont /. 1e3);
+              (rq_mul /. 1e3);
             ( degree,
               Obj
                 [
@@ -642,15 +637,13 @@ let () =
                   ("ntt_inverse_ns", Num inv_mont);
                   ("ntt_inverse_speedup", Num (inv_ref /. inv_mont));
                   ("pointwise_ns", Num pw);
-                  ("rq_mul_old_ns", Num rq_ref);
-                  ("rq_mul_ns", Num rq_mont);
+                  ("rq_mul_ns", Num rq_mul);
                 ] ))
           [ 1024; 2048; 4096; 8192; 32768 ]
       in
       (* Paper profile (§5): N=32768, 19 30-bit primes (~550-bit q),
          t=2^30 — the full keygen/encrypt/mul/relinearize/decrypt
-         pipeline at the parameters the paper deploys, run end-to-end
-         on the default (Montgomery) backend. *)
+         pipeline at the parameters the paper deploys, run end-to-end. *)
       say "\n";
       say "  --- paper profile: N=32768, %d-bit q, t=2^30 ---\n"
         (Params.modulus_bits Params.paper);
@@ -1092,9 +1085,9 @@ let ( >>= ) o f = Option.bind o f
 
 (* The ringops gate fails the process unless the Montgomery forward at
    N=8192 measured above is at least 2x faster than the ntt_forward_ns
-   committed in BENCH_pr4.json (the Reference-backend number of
-   record).  Keeps the backend's reason to exist from silently
-   regressing. *)
+   committed in BENCH_pr4.json (the Reference Shoup number of
+   record).  Keeps the Montgomery kernels' reason to exist from
+   silently regressing. *)
 let () =
   if check_mode && wants "ringops" then begin
     let reference_ns =

@@ -227,7 +227,9 @@ let run_cmd =
 
 (* One workload line: {"user": "...", "epsilon": 0.5, "query": "Q5",
    "arrival": 1.25} — query is a corpus id or inline SQL, arrival (in
-   seconds, monotone) drives the batch deadline and defaults to 0. *)
+   seconds, monotone) drives the batch deadline and defaults to 0.
+   epsilon is required and numeric; epsilon <= 0 asks for an exact
+   release (admitted only under --no-budget). *)
 let parse_workload_line lineno line =
   match Obs.Json.parse line with
   | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
@@ -239,16 +241,17 @@ let parse_workload_line lineno line =
       | Some (Obs.Json.Int i) -> Some (float_of_int i)
       | _ -> None
     in
-    (match (str "user", str "query") with
-    | Some user, Some q ->
-      let epsilon = Option.value ~default:1.0 (num "epsilon") in
+    (match (str "user", str "query", num "epsilon") with
+    | Some user, Some q, Some epsilon ->
       let epsilon = if epsilon <= 0. then Float.infinity else epsilon in
       let arrival = Option.value ~default:0.0 (num "arrival") in
       (* a corpus id doubles as the query's name, so ledger rows and
          responses say "Q5", not the parser's "query" placeholder *)
       let name = match Corpus.find q with _ -> Some q | exception Not_found -> None in
       Ok (arrival, { Serve.user; epsilon; sql = resolve_query q; name })
-    | _ -> Error (Printf.sprintf "line %d: needs \"user\" and \"query\" fields" lineno))
+    | None, _, _ | _, None, _ ->
+      Error (Printf.sprintf "line %d: needs \"user\" and \"query\" fields" lineno)
+    | _, _, None -> Error (Printf.sprintf "line %d: needs a numeric \"epsilon\" field" lineno))
 
 let serve_cmd =
   let doc =

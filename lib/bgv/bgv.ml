@@ -17,11 +17,11 @@ let ct_mul_sampler = Obs.sampler ~every:64
 
 type ctx = { p : Params.t; basis : Rns.t; fresh_noise_bits : float }
 
-let make_ctx ?backend p =
+let make_ctx p =
   Params.validate p;
   let basis =
-    Rns.standard ?backend ~degree:p.Params.degree ~prime_bits:p.Params.prime_bits
-      ~levels:p.Params.levels ()
+    Rns.standard ~degree:p.Params.degree ~prime_bits:p.Params.prime_bits
+      ~levels:p.Params.levels
   in
   (* t must be invertible mod q for the scheme to be non-degenerate. *)
   Array.iter
@@ -312,13 +312,18 @@ let relinearize ctx rk ct =
 
 (* --- modulus switching ------------------------------------------------ *)
 
+(* find_primes lists primes from the top down, so the parent's basis
+   minus its last prime is exactly a fresh basis at levels - 1, and
+   Rns.drop_last keeps the surviving limbs' plans.  The plain-modulus
+   check still holds on a subset of the primes, and fresh_noise_bits
+   does not depend on the level count. *)
 let drop_level ctx =
   if ctx.p.Params.levels < 2 then invalid_arg "Bgv.drop_level: single-prime context";
-  (* Keep the child context on the parent's (resolved) ring backend so
-     a pipeline pinned to one backend stays on it across levels. *)
-  make_ctx
-    ~backend:(Rns.backend_name ctx.basis)
-    { ctx.p with Params.levels = ctx.p.Params.levels - 1 }
+  {
+    ctx with
+    p = { ctx.p with Params.levels = ctx.p.Params.levels - 1 };
+    basis = Rns.drop_last ctx.basis;
+  }
 
 (* Modular inverse by extended Euclid; t need not be prime. *)
 let inv_mod m a =

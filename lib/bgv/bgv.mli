@@ -18,12 +18,11 @@ module Rns = Mycelium_math.Rns
 
 type ctx
 
-val make_ctx : ?backend:string -> Params.t -> ctx
-(** [?backend] pins the ring-kernel backend for the context's RNS basis
-    (see {!Mycelium_math.Ring_backend}); by default the backend is
-    selected per parameter profile.  The choice is invisible to every
-    value this module produces: ciphertexts, keys, noise estimates and
-    the wire format are bit-identical across backends. *)
+val make_ctx : Params.t -> ctx
+(** A context over [Params.levels] primes of [Params.prime_bits] bits
+    from {!Mycelium_math.Ntt.find_primes}. Raises [Invalid_argument]
+    if the parameters fail {!Params.validate} or the plain modulus
+    shares a factor with q. *)
 
 val params : ctx -> Params.t
 val basis : ctx -> Rns.t
@@ -98,9 +97,10 @@ val relinearize : ctx -> relin_key -> ciphertext -> ciphertext
     word sizes this library uses. *)
 
 val drop_level : ctx -> ctx
-(** The context with the last RNS prime removed. Raises on a
-    single-prime context. Deterministic: repeated calls agree with
-    building a fresh context at [levels - 1]. *)
+(** The context with the last RNS prime removed
+    ({!Mycelium_math.Rns.drop_last}, so the surviving limbs keep their
+    NTT plans). Raises on a single-prime context. Its basis equals a
+    fresh context's at [levels - 1]. *)
 
 val mod_switch : ctx -> ciphertext -> ciphertext
 (** [mod_switch small_ctx ct] rescales [ct] — which must live one level

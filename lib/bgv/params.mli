@@ -34,7 +34,7 @@ val paper : t
 (** N=32768, 19 30-bit primes (~550-bit q), t=2^30: the paper's
     parameter set. Too heavy for unit tests, but runnable end-to-end:
     [bench --only ringops] drives keygen/encrypt/mul/relinearize/
-    decrypt at these dimensions on the Montgomery backend (with
+    decrypt at these dimensions on the Montgomery kernels (with
     [~digit_bits:30] relinearization keys); the cost model uses it for
     sizes and extrapolation. *)
 

@@ -1,4 +1,4 @@
-(* Montgomery Bigarray NTT kernels: the fast ring backend.
+(* Montgomery Bigarray NTT kernels: the ring kernels behind Rq.
 
    Same negacyclic transform as Ntt (identical twiddle tables via
    Ntt.tables, so final results are bit-identical), but engineered for
@@ -15,7 +15,7 @@
      the butterflies contain no data-dependent branches at all.
      Canonicalisation to [0, p) is fused into the copy-out (forward)
      and n^-1 scaling (inverse) passes, which restores exactly the
-     Reference backend's outputs.
+     outputs of Ntt's Shoup kernels.
    - A flat unboxed Bigarray workspace per domain with unchecked
      accesses.
 
@@ -285,10 +285,10 @@ let inverse_into t ~src ~dst =
 let forward t a = forward_into t ~src:a ~dst:a
 let inverse t a = inverse_into t ~src:a ~dst:a
 
-(* Pointwise products are exact single reductions in either backend;
+(* Pointwise products are exact single reductions here as in Ntt;
    the Montgomery trick only pays inside the butterflies, where one
    operand is a precomputable constant.  Unchecked accesses are the
-   only difference from the Reference path — results are identical. *)
+   only difference from Ntt's pointwise — results are identical. *)
 let pointwise_into t ~dst a b =
   let n = t.n and p = t.p in
   if Array.length a <> n || Array.length b <> n || Array.length dst <> n then

@@ -1,4 +1,5 @@
-(** Montgomery Bigarray NTT kernels: the fast ring backend.
+(** Montgomery Bigarray NTT kernels: the ring kernels every {!Rns}
+    basis runs on.
 
     Computes exactly the same negacyclic transform as {!Ntt} — both
     read the tables from {!Ntt.tables} — but with Montgomery-domain
@@ -6,9 +7,10 @@
     (two radix-2 stages fused per memory pass) and unchecked accesses
     into a flat unboxed [Bigarray] workspace held per domain.  Every
     butterfly output is canonically reduced, so results are
-    bit-identical to the Reference backend; only throughput differs.
+    bit-identical to {!Ntt}'s Shoup kernels, the test reference; only
+    throughput differs.
 
-    Callers normally reach this through {!Ring_backend.Montgomery}. *)
+    Callers normally reach this through {!Rq}. *)
 
 type plan
 (** Montgomery-domain twiddle tables for one (p, N) pair. *)

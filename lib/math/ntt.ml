@@ -44,10 +44,10 @@ let bit_reverse_index bits i =
   done;
   !r
 
-(* The twiddle tables are shared verbatim by every ring backend (the
-   Shoup path below and the Montgomery Bigarray kernels in
-   Mont_backend): bit-identical cross-backend results hinge on both
-   reading the same psi powers in the same bit-reversed layout. *)
+(* The twiddle tables are shared verbatim by the Shoup path below and
+   the Montgomery Bigarray kernels in Mont_backend: the two agree bit
+   for bit because both read the same psi powers in the same
+   bit-reversed layout. *)
 type tables = {
   t_p : int;
   t_n : int;

@@ -4,7 +4,11 @@
     power of two. Multiplication in R_q is a *negacyclic* convolution,
     computed here by pre-twisting with powers of a 2N-th root of unity
     psi and running a standard radix-2 NTT, so no zero-padding is
-    needed. The prime must satisfy p = 1 (mod 2N). *)
+    needed. The prime must satisfy p = 1 (mod 2N).
+
+    {!Rq} runs the Montgomery kernels of {!Mont_backend}; the Shoup
+    kernels here are the reference those are tested and benchmarked
+    against, and the home of {!find_primes} and {!tables}. *)
 
 type plan
 (** Precomputed twiddle tables for one (p, N) pair. *)
@@ -26,10 +30,10 @@ type tables = {
   t_inv_psi_pows : int array;
   t_n_inv : int;
 }
-(** The raw merged twist+twiddle tables (Longa–Naehrig layout), shared
-    by every ring backend: {!Mont_backend} re-encodes exactly these
-    values into the Montgomery domain, which is what makes
-    cross-backend results bit-identical by construction. *)
+(** The raw merged twist+twiddle tables (Longa–Naehrig layout).
+    {!Mont_backend} re-encodes exactly these values into the
+    Montgomery domain, which is what makes its results bit-identical
+    to this module's by construction. *)
 
 val tables : p:int -> degree:int -> tables
 (** Same preconditions as {!make_plan}. *)

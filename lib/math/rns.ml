@@ -1,6 +1,6 @@
 type t = {
   primes : int array;
-  plans : Ring_backend.plan array;
+  plans : Mont_backend.plan array;
   degree : int;
   q : Bigint.t;
   (* crt_factor.(i) = (q / p_i) * ((q / p_i)^-1 mod p_i): summing
@@ -21,15 +21,15 @@ let level_count t = Array.length t.primes
 let modulus t = t.q
 let modulus_bits t = Bigint.num_bits t.q
 
-let backend_name t = t.plans.(0).Ring_backend.backend
+let backend_name _ = "montgomery"
 
-let make ?backend ~primes ~degree () =
+let make ~primes ~degree =
   let primes = Array.of_list primes in
   let n = Array.length primes in
   if n = 0 then invalid_arg "Rns.make: empty basis";
   let distinct = Array.to_list primes |> List.sort_uniq Int.compare |> List.length in
   if distinct <> n then invalid_arg "Rns.make: duplicate primes";
-  let plans = Array.map (fun p -> Ring_backend.make_plan ?backend ~p ~degree ()) primes in
+  let plans = Array.map (fun p -> Mont_backend.make_plan ~p ~degree) primes in
   let q = Array.fold_left (fun acc p -> Bigint.mul acc (Bigint.of_int p)) Bigint.one primes in
   let crt_factor =
     Array.map
@@ -41,8 +41,8 @@ let make ?backend ~primes ~degree () =
   in
   { primes; plans; degree; q; crt_factor; half_q = Bigint.shift_right q 1 }
 
-let standard ?backend ~degree ~prime_bits ~levels () =
-  make ?backend ~primes:(Ntt.find_primes ~degree ~bits:prime_bits ~count:levels) ~degree ()
+let standard ~degree ~prime_bits ~levels =
+  make ~primes:(Ntt.find_primes ~degree ~bits:prime_bits ~count:levels) ~degree
 
 let to_bigint t residues =
   let acc = ref Bigint.zero in

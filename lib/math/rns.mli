@@ -7,30 +7,30 @@
     digit decomposition). *)
 
 type t
-(** An RNS basis: the primes, their NTT plans for a fixed ring degree,
-    and precomputed CRT constants. *)
+(** An RNS basis: the primes, their Montgomery NTT plans
+    ({!Mont_backend}) for a fixed ring degree, and precomputed CRT
+    constants. *)
 
 val equal : t -> t -> bool
 (** Same ring degree and the same prime chain, in order.  Two equal
     bases share all derived constants, so elements may move freely
     between them. *)
 
-val make : ?backend:string -> primes:int list -> degree:int -> unit -> t
-(** Build a basis. Every prime must satisfy [p = 1 (mod 2*degree)] and
-    be pairwise distinct. [?backend] pins the ring-kernel backend for
-    every limb plan; by default {!Ring_backend} picks per profile (see
-    its selection policy). The backend never affects values — bases
-    differing only in backend are {!equal} and fully interoperable. *)
+val make : primes:int list -> degree:int -> t
+(** Build a basis. Every prime must satisfy [p = 1 (mod 2*degree)], be
+    odd and below 2^30 (the Montgomery kernels' bound, see
+    {!Mont_backend.available}), and be pairwise distinct. Raises
+    [Invalid_argument] otherwise. *)
 
-val standard : ?backend:string -> degree:int -> prime_bits:int -> levels:int -> unit -> t
+val standard : degree:int -> prime_bits:int -> levels:int -> t
 (** Convenience: pick [levels] NTT-friendly primes of [prime_bits] bits
-    via {!Ntt.find_primes}. *)
+    via {!Ntt.find_primes}. [prime_bits <= 30]. *)
 
 val primes : t -> int array
-val plans : t -> Ring_backend.plan array
+val plans : t -> Mont_backend.plan array
 
-(** [backend_name t] is the name of the ring backend the limb plans
-    were built on. *)
+(** [backend_name t] names the ring kernels the limb plans run on:
+    always ["montgomery"]. Recorded in benchmark provenance. *)
 val backend_name : t -> string
 val degree : t -> int
 val level_count : t -> int

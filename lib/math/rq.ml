@@ -62,8 +62,8 @@ let convert target t =
           let src = st.rows.(j) in
           let dst = Array.make (Array.length src) 0 in
           (match target with
-          | Eval -> Ring_backend.forward_into plan ~src ~dst
-          | Coeff -> Ring_backend.inverse_into plan ~src ~dst);
+          | Eval -> Mont_backend.forward_into plan ~src ~dst
+          | Coeff -> Mont_backend.inverse_into plan ~src ~dst);
           dst)
         plans
     in
@@ -130,7 +130,7 @@ let coeff_rows_snapshot t =
       (fun j plan ->
         let src = st.rows.(j) in
         let dst = Array.make (Array.length src) 0 in
-        Ring_backend.inverse_into plan ~src ~dst;
+        Mont_backend.inverse_into plan ~src ~dst;
         dst)
       plans
 
@@ -216,7 +216,10 @@ let mul_impl a b =
   let plans = Rns.plans a.basis in
   let rows =
     pmapi ~min_degree:pointwise_par_degree a.basis
-      (fun j plan -> Ring_backend.pointwise plan sa.rows.(j) sb.rows.(j))
+      (fun j plan ->
+        let dst = Array.make (Rns.degree a.basis) 0 in
+        Mont_backend.pointwise_into plan ~dst sa.rows.(j) sb.rows.(j);
+        dst)
       plans
   in
   { basis = a.basis; st = { repr = Eval; rows } }
@@ -248,7 +251,7 @@ let dot_impl a b =
       (fun j plan ->
         let acc = Array.make (Rns.degree basis) 0 in
         for i = 0 to len - 1 do
-          Ring_backend.pointwise_acc plan ~acc a.(i).st.rows.(j) b.(i).st.rows.(j)
+          Mont_backend.pointwise_acc plan ~acc a.(i).st.rows.(j) b.(i).st.rows.(j)
         done;
         acc)
       plans

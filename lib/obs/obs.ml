@@ -60,9 +60,20 @@ module Json = struct
       s;
     Buffer.add_char buf '"'
 
+  (* The shortest of %.15g and %.17g that parses back to [f] (every
+     double round-trips at 17 digits), so a ledger's epsilons re-sum to
+     the accountant's total exactly.  JSON has no infinity or NaN:
+     those are written null.  Every output carries a '.' or an
+     exponent, so the parser reads it back as [Num], not [Int]: the
+     integer branch covers each integer that %.17g would print without
+     one, and a non-integer (below 2^52) always shows a fraction. *)
   let num_to_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-    else Printf.sprintf "%.6f" f
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f < 1e17 then Printf.sprintf "%.1f" f
+    else begin
+      let s = Printf.sprintf "%.15g" f in
+      if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+    end
 
   let rec to_buf buf = function
     | Null -> Buffer.add_string buf "null"
@@ -1381,6 +1392,23 @@ module Ledger = struct
 
   let close t = close_out t.oc
 
+  let schema = "mycelium-ledger/1"
+
+  let num_of = function Json.Num f -> Some f | Json.Int i -> Some (float_of_int i) | _ -> None
+
+  (* [summarize] trusts what it sums: a row must be one of ours, and a
+     charged row must carry the positive, finite epsilon it charged. *)
+  let check_row j =
+    match Json.member "schema" j with
+    | Some (Json.Str s) when String.equal s schema -> (
+      match Json.member "charged" j with
+      | Some (Json.Bool true) -> (
+        match Option.bind (Json.member "epsilon" j) num_of with
+        | Some e when Float.is_finite e && e > 0. -> Ok j
+        | Some _ | None -> Error "charged row needs a finite epsilon > 0")
+      | Some _ | None -> Ok j)
+    | Some _ | None -> Error ("not a " ^ schema ^ " row")
+
   let read path =
     match open_in_bin path with
     | exception Sys_error msg -> Error msg
@@ -1394,7 +1422,7 @@ module Ledger = struct
             | line ->
               if String.equal (String.trim line) "" then go (lineno + 1) acc
               else begin
-                match Json.parse line with
+                match Result.bind (Json.parse line) check_row with
                 | Ok j -> go (lineno + 1) (j :: acc)
                 | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
               end
@@ -1412,8 +1440,6 @@ module Ledger = struct
     budget_total : float option;
     budget_remaining : float option;
   }
-
-  let num_of = function Json.Num f -> Some f | Json.Int i -> Some (float_of_int i) | _ -> None
 
   let summarize entries =
     let records = List.length entries in

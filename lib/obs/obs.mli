@@ -48,6 +48,9 @@ module Json : sig
 
   val to_buf : Buffer.t -> t -> unit
   val to_string : t -> string
+  (** A finite [Num] is written with the fewest digits (15 or 17) that
+      parse back to the same float, so [parse] returns it exactly; a
+      non-finite [Num] is written [null]. *)
 
   val to_channel : out_channel -> t -> unit
   (** Stream the document to a channel without materializing it as one
@@ -361,7 +364,10 @@ module Ledger : sig
 
   val read : string -> (Json.t list, string) result
   (** Parse every non-empty line; the first malformed line is an
-      [Error] naming its line number. *)
+      [Error] naming its line number.  A line is malformed if it is not
+      JSON, not an object with ["schema":"mycelium-ledger/1"], or a
+      ["charged":true] row whose ["epsilon"] is not a finite number
+      > 0. *)
 
   type summary = {
     records : int;

@@ -7,6 +7,7 @@ module Params = Mycelium_bgv.Params
 module Plaintext = Mycelium_bgv.Plaintext
 module Bgv = Mycelium_bgv.Bgv
 module Rq = Mycelium_math.Rq
+module Rns = Mycelium_math.Rns
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -405,6 +406,17 @@ let test_mod_switch_level_mismatch () =
     (Invalid_argument "Bgv.mod_switch: ciphertext must live one level above the target context")
     (fun () -> ignore (Bgv.mod_switch two_down ct))
 
+(* drop_level trims the parent's basis; the result must be the
+   context a fresh build at levels - 1 gives. *)
+let test_drop_level_matches_fresh () =
+  let ctx = Lazy.force ctx_medium in
+  let small = Bgv.drop_level ctx in
+  let p = Bgv.params ctx in
+  let fresh = Bgv.make_ctx { p with Params.levels = p.Params.levels - 1 } in
+  checkb "params at levels - 1" true (Params.equal (Bgv.params small) (Bgv.params fresh));
+  checkb "basis equals a fresh basis at levels - 1" true
+    (Rns.equal (Bgv.basis small) (Bgv.basis fresh))
+
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -506,6 +518,8 @@ let () =
           Alcotest.test_case "noise reduction" `Quick test_mod_switch_reduces_relative_noise;
           Alcotest.test_case "leveled ladder" `Quick test_mod_switch_ladder;
           Alcotest.test_case "level mismatch rejected" `Quick test_mod_switch_level_mismatch;
+          Alcotest.test_case "drop_level matches a fresh context" `Quick
+            test_drop_level_matches_fresh;
         ] );
       ( "serialization",
         [

@@ -15,7 +15,6 @@ module Corpus = Mycelium_query.Corpus
 module Ast = Mycelium_query.Ast
 module Params = Mycelium_bgv.Params
 module Bgv = Mycelium_bgv.Bgv
-module Ring_backend = Mycelium_math.Ring_backend
 module Committee = Mycelium_core.Committee
 module Runtime = Mycelium_core.Runtime
 module Sim = Mycelium_mixnet.Sim
@@ -509,27 +508,7 @@ let test_parallel_domains_identical () =
         true
         (Injector.report_equal rep rep1);
       checkb (Printf.sprintf "DP noise identical at %d domains" d) true (noisy = noisy1))
-    [ 2; 8 ];
-  (* The ring-kernel backend is a pure performance knob: pinning either
-     backend, at 1 or 8 domains, must still release the exact bytes the
-     default produced. *)
-  List.iter
-    (fun backend ->
-      List.iter
-        (fun d ->
-          let bins, rep, noisy = Ring_backend.with_backend backend (fun () -> run d) in
-          checkb
-            (Printf.sprintf "exact bins identical on %s at %d domains" backend d)
-            true (bins = bins1);
-          checkb
-            (Printf.sprintf "degradation report identical on %s at %d domains" backend d)
-            true
-            (Injector.report_equal rep rep1);
-          checkb
-            (Printf.sprintf "DP noise identical on %s at %d domains" backend d)
-            true (noisy = noisy1))
-        [ 1; 8 ])
-    [ "reference"; "montgomery" ]
+    [ 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder under chaos                                         *)

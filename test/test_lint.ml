@@ -258,9 +258,9 @@ let test_ast_equal () =
   checkb "compare_field is reflexive" true (Ast.compare_field Ast.Age Ast.Age = 0)
 
 let test_rns_equal () =
-  let a = Rns.standard ~degree:64 ~prime_bits:20 ~levels:2 () in
-  let b = Rns.standard ~degree:64 ~prime_bits:20 ~levels:2 () in
-  let c = Rns.standard ~degree:64 ~prime_bits:20 ~levels:3 () in
+  let a = Rns.standard ~degree:64 ~prime_bits:20 ~levels:2 in
+  let b = Rns.standard ~degree:64 ~prime_bits:20 ~levels:2 in
+  let c = Rns.standard ~degree:64 ~prime_bits:20 ~levels:3 in
   checkb "same construction, equal bases" true (Rns.equal a b);
   checkb "level count differs" false (Rns.equal a c);
   checkb "drop_last c equals a" true (Rns.equal (Rns.drop_last c) a);

@@ -505,7 +505,7 @@ let test_bigint_num_bits () =
 (* Rns / Rq                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let small_basis = lazy (Rns.standard ~degree:64 ~prime_bits:28 ~levels:4 ())
+let small_basis = lazy (Rns.standard ~degree:64 ~prime_bits:28 ~levels:4)
 
 let test_rns_modulus () =
   let b = Lazy.force small_basis in
@@ -562,7 +562,7 @@ let test_rns_drop_last () =
   let fresh =
     Rns.make
       ~primes:(Array.to_list (Array.sub (Rns.primes b) 0 (Rns.level_count b')))
-      ~degree:(Rns.degree b) ()
+      ~degree:(Rns.degree b)
   in
   check bigint_testable "modulus matches a fresh basis" (Rns.modulus fresh) (Rns.modulus b');
   let rng = Rng.create 321L in

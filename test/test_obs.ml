@@ -18,7 +18,6 @@ module Fault_plan = Mycelium_faults.Fault_plan
 module Injector = Mycelium_faults.Injector
 module Pool = Mycelium_parallel.Pool
 module Obs = Mycelium_obs.Obs
-module Ring_backend = Mycelium_math.Ring_backend
 module Json = Mycelium_obs.Obs.Json
 
 let checkb = Alcotest.(check bool)
@@ -118,6 +117,47 @@ let test_json_to_channel () =
   close_in ic;
   Sys.remove path;
   checkb "to_channel matches to_string" true (String.equal s (Json.to_string sample_json))
+
+(* A finite float comes back bit for bit, whatever its scale; JSON has
+   no infinity or NaN, so those are written null. *)
+let test_json_float_roundtrip () =
+  let roundtrips f =
+    let s = Json.to_string (Json.Num f) in
+    match Json.parse s with
+    | Ok (Json.Num g) -> checkb (Printf.sprintf "%h written %s" f s) true (Float.equal f g)
+    | Ok _ | Error _ -> Alcotest.failf "%h written %s does not parse back as a number" f s
+  in
+  List.iter roundtrips
+    [
+      1. /. 3.;
+      1e-7;
+      0.1;
+      1e300;
+      -2.5e-300;
+      0.47619057619047617;
+      1234567890123456.;
+      123456789012345.67;
+      4503599627370495.5;
+      1e17;
+      Float.max_float;
+      Float.min_float;
+    ];
+  (* Finite doubles from random bit patterns, every exponent range. *)
+  let rng = Rng.create 7L in
+  for _ = 1 to 10_000 do
+    let f = Int64.float_of_bits (Rng.int64 rng) in
+    if Float.is_finite f then roundtrips f
+  done;
+  checkb "integers keep their short form" true
+    (String.equal (Json.to_string (Json.Num 2.)) "2.0");
+  List.iter
+    (fun f ->
+      checkb (Printf.sprintf "%h written null" f) true
+        (String.equal (Json.to_string (Json.Num f)) "null"))
+    [ infinity; neg_infinity; nan ];
+  checkb "non-finite values parse back as null" true
+    (Json.parse (Json.to_string (Json.List [ Json.Num infinity; Json.Num nan ]))
+    = Ok (Json.List [ Json.Null; Json.Null ]))
 
 (* ------------------------------------------------------------------ *)
 (* Histogram bucket math                                               *)
@@ -482,20 +522,7 @@ let test_identical_on_off () =
       Obs.disable ();
       checkb (Printf.sprintf "identical at %d domains (traced)" d) true
         (same_release base r))
-    [ 1; 2; 8 ];
-  (* Sweep the ring-backend switch too: trace on, either backend, must
-     release the same bytes as the untraced default-backend baseline. *)
-  List.iter
-    (fun backend ->
-      Obs.reset ();
-      let r =
-        Ring_backend.with_backend backend (fun () ->
-            Pool.with_domains 8 (fun () -> run_q ~trace:true ()))
-      in
-      Obs.disable ();
-      checkb (Printf.sprintf "identical on %s backend (traced, 8 domains)" backend) true
-        (same_release base r))
-    [ "reference"; "montgomery" ]
+    [ 1; 2; 8 ]
 
 let test_exported_trace () =
   Obs.disable ();
@@ -551,6 +578,9 @@ let test_ledger_exact_totals () =
     (Result.is_ok (Runtime.run_query ~epsilon:infinity sys q));
   checkb "second charged query ok" true
     (Result.is_ok (Runtime.run_query ~epsilon:0.75 sys q));
+  (* An epsilon with no short decimal form must still re-sum exactly. *)
+  checkb "third charged query ok" true
+    (Result.is_ok (Runtime.run_query ~epsilon:(1. /. 3.) sys q));
   (* Q1 is infeasible under test_small parameters: an errored query
      that still lands in the ledger. *)
   (match Runtime.run_query ~epsilon:0.25 sys (Corpus.find "Q1").Corpus.sql with
@@ -571,9 +601,9 @@ let test_ledger_exact_totals () =
     | Error e -> Alcotest.failf "ledger does not re-parse: %s" e
   in
   Sys.remove path;
-  checki "one record per executed query" 5 (List.length records);
+  checki "one record per executed query" 6 (List.length records);
   let s = Obs.Ledger.summarize records in
-  checki "ok queries" 3 s.Obs.Ledger.ok;
+  checki "ok queries" 4 s.Obs.Ledger.ok;
   checki "rejected queries" 1 s.Obs.Ledger.rejected;
   checki "errored queries" 1 s.Obs.Ledger.errored;
   checki "uncharged (infinite-epsilon) queries" 1 s.Obs.Ledger.uncharged;
@@ -594,7 +624,47 @@ let test_ledger_exact_totals () =
   checkb "by_name covers each query name" true
     (List.length s.Obs.Ledger.by_name >= 1);
   let total_runs = List.fold_left (fun a (_, n, _) -> a + n) 0 s.Obs.Ledger.by_name in
-  checki "by_name runs sum to the record count" 5 total_runs
+  checki "by_name runs sum to the record count" 6 total_runs
+
+(* The reader refuses a row summarize could not trust, naming its
+   line: each bad row below sits at its own line of an otherwise valid
+   ledger. *)
+let test_ledger_rejects_bad_rows () =
+  let charged eps =
+    Printf.sprintf {|{"schema":"mycelium-ledger/1","status":"ok","charged":true,"epsilon":%s}|} eps
+  in
+  let uncharged = {|{"schema":"mycelium-ledger/1","status":"ok","charged":false,"epsilon":null}|} in
+  let read_lines lines =
+    let path = Filename.temp_file "obs_ledger" ".jsonl" in
+    let oc = open_out_bin path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    let r = Obs.Ledger.read path in
+    Sys.remove path;
+    r
+  in
+  (match read_lines [ charged "0.5"; uncharged ] with
+  | Ok rows ->
+    checkb "valid ledger sums" true
+      ((Obs.Ledger.summarize rows).Obs.Ledger.epsilon_spent = 0.5)
+  | Error e -> Alcotest.failf "valid ledger refused: %s" e);
+  let needs_eps = "charged row needs a finite epsilon > 0" in
+  let not_ours = "not a mycelium-ledger/1 row" in
+  List.iteri
+    (fun k (bad, reason) ->
+      (* k + 1 valid rows before the bad one, one after. *)
+      let lines = List.init (k + 1) (fun _ -> charged "0.5") @ [ bad; uncharged ] in
+      let expected = Printf.sprintf "line %d: %s" (k + 2) reason in
+      match read_lines lines with
+      | Ok _ -> Alcotest.failf "accepted %s" bad
+      | Error e -> Alcotest.(check string) bad expected e)
+    [
+      (charged {|"x"|}, needs_eps);
+      (charged "-5", needs_eps);
+      ("[1,2,3]", not_ours);
+      (charged "0", needs_eps);
+      ({|{"status":"ok","charged":true,"epsilon":0.5}|}, not_ours);
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -607,6 +677,7 @@ let () =
           Alcotest.test_case "unicode escapes and NUL" `Quick test_json_escapes;
           Alcotest.test_case "depth limit" `Quick test_json_depth_limit;
           Alcotest.test_case "streaming writer" `Quick test_json_to_channel;
+          Alcotest.test_case "floats round-trip exactly" `Quick test_json_float_roundtrip;
         ] );
       ( "metrics",
         [
@@ -642,5 +713,7 @@ let () =
       ( "ledger",
         [
           Alcotest.test_case "exact budget accounting" `Slow test_ledger_exact_totals;
+          Alcotest.test_case "malformed rows rejected by line" `Quick
+            test_ledger_rejects_bad_rows;
         ] );
     ]

@@ -1,17 +1,18 @@
-(* Cross-checks for the evaluation-domain (double-CRT) ring backend:
-   Eval-resident multiplication against the coefficient-domain NTT path
-   and the schoolbook oracle, Shoup-vs-mod multiplier equivalence, the
-   copy-free forward_into/inverse_into kernels, and representation
-   round-trips at the BGV layer.  Seeded throughout; the @ringops alias
-   runs this binary plainly and under MYCELIUM_DOMAINS=8, so every
-   check also exercises the per-limb pool dispatch. *)
+(* Cross-checks for the ring kernels and the evaluation-domain
+   (double-CRT) ring layer: the Montgomery kernels that Rq runs
+   against the Shoup kernels of Ntt, which are the reference, and both
+   against the schoolbook oracle; Shoup-vs-mod multiplier equivalence;
+   the Montgomery KATs; the copy-free forward_into/inverse_into
+   kernels; and representation round-trips and pinned pipeline bytes
+   at the BGV layer.  Seeded throughout; the @ringops alias runs this
+   binary plainly and under MYCELIUM_DOMAINS=8, so every check also
+   exercises the per-limb pool dispatch. *)
 
 module Rng = Mycelium_util.Rng
 module Modarith = Mycelium_math.Modarith
 module Montarith = Mycelium_math.Montarith
 module Ntt = Mycelium_math.Ntt
 module Mont_backend = Mycelium_math.Mont_backend
-module Ring_backend = Mycelium_math.Ring_backend
 module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
 module Bgv = Mycelium_bgv.Bgv
@@ -22,7 +23,7 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 (* A 3-prime basis: every property below is checked per limb. *)
-let basis = lazy (Rns.standard ~degree:256 ~prime_bits:30 ~levels:3 ())
+let basis = lazy (Rns.standard ~degree:256 ~prime_bits:30 ~levels:3)
 
 let random_rows rng basis =
   let n = Rns.degree basis in
@@ -34,7 +35,7 @@ let test_eval_mul_cross_check () =
   let b = Lazy.force basis in
   let rng = Rng.create 41L in
   let primes = Rns.primes b in
-  let plans = Rns.plans b in
+  let plans = Array.map (fun p -> Ntt.make_plan ~p ~degree:(Rns.degree b)) primes in
   for _ = 1 to 8 do
     let rows_a = random_rows rng b and rows_b = random_rows rng b in
     let x = Rq.of_residues b rows_a and y = Rq.of_residues b rows_b in
@@ -46,7 +47,7 @@ let test_eval_mul_cross_check () =
     let prod_rows = Rq.residues prod in
     Array.iteri
       (fun j plan ->
-        let expected = Ring_backend.multiply plan rows_a.(j) rows_b.(j) in
+        let expected = Ntt.multiply plan rows_a.(j) rows_b.(j) in
         let naive = Ntt.multiply_naive ~p:primes.(j) rows_a.(j) rows_b.(j) in
         checkb "coefficient-domain NTT = schoolbook" true (expected = naive);
         checkb "eval-domain mul = coefficient-domain mul" true (prod_rows.(j) = expected))
@@ -54,7 +55,7 @@ let test_eval_mul_cross_check () =
   done
 
 (* Shoup precomputed-quotient multiplication agrees with "* w mod p"
-   for every modulus find_primes can hand the ring backend at the
+   for every modulus find_primes can hand the ring kernels at the
    30-bit operating point, including boundary operands. *)
 let test_shoup_vs_mod () =
   let primes = Ntt.find_primes ~degree:1024 ~bits:30 ~count:10 in
@@ -200,6 +201,34 @@ let test_bgv_representation () =
   let pt2 = Bgv.decrypt ctx sk prod in
   checkb "decrypt independent of resident domain" true
     (Plaintext.coeffs pt = Plaintext.coeffs pt2)
+
+(* BGV end-to-end bytes are pinned: with a fixed rng seed the
+   keygen/encrypt/mul/relinearize pipeline must serialize to the
+   digests below, which both the Shoup (Ntt) and the Montgomery kernels
+   produced when either could run Rq, so the wire format cannot see
+   the kernel.  The bytes also deserialize and decrypt under a context
+   built separately. *)
+let test_bgv_bytes_pinned () =
+  let ctx = Bgv.make_ctx Params.test_small in
+  let rng = Rng.create 50L in
+  let sk, pk = Bgv.keygen ctx rng in
+  let rk = Bgv.relin_keygen ctx rng sk ~max_degree:2 in
+  let a = Bgv.encrypt_value ctx rng pk 3 in
+  let b = Bgv.encrypt_value ctx rng pk 5 in
+  let prod = Bgv.relinearize ctx rk (Bgv.mul a b) in
+  let hex bytes = Digest.to_hex (Digest.bytes bytes) in
+  Alcotest.(check string) "fresh ciphertext bytes" "23677a911acfd1d613fa37c9fbc59926"
+    (hex (Bgv.serialize a));
+  Alcotest.(check string) "relinearized ciphertext bytes" "45b1e70331e7b26ba3d834c16505fd95"
+    (hex (Bgv.serialize prod));
+  let pt = Bgv.decrypt ctx sk prod in
+  checki "x^3 * x^5 decrypts to x^8" 1 (Plaintext.coeff pt 8);
+  let ctx' = Bgv.make_ctx Params.test_small in
+  match Bgv.deserialize ctx' (Bgv.serialize prod) with
+  | None -> Alcotest.fail "deserialize rejected serialized ciphertext"
+  | Some ct ->
+    checkb "decrypt under a second context" true
+      (Plaintext.coeffs (Bgv.decrypt ctx' sk ct) = Plaintext.coeffs pt)
 
 (* --- Montgomery KATs (SNIPPETS.md №3 shape) -------------------------
 
@@ -359,145 +388,116 @@ let test_montgomery_kat () =
           ignore (Montarith.mul c p 1)))
     montgomery_kats
 
-(* --- Cross-backend differential suite -------------------------------
+(* --- Differential suite: Montgomery kernels vs the Ntt reference ----
 
    Seeded random polynomials for every find_primes 30-bit modulus at
-   N in {1024, 8192, 32768} must transform and multiply identically on
-   the Reference and Montgomery backends.  The @ringops alias runs
-   this binary plainly, under MYCELIUM_DOMAINS=8 and under
-   MYCELIUM_RING_BACKEND=reference, so the per-limb pool dispatch and
-   the ambient-default paths are swept too. *)
+   N in {1024, 8192, 32768}: the Montgomery kernels must transform and
+   multiply exactly as Ntt's Shoup kernels do, plan by plan, and Rq's
+   mul and dot on a 3-limb basis must equal per-limb Ntt.multiply and
+   the sum of its products.  Each level and degree is its own cell, so
+   a failure names where the kernels diverged.  The @ringops alias runs
+   this binary plainly and under MYCELIUM_DOMAINS=8, so the Rq level is
+   swept under the per-limb pool dispatch too. *)
 
 let differential_profiles =
-  (* (degree, moduli to cover, Rq/Rns rounds).  All ten 30-bit moduli
-     at N=1024; transform cost bounds the counts at the larger sizes,
+  (* (degree, moduli to cover, Rq rounds).  All ten 30-bit moduli at
+     N=1024; transform cost bounds the counts at the larger sizes,
      with N=32768 — the paper's ring degree — covered by two moduli. *)
   [ (1024, 10, 3); (8192, 3, 2); (32768, 2, 1) ]
 
-let test_cross_backend_differential () =
+(* Plan level: forward / inverse / pointwise per modulus. *)
+let test_plan_differential ~degree ~count () =
+  let primes = Ntt.find_primes ~degree ~bits:30 ~count in
+  let rng = Rng.create (Int64.of_int (49 + degree)) in
   List.iter
-    (fun (degree, count, rq_rounds) ->
-      let primes = Ntt.find_primes ~degree ~bits:30 ~count in
-      let rng = Rng.create (Int64.of_int (49 + degree)) in
-      (* Plan-level: forward / inverse / pointwise per modulus. *)
-      List.iter
-        (fun p ->
-          let rp = Ring_backend.Reference.make_plan ~p ~degree in
-          let mp = Ring_backend.Montgomery.make_plan ~p ~degree in
-          checkb "reference plan tagged" true (rp.Ring_backend.backend = "reference");
-          checkb "montgomery plan tagged" true (mp.Ring_backend.backend = "montgomery");
-          let a = Array.init degree (fun _ -> Rng.int rng p) in
-          let b = Array.init degree (fun _ -> Rng.int rng p) in
-          let fa_r = Array.make degree 0 and fa_m = Array.make degree 0 in
-          Ring_backend.forward_into rp ~src:a ~dst:fa_r;
-          Ring_backend.forward_into mp ~src:a ~dst:fa_m;
-          checkb "forward identical" true (fa_r = fa_m);
-          let fb = Array.copy b in
-          Ring_backend.forward mp fb;
-          let pw_r = Ring_backend.pointwise rp fa_r fb in
-          let pw_m = Ring_backend.pointwise mp fa_m fb in
-          checkb "pointwise identical" true (pw_r = pw_m);
-          let acc_r = Array.init degree (fun i -> i mod p) in
-          let acc_m = Array.copy acc_r in
-          Ring_backend.pointwise_acc rp ~acc:acc_r fa_r fb;
-          Ring_backend.pointwise_acc mp ~acc:acc_m fa_m fb;
-          checkb "pointwise_acc identical" true (acc_r = acc_m);
-          let ia_r = Array.make degree 0 and ia_m = Array.make degree 0 in
-          Ring_backend.inverse_into rp ~src:pw_r ~dst:ia_r;
-          Ring_backend.inverse_into mp ~src:pw_m ~dst:ia_m;
-          checkb "inverse identical" true (ia_r = ia_m);
-          let rt = Array.copy a in
-          Ring_backend.forward mp rt;
-          Ring_backend.inverse mp rt;
-          checkb "montgomery roundtrip is identity" true (rt = a))
-        primes;
-      (* Rq level: mul and dot on bases pinned to each backend must
-         produce identical residue rows. *)
-      let levels = min count 3 in
-      let primes = Ntt.find_primes ~degree ~bits:30 ~count:levels in
-      let b_ref = Rns.make ~backend:"reference" ~primes ~degree () in
-      let b_mont = Rns.make ~backend:"montgomery" ~primes ~degree () in
-      checkb "bases equal across backends" true (Rns.equal b_ref b_mont);
-      checkb "reference basis tagged" true (Rns.backend_name b_ref = "reference");
-      checkb "montgomery basis tagged" true (Rns.backend_name b_mont = "montgomery");
-      let random_rows rng =
-        Array.map (fun p -> Array.init degree (fun _ -> Rng.int rng p)) (Array.of_list primes)
-      in
-      for _ = 1 to rq_rounds do
-        let rows_x = random_rows rng and rows_y = random_rows rng in
-        let on basis =
-          let x = Rq.of_residues basis rows_x and y = Rq.of_residues basis rows_y in
-          let prod = Rq.mul x y in
-          Rq.force_coeff prod;
-          let d = Rq.dot [| x; y |] [| y; x |] in
-          Rq.force_coeff d;
-          (Rq.residues prod, Rq.residues d)
-        in
-        let prod_r, dot_r = on b_ref in
-        let prod_m, dot_m = on b_mont in
-        checkb "Rq.mul identical across backends" true (prod_r = prod_m);
-        checkb "Rq.dot identical across backends" true (dot_r = dot_m)
-      done)
+    (fun p ->
+      let rp = Ntt.make_plan ~p ~degree in
+      let mp = Mont_backend.make_plan ~p ~degree in
+      let a = Array.init degree (fun _ -> Rng.int rng p) in
+      let b = Array.init degree (fun _ -> Rng.int rng p) in
+      let fa_r = Array.make degree 0 and fa_m = Array.make degree 0 in
+      Ntt.forward_into rp ~src:a ~dst:fa_r;
+      Mont_backend.forward_into mp ~src:a ~dst:fa_m;
+      checkb "forward identical" true (fa_r = fa_m);
+      let fb = Array.copy b in
+      Mont_backend.forward mp fb;
+      let pw_r = Ntt.pointwise rp fa_r fb in
+      let pw_m = Array.make degree 0 in
+      Mont_backend.pointwise_into mp ~dst:pw_m fa_m fb;
+      checkb "pointwise identical" true (pw_r = pw_m);
+      let acc_r = Array.init degree (fun i -> i mod p) in
+      let acc_m = Array.copy acc_r in
+      Ntt.pointwise_acc rp ~acc:acc_r fa_r fb;
+      Mont_backend.pointwise_acc mp ~acc:acc_m fa_m fb;
+      checkb "pointwise_acc identical" true (acc_r = acc_m);
+      let ia_r = Array.make degree 0 and ia_m = Array.make degree 0 in
+      Ntt.inverse_into rp ~src:pw_r ~dst:ia_r;
+      Mont_backend.inverse_into mp ~src:pw_m ~dst:ia_m;
+      checkb "inverse identical" true (ia_r = ia_m);
+      let rt = Array.copy a in
+      Mont_backend.forward mp rt;
+      Mont_backend.inverse mp rt;
+      checkb "montgomery roundtrip is identity" true (rt = a))
+    primes
+
+(* Rq level: mul and dot on a 3-limb basis against per-limb
+   Ntt.multiply on the same rows. *)
+let test_rq_differential ~degree ~rounds () =
+  let rng = Rng.create (Int64.of_int (50 + degree)) in
+  let basis = Rns.standard ~degree ~prime_bits:30 ~levels:3 in
+  let plans = Array.map (fun p -> Ntt.make_plan ~p ~degree) (Rns.primes basis) in
+  for _ = 1 to rounds do
+    let rows_x = random_rows rng basis
+    and rows_y = random_rows rng basis
+    and rows_z = random_rows rng basis in
+    let x = Rq.of_residues basis rows_x
+    and y = Rq.of_residues basis rows_y
+    and z = Rq.of_residues basis rows_z in
+    let prod = Rq.mul x y in
+    Rq.force_coeff prod;
+    let d = Rq.dot [| x; y |] [| z; x |] in
+    Rq.force_coeff d;
+    Array.iteri
+      (fun j plan ->
+        let p = Ntt.modulus plan in
+        checkb "Rq.mul = per-limb Ntt.multiply" true
+          ((Rq.residues prod).(j) = Ntt.multiply plan rows_x.(j) rows_y.(j));
+        let xz = Ntt.multiply plan rows_x.(j) rows_z.(j)
+        and yx = Ntt.multiply plan rows_y.(j) rows_x.(j) in
+        checkb "Rq.dot = sum of per-limb Ntt.multiply" true
+          ((Rq.residues d).(j) = Array.map2 (Modarith.add p) xz yx))
+      plans
+  done
+
+let differential_cases =
+  List.concat_map
+    (fun (degree, count, rounds) ->
+      [
+        Alcotest.test_case (Printf.sprintf "plan level vs Ntt, N=%d" degree) `Quick
+          (test_plan_differential ~degree ~count);
+        Alcotest.test_case (Printf.sprintf "Rq level vs Ntt, N=%d" degree) `Quick
+          (test_rq_differential ~degree ~rounds);
+      ])
     differential_profiles
 
-(* BGV end-to-end: with a fixed rng seed, the entire
-   keygen/encrypt/mul/keyswitch/decrypt pipeline must produce
-   byte-identical ciphertexts and identical plaintexts on either
-   backend — the wire format cannot see the kernel choice. *)
-let test_bgv_backend_independent () =
-  let run backend =
-    let ctx = Bgv.make_ctx ~backend Params.test_small in
-    let rng = Rng.create 50L in
-    let sk, pk = Bgv.keygen ctx rng in
-    let rk = Bgv.relin_keygen ctx rng sk ~max_degree:2 in
-    let a = Bgv.encrypt_value ctx rng pk 3 in
-    let b = Bgv.encrypt_value ctx rng pk 5 in
-    let prod = Bgv.relinearize ctx rk (Bgv.mul a b) in
-    let pt = Bgv.decrypt ctx sk prod in
-    (Bgv.serialize a, Bgv.serialize prod, Plaintext.coeffs pt)
-  in
-  let ct_a_r, ct_p_r, pt_r = run "reference" in
-  let ct_a_m, ct_p_m, pt_m = run "montgomery" in
-  checkb "fresh ciphertext bytes identical" true (Bytes.equal ct_a_r ct_a_m);
-  checkb "relinearized ciphertext bytes identical" true (Bytes.equal ct_p_r ct_p_m);
-  checkb "plaintext identical" true (pt_r = pt_m);
-  (* Mixed-backend interop: a ciphertext serialized under one backend
-     deserializes and decrypts under the other. *)
-  let ctx_m = Bgv.make_ctx ~backend:"montgomery" Params.test_small in
-  let rng = Rng.create 50L in
-  let sk, _pk = Bgv.keygen ctx_m rng in
-  match Bgv.deserialize ctx_m ct_p_r with
-  | None -> Alcotest.fail "cross-backend deserialize rejected"
-  | Some ct ->
-    let pt = Bgv.decrypt ctx_m sk ct in
-    checkb "cross-backend decrypt" true (Plaintext.coeffs pt = pt_r)
-
-(* The with_backend override pins plans built inside the callback and
-   restores the ambient choice afterwards. *)
-let test_with_backend_override () =
-  let name_at ~p ~degree = (Ring_backend.make_plan ~p ~degree ()).Ring_backend.backend in
-  let p = List.hd (Ntt.find_primes ~degree:64 ~bits:30 ~count:1) in
-  let ambient = name_at ~p ~degree:64 in
-  Ring_backend.with_backend "reference" (fun () ->
-      checkb "override to reference" true (name_at ~p ~degree:64 = "reference");
-      Ring_backend.with_backend "montgomery" (fun () ->
-          checkb "nested override" true (name_at ~p ~degree:64 = "montgomery"));
-      checkb "inner override restored" true (name_at ~p ~degree:64 = "reference"));
-  checkb "ambient restored" true (name_at ~p ~degree:64 = ambient);
-  (* Unknown names fail loudly. *)
-  checkb "unknown backend rejected" true
-    (try
-       Ring_backend.with_backend "bogus" (fun () -> ());
-       false
-     with Invalid_argument _ -> true);
-  (* Montgomery refuses moduli at or above 2^30; selection falls back
-     to Reference rather than failing. *)
-  let p31 = List.hd (Ntt.find_primes ~degree:64 ~bits:31 ~count:1) in
-  checkb "31-bit modulus unavailable to montgomery" true
-    (not (Ring_backend.Montgomery.available ~p:p31 ~degree:64));
-  Ring_backend.with_backend "montgomery" (fun () ->
-      checkb "fallback to reference for wide modulus" true
-        (name_at ~p:p31 ~degree:64 = "reference"))
+(* Every limb runs on the Montgomery kernels, so a basis refuses a
+   modulus they cannot take: it must be odd and below 2^30. *)
+let test_rns_rejects_unsupported_modulus () =
+  let degree = 64 in
+  let p31 = List.hd (Ntt.find_primes ~degree ~bits:31 ~count:1) in
+  checkb "31-bit prime is at or above 2^30" true (p31 >= 1 lsl 30);
+  checkb "31-bit prime unavailable to montgomery" false (Mont_backend.available ~p:p31);
+  let refused = Invalid_argument "Mont_backend.make_plan: modulus must be odd and in (2, 2^30)" in
+  Alcotest.check_raises "31-bit prime refused" refused (fun () ->
+      ignore (Rns.make ~primes:[ p31 ] ~degree));
+  Alcotest.check_raises "even modulus refused" refused (fun () ->
+      ignore (Rns.make ~primes:[ 1 lsl 20 ] ~degree));
+  (* One unsupported limb spoils the whole basis. *)
+  let p30 = List.hd (Ntt.find_primes ~degree ~bits:30 ~count:1) in
+  Alcotest.check_raises "mixed basis refused" refused (fun () ->
+      ignore (Rns.make ~primes:[ p30; p31 ] ~degree));
+  checkb "30-bit basis runs on montgomery" true
+    (String.equal (Rns.backend_name (Rns.make ~primes:[ p30 ] ~degree)) "montgomery")
 
 let () =
   Alcotest.run "mycelium-ringops"
@@ -517,15 +517,15 @@ let () =
           Alcotest.test_case "linear ops domain-agnostic" `Quick
             test_linear_ops_domain_agnostic;
         ] );
-      ( "backends",
-        [
-          Alcotest.test_case "cross-backend differential, N in {1024, 8192, 32768}" `Quick
-            test_cross_backend_differential;
-          Alcotest.test_case "with_backend override + fallback" `Quick
-            test_with_backend_override;
-          Alcotest.test_case "BGV pipeline backend-independent" `Quick
-            test_bgv_backend_independent;
-        ] );
+      ( "montgomery",
+        differential_cases
+        @ [
+            Alcotest.test_case "Rns.make rejects unsupported moduli" `Quick
+              test_rns_rejects_unsupported_modulus;
+          ] );
       ( "bgv",
-        [ Alcotest.test_case "representation end-to-end" `Quick test_bgv_representation ] );
+        [
+          Alcotest.test_case "representation end-to-end" `Quick test_bgv_representation;
+          Alcotest.test_case "pipeline bytes pinned" `Quick test_bgv_bytes_pinned;
+        ] );
     ]

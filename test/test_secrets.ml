@@ -103,7 +103,7 @@ let test_shamir_linearity () =
   checki "sum of shares shares the sum" (a + b)
     (Shamir.reconstruct ~p:field [ sum.(0); sum.(2); sum.(4) ])
 
-let small_basis = lazy (Rns.standard ~degree:32 ~prime_bits:28 ~levels:3 ())
+let small_basis = lazy (Rns.standard ~degree:32 ~prime_bits:28 ~levels:3)
 
 let test_shamir_rq_roundtrip () =
   let basis = Lazy.force small_basis in
