@@ -29,6 +29,8 @@ module Bgv = Mycelium_bgv.Bgv
 module Ntt = Mycelium_math.Ntt
 module Sha256 = Mycelium_crypto.Sha256
 module Chacha20 = Mycelium_crypto.Chacha20
+module Poly1305 = Mycelium_crypto.Poly1305
+module Aead = Mycelium_crypto.Aead
 module Elgamal = Mycelium_crypto.Elgamal
 module Merkle = Mycelium_crypto.Merkle
 module Onion = Mycelium_mixnet.Onion
@@ -985,6 +987,8 @@ let micro_tests () =
     Test.make ~name:"fig5/chacha20-4k"
       (Staged.stage (fun () ->
            ignore (Chacha20.encrypt ~key:key32 ~nonce:(Chacha20.nonce_of_round 1) msg_4k)));
+    Test.make ~name:"fig5/poly1305-4k" (Staged.stage (fun () -> ignore (Poly1305.mac ~key:key32 msg_4k)));
+    Test.make ~name:"fig5/aead-seal-4k" (Staged.stage (fun () -> ignore (Aead.seal ~key:key32 ~round:1 msg_4k)));
     Test.make ~name:"fig5/onion-wrap-3hops"
       (Staged.stage (fun () -> ignore (Onion.wrap ~hop_keys ~round:1 msg_4k)));
     Test.make ~name:"fig5d/elgamal-encrypt" (Staged.stage (fun () -> ignore (Elgamal.encrypt rng eg_pk key32)));

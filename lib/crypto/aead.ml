@@ -1,41 +1,41 @@
 let key_size = 32
 let overhead = Poly1305.tag_size
 
-let pad16 buf len = Buffer.add_bytes buf (Bytes.make ((16 - (len mod 16)) mod 16) '\x00')
-
-let le64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
-
-let poly_input ~aad ~ct =
-  let buf = Buffer.create (Bytes.length aad + Bytes.length ct + 48) in
-  Buffer.add_bytes buf aad;
-  pad16 buf (Bytes.length aad);
-  Buffer.add_bytes buf ct;
-  pad16 buf (Bytes.length ct);
-  le64 buf (Bytes.length aad);
-  le64 buf (Bytes.length ct);
-  Buffer.to_bytes buf
-
 let one_time_key ~key ~nonce = Bytes.sub (Chacha20.block ~key ~nonce ~counter:0) 0 32
 
+(* The RFC 8439 §2.8 tag over aad ‖ pad16 ‖ ct ‖ pad16 ‖ le64 lengths,
+   with the ciphertext read in place from [buf]. *)
+let tag ~key ~nonce ~aad buf ct_len =
+  let lengths = Bytes.create 16 in
+  Bytes.set_int64_le lengths 0 (Int64.of_int (Bytes.length aad));
+  Bytes.set_int64_le lengths 8 (Int64.of_int ct_len);
+  Poly1305.mac_padded ~key:(one_time_key ~key ~nonce)
+    [ (aad, 0, Bytes.length aad); (buf, 0, ct_len); (lengths, 0, 16) ]
+
 let seal_nonce ~key ~nonce ?(aad = Bytes.empty) msg =
-  let ct = Chacha20.encrypt ~key ~nonce ~counter:1 msg in
-  let otk = one_time_key ~key ~nonce in
-  let tag = Poly1305.mac ~key:otk (poly_input ~aad ~ct) in
-  Bytes.cat ct tag
+  let len = Bytes.length msg in
+  let out = Bytes.create (len + overhead) in
+  Chacha20.xor_into ~key ~nonce ~counter:1 ~src:msg ~src_pos:0 ~dst:out ~dst_pos:0 len;
+  Bytes.blit (tag ~key ~nonce ~aad out len) 0 out len overhead;
+  out
 
 let open_nonce ~key ~nonce ?(aad = Bytes.empty) data =
-  let len = Bytes.length data in
-  if len < overhead then None
+  let len = Bytes.length data - overhead in
+  if len < 0 then None
   else begin
-    let ct = Bytes.sub data 0 (len - overhead) in
-    let tag = Bytes.sub data (len - overhead) overhead in
-    let otk = one_time_key ~key ~nonce in
-    if Poly1305.verify ~key:otk ~tag (poly_input ~aad ~ct) then
-      Some (Chacha20.encrypt ~key ~nonce ~counter:1 ct)
-    else None
+    let expected = tag ~key ~nonce ~aad data len in
+    (* Accumulate differences so timing does not depend on the first
+       mismatching byte. *)
+    let diff = ref 0 in
+    for i = 0 to overhead - 1 do
+      diff := !diff lor (Bytes.get_uint8 expected i lxor Bytes.get_uint8 data (len + i))
+    done;
+    if !diff <> 0 then None
+    else begin
+      let pt = Bytes.create len in
+      Chacha20.xor_into ~key ~nonce ~counter:1 ~src:data ~src_pos:0 ~dst:pt ~dst_pos:0 len;
+      Some pt
+    end
   end
 
 let seal ~key ~round ?aad msg = seal_nonce ~key ~nonce:(Chacha20.nonce_of_round round) ?aad msg

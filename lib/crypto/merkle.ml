@@ -67,24 +67,24 @@ let prove t index =
   done;
   { index; leaf_count = t.n_leaves; siblings = List.rev !siblings }
 
+(* The depth of a tree over [n] leaves, ceil(log2 n): the bit length
+   of n - 1. It halves rather than doubles, so a [leaf_count] near
+   max_int from an untrusted proof cannot overflow it. *)
+let depth_for n =
+  let rec go d v = if v = 0 then d else go (d + 1) (v lsr 1) in
+  go 0 (n - 1)
+
 let verify ~root:expected_root ~leaf proof =
   if proof.index < 0 || proof.index >= proof.leaf_count then false
+  else if List.length proof.siblings <> depth_for proof.leaf_count then false
   else begin
-    let padded = next_pow2 proof.leaf_count in
-    let expected_depth =
-      let rec go d v = if v = 1 then d else go (d + 1) (v / 2) in
-      go 0 padded
-    in
-    if List.length proof.siblings <> expected_depth then false
-    else begin
-      (* Recompute the root; bit i of the index dictates whether our
-         node is the left or right child at level i. *)
-      let h = ref (leaf_hash leaf) and pos = ref proof.index in
-      List.iter
-        (fun sibling ->
-          h := (if !pos land 1 = 0 then node_hash !h sibling else node_hash sibling !h);
-          pos := !pos / 2)
-        proof.siblings;
-      Bytes.equal !h expected_root
-    end
+    (* Recompute the root; bit i of the index dictates whether our
+       node is the left or right child at level i. *)
+    let h = ref (leaf_hash leaf) and pos = ref proof.index in
+    List.iter
+      (fun sibling ->
+        h := (if !pos land 1 = 0 then node_hash !h sibling else node_hash sibling !h);
+        pos := !pos / 2)
+      proof.siblings;
+    Bytes.equal !h expected_root
   end

@@ -53,6 +53,38 @@ let test_sha256_double_finalize () =
     (Invalid_argument "Sha256.finalize: context already finalized") (fun () ->
       ignore (Sha256.finalize ctx))
 
+let test_sha256_update_sub () =
+  (* Hash a sub-range in place, at unaligned offsets and across the
+     context's 64-byte block buffer. *)
+  let data = Bytes.init 300 (fun i -> Char.chr ((i * 37) land 0xFF)) in
+  for pos = 1 to 7 do
+    List.iter
+      (fun len ->
+        let ctx = Sha256.init () in
+        Sha256.update_sub ctx data ~pos ~len;
+        checkb
+          (Printf.sprintf "pos %d len %d" pos len)
+          true
+          (Bytes.equal (Sha256.finalize ctx) (Sha256.digest (Bytes.sub data pos len))))
+      [ 0; 1; 55; 56; 63; 64; 65; 128; 200 ]
+  done;
+  (* A 40-byte prefix leaves the buffer part full, so each sub-range
+     first tops it up, then runs whole blocks from the source. *)
+  List.iter
+    (fun (pos, len) ->
+      let ctx = Sha256.init () in
+      Sha256.update_sub ctx data ~pos:0 ~len:40;
+      Sha256.update_sub ctx data ~pos ~len;
+      checkb
+        (Printf.sprintf "after 40: pos %d len %d" pos len)
+        true
+        (Bytes.equal (Sha256.finalize ctx)
+           (Sha256.digest (Bytes.cat (Bytes.sub data 0 40) (Bytes.sub data pos len)))))
+    [ (3, 23); (3, 24); (5, 25); (1, 88); (7, 150); (2, 250) ];
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Sha256.update_sub: range out of bounds") (fun () ->
+      Sha256.update_sub (Sha256.init ()) data ~pos:299 ~len:2)
+
 let test_hmac_rfc4231 () =
   check_hex "case 1" "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
     (Sha256.hmac ~key:(Bytes.make 20 '\x0b') (Bytes.of_string "Hi There"));
@@ -166,6 +198,316 @@ let prop_aead_roundtrip =
       | None -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracles                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference kernels written straight from RFC 8439: Poly1305 over
+   arbitrary-precision integers (§2.5), ChaCha20 one byte at a time
+   with a fresh state per block, and the AEAD assembling mac_data as
+   one string (§2.8). The word kernels in lib/crypto must match them
+   byte for byte. *)
+module Oracle = struct
+  module Bigint = Mycelium_math.Bigint
+
+  let p = Bigint.sub (Bigint.shift_left Bigint.one 130) (Bigint.of_int 5)
+  let two_128 = Bigint.shift_left Bigint.one 128
+
+  let le_number b off len =
+    let acc = ref Bigint.zero in
+    for i = len - 1 downto 0 do
+      acc := Bigint.add_int (Bigint.shift_left !acc 8) (Bytes.get_uint8 b (off + i))
+    done;
+    !acc
+
+  (* A number below 2^128 as 16 little-endian bytes. *)
+  let to_le16 n =
+    let be = Bigint.to_bytes_be n in
+    let nb = Bytes.length be in
+    Bytes.init 16 (fun i -> if i < nb then Bytes.get be (nb - 1 - i) else '\x00')
+
+  let clamp_r key =
+    let r = Bytes.sub key 0 16 in
+    List.iter (fun i -> Bytes.set_uint8 r i (Bytes.get_uint8 r i land 15)) [ 3; 7; 11; 15 ];
+    List.iter (fun i -> Bytes.set_uint8 r i (Bytes.get_uint8 r i land 252)) [ 4; 8; 12 ];
+    r
+
+  let poly1305 ~key msg =
+    let r = le_number (clamp_r key) 0 16 and s = le_number key 16 16 in
+    let len = Bytes.length msg in
+    let acc = ref Bigint.zero and off = ref 0 in
+    while !off < len do
+      let chunk = min 16 (len - !off) in
+      (* The block with the 2^(8·chunk) bit appended. *)
+      let n = Bigint.add (le_number msg !off chunk) (Bigint.shift_left Bigint.one (8 * chunk)) in
+      acc := Bigint.erem (Bigint.mul (Bigint.add !acc n) r) p;
+      off := !off + 16
+    done;
+    to_le16 (Bigint.erem (Bigint.add !acc s) two_128)
+
+  let mask = 0xFFFFFFFF
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+  let quarter_round st a b c d =
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 16;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 12;
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 8;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 7
+
+  let le32 b off =
+    Bytes.get_uint8 b off
+    lor (Bytes.get_uint8 b (off + 1) lsl 8)
+    lor (Bytes.get_uint8 b (off + 2) lsl 16)
+    lor (Bytes.get_uint8 b (off + 3) lsl 24)
+
+  let chacha20_block ~key ~nonce ~counter =
+    let st = Array.make 16 0 in
+    (* "expand 32-byte k" *)
+    st.(0) <- 0x61707865;
+    st.(1) <- 0x3320646e;
+    st.(2) <- 0x79622d32;
+    st.(3) <- 0x6b206574;
+    for i = 0 to 7 do
+      st.(4 + i) <- le32 key (4 * i)
+    done;
+    st.(12) <- counter land mask;
+    for i = 0 to 2 do
+      st.(13 + i) <- le32 nonce (4 * i)
+    done;
+    let work = Array.copy st in
+    for _ = 1 to 10 do
+      quarter_round work 0 4 8 12;
+      quarter_round work 1 5 9 13;
+      quarter_round work 2 6 10 14;
+      quarter_round work 3 7 11 15;
+      quarter_round work 0 5 10 15;
+      quarter_round work 1 6 11 12;
+      quarter_round work 2 7 8 13;
+      quarter_round work 3 4 9 14
+    done;
+    let out = Bytes.create 64 in
+    for i = 0 to 15 do
+      let v = (work.(i) + st.(i)) land mask in
+      for j = 0 to 3 do
+        Bytes.set_uint8 out ((4 * i) + j) ((v lsr (8 * j)) land 0xFF)
+      done
+    done;
+    out
+
+  let chacha20 ~key ~nonce ~counter data =
+    let len = Bytes.length data in
+    let out = Bytes.create len in
+    for b = 0 to ((len + 63) / 64) - 1 do
+      let ks = chacha20_block ~key ~nonce ~counter:(counter + b) in
+      for i = 0 to min 64 (len - (b * 64)) - 1 do
+        let j = (b * 64) + i in
+        Bytes.set_uint8 out j (Bytes.get_uint8 data j lxor Bytes.get_uint8 ks i)
+      done
+    done;
+    out
+
+  let aead_seal ~key ~nonce ~aad msg =
+    let ct = chacha20 ~key ~nonce ~counter:1 msg in
+    let otk = Bytes.sub (chacha20_block ~key ~nonce ~counter:0) 0 32 in
+    let pad n = Bytes.make ((16 - (n mod 16)) mod 16) '\x00' in
+    let le64 n =
+      let b = Bytes.create 8 in
+      Bytes.set_int64_le b 0 (Int64.of_int n);
+      b
+    in
+    let mac_data =
+      Bytes.concat Bytes.empty
+        [ aad; pad (Bytes.length aad); ct; pad (Bytes.length ct); le64 (Bytes.length aad);
+          le64 (Bytes.length ct) ]
+    in
+    Bytes.cat ct (poly1305 ~key:otk mac_data)
+end
+
+let check_bytes name expected actual = check_hex name (Hex.encode expected) actual
+
+let test_poly1305_differential () =
+  let rng = Rng.create 18L in
+  let against ~key msg =
+    check_bytes
+      (Printf.sprintf "%d bytes" (Bytes.length msg))
+      (Oracle.poly1305 ~key msg) (Poly1305.mac ~key msg)
+  in
+  for len = 0 to 64 do
+    against ~key:(Rng.bytes rng 32) (Rng.bytes rng len)
+  done;
+  for _ = 1 to 60 do
+    against ~key:(Rng.bytes rng 32) (Rng.bytes rng (Rng.int rng 20_001))
+  done;
+  (* All-0xFF blocks drive h toward p, into the final subtraction. *)
+  let ff n = Bytes.make n '\xff' in
+  List.iter
+    (fun len ->
+      against ~key:(ff 32) (ff len);
+      against ~key:(Rng.bytes rng 32) (ff len))
+    [ 0; 1; 15; 16; 17; 31; 32; 33; 64; 1000; 8448 ];
+  (* r all 0xFF before clamping: every limb at its clamp mask. *)
+  let r_ff = Bytes.cat (ff 16) (Rng.bytes rng 16) in
+  List.iter (fun len -> against ~key:r_ff (Rng.bytes rng len)) [ 1; 16; 100; 4096 ];
+  (* s = 2^128 - 1: the final addition carries out of 128 bits. *)
+  let s_ff = Bytes.cat (Rng.bytes rng 16) (ff 16) in
+  List.iter (fun len -> against ~key:s_ff (Rng.bytes rng len)) [ 0; 1; 16; 100; 4096 ];
+  Alcotest.check_raises "31-byte key" (Invalid_argument "Poly1305.mac: bad key size")
+    (fun () -> ignore (Poly1305.mac ~key:(Bytes.create 31) (Bytes.create 16)))
+
+(* Messages whose accumulator ends at t (mod p) for t = 0..5: the limbs
+   then hold p + t, and only the final subtraction of p makes the tag
+   (t + s) mod 2^128. Random and all-0xFF inputs reach that range with
+   negligible probability. Two blocks suffice: pick c1 at random and
+   solve c2 = t·r^-1 - c1·r (mod p), a valid block when it lies in
+   [2^128, 2^129). *)
+let test_poly1305_final_subtraction () =
+  let open Oracle in
+  let rng = Rng.create 23L in
+  let found = ref 0 in
+  while !found < 18 do
+    let t = !found mod 6 in
+    let key = Rng.bytes rng 32 and m1 = Rng.bytes rng 16 in
+    let r = le_number (clamp_r key) 0 16 in
+    let c1 = Bigint.add (le_number m1 0 16) two_128 in
+    let c2 =
+      Bigint.erem (Bigint.sub (Bigint.mul_int (Bigint.mod_inv r p) t) (Bigint.mul c1 r)) p
+    in
+    let m2 = Bigint.sub c2 two_128 in
+    if Bigint.sign m2 >= 0 && Bigint.compare m2 two_128 < 0 then begin
+      incr found;
+      let msg = Bytes.cat m1 (to_le16 m2) in
+      let expected = to_le16 (Bigint.erem (Bigint.add_int (le_number key 16 16) t) two_128) in
+      check_bytes "oracle" expected (poly1305 ~key msg);
+      check_bytes (Printf.sprintf "h = %d mod p" t) expected (Poly1305.mac ~key msg)
+    end
+  done
+
+let test_poly1305_mac_padded () =
+  let rng = Rng.create 19L in
+  for _ = 1 to 40 do
+    let key = Rng.bytes rng 32 in
+    let segments =
+      List.init (Rng.int rng 4) (fun _ ->
+          let len = Rng.int rng 70 and pos = Rng.int rng 9 in
+          (Rng.bytes rng (pos + len + Rng.int rng 5), pos, len))
+    in
+    let padded =
+      Bytes.concat Bytes.empty
+        (List.map
+           (fun (b, pos, len) ->
+             Bytes.cat (Bytes.sub b pos len) (Bytes.make ((16 - (len mod 16)) mod 16) '\x00'))
+           segments)
+    in
+    check_bytes "segments" (Oracle.poly1305 ~key padded) (Poly1305.mac_padded ~key segments)
+  done;
+  Alcotest.check_raises "31-byte key" (Invalid_argument "Poly1305.mac_padded: bad key size")
+    (fun () -> ignore (Poly1305.mac_padded ~key:(Bytes.create 31) []));
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Poly1305.mac_padded: range out of bounds") (fun () ->
+      ignore (Poly1305.mac_padded ~key:(Bytes.create 32) [ (Bytes.create 10, 4, 7) ]))
+
+let test_chacha20_differential () =
+  let rng = Rng.create 20L in
+  let nonce = Rng.bytes rng 12 in
+  let case ?(counter = 1) ~src_pos ~dst_pos len =
+    let key = Rng.bytes rng 32 in
+    let src = Rng.bytes rng (src_pos + len + 3) in
+    let dst = Rng.bytes rng (dst_pos + len + 3) in
+    let before = Bytes.copy dst in
+    Chacha20.xor_into ~key ~nonce ~counter ~src ~src_pos ~dst ~dst_pos len;
+    let name = Printf.sprintf "len %d src %d dst %d counter %#x" len src_pos dst_pos counter in
+    check_bytes name
+      (Oracle.chacha20 ~key ~nonce ~counter (Bytes.sub src src_pos len))
+      (Bytes.sub dst dst_pos len);
+    checkb (name ^ ": rest of dst untouched") true
+      (Bytes.equal (Bytes.sub dst 0 dst_pos) (Bytes.sub before 0 dst_pos)
+      && Bytes.equal (Bytes.sub dst (dst_pos + len) 3) (Bytes.sub before (dst_pos + len) 3))
+  in
+  (* Partial last blocks, and offsets that are not multiples of 8. *)
+  List.iter
+    (fun len -> case ~src_pos:0 ~dst_pos:0 len)
+    [ 0; 1; 7; 8; 63; 64; 65; 127; 128; 129; 1000; 8448 ];
+  List.iter
+    (fun (s, d) -> case ~src_pos:s ~dst_pos:d 200)
+    [ (1, 0); (0, 3); (5, 5); (7, 1); (3, 11) ];
+  (* The counter wraps at 2^32 inside a call. *)
+  case ~counter:0xFFFFFFFF ~src_pos:2 ~dst_pos:6 200;
+  case ~counter:0xFFFFFFFE ~src_pos:0 ~dst_pos:0 129;
+  (* In place: one buffer, one offset. *)
+  List.iter
+    (fun (pos, len) ->
+      let key = Rng.bytes rng 32 in
+      let buf = Rng.bytes rng (pos + len) in
+      let expected = Oracle.chacha20 ~key ~nonce ~counter:1 (Bytes.sub buf pos len) in
+      Chacha20.xor_into ~key ~nonce ~src:buf ~src_pos:pos ~dst:buf ~dst_pos:pos len;
+      check_bytes (Printf.sprintf "in place, len %d at %d" len pos) expected (Bytes.sub buf pos len))
+    [ (0, 64); (3, 100); (5, 8448) ];
+  for _ = 1 to 40 do
+    let key = Rng.bytes rng 32 and counter = Rng.int rng (1 lsl 32) in
+    let msg = Rng.bytes rng (Rng.int rng 3000) in
+    check_bytes "encrypt" (Oracle.chacha20 ~key ~nonce ~counter msg)
+      (Chacha20.encrypt ~key ~nonce ~counter msg);
+    check_bytes "block" (Oracle.chacha20_block ~key ~nonce ~counter)
+      (Chacha20.block ~key ~nonce ~counter)
+  done
+
+let test_chacha20_bounds () =
+  let key = Bytes.create 32 and nonce = Bytes.create 12 in
+  let b = Bytes.create 16 in
+  let out_of_range (src_pos, dst_pos, len) =
+    Alcotest.check_raises
+      (Printf.sprintf "src %d dst %d len %d" src_pos dst_pos len)
+      (Invalid_argument "Chacha20.xor_into: range out of bounds") (fun () ->
+        Chacha20.xor_into ~key ~nonce ~src:b ~src_pos ~dst:b ~dst_pos len)
+  in
+  List.iter out_of_range [ (-1, 0, 4); (0, -1, 4); (0, 0, -1); (13, 0, 4); (0, 13, 4); (0, 0, 17) ];
+  Alcotest.check_raises "bad key" (Invalid_argument "Chacha20: bad key size") (fun () ->
+      ignore (Chacha20.encrypt ~key:(Bytes.create 31) ~nonce b));
+  Alcotest.check_raises "bad nonce" (Invalid_argument "Chacha20: bad nonce size") (fun () ->
+      ignore (Chacha20.encrypt ~key ~nonce:(Bytes.create 8) b))
+
+let test_aead_differential () =
+  let rng = Rng.create 21L in
+  List.iter
+    (fun aad_len ->
+      List.iter
+        (fun len ->
+          let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
+          let aad = Rng.bytes rng aad_len and msg = Rng.bytes rng len in
+          let sealed = Aead.seal_nonce ~key ~nonce ~aad msg in
+          check_bytes
+            (Printf.sprintf "aad %d, msg %d" aad_len len)
+            (Oracle.aead_seal ~key ~nonce ~aad msg) sealed;
+          match Aead.open_nonce ~key ~nonce ~aad sealed with
+          | Some pt -> checkb "opens" true (Bytes.equal pt msg)
+          | None -> Alcotest.fail "AEAD open failed")
+        [ 0; 1; 15; 16; 17; 64; 100; 1000 ])
+    [ 0; 1; 13; 16 ];
+  checkb "shorter than a tag" true
+    (Aead.open_nonce ~key:(Bytes.create 32) ~nonce:(Bytes.create 12) (Bytes.create 15) = None)
+
+(* The serve-mixnet slot: an 8448-byte sealed body under a 13-byte AAD. *)
+let test_aead_slot_size () =
+  let rng = Rng.create 22L in
+  let key = Rng.bytes rng 32 and aad = Rng.bytes rng 13 in
+  let msg = Rng.bytes rng (8448 - Aead.overhead) in
+  let sealed = Aead.seal ~key ~round:11 ~aad msg in
+  checki "slot size" 8448 (Bytes.length sealed);
+  (match Aead.open_ ~key ~round:11 ~aad sealed with
+  | Some pt -> checkb "roundtrip" true (Bytes.equal pt msg)
+  | None -> Alcotest.fail "open failed");
+  List.iter
+    (fun (what, i) ->
+      let bad = Bytes.copy sealed in
+      Bytes.set_uint8 bad i (Bytes.get_uint8 bad i lxor 0x01);
+      checkb what true (Aead.open_ ~key ~round:11 ~aad bad = None))
+    [ ("first ciphertext byte", 0); ("last ciphertext byte", 8448 - Aead.overhead - 1);
+      ("tag", 8448 - 1) ]
+
+(* ------------------------------------------------------------------ *)
 (* Merkle                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -213,6 +555,18 @@ let test_merkle_tampered_sibling_rejected () =
     { proof with Merkle.siblings = List.map (fun _ -> Merkle.empty_hash) proof.Merkle.siblings }
   in
   checkb "sibling tamper" false (Merkle.verify ~root:(Merkle.root t) ~leaf:leaves.(7) forged)
+
+let test_merkle_huge_leaf_count_rejected () =
+  (* A forged leaf_count above 2^61 is rejected, and in bounded time:
+     doubling a power of two up to it would overflow. *)
+  let leaves = leaves_of_n 4 in
+  let t = Merkle.build leaves in
+  List.iter
+    (fun leaf_count ->
+      let forged = { (Merkle.prove t 0) with Merkle.leaf_count } in
+      checkb (Printf.sprintf "leaf_count %d" leaf_count) false
+        (Merkle.verify ~root:(Merkle.root t) ~leaf:leaves.(0) forged))
+    [ (1 lsl 61) + 1; max_int ]
 
 let test_merkle_root_depends_on_all_leaves () =
   let leaves = leaves_of_n 20 in
@@ -301,6 +655,7 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "double finalize" `Quick test_sha256_double_finalize;
+          Alcotest.test_case "update_sub" `Quick test_sha256_update_sub;
           Alcotest.test_case "HMAC RFC 4231" `Quick test_hmac_rfc4231;
           Alcotest.test_case "HKDF RFC 5869" `Quick test_hkdf_rfc5869;
         ] );
@@ -314,6 +669,13 @@ let () =
           Alcotest.test_case "AEAD RFC 8439" `Quick test_aead_rfc8439;
           Alcotest.test_case "AEAD tamper detection" `Quick test_aead_tamper_detection;
           prop_aead_roundtrip;
+          Alcotest.test_case "poly1305 vs oracle" `Quick test_poly1305_differential;
+          Alcotest.test_case "poly1305 final subtraction" `Quick test_poly1305_final_subtraction;
+          Alcotest.test_case "poly1305 mac_padded vs oracle" `Quick test_poly1305_mac_padded;
+          Alcotest.test_case "chacha20 vs oracle" `Quick test_chacha20_differential;
+          Alcotest.test_case "chacha20 bounds" `Quick test_chacha20_bounds;
+          Alcotest.test_case "AEAD vs oracle" `Quick test_aead_differential;
+          Alcotest.test_case "AEAD at the slot size" `Quick test_aead_slot_size;
         ] );
       ( "merkle",
         [
@@ -321,6 +683,7 @@ let () =
           Alcotest.test_case "wrong leaf rejected" `Quick test_merkle_wrong_leaf_rejected;
           Alcotest.test_case "wrong index rejected" `Quick test_merkle_wrong_index_rejected;
           Alcotest.test_case "tampered sibling rejected" `Quick test_merkle_tampered_sibling_rejected;
+          Alcotest.test_case "huge leaf_count rejected" `Quick test_merkle_huge_leaf_count_rejected;
           Alcotest.test_case "root depends on leaves" `Quick test_merkle_root_depends_on_all_leaves;
           Alcotest.test_case "depth" `Quick test_merkle_depth;
           prop_merkle_random;

@@ -234,6 +234,54 @@ let test_onion_wrong_round_fails () =
   let inner = Onion.seal_inner ~key:dst ~round:3 (Bytes.of_string "m") in
   checkb "wrong round rejected" true (Onion.open_inner ~key:dst ~round:4 inner = None)
 
+(* The in-place entry points the arena simulator runs, against the
+   allocating forms they stand in for. *)
+
+let test_onion_wrap_into () =
+  let rng = Rng.create 25L in
+  let keys = List.init 3 (fun _ -> Rng.bytes rng 32) in
+  let inner = Onion.seal_inner ~key:(Rng.bytes rng 32) ~round:9 (Rng.bytes rng 301) in
+  let len = Bytes.length inner in
+  (* A slot at an odd offset inside a larger arena; the bytes around it
+     must survive. *)
+  let arena = Rng.bytes rng (len + 40) in
+  let before = Bytes.copy arena in
+  Onion.wrap_into ~hop_keys:(Array.of_list keys) ~round:9 ~inner ~dst:arena ~dst_pos:13;
+  checkb "equals wrap" true
+    (Bytes.equal (Bytes.sub arena 13 len) (Onion.wrap ~hop_keys:keys ~round:9 inner));
+  checkb "prefix untouched" true (Bytes.equal (Bytes.sub arena 0 13) (Bytes.sub before 0 13));
+  checkb "suffix untouched" true
+    (Bytes.equal (Bytes.sub arena (13 + len) 27) (Bytes.sub before (13 + len) 27))
+
+let test_onion_peel_into_in_place () =
+  let rng = Rng.create 26L in
+  let key = Rng.bytes rng 32 in
+  List.iter
+    (fun (len, pos) ->
+      let arena = Rng.bytes rng (len + pos + 5) in
+      let expected = Onion.peel_layer ~key ~round:4 (Bytes.sub arena pos len) in
+      Onion.peel_into ~key ~round:4 ~src:arena ~src_pos:pos ~dst:arena ~dst_pos:pos len;
+      checkb
+        (Printf.sprintf "len %d at %d" len pos)
+        true
+        (Bytes.equal (Bytes.sub arena pos len) expected))
+    [ (0, 0); (1, 3); (63, 1); (64, 8); (65, 7); (200, 5); (8448, 11) ]
+
+let test_onion_dummy_into () =
+  let a = Rng.create 27L and b = Rng.create 27L in
+  List.iter
+    (fun length ->
+      let dst = Bytes.make (length + 9) '\x5a' in
+      Onion.dummy_into b ~dst ~dst_pos:4 ~length;
+      checkb
+        (Printf.sprintf "length %d" length)
+        true
+        (Bytes.equal (Bytes.sub dst 4 length) (Onion.dummy a ~length));
+      checkb "outside the slice untouched" true
+        (Bytes.equal (Bytes.sub dst 0 4) (Bytes.make 4 '\x5a')
+        && Bytes.equal (Bytes.sub dst (4 + length) 5) (Bytes.make 5 '\x5a')))
+    [ 0; 1; 7; 8; 100; 8448 ]
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -658,6 +706,9 @@ let () =
           Alcotest.test_case "length constant" `Quick test_onion_length_constant;
           Alcotest.test_case "dummies look right" `Quick test_onion_dummy_undetectable_shape;
           Alcotest.test_case "wrong round fails" `Quick test_onion_wrong_round_fails;
+          Alcotest.test_case "wrap_into equals wrap" `Quick test_onion_wrap_into;
+          Alcotest.test_case "peel_into in place" `Quick test_onion_peel_into_in_place;
+          Alcotest.test_case "dummy_into equals dummy" `Quick test_onion_dummy_into;
           prop_onion_roundtrip;
           prop_onion_partial_peel_garbles;
         ] );
