@@ -26,6 +26,8 @@ module Device_compute = Mycelium_costmodel.Device_compute
 module Rng = Mycelium_util.Rng
 module Params = Mycelium_bgv.Params
 module Bgv = Mycelium_bgv.Bgv
+module Plaintext = Mycelium_bgv.Plaintext
+module Zkp = Mycelium_zkp.Zkp
 module Ntt = Mycelium_math.Ntt
 module Sha256 = Mycelium_crypto.Sha256
 module Chacha20 = Mycelium_crypto.Chacha20
@@ -956,6 +958,19 @@ let micro_tests () =
   let ct_b = Bgv.encrypt_value ctx rng pk 2 in
   let prod = Bgv.mul ct_a ct_b in
   let rk = Bgv.relin_keygen ctx rng sk ~max_degree:2 in
+  (* A device's §4.6 proof over its encryption of x^3, and the
+     aggregator's check of it. *)
+  let srs = Zkp.setup rng in
+  let pt =
+    Plaintext.monomial ~plain_modulus:(Bgv.plain_modulus ctx)
+      ~degree:(Bgv.params ctx).Params.degree ~exponent:3
+  in
+  let ct_proven = Bgv.encrypt ctx (Rng.create 7L) pk pt in
+  let proof =
+    match Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed:7L ct_proven with
+    | Some proof -> proof
+    | None -> failwith "bench: honest contribution refused"
+  in
   (* NTT at N=1024 (the figure-scaling primitive), plus the schoolbook
      oracle as an ablation. *)
   let p = List.hd (Ntt.find_primes ~degree:1024 ~bits:28 ~count:1) in
@@ -980,6 +995,12 @@ let micro_tests () =
     Test.make ~name:"sec6_4/bgv-encrypt" (Staged.stage (fun () -> ignore (Bgv.encrypt_value ctx rng pk 3)));
     Test.make ~name:"sec6_4/bgv-mul" (Staged.stage (fun () -> ignore (Bgv.mul ct_a ct_b)));
     Test.make ~name:"sec6_4/bgv-relinearize" (Staged.stage (fun () -> ignore (Bgv.relinearize ctx rk prod)));
+    Test.make ~name:"sec6_4/zkp-prove-contribution"
+      (Staged.stage (fun () ->
+           ignore (Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed:7L ct_proven)));
+    Test.make ~name:"sec6_4/zkp-verify-contribution"
+      (Staged.stage (fun () -> ignore (Zkp.verify_contribution srs ctx ct_proven proof)));
+    Test.make ~name:"fig9b/bgv-serialize" (Staged.stage (fun () -> ignore (Bgv.serialize ct_a)));
     Test.make ~name:"ablation/ntt-mul-1024" (Staged.stage (fun () -> ignore (Ntt.multiply plan poly_a poly_b)));
     Test.make ~name:"ablation/naive-mul-256" (Staged.stage (fun () -> ignore (Ntt.multiply_naive ~p:p256 small_a small_b)));
     Test.make ~name:"ablation/ntt-mul-256" (Staged.stage (fun () -> ignore (Ntt.multiply small_plan small_a small_b)));

@@ -5,6 +5,7 @@ module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
 module Modarith = Mycelium_math.Modarith
 module Obs = Mycelium_obs.Obs
+module Sha256 = Mycelium_crypto.Sha256
 
 (* Scheme-level observability: op counters plus a sampled span on the
    homomorphic multiply (the dominant cost), one span per 64 calls.
@@ -81,7 +82,10 @@ let encrypt ctx rng pk pt =
   let t = ctx.p.Params.plain_modulus in
   let e1 = Rq.mul_scalar (Rq.sample_cbd ctx.basis ~eta rng) t in
   let e2 = Rq.mul_scalar (Rq.sample_cbd ctx.basis ~eta rng) t in
-  let c0 = Rq.add (Rq.add (Rq.mul pk.p0 u) e1) m in
+  (* t*e1 and m meet in the coefficient domain, so their sum is the one
+     forward transform c0 needs beyond u's (the transform is linear and
+     its outputs canonical, so the bytes equal transforming each). *)
+  let c0 = Rq.add (Rq.mul pk.p0 u) (Rq.add e1 m) in
   let c1 = Rq.add (Rq.mul pk.p1 u) e2 in
   { comps = [| c0; c1 |]; noise_bits = ctx.fresh_noise_bits }
 
@@ -426,38 +430,96 @@ let noise_budget ctx sk ct =
 
 (* --- serialization --------------------------------------------------- *)
 
-let ciphertext_bytes ctx ct = Params.ciphertext_bytes ctx.p ~degree:(degree ct)
+(* The wire form, in little-endian int32 fields: the component count,
+   then per component its representation tag (0 = Coeff, 1 = Eval), its
+   row count, and per row the row length followed by the residues.
+   Rows go out in whatever domain the component is resident in, so the
+   format costs no transform in either direction; the pipeline computes
+   representations deterministically, so the bytes (and the hashes and
+   comparisons over them) are deterministic too. *)
+let wire_length ~components ~levels ~degree = 4 + (components * (8 + (levels * (4 + (4 * degree)))))
 
-let serialize ct =
-  let buf = Buffer.create 4096 in
-  let add_i32 v =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int v);
-    Buffer.add_bytes buf b
+let ciphertext_bytes ctx ~degree =
+  wire_length ~components:(degree + 1) ~levels:(Rns.level_count ctx.basis)
+    ~degree:(Rns.degree ctx.basis)
+
+let repr_tag comp = match Rq.repr_of comp with Rq.Coeff -> 0 | Rq.Eval -> 1
+
+(* The one writer of the wire form.  It fills [buf] (a length that is a
+   multiple of 4) from the front and hands each full buffer, and the
+   final partial one, to [flush] with the number of bytes written. *)
+let write_wire ct buf flush =
+  let cap = Bytes.length buf in
+  let pos = ref 0 in
+  let put v =
+    if !pos = cap then begin
+      flush cap;
+      pos := 0
+    end;
+    Bytes.set_int32_le buf !pos (Int32.of_int v);
+    pos := !pos + 4
   in
-  add_i32 (Array.length ct.comps);
+  put (Array.length ct.comps);
   Array.iter
     (fun comp ->
-      (* Serialize rows in whatever domain the component is resident
-         in, tagged, so the wire format costs no transform in either
-         direction.  The pipeline computes representations
-         deterministically, so serialized bytes (and hence hashes and
-         transcript-proof comparisons) are deterministic too. *)
       let rows = Rq.residues comp in
-      add_i32 (match Rq.repr_of comp with Rq.Coeff -> 0 | Rq.Eval -> 1);
-      add_i32 (Array.length rows);
+      put (repr_tag comp);
+      put (Array.length rows);
       Array.iter
         (fun row ->
-          add_i32 (Array.length row);
-          Array.iter
-            (fun v ->
-              let b = Bytes.create 4 in
-              Bytes.set_int32_le b 0 (Int32.of_int v);
-              Buffer.add_bytes buf b)
-            row)
+          put (Array.length row);
+          let i = ref 0 in
+          while !i < Array.length row do
+            if !pos = cap then begin
+              flush cap;
+              pos := 0
+            end;
+            let take = min (Array.length row - !i) ((cap - !pos) / 4) in
+            for k = 0 to take - 1 do
+              Bytes.set_int32_le buf (!pos + (4 * k)) (Int32.of_int row.(!i + k))
+            done;
+            pos := !pos + (4 * take);
+            i := !i + take
+          done)
         rows)
     ct.comps;
-  Buffer.to_bytes buf
+  flush !pos
+
+let serialize ct =
+  let basis = Rq.basis_of ct.comps.(0) in
+  let buf =
+    Bytes.create
+      (wire_length ~components:(Array.length ct.comps) ~levels:(Rns.level_count basis)
+         ~degree:(Rns.degree basis))
+  in
+  write_wire ct buf ignore;
+  buf
+
+let hash_into h ct =
+  let chunk = Bytes.create 1024 in
+  write_wire ct chunk (fun len -> Sha256.update_sub h chunk ~pos:0 ~len)
+
+let rows_equal ra rb =
+  Int.equal (Array.length ra) (Array.length rb)
+  && begin
+    let same = ref true and i = ref 0 in
+    while !same && !i < Array.length ra do
+      same := Int.equal ra.(!i) rb.(!i);
+      incr i
+    done;
+    !same
+  end
+
+(* Residues are below 2^31, so equal int32 fields are equal ints. *)
+let wire_equal a b =
+  Int.equal (Array.length a.comps) (Array.length b.comps)
+  && Array.for_all2
+       (fun x y ->
+         Int.equal (repr_tag x) (repr_tag y)
+         &&
+         let rx = Rq.residues x and ry = Rq.residues y in
+         Int.equal (Array.length rx) (Array.length ry) && Array.for_all2 rows_equal rx ry)
+       a.comps b.comps
 
 let deserialize ctx data =
   let pos = ref 0 in

@@ -119,12 +119,26 @@ val noise_budget : ctx -> secret_key -> ciphertext -> int
 (** Exact remaining noise budget in bits, measured with the secret key:
     positive means decryption is correct. *)
 
-val ciphertext_bytes : ctx -> ciphertext -> int
-(** Serialized size under this context's parameters. *)
+val ciphertext_bytes : ctx -> degree:int -> int
+(** [Bytes.length (serialize ct)] for a ciphertext of this degree under
+    this context: 4 bytes per residue plus the tags and counts. The
+    paper's packed size is {!Params.ciphertext_bytes}. *)
 
 val serialize : ciphertext -> bytes
-(** Compact binary form (per-prime residue rows); used where the
-    simulation actually ships ciphertexts through the mixnet. *)
+(** The wire form: little-endian int32 fields, the component count,
+    then per component its representation tag (0 = Coeff, 1 = Eval) and
+    row count, and per row its length and one 4-byte field per residue.
+    Rows are written in the domain they are resident in. *)
+
+val hash_into : Mycelium_crypto.Sha256.ctx -> ciphertext -> unit
+(** [hash_into h ct] absorbs exactly [serialize ct] into [h], through a
+    small per-call chunk instead of a payload-sized buffer. *)
+
+val wire_equal : ciphertext -> ciphertext -> bool
+(** [wire_equal a b = Bytes.equal (serialize a) (serialize b)], compared
+    in place: component counts, representation tags, row counts, row
+    lengths and residues. Equal values resident in different domains
+    compare unequal; neither operand is converted. *)
 
 val deserialize : ctx -> bytes -> ciphertext option
 

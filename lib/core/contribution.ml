@@ -210,14 +210,10 @@ let of_bytes ctx data =
     Some { ciphertexts = cts; proofs }
   with Exit -> None
 
+(* to_bytes' framing: the count header, then one length-framed fresh
+   ciphertext and one length-framed 64-byte proof per sequence slot. *)
 let wire_size ctx info =
-  let p = Bgv.params ctx in
-  (* Mirror of Bgv.serialize: component count header, then per
-     component a representation tag and a row count, and per row a
-     length plus degree 4-byte residues; two components for a fresh
-     ciphertext. *)
-  let per_ct = 4 + (2 * (4 + 4 + (p.Params.levels * (4 + (p.Params.degree * 4))))) in
-  4 + (sequence_length info * ((4 + per_ct) + (4 + 64)))
+  4 + (sequence_length info * ((4 + Bgv.ciphertext_bytes ctx ~degree:1) + (4 + 64)))
 
 let verify srs ctx info t =
   Array.length t.ciphertexts = sequence_length info

@@ -10,13 +10,13 @@ type t = { levels : node array array; n_leaves : int }
 let leaf_hash ct =
   let ctx = Sha256.init () in
   Sha256.update ctx (Bytes.make 1 '\x00');
-  Sha256.update ctx (Bgv.serialize ct);
+  Bgv.hash_into ctx ct;
   Sha256.finalize ctx
 
 let node_hash sum left right =
   let ctx = Sha256.init () in
   Sha256.update ctx (Bytes.make 1 '\x01');
-  Sha256.update ctx (Bgv.serialize sum);
+  Bgv.hash_into ctx sum;
   Sha256.update ctx left;
   Sha256.update ctx right;
   Sha256.finalize ctx
@@ -41,8 +41,8 @@ let build leaves =
      evaluation domain (encrypt produces Eval ciphertexts and the wire
      format preserves the tag), and Bgv.add is domain-preserving, so
      the whole tree aggregates with zero transforms; hashes commit to
-     the tagged serialized bytes, which the deterministic pipeline
-     reproduces exactly on rebuild and audit. *)
+     the tagged wire form (streamed by Bgv.hash_into), which the
+     deterministic pipeline reproduces exactly on rebuild and audit. *)
   let pool = Pool.default () in
   let level0 =
     Obs.span "sumtree.level" ~attrs:[ ("level", Obs.Json.Int 0); ("width", Obs.Json.Int n) ]
@@ -147,6 +147,6 @@ let verify_audit my_ct ~root_hash:expected_hash ~root_sum:expected_sum ~leaf_cou
         path.steps;
       !ok
       && Bytes.equal !hash expected_hash
-      && Bytes.equal (Bgv.serialize !sum) (Bgv.serialize expected_sum)
+      && Bgv.wire_equal !sum expected_sum
     end
   end

@@ -43,41 +43,50 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
+(* The rounds keep 32-bit words in 63-bit ints without masking each
+   rotation: [(x lsr n) lor (x lsl (32 - n))] is right only in its low
+   32 bits, and the garbage above bit 31 only ever reaches additions
+   and xors whose low 32 bits are then kept.  So a value is masked once,
+   where it is stored (a schedule word, e, a and the state), and every
+   value shifted right is one of those stored, masked words. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Bytes.get_uint8 block j lsl 24)
-      lor (Bytes.get_uint8 block (j + 1) lsl 16)
-      lor (Bytes.get_uint8 block (j + 2) lsl 8)
-      lor Bytes.get_uint8 block (j + 3)
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let s0 = ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) in
+    let s1 = ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
+    let ev = !e and av = !a in
+    let s1 =
+      ((ev lsr 6) lor (ev lsl 26))
+      lxor ((ev lsr 11) lor (ev lsl 21))
+      lxor ((ev lsr 25) lor (ev lsl 7))
+    in
+    let ch = (ev land !f) lxor (lnot ev land !g) in
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 =
+      ((av lsr 2) lor (av lsl 30))
+      lxor ((av lsr 13) lor (av lsl 19))
+      lxor ((av lsr 22) lor (av lsl 10))
+    in
+    let maj = (av land (!b lor !c)) lor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := ev;
     e := (!d + temp1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask
+    b := av;
+    a := (temp1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;

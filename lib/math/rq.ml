@@ -80,6 +80,9 @@ let zero basis =
     st = { repr = Coeff; rows = Array.map (fun _ -> Array.make n 0) (Rns.primes basis) };
   }
 
+(* Samples and plaintext coefficients lie in [-p, p), where one
+   conditional add of p is the whole reduction; anything wider (a
+   plaintext modulus above the primes) takes the division. *)
 let of_centered_coeffs basis coeffs =
   let n = Rns.degree basis in
   if Array.length coeffs > n then invalid_arg "Rq.of_centered_coeffs: too many coefficients";
@@ -87,7 +90,11 @@ let of_centered_coeffs basis coeffs =
     Array.map
       (fun p ->
         let row = Array.make n 0 in
-        Array.iteri (fun i c -> row.(i) <- Modarith.reduce p c) coeffs;
+        for i = 0 to Array.length coeffs - 1 do
+          let c = coeffs.(i) in
+          row.(i) <-
+            (if c >= p || c < -p then Modarith.reduce p c else c + ((c asr 62) land p))
+        done;
         row)
       (Rns.primes basis)
   in
@@ -177,21 +184,38 @@ let align a b =
   end;
   (a.st, b.st)
 
-let map2 f a b =
+(* One pass per limb over a pair of rows, with the modular step
+   written out in the loop: a reduced sum lies in [0, 2p) and a reduced
+   difference in (-p, p), so one branch-free conditional correction
+   lands each in [0, p). *)
+let zip_rows row_op a b =
   if not (Rns.equal a.basis b.basis) then invalid_arg "Rq: basis mismatch";
   let sa, sb = align a b in
-  let primes = Rns.primes a.basis in
   let rows =
     pmapi ~min_degree:pointwise_par_degree a.basis
-      (fun j p ->
-        let ra = sa.rows.(j) and rb = sb.rows.(j) in
-        Array.init (Array.length ra) (fun i -> f p ra.(i) rb.(i)))
-      primes
+      (fun j p -> row_op p sa.rows.(j) sb.rows.(j))
+      (Rns.primes a.basis)
   in
   { basis = a.basis; st = { repr = sa.repr; rows } }
 
-let add a b = map2 Modarith.add a b
-let sub a b = map2 Modarith.sub a b
+let add_rows p ra rb =
+  let dst = Array.make (Array.length ra) 0 in
+  for i = 0 to Array.length ra - 1 do
+    let d = ra.(i) + rb.(i) - p in
+    dst.(i) <- d + ((d asr 62) land p)
+  done;
+  dst
+
+let sub_rows p ra rb =
+  let dst = Array.make (Array.length ra) 0 in
+  for i = 0 to Array.length ra - 1 do
+    let d = ra.(i) - rb.(i) in
+    dst.(i) <- d + ((d asr 62) land p)
+  done;
+  dst
+
+let add a b = zip_rows add_rows a b
+let sub a b = zip_rows sub_rows a b
 
 let neg a =
   let sa = a.st in
@@ -269,31 +293,33 @@ let dot a b =
       (fun () -> dot_impl a b)
   end
 
-let mul_scalar a s =
-  let sa = a.st in
+(* Every limb is scaled by one reduced constant, so its Shoup companion
+   is computed once per limb and each residue costs two multiplies and
+   a conditional subtraction instead of a hardware divide. *)
+let scale_rows a scalar_of_limb =
   let primes = Rns.primes a.basis in
+  let sa = a.st in
   let rows =
     pmapi ~min_degree:pointwise_par_degree a.basis
       (fun j row ->
-        let sv = Modarith.reduce primes.(j) s in
-        Array.map (fun c -> Modarith.mul primes.(j) c sv) row)
+        let p = primes.(j) in
+        let w = Modarith.reduce p (scalar_of_limb j) in
+        let w' = Modarith.shoup_precompute p w in
+        let dst = Array.make (Array.length row) 0 in
+        for i = 0 to Array.length row - 1 do
+          dst.(i) <- Modarith.shoup_mul p w w' row.(i)
+        done;
+        dst)
       sa.rows
   in
   { basis = a.basis; st = { repr = sa.repr; rows } }
 
+let mul_scalar a s = scale_rows a (fun _ -> s)
+
 let mul_scalar_residues a scalar =
-  let primes = Rns.primes a.basis in
-  if Array.length scalar <> Array.length primes then
+  if Array.length scalar <> Array.length (Rns.primes a.basis) then
     invalid_arg "Rq.mul_scalar_residues: wrong residue count";
-  let sa = a.st in
-  let rows =
-    pmapi ~min_degree:pointwise_par_degree a.basis
-      (fun j row ->
-        let sv = Modarith.reduce primes.(j) scalar.(j) in
-        Array.map (fun c -> Modarith.mul primes.(j) c sv) row)
-      sa.rows
-  in
-  { basis = a.basis; st = { repr = sa.repr; rows } }
+  scale_rows a (fun j -> scalar.(j))
 
 let random_uniform basis rng =
   let n = Rns.degree basis in

@@ -18,10 +18,13 @@ let proof_of_bytes b =
   if Bytes.length b <> 64 then None
   else Some { statement = Bytes.sub b 0 32; mac = Bytes.sub b 32 32 }
 
-let digest_parts parts =
-  let ctx = Sha256.init () in
-  List.iter (fun p -> Sha256.update ctx p) parts;
-  Sha256.finalize ctx
+(* A statement digest: the prefix fields, then the wire form of each
+   ciphertext in order, streamed into one hash. *)
+let statement_digest prefix cts =
+  let h = Sha256.init () in
+  List.iter (Sha256.update h) prefix;
+  List.iter (Bgv.hash_into h) cts;
+  Sha256.finalize h
 
 let sign srs statement = Sha256.hmac ~key:srs.trapdoor statement
 
@@ -35,14 +38,14 @@ let plaintext_admissible pt =
   | None -> Array.for_all (fun c -> c = 0) (Plaintext.coeffs pt)
   | Some (_, c) -> c = 1
 
-let contribution_statement ct = digest_parts [ Bytes.of_string "contribution"; Bgv.serialize ct ]
+let contribution_statement ct = statement_digest [ Bytes.of_string "contribution" ] [ ct ]
 
 let prove_contribution srs ctx pk ~plaintext ~seed ct =
   if not (plaintext_admissible plaintext) then None
   else begin
     (* Re-run the encryption circuit on the witness. *)
     let reenc = Bgv.encrypt ctx (Rng.create seed) pk plaintext in
-    if not (Bytes.equal (Bgv.serialize reenc) (Bgv.serialize ct)) then None
+    if not (Bgv.wire_equal reenc ct) then None
     else begin
       let statement = contribution_statement ct in
       Some { statement; mac = sign srs statement }
@@ -51,33 +54,12 @@ let prove_contribution srs ctx pk ~plaintext ~seed ct =
 
 let verify_contribution srs _ctx ct proof = check srs (contribution_statement ct) proof
 
-let product_statement ~inputs ~output =
-  digest_parts
-    (Bytes.of_string "product" :: Bgv.serialize output :: List.map Bgv.serialize inputs)
-
-let prove_product srs ~inputs ~output =
-  match inputs with
-  | [] -> None
-  | _ ->
-    let recomputed = Bgv.mul_many inputs in
-    if not (Bytes.equal (Bgv.serialize recomputed) (Bgv.serialize output)) then None
-    else begin
-      let statement = product_statement ~inputs ~output in
-      Some { statement; mac = sign srs statement }
-    end
-
-let verify_product srs ~inputs ~output proof = check srs (product_statement ~inputs ~output) proof
-
 let transcript_statement ~label ~context ~inputs ~output =
-  digest_parts
-    (Bytes.of_string ("transcript:" ^ label)
-    :: context
-    :: Bgv.serialize output
-    :: List.map Bgv.serialize inputs)
+  statement_digest [ Bytes.of_string ("transcript:" ^ label); context ] (output :: inputs)
 
 let prove_transcript srs ~label ~context ~inputs ~output ~recompute =
   let recomputed = recompute inputs in
-  if not (Bytes.equal (Bgv.serialize recomputed) (Bgv.serialize output)) then None
+  if not (Bgv.wire_equal recomputed output) then None
   else begin
     let statement = transcript_statement ~label ~context ~inputs ~output in
     Some { statement; mac = sign srs statement }

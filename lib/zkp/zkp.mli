@@ -58,32 +58,17 @@ val prove_contribution :
 val verify_contribution :
   srs -> Mycelium_bgv.Bgv.ctx -> Mycelium_bgv.Bgv.ciphertext -> proof -> bool
 
-(** {2 Statement 2: correct local aggregation (ciphertext product)} *)
+(** {2 Statement 2: correct local aggregation}
 
-val prove_product :
-  srs ->
-  inputs:Mycelium_bgv.Bgv.ciphertext list ->
-  output:Mycelium_bgv.Bgv.ciphertext ->
-  proof option
-(** [None] unless [output] is the product of [inputs] (balanced tree,
-    as computed by [Bgv.mul_many]). *)
-
-val verify_product :
-  srs ->
-  inputs:Mycelium_bgv.Bgv.ciphertext list ->
-  output:Mycelium_bgv.Bgv.ciphertext ->
-  proof ->
-  bool
-
-(** {2 Generic aggregation transcripts}
-
-    Origin vertices do more than multiply when a query uses the §4.5
-    sequence mechanism or GROUP BY shifts: the proven statement is
-    "output = F(inputs)" for the query-determined aggregation circuit
-    F. The prover re-executes F on the witness; the statement digest
-    binds the label, a public context string (the selection sets and
-    shifts, which are public query parameters), the inputs and the
-    output. *)
+    The proven statement is "output = F(inputs)" for a public
+    aggregation circuit F: an interior vertex's product of its own and
+    its children's ciphertexts (label ["subtree-aggregation"], F =
+    [Bgv.mul_many]), or an origin's §4.5 sequence selection and GROUP BY
+    shifts (label ["origin-aggregation"]). The prover re-executes F on
+    the witness and refuses ([None]) unless the result has [output]'s
+    wire form; the statement digest binds the label, a public context
+    string (the selection sets and shifts, which are public query
+    parameters), the output and the inputs. *)
 
 val prove_transcript :
   srs ->

@@ -8,6 +8,8 @@ module Plaintext = Mycelium_bgv.Plaintext
 module Bgv = Mycelium_bgv.Bgv
 module Rq = Mycelium_math.Rq
 module Rns = Mycelium_math.Rns
+module Sha256 = Mycelium_crypto.Sha256
+module Hex = Mycelium_util.Hex
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -441,6 +443,187 @@ let test_deserialize_garbage () =
   checkb "truncated real ciphertext" true
     (Bgv.deserialize ctx (Bytes.sub b 0 (Bytes.length b - 5)) = None)
 
+(* The wire helpers against their definitions: hash_into absorbs
+   exactly serialize's bytes, wire_equal is byte equality of the two
+   serializations, and ciphertext_bytes is serialize's length. *)
+let wire_cases ctx pk seed =
+  let rng = Rng.create seed in
+  let fresh () = Bgv.encrypt_value ctx rng pk (Rng.int rng 40) in
+  let a = fresh () and b = fresh () in
+  let copy wire =
+    match Bgv.deserialize ctx wire with
+    | Some ct -> ct
+    | None -> Alcotest.fail "deserialize rejected a wire form"
+  in
+  let a_copy = copy (Bgv.serialize a) in
+  (* The same value as [a], resident in the coefficient domain. *)
+  let a_coeff = copy (Bgv.serialize a) in
+  Array.iter Rq.force_coeff (Bgv.components a_coeff);
+  (* [a]'s wire form with one int32 field rewritten: its first
+     component's tag (the same rows, tagged Coeff), or one residue. *)
+  let edit offset f =
+    let wire = Bgv.serialize a in
+    let v = Int32.to_int (Bytes.get_int32_le wire offset) in
+    Bytes.set_int32_le wire offset (Int32.of_int (f v));
+    copy wire
+  in
+  let other_residue v = if v = 0 then 1 else v - 1 in
+  let last = Bgv.ciphertext_bytes ctx ~degree:1 - 4 in
+  let deg2 = Bgv.mul a b in
+  let deg8 = Bgv.mul_many (List.init 8 (fun _ -> fresh ())) in
+  [
+    ("fresh a", a);
+    ("fresh b", b);
+    ("copy of a", a_copy);
+    ("a in Coeff", a_coeff);
+    ("a's rows tagged Coeff", edit 4 (fun _ -> 0));
+    ("a, first residue changed", edit 16 other_residue);
+    ("a, last residue changed", edit last other_residue);
+    ("degree 2", deg2);
+    ("degree 8", deg8);
+  ]
+
+let test_wire_helpers_match_serialize () =
+  List.iter
+    (fun (ctx, pk, seed) ->
+      let cases = wire_cases ctx pk seed in
+      let rng = Rng.create seed in
+      List.iter
+        (fun (name, ct) ->
+          let wire = Bgv.serialize ct in
+          checki (name ^ ": ciphertext_bytes")
+            (Bytes.length wire)
+            (Bgv.ciphertext_bytes ctx ~degree:(Bgv.degree ct));
+          List.iter
+            (fun prefix ->
+              let h = Sha256.init () in
+              Sha256.update h prefix;
+              Bgv.hash_into h ct;
+              checkb
+                (Printf.sprintf "%s: hash_into after %d prefix bytes" name (Bytes.length prefix))
+                true
+                (Bytes.equal (Sha256.finalize h) (Sha256.digest (Bytes.cat prefix wire))))
+            (List.map (Rng.bytes rng) [ 0; 1; 12; 63; 64; 65 ]);
+          List.iter
+            (fun (other, ct') ->
+              checkb
+                (Printf.sprintf "wire_equal %s %s" name other)
+                (Bytes.equal wire (Bgv.serialize ct'))
+                (Bgv.wire_equal ct ct'))
+            cases)
+        cases;
+      let find name = List.assoc name cases in
+      checkb "a copy is wire-equal" true (Bgv.wire_equal (find "fresh a") (find "copy of a"));
+      checkb "same value, other tag" false (Bgv.wire_equal (find "fresh a") (find "a in Coeff"));
+      checkb "same rows, other tag" false
+        (Bgv.wire_equal (find "fresh a") (find "a's rows tagged Coeff"));
+      checkb "first residue" false
+        (Bgv.wire_equal (find "fresh a") (find "a, first residue changed"));
+      checkb "last residue" false
+        (Bgv.wire_equal (find "fresh a") (find "a, last residue changed"));
+      checkb "other component count" false (Bgv.wire_equal (find "fresh a") (find "degree 2"));
+      checkb "wire_equal converts nothing" true
+        (Array.for_all (fun c -> Rq.repr_of c = Rq.Coeff) (Bgv.components (find "a in Coeff"))))
+    [
+      (Lazy.force ctx_small, snd (Lazy.force keys_small), 66L);
+      (Lazy.force ctx_medium, snd (Lazy.force keys_medium), 67L);
+    ];
+  checki "a fresh test_medium ciphertext" 65_620
+    (Bgv.ciphertext_bytes (Lazy.force ctx_medium) ~degree:1)
+
+(* ------------------------------------------------------------------ *)
+(* Encryption goldens                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* SHA-256 of the wire form of fixed-seed encryptions, recorded before
+   encrypt started summing the error and the message in the coefficient
+   domain and before the Rq elementwise ops and the serializer were
+   rewritten.  Each plaintext is decrypted too, so a golden cannot pin
+   a broken ciphertext. *)
+let wire_digest ct = Hex.encode (Sha256.digest (Bgv.serialize ct))
+
+let golden_plaintexts ctx =
+  let p = Bgv.params ctx in
+  let t = p.Params.plain_modulus and n = p.Params.degree in
+  [
+    ("zero", Plaintext.zero ~plain_modulus:t ~degree:n);
+    ("x^0", mono ctx 0);
+    ("x^(N-1)", mono ctx (n - 1));
+    ("dense t-1", Plaintext.create ~plain_modulus:t (Array.make n (t - 1)));
+  ]
+
+let golden_digests ctx sk pk =
+  List.concat_map
+    (fun seed ->
+      List.map
+        (fun (name, pt) ->
+          let ct = Bgv.encrypt ctx (Rng.create seed) pk pt in
+          Alcotest.check pt_testable "golden decrypts" pt (Bgv.decrypt ctx sk ct);
+          (Printf.sprintf "seed %Ld %s" seed name, wire_digest ct))
+        (golden_plaintexts ctx))
+    [ 301L; 302L; 303L ]
+
+let check_goldens name expected actual =
+  Alcotest.(check (list (pair string string))) name expected actual
+
+let test_encrypt_goldens_medium () =
+  let ctx = Lazy.force ctx_medium in
+  let sk, pk = Lazy.force keys_medium in
+  check_goldens "test_medium encryptions"
+    [
+      ("seed 301 zero", "4209448c0e231c4c47df768187ea8636ddf6021376717c90167e534ef5ba4968");
+      ("seed 301 x^0", "5ead7deda870737d34b260ac2ab4b0ada31454744105a9fb8a313e4b971c1591");
+      ("seed 301 x^(N-1)", "40679a2bc98dc373c2aedd049600bf5d68f374887dff66225975812f166ef806");
+      ("seed 301 dense t-1", "318c1716ef2a814d33d8c1bf77c8c4183ae08d42cd852fb5aaca121b4bf39df3");
+      ("seed 302 zero", "bae4270834c2eabaf84df10c995c388bc6ada3d878e3308a73be2e3af493b06c");
+      ("seed 302 x^0", "7b5fca60668d8696ffb9d0390adaac55200f6d82eda3514fe1a0151a306e0823");
+      ("seed 302 x^(N-1)", "94e55b5fb013cb9612c3ba525d9b512326dac505aaf7dc0c4180e452e008e499");
+      ("seed 302 dense t-1", "4e216bf2ad9f9fe3a4bc1ce751d05dc8278f9efe9e78b685f6210eed07957419");
+      ("seed 303 zero", "77e504089b7c4b162d4204572a2b0ae4670b2dcafc486bff1a66259155e663ae");
+      ("seed 303 x^0", "e21579faeb58a6f9380a19921be8501540b0ec434bdc3b26283f43ba7afb76b0");
+      ("seed 303 x^(N-1)", "646ca03ec7ccf1b2a6e7d4cb2b831592464ddeeaebec8029f530f75733b3a9a6");
+      ("seed 303 dense t-1", "77f08e7567998ceb2bbebc1ecc338c9104fe6d1e68f1cfc5f641e57b02507745");
+    ]
+    (golden_digests ctx sk pk)
+
+(* t = 2^30 lies above every 28-bit prime, so lifting the plaintext and
+   scaling the errors by t take the general reduction, not the
+   one-conditional-add path of a value in [-p, p). *)
+let wide_t_params =
+  { Params.degree = 256; plain_modulus = 1 lsl 30; prime_bits = 28; levels = 2; error_eta = 2 }
+
+let test_encrypt_goldens_wide_t () =
+  let ctx = Bgv.make_ctx wide_t_params in
+  let sk, pk = Bgv.keygen ctx (Rng.create 306L) in
+  check_goldens "t = 2^30 encryptions"
+    [
+      ("seed 301 zero", "89887ab9e73eaf8a485daed143c3f635967e3bfac0bac175a75f871915734f69");
+      ("seed 301 x^0", "118d58610d7ad9d8f9cf15d74c73c92bcfec6f7e953b6f5bc8d66e103ae704b2");
+      ("seed 301 x^(N-1)", "b98c3c695baafc407c2804d09f98f0e6ae5cc5895daddc4e36a4a0f47ee1fa76");
+      ("seed 301 dense t-1", "922f5350532c5079050e22051f120b66e0ba0ffd6af62f36f6aa4ab6c79dde19");
+      ("seed 302 zero", "e0a5db60d16dc849cf0e75430416de7b3bb91917beff1a06e33972411b31ffdb");
+      ("seed 302 x^0", "14476c50dadae59d700fcc0c91729214b6a14772da9ceeff34ba18a9c2bc54a6");
+      ("seed 302 x^(N-1)", "86176d67eea6e93f68682b281f404eedc34b863e6e0a066eef1c220a1dee6854");
+      ("seed 302 dense t-1", "fd4d85e12789a4b939d094e566fa51ace922387e2cfdf4f975569ab5bacb057d");
+      ("seed 303 zero", "6945c075538e3bc43d96f672133167299d3c28608ff9d381ac647b05eea7632b");
+      ("seed 303 x^0", "0bffbf63c6d610abb1e59e5513e68e584121eec58fa693b0b014baf73b23fe95");
+      ("seed 303 x^(N-1)", "74aec89de868aa2d96607c9a61b5815c0e553bd479103eb0015ff7c624a2b03f");
+      ("seed 303 dense t-1", "694af95e8f73512eda4f2c38872a52453bc67b5dc243470e2f73aff64081bff8");
+    ]
+    (golden_digests ctx sk pk)
+
+let test_relinearized_golden () =
+  let ctx = Lazy.force ctx_medium in
+  let sk, pk = Lazy.force keys_medium in
+  let rk = Bgv.relin_keygen ctx (Rng.create 304L) sk ~max_degree:2 in
+  let rng = Rng.create 305L in
+  let a = Bgv.encrypt_value ctx rng pk 3 and b = Bgv.encrypt_value ctx rng pk 5 in
+  let prod = Bgv.relinearize ctx rk (Bgv.mul a b) in
+  Alcotest.check pt_testable "x^3 * x^5" (mono ctx 8) (Bgv.decrypt ctx sk prod);
+  check_goldens "relinearized product"
+    [ ("x^3 * x^5", "a0d241ec7f2e90e0653d839cbbc1b17fe5f177ff73cf4707899e95d1f9617382") ]
+    [ ("x^3 * x^5", wire_digest prod) ]
+
 (* ------------------------------------------------------------------ *)
 (* Threshold-decryption hooks                                          *)
 (* ------------------------------------------------------------------ *)
@@ -525,6 +708,14 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_serialize_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_deserialize_garbage;
+          Alcotest.test_case "hash_into, wire_equal, ciphertext_bytes" `Quick
+            test_wire_helpers_match_serialize;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "test_medium encryptions" `Quick test_encrypt_goldens_medium;
+          Alcotest.test_case "t = 2^30 encryptions" `Quick test_encrypt_goldens_wide_t;
+          Alcotest.test_case "relinearized product" `Quick test_relinearized_golden;
         ] );
       ( "threshold-hooks",
         [

@@ -244,6 +244,28 @@ let test_contribution_wire_roundtrip () =
   | Some c' -> checkb "roundtrip verifies" true (Contribution.verify srs ctx info c')
   | None -> Alcotest.fail "wire roundtrip failed"
 
+(* wire_size predicts to_bytes' length from the shape alone; the
+   ciphertext part comes from Bgv.ciphertext_bytes. *)
+let test_contribution_wire_size () =
+  List.iter
+    (fun params ->
+      let ctx = Bgv.make_ctx params in
+      let rng = Rng.create 11L in
+      let _, pk = Bgv.keygen ctx rng in
+      let srs = Mycelium_zkp.Zkp.setup rng in
+      let dest = { Schema.infected = true; t_inf = Some 3; age = 40; household = 1 } in
+      List.iter
+        (fun (id, slots) ->
+          let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find id).Corpus.query in
+          checki (id ^ " sequence") slots (Contribution.sequence_length info);
+          let c = Contribution.build srs ctx rng pk info ~dest ~edge:None in
+          checki
+            (Printf.sprintf "%s at N = %d" id params.Params.degree)
+            (Bytes.length (Contribution.to_bytes c))
+            (Contribution.wire_size ctx info))
+        [ ("Q2", 1); ("Q3", 14) ])
+    [ Params.test_small; Params.test_medium ]
+
 (* ------------------------------------------------------------------ *)
 (* Summation tree                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -256,6 +278,15 @@ let summation_fixture n =
   let sk, pk = Bgv.keygen ctx rng in
   let leaves = Array.init n (fun i -> Bgv.encrypt_value ctx rng pk (i mod 7)) in
   (ctx, sk, leaves)
+
+(* The root commitment of a fixed tree, recorded before the tree
+   streamed its sums into SHA-256 instead of hashing serializations. *)
+let test_summation_tree_root_pinned () =
+  let _, _, leaves = summation_fixture 5 in
+  let tree = Summation_tree.build leaves in
+  Alcotest.(check string)
+    "root hash" "5cde8153ed46502e6dffcbcad8519b74c093faec31740b2a63c4592db3db3219"
+    (Mycelium_util.Hex.encode (Summation_tree.root_hash tree))
 
 let test_summation_tree_sums_correctly () =
   List.iter
@@ -614,6 +645,7 @@ let () =
           Alcotest.test_case "sequence lengths" `Quick test_contribution_sequence_lengths;
           Alcotest.test_case "malicious rejected" `Quick test_contribution_malicious_rejected;
           Alcotest.test_case "wire roundtrip" `Quick test_contribution_wire_roundtrip;
+          Alcotest.test_case "wire size" `Quick test_contribution_wire_size;
         ] );
       ( "summation-tree",
         [
@@ -621,6 +653,7 @@ let () =
           Alcotest.test_case "audits pass" `Quick test_summation_tree_audits_pass;
           Alcotest.test_case "detects cheating" `Quick test_summation_tree_detects_cheating;
           Alcotest.test_case "forged total rejected" `Quick test_summation_tree_wrong_root_sum;
+          Alcotest.test_case "root hash pinned" `Quick test_summation_tree_root_pinned;
         ] );
       ( "end-to-end",
         [

@@ -326,7 +326,119 @@ module Oracle = struct
     Bytes.cat ct (poly1305 ~key:otk mac_data)
 end
 
+(* SHA-256 as lib/crypto computed it before its rounds dropped the
+   per-rotation masks: the compression function with byte-wise loads
+   and every rotation masked, over a message padded in one piece
+   (FIPS 180-4 §5.1.1).  The round constants and the initial state are
+   derived from their definition, the first 32 bits of the fractional
+   parts of the cube and square roots of the first primes. *)
+module Sha_oracle = struct
+  let mask = 0xFFFFFFFF
+
+  let primes n =
+    let rec go acc c =
+      if List.length acc = n then List.rev acc
+      else if List.for_all (fun q -> c mod q <> 0) acc then go (c :: acc) (c + 1)
+      else go acc (c + 1)
+    in
+    Array.of_list (go [] 2)
+
+  let frac32 x = int_of_float (Float.ldexp (x -. Float.trunc x) 32)
+  let k = Array.map (fun p -> frac32 (Float.cbrt (float_of_int p))) (primes 64)
+  let h0 = Array.map (fun p -> frac32 (sqrt (float_of_int p))) (primes 8)
+
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let compress h w block off =
+    for i = 0 to 15 do
+      let j = off + (4 * i) in
+      w.(i) <-
+        (Bytes.get_uint8 block j lsl 24)
+        lor (Bytes.get_uint8 block (j + 1) lsl 16)
+        lor (Bytes.get_uint8 block (j + 2) lsl 8)
+        lor Bytes.get_uint8 block (j + 3)
+    done;
+    for i = 16 to 63 do
+      let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
+      let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let temp2 = (s0 + maj) land mask in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + temp1) land mask;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (temp1 + temp2) land mask
+    done;
+    List.iteri
+      (fun i v -> h.(i) <- (h.(i) + v) land mask)
+      [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+  let digest msg =
+    let len = Bytes.length msg in
+    let padded = (len + 9 + 63) / 64 * 64 in
+    let m = Bytes.make padded '\x00' in
+    Bytes.blit msg 0 m 0 len;
+    Bytes.set_uint8 m len 0x80;
+    Bytes.set_int64_be m (padded - 8) (Int64.of_int (8 * len));
+    let h = Array.copy h0 and w = Array.make 64 0 in
+    for block = 0 to (padded / 64) - 1 do
+      compress h w m (64 * block)
+    done;
+    Bytes.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+end
+
 let check_bytes name expected actual = check_hex name (Hex.encode expected) actual
+
+let test_sha256_differential () =
+  let rng = Rng.create 19L in
+  let against msg =
+    check_bytes
+      (Printf.sprintf "%d bytes" (Bytes.length msg))
+      (Sha_oracle.digest msg) (Sha256.digest msg)
+  in
+  for len = 0 to 300 do
+    against (Rng.bytes rng len)
+  done;
+  for _ = 1 to 24 do
+    against (Rng.bytes rng (Rng.int rng 200_001))
+  done;
+  (* All-ones words keep every sum near its 32-bit ceiling. *)
+  List.iter (fun len -> against (Bytes.make len '\xff')) [ 55; 56; 63; 64; 65; 1000; 4096 ]
+
+(* Streaming through update_sub in fixed-size pieces, from an offset
+   into the source buffer, lands on the oracle's one-shot digest. *)
+let test_sha256_update_sub_chunks () =
+  let rng = Rng.create 20L in
+  let data = Rng.bytes rng 10_007 in
+  List.iter
+    (fun chunk ->
+      List.iter
+        (fun start ->
+          let ctx = Sha256.init () in
+          let pos = ref start in
+          while !pos < Bytes.length data do
+            let len = min chunk (Bytes.length data - !pos) in
+            Sha256.update_sub ctx data ~pos:!pos ~len;
+            pos := !pos + len
+          done;
+          let expected = Sha_oracle.digest (Bytes.sub data start (Bytes.length data - start)) in
+          check_bytes
+            (Printf.sprintf "chunks of %d from %d" chunk start)
+            expected (Sha256.finalize ctx))
+        [ 0; 3 ])
+    [ 1; 63; 64; 65; 4096 ]
 
 let test_poly1305_differential () =
   let rng = Rng.create 18L in
@@ -656,6 +768,8 @@ let () =
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "double finalize" `Quick test_sha256_double_finalize;
           Alcotest.test_case "update_sub" `Quick test_sha256_update_sub;
+          Alcotest.test_case "vs oracle" `Quick test_sha256_differential;
+          Alcotest.test_case "update_sub chunks vs oracle" `Quick test_sha256_update_sub_chunks;
           Alcotest.test_case "HMAC RFC 4231" `Quick test_hmac_rfc4231;
           Alcotest.test_case "HKDF RFC 5869" `Quick test_hkdf_rfc5869;
         ] );

@@ -233,32 +233,70 @@ let test_zkp_proof_not_transferable () =
   | Some proof -> checkb "not transferable" false (Zkp.verify_contribution srs ctx ct_b proof)
   | None -> Alcotest.fail "honest prover refused"
 
-let test_zkp_product_roundtrip () =
+(* Statement 2 as the pipeline proves it: Contribution.aggregate_subtree
+   signs a "subtree-aggregation" transcript whose recompute is
+   Bgv.mul_many. *)
+let subtree_proof ?(label = "subtree-aggregation") ?(context = Bytes.empty) inputs output =
+  Zkp.prove_transcript (Lazy.force srs) ~label ~context ~inputs ~output ~recompute:Bgv.mul_many
+
+let encrypt_values seed values =
   let ctx = Lazy.force ctx in
   let _, pk = Lazy.force keys in
+  let rng = Rng.create seed in
+  List.map (fun v -> Bgv.encrypt_value ctx rng pk v) values
+
+let test_zkp_product_roundtrip () =
   let srs = Lazy.force srs in
-  let rng = Rng.create 503L in
-  let inputs = List.map (fun v -> Bgv.encrypt_value ctx rng pk v) [ 1; 0; 1 ] in
+  let inputs = encrypt_values 503L [ 1; 0; 1 ] in
   let output = Bgv.mul_many inputs in
-  (match Zkp.prove_product srs ~inputs ~output with
-  | Some proof -> checkb "verifies" true (Zkp.verify_product srs ~inputs ~output proof)
+  (match subtree_proof inputs output with
+  | Some proof ->
+    checkb "verifies" true
+      (Zkp.verify_transcript srs ~label:"subtree-aggregation" ~context:Bytes.empty ~inputs
+         ~output proof)
   | None -> Alcotest.fail "honest prover refused");
   (* A wrong product must be unprovable. *)
   let wrong = Bgv.mul_many (List.tl inputs) in
-  checkb "wrong product refused" true (Zkp.prove_product srs ~inputs ~output:wrong = None)
+  checkb "wrong product refused" true (subtree_proof inputs wrong = None)
 
 let test_zkp_product_input_substitution () =
-  let ctx = Lazy.force ctx in
-  let _, pk = Lazy.force keys in
   let srs = Lazy.force srs in
-  let rng = Rng.create 504L in
-  let inputs = List.map (fun v -> Bgv.encrypt_value ctx rng pk v) [ 1; 1 ] in
+  let inputs = encrypt_values 504L [ 1; 1 ] in
   let output = Bgv.mul_many inputs in
-  match Zkp.prove_product srs ~inputs ~output with
+  match subtree_proof inputs output with
   | Some proof ->
     (* Verifying against a different input set fails. *)
-    let other = List.map (fun v -> Bgv.encrypt_value ctx rng pk v) [ 1; 1 ] in
-    checkb "inputs bound" false (Zkp.verify_product srs ~inputs:other ~output proof)
+    let other = encrypt_values 506L [ 1; 1 ] in
+    checkb "inputs bound" false
+      (Zkp.verify_transcript srs ~label:"subtree-aggregation" ~context:Bytes.empty
+         ~inputs:other ~output proof)
+  | None -> Alcotest.fail "honest prover refused"
+
+let test_zkp_transcript_label_bound () =
+  let srs = Lazy.force srs in
+  let inputs = encrypt_values 507L [ 2; 3 ] in
+  let output = Bgv.mul_many inputs in
+  match subtree_proof inputs output with
+  | Some proof ->
+    checkb "same label verifies" true
+      (Zkp.verify_transcript srs ~label:"subtree-aggregation" ~context:Bytes.empty ~inputs
+         ~output proof);
+    checkb "other label rejected" false
+      (Zkp.verify_transcript srs ~label:"origin-aggregation" ~context:Bytes.empty ~inputs
+         ~output proof)
+  | None -> Alcotest.fail "honest prover refused"
+
+let test_zkp_transcript_context_bound () =
+  let srs = Lazy.force srs in
+  let inputs = encrypt_values 508L [ 4; 1 ] in
+  let output = Bgv.mul_many inputs in
+  let q2 = Bytes.of_string "Q2" and q4 = Bytes.of_string "Q4" in
+  match subtree_proof ~context:q2 inputs output with
+  | Some proof ->
+    checkb "same context verifies" true
+      (Zkp.verify_transcript srs ~label:"subtree-aggregation" ~context:q2 ~inputs ~output proof);
+    checkb "other context rejected" false
+      (Zkp.verify_transcript srs ~label:"subtree-aggregation" ~context:q4 ~inputs ~output proof)
   | None -> Alcotest.fail "honest prover refused"
 
 let test_zkp_different_srs () =
@@ -271,6 +309,39 @@ let test_zkp_different_srs () =
   match Zkp.prove_contribution srs_a ctx pk ~plaintext:pt ~seed:16L ct with
   | Some proof -> checkb "proof tied to setup" false (Zkp.verify_contribution srs_b ctx ct proof)
   | None -> Alcotest.fail "honest prover refused"
+
+(* Proof bytes recorded before statements streamed ciphertexts into
+   SHA-256 instead of hashing their serializations: the digests, and so
+   the proofs, must not move. *)
+let test_zkp_proofs_pinned () =
+  let ctx = Lazy.force ctx in
+  let _, pk = Lazy.force keys in
+  let srs = Lazy.force srs in
+  let hex p = Mycelium_util.Hex.encode (Zkp.proof_to_bytes p) in
+  let pt = mono 1 in
+  let ct = encrypt_seeded 7L pt in
+  let contribution =
+    match Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed:7L ct with
+    | Some proof -> hex proof
+    | None -> Alcotest.fail "honest prover refused"
+  in
+  let inputs = encrypt_values 503L [ 1; 0; 1 ] in
+  let transcript =
+    match subtree_proof ~context:(Bytes.of_string "Q2") inputs (Bgv.mul_many inputs) with
+    | Some proof -> hex proof
+    | None -> Alcotest.fail "honest prover refused"
+  in
+  Alcotest.(check (list (pair string string)))
+    "proof bytes"
+    [
+      ( "contribution",
+        "bf01e78fe3b04ce67e838d4215dd2e26996c20398814ce0747f183ca7dc8dce0"
+        ^ "c24a1f5cc7b18ddc7726f4eb2900c08e2b6cb026637dfcd5522226a3b46593d9" );
+      ( "transcript",
+        "10c63d47cdde398c9002dca111c76307576ffce9f5e7b1d7d18835a4b9a34474"
+        ^ "92883a3d84501a0ea579a1cc6b1d927cae558f34470f150c1208a0c76761b42e" );
+    ]
+    [ ("contribution", contribution); ("transcript", transcript) ]
 
 let test_zkp_cost_model () =
   (* Anchors from the paper: ~1 min proving, ~10 s verification of a
@@ -311,7 +382,10 @@ let () =
           Alcotest.test_case "proof not transferable" `Quick test_zkp_proof_not_transferable;
           Alcotest.test_case "product roundtrip" `Quick test_zkp_product_roundtrip;
           Alcotest.test_case "product inputs bound" `Quick test_zkp_product_input_substitution;
+          Alcotest.test_case "transcript label bound" `Quick test_zkp_transcript_label_bound;
+          Alcotest.test_case "transcript context bound" `Quick test_zkp_transcript_context_bound;
           Alcotest.test_case "proof tied to setup" `Quick test_zkp_different_srs;
+          Alcotest.test_case "proofs pinned" `Quick test_zkp_proofs_pinned;
           Alcotest.test_case "Groth16 cost anchors" `Quick test_zkp_cost_model;
         ] );
     ]

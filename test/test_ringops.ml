@@ -167,6 +167,105 @@ let test_linear_ops_domain_agnostic () =
     checkb "force roundtrip is identity" true (Rq.equal v (fresh rows_x))
   done
 
+(* --- elementwise ops against Modarith --------------------------------
+
+   add, sub, mul_scalar, mul_scalar_residues and of_centered_coeffs
+   write their modular step out per limb.  Each must give, residue for
+   residue, what the Modarith reference mapped over Rq.residues gives,
+   on the bases of test_small and test_medium, in either
+   representation (the ops never transform, so rows tagged Eval are
+   treated exactly like rows tagged Coeff). *)
+let with_param_bases f =
+  List.iter
+    (fun p ->
+      f
+        (Rns.standard ~degree:p.Params.degree ~prime_bits:p.Params.prime_bits
+           ~levels:p.Params.levels))
+    [ Params.test_small; Params.test_medium ]
+
+let check_rows name v expected_row =
+  Array.iteri
+    (fun j p ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s, limb %d" name j)
+        (expected_row j p) (Rq.residues v).(j))
+    (Rns.primes (Rq.basis_of v))
+
+(* Residue rows that open with the given per-prime values and continue
+   at random. *)
+let rows_starting_with rng b head =
+  let n = Rns.degree b in
+  Array.map
+    (fun p ->
+      let h = Array.of_list (head p) in
+      Array.init n (fun i -> if i < Array.length h then h.(i) else Rng.int rng p))
+    (Rns.primes b)
+
+let test_of_centered_coeffs_reference () =
+  with_param_bases (fun b ->
+      let per_prime p = [ 0; 1; -1; p - 1; p; p + 1; -p; -p - 1; 2 * p; -2 * p ] in
+      let coeffs =
+        Array.of_list
+          (List.concat_map per_prime (Array.to_list (Rns.primes b))
+          @ [ 1 lsl 40; -(1 lsl 40); max_int; min_int ])
+      in
+      let v = Rq.of_centered_coeffs b coeffs in
+      checkb "lifted into Coeff" true (Rq.repr_of v = Rq.Coeff);
+      check_rows "of_centered_coeffs" v (fun _ p ->
+          Array.init (Rns.degree b) (fun i ->
+              if i < Array.length coeffs then Modarith.reduce p coeffs.(i) else 0)))
+
+let test_mul_scalar_reference () =
+  with_param_bases (fun b ->
+      let rng = Rng.create 48L in
+      let primes = Rns.primes b in
+      let rows = rows_starting_with rng b (fun p -> [ 0; 1; p - 1; p - 2 ]) in
+      let scalars =
+        [ 0; 1; -1; 65537; 1 lsl 40; -(1 lsl 40) ]
+        @ List.concat_map (fun p -> [ p - 1; p ]) (Array.to_list primes)
+      in
+      let residue_scalars =
+        [
+          Array.map (fun _ -> 0) primes;
+          Array.map (fun p -> p - 1) primes;
+          Array.map (fun p -> p + 3) primes;
+          Array.map (fun p -> Rng.int rng p) primes;
+        ]
+      in
+      List.iter
+        (fun repr ->
+          let x = Rq.of_residues ~repr b rows in
+          let scaled name v by =
+            checkb (name ^ " keeps the representation") true (Rq.repr_of v = repr);
+            check_rows name v (fun j p ->
+                Array.map (fun r -> Modarith.mul p r (Modarith.reduce p (by j))) rows.(j))
+          in
+          List.iter
+            (fun s -> scaled (Printf.sprintf "mul_scalar %d" s) (Rq.mul_scalar x s) (fun _ -> s))
+            scalars;
+          List.iter
+            (fun sv -> scaled "mul_scalar_residues" (Rq.mul_scalar_residues x sv) (fun j -> sv.(j)))
+            residue_scalars)
+        [ Rq.Coeff; Rq.Eval ])
+
+let test_add_sub_reference () =
+  with_param_bases (fun b ->
+      let rng = Rng.create 49L in
+      (* Every pairing of 0 and p - 1, then random residues. *)
+      let rows_a = rows_starting_with rng b (fun p -> [ 0; 0; p - 1; p - 1; 1; p - 1 ]) in
+      let rows_b = rows_starting_with rng b (fun p -> [ 0; p - 1; 0; p - 1; p - 1; 1 ]) in
+      List.iter
+        (fun repr ->
+          let x = Rq.of_residues ~repr b rows_a and y = Rq.of_residues ~repr b rows_b in
+          let against name v op ra rb =
+            checkb (name ^ " keeps the representation") true (Rq.repr_of v = repr);
+            check_rows name v (fun j p -> Array.map2 (op p) ra.(j) rb.(j))
+          in
+          against "add" (Rq.add x y) Modarith.add rows_a rows_b;
+          against "sub" (Rq.sub x y) Modarith.sub rows_a rows_b;
+          against "sub reversed" (Rq.sub y x) Modarith.sub rows_b rows_a)
+        [ Rq.Coeff; Rq.Eval ])
+
 (* BGV layer: fresh ciphertexts are Eval-resident, products decrypt
    correctly, serialization preserves the representation tag, and the
    decrypted plaintext does not depend on the resident domain. *)
@@ -516,6 +615,13 @@ let () =
           Alcotest.test_case "dot = sum of products" `Quick test_dot_matches_sum_of_products;
           Alcotest.test_case "linear ops domain-agnostic" `Quick
             test_linear_ops_domain_agnostic;
+        ] );
+      ( "elementwise",
+        [
+          Alcotest.test_case "of_centered_coeffs vs Modarith" `Quick
+            test_of_centered_coeffs_reference;
+          Alcotest.test_case "mul_scalar vs Modarith" `Quick test_mul_scalar_reference;
+          Alcotest.test_case "add and sub vs Modarith" `Quick test_add_sub_reference;
         ] );
       ( "montgomery",
         differential_cases
