@@ -10,6 +10,7 @@
      dune exec bench/main.exe -- --only mixnet    -- mixnet scale sweep (Figs 7-9)
      dune exec bench/main.exe -- --only lint      -- full-repo static analysis
      dune exec bench/main.exe -- --skip-micro     -- figures only
+     dune exec bench/main.exe -- --only micro     -- the Bechamel micro-benchmarks alone
      dune exec bench/main.exe -- --json           -- machine-readable
      dune exec bench/main.exe -- --only ringops --check
                                                   -- CI gate: exit 1 unless the
@@ -29,6 +30,7 @@ module Bgv = Mycelium_bgv.Bgv
 module Plaintext = Mycelium_bgv.Plaintext
 module Zkp = Mycelium_zkp.Zkp
 module Ntt = Mycelium_math.Ntt
+module Rq = Mycelium_math.Rq
 module Sha256 = Mycelium_crypto.Sha256
 module Chacha20 = Mycelium_crypto.Chacha20
 module Poly1305 = Mycelium_crypto.Poly1305
@@ -573,7 +575,6 @@ let mont_fwd_8192_ns = ref None
 let () =
   section "ringops" (fun () ->
       let module Rns = Mycelium_math.Rns in
-      let module Rq = Mycelium_math.Rq in
       let module Mont_backend = Mycelium_math.Mont_backend in
       let levels = 3 in
       let ns_per_op ?(reps = 5) ~inner f =
@@ -993,6 +994,9 @@ let micro_tests () =
   [
     Test.make ~name:"fig9b/bgv-add" (Staged.stage (fun () -> ignore (Bgv.add ct_a ct_b)));
     Test.make ~name:"sec6_4/bgv-encrypt" (Staged.stage (fun () -> ignore (Bgv.encrypt_value ctx rng pk 3)));
+    Test.make ~name:"sec6_4/rq-sample-cbd"
+      (Staged.stage (fun () ->
+           ignore (Rq.sample_cbd (Bgv.basis ctx) ~eta:(Bgv.params ctx).Params.error_eta rng)));
     Test.make ~name:"sec6_4/bgv-mul" (Staged.stage (fun () -> ignore (Bgv.mul ct_a ct_b)));
     Test.make ~name:"sec6_4/bgv-relinearize" (Staged.stage (fun () -> ignore (Bgv.relinearize ctx rk prod)));
     Test.make ~name:"sec6_4/zkp-prove-contribution"
@@ -1051,7 +1055,7 @@ let run_micro () =
     rows
 
 let () =
-  if (not skip_micro) && only = None then begin
+  if (not skip_micro) && wants "micro" then begin
     let t0 = Unix.gettimeofday () in
     let estimates = run_micro () in
     json_sections :=

@@ -46,6 +46,16 @@ let print_result = function
   | Semantics.Sums groups ->
     Array.iter (fun (label, v) -> Printf.printf "%-16s %.3f\n" label v) groups
 
+(* [Runtime.init] refuses a configuration it cannot bring up (a
+   population smaller than the committee) before any key is generated;
+   the command prints why and exits 1. *)
+let init_runtime cfg graph =
+  match Runtime.init cfg graph with
+  | sys -> sys
+  | exception Invalid_argument m ->
+    Printf.eprintf "%s\n" m;
+    exit 1
+
 (* --- analyze ------------------------------------------------------- *)
 
 let analyze_cmd =
@@ -172,7 +182,7 @@ let run_cmd =
       | Some ms -> Obs.Sampler.start ~period_s:(float_of_int (max 1 ms) /. 1000.) ()
       | None -> ());
       let sys =
-        Runtime.init
+        init_runtime
           { Runtime.default_config with
             Runtime.params = Params.test_small;
             degree_bound = degree;
@@ -349,7 +359,7 @@ let serve_cmd =
     in
     let (_ : Epidemic.outcome) = Epidemic.run Epidemic.default_config rng graph in
     let sys =
-      Runtime.init
+      init_runtime
         { Runtime.default_config with
           Runtime.params = Params.test_small;
           degree_bound = degree;

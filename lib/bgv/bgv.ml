@@ -54,10 +54,15 @@ type relin_key = { digit_bits : int; keys : (Rq.t * Rq.t) array array (* [power-
 
 let relin_max_degree rk = Array.length rk.keys + 1
 
-let plaintext_to_rq ctx pt =
+let plaintext_coeffs ctx pt =
   if not (Int.equal (Plaintext.plain_modulus pt) ctx.p.Params.plain_modulus) then
     invalid_arg "Bgv: plaintext modulus mismatch";
-  Rq.of_centered_coeffs ctx.basis (Plaintext.coeffs pt)
+  let m = Plaintext.coeffs pt in
+  if Array.length m > ctx.p.Params.degree then
+    invalid_arg "Bgv: plaintext has more coefficients than the ring degree";
+  m
+
+let plaintext_to_rq ctx pt = Rq.of_centered_coeffs ctx.basis (plaintext_coeffs ctx pt)
 
 let keygen ctx rng =
   let s = Rq.sample_ternary ctx.basis rng in
@@ -76,17 +81,26 @@ let keygen ctx rng =
 
 let encrypt ctx rng pk pt =
   if Obs.enabled () then Obs.Metrics.incr m_encrypts;
-  let m = plaintext_to_rq ctx pt in
+  let m = plaintext_coeffs ctx pt in
   let u = Rq.sample_ternary ctx.basis rng in
   let eta = ctx.p.Params.error_eta in
   let t = ctx.p.Params.plain_modulus in
-  let e1 = Rq.mul_scalar (Rq.sample_cbd ctx.basis ~eta rng) t in
-  let e2 = Rq.mul_scalar (Rq.sample_cbd ctx.basis ~eta rng) t in
-  (* t*e1 and m meet in the coefficient domain, so their sum is the one
-     forward transform c0 needs beyond u's (the transform is linear and
-     its outputs canonical, so the bytes equal transforming each). *)
-  let c0 = Rq.add (Rq.mul pk.p0 u) (Rq.add e1 m) in
-  let c1 = Rq.add (Rq.mul pk.p1 u) e2 in
+  let n = Rns.degree ctx.basis in
+  let e1 = Array.make n 0 and e2 = Array.make n 0 in
+  Rng.fill_centered_binomial rng ~eta e1;
+  Rng.fill_centered_binomial rng ~eta e2;
+  (* t·e1 + m and t·e2 are summed as integers (|t·e| <= t·eta fits an
+     int) and each is lifted once: the lift is exact mod every prime,
+     so the residues are those of lifting the terms and adding in R_q.
+     t·e1 + m is then the one forward transform c0 needs beyond u's
+     (the transform is linear and its outputs canonical). *)
+  for i = 0 to n - 1 do
+    e1.(i) <- t * e1.(i);
+    e2.(i) <- t * e2.(i)
+  done;
+  Array.iteri (fun i c -> e1.(i) <- e1.(i) + c) m;
+  let c0 = Rq.add (Rq.mul pk.p0 u) (Rq.of_centered_coeffs ctx.basis e1) in
+  let c1 = Rq.add (Rq.mul pk.p1 u) (Rq.of_centered_coeffs ctx.basis e2) in
   { comps = [| c0; c1 |]; noise_bits = ctx.fresh_noise_bits }
 
 let encrypt_value ctx rng pk v =

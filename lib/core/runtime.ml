@@ -87,6 +87,13 @@ let graph t = t.graph
 
 let init cfg graph =
   Params.validate cfg.params;
+  (* Every committee member is a device: refuse a population too small
+     to seat one before any key is generated. *)
+  let population = Cg.population graph in
+  if population < cfg.committee_size then
+    invalid_arg
+      (Printf.sprintf "Runtime.init: population %d is smaller than the committee size %d"
+         population cfg.committee_size);
   if cfg.trace then Obs.enable ();
   Obs.span "runtime.init" @@ fun () ->
   (* Graphs loaded from external data may exceed d; the sensitivity
@@ -113,8 +120,8 @@ let init cfg graph =
   in
   (* Hand the key from the genesis parties to the first device
      committee. *)
-  let comm = Committee.rotate genesis rng ~population:(Cg.population graph) in
-  let n = Cg.population graph in
+  let comm = Committee.rotate genesis rng ~population in
+  let n = population in
   let n_byz = int_of_float (Float.round (float_of_int n *. cfg.byzantine_fraction)) in
   let byzantine = Array.make n false in
   Array.iter (fun i -> byzantine.(i) <- true) (Rng.sample_without_replacement rng n_byz n);
@@ -727,8 +734,9 @@ let gather_rows_mixnet_batch t mix members =
     offsets.(i) <- offsets.(i - 1) + padded.(i - 1)
   done;
   let body_len = offsets.(k - 1) + padded.(k - 1) in
-  (* Pure per-pair payload (the simulator probes and parallelizes it):
-     one padded frame per member, concatenated at fixed offsets. *)
+  (* Pure per-pair payload (the simulator calls it once per pair, on
+     any pool domain): one padded frame per member, concatenated at
+     fixed offsets. *)
   let payload_of ~source ~dest =
     let out = Bytes.create body_len in
     Array.iteri

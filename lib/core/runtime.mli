@@ -86,7 +86,11 @@ val init : config -> Mycelium_graph.Contact_graph.t -> t
     graphs loaded from external data rather than
     {!Mycelium_graph.Contact_graph.generate}), it is deterministically
     clipped with {!Mycelium_graph.Contact_graph.clip_to_degree_bound};
-    {!graph} returns the clipped graph the queries actually run over. *)
+    {!graph} returns the clipped graph the queries actually run over.
+
+    Raises [Invalid_argument] naming both numbers, before any key is
+    generated, if the graph has fewer devices than [committee_size]:
+    the committee is drawn from the devices. *)
 
 val public_key : t -> Mycelium_bgv.Bgv.public_key
 val config : t -> config

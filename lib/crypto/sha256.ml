@@ -1,9 +1,7 @@
-(* SHA-256 over native ints masked to 32 bits; OCaml's 63-bit int holds
-   all intermediate sums before masking. *)
+(* SHA-256 (FIPS 180-4).  The compression function runs on unboxed
+   Int64 words; everything around it on native ints. *)
 
 let digest_size = 32
-
-let mask = 0xFFFFFFFF
 
 let k =
   [|
@@ -26,7 +24,7 @@ type ctx = {
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
   mutable finished : bool;
-  w : int array; (* message schedule scratch *)
+  w : Bytes.t; (* message schedule scratch: 64 words, 8 bytes each *)
 }
 
 let init () =
@@ -40,62 +38,78 @@ let init () =
     buf_len = 0;
     total = 0;
     finished = false;
-    w = Array.make 64 0;
+    w = Bytes.create 512;
   }
 
-(* The rounds keep 32-bit words in 63-bit ints without masking each
-   rotation: [(x lsr n) lor (x lsl (32 - n))] is right only in its low
-   32 bits, and the garbage above bit 31 only ever reaches additions
-   and xors whose low 32 bits are then kept.  So a value is masked once,
-   where it is stored (a schedule word, e, a and the state), and every
-   value shifted right is one of those stored, masked words. *)
+(* Schedule word i sits native-endian at byte 8·i of [ctx.w]; every
+   offset below is 8·i with i < 64, inside its 512 bytes. *)
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let mask = 0xFFFFFFFFL
+
+(* The 32-bit words live in unboxed Int64 locals: ocamlopt keeps an
+   int64 that is let- or ref-bound and never escapes in a register, so
+   add, xor and shift are one instruction each, where a tagged int
+   re-tags after most of them.
+
+   A rotation reads a doubled word.  For x < 2^32 and
+   d = x lor (x lsl 32), the low 32 bits of d lsr n are x rotated right
+   by n, so a Σ is one shl, one or, three shr and two xors.  The bits
+   above 31 are garbage that only reaches additions and xors whose low
+   32 bits are kept.  So a word is masked once, where it is stored (a
+   schedule word, e, a and the state), and every word that is doubled
+   or shifted right is one of those stored, masked words. *)
 let compress ctx block off =
   let w = ctx.w in
-  for i = 0 to 15 do
-    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
+  for i = 0 to 7 do
+    (* Two big-endian message words per load. *)
+    let x = Bytes.get_int64_be block (off + (8 * i)) in
+    set_word w (16 * i) (Int64.shift_right_logical x 32);
+    set_word w ((16 * i) + 8) (Int64.logand x mask)
   done;
   for i = 16 to 63 do
-    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
-    let s0 = ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) in
-    let s1 = ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
+    let x = get_word w (8 * (i - 15)) and y = get_word w (8 * (i - 2)) in
+    let w16 = get_word w (8 * (i - 16)) and w7 = get_word w (8 * (i - 7)) in
+    set_word w (8 * i)
+      Mycelium_util.Int64_ops.(
+        let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+        let s0 = (dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3) in
+        let s1 = (dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10) in
+        (w16 + s0 + w7 + s1) land mask)
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  let a = ref (Int64.of_int h.(0)) and b = ref (Int64.of_int h.(1)) in
+  let c = ref (Int64.of_int h.(2)) and d = ref (Int64.of_int h.(3)) in
+  let e = ref (Int64.of_int h.(4)) and f = ref (Int64.of_int h.(5)) in
+  let g = ref (Int64.of_int h.(6)) and hh = ref (Int64.of_int h.(7)) in
   for i = 0 to 63 do
-    let ev = !e and av = !a in
-    let s1 =
-      ((ev lsr 6) lor (ev lsl 26))
-      lxor ((ev lsr 11) lor (ev lsl 21))
-      lxor ((ev lsr 25) lor (ev lsl 7))
-    in
-    let ch = (ev land !f) lxor (lnot ev land !g) in
-    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
-    let s0 =
-      ((av lsr 2) lor (av lsl 30))
-      lxor ((av lsr 13) lor (av lsl 19))
-      lxor ((av lsr 22) lor (av lsl 10))
-    in
-    let maj = (av land (!b lor !c)) lor (!b land !c) in
-    hh := !g;
-    g := !f;
-    f := ev;
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := av;
-    a := (temp1 + s0 + maj) land mask
+    let kw = Int64.of_int (Array.unsafe_get k i) and ww = get_word w (8 * i) in
+    let av = !a and bv = !b and cv = !c and ev = !e and fv = !f and gv = !g in
+    Mycelium_util.Int64_ops.(
+      let de = ev lor (ev lsl 32) and da = av lor (av lsl 32) in
+      let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
+      let ch = gv lxor (ev land (fv lxor gv)) in
+      let temp1 = !hh + s1 + ch + kw + ww in
+      let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
+      let maj = (av land (bv lor cv)) lor (bv land cv) in
+      hh := gv;
+      g := fv;
+      f := ev;
+      e := (!d + temp1) land mask;
+      d := cv;
+      c := bv;
+      b := av;
+      a := (temp1 + s0 + maj) land mask)
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  h.(0) <- (h.(0) + Int64.to_int !a) land 0xFFFFFFFF;
+  h.(1) <- (h.(1) + Int64.to_int !b) land 0xFFFFFFFF;
+  h.(2) <- (h.(2) + Int64.to_int !c) land 0xFFFFFFFF;
+  h.(3) <- (h.(3) + Int64.to_int !d) land 0xFFFFFFFF;
+  h.(4) <- (h.(4) + Int64.to_int !e) land 0xFFFFFFFF;
+  h.(5) <- (h.(5) + Int64.to_int !f) land 0xFFFFFFFF;
+  h.(6) <- (h.(6) + Int64.to_int !g) land 0xFFFFFFFF;
+  h.(7) <- (h.(7) + Int64.to_int !hh) land 0xFFFFFFFF
 
 let update_sub ctx data ~pos:start ~len =
   if ctx.finished then invalid_arg "Sha256.update: context already finalized";

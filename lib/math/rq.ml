@@ -321,28 +321,33 @@ let mul_scalar_residues a scalar =
     invalid_arg "Rq.mul_scalar_residues: wrong residue count";
   scale_rows a (fun j -> scalar.(j))
 
+(* The samplers draw through [Rng]'s bulk forms: the values, their
+   order and the generator's final state are those of one single draw
+   per coefficient (rows in prime order for [random_uniform]). *)
 let random_uniform basis rng =
   let n = Rns.degree basis in
   let rows =
-    Array.map (fun p -> Array.init n (fun _ -> Rng.int rng p)) (Rns.primes basis)
+    Array.map
+      (fun p ->
+        let row = Array.make n 0 in
+        Rng.fill_int rng p row;
+        row)
+      (Rns.primes basis)
   in
   { basis; st = { repr = Coeff; rows } }
 
-let sample_signed basis rng draw =
-  let n = Rns.degree basis in
-  let coeffs = Array.init n (fun _ -> draw rng) in
+let sample_ternary basis rng =
+  let coeffs = Array.make (Rns.degree basis) 0 in
+  Rng.fill_int rng 3 coeffs;
+  for i = 0 to Array.length coeffs - 1 do
+    coeffs.(i) <- coeffs.(i) - 1
+  done;
   of_centered_coeffs basis coeffs
 
-let sample_ternary basis rng = sample_signed basis rng (fun rng -> Rng.int rng 3 - 1)
-
 let sample_cbd basis ~eta rng =
-  sample_signed basis rng (fun rng ->
-      let acc = ref 0 in
-      for _ = 1 to eta do
-        if Rng.bool rng then incr acc;
-        if Rng.bool rng then decr acc
-      done;
-      !acc)
+  let coeffs = Array.make (Rns.degree basis) 0 in
+  Rng.fill_centered_binomial rng ~eta coeffs;
+  of_centered_coeffs basis coeffs
 
 let pp fmt t =
   let coeffs = to_bigint_coeffs t in

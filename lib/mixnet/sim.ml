@@ -864,19 +864,24 @@ let run_query_round_impl t ~payload_of =
             pids
       end)
     groups;
-  (* Probe the first sending group's payload once for the slot length;
+  (* Build the first sending group's payload here for the slot length:
      every slot of a round shares it, so arena offsets are just
-     slot * body_len. *)
-  let probe_plen =
-    let r = ref (-1) and gi = ref 0 in
-    while !r < 0 && !gi < ng do
-      if g_online.(!gi) then begin
-        let p0 = groups.(!gi).(0) in
-        r := Bytes.length (payload_of ~source:(t.p_src.(p0)) ~dest:(t.p_dst.(p0)))
-      end;
+     slot * body_len.  That group's wrap task reuses these bytes
+     ([payload_of] is pure), so no payload is built twice. *)
+  let probe_gi =
+    let gi = ref 0 in
+    while !gi < ng && not g_online.(!gi) do
       incr gi
     done;
-    !r
+    !gi
+  in
+  let probe_payload, probe_plen =
+    if probe_gi < ng then begin
+      let p0 = groups.(probe_gi).(0) in
+      let b = payload_of ~source:t.p_src.(p0) ~dest:t.p_dst.(p0) in
+      (b, Bytes.length b)
+    end
+    else (Bytes.empty, -1)
   in
   t.body_len <- (if probe_plen < 0 then 1 else probe_plen + Onion.inner_overhead);
   let n_dep = Ivec.length dep_pid in
@@ -903,7 +908,7 @@ let run_query_round_impl t ~payload_of =
   let wrap_tasks =
     let acc = ref [] in
     Array.iteri
-      (fun gi pids -> if g_online.(gi) then acc := (pids, g_offs.(gi)) :: !acc)
+      (fun gi pids -> if g_online.(gi) then acc := (gi, pids, g_offs.(gi)) :: !acc)
       groups;
     Array.of_list (List.rev !acc)
   in
@@ -916,9 +921,11 @@ let run_query_round_impl t ~payload_of =
   let wrap_res =
     Obs.span "mixnet.deposit" @@ fun () ->
     Pool.map_array pool
-      (fun (pids, offs) ->
+      (fun (gi, pids, offs) ->
         let p0 = pids.(0) in
-        let payload = payload_of ~source:p_src.(p0) ~dest:p_dst.(p0) in
+        let payload =
+          if gi = probe_gi then probe_payload else payload_of ~source:p_src.(p0) ~dest:p_dst.(p0)
+        in
         let plen = Bytes.length payload in
         (* Guard the arena: a task whose payload length disagrees with
            the probe writes nothing; the merge raises. *)

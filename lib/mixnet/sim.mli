@@ -137,11 +137,11 @@ val run_query_round_with : t -> payload_of:(source:int -> dest:int -> bytes) -> 
     distinguishable; raises [Invalid_argument] otherwise.
 
     [payload_of] must be pure (same bytes for the same pair, no shared
-    mutable state): it is invoked at least once per logical message
-    from the parallel wrap phase, on an arbitrary pool domain, and one
-    sending pair is probed an extra time sequentially to size the body
-    arena.  Draw any randomness it needs from a stream keyed by the
-    pair ({!Mycelium_util.Rng.keyed}). *)
+    mutable state): it is invoked once per online sending group per
+    round — for the first such group sequentially, to size the body
+    arena, and for the others from the parallel wrap phase, on an
+    arbitrary pool domain.  Draw any randomness it needs from a stream
+    keyed by the pair ({!Mycelium_util.Rng.keyed}). *)
 
 val deliveries : t -> (int * int * bytes) list
 (** [(source_device, dest_pseudonym, payload)] messages opened by their

@@ -4,14 +4,18 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-(* SplitMix64 output function: one additive step plus two xor-shift
-   multiplies (variant "mix13"). *)
+(* SplitMix64 output function of a state: two xor-shift multiplies
+   and a final xor-shift (variant "mix13"). *)
+let[@inline] mix z =
+  Int64_ops.(
+    let z = (z lxor (z lsr 30)) * 0xBF58476D1CE4E5B9L in
+    let z = (z lxor (z lsr 27)) * 0x94D049BB133111EBL in
+    z lxor (z lsr 31))
+
+(* One draw: the additive step, then the output function. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  mix t.state
 
 let int64 = next_int64
 
@@ -84,6 +88,38 @@ let int t n =
     if v < limit then v mod n else draw ()
   in
   draw ()
+
+(* The bulk draws run the generator on an unboxed local copy of the
+   state and store it back once, so a draw neither boxes a state nor
+   allocates a closure; the rejection limit is divided out once per
+   call.  Each makes exactly the single draws' steps, in their order. *)
+let fill_int t n a =
+  if n <= 0 then invalid_arg "Rng.fill_int: bound must be positive";
+  let limit = 0x3FFF_FFFF_FFFF_FFFF / n * n in
+  let s = ref t.state in
+  for i = 0 to Array.length a - 1 do
+    let v = ref limit in
+    while !v >= limit do
+      s := Int64.add !s golden_gamma;
+      v := Int64.to_int (Int64.shift_right_logical (mix !s) 2)
+    done;
+    Array.unsafe_set a i (!v mod n)
+  done;
+  t.state <- !s
+
+let fill_centered_binomial t ~eta a =
+  let s = ref t.state in
+  for i = 0 to Array.length a - 1 do
+    let acc = ref 0 in
+    for _ = 1 to eta do
+      s := Int64.add !s golden_gamma;
+      acc := !acc + Int64.to_int (Int64.logand (mix !s) 1L);
+      s := Int64.add !s golden_gamma;
+      acc := !acc - Int64.to_int (Int64.logand (mix !s) 1L)
+    done;
+    Array.unsafe_set a i !acc
+  done;
+  t.state <- !s
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -98,6 +98,21 @@ val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Raises [Invalid_argument] if
     [n <= 0]. Uses rejection sampling, so the distribution is exact. *)
 
+val fill_int : t -> int -> int array -> unit
+(** [fill_int t n a] sets [a.(0)], [a.(1)], … in that order to
+    [int t n]: the same values as that loop of single draws, and it
+    leaves [t] where the loop would, so the next draw is the same too.
+    It runs faster, and allocates the same at any length.  Raises
+    [Invalid_argument] if [n <= 0]. *)
+
+val fill_centered_binomial : t -> eta:int -> int array -> unit
+(** [fill_centered_binomial t ~eta a] sets [a.(0)], [a.(1)], … in that
+    order to a centred binomial draw with parameter [eta]: the sum over
+    [eta] steps of [+1] if [bool t], then [-1] if [bool t].  Each cell
+    lies in [\[-eta, eta\]] with variance [eta/2].  Like {!fill_int} it
+    makes exactly the single draws' steps: the same values, and [t]
+    left where they would leave it. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 

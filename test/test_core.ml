@@ -12,6 +12,7 @@ module Corpus = Mycelium_query.Corpus
 module Ast = Mycelium_query.Ast
 module Params = Mycelium_bgv.Params
 module Bgv = Mycelium_bgv.Bgv
+module Rns = Mycelium_math.Rns
 module Pregel = Mycelium_baseline.Pregel
 module Engine = Mycelium_baseline.Engine
 module Committee = Mycelium_core.Committee
@@ -265,6 +266,113 @@ let test_contribution_wire_size () =
             (Contribution.wire_size ctx info))
         [ ("Q2", 1); ("Q3", 14) ])
     [ Params.test_small; Params.test_medium ]
+
+(* Structure-aware mutants of the two decoders that face the wire:
+   well-framed inputs with one defect each.  Every one decodes to None,
+   within a fixed time. *)
+let test_decoder_mutants () =
+  let ctx = Bgv.make_ctx fast_params in
+  let rng = Rng.create 13L in
+  let _, pk = Bgv.keygen ctx rng in
+  let srs = Mycelium_zkp.Zkp.setup rng in
+  let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find "Q5").Corpus.query in
+  let dest = { Schema.infected = true; t_inf = Some 2; age = 35; household = 1 } in
+  let c = Contribution.build srs ctx rng pk info ~dest ~edge:None in
+  let basis = Bgv.basis ctx in
+  let levels = Rns.level_count basis and n = Rns.degree basis and primes = Rns.primes basis in
+  let with_field b off v =
+    let b = Bytes.copy b in
+    Bytes.set_int32_le b off (Int32.of_int v);
+    b
+  in
+  let refused what decode mutant =
+    let t0 = Sys.time () in
+    let r = decode mutant in
+    checkb (what ^ ": refused") true (Option.is_none r);
+    checkb (what ^ ": within a second") true (Sys.time () -. t0 < 1.)
+  in
+  (* A ciphertext's wire form is 4-byte little-endian fields: the
+     component count, then per component its representation tag and
+     row count, and per row its length and its n residues. *)
+  let ct = Bgv.serialize c.Contribution.ciphertexts.(0) in
+  let comp i = 4 + (i * (8 + (levels * (4 + (4 * n))))) in
+  let row i j = comp i + 8 + (j * (4 + (4 * n))) in
+  let residue i j k = row i j + 4 + (4 * k) in
+  checkb "unmutated ciphertext decodes" true (Option.is_some (Bgv.deserialize ctx ct));
+  let ct_mutants =
+    [
+      ("residue equal to its prime", with_field ct (residue 0 0 0) primes.(0));
+      ( "residue above its prime",
+        with_field ct (residue 1 (levels - 1) (n - 1)) (primes.(levels - 1) + 1) );
+      ("residue 2^31 - 1", with_field ct (residue 0 1 5) 0x7FFFFFFF);
+      ("negative residue", with_field ct (residue 1 0 7) (-1));
+      ("representation tag 2", with_field ct (comp 1) 2);
+      ("one row short", with_field ct (comp 0 + 4) (levels - 1));
+      ("one row over", with_field ct (comp 1 + 4) (levels + 1));
+      ("row one residue short", with_field ct (row 0 0) (n - 1));
+      ("row one residue long", with_field ct (row 1 (levels - 1)) (n + 1));
+      ("0 components", with_field ct 0 0);
+      ("65 components", with_field ct 0 65);
+      ("1 component of 2", with_field ct 0 1);
+      ("3 components of 2", with_field ct 0 3);
+      ("truncated by a byte", Bytes.sub ct 0 (Bytes.length ct - 1));
+      ("truncated by a field", Bytes.sub ct 0 (Bytes.length ct - 4));
+      ("a trailing byte", Bytes.cat ct (Bytes.make 1 '\x00'));
+      ("a trailing field", Bytes.cat ct (Bytes.make 4 '\x00'));
+    ]
+  in
+  List.iter (fun (what, m) -> refused ("ciphertext, " ^ what) (Bgv.deserialize ctx) m) ct_mutants;
+  (* A contribution is a count, then each ciphertext and each proof
+     framed by a 4-byte length. *)
+  let frame ~count parts =
+    let b = Buffer.create 4096 in
+    let add32 v =
+      let h = Bytes.create 4 in
+      Bytes.set_int32_le h 0 (Int32.of_int v);
+      Buffer.add_bytes b h
+    in
+    add32 count;
+    List.iter
+      (fun p ->
+        add32 (Bytes.length p);
+        Buffer.add_bytes b p)
+      parts;
+    Buffer.to_bytes b
+  in
+  let cts = Array.to_list (Array.map Bgv.serialize c.Contribution.ciphertexts) in
+  let proofs = Array.to_list (Array.map Mycelium_zkp.Zkp.proof_to_bytes c.Contribution.proofs) in
+  let k = List.length cts in
+  let wire = Contribution.to_bytes c in
+  checkb "framing as to_bytes" true (Bytes.equal wire (frame ~count:k (cts @ proofs)));
+  checkb "unmutated contribution decodes" true (Option.is_some (Contribution.of_bytes ctx wire));
+  let first_proof = 4 + List.fold_left (fun acc ct -> acc + 4 + Bytes.length ct) 0 cts in
+  let proof = List.hd proofs in
+  let contribution_mutants =
+    List.map
+      (fun (what, m) -> ("ciphertext " ^ what, frame ~count:k ((m :: List.tl cts) @ proofs)))
+      ct_mutants
+    @ [
+        ("count 0", with_field wire 0 0);
+        ("count 65", with_field wire 0 65);
+        ("count one over", with_field wire 0 (k + 1));
+        ("ciphertext frame a byte over", with_field wire 4 (Bytes.length (List.hd cts) + 1));
+        ("ciphertext frame a byte short", with_field wire 4 (Bytes.length (List.hd cts) - 1));
+        ("frame length past the end", with_field wire 4 0x7FFFFFFF);
+        ("negative frame length", with_field wire 4 (-1));
+        ("proof frame past the end", with_field wire first_proof 0x7FFFFFFF);
+        ( "63-byte proof",
+          frame ~count:k (cts @ (Bytes.sub proof 0 63 :: List.tl proofs)) );
+        ( "65-byte proof",
+          frame ~count:k (cts @ (Bytes.cat proof (Bytes.make 1 '\x00') :: List.tl proofs)) );
+        ("truncated by a byte", Bytes.sub wire 0 (Bytes.length wire - 1));
+        ("truncated inside a header", Bytes.sub wire 0 2);
+        ("a trailing byte", Bytes.cat wire (Bytes.make 1 '\x00'));
+        ("a trailing frame", Bytes.cat wire (frame ~count:0 [ proof ]));
+      ]
+  in
+  List.iter
+    (fun (what, m) -> refused ("contribution, " ^ what) (Contribution.of_bytes ctx) m)
+    contribution_mutants
 
 (* ------------------------------------------------------------------ *)
 (* Summation tree                                                      *)
@@ -609,6 +717,15 @@ let test_e2e_over_degree_graph_clipped () =
   checkb "mixnet over-degree result = oracle" true
     (Array.for_all2 (fun a b -> int_of_float a = b) r2.Runtime.noisy_bins exact2)
 
+(* Bring-up refuses a population smaller than the committee, naming
+   both numbers; a population the size of the committee comes up. *)
+let test_e2e_population_below_committee () =
+  let config = { e2e_config with Runtime.committee_size = 10 } in
+  Alcotest.check_raises "6 devices, 10 members"
+    (Invalid_argument "Runtime.init: population 6 is smaller than the committee size 10")
+    (fun () -> ignore (Runtime.init config (small_graph ~n:6 ())));
+  ignore (Runtime.init config (small_graph ~n:10 ()))
+
 let test_e2e_parse_and_analysis_errors () =
   let sys = Lazy.force e2e_system in
   (match Runtime.run_query ~epsilon:1.0 sys "SELECT nonsense" with
@@ -646,6 +763,7 @@ let () =
           Alcotest.test_case "malicious rejected" `Quick test_contribution_malicious_rejected;
           Alcotest.test_case "wire roundtrip" `Quick test_contribution_wire_roundtrip;
           Alcotest.test_case "wire size" `Quick test_contribution_wire_size;
+          Alcotest.test_case "decoder mutants" `Quick test_decoder_mutants;
         ] );
       ( "summation-tree",
         [
@@ -671,5 +789,7 @@ let () =
           Alcotest.test_case "mixnet churn degrades gracefully" `Slow test_e2e_mixnet_churn_degrades_gracefully;
           Alcotest.test_case "over-degree graph clipped" `Slow test_e2e_over_degree_graph_clipped;
           Alcotest.test_case "error paths" `Quick test_e2e_parse_and_analysis_errors;
+          Alcotest.test_case "population below the committee" `Quick
+            test_e2e_population_below_committee;
         ] );
     ]

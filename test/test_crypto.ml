@@ -10,6 +10,9 @@ module Poly1305 = Mycelium_crypto.Poly1305
 module Aead = Mycelium_crypto.Aead
 module Merkle = Mycelium_crypto.Merkle
 module Rsa = Mycelium_crypto.Rsa
+module Pool = Mycelium_parallel.Pool
+module Rns = Mycelium_math.Rns
+module Rq = Mycelium_math.Rq
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -759,6 +762,109 @@ let test_rsa_fingerprints_distinct () =
   checkb "distinct keys distinct pseudonyms" false
     (Bytes.equal (Rsa.fingerprint pk1) (Rsa.fingerprint pk2))
 
+(* ------------------------------------------------------------------ *)
+(* Word kernels: allocation and domain safety                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated by [f], minor and major heap together.  The minor
+   part comes from [Gc.minor_words]: OCaml 5.1's [Gc.counters], and so
+   [Gc.allocated_bytes], undercounts the minor heap. *)
+let allocated_words f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* SHA-256, ChaCha20 and the bulk draws keep their words in unboxed
+   int64 locals; one that escaped would be boxed per block or per draw,
+   and the allocation would grow with the length.  The two SHA-256
+   lengths agree mod 64, so their padding is the same. *)
+let test_kernel_allocation () =
+  let same name f small large =
+    f small;
+    f large;
+    Alcotest.(check (float 0.))
+      (name ^ ": same at both lengths")
+      (allocated_words (fun () -> f small))
+      (allocated_words (fun () -> f large))
+  in
+  let rng = Rng.create 24L in
+  let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
+  same "Sha256.digest"
+    (fun b -> ignore (Sha256.digest b))
+    (Bytes.create 100)
+    (Bytes.create (100 + (64 * 1024)));
+  let dst = Bytes.create 65_536 in
+  same "Chacha20.xor_into"
+    (fun b -> Chacha20.xor_into ~key ~nonce ~src:b ~src_pos:0 ~dst ~dst_pos:0 (Bytes.length b))
+    (Bytes.create 100) (Bytes.create 65_000);
+  same "Rng.fill_int" (fun a -> Rng.fill_int rng 1_073_479_681 a) (Array.make 16 0)
+    (Array.make 16_384 0);
+  same "Rng.fill_centered_binomial"
+    (fun a -> Rng.fill_centered_binomial rng ~eta:2 a)
+    (Array.make 16 0) (Array.make 16_384 0)
+
+(* Past their output (the coefficient array and one row per prime), the
+   samplers allocate the same at every degree: nothing per draw. *)
+let test_sampler_allocation () =
+  let small = Rns.standard ~degree:256 ~prime_bits:28 ~levels:3 in
+  let large = Rns.standard ~degree:4096 ~prime_bits:28 ~levels:3 in
+  let k = Rns.level_count small in
+  checki "same prime count" k (Rns.level_count large);
+  let rng = Rng.create 25L in
+  List.iter
+    (fun (name, arrays, sample) ->
+      ignore (sample small);
+      ignore (sample large);
+      let grows =
+        allocated_words (fun () -> ignore (sample large))
+        -. allocated_words (fun () -> ignore (sample small))
+      in
+      Alcotest.(check (float 0.)) name (float_of_int (arrays * (4096 - 256))) grows)
+    [
+      ("sample_ternary", k + 1, fun b -> Rq.sample_ternary b rng);
+      ("sample_cbd", k + 1, fun b -> Rq.sample_cbd b ~eta:2 rng);
+      ("random_uniform", k, fun b -> Rq.random_uniform b rng);
+    ]
+
+(* Pool tasks hash, encrypt and sample at once; a scratch buffer shared
+   between calls would mix their words.  Four domains must give what
+   one does. *)
+let test_kernels_across_domains () =
+  let basis = Rns.standard ~degree:256 ~prime_bits:28 ~levels:2 in
+  let task i =
+    let rng = Rng.create (Int64.of_int (600 + i)) in
+    let msg = Rng.bytes rng (3000 + (97 * i)) in
+    let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
+    let rows x = Array.concat (Array.to_list (Rq.residues x)) in
+    ( Sha256.digest msg,
+      Chacha20.encrypt ~key ~nonce msg,
+      Array.concat
+        [
+          rows (Rq.sample_ternary basis rng);
+          rows (Rq.sample_cbd basis ~eta:2 rng);
+          rows (Rq.random_uniform basis rng);
+        ] )
+  in
+  let ids = Array.init 48 Fun.id in
+  let sequential = Array.map task ids in
+  let pool = Pool.create ~domains:4 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for round = 1 to 3 do
+        Array.iteri
+          (fun i (digest, ct, coeffs) ->
+            let d, c, k = sequential.(i) in
+            let name = Printf.sprintf "round %d, task %d" round i in
+            checkb (name ^ ": digest") true (Bytes.equal d digest);
+            checkb (name ^ ": ciphertext") true (Bytes.equal c ct);
+            Alcotest.(check (array int)) (name ^ ": samples") k coeffs)
+          (Pool.map_array pool task ids)
+      done)
+
 let () =
   Alcotest.run "mycelium-crypto"
     [
@@ -790,6 +896,12 @@ let () =
           Alcotest.test_case "chacha20 bounds" `Quick test_chacha20_bounds;
           Alcotest.test_case "AEAD vs oracle" `Quick test_aead_differential;
           Alcotest.test_case "AEAD at the slot size" `Quick test_aead_slot_size;
+        ] );
+      ( "word kernels",
+        [
+          Alcotest.test_case "allocation independent of length" `Quick test_kernel_allocation;
+          Alcotest.test_case "sampler allocation per degree" `Quick test_sampler_allocation;
+          Alcotest.test_case "4 domains = 1" `Quick test_kernels_across_domains;
         ] );
       ( "merkle",
         [

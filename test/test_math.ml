@@ -53,6 +53,70 @@ let test_rng_int_uniformity () =
       checkb "within 5% of uniform" true (dev < 0.05))
     counts
 
+(* The bulk draws are the single draws in bulk: the same values in the
+   same order, and the generator left where the loop of single draws
+   leaves it, so the next draw agrees too.  Bounds 1, 2 and 3, a 28-
+   and a 30-bit prime, and 2^61 + 1, where about every other raw draw
+   is rejected. *)
+let test_rng_fill_int_matches_int () =
+  let p28 = List.hd (Ntt.find_primes ~degree:1024 ~bits:28 ~count:1) in
+  let p30 = List.hd (Ntt.find_primes ~degree:1024 ~bits:30 ~count:1) in
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun len ->
+          let seed = Int64.of_int ((bound land 0xFFFF) + len) in
+          let bulk = Rng.create seed and single = Rng.create seed in
+          let a = Array.make len (-1) in
+          Rng.fill_int bulk bound a;
+          let name = Printf.sprintf "bound %d, length %d" bound len in
+          check Alcotest.(array int) name (Array.init len (fun _ -> Rng.int single bound)) a;
+          check Alcotest.int64 (name ^ ": next draw") (Rng.int64 single) (Rng.int64 bulk))
+        [ 0; 1; 5; 1000 ])
+    [ 1; 2; 3; p28; p30; (1 lsl 61) + 1 ];
+  (* At 2^61 + 1 the fill really rejects: 1000 values take more than
+     1000 steps of the generator. *)
+  let bulk = Rng.create 61L and steps = Rng.create 61L in
+  Rng.fill_int bulk ((1 lsl 61) + 1) (Array.make 1000 0);
+  for _ = 1 to 1000 do
+    ignore (Rng.int64 steps)
+  done;
+  checkb "rejections at 2^61 + 1" false (Int64.equal (Rng.int64 bulk) (Rng.int64 steps));
+  Alcotest.check_raises "bound 0" (Invalid_argument "Rng.fill_int: bound must be positive")
+    (fun () -> Rng.fill_int (Rng.create 1L) 0 [| 0 |])
+
+let test_rng_fill_centered_binomial_matches_bool () =
+  List.iter
+    (fun eta ->
+      List.iter
+        (fun len ->
+          let bulk = Rng.create 77L and single = Rng.create 77L in
+          let a = Array.make len 99 in
+          Rng.fill_centered_binomial bulk ~eta a;
+          let expected =
+            Array.init len (fun _ ->
+                let acc = ref 0 in
+                for _ = 1 to eta do
+                  if Rng.bool single then incr acc;
+                  if Rng.bool single then decr acc
+                done;
+                !acc)
+          in
+          let name = Printf.sprintf "eta %d, length %d" eta len in
+          check Alcotest.(array int) name expected a;
+          check Alcotest.int64 (name ^ ": next draw") (Rng.int64 single) (Rng.int64 bulk))
+        [ 0; 1; 7; 1000 ])
+    [ 1; 2; 3; 8 ]
+
+(* A zero-length fill makes no draw: the next draw is the stream's
+   first. *)
+let test_rng_empty_fill () =
+  let first = Rng.int64 (Rng.create 5L) in
+  let r = Rng.create 5L in
+  Rng.fill_int r 3 [||];
+  Rng.fill_centered_binomial r ~eta:2 [||];
+  check Alcotest.int64 "state untouched" first (Rng.int64 r)
+
 let all_purposes =
   Rng.
     [
@@ -666,6 +730,10 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniformity" `Slow test_rng_int_uniformity;
           Alcotest.test_case "keyed streams" `Quick test_rng_keyed_streams;
+          Alcotest.test_case "fill_int = int" `Quick test_rng_fill_int_matches_int;
+          Alcotest.test_case "fill_centered_binomial = bool" `Quick
+            test_rng_fill_centered_binomial_matches_bool;
+          Alcotest.test_case "empty fill draws nothing" `Quick test_rng_empty_fill;
           Alcotest.test_case "sampling without replacement" `Quick test_rng_sample_without_replacement;
           Alcotest.test_case "laplace moments" `Slow test_rng_laplace_moments;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;

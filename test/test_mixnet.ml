@@ -11,6 +11,8 @@ module Hopselect = Mycelium_mixnet.Hopselect
 module Onion = Mycelium_mixnet.Onion
 module Model = Mycelium_mixnet.Model
 module Sim = Mycelium_mixnet.Sim
+module Sha256 = Mycelium_crypto.Sha256
+module Hex = Mycelium_util.Hex
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -676,6 +678,63 @@ let test_sim_explicit_targets () =
       checkb "ring structure" true (dst = (src + 1) mod n || dst = (src + 2) mod n))
     (Sim.deliveries t)
 
+(* [payload_of] runs once per online sending group per round: the
+   group the round probes for the slot length is wrapped from the
+   probe's bytes.  A ring of explicit targets gives every message its
+   own (source, destination) pair, and churn takes some senders
+   offline.  What the rounds deliver is pinned: the digest is the one
+   the simulator gave when it built the probed payload twice. *)
+let test_sim_payload_built_once () =
+  let n = 40 in
+  let t =
+    Sim.create
+      { small_cfg with
+        Sim.n_devices = n;
+        degree = 2;
+        malicious_fraction = 0.;
+        churn = 0.2;
+        seed = 21L
+      }
+  in
+  let targets = Array.init n (fun i -> [| (i + 1) mod n; (i + 2) mod n |]) in
+  ignore (Sim.setup_paths ~targets t);
+  let lock = Mutex.create () and calls = Hashtbl.create 64 in
+  let payload_of ~source ~dest =
+    Mutex.protect lock (fun () ->
+        let seen = Option.value ~default:0 (Hashtbl.find_opt calls (source, dest)) in
+        Hashtbl.replace calls (source, dest) (seen + 1));
+    let b = Bytes.make 48 '\x00' in
+    Bytes.set_int64_le b 0 (Int64.of_int source);
+    Bytes.set_int64_le b 8 (Int64.of_int dest);
+    b
+  in
+  let h = Sha256.init () in
+  let feed v = Sha256.update_string h (string_of_int v ^ ";") in
+  for round = 1 to 2 do
+    Hashtbl.reset calls;
+    let r = Sim.run_query_round_with t ~payload_of in
+    let built = Hashtbl.length calls in
+    checkb (Printf.sprintf "round %d: some senders offline" round) true (built < r.Sim.messages_sent);
+    checkb (Printf.sprintf "round %d: every delivery was built" round) true (r.Sim.delivered <= built);
+    Hashtbl.iter
+      (fun (s, d) count -> checki (Printf.sprintf "round %d: %d -> %d built" round s d) 1 count)
+      calls;
+    List.iter feed
+      [ r.Sim.messages_sent; r.Sim.delivered; r.Sim.lost; r.Sim.copies_delivered;
+        r.Sim.copies_lost; r.Sim.dummies_uploaded; r.Sim.identified; r.Sim.deposited_bytes;
+        r.Sim.rounds_used ];
+    Array.iter feed r.Sim.anonymity_sets;
+    List.iter
+      (fun (src, dst, body) ->
+        feed src;
+        feed dst;
+        Sha256.update h body)
+      (Sim.deliveries t)
+  done;
+  Alcotest.(check string) "deliveries and stats"
+    "da4e1f225e817aa9da3adeda615f90dcc2440317609b17faa23c839d137cbfa6"
+    (Hex.encode (Sha256.finalize h))
+
 let () =
   Alcotest.run "mycelium-mixnet"
     [
@@ -734,6 +793,7 @@ let () =
           Alcotest.test_case "repeated rounds keep anonymity" `Quick test_sim_repeated_rounds;
           Alcotest.test_case "rounds advance the clock" `Quick test_sim_rounds_advance_clock;
           Alcotest.test_case "explicit targets" `Quick test_sim_explicit_targets;
+          Alcotest.test_case "payload built once per group" `Quick test_sim_payload_built_once;
           Alcotest.test_case "footprint stable over rounds" `Quick test_sim_footprint_stable;
           Alcotest.test_case "second setup adds its own messages" `Quick test_sim_repeated_setup;
           Alcotest.test_case "audit changes no round" `Quick test_sim_audit_changes_nothing;
