@@ -889,17 +889,17 @@ let () =
             ("suppressed", Int (List.length report.Lint.suppressed));
           ]
         in
-        (* The interprocedural analyzer over the built .cmt trees: one
-           cold run against a fresh summary cache, then warm runs (best
-           of three) that should skip every summarization.  Skipped
-           when the build tree is absent (installed binary, clean
-           checkout). *)
+        (* The interprocedural analyzer over the built .cmt trees, in
+           the scope `dune build @analyze` sweeps: one cold run against
+           a fresh summary cache, then warm runs (best of three) that
+           should skip every summarization.  Skipped when the build
+           tree is absent (installed binary, clean checkout). *)
         let build = Filename.concat root (Filename.concat "_build" "default") in
-        let aroots =
-          List.filter Sys.file_exists
-            [ Filename.concat build "lib"; Filename.concat build "bin" ]
-        in
         let module A = Mycelium_lint.Analyze in
+        let built dirs =
+          List.filter Sys.file_exists (List.map (Filename.concat build) dirs)
+        in
+        let aroots = built A.repo_roots and callers = built A.repo_callers in
         if aroots = [] || List.concat_map (fun r -> A.find_cmts r []) aroots = []
         then begin
           say "  (no .cmt build tree; analyzer cells skipped)\n";
@@ -913,7 +913,7 @@ let () =
             (fun () ->
               let timed () =
                 let t0 = Unix.gettimeofday () in
-                let res = A.run ~cache ~source_root:root ~roots:aroots () in
+                let res = A.run ~cache ~source_root:root ~callers ~roots:aroots () in
                 (res, (Unix.gettimeofday () -. t0) *. 1e3)
               in
               let cold, cold_ms = timed () in
@@ -931,7 +931,8 @@ let () =
               say "  violations %d, suppressed %d; warm cache hits %d/%d\n"
                 (List.length cold.A.report.Lint.violations)
                 (List.length cold.A.report.Lint.suppressed)
-                warm.A.stats.A.sa_cache_hits s.A.sa_modules;
+                warm.A.stats.A.sa_cache_hits
+                (warm.A.stats.A.sa_cache_hits + warm.A.stats.A.sa_summarized);
               syntactic
               @ [
                   ("analyze_modules", Int s.A.sa_modules);

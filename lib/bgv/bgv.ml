@@ -16,7 +16,7 @@ let m_ct_muls = Obs.Metrics.counter Obs.Names.bgv_ciphertext_muls
 let m_relins = Obs.Metrics.counter Obs.Names.bgv_relinearizations
 let ct_mul_sampler = Obs.sampler ~every:64
 
-type ctx = { p : Params.t; basis : Rns.t; fresh_noise_bits : float }
+type ctx = { p : Params.t; basis : Rns.t }
 
 let make_ctx p =
   Params.validate p;
@@ -30,14 +30,7 @@ let make_ctx p =
       if p.Params.plain_modulus mod prime = 0 then
         invalid_arg "Bgv.make_ctx: plain modulus shares a factor with q")
     (Rns.primes basis);
-  let fresh_noise_bits =
-    (* |t (e1 + e2 s - e u)| <~ t * (2 N eta + eta): a worst-case bound. *)
-    let t_bits = log (float_of_int p.Params.plain_modulus) /. log 2. in
-    let n_bits = log (float_of_int p.Params.degree) /. log 2. in
-    let eta_bits = log (float_of_int p.Params.error_eta) /. log 2. in
-    t_bits +. n_bits +. eta_bits +. 2.
-  in
-  { p; basis; fresh_noise_bits }
+  { p; basis }
 
 let params ctx = ctx.p
 let basis ctx = ctx.basis
@@ -47,7 +40,7 @@ let modulus_bits ctx = Rns.modulus_bits ctx.basis
 type secret_key = { s : Rq.t }
 type public_key = { p0 : Rq.t; p1 : Rq.t }
 
-type ciphertext = { comps : Rq.t array; noise_bits : float }
+type ciphertext = { comps : Rq.t array }
 
 (* ksk for one power j: per digit index, (k0, k1). *)
 type relin_key = { digit_bits : int; keys : (Rq.t * Rq.t) array array (* [power-2].[digit] *) }
@@ -101,7 +94,7 @@ let encrypt ctx rng pk pt =
   Array.iteri (fun i c -> e1.(i) <- e1.(i) + c) m;
   let c0 = Rq.add (Rq.mul pk.p0 u) (Rq.of_centered_coeffs ctx.basis e1) in
   let c1 = Rq.add (Rq.mul pk.p1 u) (Rq.of_centered_coeffs ctx.basis e2) in
-  { comps = [| c0; c1 |]; noise_bits = ctx.fresh_noise_bits }
+  { comps = [| c0; c1 |] }
 
 let encrypt_value ctx rng pk v =
   encrypt ctx rng pk
@@ -144,34 +137,22 @@ let pad comps n =
 let add a b =
   let n = max (Array.length a.comps) (Array.length b.comps) in
   let ca = pad a.comps n and cb = pad b.comps n in
-  {
-    comps = Array.init n (fun i -> Rq.add ca.(i) cb.(i));
-    noise_bits = Float.max a.noise_bits b.noise_bits +. 1.;
-  }
-
-let sub a b =
-  let n = max (Array.length a.comps) (Array.length b.comps) in
-  let ca = pad a.comps n and cb = pad b.comps n in
-  {
-    comps = Array.init n (fun i -> Rq.sub ca.(i) cb.(i));
-    noise_bits = Float.max a.noise_bits b.noise_bits +. 1.;
-  }
+  { comps = Array.init n (fun i -> Rq.add ca.(i) cb.(i)) }
 
 let add_plain ctx ct pt =
   let m = plaintext_to_rq ctx pt in
   let comps = Array.copy ct.comps in
   comps.(0) <- Rq.add comps.(0) m;
-  { ct with comps }
+  { comps }
 
 let sub_plain ctx ct pt =
   let m = plaintext_to_rq ctx pt in
   let comps = Array.copy ct.comps in
   comps.(0) <- Rq.sub comps.(0) m;
-  { ct with comps }
+  { comps }
 
 let mul_impl a b =
   let da = Array.length a.comps and db = Array.length b.comps in
-  let basis = Rq.basis_of a.comps.(0) in
   (* Forward-transform every component once, before the fan-out: the
      degree-k cross terms then reuse the cached evaluation forms (a
      component appears in up to min(da,db) diagonals), and no two pool
@@ -189,8 +170,7 @@ let mul_impl a b =
         let ys = Array.init (hi - lo + 1) (fun i -> b.comps.(k - lo - i)) in
         Rq.dot xs ys)
   in
-  let n_bits = log (float_of_int (Rns.degree basis)) /. log 2. in
-  { comps = out; noise_bits = a.noise_bits +. b.noise_bits +. n_bits +. 1. }
+  { comps = out }
 
 let mul a b =
   if not (Obs.enabled ()) then mul_impl a b
@@ -205,12 +185,7 @@ let mul a b =
 
 let mul_plain ctx ct pt =
   let m = plaintext_to_rq ctx pt in
-  let nonzero = Array.fold_left (fun acc c -> if c <> 0 then acc + 1 else acc) 0 (Plaintext.coeffs pt) in
-  let growth = log (float_of_int (max 2 nonzero * ctx.p.Params.plain_modulus)) /. log 2. in
-  {
-    comps = Array.map (fun c -> Rq.mul c m) ct.comps;
-    noise_bits = ct.noise_bits +. growth;
-  }
+  { comps = Array.map (fun c -> Rq.mul c m) ct.comps }
 
 let mul_many = function
   | [] -> invalid_arg "Bgv.mul_many: empty list"
@@ -317,122 +292,10 @@ let relinearize ctx rk ct =
           c1 := Rq.add !c1 p1)
         prods
     done;
-    let qbits = float_of_int (modulus_bits ctx) in
-    let relin_noise =
-      (* ndigits * B * N * eta * t *)
-      let ndigits = qbits /. float_of_int rk.digit_bits in
-      log (ndigits *. float_of_int (1 lsl rk.digit_bits)) /. log 2.
-      +. log (float_of_int ctx.p.Params.degree) /. log 2.
-      +. log (float_of_int (ctx.p.Params.error_eta * ctx.p.Params.plain_modulus)) /. log 2.
-    in
-    { comps = [| !c0; !c1 |]; noise_bits = Float.max ct.noise_bits relin_noise +. 1. }
+    { comps = [| !c0; !c1 |] }
   end
 
-(* --- modulus switching ------------------------------------------------ *)
-
-(* find_primes lists primes from the top down, so the parent's basis
-   minus its last prime is exactly a fresh basis at levels - 1, and
-   Rns.drop_last keeps the surviving limbs' plans.  The plain-modulus
-   check still holds on a subset of the primes, and fresh_noise_bits
-   does not depend on the level count. *)
-let drop_level ctx =
-  if ctx.p.Params.levels < 2 then invalid_arg "Bgv.drop_level: single-prime context";
-  {
-    ctx with
-    p = { ctx.p with Params.levels = ctx.p.Params.levels - 1 };
-    basis = Rns.drop_last ctx.basis;
-  }
-
-(* Modular inverse by extended Euclid; t need not be prime. *)
-let inv_mod m a =
-  let rec go old_r r old_s s =
-    if r = 0 then (old_r, old_s)
-    else begin
-      let q = old_r / r in
-      go r (old_r - (q * r)) s (old_s - (q * s))
-    end
-  in
-  let g, x = go m (((a mod m) + m) mod m) 0 1 in
-  if g <> 1 then invalid_arg "Bgv: modulus switching needs gcd(p, t) = 1";
-  ((x mod m) + m) mod m
-
-(* Rescale one ring element from q to q/p_last while keeping the
-   decryption invariant: write c = p_last * a + r and return
-   c' = a + k with k = centered(r * p_last^-1 mod t). Then
-   p_last * c' - c = p_last*k - r = 0 (mod t) and is divisible by
-   p_last, so [c'(s)]_{q/p_last} = ([c(s)]_q + small)/p_last and the
-   plaintext comes out scaled by p_last^-1 mod t (undone by the caller).
-
-   This is a representation boundary: CRT reconstruction needs
-   coefficients, so the input is read through a coefficient-domain
-   snapshot (leaving its resident Eval form untouched) and the rescaled
-   output enters the smaller basis as Coeff; the next multiplication
-   lazily moves it back to Eval. *)
-let mod_switch_poly small_ctx big_basis v =
-  let primes = Rns.primes big_basis in
-  let p_last = primes.(Array.length primes - 1) in
-  let t = small_ctx.p.Params.plain_modulus in
-  let big_p = Bigint.of_int p_last in
-  let p_inv_t = inv_mod t p_last in
-  let coeffs = Rq.to_bigint_coeffs v in
-  let switched =
-    Array.map
-      (fun c ->
-        let r = Bigint.erem c big_p in
-        let a = Bigint.div (Bigint.sub c r) big_p in
-        let k = Modarith.mul t (Bigint.rem_int r t) p_inv_t in
-        let k = if k > t / 2 then k - t else k in
-        Bigint.add a (Bigint.of_int k))
-      coeffs
-  in
-  (* Project each (still centered, now smaller) coefficient onto the
-     reduced basis. *)
-  let rows =
-    Array.map
-      (fun p -> Array.map (fun c -> Bigint.rem_int c p) switched)
-      (Rns.primes small_ctx.basis)
-  in
-  Rq.of_residues small_ctx.basis rows
-
-let mod_switch small_ctx ct =
-  let big_basis = Rq.basis_of ct.comps.(0) in
-  if Rns.level_count big_basis <> Rns.level_count small_ctx.basis + 1 then
-    invalid_arg "Bgv.mod_switch: ciphertext must live one level above the target context";
-  let primes = Rns.primes big_basis in
-  let p_last = primes.(Array.length primes - 1) in
-  let t = small_ctx.p.Params.plain_modulus in
-  (* Dividing by p_last scales the plaintext by p_last^-1 mod t (our
-     NTT primes are not = 1 mod t, the textbook assumption that avoids
-     this); multiplying the switched ciphertext by the plaintext
-     constant (p_last mod t) undoes it, costing log2(t) of the freshly
-     gained noise budget. *)
-  let correction = Modarith.reduce t p_last in
-  let comps =
-    Array.map
-      (fun c -> Rq.mul_scalar (mod_switch_poly small_ctx big_basis c) correction)
-      ct.comps
-  in
-  let dropped_bits = log (float_of_int p_last) /. log 2. in
-  let t_bits = log (float_of_int t) /. log 2. in
-  let floor_bits =
-    (* the additive k*s^i terms: ~ t * N per component, times the
-       correction scalar *)
-    log (float_of_int (t * small_ctx.p.Params.degree)) /. log 2. +. t_bits
-  in
-  { comps; noise_bits = Float.max (ct.noise_bits -. dropped_bits +. t_bits) floor_bits }
-
-let project_secret_key small_ctx sk =
-  let coeffs = Rq.to_bigint_coeffs sk.s in
-  let rows =
-    Array.map
-      (fun p -> Array.map (fun c -> Bigint.rem_int c p) coeffs)
-      (Rns.primes small_ctx.basis)
-  in
-  { s = Rq.of_residues small_ctx.basis rows }
-
 (* --- noise measurement ---------------------------------------------- *)
-
-let noise_estimate_bits ct = ct.noise_bits
 
 let noise_budget ctx sk ct =
   let v = eval_at_secret ct sk.s in
@@ -569,14 +432,10 @@ let deserialize ctx data =
           Rq.of_residues ~repr ctx.basis rows)
     in
     if !pos <> len then raise Exit;
-    Some { comps; noise_bits = float_of_int (modulus_bits ctx) }
+    Some { comps }
   with Exit -> None
 
 (* --- threshold-decryption hooks -------------------------------------- *)
 
 let secret_poly sk = sk.s
 let secret_key_of_poly _ctx s = { s }
-
-let linear_eval ct ~s =
-  if degree ct <> 1 then invalid_arg "Bgv.linear_eval: ciphertext must be degree 1";
-  Rq.add ct.comps.(0) (Rq.mul ct.comps.(1) s)

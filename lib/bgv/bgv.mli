@@ -9,8 +9,10 @@
     deferred: devices multiply without relinearizing and the aggregator
     performs a one-time key switch before decryption.
 
-    Noise: every ciphertext carries a conservative noise-bits estimate;
-    the exact invariant noise can be measured against a secret key with
+    Noise: a ciphertext carries no noise estimate. Admission bounds the
+    multiplicative depth ahead of time
+    ({!Mycelium_query.Analysis.max_multiplications}); the exact
+    invariant noise can be measured against a secret key with
     {!noise_budget} (the tests do). *)
 
 module Rq = Mycelium_math.Rq
@@ -27,7 +29,6 @@ val make_ctx : Params.t -> ctx
 val params : ctx -> Params.t
 val basis : ctx -> Rns.t
 val plain_modulus : ctx -> int
-val modulus_bits : ctx -> int
 
 type secret_key
 type public_key
@@ -49,8 +50,6 @@ val relin_keygen :
     ~550-bit q) want a coarser base, e.g. 30, to keep the key material
     in the hundreds of megabytes. *)
 
-val relin_max_degree : relin_key -> int
-
 val encrypt : ctx -> Mycelium_util.Rng.t -> public_key -> Plaintext.t -> ciphertext
 
 val encrypt_value : ctx -> Mycelium_util.Rng.t -> public_key -> int -> ciphertext
@@ -68,7 +67,6 @@ val degree : ciphertext -> int
 val components : ciphertext -> Rq.t array
 
 val add : ciphertext -> ciphertext -> ciphertext
-val sub : ciphertext -> ciphertext -> ciphertext
 val add_plain : ctx -> ciphertext -> Plaintext.t -> ciphertext
 val sub_plain : ctx -> ciphertext -> Plaintext.t -> ciphertext
 val mul : ciphertext -> ciphertext -> ciphertext
@@ -77,43 +75,8 @@ val mul_many : ciphertext list -> ciphertext
 (** Balanced product tree; raises [Invalid_argument] on []. *)
 
 val relinearize : ctx -> relin_key -> ciphertext -> ciphertext
-(** Reduce any ciphertext of degree <= [relin_max_degree] back to
-    degree 1. *)
-
-(** {2 Modulus switching}
-
-    What makes BGV *leveled* (footnote of §4.1): after a
-    multiplication, rescaling the ciphertext from q to q/p_last divides
-    the noise by p_last at the cost of one RNS level.
-
-    A caveat of this implementation: textbook BGV switching assumes the
-    dropped prime is = 1 (mod t); our NTT primes are only = 1 (mod 2N),
-    so the rescale scales the plaintext by p^-1 mod t, which
-    {!mod_switch} undoes with a plaintext-scalar multiplication. That
-    correction costs ~log2(t) bits, so the net per-switch noise gain is
-    (prime_bits - t_bits) — substantial for small plaintext moduli,
-    marginal for t near the prime size. Choosing primes = 1 (mod 2Nt)
-    removes the correction but sharply thins the prime pool at the
-    word sizes this library uses. *)
-
-val drop_level : ctx -> ctx
-(** The context with the last RNS prime removed
-    ({!Mycelium_math.Rns.drop_last}, so the surviving limbs keep their
-    NTT plans). Raises on a single-prime context. Its basis equals a
-    fresh context's at [levels - 1]. *)
-
-val mod_switch : ctx -> ciphertext -> ciphertext
-(** [mod_switch small_ctx ct] rescales [ct] — which must live one level
-    above [small_ctx] — to [small_ctx]'s modulus, preserving the
-    plaintext mod t and dividing the noise by the dropped prime (plus a
-    small additive term). Works at any ciphertext degree. *)
-
-val project_secret_key : ctx -> secret_key -> secret_key
-(** Re-express a secret key (small centered coefficients) in a
-    lower-level context, for decrypting switched ciphertexts. *)
-
-val noise_estimate_bits : ciphertext -> float
-(** The tracked upper-bound estimate. *)
+(** Reduce any ciphertext of degree up to the key's [max_degree] back
+    to degree 1. *)
 
 val noise_budget : ctx -> secret_key -> ciphertext -> int
 (** Exact remaining noise budget in bits, measured with the secret key:
@@ -149,11 +112,6 @@ val secret_poly : secret_key -> Rq.t
     it. Never used by protocol code paths outside key ceremonies. *)
 
 val secret_key_of_poly : ctx -> Rq.t -> secret_key
-
-val linear_eval : ciphertext -> s:Rq.t -> Rq.t
-(** [linear_eval ct ~s] computes c_0 + c_1 s for a degree-1 ciphertext
-    (raises otherwise): the value a decryption committee reconstructs
-    from partial shares. *)
 
 val decode_noisy : ctx -> Rq.t -> Plaintext.t
 (** Final decryption step: center mod q, reduce mod t. *)

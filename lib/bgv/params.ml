@@ -18,25 +18,11 @@ let test_wide =
 let paper =
   { degree = 32768; plain_modulus = 1 lsl 30; prime_bits = 30; levels = 19; error_eta = 2 }
 
-let equal a b =
-  Int.equal a.degree b.degree
-  && Int.equal a.plain_modulus b.plain_modulus
-  && Int.equal a.prime_bits b.prime_bits
-  && Int.equal a.levels b.levels
-  && Int.equal a.error_eta b.error_eta
-
 let modulus_bits t = t.prime_bits * t.levels
 
 let ciphertext_bytes t ~degree =
   let coeff_bytes = (modulus_bits t + 7) / 8 in
   (degree + 1) * t.degree * coeff_bytes
-
-let plaintext_bytes t =
-  let bits =
-    let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
-    go 0 (t.plain_modulus - 1)
-  in
-  (t.degree * ((bits + 7) / 8 * 8)) / 8
 
 let validate t =
   if t.degree land (t.degree - 1) <> 0 || t.degree < 2 then

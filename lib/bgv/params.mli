@@ -8,6 +8,7 @@
     scaled-down parameters and extrapolate with {!paper}'s dimensions
     (see [Mycelium_costmodel]). *)
 
+(* lint: allow interface — a record of plain ints; nothing compares two parameter sets *)
 type t = {
   degree : int;  (** ring degree N (a power of two) *)
   plain_modulus : int;  (** t; must be coprime with every prime *)
@@ -15,10 +16,6 @@ type t = {
   levels : int;  (** number of RNS primes; q has ~levels*prime_bits bits *)
   error_eta : int;  (** centered-binomial error parameter *)
 }
-
-val equal : t -> t -> bool
-(** Field-wise equality; equal parameter sets build interchangeable
-    contexts. *)
 
 val test_small : t
 (** N=256: fast unit tests. *)
@@ -45,8 +42,6 @@ val ciphertext_bytes : t -> degree:int -> int
 (** Serialized size of a ciphertext with [degree+1] ring components:
     each stores N coefficients of [modulus_bits] bits. With {!paper}
     and degree 1 this is ~4.5 MB, matching the paper's 4.3 MB. *)
-
-val plaintext_bytes : t -> int
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on inconsistent settings. *)

@@ -14,11 +14,8 @@ let monomial ~plain_modulus ~degree ~exponent =
   c.(exponent) <- 1;
   { t_mod = plain_modulus; n = degree; c }
 
-let value_encode ~plain_modulus ~degree v = monomial ~plain_modulus ~degree ~exponent:v
-
 let coeffs t = t.c
 let plain_modulus t = t.t_mod
-let degree t = t.n
 
 let coeff t i = if i < Array.length t.c then t.c.(i) else 0
 
@@ -31,23 +28,12 @@ let is_monomial t =
     t.c;
   if !multiple then None else !found
 
-let add a b =
-  if a.t_mod <> b.t_mod then invalid_arg "Plaintext.add: modulus mismatch";
-  let n = max a.n b.n in
-  let c = Array.init n (fun i -> (coeff a i + coeff b i) mod a.t_mod) in
-  { t_mod = a.t_mod; n; c }
-
 let equal a b =
   a.t_mod = b.t_mod
   &&
   let n = max (Array.length a.c) (Array.length b.c) in
   let rec go i = i >= n || (Int.equal (coeff a i) (coeff b i) && go (i + 1)) in
   go 0
-
-let histogram t ~max_bin =
-  Array.init (max_bin + 1) (fun i ->
-      let v = coeff t i in
-      if v > t.t_mod / 2 then v - t.t_mod else v)
 
 let pp fmt t =
   Format.fprintf fmt "[";

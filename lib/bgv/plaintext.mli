@@ -18,12 +18,8 @@ val monomial : plain_modulus:int -> degree:int -> exponent:int -> t
     exponent does not fit the ring degree (the paper's "cannot support
     more bins than the degree N" restriction). *)
 
-val value_encode : plain_modulus:int -> degree:int -> int -> t
-(** Alias of {!monomial} stressing the §4.1 encoding. *)
-
 val coeffs : t -> int array
 val plain_modulus : t -> int
-val degree : t -> int
 
 val coeff : t -> int -> int
 (** Coefficient of x^i (0 if beyond length). *)
@@ -33,11 +29,5 @@ val is_monomial : t -> (int * int) option
     [None] otherwise (the all-zero plaintext is [Some (0, 0)]...
     no: all-zero returns [None]). Used by the well-formedness ZKP. *)
 
-val add : t -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-val histogram : t -> max_bin:int -> int array
-(** Read the first [max_bin+1] coefficients as bin counts, centering
-    values above t/2 as negative (which indicates a protocol bug and is
-    surfaced as-is). *)

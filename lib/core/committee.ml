@@ -22,7 +22,6 @@ type t = {
 }
 
 let committee_size t = t.size
-let threshold t = t.thresh
 let members t = t.member_ids
 let generation t = t.generation
 

@@ -12,7 +12,6 @@
 type t
 
 val committee_size : t -> int
-val threshold : t -> int
 val members : t -> int array
 (** Device ids of the current committee. *)
 

@@ -178,10 +178,6 @@ let to_bytes t =
   Array.iter (fun p -> add_framed (Zkp.proof_to_bytes p)) t.proofs;
   Buffer.to_bytes buf
 
-(* Serialization is canonical (fixed framing, deterministic ciphertext
-   encoding), so wire equality is structural equality. *)
-let equal a b = Bytes.equal (to_bytes a) (to_bytes b)
-
 let of_bytes ctx data =
   let pos = ref 0 and len = Bytes.length data in
   let read_framed () =

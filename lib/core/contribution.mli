@@ -19,6 +19,7 @@
     Every ciphertext ships with a §4.6 well-formedness proof; the
     origin's aggregation ships with a transcript proof. *)
 
+(* lint: allow interface — nothing compares two contributions; a check compares their wire bytes *)
 type t = {
   ciphertexts : Mycelium_bgv.Bgv.ciphertext array;
       (** length = the Figure-6 sequence length *)
@@ -48,9 +49,6 @@ val build_malicious :
   t
 (** A Byzantine contribution: an over-weighted value with forged
     proofs. The aggregator must reject it (§4.6). *)
-
-val equal : t -> t -> bool
-(** Wire-form equality; {!to_bytes} is canonical. *)
 
 val to_bytes : t -> bytes
 (** Wire form for routing through the mixnet. *)

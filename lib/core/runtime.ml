@@ -79,9 +79,7 @@ type t = {
   mutable queries_run : int;
 }
 
-let public_key t = t.pk
 let config t = t.cfg
-let committee t = t.comm
 let budget t = t.budget
 let graph t = t.graph
 
@@ -344,8 +342,6 @@ type prepared = {
   p_mixnet_bytes : int;
   p_degradation : Injector.report;
 }
-
-let prepared_info p = p.p_info
 
 (* Every origin aggregates its neighborhood and submits (Byzantine
    origins submit garbage with forged transcript proofs), then the

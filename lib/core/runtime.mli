@@ -92,9 +92,7 @@ val init : config -> Mycelium_graph.Contact_graph.t -> t
     generated, if the graph has fewer devices than [committee_size]:
     the committee is drawn from the devices. *)
 
-val public_key : t -> Mycelium_bgv.Bgv.public_key
 val config : t -> config
-val committee : t -> Committee.t
 val budget : t -> Mycelium_dp.Dp.budget
 val graph : t -> Mycelium_graph.Contact_graph.t
 
@@ -149,9 +147,6 @@ val run_query : epsilon:float -> t -> string -> (query_result, query_error) resu
     served member's [Member_noise] stream can equal. On success the
     committee rotates. *)
 
-val run_query_ast :
-  epsilon:float -> t -> Mycelium_query.Ast.t -> (query_result, query_error) result
-
 val exact_bins_for_tests : t -> Mycelium_query.Analysis.info -> int array
 (** The plaintext oracle on the same graph (for equality checks with
     epsilon = infinity). *)
@@ -177,8 +172,6 @@ type prepared
     encrypted-aggregate cache stores — the ciphertext stays valid
     across committee rotations because VSR redistributes shares of the
     same key. *)
-
-val prepared_info : prepared -> Mycelium_query.Analysis.info
 
 type batch_item = {
   bi_query : Mycelium_query.Ast.t;

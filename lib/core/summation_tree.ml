@@ -83,10 +83,6 @@ let leaf_count t = t.n_leaves
 
 let leaves t = Array.map (fun n -> n.sum) t.levels.(0)
 
-(* The root hash commits to every leaf ciphertext and the tree shape,
-   so hash equality is tree equality. *)
-let equal a b = Bytes.equal (root_hash a) (root_hash b)
-
 (* Restart recovery: the leaves are the aggregator's durable state
    (each is a received, verified contribution); everything above them
    is recomputed. build is deterministic, so the rebuilt root must

@@ -11,6 +11,7 @@
     bulletin board. A cheating aggregator that drops, duplicates or
     alters a contribution fails the audit of some honest device. *)
 
+(* lint: allow interface — a tree is compared through its root hash, which commits to every leaf and the shape *)
 type t
 
 val build : Mycelium_bgv.Bgv.ciphertext array -> t
@@ -20,18 +21,10 @@ val root_sum : t -> Mycelium_bgv.Bgv.ciphertext
 (** The final aggregate: equal to folding {!Mycelium_bgv.Bgv.add} over
     the leaves. *)
 
-val equal : t -> t -> bool
-(** Root-hash equality; the hash commits to every leaf and the shape. *)
-
 val root_hash : t -> bytes
 (** Commitment for the bulletin board. *)
 
 val leaf_count : t -> int
-
-val leaves : t -> Mycelium_bgv.Bgv.ciphertext array
-(** The leaf ciphertexts in insertion order — the aggregator's durable
-    state across a crash (each leaf is a received, verified
-    contribution spooled before tree construction). *)
 
 val rebuild : t -> t
 (** Crash recovery: reconstruct the whole tree from {!leaves} alone.

@@ -17,10 +17,6 @@ let cores_breakdown d ~n ~deadline_seconds ~cq =
   ( n *. zkp_verify_seconds_per_device d ~cq /. deadline_seconds,
     n *. aggregation_seconds_per_device ~cq /. deadline_seconds )
 
-let cores_needed d ~n ~deadline_seconds ~cq =
-  let z, a = cores_breakdown d ~n ~deadline_seconds ~cq in
-  z +. a
-
 let cores_with_spot_check d ~n ~deadline_seconds ~cq ~fraction =
   if fraction < 0. || fraction > 1. then invalid_arg "Aggregator_model: fraction in [0,1]";
   let z, a = cores_breakdown d ~n ~deadline_seconds ~cq in

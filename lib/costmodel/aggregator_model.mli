@@ -4,17 +4,6 @@
     the 4.3 MB ciphertexts — so it dominates; the homomorphic additions
     barely register ("the bars for the aggregation are very small"). *)
 
-val zkp_verify_seconds_per_device : Defaults.t -> cq:int -> float
-(** One contribution proof per message sent (d per device, Cq
-    ciphertexts each) plus the origin's aggregation proof. *)
-
-val aggregation_seconds_per_device : cq:int -> float
-(** Homomorphic additions attributable to one device's data. *)
-
-val cores_needed : Defaults.t -> n:float -> deadline_seconds:float -> cq:int -> float
-(** Total cores to finish [n] devices within the deadline (the paper
-    uses 10 hours). *)
-
 val cores_breakdown :
   Defaults.t -> n:float -> deadline_seconds:float -> cq:int -> float * float
 (** (zkp_cores, aggregation_cores). *)
@@ -29,9 +18,6 @@ val cores_breakdown :
 
 val cores_with_spot_check :
   Defaults.t -> n:float -> deadline_seconds:float -> cq:int -> fraction:float -> float
-
-val undetected_bad_row_probability : fraction:float -> float
-(** P(one malicious contribution escapes checking). *)
 
 val expected_undetected_rows : Defaults.t -> n:float -> fraction:float -> float
 (** Expected bad rows surviving per query under the MC assumption's

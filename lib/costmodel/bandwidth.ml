@@ -16,5 +16,3 @@ let aggregator_per_device_bytes d ~cq =
   (* Deliveries to the destination plus k forwarder-batch downloads,
      amortized: (k+1) * r * Cq * d ciphertexts. *)
   float_of_int (d.Defaults.hops + 1) *. cts d ~cq *. Defaults.ciphertext_bytes
-
-let aggregator_total_bytes d ~cq = d.Defaults.n_devices *. aggregator_per_device_bytes d ~cq

@@ -21,5 +21,3 @@ val expected_bytes : Defaults.t -> cq:int -> float
 
 val aggregator_per_device_bytes : Defaults.t -> cq:int -> float
 (** Fig 9a: traffic the aggregator sends each device per query. *)
-
-val aggregator_total_bytes : Defaults.t -> cq:int -> float

@@ -30,11 +30,6 @@ val mpc_bandwidth_bytes : committee:int -> float
     query — "at the scale of millions of devices, key distribution is
     a significant source of overhead and complexity". *)
 
-val public_key_bytes : float
-(** A BGV public key at paper parameters (two ring elements) plus the
-    relinearization keys devices need to check; dominated by the ring
-    elements. *)
-
 val orchard_per_query_key_bytes : n:float -> float
 (** Aggregate traffic to re-key every device for one query (Orchard's
     workflow). *)

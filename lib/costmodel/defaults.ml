@@ -23,15 +23,6 @@ let paper =
     malicious = 0.02;
   }
 
-let equal a b =
-  Float.equal a.n_devices b.n_devices
-  && Int.equal a.hops b.hops
-  && Int.equal a.replicas b.replicas
-  && Float.equal a.fraction b.fraction
-  && Int.equal a.committee_size b.committee_size
-  && Int.equal a.degree b.degree
-  && Float.equal a.malicious b.malicious
-
 let ciphertext_bytes = float_of_int (Params.ciphertext_bytes Params.paper ~degree:1)
 
 let ciphertexts_per_query id =

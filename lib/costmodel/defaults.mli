@@ -1,6 +1,7 @@
 (** The paper's default parameters (Figure 4) and quantities derived
     from them, used by every extrapolated figure. *)
 
+(* lint: allow interface — a record of plain numbers; nothing compares two default sets *)
 type t = {
   n_devices : float;  (** N = 1.1e6 *)
   hops : int;  (** k = 3 *)
@@ -12,9 +13,6 @@ type t = {
 }
 
 val paper : t
-
-val equal : t -> t -> bool
-(** Field-wise equality (floats compare with [Float.equal]). *)
 
 val ciphertext_bytes : float
 (** Size of one degree-1 ciphertext at the paper's BGV parameters

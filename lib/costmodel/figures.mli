@@ -18,43 +18,12 @@ type figure = {
   notes : string list;
 }
 
-val fig2 : unit -> figure
-(** The query corpus with per-query analysis (re-printed SQL goes in
-    the notes). *)
-
-val fig4 : unit -> figure
-val fig5a : unit -> figure
-val fig5b : unit -> figure
-val fig5c : unit -> figure
-val fig5d : unit -> figure
-
 val fig5_monte_carlo :
   n:int -> seed:int64 -> figure
 (** Simulator-vs-model validation at small scale: measured goodput and
     anonymity against the closed forms. *)
 
-val fig6 : unit -> figure
-val fig7 : unit -> figure
-
-val sec6_2_generality : unit -> figure
-(** Which corpus queries are expressible and feasible (Q1's exclusion). *)
-
 val sec6_4_device_costs : Device_compute.unit_costs -> figure
-val fig8a : unit -> figure
-val fig8b : unit -> figure
-val sec6_5_committee : unit -> figure
-val fig9a : unit -> figure
-val fig9b : unit -> figure
-
-val ablation_key_distribution : unit -> figure
-(** Beyond the paper's figures but central to its §4.2 claim: the
-    per-query key-distribution traffic of Orchard's workflow vs
-    Mycelium's VSR hand-off. *)
-
-val ablation_spot_check : unit -> figure
-(** Beyond the paper: the §6.6 suggestion quantified — verification
-    cores vs. surviving Byzantine rows as the checking fraction
-    drops. *)
 
 val sec7_baseline : n:int -> seed:int64 -> figure
 (** Plaintext Q1 on a generated graph, measured and extrapolated to the

@@ -1,4 +1,3 @@
-let key_size = 32
 let overhead = Poly1305.tag_size
 
 let one_time_key ~key ~nonce = Bytes.sub (Chacha20.block ~key ~nonce ~counter:0) 0 32

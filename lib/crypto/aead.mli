@@ -2,7 +2,6 @@
     paper's AE instantiation (§5). Per §3.5, the nonce is the C-round
     number known to both endpoints and is never transmitted. *)
 
-val key_size : int (* 32 *)
 val overhead : int (* 16, the Poly1305 tag *)
 
 val seal : key:bytes -> round:int -> ?aad:bytes -> bytes -> bytes

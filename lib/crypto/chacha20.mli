@@ -6,7 +6,6 @@
     substitute random dummies for dropped onion layers without
     detection. *)
 
-val key_size : int (* 32 *)
 val nonce_size : int (* 12 *)
 
 val block : key:bytes -> nonce:bytes -> counter:int -> bytes

@@ -1,10 +1,12 @@
-(** ElGamal KEM + AEAD public-key encryption over a fixed safe-prime
-    group (RFC 2409 Oakley Group 1, 768 bits).
+(** ElGamal KEM + AEAD public-key encryption over a fixed 256-bit
+    safe-prime group: far below cryptographic strength, deliberately,
+    because the simulation spends one modular exponentiation per PEnc.
+    Public keys serialize to 32 bytes.
 
-    The paper instantiates PEnc with RSA-PKCS1; {!Rsa} provides that,
-    but RSA key generation is too slow to give thousands of simulated
-    devices individual keypairs. This module is the simulation's
-    default PEnc: key generation is a single modular exponentiation,
+    The paper instantiates PEnc with RSA-PKCS1, but RSA key generation
+    is too slow to give thousands of simulated devices individual
+    keypairs. This module is the simulation's PEnc instead: key
+    generation is a single modular exponentiation,
     and the scheme is still genuinely asymmetric, so the simulated
     adversary learns nothing it shouldn't. Costs at paper scale are
     charged by the cost model regardless of which PEnc the simulation
@@ -27,10 +29,6 @@ val encrypt : Mycelium_util.Rng.t -> public_key -> bytes -> bytes
 (** KEM-DEM: g^y || ChaCha20-Poly1305 under H(pk^y). *)
 
 val decrypt : private_key -> bytes -> bytes option
-
-val ciphertext_overhead : int
-(** Bytes added to the plaintext: the 96-byte group element plus the
-    16-byte AEAD tag. *)
 
 val fingerprint : public_key -> bytes
 (** SHA-256 of the encoded key: the pseudonym derivation h = H(pk). *)

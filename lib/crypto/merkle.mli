@@ -38,10 +38,7 @@ val verify : root:bytes -> leaf:bytes -> proof -> bool
 (** Checks the proof against the root, including that the path
     direction at level [i] equals bit [i] of [proof.index]. *)
 
-val leaf_hash : bytes -> bytes
-
 val leaf_hash_sub : bytes -> pos:int -> len:int -> bytes
 (** [leaf_hash] of the sub-range [pos, pos+len) without copying. *)
 
-val node_hash : bytes -> bytes -> bytes
 val empty_hash : bytes

@@ -154,16 +154,3 @@ let mac_padded ~key segments =
       absorb st b pos len ~padded:true)
     segments;
   finish st key
-
-let verify ~key ~tag msg =
-  if Bytes.length tag <> 16 then false
-  else begin
-    let expected = mac ~key msg in
-    (* Accumulate differences so timing does not depend on the first
-       mismatching byte. *)
-    let diff = ref 0 in
-    for i = 0 to 15 do
-      diff := !diff lor (Bytes.get_uint8 expected i lxor Bytes.get_uint8 tag i)
-    done;
-    !diff = 0
-  end

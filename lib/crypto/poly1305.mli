@@ -21,6 +21,3 @@ val mac_padded : key:bytes -> (bytes * int * int) list -> bytes
 (** [mac_padded ~key [ (b, pos, len); … ]] is [mac ~key] of the byte
     ranges concatenated, each zero-padded to a multiple of 16 bytes
     (RFC 8439 §2.8's mac_data), without assembling that string. *)
-
-val verify : key:bytes -> tag:bytes -> bytes -> bool
-(** Constant-time-shaped comparison of the expected and received tag. *)

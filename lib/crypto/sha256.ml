@@ -1,8 +1,6 @@
 (* SHA-256 (FIPS 180-4).  The compression function runs on unboxed
    Int64 words; everything around it on native ints. *)
 
-let digest_size = 32
-
 let k =
   [|
     0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -176,8 +174,6 @@ let digest data =
 
 let digest_string s = digest (Bytes.unsafe_of_string s)
 
-let hex b = Mycelium_util.Hex.encode (digest b)
-
 let hmac ~key data =
   let key =
     if Bytes.length key > 64 then digest key else key
@@ -195,20 +191,3 @@ let hmac ~key data =
   update outer (xor_pad 0x5c);
   update outer inner_hash;
   finalize outer
-
-let hkdf ?salt ~ikm ~info ~length () =
-  let salt = match salt with Some s -> s | None -> Bytes.make 32 '\x00' in
-  let prk = hmac ~key:salt ikm in
-  let blocks = (length + 31) / 32 in
-  if blocks > 255 then invalid_arg "Sha256.hkdf: output too long";
-  let out = Buffer.create length in
-  let prev = ref Bytes.empty in
-  for i = 1 to blocks do
-    let data = Buffer.create (Bytes.length !prev + String.length info + 1) in
-    Buffer.add_bytes data !prev;
-    Buffer.add_string data info;
-    Buffer.add_char data (Char.chr i);
-    prev := hmac ~key:prk (Buffer.to_bytes data);
-    Buffer.add_bytes out !prev
-  done;
-  Buffer.sub out 0 length |> Bytes.of_string

@@ -2,16 +2,10 @@
     environment. Used for pseudonym derivation (h = H(pk), §3.1),
     Merkle hash trees, hop selection (§3.4), HMAC and HKDF. *)
 
-val digest_size : int
-(** 32. *)
-
 val digest : bytes -> bytes
 (** One-shot hash of a byte string. *)
 
 val digest_string : string -> bytes
-
-val hex : bytes -> string
-(** Convenience: lowercase hex digest. *)
 
 type ctx
 (** Incremental hashing. *)
@@ -31,6 +25,3 @@ val finalize : ctx -> bytes
 
 val hmac : key:bytes -> bytes -> bytes
 (** HMAC-SHA256 (RFC 2104). *)
-
-val hkdf : ?salt:bytes -> ikm:bytes -> info:string -> length:int -> unit -> bytes
-(** HKDF-SHA256 (RFC 5869) extract-then-expand. *)

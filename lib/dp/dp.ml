@@ -15,9 +15,6 @@ let laplace_noise rng ~sensitivity ~epsilon =
   if epsilon <= 0. then invalid_arg "Dp.laplace_noise: epsilon must be positive";
   if epsilon = Float.infinity then 0. else Rng.laplace rng (sensitivity /. epsilon)
 
-let noise_vector rng ~sensitivity ~epsilon n =
-  Array.init n (fun _ -> laplace_noise rng ~sensitivity ~epsilon)
-
 let release_histogram rng ~sensitivity ~epsilon counts =
   Array.map
     (fun c -> float_of_int c +. laplace_noise rng ~sensitivity ~epsilon)
@@ -35,36 +32,6 @@ let composed_epsilon accounting epsilons =
     let sum_sq = List.fold_left (fun acc e -> acc +. (e *. e)) 0. epsilons in
     let linear = List.fold_left (fun acc e -> acc +. (e *. (exp e -. 1.))) 0. epsilons in
     sqrt (2. *. log (1. /. delta) *. sum_sq) +. linear
-
-type above_threshold = {
-  rng : Rng.t;
-  noisy_threshold : float;
-  query_scale : float;
-  mutable exhausted : bool;
-}
-
-let above_threshold_create rng ~sensitivity ~epsilon ~threshold =
-  if epsilon <= 0. then invalid_arg "Dp.above_threshold_create: epsilon must be positive";
-  if sensitivity <= 0. then invalid_arg "Dp.above_threshold_create: sensitivity must be positive";
-  {
-    rng;
-    noisy_threshold = threshold +. Rng.laplace rng (2. *. sensitivity /. epsilon);
-    query_scale = 4. *. sensitivity /. epsilon;
-    exhausted = false;
-  }
-
-let above_threshold_query t value =
-  if t.exhausted then Error `Exhausted
-  else begin
-    let noisy = value +. Rng.laplace t.rng t.query_scale in
-    if noisy >= t.noisy_threshold then begin
-      t.exhausted <- true;
-      Ok true
-    end
-    else Ok false
-  end
-
-let above_threshold_exhausted t = t.exhausted
 
 (* The accountant keeps running sums so a charge is O(1) regardless of
    how many queries came before, and serializes chargers behind a mutex

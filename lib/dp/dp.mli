@@ -21,9 +21,6 @@ val gsum_sensitivity : clip_lo:float -> clip_hi:float -> neighborhood_bound:int 
 val laplace_noise : Mycelium_util.Rng.t -> sensitivity:sensitivity -> epsilon:float -> float
 (** One draw of Lap(sensitivity / epsilon). *)
 
-val noise_vector :
-  Mycelium_util.Rng.t -> sensitivity:sensitivity -> epsilon:float -> int -> float array
-
 val release_histogram :
   Mycelium_util.Rng.t ->
   sensitivity:sensitivity ->
@@ -72,28 +69,3 @@ val budget_charge : budget -> float -> (unit, [ `Exhausted of float ]) result
 val composed_epsilon : accounting -> float list -> float
 (** Total privacy loss of a list of per-query epsilons under the given
     accountant (exposed for tests and reporting). *)
-
-(** {2 Sparse vector (above-threshold)}
-
-    The other refinement §4.4 names (via Honeycrisp): answer a stream
-    of "is this statistic above T?" probes for one epsilon total — only
-    the (at most one) positive answer is paid for; negative answers are
-    free. The classic AboveThreshold mechanism (Dwork–Roth Alg. 1). *)
-
-type above_threshold
-
-val above_threshold_create :
-  Mycelium_util.Rng.t ->
-  sensitivity:sensitivity ->
-  epsilon:float ->
-  threshold:float ->
-  above_threshold
-(** Draws the noisy threshold T + Lap(2s/eps); the whole stream costs
-    [epsilon]. *)
-
-val above_threshold_query :
-  above_threshold -> float -> (bool, [ `Exhausted ]) result
-(** [Ok true] halts the mechanism: one positive answer per epsilon.
-    Subsequent probes return [Error `Exhausted]. *)
-
-val above_threshold_exhausted : above_threshold -> bool

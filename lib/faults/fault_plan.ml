@@ -93,8 +93,6 @@ let send_delay t ~round ~source ~dest =
     1 + Int64.to_int (Int64.rem lateness (Int64.of_int t.max_delay_rounds))
   end
 
-let committee_crashed t ~member = List.exists (Int.equal member) t.crashed_committee
-
 let backoff_units t ~attempts =
   ignore t;
   (* attempts - 1 failed tries slept 1, 2, 4, ... base-delay units. *)
@@ -109,11 +107,3 @@ let forging_devices t ~n =
 
 let crashed_members t ~size =
   List.sort_uniq Int.compare (List.filter (fun m -> m >= 0 && m < size) t.crashed_committee)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<hov 2>fault-plan{seed=%Ld;@ drop=%.2f/%d;@ delay=%.2f/%d;@ churn=%.2f;@ \
-     crashed=[%s];@ forge=%.2f;@ restarts=%d}@]"
-    t.seed t.drop_rate t.max_send_attempts t.delay_rate t.max_delay_rounds t.churn_rate
-    (String.concat ";" (List.map string_of_int t.crashed_committee))
-    t.forge_rate t.aggregator_restarts

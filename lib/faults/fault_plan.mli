@@ -96,8 +96,6 @@ val send_delay : t -> round:int -> source:int -> dest:int -> int
     [1, max_delay_rounds]. Late messages still arrive (reordering,
     not loss). *)
 
-val committee_crashed : t -> member:int -> bool
-
 val backoff_units : t -> attempts:int -> int
 (** Total backoff an operation retried [attempts - 1] times slept
     through, in units of the base delay: sum of 2^i for the failed
@@ -114,5 +112,3 @@ val forging_devices : t -> n:int -> int list
 val crashed_members : t -> size:int -> int list
 (** [crashed_committee] clamped to valid indices, deduplicated,
     sorted. *)
-
-val pp : Format.formatter -> t -> unit

@@ -33,7 +33,6 @@ val empty_report : report
 (** All counters zero: what a fault-free run reports. *)
 
 val report_equal : report -> report -> bool
-val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string
 
 (* lint: allow interface — an injector wraps a mutable degradation report; only identity comparison makes sense *)

@@ -25,7 +25,6 @@ type t = {
 }
 
 let population t = t.config.population
-let degree_bound t = t.config.degree_bound
 let horizon_days t = t.config.horizon_days
 
 let vertex t i = t.vertices.(i)

@@ -24,7 +24,6 @@ type t
 val generate : config -> Mycelium_util.Rng.t -> t
 
 val population : t -> int
-val degree_bound : t -> int
 val horizon_days : t -> int
 
 val vertex : t -> int -> Schema.vertex_data

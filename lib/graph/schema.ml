@@ -17,15 +17,6 @@ type edge_data = {
   setting : setting;
 }
 
-let location_to_string = function
-  | Household -> "household"
-  | Subway -> "subway"
-  | Workplace -> "workplace"
-  | SocialVenue -> "social-venue"
-  | Other -> "other"
-
-let setting_to_string = function Family -> "family" | Social -> "social" | Work -> "work"
-
 let age_group age = max 0 (min 9 (age / 10))
 let age_groups = 10
 

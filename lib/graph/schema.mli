@@ -23,9 +23,6 @@ type edge_data = {
   setting : setting;  (** exposure type (Q7) *)
 }
 
-val location_to_string : location -> string
-val setting_to_string : setting -> string
-
 val age_group : int -> int
 (** Decade bucket 0..9, the paper's GROUP BY self.age granularity. *)
 

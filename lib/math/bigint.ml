@@ -314,13 +314,6 @@ let to_int t =
   | Some v -> v
   | None -> failwith "Bigint.to_int: value too large"
 
-let to_float t =
-  let acc = ref 0. in
-  for i = Array.length t.mag - 1 downto 0 do
-    acc := (!acc *. float_of_int base) +. float_of_int t.mag.(i)
-  done;
-  if t.sign < 0 then -. !acc else !acc
-
 let pow b e =
   if e < 0 then invalid_arg "Bigint.pow: negative exponent";
   let rec go acc b e =
@@ -511,13 +504,5 @@ let random_prime rng ~bits =
     if Int.equal (num_bits c) bits && is_probable_prime rng c then c else try_candidate ()
   in
   try_candidate ()
-
-let random_safe_prime rng ~bits =
-  let rec go () =
-    let q = random_prime rng ~bits:(bits - 1) in
-    let p = add (shift_left q 1) one in
-    if is_probable_prime rng p then (p, q) else go ()
-  in
-  go ()
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

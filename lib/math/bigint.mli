@@ -6,8 +6,8 @@
     and Knuth division stay inside OCaml's 63-bit native [int].
 
     Used on cold paths only: CRT reconstruction at BGV decryption,
-    RSA-style public-key encryption, Feldman commitments, and key
-    switching. Hot polynomial arithmetic stays in RNS ({!Rns}). *)
+    Feldman commitments, and key switching. Hot polynomial arithmetic
+    stays in RNS ({!Rns}). *)
 
 type t
 
@@ -18,9 +18,6 @@ val two : t
 val of_int : int -> t
 val to_int : t -> int
 (** Raises [Failure] if the value does not fit in a native int. *)
-
-val to_int_opt : t -> int option
-val to_float : t -> float
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
@@ -56,8 +53,6 @@ val shift_right : t -> int -> t
 
 val num_bits : t -> int
 (** Bits in the magnitude; [num_bits zero = 0]. *)
-
-val testbit : t -> int -> bool
 
 val pow : t -> int -> t
 (** [pow b e] for small non-negative [e]. *)
@@ -95,9 +90,5 @@ val is_probable_prime : ?rounds:int -> Mycelium_util.Rng.t -> t -> bool
 
 val random_prime : Mycelium_util.Rng.t -> bits:int -> t
 (** Random probable prime with the given bit length. *)
-
-val random_safe_prime : Mycelium_util.Rng.t -> bits:int -> t * t
-(** [(p, q)] with [p = 2q + 1] both probable primes; used for the
-    Feldman commitment group. Slow for large sizes; tests use small. *)
 
 val pp : Format.formatter -> t -> unit

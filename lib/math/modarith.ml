@@ -31,8 +31,6 @@ let inv p a =
   (* Fermat: a^(p-2) mod p for prime p. *)
   pow p a (p - 2)
 
-let to_signed p x = if x > p / 2 then x - p else x
-
 (* Deterministic Miller–Rabin for word-sized inputs. The operand bound
    [n < 2^31] keeps every product inside OCaml's native int. *)
 let is_prime n =

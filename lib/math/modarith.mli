@@ -27,10 +27,6 @@ val inv : int -> int -> int
 val reduce : int -> int -> int
 (** [reduce p x] maps any int (possibly negative) to [\[0, p)]. *)
 
-val to_signed : int -> int -> int
-(** [to_signed p x] maps a reduced residue to the centered range
-    [(-p/2, p/2\]]. *)
-
 val is_prime : int -> bool
 (** Deterministic Miller–Rabin, valid for all [n < 3.3e24] (we use it
     for word-sized candidates only). *)

@@ -47,8 +47,6 @@ type plan = {
   n_inv_m : int;
 }
 
-let modulus t = t.p
-let degree t = t.n
 let available ~p = Montarith.supports p
 
 let make_plan ~p ~degree =

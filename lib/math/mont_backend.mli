@@ -23,9 +23,6 @@ val available : p:int -> bool
 val make_plan : p:int -> degree:int -> plan
 (** Same preconditions as {!Ntt.make_plan}, plus [available ~p]. *)
 
-val modulus : plan -> int
-val degree : plan -> int
-
 (** Entry points with the same contracts as their {!Ntt} namesakes
     ([src == dst] allowed; [dst] may alias an input in
     [pointwise_into]; [src] left intact otherwise). *)

@@ -20,7 +20,6 @@ type ctx = {
   r2_mod_p : int;
 }
 
-let modulus c = c.p
 let neg_p_inv c = c.neg_p_inv
 let r_mod_p c = c.r_mod_p
 let r2_mod_p c = c.r2_mod_p

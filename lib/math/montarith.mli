@@ -25,8 +25,6 @@ val precompute : int -> ctx
 (** Derive the constants for a modulus (Newton–Hensel inversion of [p]
     mod 2^62). Raises [Invalid_argument] unless [supports p]. *)
 
-val modulus : ctx -> int
-
 val neg_p_inv : ctx -> int
 (** [-p^-1 mod 2^62], the REDC companion constant. *)
 

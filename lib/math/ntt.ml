@@ -17,7 +17,6 @@ type plan = {
 }
 
 let modulus t = t.p
-let degree t = t.n
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 

@@ -39,7 +39,6 @@ val tables : p:int -> degree:int -> tables
 (** Same preconditions as {!make_plan}. *)
 
 val modulus : plan -> int
-val degree : plan -> int
 
 val forward : plan -> int array -> unit
 (** In-place forward negacyclic NTT of a length-[degree] coefficient

@@ -348,14 +348,3 @@ let sample_cbd basis ~eta rng =
   let coeffs = Array.make (Rns.degree basis) 0 in
   Rng.fill_centered_binomial rng ~eta coeffs;
   of_centered_coeffs basis coeffs
-
-let pp fmt t =
-  let coeffs = to_bigint_coeffs t in
-  let n = min 8 (Array.length coeffs) in
-  Format.fprintf fmt "[";
-  for i = 0 to n - 1 do
-    if i > 0 then Format.fprintf fmt "; ";
-    Bigint.pp fmt coeffs.(i)
-  done;
-  if Array.length coeffs > n then Format.fprintf fmt "; ...";
-  Format.fprintf fmt "]"

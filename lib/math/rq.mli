@@ -32,9 +32,6 @@ val force_coeff : t -> unit
 val zero : Rns.t -> t
 val one : Rns.t -> t
 
-val constant : Rns.t -> int -> t
-(** The constant polynomial with the given (signed) integer value. *)
-
 val monomial : Rns.t -> coeff:int -> exponent:int -> t
 (** [monomial basis ~coeff ~exponent] is [coeff * x^exponent]; the
     exponent is reduced negacyclically ([x^N = -1]). *)
@@ -99,6 +96,3 @@ val sample_ternary : Rns.t -> Mycelium_util.Rng.t -> t
 val sample_cbd : Rns.t -> eta:int -> Mycelium_util.Rng.t -> t
 (** Centered binomial with parameter eta (variance eta/2): the error
     distribution, a standard stand-in for a discrete Gaussian. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the first few reconstructed coefficients; for debugging. *)

@@ -30,10 +30,6 @@ let post t ~author payload =
 
 let length t = t.n
 
-(* The head hash chains over every entry, so equal heads at equal
-   length mean identical logs. *)
-let equal a b = Int.equal a.n b.n && Bytes.equal (head_hash a) (head_hash b)
-
 let get t seq = List.find_opt (fun e -> e.seq = seq) t.log
 
 let entries_since t n = List.rev (List.filter (fun e -> e.seq >= n) t.log)

@@ -25,6 +25,3 @@ let identification_probability ~hops ~replicas ~malicious =
 let goodput ~hops ~replicas ~failure_rate =
   let copy_survives = (1. -. failure_rate) ** float_of_int hops in
   1. -. ((1. -. copy_survives) ** float_of_int replicas)
-
-let batch_size ~replicas ~degree ~fraction =
-  float_of_int (replicas * degree) /. fraction

@@ -26,6 +26,3 @@ val identification_probability : hops:int -> replicas:int -> malicious:float -> 
 val goodput : hops:int -> replicas:int -> failure_rate:float -> float
 (** Probability a message survives: each copy must traverse k hops that
     are each up and honest; 1 - (1 - (1-fail)^k)^r (Figure 5c). *)
-
-val batch_size : replicas:int -> degree:int -> fraction:float -> float
-(** r*d/f messages mixed per forwarder per C-round (§3.2). *)

@@ -141,10 +141,8 @@ type t = {
   mutable last_deliveries : (int * int * bytes) list;
 }
 
-let beacon t = t.beacon
 let vmap t = t.vmap
 let bulletin t = t.bulletin
-let is_malicious t i = t.devices.(i).malicious
 let current_round t = t.round
 
 (* Pseudonym numbers are device-major: device d owns [d*P, (d+1)*P). *)

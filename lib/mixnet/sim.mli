@@ -83,10 +83,8 @@ type t
 
 val create : config -> t
 
-val beacon : t -> bytes
 val vmap : t -> Vmap.t
 val bulletin : t -> Bulletin.t
-val is_malicious : t -> int -> bool
 val current_round : t -> int
 
 val audit_all : t -> bool

@@ -107,7 +107,6 @@ let build ~max_pseudonyms_per_device leaves =
 
 let size t = Array.length t.leaves
 let device_count t = t.n_devices
-let max_pseudonyms t = t.max_pseudonyms
 
 let m1_root t = Merkle.root t.m1
 let m2_root t = Merkle.root t.m2

@@ -18,7 +18,7 @@
 
 type m1_leaf = { pseudonym : bytes; pk : bytes; device : int }
 
-(* lint: allow interface — a VMap log is compared through its Merkle roots (m1_root/m2_root), not structurally *)
+(* lint: allow interface — a VMap log is compared through its Merkle roots, not structurally *)
 type t
 
 val build : max_pseudonyms_per_device:int -> m1_leaf array -> (t, string) result
@@ -33,10 +33,8 @@ val size : t -> int
 (** Number of M1 entries (= Np * P for a full map). *)
 
 val device_count : t -> int
-val max_pseudonyms : t -> int
 
 val m1_root : t -> bytes
-val m2_root : t -> bytes
 
 val roots_payload : t -> bytes
 (** Canonical encoding of both roots for the bulletin board. *)
@@ -53,17 +51,7 @@ val verify_lookup : m1_root:bytes -> index:int -> lookup -> bool
 val pub_of_lookup : lookup -> Mycelium_crypto.Elgamal.public_key option
 (** Parse the looked-up public key. *)
 
-val index_of_pseudonym : t -> bytes -> int option
-
 type m2_lookup = { payload : bytes; proof : Mycelium_crypto.Merkle.proof }
-
-val m2_lookup : t -> device:int -> m2_lookup
-
-val verify_m2_lookup : m2_root:bytes -> device:int -> m2_lookup -> bool
-
-val m2_contains_pk : m2_lookup -> pk:bytes -> bool
-(** Whether H(pk) appears among the device's registered key hashes —
-    the §3.3 cross-check between M1 and M2. *)
 
 val audit_own_pseudonyms : t -> device:int -> pseudonyms:bytes list -> bool
 (** The first device-side audit: all my pseudonyms are present and

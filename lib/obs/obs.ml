@@ -478,48 +478,6 @@ module Names = struct
   let gc_major_collections = "gc.major_collections"
   let gc_promoted_words = "gc.promoted_words"
 
-  let all =
-    [
-      rq_limb_ntt_muls;
-      rq_limb_transforms;
-      bgv_encrypts;
-      bgv_ciphertext_muls;
-      bgv_relinearizations;
-      pool_chunks_run;
-      pool_task_exceptions;
-      pool_domains;
-      pool_tasks_run;
-      pool_exceptions_caught;
-      faults_substituted_contributions;
-      faults_dropped_messages;
-      faults_delayed_messages;
-      faults_channel_retries;
-      faults_backoff_units;
-      faults_excluded_committee_members;
-      faults_forged_rejected;
-      faults_aggregator_restarts;
-      faults_decryption_attempts;
-      mixnet_deposited_bytes;
-      onion_layers_peeled;
-      mixnet_dummies_uploaded;
-      mixnet_anonymity_set;
-      mixnet_established_paths;
-      mixnet_arena_bytes;
-      mixnet_route_entries;
-      mixnet_mailboxes_in_use;
-      serve_admitted;
-      serve_rejected;
-      serve_batches;
-      serve_batch_members;
-      serve_cache_hits;
-      serve_cache_misses;
-      serve_cache_evictions;
-      gc_top_heap_words;
-      gc_heap_words;
-      gc_minor_collections;
-      gc_major_collections;
-      gc_promoted_words;
-    ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -992,7 +950,6 @@ module Timeseries = struct
     Mutex.unlock table_mutex;
     s
 
-  let name s = s.s_name
   let capacity s = s.s_cap
 
   let record s v =
@@ -1053,24 +1010,6 @@ module Timeseries = struct
       table;
     Mutex.unlock table_mutex
 
-  let to_json () =
-    Json.Obj
-      (List.map
-         (fun (name, s) ->
-           let pts = points s in
-           ( name,
-             Json.Obj
-               [
-                 ("capacity", Json.Int s.s_cap);
-                 ("total", Json.Int (total s));
-                 ( "points",
-                   Json.List
-                     (Array.to_list
-                        (Array.map
-                           (fun (ns, v) -> Json.List [ Json.Int ns; Json.Num v ])
-                           pts)) );
-               ] ))
-         (sorted_series ()))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1191,41 +1130,6 @@ let with_enabled f =
 
 let duration_s sp = if Float.is_nan sp.sp_end then 0. else Float.max 0. (sp.sp_end -. sp.sp_start)
 
-(* Pretty console tree: spans grouped by domain, indented by nesting
-   depth, in start order. *)
-let console_tree () =
-  let buf = Buffer.create 1024 in
-  let spans = all_spans () in
-  let doms = List.sort_uniq Int.compare (List.map (fun sp -> sp.sp_dom) spans) in
-  Buffer.add_string buf
-    (Printf.sprintf "=== trace: %d spans across %d domain(s) ===\n" (List.length spans)
-       (List.length doms));
-  List.iter
-    (fun dom ->
-      Buffer.add_string buf (Printf.sprintf "[domain %d]\n" dom);
-      let mine =
-        List.filter (fun sp -> sp.sp_dom = dom) spans
-        |> List.sort (fun a b -> Int.compare a.sp_seq b.sp_seq)
-      in
-      List.iter
-        (fun sp ->
-          let indent = String.make (2 + (2 * sp.sp_depth)) ' ' in
-          let attrs =
-            match sp.sp_attrs with
-            | [] -> ""
-            | kvs ->
-              "  {"
-              ^ String.concat ", "
-                  (List.map (fun (k, v) -> k ^ "=" ^ Json.to_string v) kvs)
-              ^ "}"
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%s%-28s %10.3f ms%s\n" indent sp.sp_name
-               (duration_s sp *. 1e3) attrs))
-        mine)
-    doms;
-  Buffer.contents buf
-
 (* Chrome trace_event JSON, loadable in about://tracing or Perfetto:
    one complete ("X") event per span, ts/dur in microseconds, tid = the
    recording domain. *)
@@ -1240,14 +1144,6 @@ let span_event sp =
       ("pid", Json.Int 0);
       ("tid", Json.Int sp.sp_dom);
       ("args", Json.Obj sp.sp_attrs);
-    ]
-
-let chrome_trace () =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.map span_event (all_spans ())));
-      ("displayTimeUnit", Json.Str "ms");
-      ("otherData", Json.Obj [ ("tool", Json.Str "mycelium-obs") ]);
     ]
 
 (* Streamed writer: one event is rendered at a time through a reused
@@ -1279,10 +1175,6 @@ let write_chrome_trace path =
 
 let metrics_json = Metrics.to_json
 let metrics_table = Metrics.to_table
-let timeseries_json = Timeseries.to_json
-
-let telemetry_json () =
-  Json.Obj [ ("metrics", metrics_json ()); ("timeseries", timeseries_json ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
@@ -1378,8 +1270,6 @@ module Ledger = struct
       oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path;
       mu = Mutex.create ();
     }
-
-  let path t = t.l_path
 
   let append t j =
     Mutex.lock t.mu;

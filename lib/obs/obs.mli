@@ -19,9 +19,9 @@
     registry mutex is touched once per domain, on its first span), so
     instrumented code is safe inside [Pool] workers.  Metrics are
     shared [Atomic] cells, the flight recorder is a lock-free ring.
-    Exporters ([console_tree], [chrome_trace], [metrics_json], the
-    Prometheus dump) read every domain's buffer and must only be
-    called while no instrumented parallel work is in flight.
+    Exporters ([write_chrome_trace], [metrics_json], the Prometheus
+    dump) read every domain's buffer and must only be called while no
+    instrumented parallel work is in flight.
 
     {b Determinism.}  Observability never draws from an [Rng.t] and
     never feeds back into computation: query results, DP noise and
@@ -46,7 +46,6 @@ module Json : sig
   (** Structural equality; [Num] compares with [Float.equal] (so [nan]
       equals [nan]) and object fields compare in order. *)
 
-  val to_buf : Buffer.t -> t -> unit
   val to_string : t -> string
   (** A finite [Num] is written with the fewest digits (15 or 17) that
       parse back to the same float, so [parse] returns it exactly; a
@@ -56,16 +55,13 @@ module Json : sig
   (** Stream the document to a channel without materializing it as one
       string; peak allocation is a single escaped string. *)
 
-  val max_depth : int
-  (** Maximum container nesting [parse] accepts (deeper input is an
-      [Error], not a stack overflow). *)
-
   val parse : string -> (t, string) result
   (** Strict parser covering everything [to_string] emits; used by the
       exporter round-trip tests and the ledger / flight-recorder
       readers.  [\uXXXX] escapes decode to UTF-8; surrogate pairs
       combine into one code point, and lone or misordered surrogates
-      are rejected. *)
+      are rejected.  Nesting deeper than a fixed bound is an [Error],
+      not a stack overflow. *)
 
   val member : string -> t -> t option
   (** [member k (Obj kvs)] is the value bound to [k], if any. *)
@@ -135,14 +131,7 @@ module Names : sig
   val serve_cache_hits : string
   val serve_cache_misses : string
   val serve_cache_evictions : string
-  val gc_top_heap_words : string
   val gc_heap_words : string
-  val gc_minor_collections : string
-  val gc_major_collections : string
-  val gc_promoted_words : string
-
-  val all : string list
-  (** Every name above, for docs and exhaustiveness tests. *)
 end
 
 (** {1 Spans} *)
@@ -197,12 +186,10 @@ module Metrics : sig
   val set : gauge -> float -> unit
   val gauge_value : gauge -> float
 
-  val default_buckets : float array
-  (** Powers of two from 1 to 2^20. *)
-
   val histogram : ?buckets:float array -> string -> histogram
-  (** [buckets] are strictly ascending upper bounds; one overflow
-      bucket is added past the last bound. *)
+  (** [buckets] are strictly ascending upper bounds (default: powers of
+      two from 1 to 2^20); one overflow bucket is added past the last
+      bound. *)
 
   val observe : histogram -> float -> unit
   val bucket_index : histogram -> float -> int
@@ -214,8 +201,6 @@ module Metrics : sig
   val histogram_sum : histogram -> float
   val histogram_count : histogram -> int
 
-  val to_json : unit -> Json.t
-  val to_table : unit -> string
 end
 
 (** {1 Time series} *)
@@ -225,13 +210,10 @@ end
 module Timeseries : sig
   type series
 
-  val default_capacity : int
-  (** 240 points per ring unless overridden. *)
-
   val register : ?capacity:int -> string -> series
-  (** Lookup-or-create; [capacity] only applies on first registration. *)
+  (** Lookup-or-create; [capacity] (default 240 points per ring) only
+      applies on first registration. *)
 
-  val name : series -> string
   val capacity : series -> int
 
   val record : series -> float -> unit
@@ -244,9 +226,6 @@ module Timeseries : sig
   val last : series -> (int * float) option
   val total : series -> int
   (** Points ever recorded (>= the window length). *)
-
-  val to_json : unit -> Json.t
-  (** Every series: capacity, total, and the live window. *)
 end
 
 (** {1 Background sampler} *)
@@ -299,8 +278,6 @@ module Recorder : sig
     ev_detail : (string * Json.t) list;
   }
 
-  val default_capacity : int
-
   val enable : ?capacity:int -> unit -> unit
   (** Turn the recorder on; [capacity] (default 1024) resizes and
       clears the ring first. *)
@@ -334,12 +311,9 @@ module Recorder : sig
   val recorded : unit -> int
   (** Events ever noted (>= ring length). *)
 
-  val to_json : unit -> Json.t
+  val dump_string : unit -> string
   (** Self-contained dump: schema, capacity, recorded/dropped counts,
       events. *)
-
-  val dump_string : unit -> string
-  val write : string -> unit
 end
 
 (** {1 Audit ledger} *)
@@ -354,8 +328,6 @@ module Ledger : sig
 
   val open_ : string -> t
   (** Open (append, create) a ledger file. *)
-
-  val path : t -> string
 
   val append : t -> Json.t -> unit
   (** Write one record as a single line and flush. *)
@@ -387,37 +359,21 @@ end
 
 (** {1 Exporters} *)
 
-val console_tree : unit -> string
-(** Spans grouped by domain, indented by nesting depth. *)
-
-val chrome_trace : unit -> Json.t
+val chrome_trace_string : unit -> string
 (** Chrome [trace_event] format (complete "X" events, ts/dur in
     microseconds, tid = recording domain) — loadable in
-    [about://tracing] and Perfetto. *)
-
-val chrome_trace_to_channel : out_channel -> unit
-(** Stream the trace one event at a time — a 10^6-device trace never
-    materializes as one string. *)
-
-val chrome_trace_string : unit -> string
-(** Thin wrapper over the streamed writer. *)
+    [about://tracing] and Perfetto.  Streamed one event at a time, so a
+    10^6-device trace never materializes as one JSON tree. *)
 
 val write_chrome_trace : string -> unit
 
 val metrics_json : unit -> Json.t
 val metrics_table : unit -> string
 
-val timeseries_json : unit -> Json.t
-(** The [Timeseries] section on its own. *)
-
-val telemetry_json : unit -> Json.t
-(** [{ "metrics": …, "timeseries": … }]. *)
-
-val prometheus_to_channel : out_channel -> unit
+val prometheus_string : unit -> string
 (** Prometheus text exposition: each metric as a [mycelium_]-prefixed
     family ([# TYPE] lines, cumulative [le] buckets for histograms) and
     the latest point of every time series as one
     [mycelium_timeseries{series="…"}] gauge family. *)
 
-val prometheus_string : unit -> string
 val write_prometheus : string -> unit

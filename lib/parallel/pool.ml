@@ -1,4 +1,4 @@
-(* A fixed-size domain pool with deterministic map/reduce semantics.
+(* A fixed-size domain pool with deterministic map semantics.
 
    Design notes:
    - Workers are persistent: spawned once at [create], parked on a
@@ -207,9 +207,6 @@ let map_array t f arr = mapi_array t (fun _ x -> f x) arr
 let init t n f =
   if n < 0 then invalid_arg "Pool.init";
   mapi_array t (fun i () -> f i) (Array.make n ())
-
-let reduce t ~combine ~init f arr =
-  Array.fold_left combine init (map_array t f arr)
 
 (* ------------------------------------------------------------------ *)
 (* The process-wide default pool                                       *)

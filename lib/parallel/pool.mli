@@ -6,10 +6,10 @@
     changing any observable result.  The contract every caller relies on:
 
     {b Determinism.}  [map_array] applies a pure function to each element
-    and writes results by index; [reduce] maps in parallel and then folds
-    the per-element results {e sequentially in element order}.  Neither the
-    number of domains nor the scheduling of chunks can influence the
-    output, so query results are byte-identical at 1, 2 or 8 domains.
+    and writes results by index; a caller that folds the results does so
+    {e sequentially in element order}.  Neither the number of domains nor
+    the scheduling of chunks can influence the output, so query results
+    are byte-identical at 1, 2 or 8 domains.
     Tasks must not share mutable state (in particular [Rng.t] handles —
     see [lib/util/rng.mli]); a task makes its own generator with
     [Rng.keyed] from its stable coordinates instead.
@@ -67,13 +67,6 @@ val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
 val init : t -> int -> (int -> 'a) -> 'a array
 (** [init pool n f] is [Array.init n f] with [f] run on the pool. *)
-
-val reduce : t -> combine:('b -> 'b -> 'b) -> init:'b -> ('a -> 'b) -> 'a array -> 'b
-(** [reduce pool ~combine ~init f arr] maps [f] over [arr] on the pool,
-    then folds the results with [combine] sequentially from [init] in
-    element order ([combine (... (combine init (f arr.(0))) ...) (f
-    arr.(n-1))]).  The fold order is fixed so non-associative combines
-    (e.g. float sums) are reproducible at any domain count. *)
 
 (** {1 The process-wide default pool}
 

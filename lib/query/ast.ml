@@ -190,8 +190,6 @@ let to_string q =
   Printf.sprintf "SELECT %s FROM neigh(%d)%s%s%s" (output_to_string q.output) q.hops where
     (group_by_to_string q.group_by) clip
 
-let pp fmt q = Format.pp_print_string fmt (to_string q)
-
 let rec fold_preds f acc = function
   | And (a, b) | Or (a, b) -> fold_preds f (fold_preds f acc a) b
   | (True | Truthy _ | Cmp _ | Between _ | Fn _) as p -> f acc p

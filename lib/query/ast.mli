@@ -65,20 +65,12 @@ val group_to_string : column_group -> string
 val compare_field : field -> field -> int
 (** Declaration order; total, for sorted field lists. *)
 
-val equal_field : field -> field -> bool
-val equal_colref : colref -> colref -> bool
-val equal_pred : pred -> pred -> bool
-
 val equal : t -> t -> bool
 (** Structural equality of whole queries (exact tree shape — no
     normalization of predicate association). *)
 
 val colref_valid : colref -> bool
 (** [edge] columns carry edge fields, [self]/[dest] vertex fields. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints back in (canonicalized) query syntax; [parse (print q)]
-    equals [q] up to predicate association. *)
 
 val to_string : t -> string
 

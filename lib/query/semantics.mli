@@ -26,10 +26,6 @@ type row_ctx = {
   edge : Mycelium_graph.Schema.edge_data option;
 }
 
-val eval_atom : Ast.pred -> row_ctx -> bool option
-(** Atomic predicate on a row; [None] when a referenced value is
-    undefined (missing edge, undiagnosed tInf in arithmetic). *)
-
 val eval_pred : Ast.pred -> row_ctx -> bool
 (** Whole predicate; undefined atoms are false (SQL-ish NULL). *)
 
@@ -43,10 +39,6 @@ val row_value : Analysis.info -> row_ctx -> int
 (** The §4.3 contribution b of one row: aggregation argument gated by
     the row-level predicates (0 when gated; 1 for COUNT; bucketized
     attribute for SUM). *)
-
-val row_group : Analysis.info -> row_ctx -> int option
-(** Group index of a row for edge-/cross-grouped queries; [None] when
-    the grouping expression is undefined on the row. *)
 
 val origin_group : Analysis.info -> Mycelium_graph.Schema.vertex_data -> int
 (** Group index for self-grouped queries. *)

@@ -44,11 +44,6 @@ val deal :
   dealing
 (** An old member re-shares its share to the new committee. *)
 
-val expected_constant :
-  group:Feldman.group -> old_commitment:Feldman.commitment -> int -> Mycelium_math.Bigint.t
-(** [expected_constant ~group ~old_commitment x] = g^{f(x)}: what the
-    constant term of an honest member-x dealing must commit to. *)
-
 val verify_dealing :
   group:Feldman.group -> old_commitment:Feldman.commitment -> dealing -> bool
 (** Binding check (constant term vs old commitment) + all sub-shares

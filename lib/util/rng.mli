@@ -136,15 +136,9 @@ val fill : t -> Bytes.t -> pos:int -> len:int -> unit
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct indices from
     [\[0, n)], in random order. Raises [Invalid_argument] if [k > n]. *)
-
-val exponential : t -> float -> float
-(** [exponential t lambda] draws from Exp(lambda) (mean [1/lambda]). *)
 
 val laplace : t -> float -> float
 (** [laplace t b] draws from the Laplace distribution with mean 0 and

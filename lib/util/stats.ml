@@ -33,20 +33,3 @@ let percentile a p =
 let median a = percentile a 50.
 
 let minimum a = Array.fold_left min a.(0) a
-let maximum a = Array.fold_left max a.(0) a
-
-type running = { mutable n : int; mutable m : float; mutable s : float }
-
-let running_create () = { n = 0; m = 0.; s = 0. }
-
-let running_add r x =
-  r.n <- r.n + 1;
-  let delta = x -. r.m in
-  r.m <- r.m +. (delta /. float_of_int r.n);
-  r.s <- r.s +. (delta *. (x -. r.m))
-
-let running_count r = r.n
-let running_mean r = r.m
-
-let running_stddev r =
-  if r.n < 2 then 0. else sqrt (r.s /. float_of_int r.n)

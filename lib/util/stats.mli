@@ -15,16 +15,4 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-val sum : float array -> float
-
 val minimum : float array -> float
-val maximum : float array -> float
-
-type running
-(** Online mean/variance accumulator (Welford). *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-val running_stddev : running -> float

@@ -6,17 +6,4 @@ let pp_bytes fmt v =
   else if abs >= 1e3 then Format.fprintf fmt "%.1f KB" (v /. 1e3)
   else Format.fprintf fmt "%.0f B" v
 
-let pp_seconds fmt v =
-  let abs = Float.abs v in
-  if abs < 1e-3 then Format.fprintf fmt "%.1f us" (v *. 1e6)
-  else if abs < 1. then Format.fprintf fmt "%.1f ms" (v *. 1e3)
-  else if abs < 120. then Format.fprintf fmt "%.1f s" v
-  else if abs < 7200. then Format.fprintf fmt "%.1f min" (v /. 60.)
-  else if abs < 172800. then Format.fprintf fmt "%.1f h" (v /. 3600.)
-  else Format.fprintf fmt "%.1f days" (v /. 86400.)
-
 let bytes_to_string v = Format.asprintf "%a" pp_bytes v
-let seconds_to_string v = Format.asprintf "%a" pp_seconds v
-
-let mib v = v *. 1e6
-let gib v = v *. 1e9

@@ -1,17 +1,4 @@
 (** Human-readable formatting of byte counts and durations, used by the
     cost model and the benchmark reports. *)
 
-val pp_bytes : Format.formatter -> float -> unit
-(** 1536.0 -> "1.5 KB"; powers of 1000 like the paper's MB/GB figures. *)
-
-val pp_seconds : Format.formatter -> float -> unit
-(** 95.0 -> "1.6 min"; picks ms/s/min/h/days. *)
-
 val bytes_to_string : float -> string
-val seconds_to_string : float -> string
-
-val mib : float -> float
-(** Megabytes (1e6 bytes) to raw bytes. *)
-
-val gib : float -> float
-(** Gigabytes (1e9 bytes) to raw bytes. *)

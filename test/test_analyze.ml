@@ -16,10 +16,17 @@
    The cache cells exercise the persistent summary cache end to end:
    cold run summarizes everything, warm run hits on every module and
    reports identical violations, and flipping one cmt's digest
-   re-summarizes exactly that module. *)
+   re-summarizes exactly that module.
+
+   The unused-export cells check how a reference resolves, on
+   hand-built summaries and on the refs_aliases fixture; the cli cells
+   run analyze_main for its exit status. *)
 
 module A = Mycelium_lint.Analyze
 module L = Mycelium_lint.Lint
+module P = Mycelium_lint.Policy
+module S = Mycelium_lint.Summarize
+module T = Mycelium_lint.Taint
 module Json = Mycelium_obs.Obs.Json
 
 let checkb = Alcotest.(check bool)
@@ -78,6 +85,15 @@ let test_pool_purity_fires () =
   checki "disjoint/sum are silent" 1
     (List.length (only "fire_pool_purity.ml" (r.L.violations @ r.L.suppressed)))
 
+let test_unused_export_fires () =
+  let r = (Lazy.force result).A.report in
+  Alcotest.check sites "at the uncalled val in the interface"
+    [ ("unused-export", 7) ]
+    (site_list (only "fire_unused_export.mli" r.L.violations));
+  (* [called] has a caller in a sibling fixture and stays silent *)
+  checki "called is silent" 1
+    (List.length (only "fire_unused_export.mli" (r.L.violations @ r.L.suppressed)))
+
 (* ------------------------------------------------------------------ *)
 (* Suppression machinery covers analyzer rules                         *)
 (* ------------------------------------------------------------------ *)
@@ -98,6 +114,14 @@ let test_suppressed_twins () =
       ("suppressed_epsilon_flow.ml", "epsilon-flow", 7);
       ("suppressed_pool_purity.ml", "pool-purity", 12);
     ]
+
+let test_unused_export_suppressed () =
+  let r = (Lazy.force result).A.report in
+  Alcotest.check sites "unused-export suppressed at its exact site"
+    [ ("unused-export", 6) ]
+    (site_list (only "suppressed_unused_export.mli" r.L.suppressed));
+  checki "unused-export has no unsuppressed leftovers" 0
+    (List.length (only "suppressed_unused_export.mli" r.L.violations))
 
 let test_rule_table () =
   let r = (Lazy.force result).A.report in
@@ -123,7 +147,7 @@ let test_json_report () =
     (field "violation_count" j = Json.Int (List.length res.A.report.L.violations));
   (match field "rules" j with
   | Json.Obj rules ->
-    checki "all four rules tabulated" 4 (List.length rules);
+    checki "all five rules tabulated" 5 (List.length rules);
     List.iter
       (fun (_, cell) ->
         checkb "one violation per rule" true (field "violations" cell = Json.Int 1))
@@ -146,9 +170,10 @@ let write_bytes path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
 
-(* A private copy of the fixture cmts, so the digest-flip cell can
-   scribble on one without perturbing dune's build tree. *)
-let with_cmt_copy f =
+(* A private directory holding copies of the named fixture build files,
+   so a cell can pick which units a run sees, or scribble on one,
+   without perturbing dune's build tree. *)
+let with_copies names f =
   let dir = Filename.temp_file "mycelium_analyze" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
@@ -157,16 +182,19 @@ let with_cmt_copy f =
       Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      let cmts =
-        Sys.readdir fixture_root |> Array.to_list
-        |> List.filter (fun n -> Filename.check_suffix n ".cmt")
-        |> List.sort String.compare
-      in
       List.iter
         (fun n ->
           write_bytes (Filename.concat dir n) (read_bytes (Filename.concat fixture_root n)))
-        cmts;
-      f dir (List.length cmts))
+        names;
+      f dir)
+
+let with_cmt_copy f =
+  let cmts =
+    Sys.readdir fixture_root |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".cmt")
+    |> List.sort String.compare
+  in
+  with_copies cmts (fun dir -> f dir (List.length cmts))
 
 let test_cache_warm_and_invalidation () =
   with_cmt_copy (fun dir n ->
@@ -196,6 +224,205 @@ let test_cache_warm_and_invalidation () =
         (site_list cold.A.report.L.violations)
         (site_list stale.A.report.L.violations))
 
+(* ------------------------------------------------------------------ *)
+(* unused-export: what counts as a reference                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Hand-built summaries isolate the rule's resolution from the
+   typedtree walk: an interface exporting [vals] under [unit], and a
+   unit naming [refs]. *)
+let intf unit vals =
+  { T.i_unit = unit; i_source = unit ^ ".mli"; i_vals = List.mapi (fun i v -> (unit ^ "." ^ v, i + 1)) vals }
+
+let user unit refs = { T.m_unit = unit; m_source = unit ^ ".ml"; m_funs = []; m_pool = []; m_refs = refs }
+
+(* the flagged values, by name, sorted *)
+let flagged intfs users =
+  A.check_unused_exports intfs users []
+  |> List.map (fun (v : L.violation) -> List.hd (String.split_on_char ' ' v.msg))
+  |> List.sort String.compare
+
+let names = Alcotest.(list string)
+
+let test_own_unit_no_caller () =
+  Alcotest.check names "a module naming its own export is no caller" [ "Mycelium_x.M.f" ]
+    (flagged
+       [ intf "Mycelium_x.M" [ "f"; "g" ] ]
+       [ user "Mycelium_x.M" [ "Mycelium_x.M.f" ]; user "Mycelium_x.N" [ "Mycelium_x.M.g" ] ])
+
+let test_sibling_under_wrapper () =
+  (* a module of the same library names its sibling unprefixed; the
+     same text from another library names something else *)
+  Alcotest.check names "resolved under the referencing unit's wrapper"
+    [ "Mycelium_core.Committee.members" ]
+    (flagged
+       [ intf "Mycelium_core.Committee" [ "threshold"; "members" ] ]
+       [
+         user "Mycelium_core.Runtime" [ "Committee.threshold" ];
+         user "Other_lib.Main" [ "Committee.members" ];
+       ])
+
+let test_module_used_whole () =
+  Alcotest.check names "a whole-module use names exactly the values under it"
+    [ "Mycelium_obs.Obs.Jsonl.read"; "Mycelium_obs.Obs.span" ]
+    (flagged
+       [ intf "Mycelium_obs.Obs" [ "span"; "Json.to_string"; "Json.parse"; "Jsonl.read" ] ]
+       [ user "Test_obs" [ "Mycelium_obs.Obs.Json." ] ])
+
+let test_every_copy_counts () =
+  (* one unit read twice (two build contexts) with different reference
+     sets: the union counts *)
+  Alcotest.check names "references of every copy are a union" []
+    (flagged
+       [ intf "Mycelium_bgv.Bgv" [ "encrypt"; "noise_budget" ] ]
+       [
+         user "Test_bgv" [ "Mycelium_bgv.Bgv.encrypt" ];
+         user "Test_bgv" [ "Mycelium_bgv.Bgv.noise_budget" ];
+       ])
+
+let test_wrapper_names () =
+  let unit n = Path.Pident (Ident.create_persistent n) in
+  let canon p = S.canon_in S.IdentMap.empty p in
+  let checks = Alcotest.(check string) in
+  checks "mangled unit" "Mycelium_core.Committee.threshold"
+    (canon (Path.Pdot (unit "Mycelium_core__Committee", "threshold")));
+  checks "through the library's alias module" "Mycelium_core.Committee.threshold"
+    (canon (Path.Pdot (Path.Pdot (unit "Mycelium_core__", "Committee"), "threshold")));
+  checks "executable prefix dropped" "Test_bgv.run" (canon (Path.Pdot (unit "Dune__exe__Test_bgv", "run")))
+
+let test_aliases_resolve () =
+  match S.of_cmt ~summarize:false (Filename.concat fixture_root "analyze_fixtures__Refs_aliases.cmt") with
+  | None -> Alcotest.fail "refs_aliases has no implementation cmt"
+  | Some ms ->
+    Alcotest.check names "both aliases reach one canonical path; List is left out"
+      [ "Analyze_fixtures.Fire_unused_export.called" ]
+      ms.T.m_refs
+
+(* Nested signatures export their values under the nested path, at the
+   [val]'s own line: read from the real Obs interface, whose [Json]
+   module the whole repository prints with. *)
+let test_nested_signature_exports () =
+  match S.of_cmti "../lib/obs/.mycelium_obs.objs/byte/mycelium_obs__Obs.cmti" with
+  | None -> Alcotest.fail "no Obs interface in the lib build tree"
+  | Some i -> (
+    Alcotest.(check string) "unit" "Mycelium_obs.Obs" i.T.i_unit;
+    match List.assoc_opt "Mycelium_obs.Obs.Json.to_string" i.T.i_vals with
+    | None -> Alcotest.fail "Obs.Json.to_string is not among the exports"
+    | Some line ->
+      let text = List.nth (String.split_on_char '\n' (read_bytes ("../" ^ i.T.i_source))) (line - 1) in
+      checkb (Printf.sprintf "line %d declares it: %S" line text) true
+        (String.starts_with ~prefix:"val to_string" (String.trim text)))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.equal (String.sub s i n) sub || go (i + 1)) in
+  go 0
+
+let test_exports_counted () =
+  let res = Lazy.force result in
+  checki "three vals across the two fixture interfaces" 3 res.A.stats.A.sa_exports;
+  checkb "in the JSON report" true (field "exports" (A.json_of_result res) = Json.Int 3);
+  checkb "in the console summary" true (contains (A.console_of_result res) ", 3 exports,")
+
+let fire_export = [ "analyze_fixtures__Fire_unused_export.cmt"; "analyze_fixtures__Fire_unused_export.cmti" ]
+let caller_of_called = [ "analyze_fixtures__Suppressed_unused_export.cmt" ]
+
+let unused_sites (res : A.result) =
+  site_list
+    (List.filter (fun (v : L.violation) -> String.equal v.rule "unused-export") res.A.report.L.violations)
+
+let test_callers_count () =
+  with_copies fire_export (fun roots ->
+      with_copies caller_of_called (fun callers ->
+          Alcotest.check sites "no caller read: both vals fire"
+            [ ("unused-export", 5); ("unused-export", 7) ]
+            (unused_sites (A.run ~source_root:".." ~roots:[ roots ] ()));
+          Alcotest.check sites "a caller directory names [called]"
+            [ ("unused-export", 7) ]
+            (unused_sites (A.run ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] ()))))
+
+(* The cache keeps each interface's exports and each caller's
+   references with the digest of its file, so a warm run reads no
+   typedtree at all. *)
+let test_warm_reads_no_typedtree () =
+  with_copies fire_export (fun roots ->
+      with_copies caller_of_called (fun callers ->
+          let cache = Filename.concat roots "summaries.cache" in
+          let run () = A.run ~cache ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] () in
+          let cold = run () in
+          checki "cold: the cmt, the cmti and the caller are read" 3 cold.A.stats.A.sa_summarized;
+          let warm = run () in
+          checki "warm: all three hit" 3 warm.A.stats.A.sa_cache_hits;
+          checki "warm: nothing is read" 0 warm.A.stats.A.sa_summarized;
+          Alcotest.check sites "warm unused-export sites identical" (unused_sites cold)
+            (unused_sites warm)))
+
+(* A caller is cached with its references only; that entry must not
+   stand in for a root's full summary, or the privacy rules would
+   silently see a module without functions. *)
+let test_caller_entry_not_a_summary () =
+  with_copies fire_export (fun roots ->
+      with_copies caller_of_called (fun callers ->
+          let cache = Filename.concat roots "summaries.cache" in
+          ignore (A.run ~cache ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] ());
+          let as_root = A.run ~cache ~source_root:".." ~roots:[ callers ] () in
+          checki "the former caller is summarized afresh" 1 as_root.A.stats.A.sa_summarized;
+          checki "its references-only entry is not a hit" 0 as_root.A.stats.A.sa_cache_hits;
+          checkb "its function is in the table" true
+            (List.mem "Analyze_fixtures.Suppressed_unused_export.uncalled" as_root.A.functions);
+          let again = A.run ~cache ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] () in
+          checki "a full summary serves a caller" 3 again.A.stats.A.sa_cache_hits))
+
+(* ------------------------------------------------------------------ *)
+(* The CLI's exit status                                               *)
+(* ------------------------------------------------------------------ *)
+
+let analyze_main args =
+  Sys.command
+    (Filename.quote_command "../tools/lint/analyze_main.exe" ~stdout:Filename.null
+       ~stderr:Filename.null args)
+
+let test_cli_empty_root () =
+  with_copies [] (fun dir -> checki "a root holding no .cmt exits 2" 2 (analyze_main [ dir ]))
+
+let test_cli_violations () =
+  checki "unsuppressed violations exit 1" 1 (analyze_main [ "--source-root"; ".."; fixture_root ])
+
+let test_cli_suppressed_only () =
+  let suppressed =
+    Sys.readdir fixture_root |> Array.to_list
+    |> List.filter (fun n ->
+           String.starts_with ~prefix:"analyze_fixtures__Suppressed_" n
+           && (Filename.check_suffix n ".cmt" || Filename.check_suffix n ".cmti"))
+  in
+  checki "five twins: five cmts, one cmti" 6 (List.length suppressed);
+  with_copies suppressed (fun dir ->
+      checki "suppressed violations alone exit 0" 0 (analyze_main [ "--source-root"; ".."; dir ]))
+
+(* ------------------------------------------------------------------ *)
+(* The policy names functions that exist                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Policy] names repository functions in strings.  A deleted or
+   renamed source or sink would drop out of dp-release without a
+   sound, so every exact name must be a function the analyzer finds in
+   the real lib/ build tree, and every prefix must match one. *)
+let test_policy_names_resolve () =
+  let res = A.run ~roots:[ "../lib" ] () in
+  checkb "the lib build tree was read" true (res.A.functions <> []);
+  let found = Hashtbl.create 1024 in
+  List.iter (fun n -> Hashtbl.replace found n ()) res.A.functions;
+  List.iter
+    (fun name ->
+      if not (Hashtbl.mem found name) then
+        Alcotest.failf "Policy names %s, which lib/ does not define" name)
+    P.repo_names;
+  List.iter
+    (fun prefix ->
+      if not (List.exists (String.starts_with ~prefix) res.A.functions) then
+        Alcotest.failf "Policy prefix %s matches no function in lib/" prefix)
+    P.repo_prefixes
+
 let () =
   Alcotest.run "mycelium-analyze"
     [
@@ -205,13 +432,38 @@ let () =
           Alcotest.test_case "budget-order" `Quick test_budget_order_fires;
           Alcotest.test_case "epsilon-flow" `Quick test_epsilon_flow_fires;
           Alcotest.test_case "pool-purity" `Quick test_pool_purity_fires;
+          Alcotest.test_case "unused-export" `Quick test_unused_export_fires;
         ] );
       ( "suppression",
         [
           Alcotest.test_case "suppressed-twins" `Quick test_suppressed_twins;
+          Alcotest.test_case "unused-export-twin" `Quick test_unused_export_suppressed;
           Alcotest.test_case "rule-table" `Quick test_rule_table;
         ] );
       ("json", [ Alcotest.test_case "report-shape" `Quick test_json_report ]);
       ( "summary-cache",
-        [ Alcotest.test_case "warm-and-invalidation" `Quick test_cache_warm_and_invalidation ] );
+        [
+          Alcotest.test_case "warm-and-invalidation" `Quick test_cache_warm_and_invalidation;
+          Alcotest.test_case "warm run reads no typedtree" `Quick test_warm_reads_no_typedtree;
+          Alcotest.test_case "caller entry is not a summary" `Quick test_caller_entry_not_a_summary;
+        ] );
+      ( "unused-export",
+        [
+          Alcotest.test_case "own unit is no caller" `Quick test_own_unit_no_caller;
+          Alcotest.test_case "sibling under the wrapper" `Quick test_sibling_under_wrapper;
+          Alcotest.test_case "module used whole" `Quick test_module_used_whole;
+          Alcotest.test_case "every copy counts" `Quick test_every_copy_counts;
+          Alcotest.test_case "wrapper names" `Quick test_wrapper_names;
+          Alcotest.test_case "aliases resolve" `Quick test_aliases_resolve;
+          Alcotest.test_case "nested signatures" `Quick test_nested_signature_exports;
+          Alcotest.test_case "exports counted" `Quick test_exports_counted;
+          Alcotest.test_case "callers count" `Quick test_callers_count;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "empty root exits 2" `Quick test_cli_empty_root;
+          Alcotest.test_case "violations exit 1" `Quick test_cli_violations;
+          Alcotest.test_case "suppressed only exits 0" `Quick test_cli_suppressed_only;
+        ] );
+      ("policy", [ Alcotest.test_case "names resolve in lib" `Quick test_policy_names_resolve ]);
     ]

@@ -1,6 +1,6 @@
-(* Tests for mycelium_crypto: SHA-256/HMAC/HKDF against FIPS/RFC
+(* Tests for mycelium_crypto: SHA-256/HMAC against FIPS/RFC
    vectors, ChaCha20/Poly1305/AEAD against RFC 8439 vectors, Merkle
-   trees, and the RSA-style PEnc. *)
+   trees, and the ElGamal PEnc. *)
 
 module Rng = Mycelium_util.Rng
 module Hex = Mycelium_util.Hex
@@ -9,7 +9,7 @@ module Chacha20 = Mycelium_crypto.Chacha20
 module Poly1305 = Mycelium_crypto.Poly1305
 module Aead = Mycelium_crypto.Aead
 module Merkle = Mycelium_crypto.Merkle
-module Rsa = Mycelium_crypto.Rsa
+module Elgamal = Mycelium_crypto.Elgamal
 module Pool = Mycelium_parallel.Pool
 module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
@@ -99,14 +99,6 @@ let test_hmac_rfc4231 () =
     (Sha256.hmac ~key:(Bytes.make 131 '\xaa')
        (Bytes.of_string "Test Using Larger Than Block-Size Key - Hash Key First"))
 
-let test_hkdf_rfc5869 () =
-  let ikm = Bytes.make 22 '\x0b' in
-  let salt = Hex.decode "000102030405060708090a0b0c" in
-  let info = "\xf0\xf1\xf2\xf3\xf4\xf5\xf6\xf7\xf8\xf9" in
-  check_hex "test case 1"
-    "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
-    (Sha256.hkdf ~salt ~ikm ~info ~length:42 ())
-
 (* ------------------------------------------------------------------ *)
 (* ChaCha20 / Poly1305 / AEAD                                          *)
 (* ------------------------------------------------------------------ *)
@@ -144,16 +136,6 @@ let test_poly1305_vector () =
   let key = Hex.decode "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b" in
   check_hex "tag" "a8061dc1305136c6c22b8baf0c0127a9"
     (Poly1305.mac ~key (Bytes.of_string "Cryptographic Forum Research Group"))
-
-let test_poly1305_verify () =
-  let key = Hex.decode "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b" in
-  let msg = Bytes.of_string "Cryptographic Forum Research Group" in
-  let tag = Poly1305.mac ~key msg in
-  checkb "valid tag accepted" true (Poly1305.verify ~key ~tag msg);
-  let bad = Bytes.copy tag in
-  Bytes.set_uint8 bad 0 (Bytes.get_uint8 bad 0 lxor 1);
-  checkb "flipped tag rejected" false (Poly1305.verify ~key ~tag:bad msg);
-  checkb "wrong length rejected" false (Poly1305.verify ~key ~tag:(Bytes.create 8) msg)
 
 let test_aead_rfc8439 () =
   (* RFC 8439 §2.8.2 *)
@@ -705,62 +687,101 @@ let prop_merkle_random =
       Merkle.verify ~root:(Merkle.root t) ~leaf:leaves.(i) (Merkle.prove t i))
 
 (* ------------------------------------------------------------------ *)
-(* RSA                                                                 *)
+(* ElGamal: the simulation's PEnc                                      *)
 (* ------------------------------------------------------------------ *)
 
-let shared_keypair = lazy (Rsa.generate (Rng.create 1234L) ~bits:512)
+(* Mixnet path setup seals each hop's fresh link key to that hop's
+   public key, and the verifiable map checks pseudonyms h = H(pk)
+   (§3.1) against the published key bytes: these cells pin what the
+   mix network relies on. *)
 
-let test_rsa_roundtrip () =
+let shared_keypair = lazy (Elgamal.generate (Rng.create 1234L))
+
+let test_elgamal_roundtrip () =
   let pk, sk = Lazy.force shared_keypair in
   let rng = Rng.create 9L in
-  for _ = 1 to 10 do
-    let msg = Rng.bytes rng (1 + Rng.int rng (Rsa.max_plaintext pk)) in
-    match Rsa.decrypt sk (Rsa.encrypt rng pk msg) with
-    | Some pt -> checkb "roundtrip" true (Bytes.equal pt msg)
-    | None -> Alcotest.fail "decrypt failed"
-  done
+  List.iter
+    (fun len ->
+      let msg = Rng.bytes rng len in
+      match Elgamal.decrypt sk (Elgamal.encrypt rng pk msg) with
+      | Some pt -> checkb (Printf.sprintf "%d bytes roundtrip" len) true (Bytes.equal pt msg)
+      | None -> Alcotest.failf "%d bytes: decrypt failed" len)
+    [ 0; 1; 31; 32; 33; 200 ]
 
-let test_rsa_randomized_padding () =
-  let pk, _ = Lazy.force shared_keypair in
+let test_elgamal_randomized () =
+  let pk, sk = Lazy.force shared_keypair in
   let rng = Rng.create 10L in
   let msg = Bytes.of_string "symmetric key material.........." in
-  let c1 = Rsa.encrypt rng pk msg and c2 = Rsa.encrypt rng pk msg in
-  checkb "same message encrypts differently" false (Bytes.equal c1 c2)
+  let c1 = Elgamal.encrypt rng pk msg and c2 = Elgamal.encrypt rng pk msg in
+  checkb "same message encrypts differently" false (Bytes.equal c1 c2);
+  checkb "both decrypt" true
+    (Elgamal.decrypt sk c1 = Some msg && Elgamal.decrypt sk c2 = Some msg)
 
-let test_rsa_tamper () =
+let test_elgamal_tamper () =
   let pk, sk = Lazy.force shared_keypair in
-  let rng = Rng.create 11L in
-  let ct = Rsa.encrypt rng pk (Bytes.of_string "hello") in
-  let bad = Bytes.copy ct in
-  Bytes.set_uint8 bad (Bytes.length bad - 1) (Bytes.get_uint8 bad (Bytes.length bad - 1) lxor 1);
-  (* Either padding fails (None) or the plaintext differs. *)
-  (match Rsa.decrypt sk bad with
-  | None -> ()
-  | Some pt -> checkb "tampered differs" false (Bytes.equal pt (Bytes.of_string "hello")));
-  checkb "wrong length rejected" true (Rsa.decrypt sk (Bytes.create 7) = None)
+  let ct = Elgamal.encrypt (Rng.create 11L) pk (Bytes.of_string "hello") in
+  (* a flip in the ephemeral element changes the derived key; a flip in
+     the sealed part fails the tag *)
+  for i = 0 to Bytes.length ct - 1 do
+    let bad = Bytes.copy ct in
+    Bytes.set_uint8 bad i (Bytes.get_uint8 bad i lxor 0x01);
+    checkb (Printf.sprintf "flip at byte %d rejected" i) true (Elgamal.decrypt sk bad = None)
+  done
 
-let test_rsa_message_too_long () =
+let test_elgamal_wrong_key () =
   let pk, _ = Lazy.force shared_keypair in
   let rng = Rng.create 12L in
-  Alcotest.check_raises "too long" (Invalid_argument "Rsa.encrypt: message too long") (fun () ->
-      ignore (Rsa.encrypt rng pk (Bytes.create (Rsa.max_plaintext pk + 1))))
+  let _, other = Elgamal.generate rng in
+  checkb "another device's key cannot open it" true
+    (Elgamal.decrypt other (Elgamal.encrypt rng pk (Bytes.of_string "hello")) = None)
 
-let test_rsa_pub_serialization () =
+let test_elgamal_malformed () =
+  let pk, sk = Lazy.force shared_keypair in
+  let ct = Elgamal.encrypt (Rng.create 13L) pk (Bytes.of_string "hello") in
+  let with_element b =
+    let bad = Bytes.copy ct in
+    Bytes.blit b 0 bad 0 32;
+    bad
+  in
+  checkb "shorter than the overhead" true (Elgamal.decrypt sk (Bytes.sub ct 0 40) = None);
+  checkb "empty" true (Elgamal.decrypt sk Bytes.empty = None);
+  checkb "ephemeral element 0" true (Elgamal.decrypt sk (with_element (Bytes.make 32 '\x00')) = None);
+  checkb "ephemeral element above p" true
+    (Elgamal.decrypt sk (with_element (Bytes.make 32 '\xff')) = None)
+
+let test_elgamal_pub_serialization () =
   let pk, _ = Lazy.force shared_keypair in
-  match Rsa.pub_of_bytes (Rsa.pub_to_bytes pk) with
+  let b = Elgamal.pub_to_bytes pk in
+  checki "fixed width" 32 (Bytes.length b);
+  (match Elgamal.pub_of_bytes b with
   | Some pk' ->
-    checkb "roundtrip" true
-      (Mycelium_math.Bigint.equal pk.Rsa.n pk'.Rsa.n
-      && Mycelium_math.Bigint.equal pk.Rsa.e pk'.Rsa.e);
-    checkb "fingerprint stable" true (Bytes.equal (Rsa.fingerprint pk) (Rsa.fingerprint pk'))
-  | None -> Alcotest.fail "deserialize failed"
+    checkb "roundtrip" true (Bytes.equal (Elgamal.pub_to_bytes pk') b);
+    checkb "fingerprint stable" true (Bytes.equal (Elgamal.fingerprint pk) (Elgamal.fingerprint pk'))
+  | None -> Alcotest.fail "deserialize failed");
+  checkb "wrong length rejected" true (Elgamal.pub_of_bytes (Bytes.sub b 0 31) = None);
+  checkb "zero rejected" true (Elgamal.pub_of_bytes (Bytes.make 32 '\x00') = None);
+  checkb "above p rejected" true (Elgamal.pub_of_bytes (Bytes.make 32 '\xff') = None)
 
-let test_rsa_fingerprints_distinct () =
+let test_elgamal_fingerprints_distinct () =
   let rng = Rng.create 77L in
-  let pk1, _ = Rsa.generate rng ~bits:256 in
-  let pk2, _ = Rsa.generate rng ~bits:256 in
+  let pk1, _ = Elgamal.generate rng in
+  let pk2, _ = Elgamal.generate rng in
+  checki "a SHA-256 digest" 32 (Bytes.length (Elgamal.fingerprint pk1));
   checkb "distinct keys distinct pseudonyms" false
-    (Bytes.equal (Rsa.fingerprint pk1) (Rsa.fingerprint pk2))
+    (Bytes.equal (Elgamal.fingerprint pk1) (Elgamal.fingerprint pk2))
+
+(* The mixnet's fast_keys: the public half serializes and fingerprints
+   like a real key, but nothing sealed to it opens. *)
+let test_elgamal_insecure_keys () =
+  let rng = Rng.create 78L in
+  let pk, sk = Elgamal.generate_insecure rng in
+  let b = Elgamal.pub_to_bytes pk in
+  checki "fixed width" 32 (Bytes.length b);
+  (match Elgamal.pub_of_bytes b with
+  | Some pk' -> checkb "parses back" true (Bytes.equal (Elgamal.pub_to_bytes pk') b)
+  | None -> Alcotest.fail "an insecure key must parse like a real one");
+  checkb "cannot decrypt" true
+    (Elgamal.decrypt sk (Elgamal.encrypt rng pk (Bytes.of_string "hello")) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Word kernels: allocation and domain safety                         *)
@@ -877,7 +898,6 @@ let () =
           Alcotest.test_case "vs oracle" `Quick test_sha256_differential;
           Alcotest.test_case "update_sub chunks vs oracle" `Quick test_sha256_update_sub_chunks;
           Alcotest.test_case "HMAC RFC 4231" `Quick test_hmac_rfc4231;
-          Alcotest.test_case "HKDF RFC 5869" `Quick test_hkdf_rfc5869;
         ] );
       ( "chacha20-poly1305",
         [
@@ -885,7 +905,6 @@ let () =
           Alcotest.test_case "encrypt vector" `Quick test_chacha20_encrypt_vector;
           Alcotest.test_case "roundtrip" `Quick test_chacha20_roundtrip;
           Alcotest.test_case "poly1305 vector" `Quick test_poly1305_vector;
-          Alcotest.test_case "poly1305 verify" `Quick test_poly1305_verify;
           Alcotest.test_case "AEAD RFC 8439" `Quick test_aead_rfc8439;
           Alcotest.test_case "AEAD tamper detection" `Quick test_aead_tamper_detection;
           prop_aead_roundtrip;
@@ -914,13 +933,15 @@ let () =
           Alcotest.test_case "depth" `Quick test_merkle_depth;
           prop_merkle_random;
         ] );
-      ( "rsa",
+      ( "elgamal",
         [
-          Alcotest.test_case "roundtrip" `Quick test_rsa_roundtrip;
-          Alcotest.test_case "randomized padding" `Quick test_rsa_randomized_padding;
-          Alcotest.test_case "tamper" `Quick test_rsa_tamper;
-          Alcotest.test_case "message too long" `Quick test_rsa_message_too_long;
-          Alcotest.test_case "pubkey serialization" `Quick test_rsa_pub_serialization;
-          Alcotest.test_case "fingerprints distinct" `Quick test_rsa_fingerprints_distinct;
+          Alcotest.test_case "roundtrip" `Quick test_elgamal_roundtrip;
+          Alcotest.test_case "randomized encryption" `Quick test_elgamal_randomized;
+          Alcotest.test_case "tamper" `Quick test_elgamal_tamper;
+          Alcotest.test_case "wrong key" `Quick test_elgamal_wrong_key;
+          Alcotest.test_case "malformed ciphertexts" `Quick test_elgamal_malformed;
+          Alcotest.test_case "pubkey serialization" `Quick test_elgamal_pub_serialization;
+          Alcotest.test_case "fingerprints distinct" `Quick test_elgamal_fingerprints_distinct;
+          Alcotest.test_case "insecure keys" `Quick test_elgamal_insecure_keys;
         ] );
     ]

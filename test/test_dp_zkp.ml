@@ -87,41 +87,6 @@ let test_advanced_composition () =
   checkb "single query: basic cheaper" true
     (Dp.composed_epsilon Dp.Basic [ 0.5 ] < Dp.composed_epsilon (Dp.Advanced { delta = 1e-6 }) [ 0.5 ])
 
-let test_above_threshold () =
-  let rng = Rng.create 42L in
-  (* Far-below probes come back negative (statistically). *)
-  let negatives = ref 0 in
-  for _ = 1 to 200 do
-    let t = Dp.above_threshold_create rng ~sensitivity:1. ~epsilon:1.0 ~threshold:100. in
-    match Dp.above_threshold_query t 10. with
-    | Ok false -> incr negatives
-    | Ok true | Error `Exhausted -> ()
-  done;
-  checkb "far-below almost always negative" true (!negatives > 190);
-  (* Far-above probes trip it. *)
-  let positives = ref 0 in
-  for _ = 1 to 200 do
-    let t = Dp.above_threshold_create rng ~sensitivity:1. ~epsilon:1.0 ~threshold:100. in
-    match Dp.above_threshold_query t 200. with
-    | Ok true -> incr positives
-    | Ok false | Error `Exhausted -> ()
-  done;
-  checkb "far-above almost always positive" true (!positives > 190);
-  (* One positive answer, then exhausted; negatives are free. *)
-  let t = Dp.above_threshold_create rng ~sensitivity:1. ~epsilon:1.0 ~threshold:50. in
-  let rec probe_until_positive tries =
-    if tries = 0 then Alcotest.fail "never tripped"
-    else begin
-      match Dp.above_threshold_query t (if tries > 95 then 0. else 500.) with
-      | Ok false -> probe_until_positive (tries - 1)
-      | Ok true -> ()
-      | Error `Exhausted -> Alcotest.fail "exhausted before answering"
-    end
-  in
-  probe_until_positive 100;
-  checkb "exhausted after the positive" true (Dp.above_threshold_exhausted t);
-  checkb "further probes refused" true (Dp.above_threshold_query t 500. = Error `Exhausted)
-
 (* A NaN charge must never be admitted: it would turn the running sums
    into NaN, after which every over-budget comparison is false and
    nothing is ever refused again. *)
@@ -368,7 +333,6 @@ let () =
           Alcotest.test_case "noisy histogram release" `Quick test_release_histogram_noisy;
           Alcotest.test_case "budget accounting" `Quick test_budget_accounting;
           Alcotest.test_case "advanced composition" `Quick test_advanced_composition;
-          Alcotest.test_case "sparse vector (above threshold)" `Quick test_above_threshold;
           Alcotest.test_case "budget validation" `Quick test_budget_validation;
           Alcotest.test_case "NaN never admitted" `Quick test_budget_nan_never_admitted;
         ] );

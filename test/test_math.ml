@@ -224,14 +224,6 @@ let test_stats_basic () =
   check (Alcotest.float 1e-9) "p100" 5.0 (Stats.percentile a 100.);
   check (Alcotest.float 1e-9) "p25" 2.0 (Stats.percentile a 25.)
 
-let test_stats_running () =
-  let r = Stats.running_create () in
-  let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
-  Array.iter (Stats.running_add r) xs;
-  checki "count" 8 (Stats.running_count r);
-  check (Alcotest.float 1e-9) "mean" 5.0 (Stats.running_mean r);
-  check (Alcotest.float 1e-9) "stddev" 2.0 (Stats.running_stddev r)
-
 (* ------------------------------------------------------------------ *)
 (* Modarith                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -284,11 +276,6 @@ let test_modarith_root_of_unity () =
   let w = Modarith.nth_root_of_unity p 4096 in
   checki "w^4096 = 1" 1 (Modarith.pow p w 4096);
   checkb "w^2048 <> 1" true (Modarith.pow p w 2048 <> 1)
-
-let test_modarith_to_signed () =
-  checki "small stays" 3 (Modarith.to_signed 17 3);
-  checki "large goes negative" (-8) (Modarith.to_signed 17 9);
-  checki "boundary" 8 (Modarith.to_signed 17 8)
 
 (* ------------------------------------------------------------------ *)
 (* NTT                                                                 *)
@@ -746,7 +733,6 @@ let () =
           Alcotest.test_case "hex known vectors" `Quick test_hex_known;
           Alcotest.test_case "hex invalid input" `Quick test_hex_invalid;
           Alcotest.test_case "stats basic" `Quick test_stats_basic;
-          Alcotest.test_case "stats running" `Quick test_stats_running;
         ] );
       ( "modarith",
         [
@@ -756,7 +742,6 @@ let () =
           Alcotest.test_case "primality" `Quick test_modarith_is_prime;
           Alcotest.test_case "primitive roots" `Quick test_modarith_primitive_root;
           Alcotest.test_case "roots of unity" `Quick test_modarith_root_of_unity;
-          Alcotest.test_case "to_signed" `Quick test_modarith_to_signed;
         ] );
       ( "ntt",
         [

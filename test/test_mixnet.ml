@@ -363,9 +363,6 @@ let test_model_goodput_anchor () =
   checkb "r=1 worse" true (Model.goodput ~hops:3 ~replicas:1 ~failure_rate:0.04 < g);
   checkb "r=3 better" true (Model.goodput ~hops:3 ~replicas:3 ~failure_rate:0.04 > g)
 
-let test_model_batch_size () =
-  Alcotest.(check (float 1e-9)) "r*d/f" 200. (Model.batch_size ~replicas:2 ~degree:10 ~fraction:0.1)
-
 (* ------------------------------------------------------------------ *)
 (* Simulator                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -777,7 +774,6 @@ let () =
           Alcotest.test_case "anonymity anchor (Fig 5a)" `Quick test_model_anonymity_anchor;
           Alcotest.test_case "identification anchor (Fig 5b)" `Quick test_model_identification_anchor;
           Alcotest.test_case "goodput anchor (Fig 5c)" `Quick test_model_goodput_anchor;
-          Alcotest.test_case "batch size" `Quick test_model_batch_size;
         ] );
       ( "sim",
         [

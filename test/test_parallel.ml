@@ -1,6 +1,6 @@
 (* Unit tests for the domain work pool: result correctness independent
-   of domain count, fixed reduce order, nested submission, exception
-   propagation, and the env/config/override precedence. *)
+   of domain count, nested submission, exception propagation, and the
+   env/config/override precedence. *)
 
 module Pool = Mycelium_parallel.Pool
 
@@ -27,19 +27,6 @@ let test_mapi_and_init () =
       let got = Pool.init pool 5 (fun i -> i * 2) in
       Alcotest.(check (array int)) "init" [| 0; 2; 4; 6; 8 |] got;
       Alcotest.(check (array int)) "init 0" [||] (Pool.init pool 0 (fun i -> i)))
-
-(* Float addition is not associative: the reduce order must be the
-   sequential element order no matter how many domains run the map. *)
-let test_reduce_order_fixed () =
-  let arr = Array.init 1000 (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let expect = Array.fold_left ( +. ) 0.0 arr in
-  List.iter
-    (fun d ->
-      with_pool d (fun pool ->
-          let got = Pool.reduce pool ~combine:( +. ) ~init:0.0 Fun.id arr in
-          if got <> expect then
-            Alcotest.failf "reduce at %d domains: %.17g <> %.17g" d got expect))
-    [ 1; 2; 8 ]
 
 (* A task that submits to the pool again must complete (sequentially)
    rather than deadlock on its own worker set. *)
@@ -88,7 +75,6 @@ let () =
         [
           Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
           Alcotest.test_case "mapi and init" `Quick test_mapi_and_init;
-          Alcotest.test_case "reduce order is fixed" `Quick test_reduce_order_fixed;
           Alcotest.test_case "nested submission" `Quick test_nested_submission;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "with_domains override" `Quick test_with_domains_override;

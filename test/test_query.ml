@@ -573,6 +573,102 @@ let test_negative_budget_exhaustion_typed () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "within-budget retry should run: %s" (neg_err_to_string e)
 
+(* ------------------------------------------------------------------ *)
+(* Contact graph: loading, clipping, BFS trees                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Query sensitivity (§4.7) is computed from the degree bound d, so an
+   imported graph must come out of clipping with every degree <= d, and
+   the clip must not depend on how the edges were listed: a reloaded
+   trace has to clip to the same graph. *)
+
+let vertices n =
+  Array.init n (fun i ->
+      { Schema.infected = i mod 3 = 0; t_inf = (if i mod 3 = 0 then Some (i mod 14) else None); age = 20 + i; household = i / 2 })
+
+let edge_data i =
+  {
+    Schema.duration_min = 10 + i;
+    contacts = 1 + (i mod 4);
+    last_contact = i mod 14;
+    location = (if i mod 2 = 0 then Schema.Household else Schema.Workplace);
+    setting = (if i mod 2 = 0 then Schema.Family else Schema.Work);
+  }
+
+(* a star around 0 over a ring of the other vertices: degree n-1 at the
+   hub, 3 elsewhere *)
+let star_ring n =
+  List.init (n - 1) (fun i -> (0, i + 1, edge_data i))
+  @ List.init (n - 1) (fun i -> (i + 1, ((i + 1) mod (n - 1)) + 1, edge_data (100 + i)))
+
+(* every edge once, (min, max) endpoints, sorted *)
+let edge_list g =
+  List.init (Cg.population g) (fun u ->
+      List.filter_map (fun (v, d) -> if u < v then Some (u, v, d) else None) (Cg.neighbors g u))
+  |> List.concat |> List.sort compare
+
+let test_clip_bounds_degrees () =
+  let n = 12 and d = 3 in
+  let g = Cg.of_edges ~degree_bound:d ~vertices:(vertices n) ~edges:(star_ring n) () in
+  checki "the hub exceeds the bound" (n - 1) (Cg.degree g 0);
+  let c = Cg.clip_to_degree_bound g in
+  checkb "every degree within the bound" true (Cg.max_degree c <= d);
+  let kept = edge_list c and all = edge_list g in
+  checkb "an edge was dropped" true (List.length kept < List.length all);
+  checkb "kept edges are original edges, data and all" true
+    (List.for_all (fun e -> List.mem e all) kept);
+  checki "edge count agrees with the adjacency" (List.length kept) (Cg.edge_count c);
+  checkb "vertex data copied" true (Cg.vertex c 3 = Cg.vertex g 3);
+  checki "an explicit bound wins" 2 (Cg.max_degree (Cg.clip_to_degree_bound ~bound:2 g))
+
+let test_clip_identity_within_bound () =
+  let g = Cg.generate { Cg.default_config with Cg.population = 200 } (Rng.create 91L) in
+  checkb "generated within the bound" true (Cg.max_degree g <= Cg.default_config.Cg.degree_bound);
+  checkb "clipping keeps every edge" true (edge_list (Cg.clip_to_degree_bound g) = edge_list g)
+
+let test_clip_ignores_edge_order () =
+  let n = 12 and d = 3 in
+  let edges = star_ring n in
+  let reordered = List.rev_map (fun (u, v, data) -> (v, u, data)) edges in
+  let clip es = edge_list (Cg.clip_to_degree_bound (Cg.of_edges ~degree_bound:d ~vertices:(vertices n) ~edges:es ())) in
+  checkb "reversed, endpoints swapped: same clipped graph" true (clip edges = clip reordered)
+
+let test_of_edges_rejects () =
+  let v = vertices 4 in
+  let load edges () = ignore (Cg.of_edges ~degree_bound:3 ~vertices:v ~edges ()) in
+  Alcotest.check_raises "self-loop" (Invalid_argument "Contact_graph.of_edges: self-loop")
+    (load [ (1, 1, edge_data 0) ]);
+  Alcotest.check_raises "duplicate, either direction"
+    (Invalid_argument "Contact_graph.of_edges: duplicate edge")
+    (load [ (1, 2, edge_data 0); (2, 1, edge_data 1) ]);
+  Alcotest.check_raises "out of range" (Invalid_argument "Contact_graph.of_edges: vertex out of range")
+    (load [ (0, 4, edge_data 0) ]);
+  Alcotest.check_raises "one vertex" (Invalid_argument "Contact_graph.of_edges: population too small")
+    (fun () -> ignore (Cg.of_edges ~degree_bound:3 ~vertices:(vertices 1) ~edges:[] ()))
+
+(* Flooding (§4.4) sends each hop's aggregate to the vertex it came
+   from: every vertex of the k-hop ball must have a parent one hop
+   closer to the origin, adjacent to it. *)
+let test_spanning_parents_upstream () =
+  let g = Lazy.force test_graph in
+  List.iter
+    (fun origin ->
+      let ball = Cg.k_hop g origin ~k:3 in
+      let dist = Hashtbl.create 64 in
+      Hashtbl.replace dist origin 0;
+      List.iter (fun (v, d) -> Hashtbl.replace dist v d) ball;
+      let parents = Cg.spanning_parents g origin ~k:3 in
+      checki "a parent for every vertex of the ball" (List.length ball) (Hashtbl.length parents);
+      List.iter
+        (fun (v, d) ->
+          match Hashtbl.find_opt parents v with
+          | None -> Alcotest.failf "vertex %d has no parent" v
+          | Some p ->
+            checkb "parent is a neighbour" true (Cg.edge g v p <> None);
+            checki "parent is one hop closer" (d - 1) (Hashtbl.find dist p))
+        ball)
+    [ 0; 17; 150; 299 ]
+
 let () =
   Alcotest.run "mycelium-query"
     [
@@ -615,6 +711,14 @@ let () =
           Alcotest.test_case "decode histogram" `Quick test_decode_histogram;
           Alcotest.test_case "decode GSUM ratio" `Quick test_decode_gsum_ratio;
           Alcotest.test_case "group labels" `Quick test_group_labels;
+        ] );
+      ( "contact-graph",
+        [
+          Alcotest.test_case "clip bounds every degree" `Quick test_clip_bounds_degrees;
+          Alcotest.test_case "clip keeps in-bound graphs" `Quick test_clip_identity_within_bound;
+          Alcotest.test_case "clip ignores edge order" `Quick test_clip_ignores_edge_order;
+          Alcotest.test_case "of_edges rejects malformed input" `Quick test_of_edges_rejects;
+          Alcotest.test_case "spanning parents are upstream" `Quick test_spanning_parents_upstream;
         ] );
       ( "negative-paths",
         [

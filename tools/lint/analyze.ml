@@ -19,26 +19,37 @@
         helper fires with the taint its callers actually pass;
      4. the rule checks — dp-release, budget-order, epsilon-flow from
         the fixpoint results, pool-purity straight from the cached
-        per-module findings;
+        per-module findings, unused-export from the cached interface
+        and reference sets;
      5. suppression filtering, shared comment syntax and machinery
         with the syntactic linter ([Lint.scan_comment_suppressions]).
+
+   Two sets of directories feed a run.  The privacy rules and
+   unused-export check the [roots]; [callers] are read only for the
+   value paths they name, so a function that only a test or a bench
+   calls still counts as called.
 
    Everything is compiler-libs + [Obs.Json]; no new dependencies. *)
 
 module Json = Mycelium_obs.Obs.Json
 
-let version = "mycelium-analyze/1"
+let version = "mycelium-analyze/2"
 
 type stats = {
   sa_modules : int;  (** cmt files analysed (after unit dedup) *)
   sa_summarized : int;  (** summaries computed this run (cache misses) *)
   sa_cache_hits : int;
   sa_functions : int;
+  sa_exports : int;  (** values the interfaces under the roots export *)
   sa_conc_rounds : int;
   sa_ctx_rounds : int;
 }
 
-type result = { report : Lint.report; stats : stats }
+type result = {
+  report : Lint.report;
+  stats : stats;
+  functions : string list;  (** canonical names of every summarized binding, sorted *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Discovery                                                          *)
@@ -46,27 +57,40 @@ type result = { report : Lint.report; stats : stats }
 
 (* [.objs] directories start with a dot, so the walk skips nothing;
    roots are expected to be build trees (e.g. [_build/default/lib]). *)
-let rec find_cmts path acc =
+let rec find_files ~suffix path acc =
   if Sys.is_directory path then begin
     let entries = Sys.readdir path in
     Array.sort String.compare entries;
     Array.fold_left
-      (fun acc name -> find_cmts (Filename.concat path name) acc)
+      (fun acc name -> find_files ~suffix (Filename.concat path name) acc)
       acc entries
   end
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
+
+let find_cmts path acc = find_files ~suffix:".cmt" path acc
+
+(* The repository's scope, relative to the workspace root: the
+   directories the rules check, and the ones read only for callers. *)
+let repo_roots = [ "lib"; "bin" ]
+let repo_callers = [ "bench"; "benchmark"; "examples"; "tools"; "test" ]
 
 (* ------------------------------------------------------------------ *)
 (* Summary cache                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* One Marshal'd file: header (analyzer version, policy digest) +
-   entries keyed by cmt path, each pinned to the cmt's digest.  A
-   header mismatch — new analyzer, edited policy — drops the whole
-   cache; a digest mismatch re-summarizes just that module. *)
+   entries keyed by cmt/cmti path, each pinned to the file's digest.
+   A header mismatch — new analyzer, edited policy — drops the whole
+   cache; a digest mismatch re-reads just that file.  A warm run
+   reads no typedtree. *)
 
-type centry = { ce_digest : Digest.t; ce_ms : Taint.msummary }
+type cached =
+  | Summary of Taint.msummary  (* a unit under the roots *)
+  | Refs of Taint.msummary  (* a caller: references only *)
+  | Exports of Taint.isummary
+
+type centry = { ce_digest : Digest.t; ce_data : cached }
 
 let load_cache path : (string, centry) Hashtbl.t =
   let empty () = Hashtbl.create 64 in
@@ -516,44 +540,128 @@ let check_budget_order funs (by_name : (string * site list) list) acc =
           acc sites)
     acc by_name
 
+(* unused-export: a [val] of an interface under the roots that no
+   other compilation unit names.  A reference resolves as written or
+   under the referencing unit's library wrapper (sibling modules are
+   named unprefixed); a module used whole names every value under it. *)
+let check_unused_exports (intfs : Taint.isummary list) (users : Taint.msummary list) acc =
+  let exports = Hashtbl.create 1024 in
+  List.iter
+    (fun (i : Taint.isummary) ->
+      List.iter (fun (name, _) -> Hashtbl.replace exports name i.Taint.i_unit) i.Taint.i_vals)
+    intfs;
+  let named = Hashtbl.create 1024 in
+  let note (u : Taint.msummary) name =
+    match Hashtbl.find_opt exports name with
+    | Some owner when not (String.equal owner u.Taint.m_unit) -> Hashtbl.replace named name ()
+    | _ -> ()
+  in
+  List.iter
+    (fun (u : Taint.msummary) ->
+      let wrapper = wrapper_of u.Taint.m_unit in
+      List.iter
+        (fun r ->
+          let candidates = [ r; wrapper ^ "." ^ r ] in
+          if String.ends_with ~suffix:"." r then
+            Hashtbl.iter
+              (fun name _ ->
+                if List.exists (fun prefix -> String.starts_with ~prefix name) candidates
+                then note u name)
+              exports
+          else List.iter (note u) candidates)
+        u.Taint.m_refs)
+    users;
+  List.fold_left
+    (fun acc (i : Taint.isummary) ->
+      List.fold_left
+        (fun acc (name, line) ->
+          if Hashtbl.mem named name then acc
+          else
+            {
+              Lint_rules.rule = "unused-export";
+              file = i.Taint.i_source;
+              line;
+              col = 0;
+              msg =
+                Printf.sprintf
+                  "%s is exported but no other compilation unit names it; take \
+                   it out of the interface (warning 32 then flags it if nothing \
+                   inside uses it either)"
+                  name;
+            }
+            :: acc)
+        acc i.Taint.i_vals)
+    acc intfs
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run ?cache ?(source_root = ".") ~roots () : result =
-  let cmts =
-    List.concat_map (fun r -> find_cmts r []) roots
-    |> List.sort_uniq String.compare
+let run ?cache ?(source_root = ".") ?(callers = []) ~roots () : result =
+  let files suffix dirs =
+    List.concat_map (fun r -> find_files ~suffix r []) dirs |> List.sort_uniq String.compare
   in
   let ctbl =
     match cache with Some p -> load_cache p | None -> Hashtbl.create 16
   in
   let hits = ref 0 and misses = ref 0 in
-  let summaries = ref [] in
+  (* [fits] says whether a cached entry serves this read *)
+  let read ~fits compute path =
+    let digest = Digest.file path in
+    match Hashtbl.find_opt ctbl path with
+    | Some e when String.equal e.ce_digest digest && fits e.ce_data ->
+      incr hits;
+      Some e.ce_data
+    | _ -> (
+      match try compute path with _ -> None with
+      | Some d ->
+        incr misses;
+        Hashtbl.replace ctbl path { ce_digest = digest; ce_data = d };
+        Some d
+      | None -> None)
+  in
+  let summaries = ref [] and users = ref [] and intfs = ref [] in
   let seen_units = Hashtbl.create 64 in
   List.iter
     (fun path ->
-      let digest = Digest.file path in
-      let ms =
-        match Hashtbl.find_opt ctbl path with
-        | Some e when String.equal e.ce_digest digest ->
-          incr hits;
-          Some e.ce_ms
-        | _ -> (
-          match try Summarize.of_cmt path with _ -> None with
-          | Some ms ->
-            incr misses;
-            Hashtbl.replace ctbl path { ce_digest = digest; ce_ms = ms };
-            Some ms
-          | None -> None)
-      in
-      match ms with
-      | Some ms when not (Hashtbl.mem seen_units ms.Taint.m_unit) ->
-        Hashtbl.replace seen_units ms.Taint.m_unit ();
-        summaries := ms :: !summaries
+      match
+        read
+          ~fits:(function Summary _ -> true | Refs _ | Exports _ -> false)
+          (fun p -> Option.map (fun ms -> Summary ms) (Summarize.of_cmt ~summarize:true p))
+          path
+      with
+      | Some (Summary ms) ->
+        users := ms :: !users;
+        if not (Hashtbl.mem seen_units ms.Taint.m_unit) then begin
+          Hashtbl.replace seen_units ms.Taint.m_unit ();
+          summaries := ms :: !summaries
+        end
       | _ -> ())
-    cmts;
-  let summaries = List.rev !summaries in
+    (files ".cmt" roots);
+  (* every copy of a caller counts: its references are a union *)
+  List.iter
+    (fun path ->
+      match
+        read
+          ~fits:(function Summary _ | Refs _ -> true | Exports _ -> false)
+          (fun p -> Option.map (fun ms -> Refs ms) (Summarize.of_cmt ~summarize:false p))
+          path
+      with
+      | Some (Summary ms | Refs ms) -> users := ms :: !users
+      | _ -> ())
+    (files ".cmt" callers);
+  List.iter
+    (fun path ->
+      match
+        read
+          ~fits:(function Exports _ -> true | Summary _ | Refs _ -> false)
+          (fun p -> Option.map (fun i -> Exports i) (Summarize.of_cmti p))
+          path
+      with
+      | Some (Exports i) -> intfs := i :: !intfs
+      | _ -> ())
+    (files ".cmti" roots);
+  let summaries = List.rev !summaries and intfs = List.rev !intfs in
   Option.iter (fun p -> save_cache p ctbl) cache;
   (* global function table *)
   let funs : (string, gf) Hashtbl.t = Hashtbl.create 512 in
@@ -611,6 +719,7 @@ let run ?cache ?(source_root = ".") ~roots () : result =
             :: !raw)
         ms.Taint.m_pool)
     summaries;
+  raw := check_unused_exports intfs !users !raw;
   (* one violation per (rule, file, line, col, msg) *)
   let raw =
     List.sort_uniq
@@ -651,9 +760,11 @@ let run ?cache ?(source_root = ".") ~roots () : result =
         sa_summarized = !misses;
         sa_cache_hits = !hits;
         sa_functions = List.length order;
+        sa_exports = List.fold_left (fun n i -> n + List.length i.Taint.i_vals) 0 intfs;
         sa_conc_rounds = conc_rounds;
         sa_ctx_rounds = ctx_rounds;
       };
+    functions = List.sort String.compare (List.map (fun f -> f.g_name) order);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -661,7 +772,9 @@ let run ?cache ?(source_root = ".") ~roots () : result =
 (* ------------------------------------------------------------------ *)
 
 let rule_table (r : Lint.report) =
-  let rules = [ "dp-release"; "budget-order"; "epsilon-flow"; "pool-purity" ] in
+  let rules =
+    [ "dp-release"; "budget-order"; "epsilon-flow"; "pool-purity"; "unused-export" ]
+  in
   List.map
     (fun rule ->
       let count l = List.length (List.filter (fun (v : Lint.violation) -> String.equal v.rule rule) l) in
@@ -675,6 +788,7 @@ let json_of_result (res : result) =
       ("tool", Json.Str "mycelium-analyze");
       ("modules", Json.Int s.sa_modules);
       ("functions", Json.Int s.sa_functions);
+      ("exports", Json.Int s.sa_exports);
       ( "cache",
         Json.Obj
           [
@@ -714,8 +828,9 @@ let console_of_result (res : result) =
         (Printf.sprintf "%s:%d:%d: [%s] %s\n" v.file v.line v.col v.rule v.msg))
     r.Lint.violations;
   Buffer.add_string b
-    (Printf.sprintf "mycelium-analyze: %d modules, %d functions, %d violations, %d suppressed\n"
-       res.stats.sa_modules res.stats.sa_functions
+    (Printf.sprintf
+       "mycelium-analyze: %d modules, %d functions, %d exports, %d violations, %d suppressed\n"
+       res.stats.sa_modules res.stats.sa_functions res.stats.sa_exports
        (List.length r.Lint.violations)
        (List.length r.Lint.suppressed));
   Buffer.contents b

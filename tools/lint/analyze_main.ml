@@ -3,11 +3,15 @@
      analyze_main.exe [--root DIR] [--source-root DIR] [--json PATH|-]
                       [--cache PATH] [--stats] [ROOT...]
 
-   ROOTs are directories walked for [.cmt] files (default: lib bin —
-   build trees, so typically run from [_build/default] via [--root]).
-   [--cache] points at the persistent summary cache; [--stats] prints
-   the summary/cache/rule table.  Exits non-zero when unsuppressed
-   violations remain. *)
+   With no ROOT, the rules check the repository's lib/ and bin/ and
+   read bench/, benchmark/, examples/, tools/ and test/ for callers
+   ([Analyze.repo_roots], [Analyze.repo_callers]).  ROOTs replace both
+   sets: the rules check them, and only they count as callers.  Each
+   directory is a build tree — typically run from [_build/default] via
+   [--root] — and one that holds no [.cmt] is an error, so a sweep
+   cannot go empty unnoticed.  [--cache] points at the persistent
+   summary cache; [--stats] prints the summary/cache/rule table.
+   Exits non-zero when unsuppressed violations remain. *)
 
 module A = Mycelium_lint.Analyze
 
@@ -28,27 +32,32 @@ let () =
     | [] -> (List.rev roots, json, cache, stats, srcroot)
   in
   let roots, json, cache, stats, source_root = parse [] None None false "." args in
-  let roots = if roots = [] then [ "lib"; "bin" ] else roots in
-  (* convenience: when run from the repo root, cmts live in _build *)
-  let roots =
-    List.map
-      (fun r ->
-        let built = Filename.concat (Filename.concat "_build" "default") r in
-        if Sys.file_exists r && A.find_cmts r [] <> [] then r
-        else if Sys.file_exists built then built
-        else r)
-      roots
+  let roots, callers =
+    if roots = [] then (A.repo_roots, A.repo_callers) else (roots, [])
   in
-  List.iter
-    (fun r ->
-      if not (Sys.file_exists r) then begin
-        prerr_endline
-          ("mycelium-analyze: no such root: " ^ r
-         ^ " (run from the repo root or pass --root)");
-        exit 2
-      end)
-    roots;
-  let res = A.run ?cache ~source_root ~roots () in
+  (* convenience: when run from the repo root, cmts live in _build *)
+  let locate r =
+    let built = Filename.concat (Filename.concat "_build" "default") r in
+    let r =
+      if Sys.file_exists r && A.find_cmts r [] <> [] then r
+      else if Sys.file_exists built then built
+      else r
+    in
+    if not (Sys.file_exists r) then begin
+      prerr_endline
+        ("mycelium-analyze: no such root: " ^ r ^ " (run from the repo root or pass --root)");
+      exit 2
+    end;
+    if A.find_cmts r [] = [] then begin
+      prerr_endline
+        ("mycelium-analyze: no .cmt under " ^ r
+       ^ " (build it first, e.g. dune build @check)");
+      exit 2
+    end;
+    r
+  in
+  let roots = List.map locate roots and callers = List.map locate callers in
+  let res = A.run ?cache ~source_root ~callers ~roots () in
   print_string (A.console_of_result res);
   if stats then print_string (A.stats_of_result res);
   (match json with

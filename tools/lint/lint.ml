@@ -38,7 +38,7 @@ let rule_ids =
     (* the interprocedural rules of mycelium-analyze (Analyze);
        suppression comments share one namespace with the syntactic
        rules so a site reads the same either way *)
-    "dp-release"; "budget-order"; "epsilon-flow"; "pool-purity";
+    "dp-release"; "budget-order"; "epsilon-flow"; "pool-purity"; "unused-export";
   ]
 
 (* ------------------------------------------------------------------ *)

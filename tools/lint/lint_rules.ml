@@ -146,12 +146,12 @@ let determinism ~file str =
 
 (* The domain-ownership rule of rng.mli: an [Rng.t] advanced inside a
    [Pool] task is a data race and a scheduling dependence.  Flag any
-   closure literal passed to Pool.map_array/mapi_array/init/reduce
+   closure literal passed to Pool.map_array/mapi_array/init
    that references an rng-ish name it does not bind itself — the
    sanctioned pattern makes a task-local stream with [Rng.keyed] from
    the task's stable coordinates inside the task. *)
 
-let pool_entry_points = [ "map_array"; "mapi_array"; "init"; "reduce" ]
+let pool_entry_points = [ "map_array"; "mapi_array"; "init" ]
 
 let rng_capture ~file str =
   let out = ref [] in

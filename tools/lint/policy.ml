@@ -28,7 +28,7 @@
      lattice itself.  Raw [Bgv.decrypt] stays a Secret source.
 
    - Structural graph aggregates ([population], [edge_count],
-     [max_degree], [degree], [degree_bound], [horizon_days]) are
+     [max_degree], [degree], [horizon_days]) are
      neutral: they are config echoes or whole-population counts the
      operator already knows, not per-user data.  [vertex]/[neighbors]
      and friends do propagate.
@@ -67,7 +67,6 @@ let sanitizers =
   [
     ("Mycelium_graph.Contact_graph.clip_to_degree_bound", Taint.tf_clip);
     ("Mycelium_dp.Dp.laplace_noise", Taint.tf_noise);
-    ("Mycelium_dp.Dp.noise_vector", Taint.tf_noise);
     ("Mycelium_dp.Dp.release_histogram", Taint.tf_noise);
     ("Mycelium_dp.Dp.release_sum", Taint.tf_noise);
     (* the committee noises inside the MPC (§4.2) *)
@@ -104,7 +103,6 @@ let charges =
 let neutrals =
   [
     "Mycelium_graph.Contact_graph.population";
-    "Mycelium_graph.Contact_graph.degree_bound";
     "Mycelium_graph.Contact_graph.horizon_days";
     "Mycelium_graph.Contact_graph.degree";
     "Mycelium_graph.Contact_graph.max_degree";
@@ -270,14 +268,12 @@ let is_assume_charged name = List.mem name assume_charged
 (* ------------------------------------------------------------------ *)
 
 (* Parallel entry points of lib/parallel: closures passed positionally
-   to these run concurrently.  (reduce's ~combine runs sequentially
-   in element order and is exempt by its label.) *)
+   to these run concurrently. *)
 let pool_entries =
   [
     "Mycelium_parallel.Pool.map_array";
     "Mycelium_parallel.Pool.mapi_array";
     "Mycelium_parallel.Pool.init";
-    "Mycelium_parallel.Pool.reduce";
   ]
 
 let is_pool_entry name = List.mem name pool_entries
@@ -326,6 +322,24 @@ let writers =
   ]
 
 let writer_of name = List.find_opt (fun w -> String.equal w.w_fn name) writers
+
+(* ------------------------------------------------------------------ *)
+(* Names the policy expects the repository to define                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every repository name and prefix the tables above mention.  A test
+   checks each against the functions the analyzer finds in lib/: a
+   deleted or renamed source or sink would otherwise drop out of
+   dp-release without a sound. *)
+let repo_names =
+  List.filter
+    (String.starts_with ~prefix:"Mycelium_")
+    (List.map fst sources @ List.map fst sanitizers @ List.map fst sinks
+   @ List.map fst charges @ neutrals @ serve_entries @ crypto_names
+   @ crypto_contribution @ assume_charged @ pool_entries)
+
+let repo_prefixes =
+  List.filter (String.starts_with ~prefix:"Mycelium_") (neutral_prefixes @ crypto_prefixes)
 
 (* ------------------------------------------------------------------ *)
 (* Policy digest                                                       *)

@@ -4,7 +4,10 @@
    nested-module-level) binding, a symbolic summary — result sym,
    call-site table, mutable-cell table — plus the module's
    pool-purity findings, which are purely local and therefore decided
-   here so they cache with the summary.
+   here so they cache with the summary.  A second, shallow pass
+   collects the value paths the unit names, and an interface's
+   typedtree gives its exported [val]s: the two inputs of
+   unused-export.
 
    Conventions and approximations (DESIGN.md §15 spells these out):
 
@@ -48,6 +51,12 @@ let nice_unit name =
       String.sub name 11 (String.length name - 11)
     else name
   in
+  (* dune's alias module names the library: Mycelium_dp__.Dp is
+     Mycelium_dp.Dp *)
+  let name =
+    if String.ends_with ~suffix:"__" name then String.sub name 0 (String.length name - 2)
+    else name
+  in
   (* dune wrapper mangling: Mycelium_dp__Dp -> Mycelium_dp.Dp *)
   let b = Buffer.create (String.length name) in
   let n = String.length name in
@@ -74,15 +83,17 @@ type state = {
   mutable st_anon : int;
 }
 
-let rec canon st (p : Path.t) =
+let rec canon_in aliases (p : Path.t) =
   match p with
   | Path.Pident id -> (
-    match IdentMap.find_opt id st.st_aliases with
+    match IdentMap.find_opt id aliases with
     | Some s -> s
     | None -> nice_unit (Ident.name id))
-  | Path.Pdot (p, s) -> canon st p ^ "." ^ s
+  | Path.Pdot (p, s) -> canon_in aliases p ^ "." ^ s
   | Path.Papply _ -> nice_unit (Path.name p)
-  | Path.Pextra_ty (p, _) -> canon st p
+  | Path.Pextra_ty (p, _) -> canon_in aliases p
+
+let canon st p = canon_in st.st_aliases p
 
 (* ------------------------------------------------------------------ *)
 (* Small typedtree helpers                                             *)
@@ -672,21 +683,93 @@ and module_expr st prefix (m : T.module_expr) =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
+(* References and exports: the inputs of unused-export                 *)
 (* ------------------------------------------------------------------ *)
 
-let of_cmt path : Taint.msummary option =
+(* Every value path a unit names outside its local scope, canonical,
+   sorted and deduplicated.  Module aliases resolve ([module Bgv =
+   Mycelium_bgv.Bgv] makes [Bgv.x] name [Mycelium_bgv.Bgv.x]); an
+   alias or an [open] names nothing by itself.  A module used whole —
+   a functor argument, an [include], a packed first-class module —
+   contributes its name with a trailing dot, so every value under it
+   counts as named.  The standard library is left out. *)
+let refs_of_structure (str : T.structure) =
+  let aliases = ref IdentMap.empty and refs = ref [] in
+  let canon p = canon_in !aliases p in
+  let add name =
+    if not (String.starts_with ~prefix:"Stdlib." name) then refs := name :: !refs
+  in
+  let alias id (me : T.module_expr) =
+    match me.T.mod_desc with
+    | T.Tmod_ident (p, _)
+    | T.Tmod_constraint ({ T.mod_desc = T.Tmod_ident (p, _); _ }, _, _, _) ->
+      aliases := IdentMap.add id (canon p) !aliases;
+      true
+    | _ -> false
+  in
+  let it =
+    { Tast_iterator.default_iterator with
+      expr =
+        (fun sub e ->
+          match e.T.exp_desc with
+          | T.Texp_ident ((Path.Pdot _ as p), _, _) -> add (canon p)
+          | T.Texp_letmodule (Some id, _, _, me, body) when alias id me -> sub.expr sub body
+          | _ -> Tast_iterator.default_iterator.expr sub e);
+      module_binding =
+        (fun sub mb ->
+          match mb.T.mb_id with
+          | Some id when alias id mb.T.mb_expr -> ()
+          | _ -> Tast_iterator.default_iterator.module_binding sub mb);
+      open_declaration =
+        (fun sub od ->
+          match od.T.open_expr.T.mod_desc with
+          | T.Tmod_ident _ -> ()
+          | _ -> Tast_iterator.default_iterator.open_declaration sub od);
+      module_expr =
+        (fun sub me ->
+          match me.T.mod_desc with
+          | T.Tmod_ident (p, _) -> add (canon p ^ ".")
+          | _ -> Tast_iterator.default_iterator.module_expr sub me);
+    }
+  in
+  it.structure it str;
+  List.sort_uniq String.compare !refs
+
+let exports_of_signature unit_name (sg : T.signature) =
+  let acc = ref [] in
+  let rec items prefix (sg : T.signature) =
+    List.iter
+      (fun (si : T.signature_item) ->
+        match si.T.sig_desc with
+        | T.Tsig_value vd ->
+          acc := (prefix ^ "." ^ Ident.name vd.T.val_id, fst (line_col vd.T.val_loc)) :: !acc
+        | T.Tsig_module
+            { T.md_id = Some id; md_type = { T.mty_desc = T.Tmty_signature s; _ }; _ } ->
+          items (prefix ^ "." ^ Ident.name id) s
+        | _ -> ())
+      sg.T.sig_items
+  in
+  items unit_name sg;
+  List.rev !acc
+
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let source_of (cmt : Cmt_format.cmt_infos) path =
+  match cmt.Cmt_format.cmt_sourcefile with Some s -> s | None -> path
+
+(* [~summarize:false] reads only the references: the unit is a caller,
+   outside the roots the privacy rules check. *)
+let of_cmt ~summarize path : Taint.msummary option =
   let cmt = Cmt_format.read_cmt path in
   match cmt.Cmt_format.cmt_annots with
   | Cmt_format.Implementation str ->
     let unit_name = nice_unit cmt.Cmt_format.cmt_modname in
-    let source =
-      match cmt.Cmt_format.cmt_sourcefile with Some s -> s | None -> path
-    in
     let st =
       {
         st_unit = unit_name;
-        st_source = source;
+        st_source = source_of cmt path;
         st_aliases = IdentMap.empty;
         st_globals = IdentMap.empty;
         st_funs = [];
@@ -694,7 +777,7 @@ let of_cmt path : Taint.msummary option =
         st_anon = 0;
       }
     in
-    structure_items st unit_name str.T.str_items;
+    if summarize then structure_items st unit_name str.T.str_items;
     Some
       {
         Taint.m_unit = st.st_unit;
@@ -702,5 +785,19 @@ let of_cmt path : Taint.msummary option =
         m_funs = List.rev st.st_funs;
         m_pool =
           List.rev_map (fun pv -> (pv.pv_line, pv.pv_col, pv.pv_msg)) st.st_pool;
+        m_refs = refs_of_structure str;
+      }
+  | _ -> None
+
+let of_cmti path : Taint.isummary option =
+  let cmt = Cmt_format.read_cmt path in
+  match cmt.Cmt_format.cmt_annots with
+  | Cmt_format.Interface sg ->
+    let unit_name = nice_unit cmt.Cmt_format.cmt_modname in
+    Some
+      {
+        Taint.i_unit = unit_name;
+        i_source = source_of cmt path;
+        i_vals = exports_of_signature unit_name sg;
       }
   | _ -> None

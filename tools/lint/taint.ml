@@ -150,12 +150,25 @@ type fsummary = {
   fs_line : int;
 }
 
-(* A module summary: what the cache stores per cmt. *)
+(* A module summary: what the cache stores per cmt.  A unit read only
+   for its references (a caller outside the checked roots) has empty
+   [m_funs] and [m_pool]. *)
 type msummary = {
   m_unit : string;  (* canonical unit name, e.g. "Mycelium_dp.Dp" *)
   m_source : string;  (* repo-relative source path *)
   m_funs : fsummary list;
   m_pool : (int * int * string) list;  (* pool-purity pre-violations *)
+  m_refs : string list;
+      (* canonical value paths the unit names outside its local scope,
+         sorted; a module used whole ends with a dot *)
+}
+
+(* An interface summary: what the cache stores per cmti — the [val]s
+   it exports, nested signatures included, with their lines. *)
+type isummary = {
+  i_unit : string;
+  i_source : string;  (* repo-relative .mli path *)
+  i_vals : (string * int) list;  (* canonical name, line *)
 }
 
 (* ------------------------------------------------------------------ *)
