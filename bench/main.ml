@@ -321,8 +321,9 @@ let () =
    sampler stealing cycles from the query (measured at off / 10ms / 1ms
    periods on the same end-to-end fixture, with the release checked
    identical across settings), the flight recorder's lock-free note
-   path, and the ledger's append+flush.  The 1ms overhead and recorder
-   throughput gate against BENCH_pr8.json under --check.
+   path, and the ledger's append+flush.  Under --check the 1ms overhead
+   gates against BENCH_pr8.json, the recorder against its own reference
+   loop.
 
    Host speed drifts by more than the overhead being measured, so the
    three settings run interleaved: each repetition times all three
@@ -367,15 +368,43 @@ let () =
       in
       let off_s = median_s 0 and s10_s = median_s 1 and s1_s = median_s 2 in
       let ticks = Obs.Sampler.tick_count () in
-      (* Recorder throughput: the hot [note] path (fetch_and_add plus a
-         slot write) at a realistic detail size, ring wrapping freely. *)
+      (* Recorder: the hot [note] path (fetch_and_add plus a slot
+         write) at a realistic detail size, ring wrapping freely,
+         against a reference loop that builds the same detail, reads
+         the same clock and stores into a plain array ring.  Like the
+         sampler, the two run interleaved and the gate reads the
+         median of their per-repetition ratio. *)
       Obs.Recorder.enable ~capacity:4096 ();
       let n_events = 200_000 in
-      let t0 = Unix.gettimeofday () in
-      for i = 1 to n_events do
-        Obs.Recorder.note ~detail:[ ("round", Int i); ("source", Int 7) ] "bench.event"
+      let plain = Array.make 4096 (0, 0., []) in
+      let timed f =
+        let t0 = Unix.gettimeofday () in
+        f ();
+        Unix.gettimeofday () -. t0
+      in
+      let recorder () =
+        for i = 1 to n_events do
+          Obs.Recorder.note ~detail:[ ("round", Int i); ("source", Int 7) ] "bench.event"
+        done
+      and reference () =
+        for i = 1 to n_events do
+          plain.(i land 4095) <- (i, Unix.gettimeofday (), [ ("round", Int i); ("source", Int 7) ])
+        done
+      in
+      let rec_times = Array.make reps 0. and ratios = Array.make reps 0. in
+      for r = 0 to reps - 1 do
+        let rec_s, ref_s =
+          if r mod 2 = 0 then
+            let a = timed recorder in
+            (a, timed reference)
+          else
+            let b = timed reference in
+            (timed recorder, b)
+        in
+        rec_times.(r) <- rec_s;
+        ratios.(r) <- rec_s /. ref_s
       done;
-      let rec_s = Unix.gettimeofday () -. t0 in
+      let rec_s = Stats.median rec_times and rec_ratio = Stats.median ratios in
       let events_per_s = float_of_int n_events /. rec_s in
       Obs.Recorder.disable ();
       Obs.Recorder.clear ();
@@ -412,7 +441,7 @@ let () =
       Obs.Ledger.close l;
       Sys.remove path;
       let append_us = led_s *. 1e6 /. float_of_int n_rec in
-      telemetry_measured := Some (pct 2, events_per_s);
+      telemetry_measured := Some (pct 2, rec_ratio);
       say "\n";
       say "=== Telemetry: sampler / flight recorder / audit ledger ===\n";
       say "  (medians of %d interleaved repetitions)\n" reps;
@@ -420,9 +449,9 @@ let () =
       say "  sampler @ 10 ms     %8.2f ms  (%+.1f%%)\n" (s10_s *. 1e3) (pct 1);
       say "  sampler @ 1 ms      %8.2f ms  (%+.1f%%, %d ticks total)\n" (s1_s *. 1e3)
         (pct 2) ticks;
-      say "  recorder note       %8.0f ns/event  (%.2f M events/s)\n"
+      say "  recorder note       %8.0f ns/event  (%.2f M events/s, %.2fx the plain-store loop)\n"
         (rec_s *. 1e9 /. float_of_int n_events)
-        (events_per_s /. 1e6);
+        (events_per_s /. 1e6) rec_ratio;
       say "  ledger append       %8.2f us/record (flushed)\n" append_us;
       [
         ("sampler_repetitions", Int reps);
@@ -434,6 +463,7 @@ let () =
         ("sampler_ticks", Int ticks);
         ("recorder_events_per_s", Num events_per_s);
         ("recorder_event_ns", Num (rec_s *. 1e9 /. float_of_int n_events));
+        ("recorder_reference_ratio", Num rec_ratio);
         ("ledger_append_us", Num append_us);
         ("ledger_records", Int n_rec);
       ])
@@ -710,8 +740,8 @@ let mixnet_anchor = ref None
 let () =
   section "mixnet" (fun () ->
       say "\n=== Mixnet: streaming simulator at scale (Figures 7-9) ===\n";
-      say "  %-14s %6s %5s %9s %9s %7s %7s %10s %10s %8s\n" "cell" "churn" "byz"
-        "setup s" "round s" "anon" "ident" "dep MB" "goodput" "heap MB";
+      say "  %-14s %6s %5s %9s %9s %9s %7s %7s %10s %10s %8s\n" "cell" "churn" "byz"
+        "create s" "setup s" "round s" "anon" "ident" "dep MB" "goodput" "heap MB";
       let h_round = Obs.Metrics.histogram "bench.mixnet.cround_seconds" in
       let h_goodput = Obs.Metrics.histogram "bench.mixnet.goodput_mbps" in
       let payload = Bytes.make 32 'q' in
@@ -733,7 +763,9 @@ let () =
             seed = 20260809L;
           }
         in
+        let t0 = Unix.gettimeofday () in
         let t = Sim.create cfg in
+        let create_s = Unix.gettimeofday () -. t0 in
         let t0 = Unix.gettimeofday () in
         let (_ : Sim.setup_stats) = Sim.setup_paths t in
         let setup_s = Unix.gettimeofday () -. t0 in
@@ -768,8 +800,8 @@ let () =
         Obs.Metrics.observe h_goodput (goodput /. 1e6);
         let fp = Sim.footprint t in
         let heap_bytes = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
-        say "  %-14s %6.2f %5.2f %9.2f %9.2f %7.1f %7.4f %10.1f %8.2f/s %8d\n" label
-          churn byz setup_s
+        say "  %-14s %6.2f %5.2f %9.2f %9.2f %9.2f %7.1f %7.4f %10.1f %8.2f/s %8d\n" label
+          churn byz create_s setup_s
           (!round_s /. float_of_int qrounds)
           anon_mean ident_prob
           (float_of_int !dep_bytes /. 1e6)
@@ -783,6 +815,7 @@ let () =
             ("churn", Num churn);
             ("byz", Num byz);
             ("query_rounds", Int qrounds);
+            ("create_seconds", Num create_s);
             ("setup_seconds", Num setup_s);
             ("cround_seconds", Num (!round_s /. float_of_int (qrounds * cfg.Sim.hops + qrounds)));
             ("round_seconds", Num (!round_s /. float_of_int qrounds));
@@ -831,10 +864,12 @@ let () =
 (* ------------------------------------------------------------------ *)
 
 (* Times the same walk `dune build @lint` runs — parse every .ml/.mli
-   under lib/, bin/, bench/ and test/ and check every rule — so the
-   cost of the gate is tracked alongside the code it gates.  Skipped
-   gracefully when the sources are not reachable from the working
-   directory (an installed binary run elsewhere). *)
+   under lib/, bin/, bench/ and test/ of the build tree and check every
+   rule — so the cost of the gate is tracked alongside the code it
+   gates.  The tree is the one this executable was built in
+   (<build>/bench/main.exe), wherever dune put it and whatever the
+   working directory; an executable outside a build tree skips the
+   section, and --check then fails. *)
 
 (* (cold_ms, warm_ms, warm summarizations) for the --check gate below. *)
 let analyze_cold_warm_ms = ref None
@@ -842,23 +877,12 @@ let analyze_cold_warm_ms = ref None
 let () =
   section "lint" (fun () ->
       let module Lint = Mycelium_lint.Lint in
-      let rec find_root dir =
-        if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-        else begin
-          let parent = Filename.dirname dir in
-          if String.equal parent dir then None else find_root parent
-        end
-      in
-      let root =
-        match find_root (Sys.getcwd ()) with
-        | Some r when Sys.file_exists (Filename.concat r "lib") -> Some r
-        | Some _ | None -> None
-      in
-      match root with
-      | None ->
-        say "\n=== Lint: repository sources not found; section skipped ===\n";
+      let root = Filename.dirname (Filename.dirname Sys.executable_name) in
+      if not (Sys.file_exists (Filename.concat root "lib")) then begin
+        say "\n=== Lint: no build tree at %s; section skipped ===\n" root;
         [ ("skipped", Bool true) ]
-      | Some root ->
+      end
+      else begin
         let cwd = Sys.getcwd () in
         let report, dt =
           Fun.protect
@@ -892,12 +916,12 @@ let () =
         (* The interprocedural analyzer over the built .cmt trees, in
            the scope `dune build @analyze` sweeps: one cold run against
            a fresh summary cache, then warm runs (best of three) that
-           should skip every summarization.  Skipped when the build
-           tree is absent (installed binary, clean checkout). *)
-        let build = Filename.concat root (Filename.concat "_build" "default") in
+           should skip every summarization.  Skipped when the tree
+           holds no .cmt (`dune build @check` writes them for every
+           directory). *)
         let module A = Mycelium_lint.Analyze in
         let built dirs =
-          List.filter Sys.file_exists (List.map (Filename.concat build) dirs)
+          List.filter Sys.file_exists (List.map (Filename.concat root) dirs)
         in
         let aroots = built A.repo_roots and callers = built A.repo_callers in
         if aroots = [] || List.concat_map (fun r -> A.find_cmts r []) aroots = []
@@ -943,7 +967,8 @@ let () =
                   ("analyze_violations", Int (List.length cold.A.report.Lint.violations));
                   ("analyze_suppressed", Int (List.length cold.A.report.Lint.suppressed));
                 ])
-        end)
+        end
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                            *)
@@ -1155,7 +1180,8 @@ let () =
 let () =
   if check_mode && wants "lint" then begin
     match !analyze_cold_warm_ms with
-    | None -> say "check: analyzer cells skipped (no build tree); cache gate not applicable\n"
+    | None ->
+      fail "analyzer cells skipped (no .cmt in the build tree): the cache gate measured nothing"
     | Some (cold_ms, warm_ms, warm_summarized) ->
       if warm_summarized <> 0 then
         fail "warm analyzer run re-summarized %d modules (want 0)" warm_summarized;
@@ -1220,39 +1246,39 @@ let () =
 (* --check: the telemetry gate                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Compares the telemetry section against the committed BENCH_pr8.json:
-   the 1ms-sampler overhead (the median over interleaved repetitions)
-   may drift at most 10 percentage points
-   above the committed figure (the sampler must stay in the noise of a
-   ~100ms query), and the recorder's note throughput must hold 0.2x the
-   committed rate (losing the lock-free path costs an order of
-   magnitude, well past that floor).  Both thresholds are generous to
-   scheduler noise on shared CI hosts. *)
+(* The 1ms-sampler overhead (the median over interleaved repetitions)
+   may drift at most 10 percentage points above the figure committed in
+   BENCH_pr8.json (the sampler must stay in the noise of a ~100ms
+   query).  The recorder's note may cost at most 3 times the
+   plain-store reference loop, the median over interleaved repetitions.
+   Both loops run on the same host at the same time, so the ratio holds
+   where an absolute rate recorded on another host does not.  It reads
+   about 1.5 on a 2-core host under load, and 4.5 with the note's body
+   run five times over, so a recorder 5x slower fails. *)
+let recorder_ratio_ceiling = 3.0
+
 let () =
   if check_mode && wants "telemetry" then begin
-    let sec =
-      Json.member "sections" (committed_baseline "BENCH_pr8.json") >>= Json.member "telemetry"
-    in
-    let committed_pct, committed_rate =
+    let committed_pct =
       match
-        ( sec >>= Json.member "sampler_1ms_overhead_pct",
-          sec >>= Json.member "recorder_events_per_s" )
+        Json.member "sections" (committed_baseline "BENCH_pr8.json")
+        >>= Json.member "telemetry"
+        >>= Json.member "sampler_1ms_overhead_pct"
       with
-      | Some (Num p), Some (Num r) -> (p, r)
-      | _ -> fail "BENCH_pr8.json telemetry section is missing its gate fields"
+      | Some (Num p) -> p
+      | _ -> fail "BENCH_pr8.json telemetry section is missing its gate field"
     in
     match !telemetry_measured with
     | None -> fail "telemetry section did not run"
-    | Some (pct, rate) ->
+    | Some (pct, ratio) ->
       if pct > committed_pct +. 10.0 then
         fail "sampler @ 1ms overhead %.1f%% vs %.1f%% committed (> +10 point ceiling)" pct
           committed_pct;
-      if rate < 0.2 *. committed_rate then
-        fail "recorder throughput %.2f M events/s vs %.2f M committed (< 0.2x floor)"
-          (rate /. 1e6) (committed_rate /. 1e6);
-      say
-        "check: telemetry sampler %.1f%% <= %.1f%%+10, recorder %.2f M/s >= 0.2x %.2f M/s ok\n"
-        pct committed_pct (rate /. 1e6) (committed_rate /. 1e6)
+      if ratio > recorder_ratio_ceiling then
+        fail "recorder note costs %.2fx the plain-store loop (> %.1fx ceiling)" ratio
+          recorder_ratio_ceiling;
+      say "check: telemetry sampler %.1f%% <= %.1f%%+10, recorder %.2fx <= %.1fx the plain loop ok\n"
+        pct committed_pct ratio recorder_ratio_ceiling
   end
 
 (* ------------------------------------------------------------------ *)

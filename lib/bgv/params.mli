@@ -8,7 +8,6 @@
     scaled-down parameters and extrapolate with {!paper}'s dimensions
     (see [Mycelium_costmodel]). *)
 
-(* lint: allow interface — a record of plain ints; nothing compares two parameter sets *)
 type t = {
   degree : int;  (** ring degree N (a power of two) *)
   plain_modulus : int;  (** t; must be coprime with every prime *)

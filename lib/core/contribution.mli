@@ -19,7 +19,6 @@
     Every ciphertext ships with a §4.6 well-formedness proof; the
     origin's aggregation ships with a transcript proof. *)
 
-(* lint: allow interface — nothing compares two contributions; a check compares their wire bytes *)
 type t = {
   ciphertexts : Mycelium_bgv.Bgv.ciphertext array;
       (** length = the Figure-6 sequence length *)

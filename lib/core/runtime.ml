@@ -83,6 +83,12 @@ let config t = t.cfg
 let budget t = t.budget
 let graph t = t.graph
 
+(* Hand the key to the next device committee (§4.2): the genesis
+   parties' hand-off at set-up, and one after every released batch. *)
+let rotate_committee cfg comm ~population =
+  let generation = Committee.generation comm + 1 in
+  Committee.rotate comm (Rng.keyed cfg.seed Rng.Committee_rotation [ generation ]) ~population
+
 let init cfg graph =
   Params.validate cfg.params;
   (* Every committee member is a device: refuse a population too small
@@ -92,6 +98,9 @@ let init cfg graph =
     invalid_arg
       (Printf.sprintf "Runtime.init: population %d is smaller than the committee size %d"
          population cfg.committee_size);
+  if not (cfg.byzantine_fraction >= 0. && cfg.byzantine_fraction <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Runtime.init: byzantine_fraction %g is outside [0, 1]" cfg.byzantine_fraction);
   if cfg.trace then Obs.enable ();
   Obs.span "runtime.init" @@ fun () ->
   (* Graphs loaded from external data may exceed d; the sensitivity
@@ -102,10 +111,17 @@ let init cfg graph =
       Cg.clip_to_degree_bound ~bound:cfg.degree_bound graph
     else graph
   in
+  (* Every set-up draw comes from a stream keyed by its purpose, so
+     the order below is free: the simulator goes first, and refuses a
+     bad hop fraction before any BGV key is generated. *)
+  let mixnet =
+    Option.map
+      (fun (mix_cfg : Sim.config) ->
+        Sim.create
+          { mix_cfg with Sim.n_devices = population; degree = cfg.degree_bound; seed = cfg.seed })
+      cfg.route_through_mixnet
+  in
   let ctx = Bgv.make_ctx cfg.params in
-  (* Set-up's own stream: the keys, the first committee and the
-     Byzantine set.  Every later draw is keyed by purpose. *)
-  let rng = Rng.create cfg.seed in
   (* Relinearization must cover the largest 1-hop local product: up to
      d neighbor rows, the origin's own row, and a filler. Multi-hop
      tests pass smaller graphs so the same bound covers them. *)
@@ -113,22 +129,16 @@ let init cfg graph =
     match cfg.relin_degree with Some d -> d | None -> cfg.degree_bound + 3
   in
   let genesis, pk, relin, srs =
-    Committee.genesis ctx rng ~size:cfg.committee_size ~threshold:cfg.committee_threshold
-      ~relin_degree
+    Committee.genesis ctx (Rng.keyed cfg.seed Rng.Genesis []) ~size:cfg.committee_size
+      ~threshold:cfg.committee_threshold ~relin_degree
   in
-  (* Hand the key from the genesis parties to the first device
-     committee. *)
-  let comm = Committee.rotate genesis rng ~population in
+  let comm = rotate_committee cfg genesis ~population in
   let n = population in
   let n_byz = int_of_float (Float.round (float_of_int n *. cfg.byzantine_fraction)) in
   let byzantine = Array.make n false in
-  Array.iter (fun i -> byzantine.(i) <- true) (Rng.sample_without_replacement rng n_byz n);
-  let mixnet =
-    Option.map
-      (fun (mix_cfg : Sim.config) ->
-        Sim.create { mix_cfg with Sim.n_devices = n; degree = cfg.degree_bound })
-      cfg.route_through_mixnet
-  in
+  Array.iter
+    (fun i -> byzantine.(i) <- true)
+    (Rng.sample_without_replacement (Rng.keyed cfg.seed Rng.Byzantine_set []) n_byz n);
   {
     cfg;
     ctx;
@@ -1028,12 +1038,7 @@ let run_batch t items =
       | Error e ->
         List.iter (fun (i, _) -> states.(i) <- Error (Pipeline_error e)) decrypt_idx
       | Ok releases ->
-        (* Rotate the committee for the next batch (§4.2). *)
-        let generation = Committee.generation t.comm + 1 in
-        t.comm <-
-          Committee.rotate t.comm
-            (Rng.keyed t.cfg.seed Rng.Committee_rotation [ generation ])
-            ~population:(Cg.population t.graph);
+        t.comm <- rotate_committee t.cfg t.comm ~population:(Cg.population t.graph);
         let mix_hops =
           match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
         in

@@ -22,18 +22,15 @@ type config = {
   epsilon_budget : float;
   degree_bound : int;  (** d; must be >= the graph's max degree *)
   seed : int64;
-      (** root of all randomness but the mixnet's: set-up (keys, first
-          committee, Byzantine set) draws one stream from it; every
-          later draw is keyed by purpose ({!Mycelium_util.Rng.keyed}) *)
+      (** root of all randomness, the mixnet's included: every draw,
+          set-up's too, comes from a stream keyed by its purpose
+          ({!Mycelium_util.Rng.keyed}) *)
   byzantine_fraction : float;
       (** fraction of devices submitting over-weighted contributions
-          with forged proofs (§4.6's attack) *)
+          with forged proofs (§4.6's attack), in [\[0, 1\]] *)
   route_through_mixnet : Mycelium_mixnet.Sim.config option;
-      (** the runtime overrides only [n_devices] and [degree]; this
-          [seed], not the runtime's, roots the mixnet's draws.  It stays
-          fixed: it fixes the beacon, and a new beacon can empty a hop
-          slice and fail set-up (0.6^12 ≈ 0.2% per slice on a 12-device
-          graph at f=0.4, k=2). *)
+      (** the runtime overrides [n_devices], [degree] and [seed] with
+          the population, [degree_bound] and its own [seed] *)
   relin_degree : int option;
       (** relinearization-key degree bound; default d+3 covers 1-hop *)
   accounting : Mycelium_dp.Dp.accounting;
@@ -90,7 +87,8 @@ val init : config -> Mycelium_graph.Contact_graph.t -> t
 
     Raises [Invalid_argument] naming both numbers, before any key is
     generated, if the graph has fewer devices than [committee_size]:
-    the committee is drawn from the devices. *)
+    the committee is drawn from the devices.  Likewise, naming the
+    field and its value, for a fraction out of range (NaN included). *)
 
 val config : t -> config
 val budget : t -> Mycelium_dp.Dp.budget

@@ -1,7 +1,6 @@
 (** The paper's default parameters (Figure 4) and quantities derived
     from them, used by every extrapolated figure. *)
 
-(* lint: allow interface — a record of plain numbers; nothing compares two default sets *)
 type t = {
   n_devices : float;  (** N = 1.1e6 *)
   hops : int;  (** k = 3 *)

@@ -1,40 +1,21 @@
 module Sha256 = Mycelium_crypto.Sha256
 module Rng = Mycelium_util.Rng
 
-let slice ~beacon x =
+(* H(x || B), read as the digest's first 62 bits. *)
+let score ~beacon x =
   let ctx = Sha256.init () in
   Sha256.update_string ctx (string_of_int x);
   Sha256.update ctx beacon;
-  let h = Sha256.finalize ctx in
-  (* First 52 bits as a fraction: plenty of resolution, exact in a
-     float. *)
-  let v = ref 0 in
-  for i = 0 to 5 do
-    v := (!v lsl 8) lor Bytes.get_uint8 h i
-  done;
-  let v = (!v lsl 4) lor (Bytes.get_uint8 h 6 lsr 4) in
-  float_of_int v /. 0x1.0p52
+  Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be (Sha256.finalize ctx) 0) 2)
 
-let eligible ~beacon ~fraction ~hop x =
-  if hop < 1 then invalid_arg "Hopselect.eligible: hops are 1-based";
-  let s = slice ~beacon x in
-  s >= float_of_int (hop - 1) *. fraction && s < float_of_int hop *. fraction
+let rank ~beacon total =
+  let scores = Array.init total (score ~beacon) in
+  let ranks = Array.init total Fun.id in
+  (* Stable, so pseudonyms of equal score stay in number order. *)
+  Array.stable_sort (fun a b -> Int.compare scores.(a) scores.(b)) ranks;
+  ranks
 
-let slot ~beacon ~fraction ~hops x =
-  let s = slice ~beacon x in
-  if s >= fraction *. float_of_int hops then None
-  else Some (1 + int_of_float (s /. fraction))
+let draw rng ranks ~width ~hop = ranks.(((hop - 1) * width) + Rng.int rng width)
 
-let draw rng ~beacon ~fraction ~hop ~total =
-  let max_tries = 200 + int_of_float (50. /. fraction) in
-  let rec go tries =
-    if tries = 0 then failwith "Hopselect.draw: no eligible pseudonym found"
-    else begin
-      let x = Rng.int rng total in
-      if eligible ~beacon ~fraction ~hop x then x else go (tries - 1)
-    end
-  in
-  go max_tries
-
-let draw_path rng ~beacon ~fraction ~hops ~total =
-  Array.init hops (fun i -> draw rng ~beacon ~fraction ~hop:(i + 1) ~total)
+let draw_path rng ranks ~width ~hops =
+  Array.init hops (fun i -> draw rng ranks ~width ~hop:(i + 1))

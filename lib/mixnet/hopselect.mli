@@ -1,33 +1,28 @@
-(** Hash-based hop selection (§3.4).
+(** Hash-based hop selection (§3.4), by rank.
 
     Forwarding duty is restricted to a fraction f of pseudonyms per hop
-    position: pseudonym number x is eligible as hop i iff
-    (i-1)*f <= H(x || B)/H_max < i*f, where B is a beacon chosen
-    collectively (Honeycrisp-style) after M1 is committed — so the
-    aggregator can bias neither the map (positions are fixed first) nor
-    the coin. k hop slots make a k*f fraction of devices forwarders
-    overall, which is how the cost model apportions forwarding load. *)
+    position.  The P pseudonym numbers are ranked once by H(x || B),
+    ties by x, where B is a beacon chosen collectively
+    (Honeycrisp-style) after M1 is committed — so the aggregator can
+    bias neither the map (positions are fixed first) nor the coin.  Hop
+    i (1-based) is served by the pseudonyms at ranks
+    [\[(i-1)*s, i*s)], s = floor(f*P): k hop slots make exactly k*s
+    pseudonyms forwarders, which is how the cost model apportions
+    forwarding load.  The paper's rule lets x serve hop i when
+    H(x || B)/H_max falls in [\[(i-1)*f, i*f)], so a slice holds a
+    binomial number of pseudonyms and can be empty; here every slice
+    holds exactly s (DESIGN.md §2). *)
 
-val slice : beacon:bytes -> int -> float
-(** H(x || B) / H_max in [0, 1). *)
+val rank : beacon:bytes -> int -> int array
+(** [rank ~beacon total] lists the pseudonym numbers [0 .. total-1] in
+    increasing order of H(x || B), equal hashes in increasing x.  One
+    SHA-256 per pseudonym. *)
 
-val eligible : beacon:bytes -> fraction:float -> hop:int -> int -> bool
-(** [eligible ~beacon ~fraction ~hop x]; hops are 1-based. *)
-
-val slot : beacon:bytes -> fraction:float -> hops:int -> int -> int option
-(** Which hop slot (1..hops) pseudonym x serves, if any. *)
-
-val draw :
-  Mycelium_util.Rng.t -> beacon:bytes -> fraction:float -> hop:int -> total:int -> int
-(** Rejection-sample an eligible pseudonym number for the given hop
-    slot, as a device building a path does. Raises [Failure] if the
-    slot appears empty after many tries. *)
+val draw : Mycelium_util.Rng.t -> int array -> width:int -> hop:int -> int
+(** [draw rng ranks ~width ~hop] is the pseudonym at a uniform rank of
+    hop [hop]'s slice [\[(hop-1)*width, hop*width)], as a device
+    building a path picks it: one [Rng.int rng width]. *)
 
 val draw_path :
-  Mycelium_util.Rng.t ->
-  beacon:bytes ->
-  fraction:float ->
-  hops:int ->
-  total:int ->
-  int array
-(** One pseudonym number per hop slot 1..hops. *)
+  Mycelium_util.Rng.t -> int array -> width:int -> hops:int -> int array
+(** One {!draw} per hop slot 1..hops, in order. *)

@@ -99,7 +99,10 @@ type t = {
   devices : device array;
   vmap : Vmap.t;
   bulletin : Bulletin.t;
-  beacon : bytes;
+  (* Pseudonyms by H(x || beacon); hop i owns ranks [(i-1)*width,
+     i*width). *)
+  ranks : int array;
+  width : int;
   mutable round : int;
   (* Flat path store: field f of path p lives at p_f.(p); hop pseudonyms
      at p_hops.(p*k .. p*k+k-1).  Link i of path p carries id
@@ -160,27 +163,37 @@ let create cfg =
     invalid_arg "Sim.create: sampling strides must be non-negative";
   if cfg.fast_keys && not cfg.fast_setup then
     invalid_arg "Sim.create: fast_keys requires fast_setup (setup exercises PEnc)";
-  (* The one sequential stream: the Byzantine set and the device keys,
-     which fix the beacon.  Every later draw comes from a stream keyed
-     by its coordinates (the [Mix_*] purposes in rng.mli), so no audit,
-     set-up attempt or earlier round can shift another draw. *)
-  let rng = Rng.create cfg.seed in
+  if not (cfg.malicious_fraction >= 0. && cfg.malicious_fraction <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Sim.create: malicious_fraction %g is outside [0, 1]" cfg.malicious_fraction);
+  if not (cfg.fraction > 0. && cfg.fraction <= 1. /. float_of_int cfg.hops) then
+    invalid_arg (Printf.sprintf "Sim.create: fraction %g is outside (0, 1/%d]" cfg.fraction cfg.hops);
+  let p_count = cfg.pseudonyms_per_device in
+  let total = cfg.n_devices * p_count in
+  let width = int_of_float (cfg.fraction *. float_of_int total) in
+  if width = 0 then
+    invalid_arg
+      (Printf.sprintf "Sim.create: fraction %g gives hop slices of floor(%g * %d) = 0"
+         cfg.fraction cfg.fraction total);
+  (* Set-up draws are keyed too (the [Mix_*] purposes in rng.mli). *)
   let n_mal =
     int_of_float (Float.round (float_of_int cfg.n_devices *. cfg.malicious_fraction))
   in
-  let mal_ids = Rng.sample_without_replacement rng n_mal cfg.n_devices in
-  let mal_set = Hashtbl.create 16 in
-  Array.iter (fun i -> Hashtbl.replace mal_set i ()) mal_ids;
-  let p_count = cfg.pseudonyms_per_device in
+  let malicious = Array.make cfg.n_devices false in
+  Array.iter
+    (fun i -> malicious.(i) <- true)
+    (Rng.sample_without_replacement (Rng.keyed cfg.seed Rng.Mix_malicious []) n_mal cfg.n_devices);
   let keygen = if cfg.fast_keys then Elgamal.generate_insecure else Elgamal.generate in
   let devices =
     Array.init cfg.n_devices (fun id ->
-        let keys = Array.init p_count (fun _ -> keygen rng) in
+        let keys =
+          Array.init p_count (fun j -> keygen (Rng.keyed cfg.seed Rng.Mix_device_key [ id; j ]))
+        in
         {
           id;
           keys;
           pseudonyms = Array.map (fun (pk, _) -> Elgamal.fingerprint pk) keys;
-          malicious = Hashtbl.mem mal_set id;
+          malicious = malicious.(id);
         })
   in
   let leaves =
@@ -206,7 +219,8 @@ let create cfg =
     devices;
     vmap;
     bulletin;
-    beacon;
+    ranks = Hopselect.rank ~beacon total;
+    width;
     round = 0;
     n_paths = 0;
     p_src = [||];
@@ -331,10 +345,7 @@ let establish_path t ~source ~dest ~msg_id =
   let base = t.next_link in
   t.next_link <- Int64.add base (Int64.of_int (k + 1));
   let rng = Rng.keyed t.cfg.seed Rng.Mix_path [ Int64.to_int base ] in
-  let hop_pseudos =
-    Hopselect.draw_path rng ~beacon:t.beacon ~fraction:t.cfg.fraction ~hops:k
-      ~total:(Vmap.size t.vmap)
-  in
+  let hop_pseudos = Hopselect.draw_path rng t.ranks ~width:t.width ~hops:k in
   ensure_path_capacity t;
   let pid = t.n_paths in
   Array.blit hop_pseudos 0 t.p_hops (pid * k) k;

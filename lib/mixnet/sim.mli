@@ -27,12 +27,13 @@
     out of band ([fast_setup = true]) for large Monte Carlo runs where
     only the forwarding phase is being measured.
 
-    Randomness: {!create} draws the Byzantine set and the device keys
-    (which fix the beacon) from one stream seeded by [seed]; every
-    later draw is keyed by its coordinates ({!Mycelium_util.Rng.keyed},
-    the [Mix_*] purposes), a link's symmetric key by its link id.  No
-    audit, failed set-up attempt or earlier {!setup_paths} call shifts
-    another draw, and results agree at any domain count.
+    Randomness: every draw comes from a stream keyed by its
+    coordinates under [seed] ({!Mycelium_util.Rng.keyed}, the [Mix_*]
+    purposes): the Byzantine set, each pseudonym's key pair (the keys
+    fix the map and so the beacon), each path set-up attempt, and a
+    link's symmetric key by its link id.  No key, audit, failed set-up
+    attempt or earlier {!setup_paths} call shifts another draw, and
+    results agree at any domain count.
 
     Memory model (DESIGN.md §12): mailbox slots live in a flat slab
     and their bodies in two ping-pong byte arenas reused across
@@ -47,9 +48,11 @@ type config = {
           the §3.3 audits enforce *)
   hops : int;  (** k, at most 15 (packed route encoding) *)
   replicas : int;  (** r *)
-  fraction : float;  (** f *)
+  fraction : float;
+      (** f, in (0, 1/k]: each hop is served by floor(f * P) >= 1 of the
+          P = [n_devices * pseudonyms_per_device] pseudonyms ({!Hopselect}) *)
   degree : int;  (** d: messages per device per query round *)
-  malicious_fraction : float;
+  malicious_fraction : float;  (** in [\[0, 1\]] *)
   churn : float;  (** offline probability, one decision per (C-round, device) *)
   fast_setup : bool;
   fast_keys : bool;
@@ -82,6 +85,8 @@ val default_config : config
 type t
 
 val create : config -> t
+(** Raises [Invalid_argument] naming the field and its value, before
+    any key is generated, if a fraction is out of range (NaN included). *)
 
 val vmap : t -> Vmap.t
 val bulletin : t -> Bulletin.t

@@ -26,6 +26,8 @@ let mix64 a b =
   next_int64 t
 
 type purpose =
+  | Genesis
+  | Byzantine_set
   | Contribution_row
   | Origin_aggregate
   | Audit_probe
@@ -37,6 +39,8 @@ type purpose =
   | Fault_drop
   | Fault_delay
   | Fault_forge
+  | Mix_malicious
+  | Mix_device_key
   | Mix_path
   | Mix_link_key
   | Mix_churn
@@ -50,6 +54,8 @@ type purpose =
 let tag p =
   let name =
     match p with
+    | Genesis -> "GENS"
+    | Byzantine_set -> "BYZS"
     | Contribution_row -> "CROW"
     | Origin_aggregate -> "OAGG"
     | Audit_probe -> "AUDT"
@@ -61,6 +67,8 @@ let tag p =
     | Fault_drop -> "DROP"
     | Fault_delay -> "DELA"
     | Fault_forge -> "FORG"
+    | Mix_malicious -> "MMAL"
+    | Mix_device_key -> "MDEV"
     | Mix_path -> "MPTH"
     | Mix_link_key -> "MKEY"
     | Mix_churn -> "MCHU"

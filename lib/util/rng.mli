@@ -8,11 +8,11 @@
     unpredictable to the simulated adversary is modeled separately.
 
     {b Keyed streams.}  Every draw the query pipeline and the mixnet
-    simulator make after set-up comes from {!keyed}: a stream named by
-    (root, purpose, coordinates), so a pure function of {e what} it is
-    for, never of how many draws, queries, batches, audits or path
-    set-ups came before it, nor of the domain a task runs on.  Two
-    purposes never share a stream.
+    simulator make, set-up included, comes from {!keyed}: a stream
+    named by (root, purpose, coordinates), so a pure function of
+    {e what} it is for, never of how many draws, queries, batches,
+    audits or path set-ups came before it, nor of the domain a task
+    runs on.  Two purposes never share a stream.
 
     {b Domain ownership rule.}  A [t] is mutable, unsynchronised state:
     it must only ever be advanced by the domain that created it.  Never
@@ -42,21 +42,29 @@ val mix64 : int64 -> int64 -> int64
     streams of different purposes differ at equal roots and
     coordinates.  The coordinates each purpose is keyed by:
 
+    - [Genesis]: [\[\]] — the genesis ceremony: the BGV key pair,
+      relinearization keys, ZKP setup and the key's first sharing
+    - [Byzantine_set]: [\[\]] — which devices are Byzantine
     - [Contribution_row]: [\[query id; contributor; destination\]]
     - [Origin_aggregate]: [\[query id; origin\]]
     - [Audit_probe]: [\[query id\]]
     - [Decrypt_session]: [\[query id of the batch's first member\]] —
       recruitment and decryption smudging; keyed by the batch, never by
       the committee generation, which a failed session leaves unchanged
-    - [Committee_rotation]: [\[generation the rotation creates\]]
+    - [Committee_rotation]: [\[generation the rotation creates\]] —
+      the first device committee too, as generation 1
     - [Query_noise]: [\[query id\]], from the runtime seed
     - [Member_noise]: [\[admission seq\]], from the serving seed
     - [Fault_churn], [Fault_drop], [Fault_delay], [Fault_forge]: the
       fault plan's decision coordinates, from the plan seed
 
-    The mixnet simulator's purposes, all from its config seed; a
-    C-round is the simulator's clock:
+    The mixnet simulator's purposes, all from its config seed (the
+    runtime's seed when a runtime owns the simulator); a C-round is the
+    simulator's clock:
 
+    - [Mix_malicious]: [\[\]] — which devices are Byzantine
+    - [Mix_device_key]: [\[device; pseudonym index\]] — one
+      pseudonym's key pair (the keys fix the map, so the beacon)
     - [Mix_path]: [\[first link id of the attempt\]] — one path set-up
       attempt: hop choice, relay-offline checks, hand-shake encryptions
     - [Mix_link_key]: [\[link id\]] — the link's symmetric key
@@ -65,6 +73,8 @@ val mix64 : int64 -> int64 -> int64
     - [Mix_dummy]: [\[C-round; slot id\]] — a dummy body
     - [Mix_audit]: [\[C-round; device\]] — the device's map spot checks *)
 type purpose =
+  | Genesis
+  | Byzantine_set
   | Contribution_row
   | Origin_aggregate
   | Audit_probe
@@ -76,6 +86,8 @@ type purpose =
   | Fault_drop
   | Fault_delay
   | Fault_forge
+  | Mix_malicious
+  | Mix_device_key
   | Mix_path
   | Mix_link_key
   | Mix_churn

@@ -627,6 +627,34 @@ let test_e2e_through_mixnet () =
   checkb "mixnet-routed result = oracle" true
     (Array.for_all2 (fun a b -> int_of_float a = b) r.Runtime.noisy_bins exact)
 
+(* The runtime's seed roots its simulator, so each seed ranks the hop
+   slices by another beacon; every one routes every row. *)
+let test_e2e_mixnet_seed_sweep () =
+  let g = small_graph ~n:12 ~d:4 ~seed:11L () in
+  let mix_cfg =
+    {
+      Sim.default_config with
+      Sim.hops = 2;
+      replicas = 2;
+      fraction = 0.4;
+      fast_setup = true;
+      fast_keys = true;
+      verify_proofs = false;
+    }
+  in
+  for seed = 1 to 5 do
+    let sys =
+      Runtime.init
+        { e2e_config with Runtime.seed = Int64.of_int seed; route_through_mixnet = Some mix_cfg }
+        g
+    in
+    let r = run_exact sys "Q5" in
+    checki (Printf.sprintf "seed %d: nothing lost" seed) 0 r.Runtime.mixnet_losses;
+    let exact = Runtime.exact_bins_for_tests sys r.Runtime.info in
+    checkb (Printf.sprintf "seed %d: result = oracle" seed) true
+      (Array.for_all2 (fun a b -> int_of_float a = b) r.Runtime.noisy_bins exact)
+  done
+
 let test_e2e_mixnet_churn_degrades_gracefully () =
   let g = small_graph ~n:16 ~d:4 ~seed:10L () in
   let mix_cfg =
@@ -726,6 +754,22 @@ let test_e2e_population_below_committee () =
     (fun () -> ignore (Runtime.init config (small_graph ~n:6 ())));
   ignore (Runtime.init config (small_graph ~n:10 ()))
 
+(* An out-of-range fraction is refused by name before any key is
+   generated: the Byzantine one by the runtime, the mixnet's by the
+   simulator, which the runtime creates first. *)
+let test_e2e_bad_fractions_refused () =
+  let g = small_graph ~n:12 () in
+  let refused msg config =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (Runtime.init config g))
+  in
+  refused "Runtime.init: byzantine_fraction nan is outside [0, 1]"
+    { e2e_config with Runtime.byzantine_fraction = Float.nan };
+  refused "Runtime.init: byzantine_fraction 1.5 is outside [0, 1]"
+    { e2e_config with Runtime.byzantine_fraction = 1.5 };
+  refused "Sim.create: fraction 0.5 is outside (0, 1/3]"
+    { e2e_config with
+      Runtime.route_through_mixnet = Some { Sim.default_config with Sim.fraction = 0.5 } }
+
 let test_e2e_parse_and_analysis_errors () =
   let sys = Lazy.force e2e_system in
   (match Runtime.run_query ~epsilon:1.0 sys "SELECT nonsense" with
@@ -786,10 +830,12 @@ let () =
           Alcotest.test_case "committee rotates per query" `Slow test_e2e_committee_rotates_per_query;
           Alcotest.test_case "byzantine discarded" `Slow test_e2e_byzantine_contributions_discarded;
           Alcotest.test_case "through the mixnet" `Slow test_e2e_through_mixnet;
+          Alcotest.test_case "mixnet at runtime seeds 1-5" `Slow test_e2e_mixnet_seed_sweep;
           Alcotest.test_case "mixnet churn degrades gracefully" `Slow test_e2e_mixnet_churn_degrades_gracefully;
           Alcotest.test_case "over-degree graph clipped" `Slow test_e2e_over_degree_graph_clipped;
           Alcotest.test_case "error paths" `Quick test_e2e_parse_and_analysis_errors;
           Alcotest.test_case "population below the committee" `Quick
             test_e2e_population_below_committee;
+          Alcotest.test_case "fractions refused by name" `Quick test_e2e_bad_fractions_refused;
         ] );
     ]

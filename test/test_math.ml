@@ -120,9 +120,10 @@ let test_rng_empty_fill () =
 let all_purposes =
   Rng.
     [
-      Contribution_row; Origin_aggregate; Audit_probe; Decrypt_session; Committee_rotation;
-      Query_noise; Member_noise; Fault_churn; Fault_drop; Fault_delay; Fault_forge;
-      Mix_path; Mix_link_key; Mix_churn; Mix_shuffle; Mix_dummy; Mix_audit;
+      Genesis; Byzantine_set; Contribution_row; Origin_aggregate; Audit_probe;
+      Decrypt_session; Committee_rotation; Query_noise; Member_noise; Fault_churn;
+      Fault_drop; Fault_delay; Fault_forge; Mix_malicious; Mix_device_key; Mix_path;
+      Mix_link_key; Mix_churn; Mix_shuffle; Mix_dummy; Mix_audit;
     ]
 
 let test_rng_keyed_streams () =

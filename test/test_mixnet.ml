@@ -142,50 +142,67 @@ let test_vmap_spot_check_detects_mismatch () =
 
 let beacon = Mycelium_crypto.Sha256.digest_string "test beacon"
 
-let test_hopselect_deterministic () =
-  (* The slice of a pseudonym is a pure function of (x, beacon). *)
-  for x = 0 to 50 do
-    Alcotest.(check (float 0.)) "deterministic" (Hopselect.slice ~beacon x) (Hopselect.slice ~beacon x)
+(* H(x || B) as the rank orders it: the digest's first 62 bits. *)
+let score ~beacon x =
+  let h = Sha256.init () in
+  Sha256.update_string h (string_of_int x);
+  Sha256.update h beacon;
+  Int64.shift_right_logical (Bytes.get_int64_be (Sha256.finalize h) 0) 2
+
+let test_hopselect_rank_order () =
+  (* A permutation of the pseudonym numbers, by hash, ties by number,
+     and a pure function of (beacon, total). *)
+  let total = 2000 in
+  let ranks = Hopselect.rank ~beacon total in
+  checkb "deterministic" true (ranks = Hopselect.rank ~beacon total);
+  checkb "a permutation" true
+    (List.sort Int.compare (Array.to_list ranks) = List.init total Fun.id);
+  for r = 1 to total - 1 do
+    let a = ranks.(r - 1) and b = ranks.(r) in
+    match Int64.compare (score ~beacon a) (score ~beacon b) with
+    | 0 -> checkb "ties by number" true (a < b)
+    | c -> checkb "increasing hash" true (c < 0)
   done
 
-let test_hopselect_slots_partition () =
-  (* Each index belongs to at most one hop slot, and slot fractions
-     roughly match f. *)
-  let total = 20000 and f = 0.1 and k = 3 in
-  let counts = Array.make (k + 1) 0 in
-  for x = 0 to total - 1 do
-    match Hopselect.slot ~beacon ~fraction:f ~hops:k x with
-    | Some s ->
-      checkb "slot in range" true (s >= 1 && s <= k);
-      counts.(s) <- counts.(s) + 1;
-      checkb "eligible consistent" true (Hopselect.eligible ~beacon ~fraction:f ~hop:s x)
-    | None -> counts.(0) <- counts.(0) + 1
-  done;
-  for s = 1 to k do
-    let frac = float_of_int counts.(s) /. float_of_int total in
-    checkb "slot fraction near f" true (Float.abs (frac -. f) < 0.01)
-  done;
-  let non_forwarders = float_of_int counts.(0) /. float_of_int total in
-  checkb "1 - k*f are not forwarders" true (Float.abs (non_forwarders -. 0.7) < 0.02)
-
-let test_hopselect_draw () =
-  let rng = Rng.create 3L in
-  for hop = 1 to 3 do
-    for _ = 1 to 50 do
-      let x = Hopselect.draw rng ~beacon ~fraction:0.1 ~hop ~total:10000 in
-      checkb "drawn index eligible" true (Hopselect.eligible ~beacon ~fraction:0.1 ~hop x)
+let test_hopselect_slices_exact () =
+  (* Hop i draws exactly the s pseudonyms at ranks [(i-1)*s, i*s), and
+     no other hop draws them. *)
+  let total = 1000 and k = 3 in
+  let width = int_of_float (0.1 *. float_of_int total) in
+  let ranks = Hopselect.rank ~beacon total in
+  let owner = Hashtbl.create total in
+  for hop = 1 to k do
+    let rng = Rng.keyed 3L Rng.Mix_path [ hop ] in
+    let drawn = Hashtbl.create width in
+    for _ = 1 to 40 * width do
+      let x = Hopselect.draw rng ranks ~width ~hop in
+      Hashtbl.replace drawn x ();
+      (match Hashtbl.find_opt owner x with
+      | Some h -> checki "slices disjoint" hop h
+      | None -> Hashtbl.replace owner x hop)
+    done;
+    checki (Printf.sprintf "hop %d holds exactly s" hop) width (Hashtbl.length drawn);
+    for r = (hop - 1) * width to (hop * width) - 1 do
+      checkb "rank in its hop's slice" true (Hashtbl.mem drawn ranks.(r))
     done
   done;
-  let path = Hopselect.draw_path rng ~beacon ~fraction:0.1 ~hops:3 ~total:10000 in
-  checki "path length" 3 (Array.length path)
+  checki "k*s forwarders" (k * width) (Hashtbl.length owner)
+
+let test_hopselect_one_draw_per_hop () =
+  (* A path is one [Rng.int] per hop, and leaves the stream where those
+     draws leave it. *)
+  let width = 100 in
+  let ranks = Hopselect.rank ~beacon 1000 in
+  let a = Rng.keyed 5L Rng.Mix_path [ 0 ] and b = Rng.keyed 5L Rng.Mix_path [ 0 ] in
+  let path = Hopselect.draw_path a ranks ~width ~hops:3 in
+  let expected = Array.init 3 (fun i -> ranks.((i * width) + Rng.int b width)) in
+  checkb "path = one draw per hop" true (path = expected);
+  Alcotest.(check int64) "stream left after the k draws" (Rng.int64 b) (Rng.int64 a)
 
 let test_hopselect_beacon_matters () =
   let other = Mycelium_crypto.Sha256.digest_string "other beacon" in
-  let differs = ref false in
-  for x = 0 to 100 do
-    if Hopselect.slice ~beacon x <> Hopselect.slice ~beacon:other x then differs := true
-  done;
-  checkb "different beacons give different slices" true !differs
+  checkb "different beacons give different ranks" true
+    (Hopselect.rank ~beacon 100 <> Hopselect.rank ~beacon:other 100)
 
 (* ------------------------------------------------------------------ *)
 (* Onion                                                               *)
@@ -610,6 +627,53 @@ let test_sim_audit_changes_nothing () =
   checkb "round stats identical" true (r0 = r1);
   checkb "deliveries identical" true (d0 = d1)
 
+(* Hop slices are never empty, so every beacon sets up every path.  A
+   hash-fraction rule emptied a slice, and set-up raised, at seed 37 of
+   the 12-device shape and at seeds 31, 75 and 147 of the 40-device
+   ring. *)
+let sweep_setup ~seeds cfg ?targets () =
+  for seed = 1 to seeds do
+    let t = Sim.create { cfg with Sim.seed = Int64.of_int seed } in
+    let s = Sim.setup_paths ?targets t in
+    checki (Printf.sprintf "seed %d: every path set up" seed) s.Sim.paths_requested
+      s.Sim.paths_established
+  done
+
+let fast_cfg =
+  { Sim.default_config with Sim.malicious_fraction = 0.; fast_setup = true; fast_keys = true }
+
+let test_sim_sweep_serve_shape () =
+  sweep_setup ~seeds:50
+    { fast_cfg with Sim.n_devices = 12; degree = 4; hops = 2; replicas = 2; fraction = 0.4 }
+    ()
+
+let test_sim_sweep_ring_shape () =
+  let n = 40 in
+  sweep_setup ~seeds:200
+    { fast_cfg with Sim.n_devices = n; degree = 2; hops = 3; replicas = 2; fraction = 0.1 }
+    ~targets:(Array.init n (fun i -> [| (i + 1) mod n; (i + 2) mod n |]))
+    ()
+
+let test_sim_refuses_bad_fractions () =
+  let refused msg cfg =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (Sim.create cfg))
+  in
+  let cfg = { fast_cfg with Sim.n_devices = 12; hops = 3 } in
+  refused "Sim.create: fraction 0 is outside (0, 1/3]" { cfg with Sim.fraction = 0. };
+  refused "Sim.create: fraction 0.5 is outside (0, 1/3]" { cfg with Sim.fraction = 0.5 };
+  refused "Sim.create: fraction nan is outside (0, 1/3]" { cfg with Sim.fraction = Float.nan };
+  refused "Sim.create: fraction 0.05 gives hop slices of floor(0.05 * 12) = 0"
+    { cfg with Sim.fraction = 0.05 };
+  refused "Sim.create: malicious_fraction nan is outside [0, 1]"
+    { cfg with Sim.malicious_fraction = Float.nan };
+  refused "Sim.create: malicious_fraction 1.5 is outside [0, 1]"
+    { cfg with Sim.malicious_fraction = 1.5 };
+  refused "Sim.create: malicious_fraction -0.1 is outside [0, 1]"
+    { cfg with Sim.malicious_fraction = -0.1 };
+  (* The bounds themselves are accepted. *)
+  ignore (Sim.create { cfg with Sim.fraction = 1. /. 3.; malicious_fraction = 1. });
+  ignore (Sim.create { cfg with Sim.fraction = 0.1 })
+
 let test_sim_acceptance_100k () =
   (* ISSUE.md acceptance cell: a 10^5-device, 2-query-round run under
      a fixed heap bound.  [fast_keys] swaps key generation for the
@@ -679,8 +743,7 @@ let test_sim_explicit_targets () =
    group the round probes for the slot length is wrapped from the
    probe's bytes.  A ring of explicit targets gives every message its
    own (source, destination) pair, and churn takes some senders
-   offline.  What the rounds deliver is pinned: the digest is the one
-   the simulator gave when it built the probed payload twice. *)
+   offline.  What the rounds deliver is pinned by a digest. *)
 let test_sim_payload_built_once () =
   let n = 40 in
   let t =
@@ -729,7 +792,7 @@ let test_sim_payload_built_once () =
       (Sim.deliveries t)
   done;
   Alcotest.(check string) "deliveries and stats"
-    "da4e1f225e817aa9da3adeda615f90dcc2440317609b17faa23c839d137cbfa6"
+    "90957b9b9701ba303cc44c14db812996146260b794ed698a23b327346ca3f9bb"
     (Hex.encode (Sha256.finalize h))
 
 let () =
@@ -751,9 +814,9 @@ let () =
         ] );
       ( "hopselect",
         [
-          Alcotest.test_case "deterministic" `Quick test_hopselect_deterministic;
-          Alcotest.test_case "slots partition f-slices" `Quick test_hopselect_slots_partition;
-          Alcotest.test_case "draw eligibility" `Quick test_hopselect_draw;
+          Alcotest.test_case "rank by hash, ties by number" `Quick test_hopselect_rank_order;
+          Alcotest.test_case "slices disjoint, exactly s each" `Quick test_hopselect_slices_exact;
+          Alcotest.test_case "one draw per hop" `Quick test_hopselect_one_draw_per_hop;
           Alcotest.test_case "beacon matters" `Quick test_hopselect_beacon_matters;
         ] );
       ( "onion",
@@ -793,6 +856,10 @@ let () =
           Alcotest.test_case "footprint stable over rounds" `Quick test_sim_footprint_stable;
           Alcotest.test_case "second setup adds its own messages" `Quick test_sim_repeated_setup;
           Alcotest.test_case "audit changes no round" `Quick test_sim_audit_changes_nothing;
+          Alcotest.test_case "12-device sweep sets up every path" `Quick test_sim_sweep_serve_shape;
+          Alcotest.test_case "40-device ring sweep sets up every path" `Quick
+            test_sim_sweep_ring_shape;
+          Alcotest.test_case "bad fractions refused by name" `Quick test_sim_refuses_bad_fractions;
           Alcotest.test_case "100k acceptance under heap bound" `Slow test_sim_acceptance_100k;
         ] );
     ]

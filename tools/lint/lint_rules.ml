@@ -360,10 +360,11 @@ let obs_metric_names ~file str =
 (* Rule 5: interface — the signature half                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Modules exposing an undrived [type t] must also expose a typed
-   [equal] or [compare], so callers never have a reason to reach for
-   polymorphic comparison.  The missing-.mli half of the rule lives in
-   the engine's directory walk. *)
+(* Modules exposing an abstract, underived [type t] must also expose a
+   typed [equal] or [compare], so callers never have a reason to reach
+   for polymorphic comparison.  A record, variant or alias shows its
+   structure: callers compare the fields they mean.  The missing-.mli
+   half of the rule lives in the engine's directory walk. *)
 
 let has_deriving (td : type_declaration) =
   List.exists
@@ -371,6 +372,11 @@ let has_deriving (td : type_declaration) =
       String.equal a.attr_name.txt "deriving"
       || String.equal a.attr_name.txt "deriving_inline")
     td.ptype_attributes
+
+let is_abstract (td : type_declaration) =
+  match (td.ptype_kind, td.ptype_manifest) with
+  | Ptype_abstract, None -> true
+  | _ -> false
 
 let interface_signature ~file (sg : signature) =
   let out = ref [] in
@@ -383,7 +389,8 @@ let interface_signature ~file (sg : signature) =
         | Psig_type (_, decls) ->
           List.iter
             (fun td ->
-              if String.equal td.ptype_name.txt "t" && not (has_deriving td) then
+              if String.equal td.ptype_name.txt "t" && is_abstract td && not (has_deriving td)
+              then
                 type_t := Some td.ptype_name.loc)
             decls
         | Psig_value vd ->
