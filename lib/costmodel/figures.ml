@@ -186,7 +186,7 @@ let fig5_monte_carlo ~n ~seed =
       malicious_fraction = 0.;
       fast_setup = true;
       fast_keys = true;
-      verify_proofs = false;
+      verify_every = 0;
       seed;
     }
   in

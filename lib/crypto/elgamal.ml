@@ -17,13 +17,23 @@ let g = Bigint.of_int 4
 
 let group_bytes = 32 (* 256 bits *)
 
-type public_key = Bigint.t
-type private_key = { x : Bigint.t; pk : Bigint.t }
+let encode_element e =
+  let b = Bigint.to_bytes_be e in
+  let out = Bytes.make group_bytes '\x00' in
+  Bytes.blit b 0 out (group_bytes - Bytes.length b) (Bytes.length b);
+  out
+
+(* A public key is kept as its 32-byte big-endian encoding: the map
+   builder range-checks, hashes and stores keys as bytes, and only PEnc
+   reads the group element. *)
+type public_key = bytes
+type private_key = { x : Bigint.t }
+
+let p_bytes = encode_element p
 
 let generate rng =
   let x = Bigint.add (Bigint.random rng (Bigint.sub q Bigint.one)) Bigint.one in
-  let pk = Bigint.mod_pow g x p in
-  (pk, { x; pk })
+  (encode_element (Bigint.mod_pow g x p), { x })
 
 let generate_insecure rng =
   (* A uniform group-range element instead of g^x: skips the modexp
@@ -34,13 +44,7 @@ let generate_insecure rng =
      [fast_keys && fast_setup]). *)
   let x = Bigint.add (Bigint.random rng (Bigint.sub q Bigint.one)) Bigint.one in
   let pk = Bigint.add (Bigint.random rng (Bigint.sub p Bigint.one)) Bigint.one in
-  (pk, { x; pk })
-
-let encode_element e =
-  let b = Bigint.to_bytes_be e in
-  let out = Bytes.make group_bytes '\x00' in
-  Bytes.blit b 0 out (group_bytes - Bytes.length b) (Bytes.length b);
-  out
+  (encode_element pk, { x })
 
 let kdf shared =
   Sha256.digest (encode_element shared)
@@ -50,7 +54,7 @@ let zero_nonce = Bytes.make Chacha20.nonce_size '\x00'
 let encrypt rng pk msg =
   let y = Bigint.add (Bigint.random rng (Bigint.sub q Bigint.one)) Bigint.one in
   let eph = Bigint.mod_pow g y p in
-  let shared = Bigint.mod_pow pk y p in
+  let shared = Bigint.mod_pow (Bigint.of_bytes_be pk) y p in
   (* Fresh key per encryption, so a fixed nonce is safe. *)
   let sealed = Aead.seal_nonce ~key:(kdf shared) ~nonce:zero_nonce msg in
   Bytes.cat (encode_element eph) sealed
@@ -69,13 +73,15 @@ let decrypt sk ct =
     end
   end
 
-let pub_to_bytes pk = encode_element pk
+let pub_to_bytes pk = Bytes.copy pk
 
+(* Equal-length big-endian strings compare as the numbers they encode. *)
 let pub_of_bytes b =
-  if Bytes.length b <> group_bytes then None
-  else begin
-    let v = Bigint.of_bytes_be b in
-    if Bigint.sign v <= 0 || Bigint.compare v p >= 0 then None else Some v
-  end
+  if
+    Bytes.length b <> group_bytes
+    || Bytes.for_all (fun c -> Char.equal c '\x00') b
+    || Bytes.compare b p_bytes >= 0
+  then None
+  else Some (Bytes.copy b)
 
-let fingerprint pk = Sha256.digest (pub_to_bytes pk)
+let fingerprint pk = Sha256.digest pk

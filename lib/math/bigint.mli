@@ -38,7 +38,6 @@ val divmod : t -> t -> t * t
     Raises [Division_by_zero]. *)
 
 val div : t -> t -> t
-val rem : t -> t -> t
 
 val erem : t -> t -> t
 (** Euclidean remainder: always in [\[0, |b|)]. *)

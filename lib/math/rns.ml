@@ -85,22 +85,3 @@ let to_bigint_rows_centered t rows =
 let of_bigint t x = Array.map (fun p -> Bigint.rem_int x p) t.primes
 
 let of_int t x = Array.map (fun p -> Modarith.reduce p x) t.primes
-
-(* Modulus switching happens on every multiplicative level, so this must
-   not pay for NTT planning again: the surviving primes keep the parent's
-   plans (physically shared); only the CRT data tied to q changes. *)
-let drop_last t =
-  let n = Array.length t.primes in
-  if n < 2 then invalid_arg "Rns.drop_last: single-prime basis";
-  let primes = Array.sub t.primes 0 (n - 1) in
-  let plans = Array.sub t.plans 0 (n - 1) in
-  let q = Bigint.div t.q (Bigint.of_int t.primes.(n - 1)) in
-  let crt_factor =
-    Array.map
-      (fun p ->
-        let m_i = Bigint.div q (Bigint.of_int p) in
-        let inv = Modarith.inv p (Bigint.rem_int m_i p) in
-        Bigint.mul m_i (Bigint.of_int inv))
-      primes
-  in
-  { primes; plans; degree = t.degree; q; crt_factor; half_q = Bigint.shift_right q 1 }

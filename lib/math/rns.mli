@@ -60,7 +60,3 @@ val of_bigint : t -> Bigint.t -> int array
 
 val of_int : t -> int -> int array
 (** Project a signed machine integer (fast path). *)
-
-val drop_last : t -> t
-(** The basis with its last prime removed (modulus switching). Raises
-    [Invalid_argument] on a single-prime basis. *)

@@ -50,8 +50,7 @@ type config = {
   churn : float;
   fast_setup : bool;
   fast_keys : bool;
-  verify_proofs : bool;
-  verify_sample : int;
+  verify_every : int;
   anon_sample : int;
   seed : int64;
 }
@@ -68,8 +67,7 @@ let default_config =
     churn = 0.;
     fast_setup = false;
     fast_keys = false;
-    verify_proofs = true;
-    verify_sample = 0;
+    verify_every = 1;
     anon_sample = 0;
     seed = 1L;
   }
@@ -159,7 +157,7 @@ let create cfg =
   if cfg.hops < 1 then invalid_arg "Sim.create: need at least one hop";
   if cfg.hops > 15 then invalid_arg "Sim.create: at most 15 hops (packed route encoding)";
   if cfg.pseudonyms_per_device < 1 then invalid_arg "Sim.create: need at least one pseudonym";
-  if cfg.verify_sample < 0 || cfg.anon_sample < 0 then
+  if cfg.verify_every < 0 || cfg.anon_sample < 0 then
     invalid_arg "Sim.create: sampling strides must be non-negative";
   if cfg.fast_keys && not cfg.fast_setup then
     invalid_arg "Sim.create: fast_keys requires fast_setup (setup exercises PEnc)";
@@ -514,24 +512,23 @@ let find_slot t link =
   | Some _ | None -> None
 
 (* Commit this round's mailboxes to the bulletin (§3.4) and verify
-   inclusion proofs, playing the devices' checks: every non-empty
-   mailbox when [verify_sample <= 1], else a deterministic stride over
-   them.  Tree building is sharded over the pool; each task hashes its
-   mailbox's slots straight out of the body arena. *)
+   inclusion proofs, playing the devices' checks: every
+   [verify_every]-th non-empty mailbox, none when it is 0.  Tree
+   building is sharded over the pool; each task hashes its mailbox's
+   slots straight out of the body arena. *)
 let commit_round t pool =
   let nb = Ivec.length t.touched in
   if nb > 0 then begin
     let boxes = Ivec.to_array t.touched in
     Array.sort Int.compare boxes;
-    let verify = t.cfg.verify_proofs in
-    let stride = if verify && t.cfg.verify_sample > 1 then t.cfg.verify_sample else 1 in
+    let every = t.cfg.verify_every in
     let arena = t.arena_cur
     and blen = t.body_len
     and base = t.cur_base
     and s_next = t.s_next
     and head = t.mailbox_head in
     let jobs =
-      Array.mapi (fun i pseudo -> (pseudo, verify && (stride = 1 || i mod stride = 0))) boxes
+      Array.mapi (fun i pseudo -> (pseudo, every > 0 && i mod every = 0)) boxes
     in
     let results =
       Pool.map_array pool

@@ -61,12 +61,11 @@ type config = {
           decrypt, so this is valid only together with [fast_setup]
           (enforced by {!create}).  Changes the device keys, and with
           them every hop choice, relative to [fast_keys = false]. *)
-  verify_proofs : bool;  (** devices check mailbox MHT proofs *)
-  verify_sample : int;
-      (** 0 or 1: verify an inclusion proof for every non-empty mailbox
-          each C-round (the historical behaviour).  s > 1: verify a
-          deterministic 1-in-s stride over the non-empty mailboxes,
-          for large-n runs where building every proof dominates.  Never
+  verify_every : int;
+      (** Which mailbox inclusion proofs the devices check each
+          C-round: 0 none, 1 every non-empty mailbox's, s > 1 a
+          deterministic 1-in-s stride over the non-empty mailboxes, for
+          large-n runs where building every proof dominates.  Never
           consults the Rng, so it cannot shift any simulated outcome. *)
   anon_sample : int;
       (** 0 or 1: compute the §6.3 candidate-set closure for every

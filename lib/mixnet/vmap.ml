@@ -30,15 +30,15 @@ let encode_m1_leaf l =
    (H(h_i), H(pk_i)) pairs, zero-padded. The fixed capacity is the
    point (§3.3): a device registering more than P pseudonyms cannot
    have all of them covered by its leaf, so a spot check fails with
-   high probability. *)
+   high probability. [entries] holds each slot's (h_i, H(pk_i)). *)
 let encode_m2_payload ~capacity device entries =
   let buf = Buffer.create (16 + (capacity * 64)) in
   Buffer.add_string buf (string_of_int device);
   Buffer.add_char buf '|';
   let rec fill n = function
-    | l :: rest when n > 0 ->
-      Buffer.add_bytes buf (Sha256.digest l.pseudonym);
-      Buffer.add_bytes buf (Sha256.digest l.pk);
+    | (h, hpk) :: rest when n > 0 ->
+      Buffer.add_bytes buf (Sha256.digest h);
+      Buffer.add_bytes buf hpk;
       fill (n - 1) rest
     | _ ->
       Buffer.add_bytes buf (Bytes.make (n * 64) '\x00')
@@ -46,12 +46,16 @@ let encode_m2_payload ~capacity device entries =
   fill capacity entries;
   Buffer.to_bytes buf
 
-let assemble ~max_pseudonyms_per_device leaves =
+(* [hpk l] is H(l.pk): {!build} has checked that it equals the pseudonym
+   and passes that, {!build_unchecked} hashes the key. *)
+let assemble ~max_pseudonyms_per_device ~hpk leaves =
   let n_devices =
     1 + Array.fold_left (fun acc l -> max acc l.device) (-1) leaves
   in
   let per_device = Array.make (max 1 n_devices) [] in
-  Array.iter (fun l -> per_device.(l.device) <- l :: per_device.(l.device)) leaves;
+  Array.iter
+    (fun l -> per_device.(l.device) <- (l.pseudonym, hpk l) :: per_device.(l.device))
+    leaves;
   let m2_payloads =
     Array.mapi
       (fun d entries ->
@@ -77,7 +81,7 @@ let assemble ~max_pseudonyms_per_device leaves =
   }
 
 let build_unchecked ~max_pseudonyms_per_device leaves =
-  assemble ~max_pseudonyms_per_device leaves
+  assemble ~max_pseudonyms_per_device ~hpk:(fun l -> Sha256.digest l.pk) leaves
 
 let build ~max_pseudonyms_per_device leaves =
   if Array.length leaves = 0 then Error "empty map"
@@ -93,16 +97,14 @@ let build ~max_pseudonyms_per_device leaves =
         let c = Option.value ~default:0 (Hashtbl.find_opt counts l.device) + 1 in
         Hashtbl.replace counts l.device c;
         if c > max_pseudonyms_per_device then problem := Some "device exceeds pseudonym bound";
-        (match Elgamal.pub_of_bytes l.pk with
-        | Some pk ->
-          if not (Bytes.equal (Elgamal.fingerprint pk) l.pseudonym) then
-            problem := Some "pseudonym is not H(pk)"
-        | None -> problem := Some "unparseable public key");
+        if Option.is_none (Elgamal.pub_of_bytes l.pk) then problem := Some "unparseable public key"
+        else if not (Bytes.equal (Sha256.digest l.pk) l.pseudonym) then
+          problem := Some "pseudonym is not H(pk)";
         if l.device < 0 then problem := Some "negative device number")
       leaves;
     match !problem with
     | Some e -> Error e
-    | None -> Ok (assemble ~max_pseudonyms_per_device leaves)
+    | None -> Ok (assemble ~max_pseudonyms_per_device ~hpk:(fun l -> l.pseudonym) leaves)
   end
 
 let size t = Array.length t.leaves
@@ -121,9 +123,8 @@ let verify_lookup ~m1_root ~index l =
   l.proof.Merkle.index = index
   && Merkle.verify ~root:m1_root ~leaf:(encode_m1_leaf l.leaf) l.proof
   &&
-  match Elgamal.pub_of_bytes l.leaf.pk with
-  | Some pk -> Bytes.equal (Elgamal.fingerprint pk) l.leaf.pseudonym
-  | None -> false
+  Option.is_some (Elgamal.pub_of_bytes l.leaf.pk)
+  && Bytes.equal (Sha256.digest l.leaf.pk) l.leaf.pseudonym
 
 let pub_of_lookup l = Elgamal.pub_of_bytes l.leaf.pk
 

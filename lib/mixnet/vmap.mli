@@ -22,9 +22,10 @@ type m1_leaf = { pseudonym : bytes; pk : bytes; device : int }
 type t
 
 val build : max_pseudonyms_per_device:int -> m1_leaf array -> (t, string) result
-(** Checks the advertised bound and that pseudonyms are distinct. An
-    honest aggregator also guarantees h = H(pk); [build] checks it when
-    the pk parses ({!Mycelium_crypto.Elgamal.pub_of_bytes}). *)
+(** Checks the advertised bound, that pseudonyms are distinct, device
+    numbers non-negative and every pk a group element
+    ({!Mycelium_crypto.Elgamal.pub_of_bytes}) with h = H(pk), as an
+    honest aggregator guarantees. An empty map is refused. *)
 
 val build_unchecked : max_pseudonyms_per_device:int -> m1_leaf array -> t
 (** What a malicious aggregator does; audits must catch it. *)

@@ -615,7 +615,7 @@ let test_e2e_through_mixnet () =
       replicas = 2;
       fraction = 0.4;
       fast_setup = true;
-      verify_proofs = false;
+      verify_every = 0;
     }
   in
   let sys =
@@ -639,7 +639,7 @@ let test_e2e_mixnet_seed_sweep () =
       fraction = 0.4;
       fast_setup = true;
       fast_keys = true;
-      verify_proofs = false;
+      verify_every = 0;
     }
   in
   for seed = 1 to 5 do
@@ -665,7 +665,7 @@ let test_e2e_mixnet_churn_degrades_gracefully () =
       fraction = 0.4;
       churn = 0.25;
       fast_setup = true;
-      verify_proofs = false;
+      verify_every = 0;
     }
   in
   let sys =
@@ -731,7 +731,7 @@ let test_e2e_over_degree_graph_clipped () =
       replicas = 2;
       fraction = 0.4;
       fast_setup = true;
-      verify_proofs = false;
+      verify_every = 0;
     }
   in
   let sys2 =

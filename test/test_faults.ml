@@ -407,7 +407,7 @@ let test_chaos_through_mixnet () =
       replicas = 2;
       fraction = 0.4;
       fast_setup = true;
-      verify_proofs = false;
+      verify_every = 0;
     }
   in
   let plan = Fault_plan.make ~drop_rate:0.5 ~seed:2024L () in
@@ -453,7 +453,7 @@ let test_mixnet_arena_domains_identical () =
       churn = 0.05;
       malicious_fraction = 0.1;
       fast_setup = true;
-      verify_sample = 3;
+      verify_every = 3;
       anon_sample = 2;
       seed = 4242L;
     }

@@ -595,36 +595,6 @@ let test_rns_homomorphic_add () =
       (Rns.to_bigint b rsum)
   done
 
-let test_rns_drop_last () =
-  let b = Lazy.force small_basis in
-  let b' = Rns.drop_last b in
-  checki "one fewer prime" 3 (Rns.level_count b');
-  check bigint_testable "modulus divides"
-    Bigint.zero
-    (Bigint.rem (Rns.modulus b) (Rns.modulus b'));
-  (* Modulus switching must not re-run NTT planning: every surviving
-     limb's plan (and prime entry) is physically shared with the
-     parent's, not an equal recomputation. *)
-  let plans = Rns.plans b and plans' = Rns.plans b' in
-  for i = 0 to Rns.level_count b' - 1 do
-    checkb (Printf.sprintf "plan %d physically shared" i) true (plans'.(i) == plans.(i));
-    checki (Printf.sprintf "prime %d preserved" i) (Rns.primes b).(i) (Rns.primes b').(i)
-  done;
-  (* And the cheap fields must match a from-scratch basis exactly. *)
-  let fresh =
-    Rns.make
-      ~primes:(Array.to_list (Array.sub (Rns.primes b) 0 (Rns.level_count b')))
-      ~degree:(Rns.degree b)
-  in
-  check bigint_testable "modulus matches a fresh basis" (Rns.modulus fresh) (Rns.modulus b');
-  let rng = Rng.create 321L in
-  for _ = 1 to 50 do
-    let x = Bigint.random rng (Rns.modulus b') in
-    check bigint_testable "CRT reconstruction matches a fresh basis"
-      (Rns.to_bigint fresh (Rns.of_bigint fresh x))
-      (Rns.to_bigint b' (Rns.of_bigint b' x))
-  done
-
 let test_rq_monomial_mul () =
   let b = Lazy.force small_basis in
   (* x^a * x^b = x^(a+b): the core encoding trick of Mycelium (§4.1). *)
@@ -783,7 +753,6 @@ let () =
           Alcotest.test_case "CRT roundtrip" `Quick test_rns_roundtrip;
           Alcotest.test_case "centered reconstruction" `Quick test_rns_centered;
           Alcotest.test_case "homomorphic add" `Quick test_rns_homomorphic_add;
-          Alcotest.test_case "drop_last" `Quick test_rns_drop_last;
           Alcotest.test_case "monomial multiplication" `Quick test_rq_monomial_mul;
           Alcotest.test_case "bin aggregation (§4.1)" `Quick test_rq_bin_aggregation;
           Alcotest.test_case "negacyclic exponent wrap" `Quick test_rq_negacyclic;

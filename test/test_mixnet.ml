@@ -101,6 +101,36 @@ let test_vmap_build_rejects_cheating () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "pseudonym bound violation accepted"
 
+(* Refusals no cheating case above reaches: keys that are not group
+   elements (each leaf's pseudonym is H(pk), so only the key's form is at
+   fault), a negative device and an empty map.  The group modulus p
+   itself is the first value out of range; p - 1 is the last in it. *)
+let test_vmap_build_refuses_malformed () =
+  let leaves = make_leaves 4 in
+  let build a = Vmap.build ~max_pseudonyms_per_device:1 a in
+  let with_pk pk =
+    let a = Array.copy leaves in
+    a.(1) <- { (a.(1)) with Vmap.pk; pseudonym = Sha256.digest pk };
+    a
+  in
+  let refuses what expected a =
+    match build a with
+    | Error e -> Alcotest.(check string) what expected e
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  let p = Hex.decode "90109c1cdccd1bf85cde95dee93ea51985ddccdef6b802a9ad2d527a156ad5bb" in
+  let p_minus_1 = Hex.decode "90109c1cdccd1bf85cde95dee93ea51985ddccdef6b802a9ad2d527a156ad5ba" in
+  refuses "31-byte key" "unparseable public key" (with_pk (Bytes.make 31 '\x01'));
+  refuses "33-byte key" "unparseable public key" (with_pk (Bytes.make 33 '\x01'));
+  refuses "zero key" "unparseable public key" (with_pk (Bytes.make 32 '\x00'));
+  refuses "key = p" "unparseable public key" (with_pk p);
+  refuses "key above p" "unparseable public key" (with_pk (Bytes.make 32 '\xff'));
+  checkb "key = p - 1 accepted" true (Result.is_ok (build (with_pk p_minus_1)));
+  let negative = Array.copy leaves in
+  negative.(2) <- { (negative.(2)) with Vmap.device = -1 };
+  refuses "negative device" "negative device number" negative;
+  refuses "empty map" "empty map" [||]
+
 let test_vmap_audits_pass_honest () =
   let leaves = make_leaves ~pseudonyms_per_device:3 5 in
   match Vmap.build ~max_pseudonyms_per_device:3 leaves with
@@ -695,7 +725,7 @@ let test_sim_acceptance_100k () =
         fraction = 0.1;
         fast_setup = true;
         fast_keys = true;
-        verify_sample = 101;
+        verify_every = 101;
         anon_sample = 13;
         seed = 7L;
       }
@@ -808,6 +838,7 @@ let () =
           Alcotest.test_case "build and lookup" `Quick test_vmap_build_and_lookup;
           Alcotest.test_case "wrong index rejected" `Quick test_vmap_lookup_wrong_index_rejected;
           Alcotest.test_case "build rejects cheating" `Quick test_vmap_build_rejects_cheating;
+          Alcotest.test_case "build refuses malformed" `Quick test_vmap_build_refuses_malformed;
           Alcotest.test_case "audits pass honest map" `Quick test_vmap_audits_pass_honest;
           Alcotest.test_case "own audit detects omission" `Quick test_vmap_own_audit_detects_omission;
           Alcotest.test_case "spot check detects mismatch" `Quick test_vmap_spot_check_detects_mismatch;

@@ -48,7 +48,7 @@ let mix_cfg =
     replicas = 2;
     fraction = 0.4;
     fast_setup = true;
-    verify_proofs = false;
+    verify_every = 0;
   }
 
 let serve_runtime ?(trace = false) ?ledger ?(faults = true) () =
