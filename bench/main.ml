@@ -695,11 +695,9 @@ let () =
       let t_ctx, pctx = once "make_ctx" (fun () -> Bgv.make_ctx Params.paper) in
       let prng = Rng.create 4242L in
       let t_keygen, (psk, ppk) = once "keygen" (fun () -> Bgv.keygen pctx prng) in
-      (* 30-bit digits keep the relin key at ~19 digit rows instead of
-         ~69: the right operating point at a 550-bit modulus. *)
+      (* One key pair per prime: 19 rows for s^2. *)
       let t_rk, prk =
-        once "relin_keygen" (fun () ->
-            Bgv.relin_keygen ~digit_bits:30 pctx prng psk ~max_degree:2)
+        once "relin_keygen" (fun () -> Bgv.relin_keygen pctx prng psk ~max_degree:2)
       in
       let t_enc, (pa, pb) =
         once "encrypt_x2" (fun () ->
@@ -1011,6 +1009,8 @@ let micro_tests () =
   let ct_b = Bgv.encrypt_value ctx rng pk 2 in
   let prod = Bgv.mul ct_a ct_b in
   let rk = Bgv.relin_keygen ctx rng sk ~max_degree:2 in
+  (* The committee's last decryption step reads an Eval-resident sum. *)
+  let c0 = (Bgv.components prod).(0) in
   (* A device's §4.6 proof over its encryption of x^3, and the
      aggregator's check of it. *)
   let srs = Zkp.setup rng in
@@ -1069,6 +1069,10 @@ let micro_tests () =
     ( "sec6_4/bgv-relinearize",
       gated "bgv_relinearize_ns" 1.,
       fun () -> ignore (Bgv.relinearize ctx rk prod) );
+    ( "sec6_4/bgv-relin-keygen-d8",
+      gated "bgv_relin_keygen_ns" 1.,
+      fun () -> ignore (Bgv.relin_keygen ctx rng sk ~max_degree:8) );
+    ("sec6_5/bgv-decode", gated "bgv_decode_ns" 1., fun () -> ignore (Bgv.decode_noisy ctx c0));
     ( "sec6_4/zkp-prove-contribution",
       None,
       fun () -> ignore (Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed:7L ct_proven) );

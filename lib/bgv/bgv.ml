@@ -42,10 +42,14 @@ type public_key = { p0 : Rq.t; p1 : Rq.t }
 
 type ciphertext = { comps : Rq.t array }
 
-(* ksk for one power j: per digit index, (k0, k1). *)
-type relin_key = { digit_bits : int; keys : (Rq.t * Rq.t) array array (* [power-2].[digit] *) }
+(* Key-switching keys for s^2 .. s^max, one pair per power and prime,
+   indexed [power - 2].[prime]: k0 = -(a s + t e) + s^k u_j and k1 = a,
+   where u_j is the RNS gadget element with residue 1 at limb j and 0
+   elsewhere. *)
+type relin_key = { k0 : Rq.t array array; k1 : Rq.t array array }
 
-let relin_max_degree rk = Array.length rk.keys + 1
+let relin_max_degree rk = Array.length rk.k0 + 1
+let relin_key_pairs rk = Array.fold_left (fun acc row -> acc + Array.length row) 0 rk.k0
 
 let plaintext_coeffs ctx pt =
   if not (Int.equal (Plaintext.plain_modulus pt) ctx.p.Params.plain_modulus) then
@@ -119,11 +123,7 @@ let eval_at_secret ct s =
 
 let decode_noisy ctx v =
   let t = ctx.p.Params.plain_modulus in
-  let big_t = Bigint.of_int t in
-  let coeffs =
-    Array.map (fun c -> Bigint.to_int (Bigint.erem c big_t)) (Rq.to_bigint_coeffs v)
-  in
-  Plaintext.create ~plain_modulus:t coeffs
+  Plaintext.create ~plain_modulus:t (Rq.centered_mod v ~modulus:t)
 
 let decrypt ctx sk ct = decode_noisy ctx (eval_at_secret ct sk.s)
 
@@ -203,14 +203,10 @@ let mul_many = function
 
 (* --- relinearization ------------------------------------------------ *)
 
-let relin_keygen ?(digit_bits = 8) ctx rng sk ~max_degree =
+let relin_keygen ctx rng sk ~max_degree =
   if max_degree < 2 then invalid_arg "Bgv.relin_keygen: max_degree must be >= 2";
-  if digit_bits < 1 || digit_bits > 30 then
-    invalid_arg "Bgv.relin_keygen: digit_bits must be in [1, 30]";
-  let qbits = modulus_bits ctx in
-  let ndigits = (qbits + digit_bits - 1) / digit_bits in
   let t = ctx.p.Params.plain_modulus in
-  let base_big = Bigint.shift_left Bigint.one digit_bits in
+  let levels = Rns.level_count ctx.basis in
   (* Powers of the secret: s^2 .. s^max_degree. *)
   let powers = Array.make (max_degree - 1) sk.s in
   let cur = ref sk.s in
@@ -221,78 +217,39 @@ let relin_keygen ?(digit_bits = 8) ctx rng sk ~max_degree =
   let keys =
     Array.map
       (fun s_pow ->
-        Array.init ndigits (fun idx ->
+        Array.init levels (fun j ->
             let a = Rq.random_uniform ctx.basis rng in
             let e = Rq.mul_scalar (Rq.sample_cbd ctx.basis ~eta:ctx.p.Params.error_eta rng) t in
-            let weight = Bigint.pow base_big idx in
-            let weight_res =
-              Array.map (fun p -> Bigint.rem_int weight p) (Rns.primes ctx.basis)
-            in
+            let u_j = Array.init levels (fun i -> if i = j then 1 else 0) in
             let k0 =
-              Rq.add (Rq.neg (Rq.add (Rq.mul a sk.s) e)) (Rq.mul_scalar_residues s_pow weight_res)
+              Rq.add (Rq.neg (Rq.add (Rq.mul a sk.s) e)) (Rq.mul_scalar_residues s_pow u_j)
             in
-            (* Key digits are multiplied into decomposed ciphertext
-               digits on every relinearization, in parallel: pin them
-               to the evaluation domain once, here. *)
+            (* Every relinearization multiplies key rows into digits:
+               pin them to the evaluation domain once, here. *)
             Rq.force_eval k0;
             Rq.force_eval a;
             (k0, a)))
       powers
   in
-  { digit_bits; keys }
+  { k0 = Array.map (Array.map fst) keys; k1 = Array.map (Array.map snd) keys }
 
-(* Base-2^w digits of every coefficient of [v], as ring elements. *)
-let digit_decompose ctx rk v =
-  let qbits = modulus_bits ctx in
-  let ndigits = (qbits + rk.digit_bits - 1) / rk.digit_bits in
-  let n = Rns.degree ctx.basis in
-  let digit_coeffs = Array.init ndigits (fun _ -> Array.make n 0) in
-  let big = Rq.to_bigint_coeffs v in
-  let q = Rns.modulus ctx.basis in
-  let mask = (1 lsl rk.digit_bits) - 1 in
-  Array.iteri
-    (fun i c ->
-      (* Non-negative representative in [0, q). *)
-      let c = if Bigint.sign c < 0 then Bigint.add c q else c in
-      (* Peel digits via limb arithmetic on the byte string. *)
-      let rec peel v idx =
-        if idx < ndigits && not (Bigint.is_zero v) then begin
-          let d = Bigint.rem_int v (mask + 1) in
-          digit_coeffs.(idx).(i) <- d;
-          peel (Bigint.shift_right v rk.digit_bits) (idx + 1)
-        end
-      in
-      peel c 0)
-    big;
-  Array.map (fun coeffs -> Rq.of_centered_coeffs ctx.basis coeffs) digit_coeffs
-
-let relinearize ctx rk ct =
+(* c_k = sum_j D_j u_j (mod q) for the RNS digits D_j of c_k, so
+   sum_j D_j (k0_j + k1_j s) = s^k c_k - t sum_j D_j e_j: each power is
+   switched to degree 1 at the cost of that small noise.  Every
+   digit-by-key product of every power lands in one fused dot per
+   half. *)
+let relinearize _ctx rk ct =
   let d = degree ct in
   if d <= 1 then ct
   else if d > relin_max_degree rk then
     invalid_arg "Bgv.relinearize: ciphertext degree exceeds relin key"
   else begin
     if Obs.enabled () then Obs.Metrics.incr m_relins;
-    let c0 = ref ct.comps.(0) and c1 = ref ct.comps.(1) in
-    for j = 2 to d do
-      let digits = digit_decompose ctx rk ct.comps.(j) in
-      let ksk = rk.keys.(j - 2) in
-      (* Key-switch products per digit are independent; accumulate them
-         sequentially in digit order for a fixed combine order. *)
-      let prods =
-        Pool.mapi_array (Pool.default ())
-          (fun idx dig ->
-            let k0, k1 = ksk.(idx) in
-            (Rq.mul dig k0, Rq.mul dig k1))
-          digits
-      in
-      Array.iter
-        (fun (p0, p1) ->
-          c0 := Rq.add !c0 p0;
-          c1 := Rq.add !c1 p1)
-        prods
-    done;
-    { comps = [| !c0; !c1 |] }
+    let digits = Array.concat (List.init (d - 1) (fun k -> Rq.rns_digits ct.comps.(k + 2))) in
+    let keys half = Array.concat (Array.to_list (Array.sub half 0 (d - 1))) in
+    let c0 = Rq.add ct.comps.(0) (Rq.dot digits (keys rk.k0)) in
+    let c1 = Rq.add ct.comps.(1) (Rq.dot digits (keys rk.k1)) in
+    { comps = [| c0; c1 |] }
   end
 
 (* --- noise measurement ---------------------------------------------- *)

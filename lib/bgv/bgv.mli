@@ -36,19 +36,21 @@ type public_key
 type relin_key
 (** Key-switching keys for s^2 .. s^max; built by {!relin_keygen}. *)
 
+val relin_key_pairs : relin_key -> int
+(** Key pairs held: (max_degree - 1) x L, one per power of s and per
+    prime of the basis. *)
+
 type ciphertext
 
 val keygen : ctx -> Mycelium_util.Rng.t -> secret_key * public_key
 
-val relin_keygen :
-  ?digit_bits:int -> ctx -> Mycelium_util.Rng.t -> secret_key -> max_degree:int -> relin_key
-(** Supports relinearizing ciphertexts up to the given degree.
-    [digit_bits] (default 8, range [\[1, 30]]) trades key size and
-    keygen time against relinearization noise: ceil(qbits/digit_bits)
-    key pairs are stored per power, each contributing noise
-    proportional to 2^digit_bits.  Paper-scale contexts (N = 32768,
-    ~550-bit q) want a coarser base, e.g. 30, to keep the key material
-    in the hundreds of megabytes. *)
+val relin_keygen : ctx -> Mycelium_util.Rng.t -> secret_key -> max_degree:int -> relin_key
+(** Supports relinearizing ciphertexts up to the given degree, with the
+    RNS gadget (Bajard–Eynard–Hasan–Zucca, SAC 2016; Kim–Polyakov–Zucca,
+    ASIACRYPT 2021): for each power s^k and each prime p_j, one pair
+    (-(a s + t e) + s^k u_j, a), where u_j has residue 1 at limb j and 0
+    elsewhere. That is (max_degree - 1) x L pairs; no big integer is
+    involved. *)
 
 val encrypt : ctx -> Mycelium_util.Rng.t -> public_key -> Plaintext.t -> ciphertext
 
@@ -75,8 +77,18 @@ val mul_many : ciphertext list -> ciphertext
 (** Balanced product tree; raises [Invalid_argument] on []. *)
 
 val relinearize : ctx -> relin_key -> ciphertext -> ciphertext
-(** Reduce any ciphertext of degree up to the key's [max_degree] back
-    to degree 1. *)
+(** Reduce any ciphertext of degree D up to the key's [max_degree] back
+    to degree 1. Component c_k (k >= 2) is split into its L RNS digits
+    ({!Rq.rns_digits}: residue row j, centered in (-p_j/2, p_j/2\],
+    lifted to every limb), and each half of the key switch accumulates
+    every digit-by-key product in one fused {!Rq.dot}.
+
+    Noise: the switch adds t * sum_{k,j} D_{k,j} e_{k,j} to the
+    invariant noise, with |D| <= p/2 and |e| <= eta, so each
+    coefficient grows by at most (D - 1) * L * (p/2) * t * eta * N,
+    where p is the largest prime: the noise after is at most one bit
+    above the larger of the noise before and that bound.
+    Raises [Invalid_argument] when D exceeds the key's degree. *)
 
 val noise_budget : ctx -> secret_key -> ciphertext -> int
 (** Exact remaining noise budget in bits, measured with the secret key:
@@ -114,4 +126,5 @@ val secret_poly : secret_key -> Rq.t
 val secret_key_of_poly : ctx -> Rq.t -> secret_key
 
 val decode_noisy : ctx -> Rq.t -> Plaintext.t
-(** Final decryption step: center mod q, reduce mod t. *)
+(** Final decryption step: center mod q, reduce mod t, by Garner's
+    mixed-radix conversion on native ints ({!Rq.centered_mod}). *)

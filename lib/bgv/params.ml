@@ -28,6 +28,7 @@ let validate t =
   if t.degree land (t.degree - 1) <> 0 || t.degree < 2 then
     invalid_arg "Params: degree must be a power of two >= 2";
   if t.plain_modulus < 2 then invalid_arg "Params: plain_modulus must be >= 2";
+  if t.plain_modulus >= 1 lsl 31 then invalid_arg "Params: plain_modulus must be below 2^31";
   if t.prime_bits < 20 || t.prime_bits > 30 then
     invalid_arg "Params: prime_bits must be in [20, 30]";
   if t.levels < 1 then invalid_arg "Params: levels must be >= 1";

@@ -10,7 +10,7 @@
 
 type t = {
   degree : int;  (** ring degree N (a power of two) *)
-  plain_modulus : int;  (** t; must be coprime with every prime *)
+  plain_modulus : int;  (** t in [\[2, 2^31)]; must be coprime with every prime *)
   prime_bits : int;  (** bits per RNS prime (<= 30) *)
   levels : int;  (** number of RNS primes; q has ~levels*prime_bits bits *)
   error_eta : int;  (** centered-binomial error parameter *)
@@ -30,9 +30,9 @@ val paper : t
 (** N=32768, 19 30-bit primes (~550-bit q), t=2^30: the paper's
     parameter set. Too heavy for unit tests, but runnable end-to-end:
     [bench --only ringops] drives keygen/encrypt/mul/relinearize/
-    decrypt at these dimensions on the Montgomery kernels (with
-    [~digit_bits:30] relinearization keys); the cost model uses it for
-    sizes and extrapolation. *)
+    decrypt at these dimensions on the Montgomery kernels (19 key pairs
+    per power of s, one per prime); the cost model uses it for sizes
+    and extrapolation. *)
 
 val modulus_bits : t -> int
 (** Approximate bits of q. *)

@@ -89,6 +89,12 @@ let rotate_committee cfg comm ~population =
   let generation = Committee.generation comm + 1 in
   Committee.rotate comm (Rng.keyed cfg.seed Rng.Committee_rotation [ generation ]) ~population
 
+(* The relinearization key's degree.  The default covers every 1-hop
+   product (degree d + 1: the origin's row and d neighbor rows) with
+   room to spare; admission refuses any shape whose degree exceeds
+   it. *)
+let relin_degree cfg = match cfg.relin_degree with Some d -> d | None -> cfg.degree_bound + 3
+
 let init cfg graph =
   Params.validate cfg.params;
   (* Every committee member is a device: refuse a population too small
@@ -122,15 +128,9 @@ let init cfg graph =
       cfg.route_through_mixnet
   in
   let ctx = Bgv.make_ctx cfg.params in
-  (* Relinearization must cover the largest 1-hop local product: up to
-     d neighbor rows, the origin's own row, and a filler. Multi-hop
-     tests pass smaller graphs so the same bound covers them. *)
-  let relin_degree =
-    match cfg.relin_degree with Some d -> d | None -> cfg.degree_bound + 3
-  in
   let genesis, pk, relin, srs =
     Committee.genesis ctx (Rng.keyed cfg.seed Rng.Genesis []) ~size:cfg.committee_size
-      ~threshold:cfg.committee_threshold ~relin_degree
+      ~threshold:cfg.committee_threshold ~relin_degree:(relin_degree cfg)
   in
   let comm = rotate_committee cfg genesis ~population in
   let n = population in
@@ -319,6 +319,18 @@ let validate_query t query =
     match Analysis.feasible info t.cfg.params with
     | Ok () -> Ok ()
     | Error e -> Error (Infeasible e)
+  in
+  let* () =
+    (* An origin's product multiplies at most one row per vertex of its
+       ball, the origin's own included: degree multiplications + 1,
+       which the aggregator's relinearization key must reach. *)
+    let degree = info.Analysis.multiplications + 1 and key = relin_degree t.cfg in
+    if degree > key then
+      Error
+        (Infeasible
+           (Printf.sprintf "aggregate of degree %d exceeds the relinearization key's degree %d"
+              degree key))
+    else Ok ()
   in
   let* () =
     (* Predicate placement must succeed before any device computes. *)

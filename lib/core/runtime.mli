@@ -32,7 +32,12 @@ type config = {
       (** the runtime overrides [n_devices], [degree] and [seed] with
           the population, [degree_bound] and its own [seed] *)
   relin_degree : int option;
-      (** relinearization-key degree bound; default d+3 covers 1-hop *)
+      (** relinearization-key degree bound; default d+3. An origin's
+          product has degree [multiplications + 1] (d^hops + 1: one row
+          per vertex of its ball), and {!validate_query} refuses as
+          [Infeasible], before any charge, a query whose degree exceeds
+          the key's: the default covers every 1-hop shape, and Q1 at
+          d = 2 needs 5. *)
   accounting : Mycelium_dp.Dp.accounting;
       (** budget accountant: Basic sequential composition (the paper's
           conservative default) or Advanced composition (§4.4's
@@ -194,7 +199,8 @@ val shape : Mycelium_query.Ast.t -> string
 val validate_query :
   t -> Mycelium_query.Ast.t -> (Mycelium_query.Analysis.info, query_error) result
 (** The static admission checks of the pipeline (analysis, parameter
-    feasibility, predicate placement, multi-hop restrictions), without
+    feasibility, an aggregate degree the relinearization key reaches,
+    predicate placement, multi-hop restrictions), without
     executing anything. Pure: never touches the budget or any Rng
     stream. *)
 

@@ -2,9 +2,11 @@
 
     A large ciphertext modulus q = p_0 * p_1 * ... * p_{L-1} is
     represented by per-prime residues so that all polynomial arithmetic
-    runs on native ints (see {!Modarith}); the big integer q only
-    appears at CRT reconstruction time (BGV decryption, key switching
-    digit decomposition). *)
+    runs on native ints (see {!Modarith}).  Decryption reduces residues
+    to a small modulus by Garner's mixed-radix conversion, on native
+    ints too ({!centered_mod_rows}); the big integer q appears only in
+    {!to_bigint_rows_centered}, the exact CRT behind noise
+    measurement. *)
 
 type t
 (** An RNS basis: the primes, their Montgomery NTT plans
@@ -35,28 +37,26 @@ val backend_name : t -> string
 val degree : t -> int
 val level_count : t -> int
 
-val modulus : t -> Bigint.t
-(** q, the product of all primes. *)
-
 val modulus_bits : t -> int
-
-val to_bigint : t -> int array -> Bigint.t
-(** [to_bigint t residues] CRT-reconstructs a single coefficient from
-    its per-prime residues ([residues.(i)] mod [primes.(i)]) to the
-    representative in [\[0, q)]. *)
-
-val to_bigint_centered : t -> int array -> Bigint.t
-(** Same, but returns the centered representative in [(-q/2, q/2\]]. *)
 
 val to_bigint_rows_centered : t -> int array array -> Bigint.t array
 (** Centered CRT reconstruction of a full residue matrix
     ([rows.(limb).(coeff)], as returned by {!Rq.residues} in the
-    coefficient domain) in a single limb-major pass — equivalent to
-    mapping {!to_bigint_centered} over columns but without the
-    per-coefficient temporary. *)
+    coefficient domain) to representatives in [(-q/2, q/2\]], in a
+    single limb-major pass. *)
 
-val of_bigint : t -> Bigint.t -> int array
-(** Project an integer (any sign) onto the basis. *)
+val centered_mod_rows : t -> modulus:int -> int array array -> int array
+(** [centered_mod_rows t ~modulus rows] is, for every coefficient [c],
+    the value whose residue at limb [i] is [rows.(i).(c)], taken centred
+    in [(-q/2, q/2\]] and reduced into [\[0, modulus)]: the last step
+    of BGV decryption.  Garner's mixed-radix conversion on native ints:
+    P_k mod p_i, P_i^-1 mod p_i (P_k = p_0 ... p_{k-1}) and the
+    mixed-radix digits of floor(q/2) are fixed per basis, the sign is a
+    top-down digit compare with floor(q/2), and the weights P_k mod
+    [modulus] are L products per call.  Every product stays below
+    2^61 for a modulus up to 2^30, and inside a native int below 2^31.
+    Requires [2 <= modulus < 2^31]; raises [Invalid_argument]
+    otherwise or on a matrix of the wrong shape. *)
 
 val of_int : t -> int -> int array
 (** Project a signed machine integer (fast path). *)

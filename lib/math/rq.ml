@@ -143,6 +143,45 @@ let coeff_rows_snapshot t =
 
 let to_bigint_coeffs t = Rns.to_bigint_rows_centered t.basis (coeff_rows_snapshot t)
 
+let centered_mod t ~modulus = Rns.centered_mod_rows t.basis ~modulus (coeff_rows_snapshot t)
+
+(* Digit j is coefficient row j centred in (-p_j/2, p_j/2] and lifted
+   to every limb, so only its own limb is the row itself: when the
+   input is resident in Eval, that limb is the input's evaluation row
+   (shared, like every row, never mutated) and the digit costs L - 1
+   forward transforms. *)
+let rns_digits t =
+  let basis = t.basis and st = t.st in
+  let coeff = coeff_rows_snapshot t in
+  let primes = Rns.primes basis and plans = Rns.plans basis in
+  let n = Rns.degree basis and l = Array.length primes in
+  let own_eval = match st.repr with Eval -> true | Coeff -> false in
+  if Obs.enabled () then
+    Obs.Metrics.add m_limb_transforms (l * if own_eval then l - 1 else l);
+  pmapi ~min_degree:ntt_par_degree basis
+    (fun j pj ->
+      let src = coeff.(j) and half = pj / 2 in
+      let rows =
+        Array.mapi
+          (fun i plan ->
+            if i = j && own_eval then st.rows.(j)
+            else begin
+              let pi = primes.(i) in
+              let dst = Array.make n 0 in
+              for c = 0 to n - 1 do
+                let r = src.(c) in
+                let v = if r > half then r - pj else r in
+                dst.(c) <-
+                  (if v >= pi || v < -pi then Modarith.reduce pi v else v + ((v asr 62) land pi))
+              done;
+              Mont_backend.forward plan dst;
+              dst
+            end)
+          plans
+      in
+      { basis; st = { repr = Eval; rows } })
+    primes
+
 (* Structural comparison must not see the representation: normalise a
    mixed pair to the evaluation domain (the transform is a bijection,
    so equality of rows is preserved) and compare the limb arrays

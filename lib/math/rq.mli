@@ -45,6 +45,22 @@ val to_bigint_coeffs : t -> Bigint.t array
     Cold path; does not change the input's resident representation
     (an Eval input is inverse-transformed into a scratch copy). *)
 
+val centered_mod : t -> modulus:int -> int array
+(** Every coefficient, centered in [(-q/2, q/2\]], reduced into
+    [\[0, modulus)] on native ints ({!Rns.centered_mod_rows}): BGV's
+    final decryption step. Like {!to_bigint_coeffs}, leaves the input's
+    resident representation alone. *)
+
+val rns_digits : t -> t array
+(** The RNS gadget decomposition used by key switching: digit [j] is
+    the coefficient residue row [j], centered in [(-p_j/2, p_j/2\]] and
+    lifted to every limb, so [sum_j digit_j * u_j = t] where [u_j] has
+    residue 1 at limb [j] and 0 elsewhere. Digits are returned in
+    [Eval]; limb [j] of digit [j] is the input's own evaluation row
+    when the input is resident there, so each digit costs L - 1
+    forward transforms. Leaves the input's resident representation
+    alone. *)
+
 val residues : t -> int array array
 (** Underlying per-prime rows, in the domain reported by {!repr_of}
     (do not mutate). Callers that need a specific domain must force it
@@ -82,8 +98,9 @@ val mul_scalar : t -> int -> t
 
 val mul_scalar_residues : t -> int array -> t
 (** Multiply by a scalar given directly by its per-prime residues (for
-    scalars wider than a machine word, e.g. digit weights B^i in key
-    switching). Domain-agnostic; preserves representation. *)
+    scalars wider than a machine word, e.g. a Lagrange coefficient or
+    the RNS gadget's [u_j]). Domain-agnostic; preserves
+    representation. *)
 
 val random_uniform : Rns.t -> Mycelium_util.Rng.t -> t
 (** Uniform element of R_q (independent uniform residues per prime,

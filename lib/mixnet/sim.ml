@@ -253,17 +253,23 @@ let create cfg =
      mutable sizing fields without locks: a torn read can only yield a
      slightly stale point, and the sampler never feeds back into the
      simulation.  Registration replaces the previous simulator's
-     source, keeping the series pointed at the live instance. *)
+     source, keeping the series pointed at the live instance; the
+     source holds it weakly, so a simulator its caller drops can be
+     collected, after which the source reports nothing. *)
+  let live = Weak.create 1 in
+  Weak.set live 0 (Some t);
   Obs.Sampler.register_source ~name:"mixnet" (fun () ->
-      [
-        (Obs.Names.mixnet_established_paths, float_of_int t.n_paths);
-        ( Obs.Names.mixnet_arena_bytes,
-          float_of_int (Bytes.length t.arena_cur + Bytes.length t.arena_next) );
-        ( Obs.Names.mixnet_route_entries,
-          float_of_int
-            (Array.fold_left (fun acc v -> acc + Ivec.length v) 0 t.routes) );
-        (Obs.Names.mixnet_mailboxes_in_use, float_of_int (Ivec.length t.touched));
-      ]);
+      match Weak.get live 0 with
+      | None -> []
+      | Some t ->
+        [
+          (Obs.Names.mixnet_established_paths, float_of_int t.n_paths);
+          ( Obs.Names.mixnet_arena_bytes,
+            float_of_int (Bytes.length t.arena_cur + Bytes.length t.arena_next) );
+          ( Obs.Names.mixnet_route_entries,
+            float_of_int (Array.fold_left (fun acc v -> acc + Ivec.length v) 0 t.routes) );
+          (Obs.Names.mixnet_mailboxes_in_use, float_of_int (Ivec.length t.touched));
+        ]);
   t
 
 let audit_all t =

@@ -37,7 +37,11 @@ let test_params_validate () =
   Params.validate Params.paper;
   Alcotest.check_raises "bad degree"
     (Invalid_argument "Params: degree must be a power of two >= 2") (fun () ->
-      Params.validate { Params.test_small with Params.degree = 100 })
+      Params.validate { Params.test_small with Params.degree = 100 });
+  (* Decryption reduces mod t on native ints (Rns.centered_mod_rows). *)
+  Alcotest.check_raises "plain modulus at 2^31"
+    (Invalid_argument "Params: plain_modulus must be below 2^31") (fun () ->
+      Params.validate { Params.test_small with Params.plain_modulus = 1 lsl 31 })
 
 let test_params_paper_ciphertext_size () =
   (* The paper reports ~4.3 MB per (degree-1) ciphertext: 2 components
@@ -263,6 +267,48 @@ let test_relinearize_too_high_rejected () =
   Alcotest.check_raises "degree 3 vs max 2"
     (Invalid_argument "Bgv.relinearize: ciphertext degree exceeds relin key") (fun () ->
       ignore (Bgv.relinearize ctx rk prod))
+
+(* Every degree from 2 to the key's maximum, on one key per parameter
+   set: the relinearized product decrypts to the product's plaintext,
+   and its noise is at most one bit above the larger of the noise
+   before and the key switch's worst case (D - 1) L (p/2) t eta N, the
+   bound bgv.mli states (p the largest prime).  The key holds
+   (max - 1) x L pairs. *)
+let test_relinearize_degrees (p : Params.t) ~max_degree () =
+  let ctx = Bgv.make_ctx p in
+  let rng = Rng.create (Int64.of_int (p.Params.degree + max_degree)) in
+  let sk, pk = Bgv.keygen ctx rng in
+  let rk = Bgv.relin_keygen ctx rng sk ~max_degree in
+  let basis = Bgv.basis ctx in
+  let levels = Rns.level_count basis in
+  checki "(max - 1) x L key pairs" ((max_degree - 1) * levels) (Bgv.relin_key_pairs rk);
+  let noise_bits ct = Rns.modulus_bits basis - 1 - Bgv.noise_budget ctx sk ct in
+  let log2 x = log x /. log 2. in
+  let p_max = Array.fold_left max 0 (Rns.primes basis) in
+  for d = 2 to max_degree do
+    let exps = List.init d (fun i -> (i * 7) + 1) in
+    let prod = Bgv.mul_many (List.map (Bgv.encrypt_value ctx rng pk) exps) in
+    checki "product degree" d (Bgv.degree prod);
+    let lin = Bgv.relinearize ctx rk prod in
+    checki "degree 1" 1 (Bgv.degree lin);
+    Alcotest.check pt_testable
+      (Printf.sprintf "degree %d decrypts" d)
+      (mono ctx (List.fold_left ( + ) 0 exps))
+      (Bgv.decrypt ctx sk lin);
+    let switch_bits =
+      int_of_float
+        (Float.ceil
+           (log2 (float_of_int (d - 1)) +. log2 (float_of_int levels)
+           +. log2 (float_of_int p_max /. 2.)
+           +. log2 (float_of_int p.Params.plain_modulus)
+           +. log2 (float_of_int p.Params.error_eta)
+           +. log2 (float_of_int p.Params.degree)))
+    in
+    let before = noise_bits prod and after = noise_bits lin in
+    if after > max before switch_bits + 1 then
+      Alcotest.failf "degree %d: %d noise bits after, %d before, key-switch bound %d" d after before
+        switch_bits
+  done
 
 let test_relin_then_add () =
   (* Global aggregation operates on relinearized degree-1 ciphertexts. *)
@@ -497,7 +543,7 @@ let test_relinearized_golden () =
   let prod = Bgv.relinearize ctx rk (Bgv.mul a b) in
   Alcotest.check pt_testable "x^3 * x^5" (mono ctx 8) (Bgv.decrypt ctx sk prod);
   check_goldens "relinearized product"
-    [ ("x^3 * x^5", "a0d241ec7f2e90e0653d839cbbc1b17fe5f177ff73cf4707899e95d1f9617382") ]
+    [ ("x^3 * x^5", "35fe4c7040e785af8013021d900cd6b6a0d1555f855a1987c0ff565015ec748c") ]
     [ ("x^3 * x^5", wire_digest prod) ]
 
 (* ------------------------------------------------------------------ *)
@@ -544,6 +590,12 @@ let () =
           Alcotest.test_case "degree 2" `Quick test_relinearize_degree2;
           Alcotest.test_case "high degree (deferred)" `Quick test_relinearize_high_degree;
           Alcotest.test_case "exceeding key rejected" `Quick test_relinearize_too_high_rejected;
+          Alcotest.test_case "degrees 2..5, test_small" `Quick
+            (test_relinearize_degrees Params.test_small ~max_degree:5);
+          Alcotest.test_case "degrees 2..8, test_medium" `Quick
+            (test_relinearize_degrees Params.test_medium ~max_degree:8);
+          Alcotest.test_case "degrees 2..4, test_wide" `Slow
+            (test_relinearize_degrees Params.test_wide ~max_degree:4);
           Alcotest.test_case "relin then aggregate" `Quick test_relin_then_add;
         ] );
       ( "noise",

@@ -509,7 +509,9 @@ let test_e2e_grouped_queries () =
 
 let test_e2e_two_hop () =
   (* Q1 on a tiny graph with parameters deep enough for d^2-ish
-     products. *)
+     products, on the smallest key admission allows: at d = 2 an
+     origin's product has degree d^2 + 1 = 5, and one of higher degree
+     would make the aggregator's relinearization raise. *)
   let g = small_graph ~n:12 ~d:2 ~seed:99L () in
   let sys =
     Runtime.init
@@ -517,7 +519,7 @@ let test_e2e_two_hop () =
         e2e_config with
         Runtime.params = Params.test_medium;
         degree_bound = 2;
-        relin_degree = Some 8;
+        relin_degree = Some 5;
       }
       g
   in
@@ -525,6 +527,63 @@ let test_e2e_two_hop () =
   let exact = Runtime.exact_bins_for_tests sys r.Runtime.info in
   checkb "Q1 = oracle" true
     (Array.for_all2 (fun a b -> int_of_float a = b) r.Runtime.noisy_bins exact)
+
+(* Admission bounds an origin's product at degree multiplications + 1
+   (one row per vertex of its ball), against the realized degree of
+   every corpus shape test_medium admits at d = 2: the densest origin's
+   1-hop aggregate here, Q1 through the pipeline on a key of exactly
+   its bound in "two-hop Q1".  The 1-hop key (degree 3) refuses Q1. *)
+let test_e2e_aggregate_degree_within_key () =
+  let g = small_graph ~n:12 ~d:2 ~seed:99L () in
+  let system key =
+    Runtime.init
+      { e2e_config with Runtime.params = Params.test_medium; degree_bound = 2; relin_degree = Some key }
+      g
+  in
+  let admitted =
+    let sys = system 5 in
+    List.filter_map
+      (fun (c : Corpus.entry) ->
+        match Runtime.validate_query sys c.Corpus.query with
+        | Ok info -> Some (c.Corpus.id, info)
+        | Error _ -> None)
+      Corpus.all
+  in
+  let bound (_, info) = info.Analysis.multiplications + 1 in
+  let one_hop, two_hop = List.partition (fun (id, _) -> not (String.equal id "Q1")) admitted in
+  checki "Q1 admitted" 1 (List.length two_hop);
+  checki "Q1 at degree 5" 5 (bound (List.hd two_hop));
+  checkb "1-hop shapes at degree 3" true (one_hop <> [] && List.for_all (fun m -> bound m = 3) one_hop);
+  (match Runtime.validate_query (system 3) (Corpus.find "Q1").Corpus.query with
+  | Error (Runtime.Infeasible _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (err_to_string e)
+  | Ok _ -> Alcotest.fail "the degree-3 key admitted Q1");
+  let ctx = Bgv.make_ctx Params.test_medium and rng = Rng.create 11L in
+  let _, pk, _, srs = Committee.genesis ctx rng ~size:5 ~threshold:2 ~relin_degree:2 in
+  let origin =
+    List.fold_left
+      (fun best v ->
+        if List.length (Cg.neighbors g v) > List.length (Cg.neighbors g best) then v else best)
+      0
+      (List.init (Cg.population g) Fun.id)
+  in
+  let degrees =
+    List.map
+      (fun ((id, info) as m) ->
+        let rows =
+          List.map
+            (fun (v, e) ->
+              (Some e, Contribution.build srs ctx rng pk info ~dest:(Cg.vertex g v) ~edge:(Some e)))
+            (Cg.neighbors g origin)
+        in
+        match Contribution.aggregate_origin srs ctx rng pk info ~self:(Cg.vertex g origin) ~rows with
+        | Ok (ct, _) ->
+          checkb (id ^ " within multiplications + 1") true (Bgv.degree ct <= bound m);
+          Bgv.degree ct
+        | Error e -> Alcotest.failf "%s: %s" id e)
+      one_hop
+  in
+  checkb "the densest origin reaches the bound" true (List.mem 3 degrees)
 
 let test_e2e_q1_infeasible_at_small_params () =
   (* §6.2's generality result at this parameter scale: the 2-hop query
@@ -823,6 +882,8 @@ let () =
           Alcotest.test_case "cross-column (Q3,Q9)" `Slow test_e2e_cross_column_queries;
           Alcotest.test_case "grouped (Q6,Q7,Q8,Q10)" `Slow test_e2e_grouped_queries;
           Alcotest.test_case "two-hop Q1" `Slow test_e2e_two_hop;
+          Alcotest.test_case "aggregate degree within the key" `Slow
+            test_e2e_aggregate_degree_within_key;
           Alcotest.test_case "Q1 infeasible at small params" `Quick test_e2e_q1_infeasible_at_small_params;
           Alcotest.test_case "noise at finite epsilon" `Slow test_e2e_noise_present_at_finite_epsilon;
           Alcotest.test_case "budget enforced" `Slow test_e2e_budget_enforced;

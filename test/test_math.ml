@@ -1,5 +1,6 @@
 (* Tests for mycelium_util and mycelium_math: PRNG, modular arithmetic,
-   NTT, bignum, RNS/CRT and the polynomial ring. *)
+   NTT, bignum, RNS/CRT (Garner's decode at every BGV parameter set)
+   and the polynomial ring. *)
 
 module Rng = Mycelium_util.Rng
 module Hex = Mycelium_util.Hex
@@ -559,41 +560,142 @@ let test_bigint_num_bits () =
 
 let small_basis = lazy (Rns.standard ~degree:64 ~prime_bits:28 ~levels:4)
 
+(* The exact CRT over Bigint, built from the primes alone: the oracle
+   for the native-int decode ({!Rns.centered_mod_rows}) and for the
+   residue arithmetic. *)
+let crt_modulus b = Array.fold_left (fun acc p -> Bigint.mul acc (bi p)) Bigint.one (Rns.primes b)
+let crt_of_bigint b x = Array.map (fun p -> Bigint.rem_int x p) (Rns.primes b)
+
+(* [crt_to_bigint b] reconstructs residue columns into [0, q). *)
+let crt_to_bigint b =
+  let q = crt_modulus b in
+  let factors =
+    Array.map
+      (fun p ->
+        let m = Bigint.div q (bi p) in
+        Bigint.mul m (bi (Modarith.inv p (Bigint.rem_int m p))))
+      (Rns.primes b)
+  in
+  fun residues ->
+    let acc = ref Bigint.zero in
+    Array.iteri (fun i r -> acc := Bigint.add !acc (Bigint.mul_int factors.(i) r)) residues;
+    Bigint.erem !acc q
+
+let crt_to_bigint_centered b =
+  let q = crt_modulus b in
+  let half = Bigint.shift_right q 1 in
+  let to_big = crt_to_bigint b in
+  fun residues ->
+    let v = to_big residues in
+    if Bigint.compare v half > 0 then Bigint.sub v q else v
+
 let test_rns_modulus () =
   let b = Lazy.force small_basis in
-  let expected =
-    Array.fold_left (fun acc p -> Bigint.mul acc (bi p)) Bigint.one (Rns.primes b)
-  in
-  check bigint_testable "q = product of primes" expected (Rns.modulus b);
+  checki "modulus bits = bits of the product of primes"
+    (Bigint.num_bits (crt_modulus b)) (Rns.modulus_bits b);
   checki "levels" 4 (Rns.level_count b)
 
 let test_rns_roundtrip () =
   let b = Lazy.force small_basis in
   let rng = Rng.create 123L in
   for _ = 1 to 100 do
-    let x = Bigint.random rng (Rns.modulus b) in
-    let r = Rns.of_bigint b x in
-    check bigint_testable "CRT roundtrip" x (Rns.to_bigint b r)
+    let x = Bigint.random rng (crt_modulus b) in
+    let r = crt_of_bigint b x in
+    check bigint_testable "CRT roundtrip" x (crt_to_bigint b r)
   done
 
 let test_rns_centered () =
   let b = Lazy.force small_basis in
-  (* -5 should come back as -5 after centering. *)
+  (* -5 should come back as -5 after centering, and as t - 5 mod t. *)
   let r = Rns.of_int b (-5) in
-  check bigint_testable "centered small negative" (bi (-5)) (Rns.to_bigint_centered b r)
+  check bigint_testable "centered small negative" (bi (-5)) (crt_to_bigint_centered b r);
+  let column = Array.map (fun v -> Array.make (Rns.degree b) v) r in
+  checki "centered mod t" 252 (Rns.centered_mod_rows b ~modulus:257 column).(0)
 
 let test_rns_homomorphic_add () =
   let b = Lazy.force small_basis in
   let rng = Rng.create 124L in
   let primes = Rns.primes b in
   for _ = 1 to 50 do
-    let x = Bigint.random rng (Rns.modulus b) and y = Bigint.random rng (Rns.modulus b) in
-    let rx = Rns.of_bigint b x and ry = Rns.of_bigint b y in
+    let x = Bigint.random rng (crt_modulus b) and y = Bigint.random rng (crt_modulus b) in
+    let rx = crt_of_bigint b x and ry = crt_of_bigint b y in
     let rsum = Array.mapi (fun i v -> Modarith.add primes.(i) v ry.(i)) rx in
     check bigint_testable "residue add = bigint add mod q"
-      (Bigint.erem (Bigint.add x y) (Rns.modulus b))
-      (Rns.to_bigint b rsum)
+      (Bigint.erem (Bigint.add x y) (crt_modulus b))
+      (crt_to_bigint b rsum)
   done
+
+(* Garner's decode against the Bigint oracle on one basis per BGV
+   parameter set: the edge values 0, 1, -1 = q - 1, 2, floor(q/2) - 1,
+   floor(q/2) and floor(q/2) + 1 (the sign boundary), then uniform
+   residues, each reduced mod t = 257, 65537 and 2^30. *)
+let test_garner_decode (p : Mycelium_bgv.Params.t) () =
+  let module Params = Mycelium_bgv.Params in
+  let b = Rns.standard ~degree:p.Params.degree ~prime_bits:p.Params.prime_bits ~levels:p.Params.levels in
+  let n = Rns.degree b and primes = Rns.primes b in
+  let q = crt_modulus b in
+  let half = Bigint.shift_right q 1 in
+  let edges =
+    [ Bigint.zero; Bigint.one; Bigint.sub q Bigint.one; Bigint.two; Bigint.sub half Bigint.one;
+      half; Bigint.add half Bigint.one ]
+  in
+  let rng = Rng.create (Int64.of_int (n + Array.length primes)) in
+  let rows = Array.map (fun p -> Array.init n (fun _ -> Rng.int rng p)) primes in
+  List.iteri
+    (fun c x -> Array.iteri (fun i r -> rows.(i).(c) <- r) (crt_of_bigint b x))
+    edges;
+  let centered = crt_to_bigint_centered b in
+  let values = Array.init n (fun c -> centered (Array.map (fun row -> row.(c)) rows)) in
+  checkb "floor(q/2) stays positive" true (Bigint.sign values.(5) > 0);
+  checkb "floor(q/2) + 1 is negative" true (Bigint.sign values.(6) < 0);
+  List.iter
+    (fun t ->
+      let got = Rns.centered_mod_rows b ~modulus:t rows in
+      Array.iteri
+        (fun c v ->
+          let want = Bigint.to_int (Bigint.erem v (bi t)) in
+          if got.(c) <> want then
+            Alcotest.failf "N=%d t=%d coefficient %d: Garner %d, Bigint %d" n t c got.(c) want)
+        values)
+    [ 257; 65537; 1 lsl 30 ]
+
+let test_garner_refuses_wide_modulus () =
+  let b = Lazy.force small_basis in
+  let rows = Array.map (fun _ -> Array.make (Rns.degree b) 0) (Rns.primes b) in
+  Alcotest.check_raises "2^31"
+    (Invalid_argument "Rns.centered_mod_rows: modulus must be in [2, 2^31)") (fun () ->
+      ignore (Rns.centered_mod_rows b ~modulus:(1 lsl 31) rows))
+
+(* The RNS gadget: digit j recomposes through u_j (residue 1 at limb
+   j, 0 elsewhere) and its coefficients are p_j's centered residues. *)
+let test_rq_rns_digits () =
+  let b = Lazy.force small_basis in
+  let primes = Rns.primes b in
+  let rng = Rng.create 303L in
+  List.iter
+    (fun force ->
+      let x = Rq.random_uniform b rng in
+      force x;
+      let repr = Rq.repr_of x in
+      let digits = Rq.rns_digits x in
+      checkb "input keeps its domain" true (Rq.repr_of x = repr);
+      checki "one digit per prime" (Array.length primes) (Array.length digits);
+      let recomposed =
+        Array.to_list digits
+        |> List.mapi (fun j d ->
+               Rq.mul_scalar_residues d (Array.mapi (fun i _ -> if i = j then 1 else 0) primes))
+        |> List.fold_left Rq.add (Rq.zero b)
+      in
+      checkb "sum_j digit_j u_j = x" true (Rq.equal recomposed x);
+      Array.iteri
+        (fun j d ->
+          checkb "digit in Eval" true (Rq.repr_of d = Rq.Eval);
+          let bound = bi (primes.(j) / 2) in
+          Array.iter
+            (fun c -> checkb "digit within p_j/2" true (Bigint.compare (Bigint.abs c) bound <= 0))
+            (Rq.to_bigint_coeffs d))
+        digits)
+    [ Rq.force_eval; Rq.force_coeff ]
 
 let test_rq_monomial_mul () =
   let b = Lazy.force small_basis in
@@ -753,6 +855,17 @@ let () =
           Alcotest.test_case "CRT roundtrip" `Quick test_rns_roundtrip;
           Alcotest.test_case "centered reconstruction" `Quick test_rns_centered;
           Alcotest.test_case "homomorphic add" `Quick test_rns_homomorphic_add;
+          Alcotest.test_case "Garner decode, test_small" `Quick
+            (test_garner_decode Mycelium_bgv.Params.test_small);
+          Alcotest.test_case "Garner decode, test_medium" `Quick
+            (test_garner_decode Mycelium_bgv.Params.test_medium);
+          Alcotest.test_case "Garner decode, test_wide" `Quick
+            (test_garner_decode Mycelium_bgv.Params.test_wide);
+          Alcotest.test_case "Garner decode, paper" `Slow
+            (test_garner_decode Mycelium_bgv.Params.paper);
+          Alcotest.test_case "Garner decode refuses t >= 2^31" `Quick
+            test_garner_refuses_wide_modulus;
+          Alcotest.test_case "RNS digits recompose" `Quick test_rq_rns_digits;
           Alcotest.test_case "monomial multiplication" `Quick test_rq_monomial_mul;
           Alcotest.test_case "bin aggregation (§4.1)" `Quick test_rq_bin_aggregation;
           Alcotest.test_case "negacyclic exponent wrap" `Quick test_rq_negacyclic;

@@ -16,6 +16,7 @@ module Params = Mycelium_bgv.Params
 module Runtime = Mycelium_core.Runtime
 module Fault_plan = Mycelium_faults.Fault_plan
 module Injector = Mycelium_faults.Injector
+module Sim = Mycelium_mixnet.Sim
 module Pool = Mycelium_parallel.Pool
 module Obs = Mycelium_obs.Obs
 module Json = Mycelium_obs.Obs.Json
@@ -255,6 +256,26 @@ let test_sampler_sources () =
   Obs.Sampler.stop ();
   checkb "sampler stopped" false (Obs.Sampler.active ());
   checkb "ticker advanced" true (Obs.Sampler.tick_count () > t0)
+
+(* The mixnet and faults sources hold their simulator and injector
+   weakly: once the caller drops them, a full major collection frees
+   both, and sampling goes on without them. *)
+let test_dropped_source_owners_collected () =
+  let sim = Weak.create 1 and inj = Weak.create 1 in
+  let[@inline never] create () =
+    Weak.set sim 0
+      (Some
+         (Sim.create
+            { Sim.default_config with Sim.n_devices = 30; degree = 2; hops = 2; replicas = 2; fast_setup = true; fast_keys = true }));
+    Weak.set inj 0 (Some (Injector.create (Fault_plan.make ~drop_rate:0.5 ~seed:3L ())))
+  in
+  create ();
+  checkb "mixnet and faults sources registered" true
+    (List.for_all (fun n -> List.mem n (Obs.Sampler.source_names ())) [ "mixnet"; "faults" ]);
+  Gc.full_major ();
+  checkb "simulator freed" false (Weak.check sim 0);
+  checkb "injector freed" false (Weak.check inj 0);
+  Obs.Sampler.sample_once ()
 
 let test_prometheus_export () =
   Obs.with_enabled (fun () ->
@@ -688,6 +709,8 @@ let () =
         [
           Alcotest.test_case "ring window" `Quick test_timeseries_ring;
           Alcotest.test_case "sampler sources and ticker" `Quick test_sampler_sources;
+          Alcotest.test_case "dropped simulator and injector collected" `Quick
+            test_dropped_source_owners_collected;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_export;
         ] );
       ( "recorder",

@@ -303,9 +303,10 @@ let test_bgv_representation () =
 
 (* BGV end-to-end bytes are pinned: with a fixed rng seed the
    keygen/encrypt/mul/relinearize pipeline must serialize to the
-   digests below, which both the Shoup (Ntt) and the Montgomery kernels
-   produced when either could run Rq, so the wire format cannot see
-   the kernel.  The bytes also deserialize and decrypt under a context
+   digests below.  They were recorded on the RNS-gadget relinearization
+   key (one pair per prime), whose generation draws from the same rng
+   as the encryptions after it, so the fresh digest depends on the key
+   layout too.  The bytes also deserialize and decrypt under a context
    built separately. *)
 let test_bgv_bytes_pinned () =
   let ctx = Bgv.make_ctx Params.test_small in
@@ -316,9 +317,9 @@ let test_bgv_bytes_pinned () =
   let b = Bgv.encrypt_value ctx rng pk 5 in
   let prod = Bgv.relinearize ctx rk (Bgv.mul a b) in
   let hex bytes = Digest.to_hex (Digest.bytes bytes) in
-  Alcotest.(check string) "fresh ciphertext bytes" "23677a911acfd1d613fa37c9fbc59926"
+  Alcotest.(check string) "fresh ciphertext bytes" "df3cb28fa61455cfa2f05b1c5e08f025"
     (hex (Bgv.serialize a));
-  Alcotest.(check string) "relinearized ciphertext bytes" "45b1e70331e7b26ba3d834c16505fd95"
+  Alcotest.(check string) "relinearized ciphertext bytes" "0d95f0f9cd022c6d12a3db33e402eb9c"
     (hex (Bgv.serialize prod));
   let pt = Bgv.decrypt ctx sk prod in
   checki "x^3 * x^5 decrypts to x^8" 1 (Plaintext.coeff pt 8);

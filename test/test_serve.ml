@@ -227,6 +227,44 @@ let test_user_budget_gates_admission () =
   | Serve.Queued _ -> checki "admitted members pending" 3 (Serve.pending_count srv)
   | Serve.Rejected _ -> Alcotest.fail "bob's budget is his own"
 
+(* An aggregate the relinearization key cannot reduce is refused at
+   admission, before any charge, through both entry points: Q1 at
+   d = 3 multiplies d^2 + 1 = 10 rows, test_wide's noise model admits
+   that many multiplications, and the default key (d + 3 = 6) would
+   raise at the aggregator after the charge. *)
+let test_aggregate_beyond_relin_key_refused () =
+  let rt =
+    Runtime.init
+      { Runtime.default_config with Runtime.params = Params.test_wide; degree_bound = 3 }
+      (small_graph ~n:12 ~d:3 ())
+  in
+  let q1 = Corpus.find "Q1" in
+  let expect_refusal where = function
+    | Runtime.Infeasible m ->
+      Alcotest.(check string)
+        where "aggregate of degree 10 exceeds the relinearization key's degree 6" m
+    | _ -> Alcotest.failf "%s: not refused as infeasible" where
+  in
+  (match Runtime.validate_query rt q1.Corpus.query with
+  | Error e -> expect_refusal "validate_query" e
+  | Ok _ -> Alcotest.fail "validate_query admitted Q1 at d = 3");
+  (match Runtime.run_query ~epsilon:1.0 rt q1.Corpus.sql with
+  | Error e -> expect_refusal "run_query" e
+  | Ok _ -> Alcotest.fail "run_query released Q1 at d = 3");
+  checkb "runtime budget uncharged" true (Dp.budget_remaining (Runtime.budget rt) = 10.);
+  let srv =
+    Serve.create ~config:{ Serve.default_config with Serve.per_user_budget = 1.0 } rt
+  in
+  (match
+     Serve.submit srv ~arrival:0.0
+       { Serve.user = "alice"; epsilon = 1.0; sql = q1.Corpus.sql; name = Some "Q1" }
+   with
+  | Serve.Rejected (Serve.Invalid e), [] -> expect_refusal "Serve.submit" e
+  | Serve.Rejected r, _ -> Alcotest.failf "wrong rejection: %s" (Serve.rejection_to_string r)
+  | Serve.Queued _, _ -> Alcotest.fail "Serve.submit queued Q1 at d = 3");
+  checkb "user uncharged" true (Accountant.spent (Serve.accountant srv) ~user:"alice" = 0.);
+  checki "nothing pending" 0 (Serve.pending_count srv)
+
 (* The NaN probe through [Serve.submit]: an epsilon that is not finite
    and positive (or infinity) is a typed rejection before any charge,
    and the user's budget keeps refusing what it must. *)
@@ -528,6 +566,8 @@ let () =
           Alcotest.test_case "per-user budget gates admission" `Quick
             test_user_budget_gates_admission;
           Alcotest.test_case "invalid epsilon rejected" `Quick test_invalid_epsilon_rejected;
+          Alcotest.test_case "aggregate beyond the relin key refused" `Quick
+            test_aggregate_beyond_relin_key_refused;
         ] );
       ( "cache",
         [
