@@ -594,15 +594,14 @@ let () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Ringops: the ring kernels, Reference vs Montgomery                 *)
+(* Ringops: the ring kernels                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Cost of the polynomial arithmetic the whole pipeline sits on, at
    degrees 1024..32768: the Montgomery kernels Rq runs (Bigarray
-   radix-4 with lazy reduction) beside the Reference Shoup kernels of
-   Ntt, then Rq.mul and the paper-profile pipeline end to end.  Kernel
-   times are nominal; the gate reads the Montgomery forward and inverse
-   at N=8192. *)
+   radix-4 with lazy reduction), then Rq.mul and the paper-profile
+   pipeline end to end.  Kernel times are nominal; the gate reads the
+   forward and inverse transforms at N=8192. *)
 let () =
   section "ringops" (fun () ->
       let module Rns = Mycelium_math.Rns in
@@ -616,15 +615,13 @@ let () =
         (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int inner
       in
       say "\n";
-      say "=== Ringops: ring kernels, Reference (Shoup) vs Montgomery (Bigarray radix-4), nominal ===\n";
-      say "  %7s %12s %12s %8s %12s %12s %8s %12s %12s\n" "degree" "fwd ref"
-        "fwd mont" "speedup" "inv ref" "inv mont" "speedup" "pointwise" "rq.mul";
+      say "=== Ringops: ring kernels, Montgomery (Bigarray radix-4), nominal ===\n";
+      say "  %7s %12s %12s %12s %12s\n" "degree" "forward" "inverse" "pointwise" "rq.mul";
       let rows =
         List.map
           (fun degree ->
             let rng = Rng.create (Int64.of_int (9000 + degree)) in
             let p = List.hd (Ntt.find_primes ~degree ~bits:30 ~count:1) in
-            let rplan = Ntt.make_plan ~p ~degree in
             let mplan = Mont_backend.make_plan ~p ~degree in
             let rand () = Array.init degree (fun _ -> Rng.int rng p) in
             let a = rand () and b = rand () in
@@ -646,34 +643,25 @@ let () =
               Array.of_list
                 (nominal_medians
                    [
-                     ns_per_op ~inner (fun () -> Ntt.forward rplan scratch);
                      ns_per_op ~inner (fun () -> Mont_backend.forward mplan scratch);
-                     ns_per_op ~inner (fun () -> Ntt.inverse rplan scratch);
                      ns_per_op ~inner (fun () -> Mont_backend.inverse mplan scratch);
                      ns_per_op ~inner (fun () -> Mont_backend.pointwise_into mplan ~dst:scratch a b);
                      ns_per_op ~inner:heavy (fun () -> ignore (Rq.mul x y));
                    ])
             in
-            let fwd_ref = costs.(0) and fwd_mont = costs.(1) and inv_ref = costs.(2) in
-            let inv_mont = costs.(3) and pw = costs.(4) and rq_mul = costs.(5) in
+            let fwd = costs.(0) and inv = costs.(1) and pw = costs.(2) and rq_mul = costs.(3) in
             if degree = 8192 then begin
-              gate "ringops/ntt_forward_8192_ns" Gate.Lower fwd_mont;
-              gate "ringops/ntt_inverse_8192_ns" Gate.Lower inv_mont
+              gate "ringops/ntt_forward_8192_ns" Gate.Lower fwd;
+              gate "ringops/ntt_inverse_8192_ns" Gate.Lower inv
             end;
-            say "  %7d %10.1fus %10.1fus %7.2fx %10.1fus %10.1fus %7.2fx %10.2fus %10.1fus\n"
-              degree (fwd_ref /. 1e3) (fwd_mont /. 1e3) (fwd_ref /. fwd_mont)
-              (inv_ref /. 1e3) (inv_mont /. 1e3) (inv_ref /. inv_mont) (pw /. 1e3)
-              (rq_mul /. 1e3);
+            say "  %7d %10.1fus %10.1fus %10.2fus %10.1fus\n" degree (fwd /. 1e3) (inv /. 1e3)
+              (pw /. 1e3) (rq_mul /. 1e3);
             ( degree,
               Obj
                 [
                   ("degree", Int degree);
-                  ("ntt_forward_old_ns", Num fwd_ref);
-                  ("ntt_forward_ns", Num fwd_mont);
-                  ("ntt_forward_speedup", Num (fwd_ref /. fwd_mont));
-                  ("ntt_inverse_old_ns", Num inv_ref);
-                  ("ntt_inverse_ns", Num inv_mont);
-                  ("ntt_inverse_speedup", Num (inv_ref /. inv_mont));
+                  ("ntt_forward_ns", Num fwd);
+                  ("ntt_inverse_ns", Num inv);
                   ("pointwise_ns", Num pw);
                   ("rq_mul_ns", Num rq_mul);
                 ] ))
@@ -1039,25 +1027,36 @@ let micro_tests () =
         ( { Committee.b_info = info; b_epsilon = 1.0; b_noise_rng = Rng.create (Int64.of_int i) },
           Bgv.encrypt_value ctx rng cpk 1 ))
   in
-  (* NTT at N=1024 (the figure-scaling primitive), plus the schoolbook
-     oracle as an ablation. *)
+  (* The negacyclic product on the Montgomery kernels at N=1024 (the
+     figure-scaling primitive) and N=256, beside the schoolbook product
+     as an ablation. *)
+  let module Mont_backend = Mycelium_math.Mont_backend in
+  let ntt_multiply plan n a b () =
+    let fa = Array.make n 0 and fb = Array.make n 0 in
+    Mont_backend.forward_into plan ~src:a ~dst:fa;
+    Mont_backend.forward_into plan ~src:b ~dst:fb;
+    Mont_backend.pointwise_into plan ~dst:fa fa fb;
+    Mont_backend.inverse plan fa
+  in
   let p = List.hd (Ntt.find_primes ~degree:1024 ~bits:28 ~count:1) in
-  let plan = Ntt.make_plan ~p ~degree:1024 in
+  let plan = Mont_backend.make_plan ~p ~degree:1024 in
   let poly_a = Array.init 1024 (fun i -> (i * 7) mod p) in
   let poly_b = Array.init 1024 (fun i -> (i * 13) mod p) in
   let p256 = List.hd (Ntt.find_primes ~degree:256 ~bits:28 ~count:1) in
-  let small_plan = Ntt.make_plan ~p:p256 ~degree:256 in
+  let small_plan = Mont_backend.make_plan ~p:p256 ~degree:256 in
   let small_a = Array.init 256 (fun i -> (i * 7) mod p256) in
   let small_b = Array.init 256 (fun i -> (i * 13) mod p256) in
   (* Crypto primitives behind the mixnet figures. *)
   let msg_4k = Bytes.create 4096 in
   let key32 = Rng.bytes rng 32 in
-  let hop_keys = List.init 3 (fun _ -> Rng.bytes rng 32) in
+  let hop_keys = Array.init 3 (fun _ -> Rng.bytes rng 32) in
+  let onion = Bytes.create 4096 in
   let eg_pk, eg_sk = Elgamal.generate rng in
   let eg_ct = Elgamal.encrypt rng eg_pk key32 in
   let leaves = Array.init 256 (fun i -> Bytes.of_string (string_of_int i)) in
   let tree = Merkle.build leaves in
-  let shamir_p = 1073479681 in
+  (* The key-sized ring element a committee rotation re-shares. *)
+  let key_poly = Rq.random_uniform (Bgv.basis ctx) rng in
   let gated cell units = Some (cell, units) in
   [
     ("fig9b/bgv-add", None, fun () -> ignore (Bgv.add ct_a ct_b));
@@ -1092,11 +1091,11 @@ let micro_tests () =
       gated "committee_rotate_ns" 1.,
       fun () -> ignore (Committee.rotate comm rng ~population:16) );
     ("fig9b/bgv-serialize", None, fun () -> ignore (Bgv.serialize ct_a));
-    ("ablation/ntt-mul-1024", None, fun () -> ignore (Ntt.multiply plan poly_a poly_b));
+    ("ablation/ntt-mul-1024", None, ntt_multiply plan 1024 poly_a poly_b);
     ( "ablation/naive-mul-256",
       None,
       fun () -> ignore (Ntt.multiply_naive ~p:p256 small_a small_b) );
-    ("ablation/ntt-mul-256", None, fun () -> ignore (Ntt.multiply small_plan small_a small_b));
+    ("ablation/ntt-mul-256", None, ntt_multiply small_plan 256 small_a small_b);
     ("fig5/sha256-4k", gated "sha256_ns_per_byte" 4096., fun () -> ignore (Sha256.digest msg_4k));
     ( "fig5/chacha20-4k",
       gated "chacha20_ns_per_byte" 4096.,
@@ -1105,7 +1104,9 @@ let micro_tests () =
       gated "poly1305_ns_per_byte" 4096.,
       fun () -> ignore (Poly1305.mac ~key:key32 msg_4k) );
     ("fig5/aead-seal-4k", None, fun () -> ignore (Aead.seal ~key:key32 ~round:1 msg_4k));
-    ("fig5/onion-wrap-3hops", None, fun () -> ignore (Onion.wrap ~hop_keys ~round:1 msg_4k));
+    ( "fig5/onion-wrap-3hops",
+      None,
+      fun () -> Onion.wrap_into ~hop_keys ~round:1 ~inner:msg_4k ~dst:onion ~dst_pos:0 );
     ( "fig5/onion-peel-4k",
       gated "onion_peel_4k_ns" 1.,
       fun () ->
@@ -1116,7 +1117,7 @@ let micro_tests () =
     ("fig9a/merkle-prove", None, fun () -> ignore (Merkle.prove tree 17));
     ( "fig8/shamir-share-c10",
       None,
-      fun () -> ignore (Shamir.share_secret ~p:shamir_p rng ~threshold:4 ~parties:10 123456) );
+      fun () -> ignore (Shamir.share_rq rng ~threshold:4 ~parties:10 key_poly) );
   ]
 
 let () =

@@ -1,107 +1,7 @@
-module Cg = Mycelium_graph.Contact_graph
-module Schema = Mycelium_graph.Schema
-module Analysis = Mycelium_query.Analysis
 module Semantics = Mycelium_query.Semantics
-module Ast = Mycelium_query.Ast
-
-let histogram info graph = Semantics.global_histogram info graph
 
 let run info graph =
-  Semantics.decode info (Array.map float_of_int (histogram info graph))
-
-(* Flooded evaluation: the §4.4 schedule made explicit. Rounds 1..k
-   flood (origin id, origin data, first edge) outward, each vertex
-   remembering its upstream neighbor; rounds k+1..2k fold the per-group
-   (sum, count) partials back up the BFS tree; the origin packs the
-   result. This mirrors exactly what the encrypted engine does, with
-   plaintext integers in place of ciphertexts. *)
-let run_flooded info graph =
-  let k = info.Analysis.query.Ast.hops in
-  let groups = info.Analysis.layout.Analysis.group_count in
-  let ratio = Semantics.is_ratio info in
-  let bins = Array.make info.Analysis.layout.Analysis.total_bins 0 in
-  let n = Cg.population graph in
-  (* meta.(v): origin -> (distance, first_edge, origin_data). *)
-  let meta = Array.init n (fun _ -> Hashtbl.create 8) in
-  let upstream = Array.init n (fun _ -> Hashtbl.create 8) in
-  let frontier = Array.make n [] in
-  let origins =
-    List.filter (fun o -> Semantics.origin_gate info (Cg.vertex graph o)) (List.init n Fun.id)
-  in
-  List.iter
-    (fun o ->
-      Hashtbl.replace meta.(o) o (0, None, Cg.vertex graph o);
-      frontier.(o) <- [ o ])
-    origins;
-  (* Phase 1: k flooding rounds. *)
-  for dist = 1 to k do
-    let next = Array.make n [] in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun o ->
-          let _, first_edge, odata = Hashtbl.find meta.(v) o in
-          List.iter
-            (fun (u, _) ->
-              if not (Hashtbl.mem meta.(u) o) then begin
-                (* The first receiver records the edge it shares with
-                   the origin; everyone further copies it along. *)
-                let fe =
-                  match first_edge with Some e -> Some e | None -> Cg.edge graph u o
-                in
-                Hashtbl.replace meta.(u) o (dist, fe, odata);
-                Hashtbl.replace upstream.(u) o v;
-                next.(u) <- o :: next.(u)
-              end)
-            (Cg.neighbors graph v))
-        frontier.(v)
-    done;
-    Array.blit next 0 frontier 0 n
-  done;
-  (* Every reached vertex evaluates its own row for every origin. *)
-  let partials = Array.init n (fun _ -> Hashtbl.create 8) in
-  for v = 0 to n - 1 do
-    (* lint: allow determinism — per-origin rows write disjoint keys; int
-       sums commute, so iteration order cannot affect the result *)
-    Hashtbl.iter
-      (fun o (_, first_edge, odata) ->
-        let sums = Array.make groups 0 and counts = Array.make groups 0 in
-        let edge = if v = o then None else first_edge in
-        let ctx = { Semantics.self = odata; dest = Cg.vertex graph v; edge } in
-        (match Semantics.accumulation_group info ctx with
-        | Some g when g >= 0 && g < groups ->
-          sums.(g) <- sums.(g) + Semantics.row_value info ctx;
-          if ratio && Semantics.row_passes info ctx then counts.(g) <- counts.(g) + 1
-        | Some _ | None -> ());
-        Hashtbl.replace partials.(v) o (sums, counts))
-      meta.(v)
-  done;
-  (* Phase 2: k aggregation rounds, deepest level first. *)
-  for dist = k downto 1 do
-    for v = 0 to n - 1 do
-      (* lint: allow determinism — each origin accumulates into its own
-         parent entry; integer addition commutes across iteration order *)
-      Hashtbl.iter
-        (fun o (d, _, _) ->
-          if d = dist then
-            match Hashtbl.find_opt upstream.(v) o with
-            | Some parent ->
-              let my_sums, my_counts = Hashtbl.find partials.(v) o in
-              let p_sums, p_counts = Hashtbl.find partials.(parent) o in
-              Array.iteri (fun g s -> p_sums.(g) <- p_sums.(g) + s) my_sums;
-              Array.iteri (fun g c -> p_counts.(g) <- p_counts.(g) + c) my_counts
-            | None -> ())
-        meta.(v)
-    done
-  done;
-  (* Final processing at each origin. *)
-  List.iter
-    (fun o ->
-      let sums, counts = Hashtbl.find partials.(o) o in
-      List.iter
-        (fun e -> bins.(e) <- bins.(e) + 1)
-        (Semantics.pack_exponents info ~self:(Cg.vertex graph o) ~sums ~counts))
-    origins;
-  (bins, 2 * k)
+  Semantics.decode info (Array.map float_of_int (Semantics.global_histogram info graph))
 
 let time_plaintext_query info graph =
   (* lint: allow determinism — wall-clock measurement is this function's

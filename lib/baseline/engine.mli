@@ -1,34 +1,14 @@
 (** The plaintext baseline: evaluates Mycelium queries in the clear,
     the way a trusted aggregator with GraphX would (§7, §2.4's first
-    strawman).
-
-    Two entry points: {!run} evaluates any corpus query exactly via the
-    shared reference semantics (the correctness oracle for the HE
-    engine), and {!run_flooded} executes the same computation as a
-    Pregel vertex program with explicit flooding — demonstrating the
-    §4.4 message structure in the clear and cross-checking the direct
-    evaluation. *)
+    strawman). {!run} evaluates any corpus query exactly via the shared
+    reference semantics, the noise-free answer the encrypted pipeline
+    is checked against. *)
 
 val run :
   Mycelium_query.Analysis.info ->
   Mycelium_graph.Contact_graph.t ->
   Mycelium_query.Semantics.result
 (** Exact, noise-free query answer. *)
-
-val histogram :
-  Mycelium_query.Analysis.info -> Mycelium_graph.Contact_graph.t -> int array
-(** The raw pre-decode bin counts (for equality checks against the HE
-    pipeline). *)
-
-val run_flooded :
-  Mycelium_query.Analysis.info ->
-  Mycelium_graph.Contact_graph.t ->
-  int array * int
-(** Evaluate via the Pregel engine with §4.4's 2k-round
-    flood-then-aggregate schedule; returns (bins, supersteps). Bins
-    equal {!histogram}'s. Only 1-hop queries use plain neighbor
-    messaging; k-hop queries flood query ids with upstream tracking
-    exactly as the paper describes. *)
 
 val time_plaintext_query :
   Mycelium_query.Analysis.info ->

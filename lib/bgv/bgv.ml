@@ -139,12 +139,6 @@ let add a b =
   let ca = pad a.comps n and cb = pad b.comps n in
   { comps = Array.init n (fun i -> Rq.add ca.(i) cb.(i)) }
 
-let add_plain ctx ct pt =
-  let m = plaintext_to_rq ctx pt in
-  let comps = Array.copy ct.comps in
-  comps.(0) <- Rq.add comps.(0) m;
-  { comps }
-
 let sub_plain ctx ct pt =
   let m = plaintext_to_rq ctx pt in
   let comps = Array.copy ct.comps in

@@ -36,6 +36,7 @@ type public_key
 type relin_key
 (** Key-switching keys for s^2 .. s^max; built by {!relin_keygen}. *)
 
+(* lint: allow unused-export — test_bgv reads the key's size back *)
 val relin_key_pairs : relin_key -> int
 (** Key pairs held: (max_degree - 1) x L, one per power of s and per
     prime of the basis. *)
@@ -69,7 +70,6 @@ val degree : ciphertext -> int
 val components : ciphertext -> Rq.t array
 
 val add : ciphertext -> ciphertext -> ciphertext
-val add_plain : ctx -> ciphertext -> Plaintext.t -> ciphertext
 val sub_plain : ctx -> ciphertext -> Plaintext.t -> ciphertext
 val mul : ciphertext -> ciphertext -> ciphertext
 val mul_plain : ctx -> ciphertext -> Plaintext.t -> ciphertext
@@ -90,6 +90,8 @@ val relinearize : ctx -> relin_key -> ciphertext -> ciphertext
     above the larger of the noise before and that bound.
     Raises [Invalid_argument] when D exceeds the key's degree. *)
 
+(* lint: allow unused-export — test_bgv measures the noise left in a
+   ciphertext with the secret key *)
 val noise_budget : ctx -> secret_key -> ciphertext -> int
 (** Exact remaining noise budget in bits, measured with the secret key:
     positive means decryption is correct. *)

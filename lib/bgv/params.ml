@@ -12,9 +12,6 @@ let test_small =
 let test_medium =
   { degree = 1024; plain_modulus = 65537; prime_bits = 28; levels = 8; error_eta = 2 }
 
-let test_wide =
-  { degree = 4096; plain_modulus = 65537; prime_bits = 30; levels = 16; error_eta = 2 }
-
 let paper =
   { degree = 32768; plain_modulus = 1 lsl 30; prime_bits = 30; levels = 19; error_eta = 2 }
 

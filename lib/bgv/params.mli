@@ -22,10 +22,6 @@ val test_small : t
 val test_medium : t
 (** N=1024, deeper modulus: multi-hop aggregation tests. *)
 
-val test_wide : t
-(** N=4096 with a 16-prime modulus: supports products of ~10
-    ciphertexts, the degree bound d of Figure 4. *)
-
 val paper : t
 (** N=32768, 19 30-bit primes (~550-bit q), t=2^30: the paper's
     parameter set. Too heavy for unit tests, but runnable end-to-end:

@@ -34,17 +34,3 @@ let equal a b =
   let n = max (Array.length a.c) (Array.length b.c) in
   let rec go i = i >= n || (Int.equal (coeff a i) (coeff b i) && go (i + 1)) in
   go 0
-
-let pp fmt t =
-  Format.fprintf fmt "[";
-  let printed = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v <> 0 && !printed < 12 then begin
-        if !printed > 0 then Format.fprintf fmt " + ";
-        if v = 1 then Format.fprintf fmt "x^%d" i else Format.fprintf fmt "%d*x^%d" v i;
-        incr printed
-      end)
-    t.c;
-  if !printed = 0 then Format.fprintf fmt "0";
-  Format.fprintf fmt "]"

@@ -29,5 +29,6 @@ val is_monomial : t -> (int * int) option
     [None] otherwise (the all-zero plaintext is [Some (0, 0)]...
     no: all-zero returns [None]). Used by the well-formedness ZKP. *)
 
+(* lint: allow unused-export — only tests compare plaintexts (test_bgv,
+   test_core, test_secrets) *)
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,11 @@
 (** Committee lifecycle (§4.2, §5): a genesis committee generates the
     BGV keys once and Shamir-shares the decryption key; each query is
     then decrypted by a randomly drawn committee of user devices, and
-    ownership of the key moves committee-to-committee by verifiable
-    secret redistribution — Orchard's per-query key generation is gone
-    (Mycelium's second modification to Orchard).
+    ownership of the key moves committee-to-committee by secret
+    redistribution — Orchard's per-query key generation is gone
+    (Mycelium's second modification to Orchard). The paper verifies
+    each hand-off (VSR); this one is unverified ({!Mycelium_secrets.Vsr},
+    DESIGN.md §2).
 
     Decryption adds the differential-privacy noise *inside* the MPC,
     before anything reaches the aggregator. *)
@@ -12,6 +14,7 @@
 type t
 
 val committee_size : t -> int
+(* lint: allow unused-export — test_core reads the drawn member ids back *)
 val members : t -> int array
 (** Device ids of the current committee. *)
 
@@ -101,6 +104,8 @@ val decrypt_and_release :
     noise (per histogram bin for HISTO; per group sum for GSUM) drawn
     from [rng] after recruitment and decryption, and release. *)
 
+(* lint: allow unused-export — test_core rebuilds the key from the
+   committee's shares, which only this module holds *)
 val reconstruct_for_tests : t -> Mycelium_bgv.Bgv.ctx -> Mycelium_bgv.Bgv.secret_key
 (** Rebuild the secret key from shares — the committee-capture failure
     mode, available so tests can compare against direct decryption. *)

@@ -47,7 +47,8 @@ let orchard_per_query_key_bytes ~n = n *. public_key_bytes
 
 let mycelium_per_query_key_bytes ~committee =
   (* Each of the t+1 dealers sends every new member a sub-share of the
-     key polynomial (one ring element of residues, ~half a ciphertext)
-     plus batched Feldman commitments (negligible beside it). *)
+     key polynomial (one ring element of residues, ~half a ciphertext).
+     The paper's VSR adds batched Feldman commitments, negligible beside
+     it; this reproduction's hand-off sends none (DESIGN.md §2). *)
   let dealers = float_of_int ((committee / 2) + 1) in
   dealers *. float_of_int committee *. (Defaults.ciphertext_bytes /. 2.)

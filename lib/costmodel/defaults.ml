@@ -25,10 +25,6 @@ let paper =
 
 let ciphertext_bytes = float_of_int (Params.ciphertext_bytes Params.paper ~degree:1)
 
-let ciphertexts_per_query id =
-  (Analysis.analyze_exn ~degree_bound:paper.degree (Corpus.find id).Corpus.query)
-    .Analysis.ciphertext_count
-
 let pp fmt t =
   Format.fprintf fmt
     "N=%.2g devices, k=%d hops, r=%d replicas, f=%.2f forwarders, c=%d committee, d=%d degree bound, %.1f%% malicious"

@@ -17,7 +17,4 @@ val ciphertext_bytes : float
 (** Size of one degree-1 ciphertext at the paper's BGV parameters
     (~4.5 MB; the paper reports 4.3 MB). *)
 
-val ciphertexts_per_query : string -> int
-(** Figure 6's Cq for a corpus query id. *)
-
 val pp : Format.formatter -> t -> unit

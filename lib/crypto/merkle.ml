@@ -53,7 +53,6 @@ let build_hashed hashes =
 let build leaves = build_hashed (Array.map leaf_hash leaves)
 
 let root t = t.levels.(Array.length t.levels - 1).(0)
-let leaf_count t = t.n_leaves
 let depth t = Array.length t.levels - 1
 
 let prove t index =

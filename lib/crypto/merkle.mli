@@ -28,8 +28,6 @@ val build_hashed : bytes array -> tree
     and build from the hashes, skipping the per-leaf copies. *)
 
 val root : tree -> bytes
-val leaf_count : tree -> int
-val depth : tree -> int
 
 val prove : tree -> int -> proof
 (** Inclusion proof for the leaf at the given index. *)

@@ -24,15 +24,6 @@ let release_sum rng ~sensitivity ~epsilon v = v +. laplace_noise rng ~sensitivit
 
 type accounting = Basic | Advanced of { delta : float }
 
-let composed_epsilon accounting epsilons =
-  match accounting with
-  | Basic -> List.fold_left ( +. ) 0. epsilons
-  | Advanced { delta } ->
-    if delta <= 0. || delta >= 1. then invalid_arg "Dp: delta must be in (0,1)";
-    let sum_sq = List.fold_left (fun acc e -> acc +. (e *. e)) 0. epsilons in
-    let linear = List.fold_left (fun acc e -> acc +. (e *. (exp e -. 1.))) 0. epsilons in
-    sqrt (2. *. log (1. /. delta) *. sum_sq) +. linear
-
 (* The accountant keeps running sums so a charge is O(1) regardless of
    how many queries came before, and serializes chargers behind a mutex
    so concurrent admission (the serving layer's accountant fans charges

@@ -18,9 +18,6 @@ val histo_sensitivity : neighborhood_bound:int -> sensitivity
 val gsum_sensitivity : clip_lo:float -> clip_hi:float -> neighborhood_bound:int -> sensitivity
 (** Clipping-range width times the influence bound. *)
 
-val laplace_noise : Mycelium_util.Rng.t -> sensitivity:sensitivity -> epsilon:float -> float
-(** One draw of Lap(sensitivity / epsilon). *)
-
 val release_histogram :
   Mycelium_util.Rng.t ->
   sensitivity:sensitivity ->
@@ -65,7 +62,3 @@ val budget_charge : budget -> float -> (unit, [ `Exhausted of float ]) result
     acquisition. Raises [Invalid_argument] unless [eps > 0.], so NaN,
     zero and negative values are never admitted; the query entry
     points refuse them before they get here. *)
-
-val composed_epsilon : accounting -> float list -> float
-(** Total privacy loss of a list of per-query epsilons under the given
-    accountant (exposed for tests and reporting). *)

@@ -59,17 +59,6 @@ let is_none t =
   && (match t.crashed_committee with [] -> true | _ :: _ -> false)
   && t.aggregator_restarts = 0
 
-let equal a b =
-  Int64.equal a.seed b.seed
-  && Float.equal a.drop_rate b.drop_rate
-  && Int.equal a.max_send_attempts b.max_send_attempts
-  && Float.equal a.delay_rate b.delay_rate
-  && Int.equal a.max_delay_rounds b.max_delay_rounds
-  && Float.equal a.churn_rate b.churn_rate
-  && List.equal Int.equal a.crashed_committee b.crashed_committee
-  && Float.equal a.forge_rate b.forge_rate
-  && Int.equal a.aggregator_restarts b.aggregator_restarts
-
 (* 53 uniform bits of the decision key as a float in [0, 1). *)
 let chance k = Int64.to_float (Int64.shift_right_logical k 11) *. 0x1.0p-53
 
@@ -98,12 +87,6 @@ let backoff_units t ~attempts =
   (* attempts - 1 failed tries slept 1, 2, 4, ... base-delay units. *)
   let rec go i acc = if i >= attempts then acc else go (i + 1) (acc + (1 lsl (i - 1))) in
   if attempts <= 1 then 0 else go 1 0
-
-let churned_devices t ~n =
-  List.filter (fun d -> device_churned t ~device:d) (List.init n Fun.id)
-
-let forging_devices t ~n =
-  List.filter (fun d -> contribution_forged t ~device:d) (List.init n Fun.id)
 
 let crashed_members t ~size =
   List.sort_uniq Int.compare (List.filter (fun m -> m >= 0 && m < size) t.crashed_committee)

@@ -70,10 +70,6 @@ val make :
 val is_none : t -> bool
 (** No fault of any class can fire under this plan. *)
 
-val equal : t -> t -> bool
-(** Field-wise equality (floats compare with [Float.equal]); equal
-    plans inject identical fault sets. *)
-
 (** {2 Stateless decisions}
 
     Coordinates identify the event, not the call site: the same
@@ -102,12 +98,6 @@ val backoff_units : t -> attempts:int -> int
     attempts (1 + 2 + 4 + ...). 0 when the first attempt succeeded. *)
 
 (** {2 Expected fault sets — for checking degradation reports} *)
-
-val churned_devices : t -> n:int -> int list
-(** Devices in [0, n) that [device_churned] marks offline. *)
-
-val forging_devices : t -> n:int -> int list
-(** Devices in [0, n) that forge, excluding churned ones. *)
 
 val crashed_members : t -> size:int -> int list
 (** [crashed_committee] clamped to valid indices, deduplicated,

@@ -46,17 +46,6 @@ let empty_report =
 
 let report_equal a b = a = b
 
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<hov 2>degradation{substituted=%d;@ dropped=%d;@ delayed=%d;@ retries=%d;@ \
-     backoff=%d;@ excluded-committee=%d;@ forged-rejected=%d;@ restarts=%d;@ \
-     decryption-attempts=%d}@]"
-    r.substituted_contributions r.dropped_messages r.delayed_messages r.channel_retries
-    r.backoff_units r.excluded_committee_members r.forged_rejected r.aggregator_restarts
-    r.decryption_attempts
-
-let report_to_string r = Format.asprintf "%a" pp_report r
-
 (* Note a fault event and signal the recorder's post-mortem latch. *)
 let recorded kind detail =
   Obs.Recorder.note ~detail kind;

@@ -29,11 +29,7 @@ type report = {
           (0 until decryption runs; 1 = first try succeeded) *)
 }
 
-val empty_report : report
-(** All counters zero: what a fault-free run reports. *)
-
 val report_equal : report -> report -> bool
-val report_to_string : report -> string
 
 (* lint: allow interface — an injector wraps a mutable degradation report; only identity comparison makes sense *)
 type t

@@ -227,7 +227,3 @@ let spanning_parents t origin ~k =
   done;
   parent
 
-let fold_vertices t ~init ~f =
-  let acc = ref init in
-  Array.iteri (fun i v -> acc := f !acc i v) t.vertices;
-  !acc

@@ -35,10 +35,11 @@ val neighbors : t -> int -> (int * Schema.edge_data) list
 
 val edge : t -> int -> int -> Schema.edge_data option
 
-val degree : t -> int -> int
 val max_degree : t -> int
 val edge_count : t -> int
 
+(* lint: allow unused-export — test_core and test_query build their
+   hand-drawn fixture graphs with it; it writes the adjacency directly *)
 val of_edges :
   degree_bound:int ->
   ?horizon_days:int ->
@@ -68,4 +69,3 @@ val spanning_parents : t -> int -> k:int -> (int, int) Hashtbl.t
 (** For each vertex in the k-hop neighborhood, its upstream neighbor on
     the BFS tree ("the upstream neighbor", §4.4). *)
 
-val fold_vertices : t -> init:'a -> f:('a -> int -> Schema.vertex_data -> 'a) -> 'a

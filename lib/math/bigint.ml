@@ -40,10 +40,8 @@ let of_int v =
   end
 
 let one = of_int 1
-let two = of_int 2
 
 let sign t = t.sign
-let is_zero t = t.sign = 0
 
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -59,8 +57,6 @@ let compare a b =
   else compare_mag b.mag a.mag
 
 (* lint: allow poly-compare — Bigint's own typed compare, shadowing Stdlib's *)
-let equal a b = compare a b = 0
-
 let neg t = if t.sign = 0 then t else { t with sign = -t.sign }
 let abs t = if t.sign < 0 then neg t else t
 
@@ -147,20 +143,6 @@ let num_bits t =
 let testbit t i =
   let limb = i / limb_bits and off = i mod limb_bits in
   limb < Array.length t.mag && (t.mag.(limb) lsr off) land 1 = 1
-
-let shift_left t k =
-  if t.sign = 0 || k = 0 then t
-  else begin
-    let limbs = k / limb_bits and bits = k mod limb_bits in
-    let n = Array.length t.mag in
-    let out = Array.make (n + limbs + 1) 0 in
-    for i = 0 to n - 1 do
-      let v = t.mag.(i) lsl bits in
-      out.(i + limbs) <- out.(i + limbs) lor (v land limb_mask);
-      out.(i + limbs + 1) <- v lsr limb_bits
-    done;
-    normalize t.sign out
-  end
 
 let shift_right t k =
   if t.sign = 0 || k = 0 then t
@@ -314,14 +296,6 @@ let to_int t =
   | Some v -> v
   | None -> failwith "Bigint.to_int: value too large"
 
-let pow b e =
-  if e < 0 then invalid_arg "Bigint.pow: negative exponent";
-  let rec go acc b e =
-    if e = 0 then acc
-    else go (if e land 1 = 1 then mul acc b else acc) (mul b b) (e lsr 1)
-  in
-  go one b e
-
 let mod_pow base_v e m =
   if m.sign <= 0 then invalid_arg "Bigint.mod_pow: modulus must be positive";
   if e.sign < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
@@ -332,72 +306,6 @@ let mod_pow base_v e m =
     b := erem (mul !b !b) m
   done;
   !result
-
-let rec gcd a b = if is_zero b then abs a else gcd b (rem a b)
-
-let mod_inv a m =
-  (* Extended Euclid on (a mod m, m). *)
-  let rec go old_r r old_s s =
-    if is_zero r then (old_r, old_s) else begin
-      let q = div old_r r in
-      go r (sub old_r (mul q r)) s (sub old_s (mul q s))
-    end
-  in
-  let g, x = go (erem a m) m one zero in
-  if not (equal g one) then invalid_arg "Bigint.mod_inv: not invertible";
-  erem x m
-
-let of_string s =
-  let neg_sign = String.length s > 0 && s.[0] = '-' in
-  let start = if neg_sign || (String.length s > 0 && s.[0] = '+') then 1 else 0 in
-  if String.length s = start then invalid_arg "Bigint.of_string: empty";
-  let acc = ref zero in
-  let chunk = ref 0 and chunk_len = ref 0 in
-  let flush () =
-    if !chunk_len > 0 then begin
-      let scale = int_of_float (10. ** float_of_int !chunk_len) in
-      acc := add (mul_int !acc scale) (of_int !chunk);
-      chunk := 0;
-      chunk_len := 0
-    end
-  in
-  String.iteri
-    (fun i c ->
-      if i >= start then begin
-        match c with
-        | '0' .. '9' ->
-          chunk := (!chunk * 10) + (Char.code c - Char.code '0');
-          incr chunk_len;
-          if !chunk_len = 9 then flush ()
-        | '_' -> ()
-        | _ -> invalid_arg "Bigint.of_string: bad digit"
-      end)
-    s;
-  flush ();
-  if neg_sign then neg !acc else !acc
-
-let to_string t =
-  if is_zero t then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let chunks = ref [] in
-    let billion = of_int 1_000_000_000 in
-    let rec go v =
-      if not (is_zero v) then begin
-        let q, r = divmod v billion in
-        chunks := to_int r :: !chunks;
-        go q
-      end
-    in
-    go (abs t);
-    if t.sign < 0 then Buffer.add_char buf '-';
-    (match !chunks with
-    | [] -> ()
-    | first :: rest ->
-      Buffer.add_string buf (string_of_int first);
-      List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
-    Buffer.contents buf
-  end
 
 let of_bytes_be b =
   let acc = ref zero in
@@ -443,66 +351,3 @@ let random rng bound =
     if compare v bound < 0 then v else draw ()
   in
   draw ()
-
-let random_bits rng bits =
-  if bits <= 0 then invalid_arg "Bigint.random_bits";
-  let v = random rng (shift_left one (bits - 1)) in
-  add v (shift_left one (bits - 1))
-
-let small_primes =
-  [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61; 67; 71; 73; 79; 83; 89; 97 ]
-
-let is_probable_prime ?(rounds = 24) rng n =
-  if n.sign <= 0 then false
-  else
-    match to_int_opt n with
-    | Some v when v < 1 lsl 31 -> Modarith.is_prime v
-    | _ ->
-      let has_small_factor =
-        List.exists (fun p -> is_zero (rem n (of_int p))) small_primes
-      in
-      if has_small_factor then false
-      else begin
-        let n1 = sub n one in
-        let r = ref 0 and d = ref n1 in
-        while not (testbit !d 0) do
-          d := shift_right !d 1;
-          incr r
-        done;
-        let witness a =
-          let x = ref (mod_pow a !d n) in
-          if equal !x one || equal !x n1 then false
-          else begin
-            let composite = ref true in
-            (try
-               for _ = 1 to !r - 1 do
-                 x := erem (mul !x !x) n;
-                 if equal !x n1 then begin
-                   composite := false;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            !composite
-          end
-        in
-        let rec rounds_left k =
-          if k = 0 then true
-          else begin
-            let a = add (random rng (sub n (of_int 3))) two in
-            if witness a then false else rounds_left (k - 1)
-          end
-        in
-        rounds_left rounds
-      end
-
-let random_prime rng ~bits =
-  let rec try_candidate () =
-    let c = random_bits rng bits in
-    (* Force odd. *)
-    let c = if testbit c 0 then c else add c one in
-    if Int.equal (num_bits c) bits && is_probable_prime rng c then c else try_candidate ()
-  in
-  try_candidate ()
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

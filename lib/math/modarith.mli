@@ -31,10 +31,6 @@ val is_prime : int -> bool
 (** Deterministic Miller–Rabin, valid for all [n < 3.3e24] (we use it
     for word-sized candidates only). *)
 
-val primitive_root : int -> int
-(** A generator of the multiplicative group of the prime field [p].
-    Requires [p] prime. *)
-
 val nth_root_of_unity : int -> int -> int
 (** [nth_root_of_unity p n] is an element of exact order [n] in
     [(Z/p)^*]. Requires [n] divides [p - 1]. *)

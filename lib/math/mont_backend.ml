@@ -1,8 +1,7 @@
 (* Montgomery Bigarray NTT kernels: the ring kernels behind Rq.
 
-   Same negacyclic transform as Ntt (identical twiddle tables via
-   Ntt.tables, so final results are bit-identical), but engineered for
-   throughput on the critical path:
+   The negacyclic transform over the twiddle tables of Ntt.tables,
+   engineered for throughput on the critical path:
 
    - Montgomery reduction with R = 2^62 instead of Shoup quotients;
      twiddles are stored in the Montgomery domain (w*R mod p), so the
@@ -14,14 +13,14 @@
      conditional subtraction is branchless (sign-mask arithmetic), so
      the butterflies contain no data-dependent branches at all.
      Canonicalisation to [0, p) is fused into the copy-out (forward)
-     and n^-1 scaling (inverse) passes, which restores exactly the
-     outputs of Ntt's Shoup kernels.
+     and n^-1 scaling (inverse) passes, so every output is the
+     canonical residue (test_ringops pins them with known answers).
    - A flat unboxed Bigarray workspace per domain with unchecked
      accesses.
 
    The hand-inlined lazy Montgomery product of x < 4p by a
    Montgomery-domain constant wm < p is (p < 2^30 keeps every
-   intermediate inside a 63-bit int; see Montarith.reduce and
+   intermediate inside a 63-bit int; see Montarith's REDC and
    DESIGN.md §11 for the carry argument):
      t  = x * wm                          < 4p*p < 2^62
      m  = t * (-p^-1)  mod 2^62
@@ -47,10 +46,8 @@ type plan = {
   n_inv_m : int;
 }
 
-let available ~p = Montarith.supports p
-
 let make_plan ~p ~degree =
-  if not (available ~p) then
+  if not (Montarith.supports p) then
     invalid_arg "Mont_backend.make_plan: modulus must be odd and in (2, 2^30)";
   let tb = Ntt.tables ~p ~degree in
   let mc = Montarith.precompute p in

@@ -1,35 +1,47 @@
 (** Montgomery Bigarray NTT kernels: the ring kernels every {!Rns}
     basis runs on.
 
-    Computes exactly the same negacyclic transform as {!Ntt} — both
-    read the tables from {!Ntt.tables} — but with Montgomery-domain
-    twiddles (radix R = 2^62, see {!Montarith}), radix-4 butterflies
-    (two radix-2 stages fused per memory pass) and unchecked accesses
-    into a flat unboxed [Bigarray] workspace held per domain.  Every
-    butterfly output is canonically reduced, so results are
-    bit-identical to {!Ntt}'s Shoup kernels, the test reference; only
-    throughput differs.
+    The negacyclic transform over the tables of {!Ntt.tables}, with
+    Montgomery-domain twiddles (radix R = 2^62, see {!Montarith}),
+    radix-4 butterflies (two radix-2 stages fused per memory pass) and
+    unchecked accesses into a flat unboxed [Bigarray] workspace held
+    per domain. Every butterfly output is canonically reduced to
+    [\[0, p)].
 
     Callers normally reach this through {!Rq}. *)
 
 type plan
 (** Montgomery-domain twiddle tables for one (p, N) pair. *)
 
-val available : p:int -> bool
-(** Montgomery reduction here requires an odd modulus below 2^30
-    (the bound that keeps every intermediate inside a 63-bit [int]);
-    30-bit NTT primes from {!Ntt.find_primes} always qualify. *)
-
 val make_plan : p:int -> degree:int -> plan
-(** Same preconditions as {!Ntt.make_plan}, plus [available ~p]. *)
-
-(** Entry points with the same contracts as their {!Ntt} namesakes
-    ([src == dst] allowed; [dst] may alias an input in
-    [pointwise_into]; [src] left intact otherwise). *)
+(** Tables for the ring Z_p[x]/(x^degree + 1). [degree] must be a power
+    of two and [p = 1 (mod 2*degree)]; Montgomery reduction here also
+    requires an odd modulus below 2^30 (the bound that keeps every
+    intermediate inside a 63-bit [int]), which 30-bit NTT primes from
+    {!Ntt.find_primes} always satisfy. Raises [Invalid_argument]
+    otherwise. *)
 
 val forward : plan -> int array -> unit
+(** In-place forward negacyclic NTT of a length-[degree] coefficient
+    array with entries in [\[0, p)]; afterwards the array holds the
+    evaluation-domain representation. *)
+
 val inverse : plan -> int array -> unit
+(** In-place inverse transform; [inverse plan (forward plan a)] restores
+    [a]. *)
+
 val forward_into : plan -> src:int array -> dst:int array -> unit
+(** Forward transform reading [src] and writing [dst]; [src] is left
+    intact ([src == dst] is allowed and is the in-place transform). *)
+
 val inverse_into : plan -> src:int array -> dst:int array -> unit
+(** Inverse counterpart of {!forward_into}. *)
+
 val pointwise_into : plan -> dst:int array -> int array -> int array -> unit
+(** Coordinate-wise product of two evaluation-domain arrays into [dst]
+    ([dst] may alias an input): the whole cost of a ring multiplication
+    once both operands are resident in the evaluation domain. *)
+
 val pointwise_acc : plan -> acc:int array -> int array -> int array -> unit
+(** [acc.(i) <- acc.(i) + a.(i)*b.(i) mod p]: fused multiply-accumulate
+    for convolution cross terms (dot products of component slices). *)

@@ -15,14 +15,11 @@ type ctx = {
   p : int;
   (* -p^-1 mod 2^62: the Montgomery companion constant. *)
   neg_p_inv : int;
-  (* R mod p and R^2 mod p, for moving values into the domain. *)
-  r_mod_p : int;
+  (* R^2 mod p, for moving values into the domain. *)
   r2_mod_p : int;
 }
 
 let neg_p_inv c = c.neg_p_inv
-let r_mod_p c = c.r_mod_p
-let r2_mod_p c = c.r2_mod_p
 
 let supports p = p > 2 && p land 1 = 1 && p < 1 lsl 30
 
@@ -39,7 +36,7 @@ let precompute p =
   let p_inv = !x in
   let neg_p_inv = (0 - p_inv) land mask62 in
   let r_mod_p = Modarith.pow p 2 r_bits in
-  { p; neg_p_inv; r_mod_p; r2_mod_p = Modarith.mul p r_mod_p r_mod_p }
+  { p; neg_p_inv; r2_mod_p = Modarith.mul p r_mod_p r_mod_p }
 
 (* REDC: t -> t * R^-1 mod p for any t in [0, 2^62).  With
    m = t * (-p^-1) mod 2^62, the sum t + m*p is divisible by 2^62 and
@@ -65,4 +62,3 @@ let mul c x y =
   reduce c (x * y)
 
 let to_mont c x = mul c x c.r2_mod_p
-let of_mont c x = reduce c x

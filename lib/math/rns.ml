@@ -180,5 +180,3 @@ let centered_mod_rows t ~modulus rows =
     end
   done;
   out
-
-let of_int t x = Array.map (fun p -> Modarith.reduce p x) t.primes

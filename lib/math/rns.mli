@@ -18,15 +18,11 @@ val equal : t -> t -> bool
     bases share all derived constants, so elements may move freely
     between them. *)
 
-val make : primes:int list -> degree:int -> t
-(** Build a basis. Every prime must satisfy [p = 1 (mod 2*degree)], be
-    odd and below 2^30 (the Montgomery kernels' bound, see
-    {!Mont_backend.available}), and be pairwise distinct. Raises
-    [Invalid_argument] otherwise. *)
-
 val standard : degree:int -> prime_bits:int -> levels:int -> t
-(** Convenience: pick [levels] NTT-friendly primes of [prime_bits] bits
-    via {!Ntt.find_primes}. [prime_bits <= 30]. *)
+(** The basis of [levels] NTT-friendly primes of [prime_bits] bits,
+    picked by {!Ntt.find_primes}. Every prime must be odd and below
+    2^30 (the Montgomery kernels' bound, see {!Mont_backend.make_plan}),
+    so [prime_bits <= 30]; raises [Invalid_argument] otherwise. *)
 
 val primes : t -> int array
 val plans : t -> Mont_backend.plan array
@@ -57,6 +53,3 @@ val centered_mod_rows : t -> modulus:int -> int array array -> int array
     2^61 for a modulus up to 2^30, and inside a native int below 2^31.
     Requires [2 <= modulus < 2^31]; raises [Invalid_argument]
     otherwise or on a matrix of the wrong shape. *)
-
-val of_int : t -> int -> int array
-(** Project a signed machine integer (fast path). *)

@@ -100,20 +100,6 @@ let of_centered_coeffs basis coeffs =
   in
   { basis; st = { repr = Coeff; rows } }
 
-let constant basis v = of_centered_coeffs basis [| v |]
-
-let one basis = constant basis 1
-
-let monomial basis ~coeff ~exponent =
-  let n = Rns.degree basis in
-  if exponent < 0 then invalid_arg "Rq.monomial: negative exponent";
-  (* x^N = -1, so reduce the exponent mod 2N with a sign flip. *)
-  let e = exponent mod (2 * n) in
-  let e, coeff = if e >= n then (e - n, -coeff) else (e, coeff) in
-  let coeffs = Array.make (e + 1) 0 in
-  coeffs.(e) <- coeff;
-  of_centered_coeffs basis coeffs
-
 let residues t = t.st.rows
 
 let of_residues ?(repr = Coeff) basis rows =

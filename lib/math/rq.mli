@@ -26,15 +26,12 @@ val force_eval : t -> unit
     there). Use before sharing a value across parallel tasks so no two
     tasks race to convert it. *)
 
+(* lint: allow unused-export — test_ringops, test_math and test_bgv read
+   coefficient-domain rows through it; the program converts lazily *)
 val force_coeff : t -> unit
 (** Convert to the coefficient domain in place. *)
 
 val zero : Rns.t -> t
-val one : Rns.t -> t
-
-val monomial : Rns.t -> coeff:int -> exponent:int -> t
-(** [monomial basis ~coeff ~exponent] is [coeff * x^exponent]; the
-    exponent is reduced negacyclically ([x^N = -1]). *)
 
 val of_centered_coeffs : Rns.t -> int array -> t
 (** Lift an array of signed machine-int coefficients (length <= N,
@@ -70,6 +67,8 @@ val of_residues : ?repr:repr -> Rns.t -> int array array -> t
 (** Adopt per-prime rows (copied), tagged with the domain they are in
     ([Coeff] by default). Lengths must match the basis. *)
 
+(* lint: allow unused-export — only tests compare ring elements
+   (test_math, test_ringops, test_secrets) *)
 val equal : t -> t -> bool
 (** Mathematical equality: a mixed-representation pair is normalised
     to a common domain (forcing both operands to [Eval]) and the limb

@@ -30,12 +30,6 @@ let post t ~author payload =
 
 let length t = t.n
 
-let get t seq = List.find_opt (fun e -> e.seq = seq) t.log
-
-let entries_since t n = List.rev (List.filter (fun e -> e.seq >= n) t.log)
-
-let find t ~f = List.find_opt f t.log
-
 let verify_chain t =
   let rec go = function
     | [] -> true

@@ -22,14 +22,7 @@ val post : t -> author:string -> bytes -> entry
 (** Append and return the new entry. *)
 
 val length : t -> int
-val get : t -> int -> entry option
 val head_hash : t -> bytes
-
-val entries_since : t -> int -> entry list
-(** All entries with [seq >= n], oldest first. *)
-
-val find : t -> f:(entry -> bool) -> entry option
-(** Most recent entry satisfying [f]. *)
 
 val verify_chain : t -> bool
 (** Recompute the hash chain; false if the log was tampered with. *)

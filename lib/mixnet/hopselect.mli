@@ -18,11 +18,9 @@ val rank : beacon:bytes -> int -> int array
     increasing order of H(x || B), equal hashes in increasing x.  One
     SHA-256 per pseudonym. *)
 
-val draw : Mycelium_util.Rng.t -> int array -> width:int -> hop:int -> int
-(** [draw rng ranks ~width ~hop] is the pseudonym at a uniform rank of
-    hop [hop]'s slice [\[(hop-1)*width, hop*width)], as a device
-    building a path picks it: one [Rng.int rng width]. *)
-
 val draw_path :
   Mycelium_util.Rng.t -> int array -> width:int -> hops:int -> int array
-(** One {!draw} per hop slot 1..hops, in order. *)
+(** [draw_path rng ranks ~width ~hops] picks hops 1..[hops] in order,
+    as a device building a path does: hop [i] is the pseudonym at a
+    uniform rank of its slice [\[(i-1)*width, i*width)], one
+    [Rng.int rng width] each. *)

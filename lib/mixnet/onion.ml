@@ -10,32 +10,18 @@ let open_inner ~key ~round ct = Aead.open_ ~key ~round ct
 
 let inner_overhead = Aead.overhead
 
-let add_layer ~key ~round msg =
-  Chacha20.encrypt ~key ~nonce:(Chacha20.nonce_of_round round) msg
-
-let peel_layer = add_layer (* XOR stream: involutive *)
-
 let peel_into ~key ~round ~src ~src_pos ~dst ~dst_pos len =
   Chacha20.xor_into ~key ~nonce:(Chacha20.nonce_of_round round) ~src ~src_pos ~dst
     ~dst_pos len
 
-let wrap ~hop_keys ~round inner =
-  (* The first hop peels first, so its layer goes on last. *)
-  List.fold_left (fun acc key -> add_layer ~key ~round acc) inner (List.rev hop_keys)
-
 let wrap_into ~hop_keys ~round ~inner ~dst ~dst_pos =
-  (* Same layering as [wrap] but into a caller-provided slice: copy the
-     inner ciphertext once, then XOR each layer in place (the stream
-     kernel is aliasing-safe). *)
+  (* Copy the inner ciphertext once, then XOR each layer in place (the
+     stream kernel is aliasing-safe).  The first hop peels first, so its
+     layer goes on last. *)
   let len = Bytes.length inner in
   Bytes.blit inner 0 dst dst_pos len;
   for i = Array.length hop_keys - 1 downto 0 do
     peel_into ~key:hop_keys.(i) ~round ~src:dst ~src_pos:dst_pos ~dst ~dst_pos len
   done
-
-let unwrap ~hop_keys ~round ct =
-  List.fold_left (fun acc key -> peel_layer ~key ~round acc) ct hop_keys
-
-let dummy rng ~length = Rng.bytes rng length
 
 let dummy_into rng ~dst ~dst_pos ~length = Rng.fill rng dst ~pos:dst_pos ~len:length

@@ -18,35 +18,21 @@ val open_inner : key:bytes -> round:int -> bytes -> bytes option
 
 val inner_overhead : int
 
-val add_layer : key:bytes -> round:int -> bytes -> bytes
-(** One SEnc layer (length-preserving). *)
-
-val peel_layer : key:bytes -> round:int -> bytes -> bytes
-(** Inverse of {!add_layer} under the same key and round. *)
-
 val peel_into :
   key:bytes -> round:int -> src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> int -> unit
-(** Allocation-free {!peel_layer} (equally, {!add_layer}) over byte
-    ranges; [src] and [dst] may alias at the same offset. The arena
-    simulator peels each forwarded message from the previous round's
-    body arena straight into the next round's. *)
-
-val wrap : hop_keys:bytes list -> round:int -> bytes -> bytes
-(** [wrap ~hop_keys ~round inner] applies layers so that the first key
-    in the list peels first (the first hop). *)
+(** Remove (equally, add: the stream cipher is an XOR) one SEnc layer
+    of a byte range, without allocating; [src] and [dst] may alias at
+    the same offset. The arena simulator peels each forwarded message
+    from the previous round's body arena straight into the next
+    round's. *)
 
 val wrap_into :
   hop_keys:bytes array -> round:int -> inner:bytes -> dst:Bytes.t -> dst_pos:int -> unit
-(** [wrap] written into a caller-provided slice of length
-    [Bytes.length inner]: one blit plus per-layer in-place XOR, no
-    intermediate onions. [hop_keys.(0)] peels first, as in {!wrap}. *)
-
-val unwrap : hop_keys:bytes list -> round:int -> bytes -> bytes
-(** Peels all layers in order; for tests and reverse-path handling. *)
-
-val dummy : Mycelium_util.Rng.t -> length:int -> bytes
-(** A uniformly random string of the given length: what a forwarder
-    uploads in place of a missing message. *)
+(** [wrap_into ~hop_keys ~round ~inner ~dst ~dst_pos] writes the onion
+    of [inner] into a caller-provided slice of length
+    [Bytes.length inner]: one blit plus per-layer in-place XOR, layered
+    so that [hop_keys.(0)] peels first (the first hop). *)
 
 val dummy_into : Mycelium_util.Rng.t -> dst:Bytes.t -> dst_pos:int -> length:int -> unit
-(** {!dummy} written into a slice; draws the identical Rng stream. *)
+(** A uniformly random string of the given length written into a
+    slice: what a forwarder uploads in place of a missing message. *)

@@ -89,6 +89,7 @@ val create : config -> t
 
 val vmap : t -> Vmap.t
 val bulletin : t -> Bulletin.t
+(* lint: allow unused-export — test_mixnet reads the C-round clock *)
 val current_round : t -> int
 
 val audit_all : t -> bool

@@ -27,6 +27,8 @@ val build : max_pseudonyms_per_device:int -> m1_leaf array -> (t, string) result
     ({!Mycelium_crypto.Elgamal.pub_of_bytes}) with h = H(pk), as an
     honest aggregator guarantees. An empty map is refused. *)
 
+(* lint: allow unused-export — test_mixnet builds the malicious maps its
+   audit cells must catch; it writes the leaves without the checks *)
 val build_unchecked : max_pseudonyms_per_device:int -> m1_leaf array -> t
 (** What a malicious aggregator does; audits must catch it. *)
 

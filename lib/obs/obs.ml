@@ -35,18 +35,6 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
-  let rec equal a b =
-    match (a, b) with
-    | Null, Null -> true
-    | Bool a, Bool b -> Bool.equal a b
-    | Int a, Int b -> Int.equal a b
-    | Num a, Num b -> Float.equal a b
-    | Str a, Str b -> String.equal a b
-    | List a, List b -> List.equal equal a b
-    | Obj a, Obj b ->
-      List.equal (fun (ka, va) (kb, vb) -> String.equal ka kb && equal va vb) a b
-    | (Null | Bool _ | Int _ | Num _ | Str _ | List _ | Obj _), _ -> false
-
   let add_escaped buf s =
     Buffer.add_char buf '"';
     String.iter
@@ -584,8 +572,6 @@ module Recorder = struct
         ("events", Json.List (List.map event_json (events ())));
       ]
 
-  let dump_string () = Json.to_string (to_json ())
-
   let write path =
     let oc = open_out path in
     Fun.protect
@@ -868,23 +854,6 @@ module Metrics = struct
     Mutex.unlock table_mutex;
     List.sort (fun (a, _) (b, _) -> String.compare a b) all
 
-  let to_json () =
-    let entry = function
-      | C c -> Json.Int (value c)
-      | G g -> Json.Num (gauge_value g)
-      | H h ->
-        Json.Obj
-          [
-            ("count", Json.Int (histogram_count h));
-            ("sum", Json.Num (histogram_sum h));
-            ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Num b) h.bounds)));
-            ( "counts",
-              Json.List
-                (Array.to_list (Array.map (fun c -> Json.Int (Atomic.get c)) h.counts)) );
-          ]
-    in
-    Json.Obj (List.map (fun (name, m) -> (name, entry m)) (sorted_metrics ()))
-
   let to_table () =
     let buf = Buffer.create 512 in
     List.iter
@@ -1164,16 +1133,10 @@ let chrome_trace_stream emit =
 
 let chrome_trace_to_channel oc = chrome_trace_stream (output_string oc)
 
-let chrome_trace_string () =
-  let buf = Buffer.create 4096 in
-  chrome_trace_stream (Buffer.add_string buf);
-  Buffer.contents buf
-
 let write_chrome_trace path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> chrome_trace_to_channel oc)
 
-let metrics_json = Metrics.to_json
 let metrics_table = Metrics.to_table
 
 (* ------------------------------------------------------------------ *)
@@ -1243,11 +1206,6 @@ let prometheus_stream emit =
       live
 
 let prometheus_to_channel oc = prometheus_stream (output_string oc)
-
-let prometheus_string () =
-  let buf = Buffer.create 2048 in
-  prometheus_stream (Buffer.add_string buf);
-  Buffer.contents buf
 
 let write_prometheus path =
   let oc = open_out path in

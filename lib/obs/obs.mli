@@ -42,18 +42,10 @@ module Json : sig
     | List of t list
     | Obj of (string * t) list
 
-  val equal : t -> t -> bool
-  (** Structural equality; [Num] compares with [Float.equal] (so [nan]
-      equals [nan]) and object fields compare in order. *)
-
   val to_string : t -> string
   (** A finite [Num] is written with the fewest digits (15 or 17) that
       parse back to the same float, so [parse] returns it exactly; a
       non-finite [Num] is written [null]. *)
-
-  val to_channel : out_channel -> t -> unit
-  (** Stream the document to a channel without materializing it as one
-      string; peak allocation is a single escaped string. *)
 
   val parse : string -> (t, string) result
   (** Strict parser covering everything [to_string] emits; used by the
@@ -131,7 +123,6 @@ module Names : sig
   val serve_cache_hits : string
   val serve_cache_misses : string
   val serve_cache_evictions : string
-  val gc_heap_words : string
 end
 
 (** {1 Spans} *)
@@ -161,6 +152,7 @@ val sampler : every:int -> sampler
 val sampled_span : sampler -> ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** Trace-only (hot-op spans never land in the flight recorder). *)
 
+(* lint: allow unused-export — test_obs reads the recorded spans back *)
 val all_spans : unit -> span list
 (** Every recorded span, sorted by start time. *)
 
@@ -184,6 +176,7 @@ module Metrics : sig
 
   val gauge : string -> gauge
   val set : gauge -> float -> unit
+  (* lint: allow unused-export — test_obs reads the gauge back *)
   val gauge_value : gauge -> float
 
   val histogram : ?buckets:float array -> string -> histogram
@@ -192,13 +185,16 @@ module Metrics : sig
       bound. *)
 
   val observe : histogram -> float -> unit
-  val bucket_index : histogram -> float -> int
-  (** Index of the bucket [observe] would count [v] in: the first
-      bucket whose upper bound is [>= v], or the overflow index
-      [Array.length buckets]. *)
+  (** Count [v] in the first bucket whose upper bound is [>= v], or in
+      the overflow bucket. *)
 
+  (* lint: allow unused-export — test_obs reads the bucket counts back *)
   val histogram_counts : histogram -> int array
+
+  (* lint: allow unused-export — test_obs reads the sum back *)
   val histogram_sum : histogram -> float
+
+  (* lint: allow unused-export — test_obs reads the count back *)
   val histogram_count : histogram -> int
 
 end
@@ -210,20 +206,25 @@ end
 module Timeseries : sig
   type series
 
+  (* lint: allow unused-export — test_obs looks a sampled series up by
+     name to read it back *)
   val register : ?capacity:int -> string -> series
   (** Lookup-or-create; [capacity] (default 240 points per ring) only
-      applies on first registration. *)
+      applies on first registration.  A sample appends a point stamped
+      with the current ns-since-epoch, evicting the oldest point once
+      the ring is full. *)
 
+  (* lint: allow unused-export — test_obs reads the ring size back *)
   val capacity : series -> int
 
-  val record : series -> float -> unit
-  (** Append a point stamped with the current ns-since-epoch, evicting
-      the oldest point once the ring is full. *)
-
+  (* lint: allow unused-export — test_obs reads the window back *)
   val points : series -> (int * float) array
   (** Oldest-first snapshot of the live window. *)
 
+  (* lint: allow unused-export — test_obs reads the newest point back *)
   val last : series -> (int * float) option
+
+  (* lint: allow unused-export — test_obs reads the count back *)
   val total : series -> int
   (** Points ever recorded (>= the window length). *)
 end
@@ -244,6 +245,7 @@ module Sampler : sig
   val stop : unit -> unit
   (** Stop and join the ticker thread; idempotent. *)
 
+  (* lint: allow unused-export — test_obs reads the ticker's state back *)
   val active : unit -> bool
 
   val register_source : name:string -> (unit -> (string * float) list) -> unit
@@ -251,11 +253,14 @@ module Sampler : sig
       it returns [(series_name, value)] pairs.  Exceptions from a
       source are swallowed: telemetry is strictly best-effort. *)
 
+  (* lint: allow unused-export — test_obs reads the registered sources
+     back *)
   val source_names : unit -> string list
 
+  (* lint: allow unused-export — test_obs takes the ticker's step
+     synchronously, so a sample lands at a known point *)
   val sample_once : unit -> unit
-  (** Take one sample synchronously (used by tests and the CLI for a
-      final snapshot). *)
+  (** Take one sample synchronously. *)
 
   val tick_count : unit -> int
 end
@@ -283,8 +288,13 @@ module Recorder : sig
       clears the ring first. *)
 
   val disable : unit -> unit
+
+  (* lint: allow unused-export — test_obs reads the switch back *)
   val recording : unit -> bool
+
+  (* lint: allow unused-export — test_obs reads the ring size back *)
   val capacity : unit -> int
+
   val clear : unit -> unit
 
   val note : ?detail:(string * Json.t) list -> string -> unit
@@ -294,6 +304,8 @@ module Recorder : sig
   (** Arm automatic dumps to the given path (resets the
       first-fault-writes-immediately latch). *)
 
+  (* lint: allow unused-export — test_obs and test_faults disarm the
+     dump path they armed, so no exit-time rewrite outlives the test *)
   val disarm : unit -> unit
 
   val trigger : unit -> unit
@@ -305,15 +317,12 @@ module Recorder : sig
   (** Rewrite the armed dump from the current ring if anything was
       recorded since the last write. *)
 
+  (* lint: allow unused-export — test_obs reads the ring back *)
   val events : unit -> event list
   (** Ring contents, oldest first. *)
 
   val recorded : unit -> int
   (** Events ever noted (>= ring length). *)
-
-  val dump_string : unit -> string
-  (** Self-contained dump: schema, capacity, recorded/dropped counts,
-      events. *)
 end
 
 (** {1 Audit ledger} *)
@@ -359,21 +368,16 @@ end
 
 (** {1 Exporters} *)
 
-val chrome_trace_string : unit -> string
-(** Chrome [trace_event] format (complete "X" events, ts/dur in
-    microseconds, tid = recording domain) — loadable in
-    [about://tracing] and Perfetto.  Streamed one event at a time, so a
-    10^6-device trace never materializes as one JSON tree. *)
-
 val write_chrome_trace : string -> unit
+(** Write the spans in Chrome [trace_event] format (complete "X"
+    events, ts/dur in microseconds, tid = recording domain) — loadable
+    in [about://tracing] and Perfetto.  Streamed one event at a time,
+    so a 10^6-device trace never materializes as one JSON tree. *)
 
-val metrics_json : unit -> Json.t
 val metrics_table : unit -> string
 
-val prometheus_string : unit -> string
-(** Prometheus text exposition: each metric as a [mycelium_]-prefixed
-    family ([# TYPE] lines, cumulative [le] buckets for histograms) and
-    the latest point of every time series as one
-    [mycelium_timeseries{series="…"}] gauge family. *)
-
 val write_prometheus : string -> unit
+(** Write the Prometheus text exposition: each metric as a
+    [mycelium_]-prefixed family ([# TYPE] lines, cumulative [le]
+    buckets for histograms) and the latest point of every time series
+    as one [mycelium_timeseries{series="…"}] gauge family. *)

@@ -48,8 +48,6 @@ type t = {
   stats : (int Atomic.t * int Atomic.t) array;
 }
 
-let domains t = t.size
-
 let worker_stats t =
   Array.map
     (fun (tasks, exc) ->

@@ -25,16 +25,10 @@
 (* lint: allow interface — a pool is a handle to live domains; identity, not structure, is what distinguishes two pools *)
 type t
 
-val create : domains:int -> t
-(** [create ~domains] starts a pool that runs tasks on [domains] domains
-    ([domains - 1] spawned workers plus the submitting domain).  Values
-    [<= 1] yield a purely sequential pool that spawns nothing. *)
-
-val domains : t -> int
-(** Number of domains the pool was created with (>= 1). *)
-
 type worker_stats = { tasks_run : int; exceptions_caught : int }
 
+(* lint: allow unused-export — test_obs and test_parallel read the
+   per-slot counts back *)
 val worker_stats : t -> worker_stats array
 (** Per-slot execution counts: slot 0 is the submitting domain, slots
     1..[domains]-1 the spawned workers.
@@ -52,10 +46,6 @@ val worker_stats : t -> worker_stats array
     observability registry as the [pool.chunks_run] /
     [pool.task_exceptions] metrics (see [lib/obs]) when tracing is
     enabled; [worker_stats] itself is always live. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  The pool must be
-    idle.  After shutdown the pool behaves sequentially. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f arr] is [Array.map f arr], with the applications of
@@ -76,9 +66,13 @@ val init : t -> int -> (int -> 'a) -> 'a array
     else 1 (sequential). *)
 
 val default : unit -> t
-(** The shared pool, (re)sized on demand to the resolved domain count.
-    Worker domains are joined automatically at process exit. *)
+(** The shared pool, (re)sized on demand to the resolved domain count:
+    [domains - 1] spawned workers plus the submitting domain, or a
+    purely sequential pool that spawns nothing at one domain.  Worker
+    domains are joined automatically at process exit. *)
 
+(* lint: allow unused-export — the determinism suites (test_crypto,
+   test_faults, test_obs, test_parallel, test_serve) pin the pool size *)
 val with_domains : int -> (unit -> 'a) -> 'a
 (** [with_domains n f] runs [f] with the default pool forced to [n]
     domains (taking precedence over [MYCELIUM_DOMAINS]),

@@ -70,70 +70,6 @@ let field_rank = function
   | Setting -> 7
 
 let compare_field a b = Int.compare (field_rank a) (field_rank b)
-let equal_field a b = Int.equal (field_rank a) (field_rank b)
-
-let equal_group a b =
-  match (a, b) with
-  | Self, Self | Dest, Dest | Edge, Edge -> true
-  | (Self | Dest | Edge), _ -> false
-
-let equal_colref a b = equal_group a.group b.group && equal_field a.field b.field
-
-let rec equal_scalar a b =
-  match (a, b) with
-  | Col a, Col b -> equal_colref a b
-  | Const a, Const b -> Int.equal a b
-  | Plus (s, v), Plus (s', v') -> equal_scalar s s' && Int.equal v v'
-  | Minus (s, v), Minus (s', v') -> equal_scalar s s' && Int.equal v v'
-  | Minus_col (s, c), Minus_col (s', c') -> equal_scalar s s' && equal_colref c c'
-  | (Col _ | Const _ | Plus _ | Minus _ | Minus_col _), _ -> false
-
-let equal_cmp a b =
-  match (a, b) with
-  | Lt, Lt | Le, Le | Gt, Gt | Ge, Ge | Eq, Eq -> true
-  | (Lt | Le | Gt | Ge | Eq), _ -> false
-
-let rec equal_pred a b =
-  match (a, b) with
-  | True, True -> true
-  | And (p, q), And (p', q') -> equal_pred p p' && equal_pred q q'
-  | Or (p, q), Or (p', q') -> equal_pred p p' && equal_pred q q'
-  | Truthy c, Truthy c' -> equal_colref c c'
-  | Cmp (c, x, y), Cmp (c', x', y') ->
-    equal_cmp c c' && equal_scalar x x' && equal_scalar y y'
-  | Between (x, lo, hi), Between (x', lo', hi') ->
-    equal_scalar x x' && equal_scalar lo lo' && equal_scalar hi hi'
-  | Fn (f, c), Fn (f', c') -> String.equal f f' && equal_colref c c'
-  | (True | And _ | Or _ | Truthy _ | Cmp _ | Between _ | Fn _), _ -> false
-
-let equal_agg a b =
-  match (a, b) with
-  | Count, Count -> true
-  | Sum c, Sum c' -> equal_colref c c'
-  | (Count | Sum _), _ -> false
-
-let equal_output a b =
-  match (a, b) with
-  | Histo g, Histo g' -> equal_agg g g'
-  | Gsum g, Gsum g' ->
-    equal_agg g.num g'.num
-    && Bool.equal g.ratio g'.ratio
-    && Option.equal (fun (lo, hi) (lo', hi') -> Int.equal lo lo' && Int.equal hi hi') g.clip g'.clip
-  | (Histo _ | Gsum _), _ -> false
-
-let equal_group_by a b =
-  match (a, b) with
-  | No_group, No_group -> true
-  | By_col c, By_col c' -> equal_colref c c'
-  | By_fn (f, s), By_fn (f', s') -> String.equal f f' && equal_scalar s s'
-  | (No_group | By_col _ | By_fn _), _ -> false
-
-let equal a b =
-  String.equal a.name b.name
-  && equal_output a.output b.output
-  && Int.equal a.hops b.hops
-  && equal_pred a.where b.where
-  && equal_group_by a.group_by b.group_by
 
 let colref_valid c =
   match (c.group, c.field) with

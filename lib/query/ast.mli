@@ -65,10 +65,6 @@ val group_to_string : column_group -> string
 val compare_field : field -> field -> int
 (** Declaration order; total, for sorted field lists. *)
 
-val equal : t -> t -> bool
-(** Structural equality of whole queries (exact tree shape — no
-    normalization of predicate association). *)
-
 val colref_valid : colref -> bool
 (** [edge] columns carry edge fields, [self]/[dest] vertex fields. *)
 

@@ -57,15 +57,8 @@ val is_ratio : Analysis.info -> bool
 val row_passes : Analysis.info -> row_ctx -> bool
 (** All row-level predicates hold (the GSUM ratio denominator test). *)
 
-val pack_exponents :
-  Analysis.info ->
-  self:Mycelium_graph.Schema.vertex_data ->
-  sums:int array ->
-  counts:int array ->
-  int list
-(** Turn per-group (sum, count) accumulators into the origin's final
-    bin indices (clamping to the layout). *)
-
+(* lint: allow unused-export — test_query measures one origin's
+   contribution, which global_histogram only sums *)
 val local_exponents :
   Analysis.info -> Mycelium_graph.Contact_graph.t -> origin:int -> int list option
 (** The bin indices this origin contributes to the global aggregation:
@@ -88,4 +81,3 @@ type result =
 val decode : Analysis.info -> float array -> result
 (** Interpret (possibly noised) bin counts. *)
 
-val group_labels : Analysis.info -> string array

@@ -3,28 +3,10 @@ module Modarith = Mycelium_math.Modarith
 module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
 
-type share = { x : int; y : int }
-
 let validate ~p ~threshold ~parties =
   if threshold < 0 then invalid_arg "Shamir: negative threshold";
   if parties < threshold + 1 then invalid_arg "Shamir: too few parties for threshold";
   if parties >= p then invalid_arg "Shamir: more parties than field elements"
-
-let eval_poly ~p coeffs x =
-  let acc = ref 0 in
-  for i = Array.length coeffs - 1 downto 0 do
-    acc := Modarith.add p (Modarith.mul p !acc x) coeffs.(i)
-  done;
-  !acc
-
-let share_with_poly ~p rng ~threshold ~parties v =
-  validate ~p ~threshold ~parties;
-  let coeffs = Array.init (threshold + 1) (fun i -> if i = 0 then Modarith.reduce p v else Rng.int rng p) in
-  let shares = Array.init parties (fun j -> { x = j + 1; y = eval_poly ~p coeffs (j + 1) }) in
-  (shares, coeffs)
-
-let share_secret ~p rng ~threshold ~parties v =
-  fst (share_with_poly ~p rng ~threshold ~parties v)
 
 let lagrange_at_zero ~p xs =
   let k = Array.length xs in
@@ -38,16 +20,6 @@ let lagrange_at_zero ~p xs =
         end
       done;
       Modarith.mul p !num (Modarith.inv p !den))
-
-let reconstruct ~p shares =
-  let xs = Array.of_list (List.map (fun s -> s.x) shares) in
-  let distinct = Array.to_list xs |> List.sort_uniq Int.compare |> List.length in
-  if distinct <> Array.length xs then invalid_arg "Shamir.reconstruct: duplicate share x";
-  let lambdas = lagrange_at_zero ~p xs in
-  List.fold_left
-    (fun acc (i, s) -> Modarith.add p acc (Modarith.mul p lambdas.(i) (Modarith.reduce p s.y)))
-    0
-    (List.mapi (fun i s -> (i, s)) shares)
 
 type rq_share = { idx : int; value : Rq.t }
 

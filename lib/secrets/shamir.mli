@@ -5,46 +5,6 @@
     [threshold] colluding members learn anything (§4.2, §5: "any subset
     of t+1 members can reconstruct"). *)
 
-type share = { x : int; y : int }
-(** Evaluation point and value; x >= 1. *)
-
-val share_secret :
-  p:int ->
-  Mycelium_util.Rng.t ->
-  threshold:int ->
-  parties:int ->
-  int ->
-  share array
-(** [share_secret ~p rng ~threshold ~parties v] returns one share per
-    party at x = 1..parties; any [threshold+1] reconstruct [v], and any
-    [threshold] values are jointly uniform. Requires
-    [0 < threshold + 1 <= parties < p]. *)
-
-val share_with_poly :
-  p:int ->
-  Mycelium_util.Rng.t ->
-  threshold:int ->
-  parties:int ->
-  int ->
-  share array * int array
-(** Also returns the coefficients (a_0 = secret first) for commitment
-    schemes. *)
-
-val eval_poly : p:int -> int array -> int -> int
-(** Horner evaluation of a coefficient array at a point. *)
-
-val reconstruct : p:int -> share list -> int
-(** Lagrange interpolation at zero using all given shares (callers pass
-    exactly [threshold+1] distinct-x shares). Raises
-    [Invalid_argument] on duplicate x. *)
-
-val lagrange_at_zero : p:int -> int array -> int array
-(** [lagrange_at_zero ~p xs] gives the coefficients lambda_i such that
-    [f(0) = sum_i lambda_i f(xs.(i))] for any polynomial of degree
-    < length xs. *)
-
-(** {2 Vector (ring element) sharing} *)
-
 type rq_share = { idx : int; value : Mycelium_math.Rq.t }
 (** A share of a ring element: every coefficient of every RNS residue
     row independently Shamir-shared at the same x = idx. Linear ring
@@ -62,8 +22,8 @@ val share_rq :
     polynomial, whose [threshold] random coefficients are drawn from
     [rng] prime by prime, coefficient by coefficient, k = 1..threshold.
     It is {!share_rq_weighted} with one dealer of weight 1, and its
-    shares equal per-coefficient Horner evaluation ({!eval_poly}) of
-    those polynomials bit for bit. Raises [Invalid_argument] unless
+    shares equal per-coefficient Horner evaluation of those polynomials
+    bit for bit. Raises [Invalid_argument] unless
     [0 < threshold + 1 <= parties < p] for every prime p. *)
 
 val share_rq_weighted :

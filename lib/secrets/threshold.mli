@@ -25,25 +25,6 @@ val reconstruct_secret_key :
 (** What [threshold+1] *malicious* members could do (a privacy failure,
     Fig. 8a); exists for tests and the committee-capture experiment. *)
 
-val partial_decrypt :
-  Mycelium_bgv.Bgv.ctx ->
-  Mycelium_util.Rng.t ->
-  participants:int array ->
-  key_share ->
-  Mycelium_bgv.Bgv.ciphertext ->
-  Mycelium_math.Rq.t
-(** [partial_decrypt ctx rng ~participants share ct] for a degree-1
-    [ct]: lambda_x * (c_1 * s_x) + t * e_smudge. [participants] lists
-    the share indices taking part (must include this share's). *)
-
-val combine :
-  Mycelium_bgv.Bgv.ctx ->
-  Mycelium_bgv.Bgv.ciphertext ->
-  Mycelium_math.Rq.t list ->
-  Mycelium_bgv.Plaintext.t
-(** c_0 + sum of partials, decoded mod t. Correct when the partials
-    come from exactly the announced participant set. *)
-
 val decrypt :
   Mycelium_bgv.Bgv.ctx ->
   Mycelium_util.Rng.t ->
@@ -54,7 +35,8 @@ val decrypt :
 (** Full threshold decryption from whichever shares are live: picks
     any [threshold + 1] of [live] (Shamir guarantees every such subset
     reconstructs the same plaintext — the §6.3 liveness story under
-    committee crashes), runs {!partial_decrypt} for each and
-    {!combine}s. Returns the plaintext and the participant indices
-    used. Fails if fewer than [threshold + 1] shares are live or the
-    ciphertext is not degree 1. *)
+    committee crashes). Each participant x computes the partial
+    decryption lambda_x * (c_1 * s_x) + t * e_smudge, and c_0 plus the
+    partials, decoded mod t, is the plaintext. Returns the plaintext
+    and the participant indices used. Fails if fewer than
+    [threshold + 1] shares are live or the ciphertext is not degree 1. *)

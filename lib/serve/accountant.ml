@@ -33,7 +33,6 @@ let budget_for t user =
 
 let charge t ~user eps = Dp.budget_charge (budget_for t user) eps
 let spent t ~user = Dp.budget_spent (budget_for t user)
-let remaining t ~user = Dp.budget_remaining (budget_for t user)
 let per_user_total t = t.per_user_total
 
 let users t =

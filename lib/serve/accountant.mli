@@ -17,7 +17,6 @@ val charge : t -> user:string -> float -> (unit, [ `Exhausted of float ]) result
     sight). [Error (`Exhausted remaining)] charges nothing. *)
 
 val spent : t -> user:string -> float
-val remaining : t -> user:string -> float
 val per_user_total : t -> float
 
 val users : t -> string list

@@ -34,8 +34,12 @@ val put : t -> string -> Mycelium_core.Runtime.prepared -> unit
 val length : t -> int
 val evictions : t -> int
 
+(* lint: allow unused-export — test_serve reads the per-instance hit
+   count back *)
 val hits : t -> int
 (** Per-instance lookup counters (the Obs [serve.cache_*] counters are
     process-global); used by the scheduler's hit-accounting tests. *)
 
+(* lint: allow unused-export — test_serve reads the per-instance miss
+   count back *)
 val misses : t -> int

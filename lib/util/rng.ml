@@ -137,8 +137,6 @@ let float t =
   let v = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float v *. 0x1.0p-53
 
-let bool t = Int64.equal (Int64.logand (next_int64 t) 1L) 1L
-
 let bernoulli t p = float t < p
 
 let fill t b ~pos ~len =

@@ -120,18 +120,14 @@ val fill_int : t -> int -> int array -> unit
 val fill_centered_binomial : t -> eta:int -> int array -> unit
 (** [fill_centered_binomial t ~eta a] sets [a.(0)], [a.(1)], … in that
     order to a centred binomial draw with parameter [eta]: the sum over
-    [eta] steps of [+1] if [bool t], then [-1] if [bool t].  Each cell
+    [eta] steps of [+1] if the low bit of [int64 t] is set, then [-1]
+    if the low bit of the next [int64 t] is.  Each cell
     lies in [\[-eta, eta\]] with variance [eta/2].  Like {!fill_int} it
     makes exactly the single draws' steps: the same values, and [t]
     left where they would leave it. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
-val float : t -> float
-(** Uniform in [\[0, 1)] with 53 bits of precision. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)

@@ -4,18 +4,6 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0. else sum a /. float_of_int n
 
-let variance a =
-  let n = Array.length a in
-  if n < 2 then 0.
-  else begin
-    let m = mean a in
-    let acc = ref 0. in
-    Array.iter (fun x -> acc := !acc +. ((x -. m) *. (x -. m))) a;
-    !acc /. float_of_int n
-  end
-
-let stddev a = sqrt (variance a)
-
 let percentile a p =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.percentile: empty array";

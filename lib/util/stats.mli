@@ -4,15 +4,10 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val variance : float array -> float
-(** Population variance; 0 on arrays of fewer than two elements. *)
-
-val stddev : float array -> float
-
-val percentile : float array -> float -> float
-(** [percentile a p] for [p] in [\[0,100\]], linear interpolation between
-    order statistics. Raises [Invalid_argument] on an empty array. *)
-
 val median : float array -> float
+(** The 50th percentile, interpolating linearly between the two middle
+    order statistics of an even-length array; [Float.compare] sorts a
+    NaN below every number. Raises [Invalid_argument] on an empty
+    array. *)
 
 val minimum : float array -> float

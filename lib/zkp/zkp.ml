@@ -10,8 +10,6 @@ let setup rng = { trapdoor = Rng.bytes rng 32 }
 
 type proof = { statement : bytes; mac : bytes }
 
-let proof_size_bytes _ = 192
-
 let proof_to_bytes p = Bytes.cat p.statement p.mac
 
 let proof_of_bytes b =
@@ -72,8 +70,6 @@ let forge rng =
   { statement = Rng.bytes rng 32; mac = Rng.bytes rng 32 }
 
 module Cost = struct
-  let proof_bytes = 192
-
   (* Calibration anchors from §6.4/§6.6: contribution proof generation
      ~60 s; verification of one contribution (4.3 MB public I/O) ~10 s,
      which puts N=1e6 device verifications at ~1e4 core-hours / 10 h =

@@ -32,8 +32,6 @@ val setup : Mycelium_util.Rng.t -> srs
 
 type proof
 
-val proof_size_bytes : proof -> int
-
 val proof_to_bytes : proof -> bytes
 (** Wire form (the simulation's stand-in for the 192-byte Groth16
     proof). *)
@@ -96,9 +94,6 @@ val forge : Mycelium_util.Rng.t -> proof
 (** {2 Groth16 cost model} *)
 
 module Cost : sig
-  val proof_bytes : int
-  (** 192: three group elements at BN254 sizes. *)
-
   val prove_seconds : constraints:int -> float
   (** Linear in the circuit size; calibrated so that one Mycelium
       contribution proof (~2^22 constraints for an N=32768 ciphertext

@@ -9,12 +9,22 @@ module Bgv = Mycelium_bgv.Bgv
 module Rq = Mycelium_math.Rq
 module Rns = Mycelium_math.Rns
 module Sha256 = Mycelium_crypto.Sha256
-module Hex = Mycelium_util.Hex
+module Hex = Testkit.Hex
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let pt_testable = Alcotest.testable Plaintext.pp Plaintext.equal
+(* The first dozen non-zero terms of a plaintext. *)
+let pp_plaintext fmt pt =
+  let terms =
+    Array.to_list (Array.mapi (fun i v -> (i, v)) (Plaintext.coeffs pt))
+    |> List.filter (fun (_, v) -> v <> 0)
+    |> List.filteri (fun i _ -> i < 12)
+    |> List.map (fun (i, v) -> if v = 1 then Printf.sprintf "x^%d" i else Printf.sprintf "%d*x^%d" v i)
+  in
+  Format.fprintf fmt "[%s]" (match terms with [] -> "0" | _ -> String.concat " + " terms)
+
+let pt_testable = Alcotest.testable pp_plaintext Plaintext.equal
 
 let ctx_small = lazy (Bgv.make_ctx Params.test_small)
 let ctx_medium = lazy (Bgv.make_ctx Params.test_medium)
@@ -33,7 +43,7 @@ let mono ctx e =
 let test_params_validate () =
   Params.validate Params.test_small;
   Params.validate Params.test_medium;
-  Params.validate Params.test_wide;
+  Params.validate Testkit.test_wide;
   Params.validate Params.paper;
   Alcotest.check_raises "bad degree"
     (Invalid_argument "Params: degree must be a power of two >= 2") (fun () ->
@@ -147,19 +157,19 @@ let test_hom_add_then_mul () =
   checki "bin 1 (one infected)" 1 (Plaintext.coeff pt 1);
   checki "bin 0" 0 (Plaintext.coeff pt 0)
 
-let test_hom_add_plain_sub_plain () =
+let test_hom_sub_plain () =
   let ctx = Lazy.force ctx_small in
   let sk, pk = Lazy.force keys_small in
   let rng = Rng.create 50L in
   let t = (Bgv.params ctx).Params.plain_modulus in
   let ct = Bgv.encrypt_value ctx rng pk 3 in
   let two = Plaintext.create ~plain_modulus:t [| 2 |] in
-  let ct' = Bgv.add_plain ctx ct two in
+  let ct' = Bgv.add ct (Bgv.encrypt ctx rng pk two) in
   let pt = Bgv.decrypt ctx sk ct' in
   checki "x^3 + 2 constant term" 2 (Plaintext.coeff pt 0);
   checki "x^3 + 2 cubic term" 1 (Plaintext.coeff pt 3);
   let ct'' = Bgv.sub_plain ctx ct' two in
-  Alcotest.check pt_testable "sub_plain undoes add_plain" (mono ctx 3) (Bgv.decrypt ctx sk ct'')
+  Alcotest.check pt_testable "sub_plain undoes the addition" (mono ctx 3) (Bgv.decrypt ctx sk ct'')
 
 let test_hom_mul_plain () =
   let ctx = Lazy.force ctx_small in
@@ -579,7 +589,7 @@ let () =
           Alcotest.test_case "multiplication adds exponents" `Quick test_hom_multiplication_exponents;
           Alcotest.test_case "multiplication chain" `Quick test_hom_mul_chain;
           Alcotest.test_case "local mult + global add" `Quick test_hom_add_then_mul;
-          Alcotest.test_case "add/sub plain" `Quick test_hom_add_plain_sub_plain;
+          Alcotest.test_case "sub plain" `Quick test_hom_sub_plain;
           Alcotest.test_case "mul plain (GROUP BY shift)" `Quick test_hom_mul_plain;
           Alcotest.test_case "zero encodings are neutral" `Quick test_enc_zero_polynomial_neutral;
           prop_homomorphism;
@@ -595,7 +605,7 @@ let () =
           Alcotest.test_case "degrees 2..8, test_medium" `Quick
             (test_relinearize_degrees Params.test_medium ~max_degree:8);
           Alcotest.test_case "degrees 2..4, test_wide" `Slow
-            (test_relinearize_degrees Params.test_wide ~max_degree:4);
+            (test_relinearize_degrees Testkit.test_wide ~max_degree:4);
           Alcotest.test_case "relin then aggregate" `Quick test_relin_then_add;
         ] );
       ( "noise",

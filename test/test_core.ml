@@ -1,6 +1,7 @@
-(* Tests for mycelium_baseline (plaintext engine, Pregel) and
-   mycelium_core (committee lifecycle and the end-to-end encrypted
-   query pipeline, checked bin-for-bin against the plaintext oracle). *)
+(* Tests for mycelium_baseline (the plaintext engine, cross-checked
+   against a flooded evaluation of §4.4's schedule) and mycelium_core
+   (committee lifecycle and the end-to-end encrypted query pipeline,
+   checked bin-for-bin against the plaintext oracle). *)
 
 module Rng = Mycelium_util.Rng
 module Cg = Mycelium_graph.Contact_graph
@@ -13,7 +14,6 @@ module Ast = Mycelium_query.Ast
 module Params = Mycelium_bgv.Params
 module Bgv = Mycelium_bgv.Bgv
 module Rns = Mycelium_math.Rns
-module Pregel = Mycelium_baseline.Pregel
 module Engine = Mycelium_baseline.Engine
 module Committee = Mycelium_core.Committee
 module Runtime = Mycelium_core.Runtime
@@ -43,62 +43,127 @@ let err_to_string = function
   | Runtime.Pipeline_error m -> "pipeline: " ^ m
 
 (* ------------------------------------------------------------------ *)
-(* Pregel                                                              *)
+(* Flooded evaluation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_pregel_bfs () =
-  (* Single-source distances as a vertex program. *)
-  let g = small_graph () in
-  let source = 0 in
-  let program (ctx : (int, int) Pregel.vertex_ctx) =
-    let best =
-      List.fold_left (fun acc m -> min acc (m + 1)) ctx.Pregel.state ctx.Pregel.messages
-    in
-    let best = if ctx.Pregel.vertex = source then 0 else best in
-    if best < ctx.Pregel.state || (ctx.Pregel.superstep = 0 && ctx.Pregel.vertex = source) then
-      ctx.Pregel.send_all_neighbors best
-    else ctx.Pregel.vote_halt ();
-    best
+(* The bins an origin's per-group (sum, count) accumulators land in:
+   group-major, then value, then count, each clamped to its slots. *)
+let pack info ~self ~sums ~counts =
+  let l = info.Analysis.layout in
+  let count_stride = l.Analysis.count_slots in
+  let group_stride = l.Analysis.count_slots * l.Analysis.value_slots in
+  let bin g i =
+    (g * group_stride)
+    + (min sums.(i) (l.Analysis.value_slots - 1) * count_stride)
+    + min counts.(i) (l.Analysis.count_slots - 1)
   in
-  let states, _ = Pregel.run g ~init:(fun _ -> max_int - 1) ~program ~max_supersteps:50 in
-  (* Compare with BFS. *)
-  let expected = Hashtbl.create 64 in
-  Hashtbl.replace expected source 0;
-  List.iter (fun (v, dist) -> Hashtbl.replace expected v dist) (Cg.k_hop g source ~k:100);
-  for v = 0 to Cg.population g - 1 do
-    match Hashtbl.find_opt expected v with
-    | Some dist -> checki (Printf.sprintf "vertex %d" v) dist states.(v)
-    | None -> checkb "unreachable stays infinite" true (states.(v) = max_int - 1)
-  done
+  match info.Analysis.group_kind with
+  | Analysis.Group_none | Analysis.Group_self -> [ bin (Semantics.origin_group info self) 0 ]
+  | Analysis.Group_edge | Analysis.Group_cross _ ->
+    List.init l.Analysis.group_count (fun g -> bin g g)
 
-let test_pregel_halting () =
-  let g = small_graph ~n:10 () in
-  (* Everyone halts immediately: one superstep. *)
-  let program (ctx : (unit, unit) Pregel.vertex_ctx) =
-    ctx.Pregel.vote_halt ();
-    ()
-  in
-  let _, steps = Pregel.run g ~init:(fun _ -> ()) ~program ~max_supersteps:50 in
-  checki "one superstep" 1 steps
+(* Phase 1 of the §4.4 schedule: k flooding rounds from every origin
+   at once, carrying (origin id, origin data, first edge) outward.
+   meta.(v) maps each origin that reached v to (distance, first_edge,
+   origin_data); upstream.(v) maps it to the neighbor v first heard it
+   from. *)
+let flood graph ~k origins =
+  let n = Cg.population graph in
+  let meta = Array.init n (fun _ -> Hashtbl.create 8) in
+  let upstream = Array.init n (fun _ -> Hashtbl.create 8) in
+  let frontier = Array.make n [] in
+  List.iter
+    (fun o ->
+      Hashtbl.replace meta.(o) o (0, None, Cg.vertex graph o);
+      frontier.(o) <- [ o ])
+    origins;
+  for dist = 1 to k do
+    let next = Array.make n [] in
+    for v = 0 to n - 1 do
+      List.iter
+        (fun o ->
+          let _, first_edge, odata = Hashtbl.find meta.(v) o in
+          List.iter
+            (fun (u, _) ->
+              if not (Hashtbl.mem meta.(u) o) then begin
+                (* The first receiver records the edge it shares with
+                   the origin; everyone further copies it along. *)
+                let fe =
+                  match first_edge with Some e -> Some e | None -> Cg.edge graph u o
+                in
+                Hashtbl.replace meta.(u) o (dist, fe, odata);
+                Hashtbl.replace upstream.(u) o v;
+                next.(u) <- o :: next.(u)
+              end)
+            (Cg.neighbors graph v))
+        frontier.(v)
+    done;
+    Array.blit next 0 frontier 0 n
+  done;
+  (meta, upstream)
 
-let test_pregel_send_checks_neighbors () =
-  let g = small_graph ~n:10 () in
-  let program (ctx : (unit, unit) Pregel.vertex_ctx) =
-    if ctx.Pregel.vertex = 0 && ctx.Pregel.superstep = 0 then begin
-      (* Find a non-neighbor. *)
-      let neigh = List.map fst (Cg.neighbors g 0) in
-      let non_neighbor =
-        let rec go i = if i <> 0 && not (List.mem i neigh) then i else go (i + 1) in
-        go 1
-      in
-      ctx.Pregel.send non_neighbor ()
-    end;
-    ctx.Pregel.vote_halt ();
-    ()
+(* Flooded evaluation: the §4.4 schedule made explicit, an oracle for
+   the direct evaluation of Semantics. Rounds 1..k flood (see
+   [flood]); rounds k+1..2k fold the per-group (sum, count) partials
+   back up the BFS tree; the origin packs the result into bin indices,
+   derived here from the public layout alone. This mirrors what the
+   encrypted engine does, with plaintext integers in place of
+   ciphertexts. *)
+let run_flooded info graph =
+  let k = info.Analysis.query.Ast.hops in
+  let groups = info.Analysis.layout.Analysis.group_count in
+  let ratio = Semantics.is_ratio info in
+  let bins = Array.make info.Analysis.layout.Analysis.total_bins 0 in
+  let n = Cg.population graph in
+  let origins =
+    List.filter (fun o -> Semantics.origin_gate info (Cg.vertex graph o)) (List.init n Fun.id)
   in
-  Alcotest.check_raises "non-neighbor send rejected"
-    (Invalid_argument "Pregel: send to non-neighbor") (fun () ->
-      ignore (Pregel.run g ~init:(fun _ -> ()) ~program ~max_supersteps:2))
+  let meta, upstream = flood graph ~k origins in
+  (* Every reached vertex evaluates its own row for every origin. *)
+  let partials = Array.init n (fun _ -> Hashtbl.create 8) in
+  for v = 0 to n - 1 do
+    (* lint: allow determinism — per-origin rows write disjoint keys; int
+       sums commute, so iteration order cannot affect the result *)
+    Hashtbl.iter
+      (fun o (_, first_edge, odata) ->
+        let sums = Array.make groups 0 and counts = Array.make groups 0 in
+        let edge = if v = o then None else first_edge in
+        let ctx = { Semantics.self = odata; dest = Cg.vertex graph v; edge } in
+        (match Semantics.accumulation_group info ctx with
+        | Some g when g >= 0 && g < groups ->
+          sums.(g) <- sums.(g) + Semantics.row_value info ctx;
+          if ratio && Semantics.row_passes info ctx then counts.(g) <- counts.(g) + 1
+        | Some _ | None -> ());
+        Hashtbl.replace partials.(v) o (sums, counts))
+      meta.(v)
+  done;
+  (* Phase 2: k aggregation rounds, deepest level first. *)
+  for dist = k downto 1 do
+    for v = 0 to n - 1 do
+      (* lint: allow determinism — each origin accumulates into its own
+         parent entry; integer addition commutes across iteration order *)
+      Hashtbl.iter
+        (fun o (d, _, _) ->
+          if d = dist then
+            match Hashtbl.find_opt upstream.(v) o with
+            | Some parent ->
+              let my_sums, my_counts = Hashtbl.find partials.(v) o in
+              let p_sums, p_counts = Hashtbl.find partials.(parent) o in
+              Array.iteri (fun g s -> p_sums.(g) <- p_sums.(g) + s) my_sums;
+              Array.iteri (fun g c -> p_counts.(g) <- p_counts.(g) + c) my_counts
+            | None -> ())
+        meta.(v)
+    done
+  done;
+  (* Final processing at each origin. *)
+  List.iter
+    (fun o ->
+      let sums, counts = Hashtbl.find partials.(o) o in
+      List.iter
+        (fun e -> bins.(e) <- bins.(e) + 1)
+        (pack info ~self:(Cg.vertex graph o) ~sums ~counts))
+    origins;
+  (bins, 2 * k)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline engine                                                     *)
@@ -109,8 +174,8 @@ let test_flooded_matches_direct () =
   List.iter
     (fun id ->
       let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find id).Corpus.query in
-      let direct = Engine.histogram info g in
-      let flooded, supersteps = Engine.run_flooded info g in
+      let direct = Semantics.global_histogram info g in
+      let flooded, supersteps = run_flooded info g in
       checkb (id ^ " flooded = direct") true (direct = flooded);
       checki (id ^ " 2k supersteps") (2 * info.Analysis.query.Ast.hops) supersteps)
     [ "Q1"; "Q2"; "Q4"; "Q5"; "Q6"; "Q7"; "Q8"; "Q9"; "Q10" ]
@@ -119,9 +184,10 @@ let test_baseline_q1_counts () =
   (* Sanity: Q1 bins sum to the number of infected origins. *)
   let g = small_graph () in
   let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find "Q1").Corpus.query in
-  let bins = Engine.histogram info g in
+  let bins = Semantics.global_histogram info g in
   let infected =
-    Cg.fold_vertices g ~init:0 ~f:(fun acc _ v -> if v.Schema.infected then acc + 1 else acc)
+    List.length
+      (List.filter (fun i -> (Cg.vertex g i).Schema.infected) (List.init (Cg.population g) Fun.id))
   in
   checki "one contribution per infected origin" infected (Array.fold_left ( + ) 0 bins)
 
@@ -129,6 +195,77 @@ let test_baseline_timer () =
   let g = small_graph () in
   let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find "Q5").Corpus.query in
   checkb "positive time" true (Engine.time_plaintext_query info g >= 0.)
+
+let test_flood_reaches_k_hop_ball () =
+  (* The flood is a synchronous BFS: after k rounds an origin has
+     reached exactly its k-hop ball ([Cg.k_hop]) at BFS distance, each
+     vertex through a neighbor one hop closer. *)
+  let g = small_graph () in
+  let n = Cg.population g in
+  List.iter
+    (fun k ->
+      let meta, upstream = flood g ~k (List.init n Fun.id) in
+      for o = 0 to n - 1 do
+        let dist v = match Hashtbl.find_opt meta.(v) o with Some (d, _, _) -> Some d | None -> None in
+        let reached =
+          List.filter_map
+            (fun v -> if v = o then None else Option.map (fun d -> (v, d)) (dist v))
+            (List.init n Fun.id)
+        in
+        checkb (Printf.sprintf "origin %d, k = %d: the k-hop ball" o k) true
+          (reached = List.sort compare (Cg.k_hop g o ~k));
+        List.iter
+          (fun (v, d) ->
+            let p = Hashtbl.find upstream.(v) o in
+            checkb "upstream is a neighbor" true (Cg.edge g v p <> None);
+            checkb "upstream is one hop closer" true (dist p = Some (d - 1)))
+          reached
+      done)
+    [ 1; 2; 3 ]
+
+let test_baseline_known_answers () =
+  (* Hand-computed answers on a four-vertex star: center 0 (infected,
+     age 25) with leaves 1 (infected, 27, household), 2 (healthy, 35,
+     household) and 3 (infected, 65, subway). *)
+  let person infected age =
+    { Schema.infected; t_inf = (if infected then Some 3 else None); age; household = age }
+  in
+  let contact location =
+    { Schema.duration_min = 30; contacts = 1; last_contact = 1; location; setting = Schema.Family }
+  in
+  let g =
+    Cg.of_edges ~degree_bound:4
+      ~vertices:[| person true 25; person true 27; person false 35; person true 65 |]
+      ~edges:
+        [ (0, 1, contact Schema.Household); (0, 2, contact Schema.Household);
+          (0, 3, contact Schema.Subway) ]
+      ()
+  in
+  let run id = Engine.run (Analysis.analyze_exn ~degree_bound:4 (Corpus.find id).Corpus.query) g in
+  (* Q5: one origin per (decade, rows = degree + 1). *)
+  (match run "Q5" with
+  | Semantics.Histogram groups ->
+    let count label bin =
+      match Array.find_opt (fun (l, _) -> String.equal l label) groups with
+      | Some (_, bins) -> int_of_float bins.(bin)
+      | None -> Alcotest.failf "no group %s" label
+    in
+    checki "center: age 20-29, four rows" 1 (count "age 20-29" 4);
+    checki "leaf 1: age 20-29, two rows" 1 (count "age 20-29" 2);
+    checki "leaf 2: age 30-39, two rows" 1 (count "age 30-39" 2);
+    checki "leaf 3: age 60-69, two rows" 1 (count "age 60-69" 2);
+    checki "four origins in all" 4
+      (int_of_float
+         (Array.fold_left (fun acc (_, bins) -> acc +. Array.fold_left ( +. ) 0. bins) 0. groups))
+  | Semantics.Sums _ -> Alcotest.fail "Q5 is a histogram");
+  (* Q8: per infected origin, infected contacts over contacts, split by
+     household. The center scores 1/2 (household) and 1/1 (subway);
+     leaf 1 scores 1/1 (household), leaf 3 1/1 (subway). *)
+  match run "Q8" with
+  | Semantics.Sums groups ->
+    checkb "household 1/2 + 1" true (Array.mem ("household", 1.5) groups);
+    checkb "non-household 1 + 1" true (Array.mem ("non-household", 2.0) groups)
+  | Semantics.Histogram _ -> Alcotest.fail "Q8 is a GSUM"
 
 (* ------------------------------------------------------------------ *)
 (* Committee                                                           *)
@@ -394,7 +531,7 @@ let test_summation_tree_root_pinned () =
   let tree = Summation_tree.build leaves in
   Alcotest.(check string)
     "root hash" "5cde8153ed46502e6dffcbcad8519b74c093faec31740b2a63c4592db3db3219"
-    (Mycelium_util.Hex.encode (Summation_tree.root_hash tree))
+    (Testkit.Hex.encode (Summation_tree.root_hash tree))
 
 let test_summation_tree_sums_correctly () =
   List.iter
@@ -841,17 +978,13 @@ let test_e2e_parse_and_analysis_errors () =
 let () =
   Alcotest.run "mycelium-core"
     [
-      ( "pregel",
-        [
-          Alcotest.test_case "BFS vertex program" `Quick test_pregel_bfs;
-          Alcotest.test_case "halting" `Quick test_pregel_halting;
-          Alcotest.test_case "neighbor check" `Quick test_pregel_send_checks_neighbors;
-        ] );
       ( "baseline",
         [
           Alcotest.test_case "flooded = direct" `Quick test_flooded_matches_direct;
           Alcotest.test_case "Q1 mass" `Quick test_baseline_q1_counts;
           Alcotest.test_case "timer" `Quick test_baseline_timer;
+          Alcotest.test_case "flood reaches the k-hop ball" `Quick test_flood_reaches_k_hop_ball;
+          Alcotest.test_case "known answers on a star" `Quick test_baseline_known_answers;
         ] );
       ( "committee",
         [

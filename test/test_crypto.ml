@@ -3,7 +3,7 @@
    trees, and the ElGamal PEnc. *)
 
 module Rng = Mycelium_util.Rng
-module Hex = Mycelium_util.Hex
+module Hex = Testkit.Hex
 module Sha256 = Mycelium_crypto.Sha256
 module Chacha20 = Mycelium_crypto.Chacha20
 module Poly1305 = Mycelium_crypto.Poly1305
@@ -194,15 +194,16 @@ let prop_aead_roundtrip =
 module Oracle = struct
   module Bigint = Mycelium_math.Bigint
 
-  let p = Bigint.sub (Bigint.shift_left Bigint.one 130) (Bigint.of_int 5)
-  let two_128 = Bigint.shift_left Bigint.one 128
+  (* 2^k as the big-endian bytes 2^(k mod 8), 0, ..., 0. *)
+  let pow2 k =
+    Bigint.of_bytes_be
+      (Bytes.init ((k / 8) + 1) (fun i -> if i = 0 then Char.chr (1 lsl (k mod 8)) else '\x00'))
+
+  let p = Bigint.sub (pow2 130) (Bigint.of_int 5)
+  let two_128 = pow2 128
 
   let le_number b off len =
-    let acc = ref Bigint.zero in
-    for i = len - 1 downto 0 do
-      acc := Bigint.add_int (Bigint.shift_left !acc 8) (Bytes.get_uint8 b (off + i))
-    done;
-    !acc
+    Bigint.of_bytes_be (Bytes.init len (fun i -> Bytes.get b (off + len - 1 - i)))
 
   (* A number below 2^128 as 16 little-endian bytes. *)
   let to_le16 n =
@@ -223,7 +224,7 @@ module Oracle = struct
     while !off < len do
       let chunk = min 16 (len - !off) in
       (* The block with the 2^(8·chunk) bit appended. *)
-      let n = Bigint.add (le_number msg !off chunk) (Bigint.shift_left Bigint.one (8 * chunk)) in
+      let n = Bigint.add (le_number msg !off chunk) (pow2 (8 * chunk)) in
       acc := Bigint.erem (Bigint.mul (Bigint.add !acc n) r) p;
       off := !off + 16
     done;
@@ -470,13 +471,15 @@ let test_poly1305_final_subtraction () =
     let r = le_number (clamp_r key) 0 16 in
     let c1 = Bigint.add (le_number m1 0 16) two_128 in
     let c2 =
-      Bigint.erem (Bigint.sub (Bigint.mul_int (Bigint.mod_inv r p) t) (Bigint.mul c1 r)) p
+      (* r^-1 = r^(p-2) mod p: p is prime. *)
+      let r_inv = Bigint.mod_pow r (Bigint.sub p (Bigint.of_int 2)) p in
+      Bigint.erem (Bigint.sub (Bigint.mul_int r_inv t) (Bigint.mul c1 r)) p
     in
     let m2 = Bigint.sub c2 two_128 in
     if Bigint.sign m2 >= 0 && Bigint.compare m2 two_128 < 0 then begin
       incr found;
       let msg = Bytes.cat m1 (to_le16 m2) in
-      let expected = to_le16 (Bigint.erem (Bigint.add_int (le_number key 16 16) t) two_128) in
+      let expected = to_le16 (Bigint.erem (Bigint.add (le_number key 16 16) (Bigint.of_int t)) two_128) in
       check_bytes "oracle" expected (poly1305 ~key msg);
       check_bytes (Printf.sprintf "h = %d mod p" t) expected (Poly1305.mac ~key msg)
     end
@@ -615,7 +618,7 @@ let test_merkle_all_proofs_verify () =
     (fun n ->
       let leaves = leaves_of_n n in
       let t = Merkle.build leaves in
-      checki "leaf count" n (Merkle.leaf_count t);
+      checki "leaf count" n (Merkle.prove t 0).Merkle.leaf_count;
       for i = 0 to n - 1 do
         let proof = Merkle.prove t i in
         checkb
@@ -673,10 +676,12 @@ let test_merkle_root_depends_on_all_leaves () =
   checkb "root changed" false (Bytes.equal r1 r2)
 
 let test_merkle_depth () =
-  checki "1 leaf" 0 (Merkle.depth (Merkle.build (leaves_of_n 1)));
-  checki "2 leaves" 1 (Merkle.depth (Merkle.build (leaves_of_n 2)));
-  checki "5 leaves" 3 (Merkle.depth (Merkle.build (leaves_of_n 5)));
-  checki "8 leaves" 3 (Merkle.depth (Merkle.build (leaves_of_n 8)))
+  (* A proof carries one sibling per level. *)
+  let depth n = List.length (Merkle.prove (Merkle.build (leaves_of_n n)) 0).Merkle.siblings in
+  checki "1 leaf" 0 (depth 1);
+  checki "2 leaves" 1 (depth 2);
+  checki "5 leaves" 3 (depth 5);
+  checki "8 leaves" 3 (depth 8)
 
 let prop_merkle_random =
   qtest "random trees verify" QCheck.(int_range 1 64) (fun n ->
@@ -871,10 +876,9 @@ let test_kernels_across_domains () =
   in
   let ids = Array.init 48 Fun.id in
   let sequential = Array.map task ids in
-  let pool = Pool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
+  Pool.with_domains 4
     (fun () ->
+      let pool = Pool.default () in
       for round = 1 to 3 do
         Array.iteri
           (fun i (digest, ct, coeffs) ->

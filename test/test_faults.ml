@@ -92,10 +92,41 @@ let send_outcome plan ~source ~dest =
   in
   go 1 0
 
+(* What a fault-free run reports: every counter zero. *)
+let empty_report =
+  {
+    Injector.substituted_contributions = 0;
+    dropped_messages = 0;
+    delayed_messages = 0;
+    channel_retries = 0;
+    backoff_units = 0;
+    excluded_committee_members = 0;
+    forged_rejected = 0;
+    aggregator_restarts = 0;
+    decryption_attempts = 0;
+  }
+
+let report_to_string (r : Injector.report) =
+  Printf.sprintf
+    "degradation{substituted=%d; dropped=%d; delayed=%d; retries=%d; backoff=%d; \
+     excluded-committee=%d; forged-rejected=%d; restarts=%d; decryption-attempts=%d}"
+    r.Injector.substituted_contributions r.dropped_messages r.delayed_messages
+    r.channel_retries r.backoff_units r.excluded_committee_members r.forged_rejected
+    r.aggregator_restarts r.decryption_attempts
+
+(* Devices in [0, n) that the plan marks offline, and those that forge
+   (churned ones excluded). *)
+let churned_devices plan ~n =
+  List.filter (fun d -> Fault_plan.device_churned plan ~device:d) (List.init n Fun.id)
+
+let forging_devices plan ~n =
+  List.filter (fun d -> Fault_plan.contribution_forged plan ~device:d) (List.init n Fun.id)
+
 (* The degradation report the runtime must produce for a query of
    [hops] hops over [g] on the abstract channel — the chaos suite's
    core assertion is that this, computed from the plan alone, matches
    what the pipeline actually recorded. *)
+
 let expected_report plan g ~hops ~committee_size =
   let n = Cg.population g in
   let churned d = Fault_plan.device_churned plan ~device:d in
@@ -120,7 +151,7 @@ let expected_report plan g ~hops ~committee_size =
           end)
         (Cg.k_hop g origin ~k:hops)
   done;
-  if Fault_plan.is_none plan then Injector.empty_report
+  if Fault_plan.is_none plan then empty_report
   else
     {
       Injector.substituted_contributions = !substituted;
@@ -130,7 +161,7 @@ let expected_report plan g ~hops ~committee_size =
       backoff_units = !backoff;
       excluded_committee_members =
         List.length (Fault_plan.crashed_members plan ~size:committee_size);
-      forged_rejected = List.length (Fault_plan.forging_devices plan ~n);
+      forged_rejected = List.length (forging_devices plan ~n);
       aggregator_restarts = plan.Fault_plan.aggregator_restarts;
       decryption_attempts = 1;
     }
@@ -161,8 +192,8 @@ let affected_origins plan g ~hops =
 let check_report msg expected actual =
   if not (Injector.report_equal expected actual) then
     Alcotest.failf "%s:\n  expected %s\n  got      %s" msg
-      (Injector.report_to_string expected)
-      (Injector.report_to_string actual)
+      (report_to_string expected)
+      (report_to_string actual)
 
 (* With epsilon = infinity there is no noise, so any deviation from
    the plaintext oracle is pure degradation — bounded per bin by
@@ -224,7 +255,7 @@ let test_plan_rates_are_calibrated () =
   (* Statistical sanity at a fixed internal seed: about half of a big
      population churns at rate 0.5. *)
   let p = Fault_plan.make ~churn_rate:0.5 ~seed:123L () in
-  let c = List.length (Fault_plan.churned_devices p ~n:1000) in
+  let c = List.length (churned_devices p ~n:1000) in
   checkb (Printf.sprintf "churn count %d in [400, 600]" c) true (c >= 400 && c <= 600)
 
 let test_plan_attempts_independent () =
@@ -271,7 +302,7 @@ let test_injector_retry_accounting () =
   let quiet = Injector.create Fault_plan.none in
   checkb "inactive" false (Injector.active quiet);
   checkb "delivered" true (Injector.send quiet ~round:0 ~source:1 ~dest:2);
-  checkb "empty report" true (Injector.report_equal Injector.empty_report (Injector.report quiet))
+  checkb "empty report" true (Injector.report_equal empty_report (Injector.report quiet))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos matrix: fault class x intensity                               *)
@@ -605,7 +636,7 @@ let test_no_faults_empty_report () =
   | Error e -> Alcotest.failf "fault-free run failed: %s" (err_to_string e)
   | Ok r ->
     checkb "empty report" true
-      (Injector.report_equal Injector.empty_report r.Runtime.degradation);
+      (Injector.report_equal empty_report r.Runtime.degradation);
     let exact = Runtime.exact_bins_for_tests sys r.Runtime.info in
     checkb "exact release" true
       (Array.for_all2 (fun a b -> int_of_float a = b) r.Runtime.noisy_bins exact)

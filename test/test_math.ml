@@ -3,10 +3,11 @@
    and the polynomial ring. *)
 
 module Rng = Mycelium_util.Rng
-module Hex = Mycelium_util.Hex
+module Hex = Testkit.Hex
 module Stats = Mycelium_util.Stats
 module Modarith = Mycelium_math.Modarith
 module Ntt = Mycelium_math.Ntt
+module Mont_backend = Mycelium_math.Mont_backend
 module Bigint = Mycelium_math.Bigint
 module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
@@ -86,6 +87,9 @@ let test_rng_fill_int_matches_int () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.fill_int: bound must be positive")
     (fun () -> Rng.fill_int (Rng.create 1L) 0 [| 0 |])
 
+(* One coin: the low bit of the next 64-bit output. *)
+let coin rng = Int64.equal (Int64.logand (Rng.int64 rng) 1L) 1L
+
 let test_rng_fill_centered_binomial_matches_bool () =
   List.iter
     (fun eta ->
@@ -98,8 +102,8 @@ let test_rng_fill_centered_binomial_matches_bool () =
             Array.init len (fun _ ->
                 let acc = ref 0 in
                 for _ = 1 to eta do
-                  if Rng.bool single then incr acc;
-                  if Rng.bool single then decr acc
+                  if coin single then incr acc;
+                  if coin single then decr acc
                 done;
                 !acc)
           in
@@ -167,7 +171,7 @@ let test_rng_laplace_moments () =
   let n = 200_000 in
   let xs = Array.init n (fun _ -> Rng.laplace rng b) in
   let mean = Stats.mean xs in
-  let var = Stats.variance xs in
+  let var = Testkit.variance xs in
   checkb "mean near 0" true (Float.abs mean < 0.05);
   (* Laplace variance is 2 b^2 = 12.5. *)
   checkb "variance near 2b^2" true (Float.abs (var -. 12.5) < 0.5)
@@ -177,7 +181,7 @@ let test_rng_gaussian_moments () =
   let n = 200_000 in
   let xs = Array.init n (fun _ -> Rng.gaussian rng 3.0) in
   checkb "mean near 0" true (Float.abs (Stats.mean xs) < 0.05);
-  checkb "stddev near 3" true (Float.abs (Stats.stddev xs -. 3.0) < 0.05)
+  checkb "stddev near 3" true (Float.abs (Testkit.stddev xs -. 3.0) < 0.05)
 
 let test_rng_geometric () =
   let rng = Rng.create 17L in
@@ -208,7 +212,7 @@ let test_hex_roundtrip () =
   done
 
 let test_hex_known () =
-  check Alcotest.string "abc" "616263" (Hex.encode_string "abc");
+  check Alcotest.string "abc" "616263" (Hex.encode (Bytes.of_string "abc"));
   check Alcotest.bytes "decode upper" (Bytes.of_string "\xde\xad\xbe\xef") (Hex.decode "DEADBEEF")
 
 let test_hex_invalid () =
@@ -220,11 +224,11 @@ let test_hex_invalid () =
 let test_stats_basic () =
   let a = [| 1.; 2.; 3.; 4.; 5. |] in
   check (Alcotest.float 1e-9) "mean" 3.0 (Stats.mean a);
-  check (Alcotest.float 1e-9) "variance" 2.0 (Stats.variance a);
+  check (Alcotest.float 1e-9) "variance" 2.0 (Testkit.variance a);
   check (Alcotest.float 1e-9) "median" 3.0 (Stats.median a);
-  check (Alcotest.float 1e-9) "p0" 1.0 (Stats.percentile a 0.);
-  check (Alcotest.float 1e-9) "p100" 5.0 (Stats.percentile a 100.);
-  check (Alcotest.float 1e-9) "p25" 2.0 (Stats.percentile a 25.)
+  check (Alcotest.float 1e-9) "even-length median interpolates" 2.5
+    (Stats.median [| 4.; 1.; 3.; 2. |]);
+  check (Alcotest.float 1e-9) "minimum" 1.0 (Stats.minimum a)
 
 (* ------------------------------------------------------------------ *)
 (* Modarith                                                            *)
@@ -264,9 +268,10 @@ let test_modarith_is_prime () =
     [ 0; 1; 4; 9; 561; 1105; 1729; 2465; 6601; 2147483646 ]
 
 let test_modarith_primitive_root () =
+  (* A root of unity of order p - 1 generates the whole group. *)
   List.iter
     (fun p ->
-      let g = Modarith.primitive_root p in
+      let g = Modarith.nth_root_of_unity p (p - 1) in
       (* Order of g must be exactly p-1: g^((p-1)/q) <> 1 for prime q | p-1. *)
       checki "g^(p-1)=1" 1 (Modarith.pow p g (p - 1));
       checkb "g^((p-1)/2) <> 1" true (p = 2 || Modarith.pow p g ((p - 1) / 2) <> 1))
@@ -294,17 +299,30 @@ let test_ntt_find_primes () =
     ps;
   checki "distinct" 5 (List.sort_uniq compare ps |> List.length)
 
+(* The transforms Rq runs: the Montgomery kernels of Mont_backend, and
+   the negacyclic product built from them. *)
+let plan_28 n =
+  let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
+  (p, Mont_backend.make_plan ~p ~degree:n)
+
+let ntt_multiply plan n a b =
+  let fa = Array.make n 0 and fb = Array.make n 0 in
+  Mont_backend.forward_into plan ~src:a ~dst:fa;
+  Mont_backend.forward_into plan ~src:b ~dst:fb;
+  Mont_backend.pointwise_into plan ~dst:fa fa fb;
+  Mont_backend.inverse plan fa;
+  fa
+
 let test_ntt_roundtrip () =
   let n = 256 in
-  let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-  let plan = Ntt.make_plan ~p ~degree:n in
+  let p, plan = plan_28 n in
   let rng = Rng.create 101L in
   for _ = 1 to 20 do
     let a = Array.init n (fun _ -> Rng.int rng p) in
     let b = Array.copy a in
-    Ntt.forward plan b;
+    Mont_backend.forward plan b;
     checkb "transform changes data" true (a <> b);
-    Ntt.inverse plan b;
+    Mont_backend.inverse plan b;
     checkb "roundtrip" true (a = b)
   done
 
@@ -314,18 +332,17 @@ let test_ntt_seeded_roundtrip_all_degrees () =
      each sweep reproducible. *)
   List.iter
     (fun n ->
-      let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-      let plan = Ntt.make_plan ~p ~degree:n in
+      let p, plan = plan_28 n in
       let rng = Rng.create (Int64.of_int (7000 + n)) in
       for _ = 1 to 25 do
         let a = Array.init n (fun _ -> Rng.int rng p) in
         let b = Array.copy a in
-        Ntt.forward plan b;
-        Ntt.inverse plan b;
+        Mont_backend.forward plan b;
+        Mont_backend.inverse plan b;
         checkb "inverse . forward = id" true (a = b);
         let c = Array.copy a in
-        Ntt.inverse plan c;
-        Ntt.forward plan c;
+        Mont_backend.inverse plan c;
+        Mont_backend.forward plan c;
         checkb "forward . inverse = id" true (a = c)
       done)
     [ 8; 32; 128; 512 ]
@@ -333,13 +350,12 @@ let test_ntt_seeded_roundtrip_all_degrees () =
 let test_ntt_vs_naive () =
   List.iter
     (fun n ->
-      let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-      let plan = Ntt.make_plan ~p ~degree:n in
+      let p, plan = plan_28 n in
       let rng = Rng.create (Int64.of_int n) in
       for _ = 1 to 10 do
         let a = Array.init n (fun _ -> Rng.int rng p) in
         let b = Array.init n (fun _ -> Rng.int rng p) in
-        let fast = Ntt.multiply plan a b in
+        let fast = ntt_multiply plan n a b in
         let slow = Ntt.multiply_naive ~p a b in
         checkb "ntt = naive" true (fast = slow)
       done)
@@ -348,12 +364,11 @@ let test_ntt_vs_naive () =
 let test_ntt_negacyclic_wraparound () =
   (* x^(N-1) * x = x^N = -1. *)
   let n = 64 in
-  let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-  let plan = Ntt.make_plan ~p ~degree:n in
+  let p, plan = plan_28 n in
   let a = Array.make n 0 and b = Array.make n 0 in
   a.(n - 1) <- 1;
   b.(1) <- 1;
-  let c = Ntt.multiply plan a b in
+  let c = ntt_multiply plan n a b in
   checki "constant term is -1" (p - 1) c.(0);
   for i = 1 to n - 1 do
     checki "other terms zero" 0 c.(i)
@@ -362,82 +377,114 @@ let test_ntt_negacyclic_wraparound () =
 let test_ntt_monomial_exponent_addition () =
   (* The Mycelium histogram encoding: x^a * x^b = x^(a+b). *)
   let n = 128 in
-  let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-  let plan = Ntt.make_plan ~p ~degree:n in
+  let _, plan = plan_28 n in
   let mono e = Array.init n (fun i -> if i = e then 1 else 0) in
-  let c = Ntt.multiply plan (mono 17) (mono 40) in
+  let c = ntt_multiply plan n (mono 17) (mono 40) in
   Array.iteri (fun i v -> checki "monomial product" (if i = 57 then 1 else 0) v) c
 
 let test_ntt_linearity () =
   let n = 128 in
-  let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-  let plan = Ntt.make_plan ~p ~degree:n in
+  let p, plan = plan_28 n in
   let rng = Rng.create 202L in
   let a = Array.init n (fun _ -> Rng.int rng p) in
   let b = Array.init n (fun _ -> Rng.int rng p) in
   let sum = Array.init n (fun i -> Modarith.add p a.(i) b.(i)) in
   let fa = Array.copy a and fb = Array.copy b and fs = Array.copy sum in
-  Ntt.forward plan fa;
-  Ntt.forward plan fb;
-  Ntt.forward plan fs;
+  Mont_backend.forward plan fa;
+  Mont_backend.forward plan fb;
+  Mont_backend.forward plan fs;
   Array.iteri (fun i v -> checki "NTT(a+b) = NTT(a)+NTT(b)" v (Modarith.add p fa.(i) fb.(i))) fs
 
 (* ------------------------------------------------------------------ *)
 (* Bigint                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let bigint_testable =
-  Alcotest.testable (fun fmt v -> Bigint.pp fmt v) Bigint.equal
-
+(* Decimal text, sign and equality over the public arithmetic: the
+   printer and parser of the vectors below. *)
 let bi = Bigint.of_int
+let big_equal a b = Bigint.compare a b = 0
+let big_neg a = Bigint.sub Bigint.zero a
+let big_abs a = if Bigint.sign a < 0 then big_neg a else a
+let billion = 1_000_000_000
+
+let big_to_string t =
+  let rec chunks v acc =
+    if Bigint.sign v = 0 then acc
+    else chunks (Bigint.div v (bi billion)) (Bigint.rem_int v billion :: acc)
+  in
+  match chunks (big_abs t) [] with
+  | [] -> "0"
+  | first :: rest ->
+    String.concat ""
+      ((if Bigint.sign t < 0 then "-" else "")
+      :: string_of_int first :: List.map (Printf.sprintf "%09d") rest)
+
+let big_of_string s =
+  let negative = String.length s > 0 && s.[0] = '-' in
+  let digits = if negative then String.sub s 1 (String.length s - 1) else s in
+  let v =
+    String.fold_left
+      (fun acc c -> Bigint.add (Bigint.mul_int acc 10) (bi (Char.code c - Char.code '0')))
+      Bigint.zero digits
+  in
+  if negative then big_neg v else v
+
+let big_to_int t = int_of_string (big_to_string t)
+
+let pow2 k =
+  let rec go acc k = if k = 0 then acc else go (Bigint.mul_int acc 2) (k - 1) in
+  go Bigint.one k
+
+let bigint_testable =
+  Alcotest.testable (fun fmt v -> Format.pp_print_string fmt (big_to_string v)) big_equal
 
 let test_bigint_of_to_int () =
   List.iter
-    (fun v -> checki "roundtrip" v (Bigint.to_int (bi v)))
+    (fun v -> checki "roundtrip" v (big_to_int (bi v)))
     [ 0; 1; -1; 42; -42; max_int / 2; min_int / 2; 1 lsl 40; -(1 lsl 40) ]
 
 let test_bigint_string_roundtrip () =
   List.iter
-    (fun s -> check Alcotest.string "decimal roundtrip" s Bigint.(to_string (of_string s)))
+    (fun s -> check Alcotest.string "decimal roundtrip" s (big_to_string (big_of_string s)))
     [ "0"; "1"; "-1"; "123456789012345678901234567890";
       "-999999999999999999999999999999999999";
       "340282366920938463463374607431768211456" (* 2^128 *) ]
 
 let test_bigint_arith_known () =
-  let a = Bigint.of_string "123456789012345678901234567890" in
-  let b = Bigint.of_string "987654321098765432109876543210" in
+  let a = big_of_string "123456789012345678901234567890" in
+  let b = big_of_string "987654321098765432109876543210" in
   check bigint_testable "add"
-    (Bigint.of_string "1111111110111111111011111111100")
+    (big_of_string "1111111110111111111011111111100")
     (Bigint.add a b);
   check bigint_testable "sub"
-    (Bigint.of_string "-864197532086419753208641975320")
+    (big_of_string "-864197532086419753208641975320")
     (Bigint.sub a b);
   check bigint_testable "mul"
-    (Bigint.of_string "121932631137021795226185032733622923332237463801111263526900")
+    (big_of_string "121932631137021795226185032733622923332237463801111263526900")
     (Bigint.mul a b)
 
 let test_bigint_divmod_known () =
-  let a = Bigint.of_string "121932631137021795226185032733622923332237463801111263526900" in
-  let b = Bigint.of_string "987654321098765432109876543210" in
-  let q, r = Bigint.divmod a b in
-  check bigint_testable "exact quotient" (Bigint.of_string "123456789012345678901234567890") q;
-  check bigint_testable "zero remainder" Bigint.zero r
+  let a = big_of_string "121932631137021795226185032733622923332237463801111263526900" in
+  let b = big_of_string "987654321098765432109876543210" in
+  check bigint_testable "exact quotient" (big_of_string "123456789012345678901234567890")
+    (Bigint.div a b);
+  check bigint_testable "zero remainder" Bigint.zero (Bigint.erem a b)
 
 let int_small = QCheck.int_range (-1000000000) 1000000000
 
 let prop_bigint_matches_int =
   qtest "bigint arith matches int oracle" QCheck.(pair int_small int_small) (fun (a, b) ->
       let ba = bi a and bb = bi b in
-      Bigint.to_int (Bigint.add ba bb) = a + b
-      && Bigint.to_int (Bigint.sub ba bb) = a - b
-      && Bigint.to_int (Bigint.mul ba bb) = a * b)
+      big_to_int (Bigint.add ba bb) = a + b
+      && big_to_int (Bigint.sub ba bb) = a - b
+      && big_to_int (Bigint.mul ba bb) = a * b)
 
 let prop_bigint_divmod_int =
-  qtest "bigint divmod matches int oracle"
+  qtest "bigint div/erem match int oracle"
     QCheck.(pair int_small (int_small |> map (fun v -> if v = 0 then 1 else v)))
     (fun (a, b) ->
-      let q, r = Bigint.divmod (bi a) (bi b) in
-      Bigint.to_int q = a / b && Bigint.to_int r = a mod b)
+      big_to_int (Bigint.div (bi a) (bi b)) = a / b
+      && big_to_int (Bigint.erem (bi a) (bi b)) = ((a mod b) + abs b) mod abs b)
 
 let big_gen =
   (* Random bigints up to ~300 bits via hex strings. *)
@@ -445,61 +492,67 @@ let big_gen =
     let* len = int_range 1 75 in
     let* neg = bool in
     let* digits = string_size ~gen:(oneofl [ '0'; '1'; '2'; '3'; '4'; '5'; '6'; '7'; '8'; '9'; 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ]) (return len) in
-    return (let v = Bigint.of_hex digits in if neg then Bigint.neg v else v))
+    return (let v = Bigint.of_hex digits in if neg then big_neg v else v))
 
-let arb_big = QCheck.make ~print:Bigint.to_string big_gen
+let arb_big = QCheck.make ~print:big_to_string big_gen
+
+(* Truncated division leaves a remainder a - q*b smaller than b in
+   magnitude with the sign of a; the Euclidean remainder lies in
+   [0, |b|) and differs from it by |b| at most. *)
+let division_holds a b =
+  let q = Bigint.div a b in
+  let r = Bigint.sub a (Bigint.mul q b) in
+  let e = Bigint.erem a b in
+  Bigint.compare (big_abs r) (big_abs b) < 0
+  && (Bigint.sign r = 0 || Bigint.sign r = Bigint.sign a)
+  && Bigint.sign e >= 0
+  && Bigint.compare e (big_abs b) < 0
+  && big_equal e (if Bigint.sign r < 0 then Bigint.add r (big_abs b) else r)
 
 let prop_bigint_divmod_invariant =
-  qtest "divmod invariant: a = q*b + r, |r| < |b|" QCheck.(pair arb_big arb_big)
+  qtest "division invariant: a = q*b + r, |r| < |b|" QCheck.(pair arb_big arb_big)
     (fun (a, b) ->
-      QCheck.assume (not (Bigint.is_zero b));
-      let q, r = Bigint.divmod a b in
-      Bigint.equal a (Bigint.add (Bigint.mul q b) r)
-      && Bigint.compare (Bigint.abs r) (Bigint.abs b) < 0
-      && (Bigint.is_zero r || Bigint.sign r = Bigint.sign a))
+      QCheck.assume (Bigint.sign b <> 0);
+      division_holds a b)
 
 let prop_bigint_ring_axioms =
   qtest "ring axioms" QCheck.(triple arb_big arb_big arb_big) (fun (a, b, c) ->
-      Bigint.equal (Bigint.add a b) (Bigint.add b a)
-      && Bigint.equal (Bigint.mul a b) (Bigint.mul b a)
-      && Bigint.equal (Bigint.mul a (Bigint.add b c)) (Bigint.add (Bigint.mul a b) (Bigint.mul a c))
-      && Bigint.equal (Bigint.mul (Bigint.mul a b) c) (Bigint.mul a (Bigint.mul b c)))
+      big_equal (Bigint.add a b) (Bigint.add b a)
+      && big_equal (Bigint.mul a b) (Bigint.mul b a)
+      && big_equal (Bigint.mul a (Bigint.add b c)) (Bigint.add (Bigint.mul a b) (Bigint.mul a c))
+      && big_equal (Bigint.mul (Bigint.mul a b) c) (Bigint.mul a (Bigint.mul b c)))
 
 let prop_bigint_shift =
-  qtest "shifts are multiplication/division by powers of two"
+  qtest "shift_right is division by a power of two"
     QCheck.(pair arb_big (int_range 0 100))
-    (fun (a, k) ->
-      Bigint.equal (Bigint.shift_left a k) (Bigint.mul a (Bigint.pow Bigint.two k))
-      && Bigint.equal (Bigint.shift_right (Bigint.abs a) k)
-           (Bigint.div (Bigint.abs a) (Bigint.pow Bigint.two k)))
+    (fun (a, k) -> big_equal (Bigint.shift_right (big_abs a) k) (Bigint.div (big_abs a) (pow2 k)))
 
 let prop_bigint_bytes_roundtrip =
   qtest "bytes_be roundtrip" arb_big (fun a ->
-      let a = Bigint.abs a in
-      Bigint.equal a (Bigint.of_bytes_be (Bigint.to_bytes_be a)))
+      let a = big_abs a in
+      big_equal a (Bigint.of_bytes_be (Bigint.to_bytes_be a)))
 
 let prop_bigint_rem_int =
   qtest "rem_int matches erem" QCheck.(pair arb_big (QCheck.int_range 1 2000000000))
     (fun (a, p) ->
-      Bigint.rem_int a p = Bigint.to_int (Bigint.erem a (bi p)))
+      Bigint.rem_int a p = big_to_int (Bigint.erem a (bi p)))
 
 let test_bigint_seeded_divmod_mul_identities () =
   (* Seeded randomized sweep over wide, sign-mixed operands: the
-     divmod contract, exact division of products, and the binomial
+     division contract, exact division of products, and the binomial
      identity (which stresses carries across limb boundaries). *)
   let rng = Rng.create 9001L in
   let random_big bits =
-    let v = Bigint.random_bits rng (2 + Rng.int rng bits) in
-    if Rng.bool rng then Bigint.neg v else v
+    let v = Bigint.random rng (pow2 (2 + Rng.int rng bits)) in
+    if Rng.int rng 2 = 0 then big_neg v else v
   in
   for _ = 1 to 200 do
     let a = random_big 192 and b = random_big 128 in
-    (if not (Bigint.is_zero b) then begin
-       let q, r = Bigint.divmod a b in
-       checkb "a = q*b + r" true (Bigint.equal a (Bigint.add (Bigint.mul q b) r));
-       checkb "|r| < |b|" true (Bigint.compare (Bigint.abs r) (Bigint.abs b) < 0);
-       let q2, r2 = Bigint.divmod (Bigint.mul a b) b in
-       checkb "(a*b)/b = a exactly" true (Bigint.equal q2 a && Bigint.is_zero r2)
+    (if Bigint.sign b <> 0 then begin
+       checkb "division contract" true (division_holds a b);
+       checkb "(a*b)/b = a exactly" true
+         (big_equal (Bigint.div (Bigint.mul a b) b) a
+         && Bigint.sign (Bigint.erem (Bigint.mul a b) b) = 0)
      end);
     let sq x = Bigint.mul x x in
     let lhs = sq (Bigint.add a b) in
@@ -507,52 +560,97 @@ let test_bigint_seeded_divmod_mul_identities () =
       Bigint.add (sq a)
         (Bigint.add (Bigint.mul (Bigint.of_int 2) (Bigint.mul a b)) (sq b))
     in
-    checkb "(a+b)^2 = a^2 + 2ab + b^2" true (Bigint.equal lhs rhs)
+    checkb "(a+b)^2 = a^2 + 2ab + b^2" true (big_equal lhs rhs)
   done
 
 let test_bigint_mod_pow () =
   (* 2^10 mod 1000 = 24; also a big case checked against repeated squaring. *)
-  checki "small" 24 (Bigint.to_int (Bigint.mod_pow Bigint.two (bi 10) (bi 1000)));
-  let m = Bigint.of_string "1000000007" in
-  let r = Bigint.mod_pow (bi 3) (Bigint.of_string "1000000006") m in
+  checki "small" 24 (big_to_int (Bigint.mod_pow (bi 2) (bi 10) (bi 1000)));
+  let m = big_of_string "1000000007" in
+  let r = Bigint.mod_pow (bi 3) (big_of_string "1000000006") m in
   (* Fermat: 3^(p-1) = 1 mod p. *)
   check bigint_testable "fermat big" Bigint.one r
-
-let test_bigint_mod_inv () =
-  let rng = Rng.create 55L in
-  let m = Bigint.of_string "170141183460469231731687303715884105727" (* 2^127-1, prime *) in
-  for _ = 1 to 20 do
-    let a = Bigint.add (Bigint.random rng (Bigint.sub m Bigint.one)) Bigint.one in
-    let i = Bigint.mod_inv a m in
-    check bigint_testable "a * a^-1 = 1 (mod m)" Bigint.one (Bigint.erem (Bigint.mul a i) m)
-  done
-
-let test_bigint_gcd () =
-  check bigint_testable "gcd(12,18)" (bi 6) (Bigint.gcd (bi 12) (bi 18));
-  check bigint_testable "gcd(a,0)" (bi 7) (Bigint.gcd (bi 7) Bigint.zero);
-  check bigint_testable "coprime" Bigint.one (Bigint.gcd (bi 17) (bi 19))
-
-let test_bigint_primality () =
-  let rng = Rng.create 77L in
-  checkb "2^127-1 prime" true
-    (Bigint.is_probable_prime rng (Bigint.of_string "170141183460469231731687303715884105727"));
-  checkb "2^128 composite" false
-    (Bigint.is_probable_prime rng (Bigint.of_string "340282366920938463463374607431768211456"));
-  (* Carmichael number 561 handled by the small-int fast path. *)
-  checkb "561 composite" false (Bigint.is_probable_prime rng (bi 561))
-
-let test_bigint_random_prime () =
-  let rng = Rng.create 88L in
-  let p = Bigint.random_prime rng ~bits:96 in
-  checki "bit length" 96 (Bigint.num_bits p);
-  checkb "probable prime" true (Bigint.is_probable_prime rng p)
 
 let test_bigint_num_bits () =
   checki "zero" 0 (Bigint.num_bits Bigint.zero);
   checki "one" 1 (Bigint.num_bits Bigint.one);
   checki "255" 8 (Bigint.num_bits (bi 255));
   checki "256" 9 (Bigint.num_bits (bi 256));
-  checki "2^100" 101 (Bigint.num_bits (Bigint.pow Bigint.two 100))
+  checki "2^100" 101 (Bigint.num_bits (pow2 100))
+
+(* 2^127 - 1, a Mersenne prime. *)
+let m127 = Bigint.sub (pow2 127) Bigint.one
+
+let test_bigint_of_hex_known () =
+  check bigint_testable "empty" Bigint.zero (Bigint.of_hex "");
+  check bigint_testable "ff" (bi 255) (Bigint.of_hex "ff");
+  check bigint_testable "upper case" (bi 255) (Bigint.of_hex "FF");
+  check bigint_testable "leading zeros" Bigint.one (Bigint.of_hex "0001");
+  check bigint_testable "underscores skipped" (pow2 32) (Bigint.of_hex "1_0000_0000");
+  check bigint_testable "2^127 - 1" m127 (Bigint.of_hex (String.make 1 '7' ^ String.make 31 'f'));
+  Alcotest.check_raises "bad digit" (Invalid_argument "Bigint.of_hex: bad digit") (fun () ->
+      ignore (Bigint.of_hex "12g4"))
+
+let test_bigint_bytes_be_known () =
+  let bytes v = Bytes.to_string (Bigint.to_bytes_be v) in
+  check Alcotest.string "zero is empty" "" (bytes Bigint.zero);
+  check Alcotest.string "255" "\xff" (bytes (bi 255));
+  check Alcotest.string "256" "\x01\x00" (bytes (bi 256));
+  check Alcotest.string "the magnitude of a negative" "\x01\x00" (bytes (bi (-256)));
+  check Alcotest.string "2^64" ("\x01" ^ String.make 8 '\x00') (bytes (pow2 64));
+  check bigint_testable "leading zero bytes ignored" Bigint.one
+    (Bigint.of_bytes_be (Bytes.of_string "\x00\x00\x01"))
+
+let test_bigint_random_bounds () =
+  (* Uniform in [0, bound): at bounds on and around the 26-bit limb
+     edges, every small value is reached, and a bound <= 0 is
+     refused. *)
+  let rng = Rng.create 91L in
+  List.iter
+    (fun bound ->
+      for _ = 1 to 100 do
+        let v = Bigint.random rng bound in
+        checkb "in [0, bound)" true (Bigint.sign v >= 0 && Bigint.compare v bound < 0)
+      done)
+    [ Bigint.one; bi 7; pow2 26; Bigint.add (pow2 26) Bigint.one; pow2 52; m127;
+      Bigint.mul m127 m127 ];
+  let seen = Array.make 7 false in
+  for _ = 1 to 200 do
+    seen.(big_to_int (Bigint.random rng (bi 7))) <- true
+  done;
+  checkb "every value below 7 drawn" true (Array.for_all Fun.id seen);
+  Alcotest.check_raises "zero bound" (Invalid_argument "Bigint.random: bound must be positive")
+    (fun () -> ignore (Bigint.random rng Bigint.zero))
+
+let test_bigint_division_by_zero () =
+  Alcotest.check_raises "div" Division_by_zero (fun () -> ignore (Bigint.div (bi 5) Bigint.zero));
+  Alcotest.check_raises "erem" Division_by_zero (fun () ->
+      ignore (Bigint.erem (bi 5) Bigint.zero));
+  Alcotest.check_raises "rem_int" (Invalid_argument "Bigint.rem_int: modulus out of range")
+    (fun () -> ignore (Bigint.rem_int (bi 5) 0));
+  Alcotest.check_raises "mod_pow" (Invalid_argument "Bigint.mod_pow: modulus must be positive")
+    (fun () -> ignore (Bigint.mod_pow (bi 5) (bi 2) Bigint.zero))
+
+let test_bigint_mod_pow_fermat_127 () =
+  (* Fermat over the 127-bit Mersenne prime, with random bases; the
+     composite 2^128 has 3 as a witness. *)
+  let rng = Rng.create 55L in
+  let e = Bigint.sub m127 Bigint.one in
+  for _ = 1 to 20 do
+    let a = Bigint.add (Bigint.random rng e) Bigint.one in
+    check bigint_testable "a^(m-1) = 1 (mod m)" Bigint.one (Bigint.mod_pow a e m127);
+    check bigint_testable "a^m = a (mod m)" a (Bigint.mod_pow a m127 m127)
+  done;
+  let m128 = pow2 128 in
+  checkb "3^(2^128 - 1) <> 1 (mod 2^128)" false
+    (big_equal Bigint.one (Bigint.mod_pow (bi 3) (Bigint.sub m128 Bigint.one) m128));
+  check bigint_testable "e = 0" Bigint.one (Bigint.mod_pow (bi 12345) Bigint.zero m127);
+  check bigint_testable "m = 1" Bigint.zero (Bigint.mod_pow (bi 12345) (bi 7) Bigint.one)
+
+let prop_bigint_compare =
+  qtest "compare and sign match int" QCheck.(pair int_small int_small) (fun (a, b) ->
+      Int.compare (Bigint.compare (bi a) (bi b)) 0 = Int.compare (Int.compare a b) 0
+      && Bigint.sign (bi a) = Int.compare a 0)
 
 (* ------------------------------------------------------------------ *)
 (* Rns / Rq                                                            *)
@@ -607,7 +705,7 @@ let test_rns_roundtrip () =
 let test_rns_centered () =
   let b = Lazy.force small_basis in
   (* -5 should come back as -5 after centering, and as t - 5 mod t. *)
-  let r = Rns.of_int b (-5) in
+  let r = Array.map (fun p -> Modarith.reduce p (-5)) (Rns.primes b) in
   check bigint_testable "centered small negative" (bi (-5)) (crt_to_bigint_centered b r);
   let column = Array.map (fun v -> Array.make (Rns.degree b) v) r in
   checki "centered mod t" 252 (Rns.centered_mod_rows b ~modulus:257 column).(0)
@@ -636,7 +734,7 @@ let test_garner_decode (p : Mycelium_bgv.Params.t) () =
   let q = crt_modulus b in
   let half = Bigint.shift_right q 1 in
   let edges =
-    [ Bigint.zero; Bigint.one; Bigint.sub q Bigint.one; Bigint.two; Bigint.sub half Bigint.one;
+    [ Bigint.zero; Bigint.one; Bigint.sub q Bigint.one; bi 2; Bigint.sub half Bigint.one;
       half; Bigint.add half Bigint.one ]
   in
   let rng = Rng.create (Int64.of_int (n + Array.length primes)) in
@@ -653,7 +751,7 @@ let test_garner_decode (p : Mycelium_bgv.Params.t) () =
       let got = Rns.centered_mod_rows b ~modulus:t rows in
       Array.iteri
         (fun c v ->
-          let want = Bigint.to_int (Bigint.erem v (bi t)) in
+          let want = big_to_int (Bigint.erem v (bi t)) in
           if got.(c) <> want then
             Alcotest.failf "N=%d t=%d coefficient %d: Garner %d, Bigint %d" n t c got.(c) want)
         values)
@@ -692,37 +790,44 @@ let test_rq_rns_digits () =
           checkb "digit in Eval" true (Rq.repr_of d = Rq.Eval);
           let bound = bi (primes.(j) / 2) in
           Array.iter
-            (fun c -> checkb "digit within p_j/2" true (Bigint.compare (Bigint.abs c) bound <= 0))
+            (fun c -> checkb "digit within p_j/2" true (Bigint.compare (big_abs c) bound <= 0))
             (Rq.to_bigint_coeffs d))
         digits)
     [ Rq.force_eval; Rq.force_coeff ]
 
+(* coeff * x^exponent, the exponent reduced negacyclically (x^N = -1). *)
+let monomial b ~coeff ~exponent =
+  let n = Rns.degree b in
+  let e = exponent mod (2 * n) in
+  let e, coeff = if e >= n then (e - n, -coeff) else (e, coeff) in
+  Rq.of_centered_coeffs b (Array.init (e + 1) (fun i -> if i = e then coeff else 0))
+
 let test_rq_monomial_mul () =
   let b = Lazy.force small_basis in
   (* x^a * x^b = x^(a+b): the core encoding trick of Mycelium (§4.1). *)
-  let xa = Rq.monomial b ~coeff:1 ~exponent:20 in
-  let xb = Rq.monomial b ~coeff:1 ~exponent:30 in
+  let xa = monomial b ~coeff:1 ~exponent:20 in
+  let xb = monomial b ~coeff:1 ~exponent:30 in
   let prod = Rq.mul xa xb in
-  checkb "x^20 * x^30 = x^50" true (Rq.equal prod (Rq.monomial b ~coeff:1 ~exponent:50))
+  checkb "x^20 * x^30 = x^50" true (Rq.equal prod (monomial b ~coeff:1 ~exponent:50))
 
 let test_rq_bin_aggregation () =
   let b = Lazy.force small_basis in
   (* Enc(x^0 + x^1) + Enc(x^0 + x^2) = 2x^0 + x^1 + x^2 as in §4.1. *)
-  let s1 = Rq.add (Rq.monomial b ~coeff:1 ~exponent:0) (Rq.monomial b ~coeff:1 ~exponent:1) in
-  let s2 = Rq.add (Rq.monomial b ~coeff:1 ~exponent:0) (Rq.monomial b ~coeff:1 ~exponent:2) in
+  let s1 = Rq.add (monomial b ~coeff:1 ~exponent:0) (monomial b ~coeff:1 ~exponent:1) in
+  let s2 = Rq.add (monomial b ~coeff:1 ~exponent:0) (monomial b ~coeff:1 ~exponent:2) in
   let sum = Rq.add s1 s2 in
   let coeffs = Rq.to_bigint_coeffs sum in
-  checki "bin 0 has 2" 2 (Bigint.to_int coeffs.(0));
-  checki "bin 1 has 1" 1 (Bigint.to_int coeffs.(1));
-  checki "bin 2 has 1" 1 (Bigint.to_int coeffs.(2));
-  checki "bin 3 has 0" 0 (Bigint.to_int coeffs.(3))
+  checki "bin 0 has 2" 2 (big_to_int coeffs.(0));
+  checki "bin 1 has 1" 1 (big_to_int coeffs.(1));
+  checki "bin 2 has 1" 1 (big_to_int coeffs.(2));
+  checki "bin 3 has 0" 0 (big_to_int coeffs.(3))
 
 let test_rq_negacyclic () =
   let b = Lazy.force small_basis in
   let n = Rns.degree b in
   (* Exponent overflow wraps with sign flip: x^(N-1) * x^2 = -x^1. *)
-  let prod = Rq.mul (Rq.monomial b ~coeff:1 ~exponent:(n - 1)) (Rq.monomial b ~coeff:1 ~exponent:2) in
-  checkb "wraps negacyclically" true (Rq.equal prod (Rq.monomial b ~coeff:(-1) ~exponent:1))
+  let prod = Rq.mul (monomial b ~coeff:1 ~exponent:(n - 1)) (monomial b ~coeff:1 ~exponent:2) in
+  checkb "wraps negacyclically" true (Rq.equal prod (monomial b ~coeff:(-1) ~exponent:1))
 
 let test_rq_ring_ops () =
   let b = Lazy.force small_basis in
@@ -735,14 +840,14 @@ let test_rq_ring_ops () =
       (Rq.equal (Rq.mul x (Rq.add y z)) (Rq.add (Rq.mul x y) (Rq.mul x z)));
     checkb "sub inverse of add" true (Rq.equal x (Rq.sub (Rq.add x y) y));
     checkb "neg" true (Rq.equal (Rq.zero b) (Rq.add x (Rq.neg x)));
-    checkb "one is identity" true (Rq.equal x (Rq.mul x (Rq.one b)))
+    checkb "one is identity" true (Rq.equal x (Rq.mul x (monomial b ~coeff:1 ~exponent:0)))
   done
 
 let test_rq_scalar () =
   let b = Lazy.force small_basis in
-  let x = Rq.monomial b ~coeff:1 ~exponent:5 in
+  let x = monomial b ~coeff:1 ~exponent:5 in
   let three_x = Rq.mul_scalar x 3 in
-  checkb "scalar mult" true (Rq.equal three_x (Rq.monomial b ~coeff:3 ~exponent:5));
+  checkb "scalar mult" true (Rq.equal three_x (monomial b ~coeff:3 ~exponent:5));
   let minus_x = Rq.mul_scalar x (-1) in
   checkb "scalar -1 = neg" true (Rq.equal minus_x (Rq.neg x))
 
@@ -760,7 +865,7 @@ let test_rq_equal_across_representations () =
     checkb "repr moved" true (Rq.repr_of x = Rq.Eval && Rq.repr_of y = Rq.Coeff);
     checkb "equal (eval x) (coeff x)" true (Rq.equal x y);
     checkb "equal (coeff x) (eval x)" true (Rq.equal y x);
-    let z = Rq.add (Rq.of_residues b rows) (Rq.one b) in
+    let z = Rq.add (Rq.of_residues b rows) (monomial b ~coeff:1 ~exponent:0) in
     checkb "unequal values stay unequal across reprs" false (Rq.equal x z)
   done
 
@@ -770,13 +875,13 @@ let test_rq_sampling_ranges () =
   let t = Rq.sample_ternary b rng in
   Array.iter
     (fun c ->
-      let v = Bigint.to_int c in
+      let v = big_to_int c in
       checkb "ternary in {-1,0,1}" true (v >= -1 && v <= 1))
     (Rq.to_bigint_coeffs t);
   let e = Rq.sample_cbd b ~eta:3 rng in
   Array.iter
     (fun c ->
-      let v = Bigint.to_int c in
+      let v = big_to_int c in
       checkb "cbd in [-eta, eta]" true (v >= -3 && v <= 3))
     (Rq.to_bigint_coeffs e)
 
@@ -843,11 +948,13 @@ let () =
           Alcotest.test_case "seeded divmod/mul identities" `Quick
             test_bigint_seeded_divmod_mul_identities;
           Alcotest.test_case "mod_pow" `Quick test_bigint_mod_pow;
-          Alcotest.test_case "mod_inv" `Quick test_bigint_mod_inv;
-          Alcotest.test_case "gcd" `Quick test_bigint_gcd;
-          Alcotest.test_case "primality" `Quick test_bigint_primality;
-          Alcotest.test_case "random prime" `Slow test_bigint_random_prime;
           Alcotest.test_case "num_bits" `Quick test_bigint_num_bits;
+          Alcotest.test_case "of_hex known values" `Quick test_bigint_of_hex_known;
+          Alcotest.test_case "bytes_be known values" `Quick test_bigint_bytes_be_known;
+          Alcotest.test_case "random stays below its bound" `Quick test_bigint_random_bounds;
+          Alcotest.test_case "division by zero refused" `Quick test_bigint_division_by_zero;
+          Alcotest.test_case "mod_pow: Fermat on 2^127-1" `Quick test_bigint_mod_pow_fermat_127;
+          prop_bigint_compare;
         ] );
       ( "rns-rq",
         [
@@ -860,7 +967,7 @@ let () =
           Alcotest.test_case "Garner decode, test_medium" `Quick
             (test_garner_decode Mycelium_bgv.Params.test_medium);
           Alcotest.test_case "Garner decode, test_wide" `Quick
-            (test_garner_decode Mycelium_bgv.Params.test_wide);
+            (test_garner_decode Testkit.test_wide);
           Alcotest.test_case "Garner decode, paper" `Slow
             (test_garner_decode Mycelium_bgv.Params.paper);
           Alcotest.test_case "Garner decode refuses t >= 2^31" `Quick

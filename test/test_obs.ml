@@ -107,17 +107,23 @@ let test_json_depth_limit () =
   | Ok _ -> Alcotest.fail "parser accepted 5000 levels of object nesting"
   | Error _ -> ()
 
-let test_json_to_channel () =
-  (* The streaming writer emits byte-identical output to to_string. *)
-  let path = Filename.temp_file "obs_json" ".json" in
-  let oc = open_out_bin path in
-  Json.to_channel oc sample_json;
-  close_out oc;
+(* The whole of a file, removed afterwards. *)
+let read_and_remove path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove path;
-  checkb "to_channel matches to_string" true (String.equal s (Json.to_string sample_json))
+  s
+
+let test_json_to_channel () =
+  (* The streaming writer behind a ledger row emits byte-identical
+     output to to_string. *)
+  let path = Filename.temp_file "obs_json" ".json" in
+  let ledger = Obs.Ledger.open_ path in
+  Obs.Ledger.append ledger sample_json;
+  Obs.Ledger.close ledger;
+  checkb "to_channel matches to_string" true
+    (String.equal (read_and_remove path) (Json.to_string sample_json ^ "\n"))
 
 (* A finite float comes back bit for bit, whatever its scale; JSON has
    no infinity or NaN, so those are written null. *)
@@ -168,12 +174,18 @@ let test_histogram () =
   let h = Obs.Metrics.histogram ~buckets:[| 1.; 2.; 4.; 8. |] "test.hist" in
   (* Upper bounds are inclusive; past the last bound is the overflow
      bucket. *)
-  checki "0.5 -> bucket 0" 0 (Obs.Metrics.bucket_index h 0.5);
-  checki "1.0 -> bucket 0 (bound inclusive)" 0 (Obs.Metrics.bucket_index h 1.0);
-  checki "1.5 -> bucket 1" 1 (Obs.Metrics.bucket_index h 1.5);
-  checki "4.0 -> bucket 2" 2 (Obs.Metrics.bucket_index h 4.0);
-  checki "8.0 -> bucket 3" 3 (Obs.Metrics.bucket_index h 8.0);
-  checki "9.0 -> overflow" 4 (Obs.Metrics.bucket_index h 9.0);
+  Obs.with_enabled (fun () ->
+      List.iter
+        (fun (label, v, bucket) ->
+          Obs.reset ();
+          Obs.Metrics.observe h v;
+          checki label bucket
+            (let counts = Obs.Metrics.histogram_counts h in
+             let rec find i = if counts.(i) = 1 then i else find (i + 1) in
+             find 0))
+        [ ("0.5 -> bucket 0", 0.5, 0); ("1.0 -> bucket 0 (bound inclusive)", 1.0, 0);
+          ("1.5 -> bucket 1", 1.5, 1); ("4.0 -> bucket 2", 4.0, 2); ("8.0 -> bucket 3", 8.0, 3);
+          ("9.0 -> overflow", 9.0, 4) ]);
   Obs.with_enabled (fun () ->
       Obs.reset ();
       List.iter (Obs.Metrics.observe h) [ 0.5; 1.0; 1.5; 4.0; 8.0; 9.0; 100. ];
@@ -208,9 +220,16 @@ let test_timeseries_ring () =
   let s = Obs.Timeseries.register ~capacity:4 "test.ring" in
   checki "ring capacity" 4 (Obs.Timeseries.capacity s);
   checkb "empty last" true (Obs.Timeseries.last s = None);
-  for i = 1 to 10 do
-    Obs.Timeseries.record s (float_of_int i)
+  (* Points arrive the way every series gets them: one per sample of a
+     registered source. *)
+  let i = ref 0 in
+  Obs.Sampler.register_source ~name:"test-ring" (fun () ->
+      incr i;
+      [ ("test.ring", float_of_int !i) ]);
+  for _ = 1 to 10 do
+    Obs.Sampler.sample_once ()
   done;
+  Obs.Sampler.register_source ~name:"test-ring" (fun () -> []);
   checki "total counts every record" 10 (Obs.Timeseries.total s);
   let pts = Obs.Timeseries.points s in
   checki "window holds capacity points" 4 (Array.length pts);
@@ -240,7 +259,7 @@ let test_sampler_sources () =
   checki "replacement does not grow the registry" before
     (List.length (Obs.Sampler.source_names ()));
   Obs.Sampler.sample_once ();
-  let gc = Obs.Timeseries.register Obs.Names.gc_heap_words in
+  let gc = Obs.Timeseries.register "gc.heap_words" in
   checkb "gc series sampled" true (Obs.Timeseries.total gc > 0);
   let s = Obs.Timeseries.register "test.sampled" in
   checkb "registered source sampled" true (Obs.Timeseries.total s > 0);
@@ -284,8 +303,12 @@ let test_prometheus_export () =
       Obs.Metrics.set (Obs.Metrics.gauge "test.prom.gauge") 2.5;
       let h = Obs.Metrics.histogram ~buckets:[| 1.; 2. |] "test.prom.hist" in
       List.iter (Obs.Metrics.observe h) [ 0.5; 1.5; 3.0 ];
-      Obs.Timeseries.record (Obs.Timeseries.register "test.prom.series") 7.25;
-      let s = Obs.prometheus_string () in
+      Obs.Sampler.register_source ~name:"test-prom" (fun () -> [ ("test.prom.series", 7.25) ]);
+      Obs.Sampler.sample_once ();
+      Obs.Sampler.register_source ~name:"test-prom" (fun () -> []);
+      let path = Filename.temp_file "obs_prom" ".txt" in
+      Obs.write_prometheus path;
+      let s = read_and_remove path in
       let has needle =
         let nl = String.length needle and sl = String.length s in
         let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
@@ -299,15 +322,7 @@ let test_prometheus_export () =
       checkb "+Inf bucket" true (has "mycelium_test_prom_hist_bucket{le=\"+Inf\"} 3");
       checkb "histogram count" true (has "mycelium_test_prom_hist_count 3");
       checkb "timeseries family" true
-        (has "mycelium_timeseries{series=\"test.prom.series\"} 7.25");
-      (* Streaming export is byte-identical to the string. *)
-      let path = Filename.temp_file "obs_prom" ".txt" in
-      Obs.write_prometheus path;
-      let ic = open_in_bin path in
-      let file = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Sys.remove path;
-      checkb "write_prometheus matches prometheus_string" true (String.equal file s))
+        (has "mycelium_timeseries{series=\"test.prom.series\"} 7.25"))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
@@ -325,8 +340,13 @@ let test_recorder_ring () =
   checki "ring keeps the last capacity events" 8 (List.length evs);
   let seqs = List.map (fun (e : Obs.Recorder.event) -> e.Obs.Recorder.ev_seq) evs in
   checkb "oldest-first, the final window" true (seqs = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  (* Dump round-trips through the hardened parser. *)
-  (match Json.parse (Obs.Recorder.dump_string ()) with
+  (* The dump a trigger writes round-trips through the hardened
+     parser. *)
+  let path = Filename.temp_file "obs_ring" ".json" in
+  Obs.Recorder.arm path;
+  Obs.Recorder.trigger ();
+  Obs.Recorder.disarm ();
+  (match Json.parse (read_and_remove path) with
   | Error e -> Alcotest.failf "dump does not re-parse: %s" e
   | Ok doc ->
     checkb "schema" true (Json.member "schema" doc = Some (Json.Str "mycelium-flight/1"));
@@ -549,7 +569,9 @@ let test_exported_trace () =
   Obs.disable ();
   Obs.reset ();
   let (_ : Runtime.query_result) = run_q ~trace:true () in
-  let s = Obs.chrome_trace_string () in
+  let path = Filename.temp_file "obs_trace" ".json" in
+  Obs.write_chrome_trace path;
+  let s = read_and_remove path in
   Obs.disable ();
   match Json.parse s with
   | Error e -> Alcotest.failf "exported trace does not re-parse: %s" e
@@ -568,11 +590,7 @@ let test_exported_trace () =
     List.iter
       (fun phase ->
         checkb ("trace contains " ^ phase) true (List.mem phase names))
-      [ "runtime.init"; "query.gather"; "query.aggregate"; "query.summation"; "query.decrypt" ];
-    (* The metrics export also re-parses. *)
-    (match Json.parse (Json.to_string (Obs.metrics_json ())) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "metrics JSON does not re-parse: %s" e)
+      [ "runtime.init"; "query.gather"; "query.aggregate"; "query.summation"; "query.decrypt" ]
 
 (* ------------------------------------------------------------------ *)
 (* Audit ledger: exact budget accounting                                *)

@@ -4,9 +4,8 @@
 
 module Pool = Mycelium_parallel.Pool
 
-let with_pool domains f =
-  let pool = Pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+(* The default pool, forced to [domains]. *)
+let with_pool domains f = Pool.with_domains domains (fun () -> f (Pool.default ()))
 
 let test_map_matches_sequential () =
   let arr = Array.init 257 (fun i -> i) in
@@ -63,7 +62,7 @@ let test_exception_propagates () =
 let test_with_domains_override () =
   Pool.with_domains 3 (fun () ->
       Alcotest.(check int) "forced" 3 (Pool.current_domains ());
-      Alcotest.(check int) "pool size" 3 (Pool.domains (Pool.default ()));
+      Alcotest.(check int) "pool size" 3 (Array.length (Pool.worker_stats (Pool.default ())));
       Pool.with_domains 1 (fun () ->
           Alcotest.(check int) "nested force" 1 (Pool.current_domains ()));
       Alcotest.(check int) "restored" 3 (Pool.current_domains ()))

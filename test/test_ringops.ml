@@ -1,12 +1,12 @@
 (* Cross-checks for the ring kernels and the evaluation-domain
-   (double-CRT) ring layer: the Montgomery kernels that Rq runs
-   against the Shoup kernels of Ntt, which are the reference, and both
+   (double-CRT) ring layer: known-answer vectors for the Montgomery
+   transforms that Rq runs and for their constants; Rq's products
    against the schoolbook oracle; Shoup-vs-mod multiplier equivalence;
-   the Montgomery KATs; the copy-free forward_into/inverse_into
-   kernels; and representation round-trips and pinned pipeline bytes
-   at the BGV layer.  Seeded throughout; the @ringops alias runs this
-   binary plainly and under MYCELIUM_DOMAINS=8, so every check also
-   exercises the per-limb pool dispatch. *)
+   the copy-free forward_into/inverse_into kernels; and representation
+   round-trips and pinned pipeline bytes at the BGV layer.  Seeded
+   throughout; the @ringops alias runs this binary plainly and under
+   MYCELIUM_DOMAINS=8, so every check also exercises the per-limb pool
+   dispatch. *)
 
 module Rng = Mycelium_util.Rng
 module Modarith = Mycelium_math.Modarith
@@ -29,13 +29,12 @@ let random_rows rng basis =
   let n = Rns.degree basis in
   Array.map (fun p -> Array.init n (fun _ -> Rng.int rng p)) (Rns.primes basis)
 
-(* Eval-domain multiply vs coefficient-domain Ntt.multiply vs the
-   O(n^2) schoolbook product, for every limb. *)
+(* Eval-domain multiply vs the O(n^2) schoolbook product, for every
+   limb. *)
 let test_eval_mul_cross_check () =
   let b = Lazy.force basis in
   let rng = Rng.create 41L in
   let primes = Rns.primes b in
-  let plans = Array.map (fun p -> Ntt.make_plan ~p ~degree:(Rns.degree b)) primes in
   for _ = 1 to 8 do
     let rows_a = random_rows rng b and rows_b = random_rows rng b in
     let x = Rq.of_residues b rows_a and y = Rq.of_residues b rows_b in
@@ -46,12 +45,10 @@ let test_eval_mul_cross_check () =
     Rq.force_coeff prod;
     let prod_rows = Rq.residues prod in
     Array.iteri
-      (fun j plan ->
-        let expected = Ntt.multiply plan rows_a.(j) rows_b.(j) in
-        let naive = Ntt.multiply_naive ~p:primes.(j) rows_a.(j) rows_b.(j) in
-        checkb "coefficient-domain NTT = schoolbook" true (expected = naive);
-        checkb "eval-domain mul = coefficient-domain mul" true (prod_rows.(j) = expected))
-      plans
+      (fun j p ->
+        checkb "eval-domain mul = schoolbook" true
+          (prod_rows.(j) = Ntt.multiply_naive ~p rows_a.(j) rows_b.(j)))
+      primes
   done
 
 (* Shoup precomputed-quotient multiplication agrees with "* w mod p"
@@ -86,21 +83,21 @@ let test_into_variants () =
   List.iter
     (fun n ->
       let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-      let plan = Ntt.make_plan ~p ~degree:n in
+      let plan = Mont_backend.make_plan ~p ~degree:n in
       for _ = 1 to 5 do
         let a = Array.init n (fun _ -> Rng.int rng p) in
         let keep = Array.copy a in
         let fa = Array.make n 0 in
-        Ntt.forward_into plan ~src:a ~dst:fa;
+        Mont_backend.forward_into plan ~src:a ~dst:fa;
         checkb "forward_into leaves src intact" true (a = keep);
         let ip = Array.copy a in
-        Ntt.forward plan ip;
+        Mont_backend.forward plan ip;
         checkb "forward_into = in-place forward" true (fa = ip);
         let back = Array.make n 0 in
-        Ntt.inverse_into plan ~src:fa ~dst:back;
+        Mont_backend.inverse_into plan ~src:fa ~dst:back;
         checkb "inverse_into . forward_into = id" true (back = a);
         checkb "inverse_into leaves src intact" true (fa = ip);
-        Ntt.inverse plan ip;
+        Mont_backend.inverse plan ip;
         checkb "inverse_into = in-place inverse" true (ip = back)
       done)
     [ 1; 2; 8; 64; 256; 1024 ]
@@ -108,23 +105,24 @@ let test_into_variants () =
 let test_pointwise_kernels () =
   let n = 128 in
   let p = List.hd (Ntt.find_primes ~degree:n ~bits:28 ~count:1) in
-  let plan = Ntt.make_plan ~p ~degree:n in
+  let plan = Mont_backend.make_plan ~p ~degree:n in
   let rng = Rng.create 44L in
   let a = Array.init n (fun _ -> Rng.int rng p) in
   let b = Array.init n (fun _ -> Rng.int rng p) in
   let acc0 = Array.init n (fun _ -> Rng.int rng p) in
-  let pw = Ntt.pointwise plan a b in
+  let pw = Array.make n 0 in
+  Mont_backend.pointwise_into plan ~dst:pw a b;
   for i = 0 to n - 1 do
     checki "pointwise" (Modarith.mul p a.(i) b.(i)) pw.(i)
   done;
   let acc = Array.copy acc0 in
-  Ntt.pointwise_acc plan ~acc a b;
+  Mont_backend.pointwise_acc plan ~acc a b;
   for i = 0 to n - 1 do
     checki "pointwise_acc" (Modarith.add p acc0.(i) (Modarith.mul p a.(i) b.(i))) acc.(i)
   done;
   (* dst aliasing an input is allowed. *)
   let c = Array.copy a in
-  Ntt.pointwise_into plan ~dst:c c b;
+  Mont_backend.pointwise_into plan ~dst:c c b;
   checkb "pointwise_into aliasing" true (c = pw)
 
 (* Rq.dot is the fused cross-term primitive behind Bgv.mul. *)
@@ -332,222 +330,165 @@ let test_bgv_bytes_pinned () =
 
 (* --- Montgomery KATs (SNIPPETS.md №3 shape) -------------------------
 
-   Known-answer vectors for Montarith, the scalar specification the
-   Mont_backend butterflies hand-inline.  Each entry pins a modulus'
-   derived constants (-p^-1 mod 2^62, R mod p, R^2 mod p), a list of
-   (t, REDC(t)) reduction vectors — with boundary operands 0, 1, p-1
-   and values straddling the R = 2^62 radix — and (x, y, mont_mul)
-   product vectors.  Every expectation is additionally re-derived from
+   Known answers for Montarith, whose constants the Mont_backend
+   butterflies read: each entry pins a modulus' derived constants
+   (-p^-1 mod 2^62, R mod p, R^2 mod p), the two images of 1 and of
+   R mod p under to_mont.  Every expectation is also re-derived from
    the Modarith mod-based reference inside the test, so the fixed
    numbers and the independent oracle must agree with each other and
    with the implementation. *)
 let montgomery_kats =
   [
     (* First two find_primes ~degree:1024 ~bits:30 moduli and the first
-       ~degree:256 ~bits:28 modulus. *)
-    ( 1073707009,
-      2975768425902602239,
-      553508864,
-      1009923275,
-      [
-        (0, 0);
-        (1, 692827613);
-        (2, 311948217);
-        (1073707008, 380879396);
-        (1073707009, 0);
-        (1073707010, 692827613);
-        (2147483648, 1004485829);
-        (2305843009213693952, 536853505);
-        (2305843009213693953, 155974109);
-        (4611686018427387903, 380879397);
-        (4611686017353680895, 1);
-        (4611686017353680896, 692827614);
-        (1234567890123456789, 901025685);
-      ],
-      [
-        (0, 0, 0);
-        (0, 1, 0);
-        (1, 1, 692827613);
-        (1, 1073707008, 380879396);
-        (1073707008, 1073707008, 692827613);
-        (2, 536853504, 380879396);
-        (123456789, 987654321, 107736587);
-      ] );
-    ( 1073698817,
-      1203863690021918719,
-      956215294,
-      284234052,
-      [
-        (0, 0);
-        (1, 280285131);
-        (2, 560570262);
-        (1073698816, 793413686);
-        (1073698817, 0);
-        (1073698818, 280285131);
-        (2147483648, 685719733);
-        (2305843009213693952, 536849409);
-        (2305843009213693953, 817134540);
-        (4611686018427387903, 793413687);
-        (4611686017353689087, 1);
-        (4611686017353689088, 280285132);
-        (1234567890123456789, 297478379);
-      ],
-      [
-        (0, 0, 0);
-        (0, 1, 0);
-        (1, 1, 280285131);
-        (1, 1073698816, 793413686);
-        (1073698816, 1073698816, 280285131);
-        (2, 536849408, 793413686);
-        (123456789, 987654321, 864628906);
-      ] );
-    ( 268432897,
-      3840438174813517311,
-      150669887,
-      189441867,
-      [
-        (0, 0);
-        (1, 223540792);
-        (2, 178648687);
-        (268432896, 44892105);
-        (268432897, 0);
-        (268432898, 223540792);
-        (2147483648, 83065768);
-        (2305843009213693952, 134216449);
-        (2305843009213693953, 89324344);
-        (4611686018427387903, 44892106);
-        (4611686018158955007, 1);
-        (4611686018158955008, 223540793);
-        (1234567890123456789, 19781488);
-      ],
-      [
-        (0, 0, 0);
-        (0, 1, 0);
-        (1, 1, 223540792);
-        (1, 268432896, 44892105);
-        (268432896, 268432896, 223540792);
-        (2, 134216448, 44892105);
-        (123456789, 182355630, 92186721);
-      ] );
+       ~degree:256 ~bits:28 modulus: (p, -p^-1 mod 2^62, R mod p,
+       R^2 mod p). *)
+    (1073707009, 2975768425902602239, 553508864, 1009923275);
+    (1073698817, 1203863690021918719, 956215294, 284234052);
+    (268432897, 3840438174813517311, 150669887, 189441867);
   ]
 
-(* t * R^-1 mod p via the plain mod-based reference. *)
-let redc_oracle p t =
-  let r_inv = Modarith.inv p (Modarith.pow p 2 Montarith.r_bits) in
-  Modarith.mul p (Modarith.reduce p t) r_inv
+let r_bits = 62
 
 let test_montgomery_kat () =
   List.iter
-    (fun (p, neg_p_inv, r_mod_p, r2_mod_p, reduces, muls) ->
+    (fun (p, neg_p_inv, r_mod_p, r2_mod_p) ->
       checkb "kat modulus supported" true (Montarith.supports p);
       let c = Montarith.precompute p in
-      (* Derived constants. *)
       checki "kat -p^-1 mod 2^62" neg_p_inv (Montarith.neg_p_inv c);
-      checki "kat R mod p" r_mod_p (Montarith.r_mod_p c);
-      checki "kat R mod p vs modarith" (Modarith.pow p 2 Montarith.r_bits)
-        (Montarith.r_mod_p c);
-      checki "kat R^2 mod p" r2_mod_p (Montarith.r2_mod_p c);
-      checki "kat R^2 mod p vs modarith"
-        (Modarith.mul p (Montarith.r_mod_p c) (Montarith.r_mod_p c))
-        (Montarith.r2_mod_p c);
       (* -p^-1 * p = -1 mod 2^62. *)
-      let mask62 = (1 lsl 62) - 1 in
+      let mask62 = (1 lsl r_bits) - 1 in
       checki "kat p * (-p^-1) = -1 mod 2^62" mask62 ((neg_p_inv * p) land mask62);
-      (* montgomery_reduce vectors, each cross-checked against the
-         mod-based oracle. *)
-      List.iter
-        (fun (t, expected) ->
-          checki "kat reduce" expected (Montarith.reduce c t);
-          checki "kat reduce vs modarith oracle" (redc_oracle p t) (Montarith.reduce c t))
-        reduces;
-      (* montgomery_mul vectors. *)
-      List.iter
-        (fun (x, y, expected) ->
-          checki "kat mul" expected (Montarith.mul c x y);
-          checki "kat mul vs modarith oracle" (redc_oracle p (x * y)) (Montarith.mul c x y))
-        muls;
-      (* Domain round-trip at the boundary operands. *)
-      List.iter
-        (fun x ->
-          checki "to_mont/of_mont roundtrip" x (Montarith.of_mont c (Montarith.to_mont c x));
-          checki "to_mont vs modarith" (Modarith.mul p x (Montarith.r_mod_p c))
-            (Montarith.to_mont c x))
-        [ 0; 1; 2; p - 2; p - 1 ];
-      (* Randomized cross-check against the mod-based reference. *)
+      checki "kat R mod p vs modarith" (Modarith.pow p 2 r_bits) r_mod_p;
+      checki "kat R^2 mod p vs modarith" (Modarith.mul p r_mod_p r_mod_p) r2_mod_p;
+      checki "kat to_mont 1 = R mod p" r_mod_p (Montarith.to_mont c 1);
+      checki "kat to_mont (R mod p) = R^2 mod p" r2_mod_p (Montarith.to_mont c r_mod_p);
+      (* x * R mod p at the boundary operands and at random. *)
       let rng = Rng.create 48L in
-      for _ = 1 to 2000 do
-        let x = Rng.int rng p and y = Rng.int rng p in
-        checki "mont mul vs mod oracle" (redc_oracle p (x * y)) (Montarith.mul c x y)
-      done;
+      List.iter
+        (fun x -> checki "to_mont vs modarith" (Modarith.mul p x r_mod_p) (Montarith.to_mont c x))
+        ([ 0; 1; 2; p - 2; p - 1 ] @ List.init 2000 (fun _ -> Rng.int rng p));
       (* Out-of-range operands must be rejected, not silently wrapped. *)
-      Alcotest.check_raises "reduce rejects negatives" (Invalid_argument
-        "Montarith.reduce: operand must lie in [0, 2^62)") (fun () ->
-          ignore (Montarith.reduce c (-1)));
-      Alcotest.check_raises "mul rejects unreduced"
+      Alcotest.check_raises "to_mont rejects unreduced"
         (Invalid_argument "Montarith.mul: operands must be reduced") (fun () ->
-          ignore (Montarith.mul c p 1)))
+          ignore (Montarith.to_mont c p)))
     montgomery_kats
 
-(* --- Differential suite: Montgomery kernels vs the Ntt reference ----
+(* --- Transform known answers ---------------------------------------
 
-   Seeded random polynomials for every find_primes 30-bit modulus at
-   N in {1024, 8192, 32768}: the Montgomery kernels must transform and
-   multiply exactly as Ntt's Shoup kernels do, plan by plan, and Rq's
-   mul and dot on a 3-limb basis must equal per-limb Ntt.multiply and
-   the sum of its products.  Each level and degree is its own cell, so
-   a failure names where the kernels diverged.  The @ringops alias runs
-   this binary plainly and under MYCELIUM_DOMAINS=8, so the Rq level is
-   swept under the per-limb pool dispatch too. *)
+   The forward transform of a fixed input, x_i = (i + 1) * 0x9E3779B1
+   mod p, recorded from the Shoup reference kernels that the
+   Montgomery kernels replaced (bit-identical by construction, and
+   cross-checked until those kernels were deleted): whole vectors at
+   N = 16, and SHA-256 digests of the output (each coefficient as 4
+   little-endian bytes) at the (p, N) pairs the suites run.  The
+   inverse must give the input back. *)
 
-let differential_profiles =
-  (* (degree, moduli to cover, Rq rounds).  All ten 30-bit moduli at
-     N=1024; transform cost bounds the counts at the larger sizes,
-     with N=32768 — the paper's ring degree — covered by two moduli. *)
-  [ (1024, 10, 3); (8192, 3, 2); (32768, 2, 1) ]
+let kat_input ~p n = Array.init n (fun i -> ((i + 1) * 0x9E3779B1) mod p)
 
-(* Plan level: forward / inverse / pointwise per modulus. *)
-let test_plan_differential ~degree ~count () =
-  let primes = Ntt.find_primes ~degree ~bits:30 ~count in
-  let rng = Rng.create (Int64.of_int (49 + degree)) in
+let digest_of out =
+  let b = Bytes.create (4 * Array.length out) in
+  Array.iteri (fun i v -> Bytes.set_int32_le b (4 * i) (Int32.of_int v)) out;
+  Testkit.Hex.encode (Mycelium_crypto.Sha256.digest b)
+
+let check_transform ~p ~degree check_output =
+  let plan = Mont_backend.make_plan ~p ~degree in
+  let a = kat_input ~p degree in
+  let fa = Array.make degree 0 in
+  Mont_backend.forward_into plan ~src:a ~dst:fa;
+  check_output fa;
+  let back = Array.make degree 0 in
+  Mont_backend.inverse_into plan ~src:fa ~dst:back;
+  checkb (Printf.sprintf "p=%d N=%d: inverse gives the input back" p degree) true (back = a)
+
+let forward_vectors_16 =
+  [
+    ( 1073741441,
+      [| 535555101; 13772773; 119239660; 810471737; 474913747; 936065603; 482402985;
+         710154622; 256649608; 595063700; 1024760357; 235904820; 619475676; 63664768;
+         577524682; 655626225 |] );
+    ( 1073740609,
+      [| 711296501; 117143848; 495416677; 472060333; 512710421; 988370535; 390926936;
+         145653347; 767077718; 467456464; 209111361; 1029156766; 231126828; 894671672;
+         348284224; 330809057 |] );
+  ]
+
+let test_forward_vectors () =
+  checkb "the N=16 moduli" true
+    (Ntt.find_primes ~degree:16 ~bits:30 ~count:2 = List.map fst forward_vectors_16);
   List.iter
-    (fun p ->
-      let rp = Ntt.make_plan ~p ~degree in
-      let mp = Mont_backend.make_plan ~p ~degree in
-      let a = Array.init degree (fun _ -> Rng.int rng p) in
-      let b = Array.init degree (fun _ -> Rng.int rng p) in
-      let fa_r = Array.make degree 0 and fa_m = Array.make degree 0 in
-      Ntt.forward_into rp ~src:a ~dst:fa_r;
-      Mont_backend.forward_into mp ~src:a ~dst:fa_m;
-      checkb "forward identical" true (fa_r = fa_m);
-      let fb = Array.copy b in
-      Mont_backend.forward mp fb;
-      let pw_r = Ntt.pointwise rp fa_r fb in
-      let pw_m = Array.make degree 0 in
-      Mont_backend.pointwise_into mp ~dst:pw_m fa_m fb;
-      checkb "pointwise identical" true (pw_r = pw_m);
-      let acc_r = Array.init degree (fun i -> i mod p) in
-      let acc_m = Array.copy acc_r in
-      Ntt.pointwise_acc rp ~acc:acc_r fa_r fb;
-      Mont_backend.pointwise_acc mp ~acc:acc_m fa_m fb;
-      checkb "pointwise_acc identical" true (acc_r = acc_m);
-      let ia_r = Array.make degree 0 and ia_m = Array.make degree 0 in
-      Ntt.inverse_into rp ~src:pw_r ~dst:ia_r;
-      Mont_backend.inverse_into mp ~src:pw_m ~dst:ia_m;
-      checkb "inverse identical" true (ia_r = ia_m);
-      let rt = Array.copy a in
-      Mont_backend.forward mp rt;
-      Mont_backend.inverse mp rt;
-      checkb "montgomery roundtrip is identity" true (rt = a))
-    primes
+    (fun (p, expected) ->
+      check_transform ~p ~degree:16 (fun out ->
+          Alcotest.(check (array int)) (Printf.sprintf "p=%d N=16 forward" p) expected out))
+    forward_vectors_16
 
-(* Rq level: mul and dot on a 3-limb basis against per-limb
-   Ntt.multiply on the same rows. *)
-let test_rq_differential ~degree ~rounds () =
+(* (degree, prime bits, digests of the moduli find_primes returns, in
+   its order). *)
+let forward_digests =
+  [
+    ( 1024,
+      30,
+      [ "857b5801e7bae513c63477c7ea6802f33b3cdf99a08f7a7b3dde19506fdc1d4c";
+        "6dffd9e2b9bbaacbb0617531b99593f8d90d810518b850f3f9010fa9c9dcb15c";
+        "5eed3edcbad9ef536103d11100341c8ea81068a9b6dcb025722330b958cea859";
+        "45ec8e5da5bb1b67bbee6426ddc8fb489f8c4c705d46f08e1ec91c6f65caa884";
+        "e5e91f513695d653576a7212009cc50c5ce8c1095162e40260488dd5e324af36";
+        "1068e64686a08d5e8baec2bc9871972eab3438894d811a2dbfc8adca20ad2ee4";
+        "cefb7ccc5ceaab0cb79dd6bd959add386043d9fe9b35b8e0833cbdd550e04079";
+        "8fdd307f60ae8ea3626a777a1569513126445cb461659e15a840b923347b68e7";
+        "03cd7f50a87458db842783b6e3df48feadd7e00efa2eae70c1beae9328ce9012";
+        "722dd5a63fb1134cfb8d4dbba462fcb1d4d6d131aad1cf132c0be1f23f62136a" ] );
+    ( 8192,
+      30,
+      [ "4a818819a741b1986d215a4cb92e4528472fee8cc3fa6fe69b5b727ade71a9dd";
+        "373c17681bb3e16f0c68453cbe454ce57e87b66c2a063cfed6d458bdcfebe78b";
+        "7d4d22f60f942f34424ed451b1c5d9c4e8ba05718a597a382fe118f86aaf64da" ] );
+    ( 32768,
+      30,
+      [ "9ec2689b624601c564417dffa453721c58be25f1eb9c29a938307f316262c534";
+        "a5f4fffa887445e082d74322aba920519ee9c3f8cebbf7fe70ae7567c5652d5f" ] );
+    (256, 28, [ "0f0de689b9386ff6faca83902285b0503712d7fa1cac50caaeb587cd54eaec76" ]);
+    (1024, 28, [ "d6d54328d16e8548f43b811d5a9849c1b98e57aeba32c30b70bbf565e5078dcd" ]);
+  ]
+
+let test_forward_digests ~degree ~bits digests () =
+  let primes = Ntt.find_primes ~degree ~bits ~count:(List.length digests) in
+  List.iter2
+    (fun p expected ->
+      check_transform ~p ~degree (fun out ->
+          Alcotest.(check string) (Printf.sprintf "p=%d N=%d forward digest" p degree) expected
+            (digest_of out)))
+    primes digests
+
+(* --- Rq products against the schoolbook oracle ----------------------
+
+   Rq's mul and dot on a 3-limb basis against the per-limb schoolbook
+   product and the sum of its products.  At N = 1024 both operands are
+   uniform; above that the O(N^2) oracle takes a sparse operand (16
+   coefficients, the last two and one at random, so the negacyclic
+   wrap is exercised).  Each degree is its own cell; the @ringops
+   alias runs this binary plainly and under MYCELIUM_DOMAINS=8, so the
+   Rq level is swept under the per-limb pool dispatch too. *)
+
+let rq_profiles = [ (1024, 3); (8192, 2); (32768, 1) ]
+
+let test_rq_vs_schoolbook ~degree ~rounds () =
   let rng = Rng.create (Int64.of_int (50 + degree)) in
   let basis = Rns.standard ~degree ~prime_bits:30 ~levels:3 in
-  let plans = Array.map (fun p -> Ntt.make_plan ~p ~degree) (Rns.primes basis) in
+  let primes = Rns.primes basis in
+  let sparse_rows () =
+    Array.map
+      (fun p ->
+        let row = Array.make degree 0 in
+        row.(degree - 1) <- Rng.int rng p;
+        row.(degree - 2) <- Rng.int rng p;
+        for _ = 1 to 14 do
+          row.(Rng.int rng degree) <- Rng.int rng p
+        done;
+        row)
+      primes
+  in
   for _ = 1 to rounds do
-    let rows_x = random_rows rng basis
+    let rows_x = if degree > 1024 then sparse_rows () else random_rows rng basis
     and rows_y = random_rows rng basis
     and rows_z = random_rows rng basis in
     let x = Rq.of_residues basis rows_x
@@ -558,46 +499,31 @@ let test_rq_differential ~degree ~rounds () =
     let d = Rq.dot [| x; y |] [| z; x |] in
     Rq.force_coeff d;
     Array.iteri
-      (fun j plan ->
-        let p = Ntt.modulus plan in
-        checkb "Rq.mul = per-limb Ntt.multiply" true
-          ((Rq.residues prod).(j) = Ntt.multiply plan rows_x.(j) rows_y.(j));
-        let xz = Ntt.multiply plan rows_x.(j) rows_z.(j)
-        and yx = Ntt.multiply plan rows_y.(j) rows_x.(j) in
-        checkb "Rq.dot = sum of per-limb Ntt.multiply" true
-          ((Rq.residues d).(j) = Array.map2 (Modarith.add p) xz yx))
-      plans
+      (fun j p ->
+        (* The schoolbook loop skips zero coefficients of its first
+           operand, so the sparse row goes first. *)
+        let naive a b = Ntt.multiply_naive ~p a b in
+        checkb "Rq.mul = per-limb schoolbook" true
+          ((Rq.residues prod).(j) = naive rows_x.(j) rows_y.(j));
+        let xz = naive rows_x.(j) rows_z.(j) and xy = naive rows_x.(j) rows_y.(j) in
+        checkb "Rq.dot = sum of per-limb schoolbook products" true
+          ((Rq.residues d).(j) = Array.map2 (Modarith.add p) xz xy))
+      primes
   done
-
-let differential_cases =
-  List.concat_map
-    (fun (degree, count, rounds) ->
-      [
-        Alcotest.test_case (Printf.sprintf "plan level vs Ntt, N=%d" degree) `Quick
-          (test_plan_differential ~degree ~count);
-        Alcotest.test_case (Printf.sprintf "Rq level vs Ntt, N=%d" degree) `Quick
-          (test_rq_differential ~degree ~rounds);
-      ])
-    differential_profiles
 
 (* Every limb runs on the Montgomery kernels, so a basis refuses a
    modulus they cannot take: it must be odd and below 2^30. *)
-let test_rns_rejects_unsupported_modulus () =
+let test_unsupported_modulus_refused () =
   let degree = 64 in
   let p31 = List.hd (Ntt.find_primes ~degree ~bits:31 ~count:1) in
   checkb "31-bit prime is at or above 2^30" true (p31 >= 1 lsl 30);
-  checkb "31-bit prime unavailable to montgomery" false (Mont_backend.available ~p:p31);
   let refused = Invalid_argument "Mont_backend.make_plan: modulus must be odd and in (2, 2^30)" in
-  Alcotest.check_raises "31-bit prime refused" refused (fun () ->
-      ignore (Rns.make ~primes:[ p31 ] ~degree));
+  Alcotest.check_raises "31-bit basis refused" refused (fun () ->
+      ignore (Rns.standard ~degree ~prime_bits:31 ~levels:1));
   Alcotest.check_raises "even modulus refused" refused (fun () ->
-      ignore (Rns.make ~primes:[ 1 lsl 20 ] ~degree));
-  (* One unsupported limb spoils the whole basis. *)
-  let p30 = List.hd (Ntt.find_primes ~degree ~bits:30 ~count:1) in
-  Alcotest.check_raises "mixed basis refused" refused (fun () ->
-      ignore (Rns.make ~primes:[ p30; p31 ] ~degree));
+      ignore (Mont_backend.make_plan ~p:(1 lsl 20) ~degree));
   checkb "30-bit basis runs on montgomery" true
-    (String.equal (Rns.backend_name (Rns.make ~primes:[ p30 ] ~degree)) "montgomery")
+    (String.equal (Rns.backend_name (Rns.standard ~degree ~prime_bits:30 ~levels:1)) "montgomery")
 
 let () =
   Alcotest.run "mycelium-ringops"
@@ -611,7 +537,7 @@ let () =
         ] );
       ( "cross-check",
         [
-          Alcotest.test_case "eval mul vs ntt vs naive, per limb" `Quick
+          Alcotest.test_case "eval mul vs schoolbook, per limb" `Quick
             test_eval_mul_cross_check;
           Alcotest.test_case "dot = sum of products" `Quick test_dot_matches_sum_of_products;
           Alcotest.test_case "linear ops domain-agnostic" `Quick
@@ -625,10 +551,22 @@ let () =
           Alcotest.test_case "add and sub vs Modarith" `Quick test_add_sub_reference;
         ] );
       ( "montgomery",
-        differential_cases
+        (Alcotest.test_case "forward known answers, N=16" `Quick test_forward_vectors
+        :: List.map
+             (fun (degree, bits, digests) ->
+               Alcotest.test_case
+                 (Printf.sprintf "forward known answers, N=%d, %d-bit" degree bits)
+                 `Quick
+                 (test_forward_digests ~degree ~bits digests))
+             forward_digests)
+        @ List.map
+            (fun (degree, rounds) ->
+              Alcotest.test_case (Printf.sprintf "Rq level vs schoolbook, N=%d" degree) `Quick
+                (test_rq_vs_schoolbook ~degree ~rounds))
+            rq_profiles
         @ [
-            Alcotest.test_case "Rns.make rejects unsupported moduli" `Quick
-              test_rns_rejects_unsupported_modulus;
+            Alcotest.test_case "unsupported moduli refused" `Quick
+              test_unsupported_modulus_refused;
           ] );
       ( "bgv",
         [

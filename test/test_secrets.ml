@@ -1,12 +1,12 @@
-(* Tests for mycelium_secrets: Shamir sharing, Feldman commitments,
-   verifiable secret redistribution, and threshold BGV decryption. *)
+(* Tests for mycelium_secrets: Shamir sharing of ring elements, the
+   committee hand-off (secret redistribution), and threshold BGV
+   decryption. *)
 
 module Rng = Mycelium_util.Rng
 module Modarith = Mycelium_math.Modarith
 module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
 module Shamir = Mycelium_secrets.Shamir
-module Feldman = Mycelium_secrets.Feldman
 module Vsr = Mycelium_secrets.Vsr
 module Threshold = Mycelium_secrets.Threshold
 module Params = Mycelium_bgv.Params
@@ -25,85 +25,72 @@ let qtest ?(count = 60) name gen prop =
 (* Shamir                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let small_basis = lazy (Rns.standard ~degree:32 ~prime_bits:28 ~levels:3)
+
 let test_shamir_reconstruct_exact_threshold () =
+  let basis = Lazy.force small_basis in
   let rng = Rng.create 1L in
-  let secret = 123456789 in
-  let shares = Shamir.share_secret ~p:field rng ~threshold:3 ~parties:10 secret in
+  let secret = Rq.random_uniform basis rng in
+  let shares = Shamir.share_rq rng ~threshold:3 ~parties:10 secret in
   (* Any 4 of the 10 shares reconstruct. *)
   let subsets = [ [ 0; 1; 2; 3 ]; [ 6; 7; 8; 9 ]; [ 0; 4; 5; 9 ]; [ 2; 3; 5; 7 ] ] in
   List.iter
     (fun idxs ->
       let subset = List.map (fun i -> shares.(i)) idxs in
-      checki "reconstructs" secret (Shamir.reconstruct ~p:field subset))
+      checkb "reconstructs" true (Rq.equal secret (Shamir.reconstruct_rq basis subset)))
     subsets
 
 let test_shamir_too_few_shares_wrong () =
+  let basis = Lazy.force small_basis in
   let rng = Rng.create 2L in
-  let secret = 42 in
-  let shares = Shamir.share_secret ~p:field rng ~threshold:3 ~parties:10 secret in
+  let secret = Rq.random_uniform basis rng in
+  let shares = Shamir.share_rq rng ~threshold:3 ~parties:10 secret in
   (* 3 shares interpolate a degree-2 polynomial: almost surely wrong. *)
-  let v = Shamir.reconstruct ~p:field [ shares.(0); shares.(1); shares.(2) ] in
-  checkb "three shares don't reconstruct" true (v <> secret)
+  let v = Shamir.reconstruct_rq basis [ shares.(0); shares.(1); shares.(2) ] in
+  checkb "three shares don't reconstruct" false (Rq.equal v secret)
 
 let test_shamir_shares_look_random () =
   (* The same secret shared twice gives unrelated share values. *)
+  let basis = Lazy.force small_basis in
   let rng = Rng.create 3L in
-  let s1 = Shamir.share_secret ~p:field rng ~threshold:2 ~parties:5 7 in
-  let s2 = Shamir.share_secret ~p:field rng ~threshold:2 ~parties:5 7 in
+  let secret = Rq.random_uniform basis rng in
+  let s1 = Shamir.share_rq rng ~threshold:2 ~parties:5 secret in
+  let s2 = Shamir.share_rq rng ~threshold:2 ~parties:5 secret in
   checkb "different randomness" true
-    (Array.exists2 (fun a b -> a.Shamir.y <> b.Shamir.y) s1 s2)
-
-let test_shamir_duplicate_x_rejected () =
-  let rng = Rng.create 4L in
-  let shares = Shamir.share_secret ~p:field rng ~threshold:1 ~parties:3 9 in
-  Alcotest.check_raises "duplicate x" (Invalid_argument "Shamir.reconstruct: duplicate share x")
-    (fun () -> ignore (Shamir.reconstruct ~p:field [ shares.(0); shares.(0) ]))
-
-let test_shamir_any_subset_reconstructs () =
-  (* Seeded randomized sweep of the §5 claim verbatim: ANY threshold+1
-     of the shares reconstruct — random subsets, not a fixed prefix.
-     The fixed Rng seed makes every sweep reproducible. *)
-  let rng = Rng.create 4321L in
-  for _ = 1 to 50 do
-    let threshold = 1 + Rng.int rng 5 in
-    let parties = threshold + 1 + Rng.int rng 6 in
-    let secret = Rng.int rng field in
-    let shares = Shamir.share_secret ~p:field rng ~threshold ~parties secret in
-    let idx = Rng.sample_without_replacement rng (threshold + 1) parties in
-    let subset = List.map (fun i -> shares.(i)) (Array.to_list idx) in
-    checki "any t+1 subset reconstructs" secret (Shamir.reconstruct ~p:field subset)
-  done
+    (Array.exists2 (fun a b -> not (Rq.equal a.Shamir.value b.Shamir.value)) s1 s2)
 
 let test_shamir_validation () =
+  let basis = Lazy.force small_basis in
   let rng = Rng.create 5L in
   Alcotest.check_raises "threshold >= parties"
     (Invalid_argument "Shamir: too few parties for threshold") (fun () ->
-      ignore (Shamir.share_secret ~p:field rng ~threshold:5 ~parties:5 1))
+      ignore (Shamir.share_rq rng ~threshold:5 ~parties:5 (Rq.zero basis)))
 
 let prop_shamir_roundtrip =
   qtest "share/reconstruct roundtrip"
     QCheck.(triple (int_range 0 1000000) (int_range 0 5) (int_range 1 6))
-    (fun (secret, threshold, extra) ->
+    (fun (seed, threshold, extra) ->
+      let basis = Lazy.force small_basis in
       let parties = threshold + extra in
-      let rng = Rng.create (Int64.of_int (secret + (parties * 131))) in
-      let shares = Shamir.share_secret ~p:field rng ~threshold ~parties secret in
+      let rng = Rng.create (Int64.of_int (seed + (parties * 131))) in
+      let secret = Rq.random_uniform basis rng in
+      let shares = Shamir.share_rq rng ~threshold ~parties secret in
       let subset = Array.to_list (Array.sub shares 0 (threshold + 1)) in
-      Shamir.reconstruct ~p:field subset = secret)
+      Rq.equal secret (Shamir.reconstruct_rq basis subset))
 
 let test_shamir_linearity () =
   (* Share-wise addition shares the sum: the property threshold
      decryption relies on. *)
+  let basis = Lazy.force small_basis in
   let rng = Rng.create 6L in
-  let a = 1111 and b = 2222 in
-  let sa = Shamir.share_secret ~p:field rng ~threshold:2 ~parties:5 a in
-  let sb = Shamir.share_secret ~p:field rng ~threshold:2 ~parties:5 b in
+  let a = Rq.random_uniform basis rng and b = Rq.random_uniform basis rng in
+  let sa = Shamir.share_rq rng ~threshold:2 ~parties:5 a in
+  let sb = Shamir.share_rq rng ~threshold:2 ~parties:5 b in
   let sum =
-    Array.init 5 (fun i -> { Shamir.x = i + 1; y = Modarith.add field sa.(i).Shamir.y sb.(i).Shamir.y })
+    Array.map2 (fun x y -> { x with Shamir.value = Rq.add x.Shamir.value y.Shamir.value }) sa sb
   in
-  checki "sum of shares shares the sum" (a + b)
-    (Shamir.reconstruct ~p:field [ sum.(0); sum.(2); sum.(4) ])
-
-let small_basis = lazy (Rns.standard ~degree:32 ~prime_bits:28 ~levels:3)
+  checkb "sum of shares shares the sum" true
+    (Rq.equal (Rq.add a b) (Shamir.reconstruct_rq basis [ sum.(0); sum.(2); sum.(4) ]))
 
 let test_shamir_rq_roundtrip () =
   let basis = Lazy.force small_basis in
@@ -138,146 +125,64 @@ let test_shamir_rq_share_not_secret () =
   let shares = Shamir.share_rq rng ~threshold:3 ~parties:8 v in
   checkb "single share differs from secret" true (not (Rq.equal v shares.(0).Shamir.value))
 
-(* ------------------------------------------------------------------ *)
-(* Feldman                                                             *)
-(* ------------------------------------------------------------------ *)
+let test_shamir_duplicate_x_rejected () =
+  (* Two shares at one x leave the Lagrange system singular: refused,
+     not interpolated into garbage. *)
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 4L in
+  let shares = Shamir.share_rq rng ~threshold:1 ~parties:3 (Rq.random_uniform basis rng) in
+  checkb "duplicate x refused" true
+    (match Shamir.reconstruct_rq basis [ shares.(0); shares.(0) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
-(* A small prime keeps the subgroup search fast in tests. *)
-let feldman_field = 7681
-let feldman_group = lazy (Feldman.group_for_prime (Rng.create 100L) feldman_field)
+let test_shamir_lagrange_known_answers () =
+  (* At zero, f(0) = 2 f(1) - f(2) for a line and 3 f(1) - 3 f(2) + f(3)
+     for a parabola; and any point set's weights sum to one, since they
+     interpolate the constant polynomial 1. *)
+  let basis = Lazy.force small_basis in
+  let rows xs = Shamir.lambda_rows basis xs in
+  Array.iteri
+    (fun pi p ->
+      checkb "x = 1,2" true ((rows [| 1; 2 |]).(pi) = [| 2; p - 1 |]);
+      checkb "x = 1,2,3" true ((rows [| 1; 2; 3 |]).(pi) = [| 3; p - 3; 1 |]);
+      List.iter
+        (fun xs ->
+          checki "weights sum to one" 1
+            (Array.fold_left (Modarith.add p) 0 (rows xs).(pi)))
+        [ [| 5 |]; [| 2; 9 |]; [| 10; 3; 7; 1 |]; [| 4; 6; 8; 11; 13 |] ])
+    (Rns.primes basis)
 
-let test_feldman_group_structure () =
-  let g = Lazy.force feldman_group in
-  let module B = Mycelium_math.Bigint in
-  (* g has order exactly p: g^p = 1 and g <> 1. *)
-  checkb "g <> 1" false (B.equal g.Feldman.g B.one);
-  checkb "g^p = 1" true
-    (B.equal (B.mod_pow g.Feldman.g (B.of_int feldman_field) g.Feldman.big_p) B.one)
-
-let test_feldman_valid_shares_verify () =
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 101L in
-  let shares, coeffs = Shamir.share_with_poly ~p:feldman_field rng ~threshold:3 ~parties:7 4242 in
-  let c = Feldman.commit g coeffs in
-  Array.iter (fun s -> checkb "verifies" true (Feldman.verify_share g c s)) shares
-
-let test_feldman_bad_share_rejected () =
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 102L in
-  let shares, coeffs = Shamir.share_with_poly ~p:feldman_field rng ~threshold:2 ~parties:5 777 in
-  let c = Feldman.commit g coeffs in
-  let bad = { shares.(2) with Shamir.y = Modarith.add feldman_field shares.(2).Shamir.y 1 } in
-  checkb "tampered share rejected" false (Feldman.verify_share g c bad);
-  let misplaced = { shares.(2) with Shamir.x = 4 } in
-  checkb "misplaced share rejected" false (Feldman.verify_share g c misplaced)
-
-let test_feldman_any_verified_subset_reconstructs () =
-  (* Every share verifies against the published commitment, and any
-     random threshold+1 of them reconstruct the committed secret. *)
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 4323L in
-  for _ = 1 to 25 do
-    let threshold = 1 + Rng.int rng 3 in
-    let parties = threshold + 1 + Rng.int rng 5 in
-    let secret = Rng.int rng feldman_field in
-    let shares, coeffs =
-      Shamir.share_with_poly ~p:feldman_field rng ~threshold ~parties secret
-    in
-    let c = Feldman.commit g coeffs in
-    Array.iter (fun s -> checkb "share verifies" true (Feldman.verify_share g c s)) shares;
-    let idx = Rng.sample_without_replacement rng (threshold + 1) parties in
-    let subset = List.map (fun i -> shares.(i)) (Array.to_list idx) in
-    checki "any verified t+1 subset reconstructs" secret
-      (Shamir.reconstruct ~p:feldman_field subset)
-  done
-
-let test_feldman_commitment_binds_secret () =
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 103L in
-  let _, coeffs = Shamir.share_with_poly ~p:feldman_field rng ~threshold:2 ~parties:5 999 in
-  let c = Feldman.commit g coeffs in
-  let module B = Mycelium_math.Bigint in
-  checkb "C_0 = g^secret" true
-    (B.equal (Feldman.commitment_to_secret c) (B.mod_pow g.Feldman.g (B.of_int 999) g.Feldman.big_p))
+let test_shamir_weighted_kernel () =
+  (* The kernel shares sum_i w_i * v_i: weights 3 and -1 share 3a - b. *)
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 9L in
+  let a = Rq.random_uniform basis rng and b = Rq.random_uniform basis rng in
+  let weights = Array.map (fun p -> [| 3; p - 1 |]) (Rns.primes basis) in
+  let shares = Shamir.share_rq_weighted rng ~threshold:2 ~parties:5 ~weights [ a; b ] in
+  checkb "any t+1 reconstruct 3a - b" true
+    (Rq.equal (Rq.sub (Rq.mul_scalar a 3) b)
+       (Shamir.reconstruct_rq basis [ shares.(1); shares.(2); shares.(4) ]));
+  Alcotest.check_raises "no values" (Invalid_argument "Shamir.share_rq_weighted: no values")
+    (fun () -> ignore (Shamir.share_rq_weighted rng ~threshold:2 ~parties:5 ~weights []))
 
 (* ------------------------------------------------------------------ *)
-(* VSR                                                                 *)
+(* Secret redistribution                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_vsr_scalar_redistribution () =
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 200L in
-  let secret = 31337 mod feldman_field in
-  let old_t = 2 and new_t = 3 in
-  let old_shares, old_coeffs =
-    Shamir.share_with_poly ~p:feldman_field rng ~threshold:old_t ~parties:6 secret
-  in
-  let old_commitment = Feldman.commit g old_coeffs in
-  (* Subset U of t+1 old members re-share. *)
-  let dealers = [ old_shares.(0); old_shares.(2); old_shares.(5) ] in
-  let dealings = List.map (Vsr.deal ~group:g rng ~new_threshold:new_t ~new_parties:9) dealers in
-  (* Every dealing verifies against the old commitment. *)
-  List.iter
-    (fun d -> checkb "dealing verifies" true (Vsr.verify_dealing ~group:g ~old_commitment d))
-    dealings;
-  (* New members compute their shares; any new_t+1 reconstruct. *)
-  let new_shares = List.init 9 (fun j -> Vsr.finish ~p:feldman_field ~dealings (j + 1)) in
-  let subset = [ List.nth new_shares 0; List.nth new_shares 3; List.nth new_shares 5; List.nth new_shares 8 ] in
-  checki "redistributed secret intact" secret (Shamir.reconstruct ~p:feldman_field subset);
-  (* And the published new commitment matches the new shares. *)
-  let nc = Vsr.new_commitment ~group:g ~dealings in
-  List.iter
-    (fun s -> checkb "new share verifies against new commitment" true (Feldman.verify_share g nc s))
-    new_shares;
-  let module B = Mycelium_math.Bigint in
-  checkb "new commitment binds same secret" true
-    (B.equal (Feldman.commitment_to_secret nc) (Feldman.commitment_to_secret old_commitment))
-
-let test_vsr_lying_dealer_detected () =
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 201L in
-  let old_shares, old_coeffs =
-    Shamir.share_with_poly ~p:feldman_field rng ~threshold:2 ~parties:5 5555
-  in
-  let old_commitment = Feldman.commit g old_coeffs in
-  (* Dealer 2 re-shares a *different* value than its real share. *)
-  let forged = { old_shares.(1) with Shamir.y = 1 } in
-  let dealing = Vsr.deal ~group:g rng ~new_threshold:2 ~new_parties:5 forged in
-  checkb "constant-term check catches it" false
-    (Vsr.verify_dealing ~group:g ~old_commitment dealing);
-  (* But the sub-shares are internally consistent, so the per-member
-     check alone would pass — both checks are needed. *)
-  checkb "sub-share check alone insufficient" true (Vsr.verify_sub_share ~group:g dealing 1)
-
-let test_vsr_tampered_subshare_detected () =
-  let g = Lazy.force feldman_group in
-  let rng = Rng.create 202L in
-  let old_shares, _ = Shamir.share_with_poly ~p:feldman_field rng ~threshold:2 ~parties:5 5555 in
-  let dealing = Vsr.deal ~group:g rng ~new_threshold:2 ~new_parties:5 old_shares.(0) in
-  let tampered =
-    {
-      dealing with
-      Vsr.sub_shares =
-        Array.mapi
-          (fun i s -> if i = 2 then { s with Shamir.y = Modarith.add feldman_field s.Shamir.y 1 } else s)
-          dealing.Vsr.sub_shares;
-    }
-  in
-  checkb "member 3 detects tampering" false (Vsr.verify_sub_share ~group:g tampered 3);
-  checkb "member 1 unaffected" true (Vsr.verify_sub_share ~group:g tampered 1)
 
 let test_vsr_old_and_new_cannot_mix () =
   (* Shares from different sharings interpolate garbage: members of two
      committees cannot pool shares (the §4.2 property). *)
-  let secret = 424242 in
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 204L in
+  let secret = Rq.random_uniform basis rng in
   (* Mixing 2 shares of one sharing with 1 of another (same x-coords)
      must not reconstruct. *)
-  let rng2 = Rng.create 204L in
-  let s1 = Shamir.share_secret ~p:field rng2 ~threshold:2 ~parties:5 secret in
-  let s2 = Shamir.share_secret ~p:field rng2 ~threshold:2 ~parties:5 secret in
+  let s1 = Shamir.share_rq rng ~threshold:2 ~parties:5 secret in
+  let s2 = Shamir.share_rq rng ~threshold:2 ~parties:5 secret in
   let mixed = [ s1.(0); s1.(1); s2.(2) ] in
-  checkb "mixed-committee shares do not reconstruct" true
-    (Shamir.reconstruct ~p:field mixed <> secret)
+  checkb "mixed-committee shares do not reconstruct" false
+    (Rq.equal secret (Shamir.reconstruct_rq basis mixed))
 
 let test_vsr_rq_redistribution () =
   let basis = Lazy.force small_basis in
@@ -313,44 +218,93 @@ let test_vsr_repeated_handoffs () =
   let subset = match !shares with a :: b :: c :: d :: _ -> [ a; b; c; d ] | _ -> assert false in
   checkb "secret survives four hand-offs" true (Rq.equal secret (Shamir.reconstruct_rq basis subset))
 
-let test_vsr_batch_weights_deterministic () =
+let test_vsr_old_and_new_cannot_pool () =
+  (* After a real hand-off, t old members and one new member at a
+     fresh point hold t+1 points of two unrelated polynomials. *)
   let basis = Lazy.force small_basis in
-  let w1 = Vsr.batch_weights basis ~context:(Bytes.of_string "round-7") in
-  let w2 = Vsr.batch_weights basis ~context:(Bytes.of_string "round-7") in
-  let w3 = Vsr.batch_weights basis ~context:(Bytes.of_string "round-8") in
-  checkb "same context same weights" true (w1 = w2);
-  checkb "different context different weights" true (w1 <> w3)
-
-let test_vsr_fold_commutes_with_reconstruction () =
-  (* fold_rq is linear, so folding shares then reconstructing scalars
-     equals folding the reconstructed secret — the batched VSR check. *)
-  let basis = Lazy.force small_basis in
-  let rng = Rng.create 207L in
+  let rng = Rng.create 208L in
   let secret = Rq.random_uniform basis rng in
-  let gamma = Vsr.batch_weights basis ~context:(Bytes.of_string "handoff-1") in
-  let shares = Shamir.share_rq rng ~threshold:2 ~parties:5 secret in
-  let primes = Rns.primes basis in
-  let folded_secret = Vsr.fold_rq basis gamma secret in
-  let subset = [ shares.(0); shares.(2); shares.(4) ] in
-  let folded_shares =
-    List.map (fun s -> (s.Shamir.idx, Vsr.fold_rq basis gamma s.Shamir.value)) subset
+  let old_shares = Shamir.share_rq rng ~threshold:2 ~parties:6 secret in
+  let new_shares =
+    Vsr.redistribute_rq rng ~new_threshold:2 ~new_parties:6
+      [ old_shares.(1); old_shares.(3); old_shares.(4) ]
   in
-  Array.iteri
-    (fun pi p ->
-      let scalar_shares =
-        List.map (fun (x, folded) -> { Shamir.x; y = folded.(pi) }) folded_shares
-      in
-      checki (Printf.sprintf "prime %d" p) folded_secret.(pi)
-        (Shamir.reconstruct ~p scalar_shares))
-    primes
+  checkb "two old + one new do not reconstruct" false
+    (Rq.equal secret (Shamir.reconstruct_rq basis [ old_shares.(0); old_shares.(1); new_shares.(5) ]));
+  checkb "one old + two new do not reconstruct" false
+    (Rq.equal secret (Shamir.reconstruct_rq basis [ old_shares.(0); new_shares.(3); new_shares.(5) ]));
+  checkb "three new reconstruct" true
+    (Rq.equal secret (Shamir.reconstruct_rq basis [ new_shares.(0); new_shares.(3); new_shares.(5) ]))
+
+let test_vsr_new_threshold_holds () =
+  (* The new committee inherits threshold t', not the old t: every
+     t'+1 new shares reconstruct and t' of them do not. *)
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 209L in
+  let secret = Rq.random_uniform basis rng in
+  let old_shares = Shamir.share_rq rng ~threshold:1 ~parties:3 secret in
+  let new_shares =
+    Vsr.redistribute_rq rng ~new_threshold:4 ~new_parties:9 [ old_shares.(0); old_shares.(2) ]
+  in
+  for _ = 1 to 5 do
+    let idx = Array.to_list (Rng.sample_without_replacement rng 5 9) in
+    let pick ids = List.map (fun i -> new_shares.(i)) ids in
+    checkb "t'+1 new shares reconstruct" true
+      (Rq.equal secret (Shamir.reconstruct_rq basis (pick idx)));
+    checkb "t' new shares do not" false
+      (Rq.equal secret (Shamir.reconstruct_rq basis (pick (List.tl idx))))
+  done
+
+let test_vsr_shrinking_handoff () =
+  (* A hand-off to a smaller committee with a lower threshold:
+     (t, n) = (4, 10) -> (1, 3); every pair reconstructs, no single
+     share equals the secret. *)
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 210L in
+  let secret = Rq.random_uniform basis rng in
+  let old_shares = Shamir.share_rq rng ~threshold:4 ~parties:10 secret in
+  let dealers = List.map (fun i -> old_shares.(i)) [ 9; 1; 6; 3; 4 ] in
+  let new_shares = Vsr.redistribute_rq rng ~new_threshold:1 ~new_parties:3 dealers in
+  checki "three new shares" 3 (Array.length new_shares);
+  List.iter
+    (fun (i, j) ->
+      checkb "every pair reconstructs" true
+        (Rq.equal secret (Shamir.reconstruct_rq basis [ new_shares.(i); new_shares.(j) ])))
+    [ (0, 1); (0, 2); (1, 2) ];
+  Array.iter
+    (fun s -> checkb "a single share is not the secret" false (Rq.equal secret s.Shamir.value))
+    new_shares
+
+let test_vsr_handoff_is_linear () =
+  (* Redistributing shares of a and of b from the same dealer points
+     and adding the new shares pointwise hands off a + b. *)
+  let basis = Lazy.force small_basis in
+  let rng = Rng.create 211L in
+  let a = Rq.random_uniform basis rng and b = Rq.random_uniform basis rng in
+  let sa = Shamir.share_rq rng ~threshold:2 ~parties:5 a in
+  let sb = Shamir.share_rq rng ~threshold:2 ~parties:5 b in
+  let pick shares = List.map (fun i -> shares.(i)) [ 0; 2; 3 ] in
+  let na = Vsr.redistribute_rq rng ~new_threshold:3 ~new_parties:7 (pick sa) in
+  let nb = Vsr.redistribute_rq rng ~new_threshold:3 ~new_parties:7 (pick sb) in
+  let sum = Array.map2 (fun x y -> { x with Shamir.value = Rq.add x.Shamir.value y.Shamir.value }) na nb in
+  checkb "new shares of the sum reconstruct a + b" true
+    (Rq.equal (Rq.add a b) (Shamir.reconstruct_rq basis [ sum.(1); sum.(2); sum.(4); sum.(6) ]))
 
 (* ------------------------------------------------------------------ *)
 (* The ring-sharing kernel against per-dealer evaluation               *)
 (* ------------------------------------------------------------------ *)
 
+(* Horner evaluation of a coefficient array at a point mod p. *)
+let eval_poly ~p coeffs x =
+  let acc = ref 0 in
+  for i = Array.length coeffs - 1 downto 0 do
+    acc := Modarith.add p (Modarith.mul p !acc x) coeffs.(i)
+  done;
+  !acc
+
 (* Reference sharing: every party evaluates every coefficient's
-   polynomial by Horner ([Shamir.eval_poly]), drawing in the order
-   prime, coefficient, k = 1..threshold. *)
+   polynomial by Horner ([eval_poly]), drawing in the order prime,
+   coefficient, k = 1..threshold. *)
 let reference_share_rq rng ~threshold ~parties v =
   let basis = Rq.basis_of v in
   let primes = Rns.primes basis in
@@ -367,7 +321,7 @@ let reference_share_rq rng ~threshold ~parties v =
           coeffs.(k) <- Rng.int rng p
         done;
         for j = 0 to parties - 1 do
-          outs.(j).(pi).(c) <- Shamir.eval_poly ~p coeffs (j + 1)
+          outs.(j).(pi).(c) <- eval_poly ~p coeffs (j + 1)
         done
       done)
     primes;
@@ -484,15 +438,14 @@ let test_threshold_decrypt () =
   let rng = Rng.create 301L in
   let shares = Threshold.share_secret_key ctx rng ~threshold:4 ~parties:10 sk in
   let ct = Bgv.encrypt_value ctx rng pk 17 in
-  (* Committee members 2,3,5,7,9,10 participate (6 >= t+1 = 5). *)
-  let participants = [| 2; 3; 5; 7; 9; 10 |] in
-  let partials =
-    Array.to_list participants
-    |> List.map (fun x -> Threshold.partial_decrypt ctx rng ~participants shares.(x - 1) ct)
-  in
-  let pt = Threshold.combine ctx ct partials in
-  checki "threshold decryption" 1 (Plaintext.coeff pt 17);
-  checkb "monomial" true (Plaintext.is_monomial pt = Some (17, 1))
+  (* Committee members 2,3,5,7,9,10 are live (6 >= t+1 = 5). *)
+  let live = List.map (fun x -> shares.(x - 1)) [ 2; 3; 5; 7; 9; 10 ] in
+  match Threshold.decrypt ctx rng ~threshold:4 ~live ct with
+  | Error e -> Alcotest.fail e
+  | Ok (pt, participants) ->
+    checki "threshold decryption" 1 (Plaintext.coeff pt 17);
+    checkb "monomial" true (Plaintext.is_monomial pt = Some (17, 1));
+    checkb "the first t+1 live members participate" true (participants = [| 2; 3; 5; 7; 9 |])
 
 let test_threshold_matches_direct_decrypt () =
   let ctx = Lazy.force ctx in
@@ -505,26 +458,9 @@ let test_threshold_matches_direct_decrypt () =
       (Bgv.add (Bgv.encrypt_value ctx rng pk 3) (Bgv.encrypt_value ctx rng pk 3))
       (Bgv.encrypt_value ctx rng pk 9)
   in
-  let participants = [| 1; 2; 3 |] in
-  let partials =
-    [ 1; 2; 3 ] |> List.map (fun x -> Threshold.partial_decrypt ctx rng ~participants shares.(x - 1) agg)
-  in
-  let pt = Threshold.combine ctx agg partials in
-  checkb "matches direct decryption" true (Plaintext.equal pt (Bgv.decrypt ctx sk agg))
-
-let test_threshold_wrong_participant_set_garbles () =
-  let ctx = Lazy.force ctx in
-  let sk, pk = Lazy.force keys in
-  let rng = Rng.create 303L in
-  let shares = Threshold.share_secret_key ctx rng ~threshold:2 ~parties:5 sk in
-  let ct = Bgv.encrypt_value ctx rng pk 4 in
-  (* Partials computed for set {1,2,3} but member 3 never contributes. *)
-  let participants = [| 1; 2; 3 |] in
-  let partials =
-    [ 1; 2 ] |> List.map (fun x -> Threshold.partial_decrypt ctx rng ~participants shares.(x - 1) ct)
-  in
-  let pt = Threshold.combine ctx ct partials in
-  checkb "missing partial garbles output" false (Plaintext.equal pt (Bgv.decrypt ctx sk ct))
+  match Threshold.decrypt ctx rng ~threshold:2 ~live:(Array.to_list (Array.sub shares 0 3)) agg with
+  | Error e -> Alcotest.fail e
+  | Ok (pt, _) -> checkb "matches direct decryption" true (Plaintext.equal pt (Bgv.decrypt ctx sk agg))
 
 let test_threshold_requires_degree1 () =
   let ctx = Lazy.force ctx in
@@ -532,10 +468,35 @@ let test_threshold_requires_degree1 () =
   let rng = Rng.create 304L in
   let shares = Threshold.share_secret_key ctx rng ~threshold:2 ~parties:5 sk in
   let prod = Bgv.mul (Bgv.encrypt_value ctx rng pk 1) (Bgv.encrypt_value ctx rng pk 1) in
-  Alcotest.check_raises "degree-2 rejected"
-    (Invalid_argument "Threshold.partial_decrypt: ciphertext must be relinearized to degree 1")
-    (fun () ->
-      ignore (Threshold.partial_decrypt ctx rng ~participants:[| 1; 2; 3 |] shares.(0) prod))
+  match Threshold.decrypt ctx rng ~threshold:2 ~live:(Array.to_list shares) prod with
+  | Error e -> Alcotest.(check string) "degree-2 rejected" "ciphertext must be relinearized to degree 1" e
+  | Ok _ -> Alcotest.fail "degree-2 ciphertext accepted"
+
+let test_threshold_mixed_sharings_garble () =
+  (* Shares of the same key from two independent sharings lie on two
+     polynomials: a quorum drawn from both decrypts to garbage. *)
+  let ctx = Lazy.force ctx in
+  let sk, pk = Lazy.force keys in
+  let rng = Rng.create 308L in
+  let first = Threshold.share_secret_key ctx rng ~threshold:2 ~parties:5 sk in
+  let second = Threshold.share_secret_key ctx rng ~threshold:2 ~parties:5 sk in
+  let ct = Bgv.encrypt_value ctx rng pk 11 in
+  match Threshold.decrypt ctx rng ~threshold:2 ~live:[ first.(0); first.(1); second.(2) ] ct with
+  | Error e -> Alcotest.fail e
+  | Ok (pt, _) ->
+    checkb "mixed quorum garbles the plaintext" false (Plaintext.equal pt (Bgv.decrypt ctx sk ct))
+
+let test_threshold_t_members_cannot_decrypt () =
+  (* The other side of Fig 8a: t colluding members interpolate a key
+     that does not decrypt. *)
+  let ctx = Lazy.force ctx in
+  let sk, pk = Lazy.force keys in
+  let rng = Rng.create 309L in
+  let shares = Threshold.share_secret_key ctx rng ~threshold:4 ~parties:10 sk in
+  let guessed = Threshold.reconstruct_secret_key ctx (Array.to_list (Array.sub shares 3 4)) in
+  let ct = Bgv.encrypt_value ctx rng pk 13 in
+  checkb "t shares give no working key" false
+    (Plaintext.equal (Bgv.decrypt ctx guessed ct) (Bgv.decrypt ctx sk ct))
 
 let test_threshold_committee_capture () =
   (* Fig 8a's failure mode: threshold+1 malicious members reconstruct
@@ -591,13 +552,10 @@ let test_threshold_after_vsr_handoff () =
       [ genesis.(0); genesis.(2); genesis.(4); genesis.(6) ]
   in
   let ct = Bgv.encrypt_value ctx rng pk 21 in
-  let participants = [| 1; 4; 5; 8; 10 |] in
-  let partials =
-    Array.to_list participants
-    |> List.map (fun x -> Threshold.partial_decrypt ctx rng ~participants second.(x - 1) ct)
-  in
-  let pt = Threshold.combine ctx ct partials in
-  checki "new committee decrypts" 1 (Plaintext.coeff pt 21)
+  let live = List.map (fun x -> second.(x - 1)) [ 1; 4; 5; 8; 10 ] in
+  match Threshold.decrypt ctx rng ~threshold:4 ~live ct with
+  | Error e -> Alcotest.fail e
+  | Ok (pt, _) -> checki "new committee decrypts" 1 (Plaintext.coeff pt 21)
 
 let () =
   Alcotest.run "mycelium-secrets"
@@ -607,36 +565,29 @@ let () =
           Alcotest.test_case "reconstruct with t+1" `Quick test_shamir_reconstruct_exact_threshold;
           Alcotest.test_case "t shares insufficient" `Quick test_shamir_too_few_shares_wrong;
           Alcotest.test_case "rerandomized" `Quick test_shamir_shares_look_random;
-          Alcotest.test_case "duplicate x rejected" `Quick test_shamir_duplicate_x_rejected;
           Alcotest.test_case "validation" `Quick test_shamir_validation;
           prop_shamir_roundtrip;
-          Alcotest.test_case "any t+1 subset (seeded sweep)" `Quick
-            test_shamir_any_subset_reconstructs;
           Alcotest.test_case "linearity" `Quick test_shamir_linearity;
           Alcotest.test_case "ring-element roundtrip" `Quick test_shamir_rq_roundtrip;
           Alcotest.test_case "any t+1 ring subset (seeded sweep)" `Quick
             test_shamir_rq_any_subset_reconstructs;
           Alcotest.test_case "ring share hides secret" `Quick test_shamir_rq_share_not_secret;
-        ] );
-      ( "feldman",
-        [
-          Alcotest.test_case "group structure" `Quick test_feldman_group_structure;
-          Alcotest.test_case "valid shares verify" `Quick test_feldman_valid_shares_verify;
-          Alcotest.test_case "bad share rejected" `Quick test_feldman_bad_share_rejected;
-          Alcotest.test_case "any verified t+1 subset (seeded sweep)" `Quick
-            test_feldman_any_verified_subset_reconstructs;
-          Alcotest.test_case "commitment binds secret" `Quick test_feldman_commitment_binds_secret;
+          Alcotest.test_case "duplicate x rejected" `Quick test_shamir_duplicate_x_rejected;
+          Alcotest.test_case "Lagrange weights (known answers)" `Quick
+            test_shamir_lagrange_known_answers;
+          Alcotest.test_case "weighted kernel shares the weighted sum" `Quick
+            test_shamir_weighted_kernel;
         ] );
       ( "vsr",
         [
-          Alcotest.test_case "scalar redistribution" `Quick test_vsr_scalar_redistribution;
-          Alcotest.test_case "lying dealer detected" `Quick test_vsr_lying_dealer_detected;
-          Alcotest.test_case "tampered sub-share detected" `Quick test_vsr_tampered_subshare_detected;
           Alcotest.test_case "committees cannot mix shares" `Quick test_vsr_old_and_new_cannot_mix;
           Alcotest.test_case "ring redistribution" `Quick test_vsr_rq_redistribution;
           Alcotest.test_case "repeated hand-offs" `Quick test_vsr_repeated_handoffs;
-          Alcotest.test_case "batch weights deterministic" `Quick test_vsr_batch_weights_deterministic;
-          Alcotest.test_case "fold commutes with reconstruction" `Quick test_vsr_fold_commutes_with_reconstruction;
+          Alcotest.test_case "old and new committee cannot pool" `Quick
+            test_vsr_old_and_new_cannot_pool;
+          Alcotest.test_case "new threshold holds" `Quick test_vsr_new_threshold_holds;
+          Alcotest.test_case "hand-off to a smaller committee" `Quick test_vsr_shrinking_handoff;
+          Alcotest.test_case "hand-off is linear" `Quick test_vsr_handoff_is_linear;
           Alcotest.test_case "kernel matches per-dealer evaluation" `Quick test_kernel_matches_reference;
           Alcotest.test_case "kernel validation" `Quick test_kernel_validation;
         ] );
@@ -644,8 +595,10 @@ let () =
         [
           Alcotest.test_case "committee decrypts" `Quick test_threshold_decrypt;
           Alcotest.test_case "matches direct decryption" `Quick test_threshold_matches_direct_decrypt;
-          Alcotest.test_case "wrong participant set garbles" `Quick test_threshold_wrong_participant_set_garbles;
           Alcotest.test_case "degree-1 required" `Quick test_threshold_requires_degree1;
+          Alcotest.test_case "mixed sharings garble" `Quick test_threshold_mixed_sharings_garble;
+          Alcotest.test_case "t members cannot decrypt" `Quick
+            test_threshold_t_members_cannot_decrypt;
           Alcotest.test_case "committee capture (Fig 8a)" `Quick test_threshold_committee_capture;
           Alcotest.test_case "any live subset (seeded sweep)" `Quick
             test_threshold_decrypt_any_live_subset;

@@ -105,11 +105,15 @@ let released r =
 (* Accountant                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Uniform in [0, 1) with 53 bits: the top bits of the next output. *)
+let unit_float rng = Int64.to_float (Int64.shift_right_logical (Rng.int64 rng) 11) *. 0x1.0p-53
+
 (* No over-admission under concurrent submitters: 4 domains hammer the
    same three users; whatever interleaving happens, no user's admitted
    total may exceed their budget, and the accountant's spent figure
    must equal the sum of exactly the admitted charges. Swept over the
    seed matrix the chaos tier uses. *)
+
 let test_accountant_concurrent_no_overadmission () =
   List.iter
     (fun seed ->
@@ -121,7 +125,7 @@ let test_accountant_concurrent_no_overadmission () =
         let admitted = Array.make 3 0.0 in
         for _ = 1 to n_charges do
           let u = Rng.int rng 3 in
-          let eps = 0.01 +. (0.1 *. Rng.float rng) in
+          let eps = 0.01 +. (0.1 *. unit_float rng) in
           match Accountant.charge acct ~user:(Printf.sprintf "u%d" u) eps with
           | Ok () -> admitted.(u) <- admitted.(u) +. eps
           | Error (`Exhausted _) -> ()
@@ -143,11 +147,7 @@ let test_accountant_concurrent_no_overadmission () =
         checkb
           (Printf.sprintf "seed %Ld user %s spent = admitted sum" seed user)
           true
-          (Float.abs (spent -. admitted_sum) < 1e-6);
-        checkb
-          (Printf.sprintf "seed %Ld user %s remaining consistent" seed user)
-          true
-          (Float.abs (Accountant.remaining acct ~user -. (total -. spent)) < 1e-6)
+          (Float.abs (spent -. admitted_sum) < 1e-6)
       done)
     [ 1L; 7L; 42L ]
 
@@ -159,7 +159,7 @@ let test_accountant_rejection_order_deterministic () =
     let rng = Rng.create 99L in
     List.init 40 (fun _ ->
         let u = Printf.sprintf "u%d" (Rng.int rng 2) in
-        let eps = 0.05 +. (0.2 *. Rng.float rng) in
+        let eps = 0.05 +. (0.2 *. unit_float rng) in
         match Accountant.charge acct ~user:u eps with
         | Ok () -> `Admitted (u, eps)
         | Error (`Exhausted r) -> `Rejected (u, r))
@@ -235,7 +235,7 @@ let test_user_budget_gates_admission () =
 let test_aggregate_beyond_relin_key_refused () =
   let rt =
     Runtime.init
-      { Runtime.default_config with Runtime.params = Params.test_wide; degree_bound = 3 }
+      { Runtime.default_config with Runtime.params = Testkit.test_wide; degree_bound = 3 }
       (small_graph ~n:12 ~d:3 ())
   in
   let q1 = Corpus.find "Q1" in

@@ -26,8 +26,9 @@
 
    Two sets of directories feed a run.  The privacy rules and
    unused-export check the [roots]; [callers] are read only for the
-   value paths they name, so a function that only a test or a bench
-   calls still counts as called.
+   value paths they name, so a function that a bench, the benchmark,
+   an example or a tool calls still counts as called.  Tests are not
+   callers: an export that only a test names fires.
 
    Everything is compiler-libs + [Obs.Json]; no new dependencies. *)
 
@@ -71,9 +72,11 @@ let rec find_files ~suffix path acc =
 let find_cmts path acc = find_files ~suffix:".cmt" path acc
 
 (* The repository's scope, relative to the workspace root: the
-   directories the rules check, and the ones read only for callers. *)
+   directories the rules check, and the program units read only for
+   callers.  test/ is neither: a value only a test names is not part
+   of the program. *)
 let repo_roots = [ "lib"; "bin" ]
-let repo_callers = [ "bench"; "benchmark"; "examples"; "tools"; "test" ]
+let repo_callers = [ "bench"; "benchmark"; "examples"; "tools" ]
 
 (* ------------------------------------------------------------------ *)
 (* Summary cache                                                      *)
@@ -541,7 +544,7 @@ let check_budget_order funs (by_name : (string * site list) list) acc =
     acc by_name
 
 (* unused-export: a [val] of an interface under the roots that no
-   other compilation unit names.  A reference resolves as written or
+   other program unit names.  A reference resolves as written or
    under the referencing unit's library wrapper (sibling modules are
    named unprefixed); a module used whole names every value under it. *)
 let check_unused_exports (intfs : Taint.isummary list) (users : Taint.msummary list) acc =
@@ -584,9 +587,9 @@ let check_unused_exports (intfs : Taint.isummary list) (users : Taint.msummary l
               col = 0;
               msg =
                 Printf.sprintf
-                  "%s is exported but no other compilation unit names it; take \
-                   it out of the interface (warning 32 then flags it if nothing \
-                   inside uses it either)"
+                  "%s is exported but no program unit names it; take it out \
+                   of the interface (warning 32 then flags it if nothing inside \
+                   uses it either)"
                   name;
             }
             :: acc)

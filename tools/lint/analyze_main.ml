@@ -4,8 +4,9 @@
                       [--cache PATH] [--stats] [ROOT...]
 
    With no ROOT, the rules check the repository's lib/ and bin/ and
-   read bench/, benchmark/, examples/, tools/ and test/ for callers
-   ([Analyze.repo_roots], [Analyze.repo_callers]).  ROOTs replace both
+   read bench/, benchmark/, examples/ and tools/ for callers
+   ([Analyze.repo_roots], [Analyze.repo_callers]); test/ is not read,
+   so an export that only a test names is unused.  ROOTs replace both
    sets: the rules check them, and only they count as callers.  Each
    directory is a build tree — typically run from [_build/default] via
    [--root] — and one that holds no [.cmt] is an error, so a sweep
