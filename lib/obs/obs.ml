@@ -417,6 +417,10 @@ module Names = struct
   let rq_limb_ntt_muls = "rq.limb_ntt_muls"
   let rq_limb_transforms = "rq.limb_transforms"
 
+  (* lib/crypto *)
+  let sha256_bytes = "sha256.bytes"
+  let chacha20_bytes = "chacha20.bytes"
+
   (* lib/bgv *)
   let bgv_encrypts = "bgv.encrypts"
   let bgv_ciphertext_muls = "bgv.ciphertext_muls"

@@ -91,6 +91,8 @@ val now_s : unit -> float
 module Names : sig
   val rq_limb_ntt_muls : string
   val rq_limb_transforms : string
+  val sha256_bytes : string
+  val chacha20_bytes : string
   val bgv_encrypts : string
   val bgv_ciphertext_muls : string
   val bgv_relinearizations : string

@@ -435,7 +435,12 @@ let test_wire_helpers_match_serialize () =
                 (Printf.sprintf "%s: hash_into after %d prefix bytes" name (Bytes.length prefix))
                 true
                 (Bytes.equal (Sha256.finalize h) (Sha256.digest (Bytes.cat prefix wire))))
-            (List.map (Rng.bytes rng) [ 0; 1; 12; 63; 64; 65 ]);
+            (* 30 is the subtree transcript's prefix
+               ("transcript:subtree-aggregation") and 31 the origin
+               transcript's with a two-character query name; 2 and 30
+               leave the block buffer at 2 mod 4, as no other length
+               here does. *)
+            (List.map (Rng.bytes rng) [ 0; 1; 2; 12; 30; 31; 63; 64; 65 ]);
           List.iter
             (fun (other, ct') ->
               checkb
@@ -461,7 +466,20 @@ let test_wire_helpers_match_serialize () =
       (Lazy.force ctx_medium, snd (Lazy.force keys_medium), 67L);
     ];
   checki "a fresh test_medium ciphertext" 65_620
-    (Bgv.ciphertext_bytes (Lazy.force ctx_medium) ~degree:1)
+    (Bgv.ciphertext_bytes (Lazy.force ctx_medium) ~degree:1);
+  (* hash_into streams through one 1 KiB buffer, so a test_medium
+     ciphertext (65 620 bytes) allocates what a test_small one does:
+     nothing per chunk. *)
+  let hashed ctx pk seed =
+    let ct = Bgv.encrypt_value ctx (Rng.create seed) pk 3 in
+    let h = Sha256.init () in
+    Bgv.hash_into h ct;
+    Testkit.allocated_words (fun () -> Bgv.hash_into h ct)
+  in
+  let small = hashed (Lazy.force ctx_small) (snd (Lazy.force keys_small)) 68L in
+  let medium = hashed (Lazy.force ctx_medium) (snd (Lazy.force keys_medium)) 69L in
+  Alcotest.(check (float 0.)) "hash_into allocates the same at test_small and test_medium"
+    small medium
 
 (* ------------------------------------------------------------------ *)
 (* Encryption goldens                                                  *)

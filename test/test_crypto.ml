@@ -792,17 +792,6 @@ let test_elgamal_insecure_keys () =
 (* Word kernels: allocation and domain safety                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Words allocated by [f], minor and major heap together.  The minor
-   part comes from [Gc.minor_words]: OCaml 5.1's [Gc.counters], and so
-   [Gc.allocated_bytes], undercounts the minor heap. *)
-let allocated_words f =
-  let minor0 = Gc.minor_words () in
-  let _, promoted0, major0 = Gc.counters () in
-  f ();
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
-
 (* SHA-256, ChaCha20 and the bulk draws keep their words in unboxed
    int64 locals; one that escaped would be boxed per block or per draw,
    and the allocation would grow with the length.  The two SHA-256
@@ -813,13 +802,22 @@ let test_kernel_allocation () =
     f large;
     Alcotest.(check (float 0.))
       (name ^ ": same at both lengths")
-      (allocated_words (fun () -> f small))
-      (allocated_words (fun () -> f large))
+      (Testkit.allocated_words (fun () -> f small))
+      (Testkit.allocated_words (fun () -> f large))
   in
   let rng = Rng.create 24L in
   let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
   same "Sha256.digest"
     (fun b -> ignore (Sha256.digest b))
+    (Bytes.create 100)
+    (Bytes.create (100 + (64 * 1024)));
+  (* A Merkle leaf's path: a one-byte tag in the block buffer, then the
+     slot through [update_sub]. *)
+  same "Sha256.update_sub after a 1-byte update"
+    (fun b ->
+      let ctx = Sha256.init () in
+      Sha256.update ctx (Bytes.make 1 '\x00');
+      Sha256.update_sub ctx b ~pos:0 ~len:(Bytes.length b))
     (Bytes.create 100)
     (Bytes.create (100 + (64 * 1024)));
   let dst = Bytes.create 65_536 in
@@ -845,8 +843,8 @@ let test_sampler_allocation () =
       ignore (sample small);
       ignore (sample large);
       let grows =
-        allocated_words (fun () -> ignore (sample large))
-        -. allocated_words (fun () -> ignore (sample small))
+        Testkit.allocated_words (fun () -> ignore (sample large))
+        -. Testkit.allocated_words (fun () -> ignore (sample small))
       in
       Alcotest.(check (float 0.)) name (float_of_int (arrays * (4096 - 256))) grows)
     [

@@ -18,6 +18,8 @@ module Fault_plan = Mycelium_faults.Fault_plan
 module Injector = Mycelium_faults.Injector
 module Sim = Mycelium_mixnet.Sim
 module Pool = Mycelium_parallel.Pool
+module Sha256 = Mycelium_crypto.Sha256
+module Chacha20 = Mycelium_crypto.Chacha20
 module Obs = Mycelium_obs.Obs
 module Json = Mycelium_obs.Obs.Json
 
@@ -211,6 +213,36 @@ let test_counter_gauge () =
   checki "disabled incr is a no-op" 5 (Obs.Metrics.value c);
   checkb "same name returns the same metric" true
     (Obs.Metrics.value (Obs.Metrics.counter "test.counter") = 5)
+
+(* The crypto byte counters count exactly what the kernels are given:
+   [sha256.bytes] the message bytes [update_sub] absorbs (through
+   [update], [update_string] and [digest], never finalize's padding),
+   [chacha20.bytes] the bytes [xor_into] enciphers. *)
+let test_crypto_byte_counters () =
+  let sha = Obs.Metrics.counter Obs.Names.sha256_bytes in
+  let chacha = Obs.Metrics.counter Obs.Names.chacha20_bytes in
+  let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' in
+  let calls () =
+    let ctx = Sha256.init () in
+    Sha256.update ctx (Bytes.make 1 'a');
+    Sha256.update_sub ctx (Bytes.make 200 'b') ~pos:7 ~len:130;
+    Sha256.update_string ctx "abc";
+    ignore (Sha256.finalize ctx);
+    ignore (Sha256.digest (Bytes.make 64 'c'));
+    ignore (Sha256.digest Bytes.empty);
+    let buf = Bytes.make 300 'd' in
+    Chacha20.xor_into ~key ~nonce ~src:buf ~src_pos:10 ~dst:buf ~dst_pos:10 257;
+    ignore (Chacha20.encrypt ~key ~nonce (Bytes.make 64 'e'));
+    ignore (Chacha20.block ~key ~nonce ~counter:0)
+  in
+  Obs.with_enabled (fun () ->
+      Obs.reset ();
+      calls ();
+      checki "sha256.bytes" (1 + 130 + 3 + 64 + 0) (Obs.Metrics.value sha);
+      checki "chacha20.bytes" (257 + 64 + 64) (Obs.Metrics.value chacha));
+  calls ();
+  checki "sha256.bytes: nothing while disabled" 198 (Obs.Metrics.value sha);
+  checki "chacha20.bytes: nothing while disabled" 385 (Obs.Metrics.value chacha)
 
 (* ------------------------------------------------------------------ *)
 (* Time-series rings and the background sampler                        *)
@@ -722,6 +754,7 @@ let () =
         [
           Alcotest.test_case "histogram buckets" `Quick test_histogram;
           Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
+          Alcotest.test_case "sha256 and chacha20 byte counters" `Quick test_crypto_byte_counters;
         ] );
       ( "timeseries",
         [

@@ -53,3 +53,14 @@ let variance a =
   end
 
 let stddev a = sqrt (variance a)
+
+(* Words allocated by [f], minor and major heap together.  The minor
+   part comes from [Gc.minor_words]: OCaml 5.1's [Gc.counters], and so
+   [Gc.allocated_bytes], undercounts the minor heap. *)
+let allocated_words f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
