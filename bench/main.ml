@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- --only ringops   -- ring kernels, Reference vs Montgomery
      dune exec bench/main.exe -- --only mixnet    -- the gated mixnet cell (n=1500)
      dune exec bench/main.exe -- --only mixnet-scale  -- Figs 7-9 sweep, n=10^4 to 10^6 (minutes)
-     dune exec bench/main.exe -- --only lint      -- full-repo static analysis
+     dune exec bench/main.exe -- --only lint      -- full-repo static analysis (timed, not gated)
      dune exec bench/main.exe -- --skip-micro     -- figures only
      dune exec bench/main.exe -- --only micro     -- the Bechamel micro-benchmarks alone
      dune exec bench/main.exe -- --json           -- machine-readable
@@ -29,8 +29,8 @@
    bench/baseline.json is such a document, compiled into this
    executable; the gate (`dune build @slow`) and its recording run the
    same sections (README.md, "Benching and regression"):
-     dune build && dune build @check
-     ./_build/default/bench/main.exe --only telemetry,serving,ringops,mixnet,lint,micro \
+     dune build
+     ./_build/default/bench/main.exe --only telemetry,serving,ringops,mixnet,micro \
        --json > baseline.json && mv baseline.json bench/baseline.json *)
 
 module Figures = Mycelium_costmodel.Figures
@@ -193,7 +193,7 @@ let () =
       [])
 
 (* ------------------------------------------------------------------ *)
-(* Shared end-to-end fixture (obs, telemetry, serving, micro)          *)
+(* Shared end-to-end fixture (obs, serving, micro)                     *)
 (* ------------------------------------------------------------------ *)
 
 let bench_graph seed =
@@ -306,66 +306,25 @@ let () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: sampler overhead, recorder throughput, ledger appends    *)
+(* Telemetry: recorder throughput, ledger appends                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The telemetry layer has three costs worth tracking: the background
-   sampler stealing cycles from the query (measured at off / 10ms / 1ms
-   periods on the same end-to-end fixture, with the release checked
-   identical across settings), the flight recorder's lock-free note
-   path, and the ledger's append+flush.  Two are gated, both as in-run
-   ratios: the 1ms sampler's time over the sampler-off time, and the
-   recorder's note loop over a reference loop that builds the same
-   detail, reads the same clock and stores into a plain array ring.  Each
-   keeps the ceiling it had before the baseline where that is stricter:
-   the sampler at most 10 points above the -0.07% of BENCH_pr8.json, the
-   recorder at most 3x the plain loop (it reads about 1.5, and 4.5 with
-   the note's body run five times over).
+(* The telemetry layer has two costs worth tracking: the flight
+   recorder's lock-free note path and the ledger's append+flush.  The
+   first is gated as an in-run ratio: the recorder's note loop over a
+   reference loop that builds the same detail, reads the same clock and
+   stores into a plain array ring, at most 3x (it reads about 1.5, and
+   4.5 with the note's body run five times over).
 
    Host speed drifts by more than the overhead being measured, so the
-   three settings run interleaved: each repetition times all three
-   back to back, starting from a different setting each time, and an
-   overhead is the median over repetitions of that repetition's ratio
-   to its own sampler-off time. *)
+   two loops run interleaved: each repetition times both back to back,
+   starting from a different one each time, and the gate reads the
+   median over repetitions of that repetition's ratio. *)
 let () =
   section "telemetry" (fun () ->
-      let with_sampler period f =
-        match period with
-        | None -> f ()
-        | Some p ->
-          Obs.Sampler.start ~period_s:p ();
-          Fun.protect ~finally:Obs.Sampler.stop f
-      in
-      ignore (time_query None);
-      (* warm *)
-      let periods = [| None; Some 0.010; Some 0.001 |] in
       let reps = 11 in
-      let times = Array.make_matrix reps (Array.length periods) 0. in
-      let released = ref None in
-      for r = 0 to reps - 1 do
-        Array.iteri
-          (fun j _ ->
-            let i = (r + j) mod Array.length periods in
-            let s, res = with_sampler periods.(i) (fun () -> time_query None) in
-            times.(r).(i) <- s;
-            match !released with
-            | None -> released := Some res.Runtime.noisy_bins
-            | Some bins ->
-              if bins <> res.Runtime.noisy_bins then
-                failwith "bench telemetry: query result differs with the sampler running")
-          periods
-      done;
-      let median_s i = Stats.median (Array.init reps (fun r -> times.(r).(i))) in
-      let pct i =
-        let overhead r = (times.(r).(i) /. times.(r).(0) -. 1.0) *. 100.0 in
-        Stats.median (Array.init reps overhead)
-      in
-      let off_s = median_s 0 and s10_s = median_s 1 and s1_s = median_s 2 in
-      let ticks = Obs.Sampler.tick_count () in
-      (* Recorder: the hot [note] path (fetch_and_add plus a slot
-         write) at a realistic detail size, ring wrapping freely.  Like
-         the sampler, it runs interleaved with its reference loop and
-         the gate reads the median of their per-repetition ratio. *)
+      (* The hot [note] path (fetch_and_add plus a slot write) at a
+         realistic detail size, ring wrapping freely. *)
       Obs.Recorder.enable ~capacity:4096 ();
       let n_events = 200_000 in
       let plain = Array.make 4096 (0, 0., []) in
@@ -433,27 +392,16 @@ let () =
       Obs.Ledger.close l;
       Sys.remove path;
       let append_us = led_s *. 1e6 /. float_of_int n_rec in
-      gate "telemetry/sampler_1ms_ratio" Gate.Lower (1.0 +. (pct 2 /. 100.)) ~limit:1.099;
       gate "telemetry/recorder_ratio" Gate.Lower rec_ratio ~limit:3.0;
       say "\n";
-      say "=== Telemetry: sampler / flight recorder / audit ledger ===\n";
+      say "=== Telemetry: flight recorder / audit ledger ===\n";
       say "  (medians of %d interleaved repetitions)\n" reps;
-      say "  sampler off         %8.2f ms\n" (off_s *. 1e3);
-      say "  sampler @ 10 ms     %8.2f ms  (%+.1f%%)\n" (s10_s *. 1e3) (pct 1);
-      say "  sampler @ 1 ms      %8.2f ms  (%+.1f%%, %d ticks total)\n" (s1_s *. 1e3)
-        (pct 2) ticks;
       say "  recorder note       %8.0f ns/event  (%.2f M events/s, %.2fx the plain-store loop)\n"
         (rec_s *. 1e9 /. float_of_int n_events)
         (events_per_s /. 1e6) rec_ratio;
       say "  ledger append       %8.2f us/record (flushed)\n" append_us;
       [
-        ("sampler_repetitions", Int reps);
-        ("sampler_off_ms", Num (off_s *. 1e3));
-        ("sampler_10ms_ms", Num (s10_s *. 1e3));
-        ("sampler_10ms_overhead_pct", Num (pct 1));
-        ("sampler_1ms_ms", Num (s1_s *. 1e3));
-        ("sampler_1ms_overhead_pct", Num (pct 2));
-        ("sampler_ticks", Int ticks);
+        ("recorder_repetitions", Int reps);
         ("recorder_events_per_s", Num events_per_s);
         ("recorder_event_ns", Num (rec_s *. 1e9 /. float_of_int n_events));
         ("recorder_reference_ratio", Num rec_ratio);
@@ -865,12 +813,12 @@ let () =
 
 (* Times the same walk `dune build @lint` runs — parse every .ml/.mli
    under lib/, bin/, bench/ and test/ of the build tree and check every
-   rule — so the cost of the gate is tracked alongside the code it
-   gates.  The tree is the one this executable was built in
+   rule — and one run of the analyzer, so the cost of the two checks
+   is tracked alongside the code they check.  Nothing here is gated.
+   The tree is the one this executable was built in
    (<build>/bench/main.exe), wherever dune put it and whatever the
    working directory; an executable outside a build tree skips the
-   section, and --check then fails: the baseline's lint cells go
-   unmeasured. *)
+   section. *)
 
 let () =
   section "lint" (fun () ->
@@ -912,11 +860,9 @@ let () =
           ]
         in
         (* The interprocedural analyzer over the built .cmt trees, in
-           the scope `dune build @analyze` sweeps: cold runs against a
-           fresh summary cache, then warm runs that should skip every
-           summarization (the best of three of each).  Skipped when the tree
-           holds no .cmt (`dune build @check` writes them for every
-           directory). *)
+           the scope `dune build @analyze` sweeps, run once.  Skipped
+           when the tree holds no .cmt (`dune build @check` writes them
+           for every directory). *)
         let module A = Mycelium_lint.Analyze in
         let built dirs =
           List.filter Sys.file_exists (List.map (Filename.concat root) dirs)
@@ -924,58 +870,27 @@ let () =
         let aroots = built A.repo_roots and callers = built A.repo_callers in
         if aroots = [] || List.concat_map (fun r -> A.find_cmts r []) aroots = []
         then begin
-          say "  (no .cmt build tree; analyzer cells skipped)\n";
+          say "  (no .cmt build tree; analyzer run skipped)\n";
           syntactic @ [ ("analyze_skipped", Bool true) ]
         end
         else begin
-          let cache = Filename.temp_file "mycelium_analyze_bench" ".cache" in
-          Sys.remove cache;
-          Fun.protect
-            ~finally:(fun () -> if Sys.file_exists cache then Sys.remove cache)
-            (fun () ->
-              let timed () =
-                let res, s =
-                  nominal_time (fun () -> A.run ~cache ~source_root:root ~callers ~roots:aroots ())
-                in
-                (res, s *. 1e3)
-              in
-              let best runs =
-                List.fold_left
-                  (fun (br, bms) (r, ms) -> if ms < bms then (r, ms) else (br, bms))
-                  (List.hd runs) (List.tl runs)
-              in
-              let cold, cold_ms =
-                best
-                  (List.init 3 (fun _ ->
-                       if Sys.file_exists cache then Sys.remove cache;
-                       timed ()))
-              in
-              let warm, warm_ms = best (List.init 3 (fun _ -> timed ())) in
-              (* The cache's reason to exist: a warm run skips every
-                 summarization and beats the cold one (by its old floor
-                 of 1/0.9 where that is stricter). *)
-              gate "lint/analyze_cache_speedup" Gate.Higher (cold_ms /. warm_ms) ~limit:(1. /. 0.9);
-              gate "lint/analyze_warm_summarized" Gate.Exact
-                (float_of_int warm.A.stats.A.sa_summarized);
-              let s = cold.A.stats in
-              say "=== Analyze: interprocedural privacy flow ===\n";
-              say "  %d modules, %d functions; cold %.1f ms, warm %.1f ms (%.2fx)\n"
-                s.A.sa_modules s.A.sa_functions cold_ms warm_ms (cold_ms /. warm_ms);
-              say "  violations %d, suppressed %d; warm cache hits %d/%d\n"
-                (List.length cold.A.report.Lint.violations)
-                (List.length cold.A.report.Lint.suppressed)
-                warm.A.stats.A.sa_cache_hits
-                (warm.A.stats.A.sa_cache_hits + warm.A.stats.A.sa_summarized);
-              syntactic
-              @ [
-                  ("analyze_modules", Int s.A.sa_modules);
-                  ("analyze_functions", Int s.A.sa_functions);
-                  ("analyze_cold_ms", Num cold_ms);
-                  ("analyze_warm_ms", Num warm_ms);
-                  ("analyze_warm_speedup", Num (cold_ms /. warm_ms));
-                  ("analyze_violations", Int (List.length cold.A.report.Lint.violations));
-                  ("analyze_suppressed", Int (List.length cold.A.report.Lint.suppressed));
-                ])
+          let t0 = Unix.gettimeofday () in
+          let res = A.run ~source_root:root ~callers ~roots:aroots () in
+          let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+          let s = res.A.stats in
+          say "=== Analyze: interprocedural privacy flow ===\n";
+          say "  %d modules, %d functions in %.1f ms\n" s.A.sa_modules s.A.sa_functions ms;
+          say "  violations %d, suppressed %d\n"
+            (List.length res.A.report.Lint.violations)
+            (List.length res.A.report.Lint.suppressed);
+          syntactic
+          @ [
+              ("analyze_modules", Int s.A.sa_modules);
+              ("analyze_functions", Int s.A.sa_functions);
+              ("analyze_ms", Num ms);
+              ("analyze_violations", Int (List.length res.A.report.Lint.violations));
+              ("analyze_suppressed", Int (List.length res.A.report.Lint.suppressed));
+            ]
         end
       end)
 

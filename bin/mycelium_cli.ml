@@ -139,20 +139,12 @@ let run_cmd =
       & opt (some string) None
       & info [ "prometheus" ] ~docv:"FILE"
           ~doc:
-            "After the query, write the metrics registry and sampled time series to \
-             $(docv) in Prometheus text exposition format.")
-  in
-  let sample_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "sample-ms" ] ~docv:"MS"
-          ~doc:
-            "Start the background telemetry sampler with a $(docv)-millisecond period \
-             (GC, pool, mixnet and fault-report gauges into fixed-capacity rings).")
+            "After the query, write every metric to $(docv) in Prometheus text \
+             exposition format: the counters and histograms, and the levels (GC heap, \
+             pool size, mixnet footprint) read as gauges at the time of writing.")
   in
   let run population degree epsilon seed plaintext trace_file metrics ledger_file
-      flight_file prometheus_file sample_ms src =
+      flight_file prometheus_file src =
     let src = resolve_query src in
     let rng = Rng.create (Int64.of_int seed) in
     let graph =
@@ -178,9 +170,6 @@ let run_cmd =
         Obs.Recorder.enable ();
         Obs.Recorder.arm path
       | None -> ());
-      (match sample_ms with
-      | Some ms -> Obs.Sampler.start ~period_s:(float_of_int (max 1 ms) /. 1000.) ()
-      | None -> ());
       let sys =
         init_runtime
           { Runtime.default_config with
@@ -203,7 +192,6 @@ let run_cmd =
           Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
         | None -> ());
         if metrics then print_string (Obs.metrics_table ());
-        Obs.Sampler.stop ();
         (match prometheus_file with
         | Some path ->
           Obs.write_prometheus path;
@@ -231,7 +219,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ population $ degree $ epsilon $ seed $ plaintext $ trace_file $ metrics
-      $ ledger_file $ flight_file $ prometheus_file $ sample_ms $ query_arg)
+      $ ledger_file $ flight_file $ prometheus_file $ query_arg)
 
 (* --- serve --------------------------------------------------------- *)
 

@@ -2,6 +2,7 @@ module Rng = Mycelium_util.Rng
 module Params = Mycelium_bgv.Params
 module Bgv = Mycelium_bgv.Bgv
 module Zkp = Mycelium_zkp.Zkp
+module Obs = Mycelium_obs.Obs
 
 type unit_costs = {
   params : Params.t;
@@ -10,17 +11,14 @@ type unit_costs = {
   add_s : float;
 }
 
-(* lint: allow-file determinism — this module calibrates the cost model
-   against real wall-clock time; measurements are reported, never mixed
-   into query results *)
 let time_it f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_s () in
   let reps = ref 0 in
-  while Unix.gettimeofday () -. t0 < 0.15 do
+  while Obs.now_s () -. t0 < 0.15 do
     f ();
     incr reps
   done;
-  (Unix.gettimeofday () -. t0) /. float_of_int !reps
+  (Obs.now_s () -. t0) /. float_of_int !reps
 
 let measure ?(params = Params.test_medium) rng =
   let ctx = Bgv.make_ctx params in

@@ -53,32 +53,7 @@ let recorded kind detail =
 
 type t = { plan : Fault_plan.t; mutable r : report }
 
-let create plan =
-  let t = { plan; r = empty_report } in
-  (* The live injector's exact report is sampled (counters in the
-     metrics registry only move while tracing is on); replacing the
-     source on each [create] keeps it pointed at the current query.
-     The source holds the injector weakly, so a dropped one can be
-     collected, after which the source reports nothing. *)
-  let live = Weak.create 1 in
-  Weak.set live 0 (Some t);
-  Obs.Sampler.register_source ~name:"faults" (fun () ->
-      match Weak.get live 0 with
-      | None -> []
-      | Some t ->
-        let r = t.r in
-        [
-          (Obs.Names.faults_substituted_contributions, float_of_int r.substituted_contributions);
-          (Obs.Names.faults_dropped_messages, float_of_int r.dropped_messages);
-          (Obs.Names.faults_delayed_messages, float_of_int r.delayed_messages);
-          (Obs.Names.faults_channel_retries, float_of_int r.channel_retries);
-          (Obs.Names.faults_backoff_units, float_of_int r.backoff_units);
-          (Obs.Names.faults_excluded_committee_members, float_of_int r.excluded_committee_members);
-          (Obs.Names.faults_forged_rejected, float_of_int r.forged_rejected);
-          (Obs.Names.faults_aggregator_restarts, float_of_int r.aggregator_restarts);
-          (Obs.Names.faults_decryption_attempts, float_of_int r.decryption_attempts);
-        ]);
-  t
+let create plan = { plan; r = empty_report }
 let plan t = t.plan
 let report t = t.r
 let active t = not (Fault_plan.is_none t.plan)

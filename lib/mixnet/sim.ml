@@ -249,11 +249,11 @@ let create cfg =
     last_deliveries = [];
   }
   |> fun t ->
-  (* Footprint telemetry for the background sampler.  The source reads
-     mutable sizing fields without locks: a torn read can only yield a
-     slightly stale point, and the sampler never feeds back into the
-     simulation.  Registration replaces the previous simulator's
-     source, keeping the series pointed at the live instance; the
+  (* Footprint levels, read when metrics are exported.  The source
+     reads mutable sizing fields without locks: a torn read can only
+     yield a slightly stale value, and an export never feeds back into
+     the simulation.  Registration replaces the previous simulator's
+     source, keeping the levels pointed at the live instance; the
      source holds it weakly, so a simulator its caller drops can be
      collected, after which the source reports nothing. *)
   let live = Weak.create 1 in

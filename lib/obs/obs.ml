@@ -1,23 +1,23 @@
-(* Structured tracing + metrics + continuous telemetry for the query
-   pipeline.
+(* Structured tracing, metrics and levels for the query pipeline.
 
    Design constraints (see DESIGN.md §8 and §13):
    - The disabled path of every instrumentation point is a single load
      of one atomic flag plus a branch; no allocation, no clock read, no
      atomic write happens unless that subsystem is on.  Spans check
      [live_flag] (tracing or the flight recorder), metric updates check
-     [enabled_flag], [Recorder.note] checks the recorder flag, and the
-     background sampler runs on its own thread so instrumented code
-     never pays for it at all.  The flags are write-once configuration:
-     set from the environment at startup or by [enable] / [Recorder.
-     enable] / [Sampler.start] before a run, never mid-phase.
+     [enabled_flag], and [Recorder.note] checks the recorder flag.
+     Levels (heap words, the pool's size, a simulator's footprint) cost
+     instrumented code nothing: their owners register a source, and the
+     exporters read every source when they run.  The flags are
+     write-once configuration: set from the environment at startup or
+     by [enable] / [Recorder.enable] before a run, never mid-phase.
    - Span recording is per-domain: each domain owns a growable buffer
      reached through Domain.DLS, so instrumented code inside Pool
      workers records without taking any lock (the global registry
      mutex is touched once per domain, at first use).
    - Observability never draws from any [Rng.t] and never feeds back
      into results: query output, DP noise and degradation reports are
-     byte-identical with tracing, recorder and sampler on or off.
+     byte-identical with tracing and the recorder on or off.
      Timestamps exist only in exported traces. *)
 
 (* ------------------------------------------------------------------ *)
@@ -407,7 +407,7 @@ let disable () =
 (* Metric-name registry                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every metric or time-series name used by library code is declared
+(* Every metric or level name used by library code is declared
    here; mycelium-lint's obs-guard rule flags registrations that pass a
    bare string literal instead of one of these constants, so the full
    vocabulary of exported names stays greppable in one place.  Bench
@@ -430,8 +430,6 @@ module Names = struct
   let pool_chunks_run = "pool.chunks_run"
   let pool_task_exceptions = "pool.task_exceptions"
   let pool_domains = "pool.domains"
-  let pool_tasks_run = "pool.tasks_run"
-  let pool_exceptions_caught = "pool.exceptions_caught"
 
   (* lib/faults — mirrors of [Injector.report] *)
   let faults_substituted_contributions = "faults.substituted_contributions"
@@ -463,7 +461,7 @@ module Names = struct
   let serve_cache_misses = "serve.cache_misses"
   let serve_cache_evictions = "serve.cache_evictions"
 
-  (* Sampler built-ins (Gc.quick_stat) *)
+  (* The built-in levels (Gc.quick_stat) *)
   let gc_top_heap_words = "gc.top_heap_words"
   let gc_heap_words = "gc.heap_words"
   let gc_minor_collections = "gc.minor_collections"
@@ -813,7 +811,6 @@ module Metrics = struct
   let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.c n)
   let value c = Atomic.get c.c
 
-  let set g v = if Atomic.get enabled_flag then Atomic.set g.g v
   let gauge_value g = Atomic.get g.g
 
   (* First bucket whose upper bound is >= v; the last slot is the
@@ -879,127 +876,17 @@ module Metrics = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Time series                                                         *)
+(* Levels                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Fixed-capacity rings of (ns-since-epoch, value) points, one per
-   registered series.  The writer is normally the sampler thread; a
-   per-series mutex keeps snapshots coherent without touching any
-   instrumented hot path (no library code records points inline). *)
-module Timeseries = struct
-  type series = {
-    s_name : string;
-    s_cap : int;
-    s_ts : int array;
-    s_vs : float array;
-    mutable s_total : int;  (* points ever recorded *)
-    s_mu : Mutex.t;
-  }
-
-  let default_capacity = 240
-  let table : (string, series) Hashtbl.t = Hashtbl.create 32
-  let table_mutex = Mutex.create ()
-
-  let register ?(capacity = default_capacity) name =
-    if capacity < 1 then invalid_arg "Obs.Timeseries.register: capacity must be >= 1";
-    Mutex.lock table_mutex;
-    let s =
-      match Hashtbl.find_opt table name with
-      | Some s -> s
-      | None ->
-        let s =
-          {
-            s_name = name;
-            s_cap = capacity;
-            s_ts = Array.make capacity 0;
-            s_vs = Array.make capacity 0.;
-            s_total = 0;
-            s_mu = Mutex.create ();
-          }
-        in
-        Hashtbl.replace table name s;
-        s
-    in
-    Mutex.unlock table_mutex;
-    s
-
-  let capacity s = s.s_cap
-
-  let record s v =
-    let ns = elapsed_ns () in
-    Mutex.lock s.s_mu;
-    let i = s.s_total mod s.s_cap in
-    s.s_ts.(i) <- ns;
-    s.s_vs.(i) <- v;
-    s.s_total <- s.s_total + 1;
-    Mutex.unlock s.s_mu
-
-  let total s =
-    Mutex.lock s.s_mu;
-    let t = s.s_total in
-    Mutex.unlock s.s_mu;
-    t
-
-  (* Oldest-first snapshot of the ring's live window. *)
-  let points s =
-    Mutex.lock s.s_mu;
-    let kept = min s.s_total s.s_cap in
-    let first = s.s_total - kept in
-    let out =
-      Array.init kept (fun k ->
-          let i = (first + k) mod s.s_cap in
-          (s.s_ts.(i), s.s_vs.(i)))
-    in
-    Mutex.unlock s.s_mu;
-    out
-
-  let last s =
-    Mutex.lock s.s_mu;
-    let r =
-      if s.s_total = 0 then None
-      else begin
-        let i = (s.s_total - 1) mod s.s_cap in
-        Some (s.s_ts.(i), s.s_vs.(i))
-      end
-    in
-    Mutex.unlock s.s_mu;
-    r
-
-  let sorted_series () =
-    Mutex.lock table_mutex;
-    (* lint: allow determinism — fold order is erased by the sort below *)
-    let all = Hashtbl.fold (fun name s acc -> (name, s) :: acc) table [] in
-    Mutex.unlock table_mutex;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) all
-
-  let reset_values () =
-    Mutex.lock table_mutex;
-    (* lint: allow determinism — per-entry reset is order-insensitive *)
-    Hashtbl.iter
-      (fun _ s ->
-        Mutex.lock s.s_mu;
-        s.s_total <- 0;
-        Mutex.unlock s.s_mu)
-      table;
-    Mutex.unlock table_mutex
-
-end
-
-(* ------------------------------------------------------------------ *)
-(* Background sampler                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* One ticker thread (off by default) that appends a point per
-   registered series every period: Gc.quick_stat built-ins plus any
-   registered sources (the pool, each live mixnet simulator and each
-   fault injector register one).  Instrumented code pays nothing for
-   the sampler — it runs entirely on its own thread — and sources only
-   read shared state, so results stay byte-identical with it on. *)
+(* A level lives with its owner (the GC, the default pool, the live
+   mixnet simulator), which registers a source: a named closure
+   returning [(gauge_name, value)] pairs.  Each exporter reads every
+   source into its gauge right before it renders, so a level is current
+   whenever it is exported and instrumented code never pays for one.
+   The write is unguarded: an export is an explicit request, so a level
+   reads right whether or not tracing is on. *)
 module Sampler = struct
-  let running = Atomic.make false
-  let period = Atomic.make 0.01
-  let ticks = Atomic.make 0
-
   let sources : (string * (unit -> (string * float) list)) list ref = ref []
   let sources_mu = Mutex.create ()
 
@@ -1014,69 +901,39 @@ module Sampler = struct
     Mutex.unlock sources_mu;
     List.sort String.compare names
 
-  let record name v = Timeseries.record (Timeseries.register name) v
-
-  let sample_once () =
-    let s = Gc.quick_stat () in
-    record Names.gc_top_heap_words (float_of_int s.Gc.top_heap_words);
-    record Names.gc_heap_words (float_of_int s.Gc.heap_words);
-    record Names.gc_minor_collections (float_of_int s.Gc.minor_collections);
-    record Names.gc_major_collections (float_of_int s.Gc.major_collections);
-    record Names.gc_promoted_words s.Gc.promoted_words;
+  let read_levels () =
     Mutex.lock sources_mu;
     let srcs = !sources in
     Mutex.unlock sources_mu;
     List.iter
       (fun (_, f) ->
-        (* A failing source must never take the process down: telemetry
+        (* A failing source must never take the export down: telemetry
            is strictly best-effort. *)
         match f () with
-        | pairs -> List.iter (fun (n, v) -> record n v) pairs
+        | pairs -> List.iter (fun (n, v) -> Atomic.set (Metrics.gauge n).Metrics.g v) pairs
         | exception _ -> ())
-      srcs;
-    Atomic.incr ticks
+      srcs
 
-  let worker : Thread.t option ref = ref None
-  let worker_mu = Mutex.create ()
-
-  let rec loop () =
-    if Atomic.get running then begin
-      sample_once ();
-      Thread.delay (Atomic.get period);
-      loop ()
-    end
-
-  let start ?(period_s = 0.01) () =
-    if period_s <= 0. then invalid_arg "Obs.Sampler.start: period must be positive";
-    if Atomic.compare_and_set running false true then begin
-      Atomic.set period period_s;
-      Mutex.lock worker_mu;
-      worker := Some (Thread.create loop ());
-      Mutex.unlock worker_mu
-    end
-
-  let stop () =
-    if Atomic.compare_and_set running true false then begin
-      Mutex.lock worker_mu;
-      let t = !worker in
-      worker := None;
-      Mutex.unlock worker_mu;
-      Option.iter Thread.join t
-    end
-
-  let active () = Atomic.get running
-  let tick_count () = Atomic.get ticks
+  let () =
+    register_source ~name:"gc" (fun () ->
+        let s = Gc.quick_stat () in
+        [
+          (Names.gc_top_heap_words, float_of_int s.Gc.top_heap_words);
+          (Names.gc_heap_words, float_of_int s.Gc.heap_words);
+          (Names.gc_minor_collections, float_of_int s.Gc.minor_collections);
+          (Names.gc_major_collections, float_of_int s.Gc.major_collections);
+          (Names.gc_promoted_words, s.Gc.promoted_words);
+        ])
 end
 
 (* ------------------------------------------------------------------ *)
 (* Reset / scoping                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Clear every recorded span, metric value and time-series window
-   (registrations survive; the flight-recorder ring is left alone — it
-   is a post-mortem artifact cleared explicitly via [Recorder.clear]).
-   Must only be called while no instrumented parallel work is in
-   flight. *)
+(* Clear every recorded span and metric value (registrations survive;
+   the flight-recorder ring is left alone — it is a post-mortem
+   artifact cleared explicitly via [Recorder.clear]).  Must only be
+   called while no instrumented parallel work is in flight. *)
 let reset () =
   Mutex.lock registry_mutex;
   let bufs = !registry in
@@ -1089,7 +946,6 @@ let reset () =
       b.seq <- 0)
     bufs;
   Metrics.reset_values ();
-  Timeseries.reset_values ();
   Atomic.set epoch (now ())
 
 let with_enabled f =
@@ -1141,17 +997,17 @@ let write_chrome_trace path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> chrome_trace_to_channel oc)
 
-let metrics_table = Metrics.to_table
+let metrics_table () =
+  Sampler.read_levels ();
+  Metrics.to_table ()
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One snapshot in the text exposition format: every metric as its own
-   family (dots mangled to underscores under a [mycelium_] prefix,
-   histograms with cumulative [le] buckets), and the latest point of
-   every time series as one [mycelium_timeseries] gauge family keyed by
-   a [series] label. *)
+(* One snapshot in the text exposition format: every metric, levels
+   included, as its own family (dots mangled to underscores under a
+   [mycelium_] prefix, histograms with cumulative [le] buckets). *)
 let prometheus_name name =
   let b = Bytes.of_string ("mycelium_" ^ name) in
   Bytes.iteri
@@ -1167,6 +1023,7 @@ let prometheus_num v =
   else Printf.sprintf "%.9g" v
 
 let prometheus_stream emit =
+  Sampler.read_levels ();
   let line fmt = Printf.ksprintf (fun s -> emit s; emit "\n") fmt in
   List.iter
     (fun (name, m) ->
@@ -1193,21 +1050,7 @@ let prometheus_stream emit =
         line "%s_bucket{le=\"+Inf\"} %d" p !cum;
         line "%s_sum %s" p (prometheus_num (Metrics.histogram_sum h));
         line "%s_count %d" p !cum)
-    (Metrics.sorted_metrics ());
-  let series = Timeseries.sorted_series () in
-  let live =
-    List.filter (fun (_, s) -> Option.is_some (Timeseries.last s)) series
-  in
-  match live with
-  | [] -> ()
-  | _ :: _ ->
-    line "# TYPE mycelium_timeseries gauge";
-    List.iter
-      (fun (name, s) ->
-        match Timeseries.last s with
-        | Some (_, v) -> line "mycelium_timeseries{series=\"%s\"} %s" name (prometheus_num v)
-        | None -> ())
-      live
+    (Metrics.sorted_metrics ())
 
 let prometheus_to_channel oc = prometheus_stream (output_string oc)
 
@@ -1361,21 +1204,10 @@ end
    recorded as its own event before the default handler prints it.
    Both are no-ops unless the recorder ran with a dump path armed. *)
 let () =
-  at_exit (fun () ->
-      Sampler.stop ();
-      Recorder.flush ());
+  at_exit Recorder.flush;
   Printexc.set_uncaught_exception_handler (fun exn bt ->
       Recorder.note ~detail:[ ("exn", Json.Str (Printexc.to_string exn)) ]
         "process.uncaught";
       Recorder.trigger ();
       Recorder.flush ();
       Printexc.default_uncaught_exception_handler exn bt)
-
-(* MYCELIUM_SAMPLE_MS=<n> starts the background sampler at startup. *)
-let () =
-  match Sys.getenv_opt "MYCELIUM_SAMPLE_MS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some ms when ms > 0 -> Sampler.start ~period_s:(float_of_int ms /. 1000.) ()
-    | Some _ | None -> ())
-  | None -> ()

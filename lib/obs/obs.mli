@@ -1,5 +1,5 @@
-(** Structured tracing, metrics and continuous telemetry for the query
-    pipeline (DESIGN.md §8 and §13).
+(** Structured tracing, metrics and levels for the query pipeline
+    (DESIGN.md §8 and §13).
 
     {b The overhead contract.}  Every instrumentation point —
     [span], [sampled_span], and each [Metrics] update — starts with a
@@ -8,25 +8,25 @@
     no clock read, no atomic write.  [span] checks a derived flag that
     is on when tracing {e or} the flight recorder is on; metric updates
     and [sampled_span] check the tracing flag; [Recorder.note] checks
-    the recorder flag.  The background [Sampler] runs on its own thread
-    and adds zero work to instrumented code.  The flags are write-once
-    configuration ([MYCELIUM_TRACE] / [MYCELIUM_RECORDER] /
-    [MYCELIUM_SAMPLE_MS] at startup, or the corresponding enable
-    functions before a run); they are never flipped mid-phase.
+    the recorder flag.  Levels add no work to instrumented code: the
+    exporters read them from their [Sampler] sources.  The flags are
+    write-once configuration ([MYCELIUM_TRACE] / [MYCELIUM_RECORDER]
+    at startup, or the corresponding enable functions before a run);
+    they are never flipped mid-phase.
 
     {b Domain safety.}  Spans are recorded into a per-domain buffer
     reached through [Domain.DLS]; recording takes no lock (a global
     registry mutex is touched once per domain, on its first span), so
     instrumented code is safe inside [Pool] workers.  Metrics are
     shared [Atomic] cells, the flight recorder is a lock-free ring.
-    Exporters ([write_chrome_trace], [metrics_json], the Prometheus
+    Exporters ([write_chrome_trace], [metrics_table], the Prometheus
     dump) read every domain's buffer and must only be called while no
     instrumented parallel work is in flight.
 
     {b Determinism.}  Observability never draws from an [Rng.t] and
     never feeds back into computation: query results, DP noise and
-    degradation reports are byte-identical with tracing, recorder and
-    sampler on or off.  Timestamps exist only in exported traces,
+    degradation reports are byte-identical with tracing and the
+    recorder on or off.  Timestamps exist only in exported traces,
     never in results. *)
 
 (** Minimal JSON — the one encoder (and parser) in the tree; the bench
@@ -73,10 +73,10 @@ val with_enabled : (unit -> 'a) -> 'a
 (** Run with tracing forced on, restoring the previous state after. *)
 
 val reset : unit -> unit
-(** Clear all recorded spans, metric values and time-series windows
-    (registrations survive; the flight-recorder ring is kept — clear it
-    with [Recorder.clear]) and restart the trace epoch.  Only call
-    while no instrumented parallel work is in flight. *)
+(** Clear all recorded spans and metric values (registrations survive;
+    the flight-recorder ring is kept — clear it with [Recorder.clear])
+    and restart the trace epoch.  Only call while no instrumented
+    parallel work is in flight. *)
 
 val now_s : unit -> float
 (** Seconds since the trace epoch (wall clock; diagnostic only — never
@@ -84,7 +84,7 @@ val now_s : unit -> float
 
 (** {1 Metric-name registry} *)
 
-(** Every metric / time-series name used by library code, in one
+(** Every metric and level name used by library code, in one
     module: registrations in [lib/] and [bin/] must draw names from
     here (enforced by mycelium-lint's obs-guard rule); bench and test
     executables may register ad-hoc names. *)
@@ -99,8 +99,6 @@ module Names : sig
   val pool_chunks_run : string
   val pool_task_exceptions : string
   val pool_domains : string
-  val pool_tasks_run : string
-  val pool_exceptions_caught : string
   val faults_substituted_contributions : string
   val faults_dropped_messages : string
   val faults_delayed_messages : string
@@ -164,7 +162,6 @@ val span_count : unit -> int
 
 module Metrics : sig
   type counter
-  type gauge
   type histogram
 
   val counter : string -> counter
@@ -175,11 +172,6 @@ module Metrics : sig
   val incr : counter -> unit
   val add : counter -> int -> unit
   val value : counter -> int
-
-  val gauge : string -> gauge
-  val set : gauge -> float -> unit
-  (* lint: allow unused-export — test_obs reads the gauge back *)
-  val gauge_value : gauge -> float
 
   val histogram : ?buckets:float array -> string -> histogram
   (** [buckets] are strictly ascending upper bounds (default: powers of
@@ -201,70 +193,24 @@ module Metrics : sig
 
 end
 
-(** {1 Time series} *)
+(** {1 Levels} *)
 
-(** Fixed-capacity rings of [(ns-since-epoch, value)] points, one per
-    registered series; the background [Sampler] is the usual writer. *)
-module Timeseries : sig
-  type series
-
-  (* lint: allow unused-export — test_obs looks a sampled series up by
-     name to read it back *)
-  val register : ?capacity:int -> string -> series
-  (** Lookup-or-create; [capacity] (default 240 points per ring) only
-      applies on first registration.  A sample appends a point stamped
-      with the current ns-since-epoch, evicting the oldest point once
-      the ring is full. *)
-
-  (* lint: allow unused-export — test_obs reads the ring size back *)
-  val capacity : series -> int
-
-  (* lint: allow unused-export — test_obs reads the window back *)
-  val points : series -> (int * float) array
-  (** Oldest-first snapshot of the live window. *)
-
-  (* lint: allow unused-export — test_obs reads the newest point back *)
-  val last : series -> (int * float) option
-
-  (* lint: allow unused-export — test_obs reads the count back *)
-  val total : series -> int
-  (** Points ever recorded (>= the window length). *)
-end
-
-(** {1 Background sampler} *)
-
-(** One ticker thread (off by default; [MYCELIUM_SAMPLE_MS=<n>] starts
-    it at startup) appending a point per series every period:
-    [Gc.quick_stat] built-ins plus registered sources (the pool, each
-    live mixnet simulator, each fault injector).  Instrumented code
-    pays nothing — sampling happens entirely on the ticker thread, and
-    sources only read shared state. *)
+(** Levels — heap words, the pool's size, a simulator's footprint —
+    stay with their owners, which register a source here.
+    [metrics_table] and [write_prometheus] read every source right
+    before they render, into gauges named as the source names them,
+    whether or not tracing is on; nothing else reads a source.  The GC
+    source ([gc.*]: [Gc.quick_stat] heap words and collection counts)
+    is built in. *)
 module Sampler : sig
-  val start : ?period_s:float -> unit -> unit
-  (** Start the ticker (default period 10 ms); idempotent while
-      running. *)
-
-  val stop : unit -> unit
-  (** Stop and join the ticker thread; idempotent. *)
-
-  (* lint: allow unused-export — test_obs reads the ticker's state back *)
-  val active : unit -> bool
-
   val register_source : name:string -> (unit -> (string * float) list) -> unit
-  (** Register (or replace, by [name]) a source polled once per tick;
-      it returns [(series_name, value)] pairs.  Exceptions from a
-      source are swallowed: telemetry is strictly best-effort. *)
+  (** Register (or replace, by [name]) a source; it returns
+      [(gauge_name, value)] pairs.  Exceptions from a source are
+      swallowed: telemetry is strictly best-effort. *)
 
   (* lint: allow unused-export — test_obs reads the registered sources
      back *)
   val source_names : unit -> string list
-
-  (* lint: allow unused-export — test_obs takes the ticker's step
-     synchronously, so a sample lands at a known point *)
-  val sample_once : unit -> unit
-  (** Take one sample synchronously. *)
-
-  val tick_count : unit -> int
 end
 
 (** {1 Flight recorder} *)
@@ -377,9 +323,9 @@ val write_chrome_trace : string -> unit
     so a 10^6-device trace never materializes as one JSON tree. *)
 
 val metrics_table : unit -> string
+(** Every non-zero metric, levels included, one per line. *)
 
 val write_prometheus : string -> unit
-(** Write the Prometheus text exposition: each metric as a
-    [mycelium_]-prefixed family ([# TYPE] lines, cumulative [le]
-    buckets for histograms) and the latest point of every time series
-    as one [mycelium_timeseries{series="…"}] gauge family. *)
+(** Write the Prometheus text exposition: each metric, levels
+    included, as a [mycelium_]-prefixed family ([# TYPE] lines, a
+    gauge per level, cumulative [le] buckets for histograms). *)

@@ -19,7 +19,6 @@ module Obs = Mycelium_obs.Obs
    through [worker_stats]. *)
 let m_chunks = Obs.Metrics.counter Obs.Names.pool_chunks_run
 let m_exceptions = Obs.Metrics.counter Obs.Names.pool_task_exceptions
-let m_domains = Obs.Metrics.gauge Obs.Names.pool_domains
 
 type worker_stats = { tasks_run : int; exceptions_caught : int }
 
@@ -107,7 +106,6 @@ let make_stats size = Array.init size (fun _ -> (Atomic.make 0, Atomic.make 0))
 
 let create ~domains =
   let size = max 1 domains in
-  Obs.Metrics.set m_domains (float_of_int size);
   if size = 1 then { size = 1; state = None; workers = []; stats = make_stats 1 }
   else
     let st =
@@ -230,23 +228,11 @@ let current = ref sequential
 let current_mutex = Mutex.create ()
 let exit_hook = ref false
 
-(* Telemetry source over the live default pool: the per-slot counters
-   are plain atomics updated unconditionally, so the sampler sees queue
-   progress without forcing pool (re)creation or touching any lock. *)
+(* The live default pool's size, read when metrics are exported; it
+   never forces the pool to be (re)built. *)
 let () =
   Obs.Sampler.register_source ~name:"pool" (fun () ->
-      let p = !current in
-      let tasks = ref 0 and exceptions = ref 0 in
-      Array.iter
-        (fun (t, e) ->
-          tasks := !tasks + Atomic.get t;
-          exceptions := !exceptions + Atomic.get e)
-        p.stats;
-      [
-        (Obs.Names.pool_domains, float_of_int p.size);
-        (Obs.Names.pool_tasks_run, float_of_int !tasks);
-        (Obs.Names.pool_exceptions_caught, float_of_int !exceptions);
-      ])
+      [ (Obs.Names.pool_domains, float_of_int (!current).size) ])
 
 (* The default pool is only (re)built from the main domain: tasks never
    call [default] with a different resolved size (nested calls run

@@ -12,11 +12,10 @@ let share_secret_key _ctx rng ~threshold ~parties sk =
 let reconstruct_secret_key ctx shares =
   Bgv.secret_key_of_poly ctx (Shamir.reconstruct_rq (Bgv.basis ctx) shares)
 
+(* [decrypt], the one caller of the two steps below, refuses a
+   ciphertext whose degree is not 1 and builds [participants] from the
+   shares it passes. *)
 let partial_decrypt ctx rng ~participants (share : key_share) ct =
-  if Bgv.degree ct <> 1 then
-    invalid_arg "Threshold.partial_decrypt: ciphertext must be relinearized to degree 1";
-  if not (Array.exists (fun x -> x = share.Shamir.idx) participants) then
-    invalid_arg "Threshold.partial_decrypt: share not in participant set";
   let basis = Bgv.basis ctx in
   let lambdas = Shamir.lambda_rows basis participants in
   let my_pos =
@@ -35,7 +34,6 @@ let partial_decrypt ctx rng ~participants (share : key_share) ct =
   Rq.add weighted smudge
 
 let combine ctx ct partials =
-  if Bgv.degree ct <> 1 then invalid_arg "Threshold.combine: ciphertext must be degree 1";
   let c0 = (Bgv.components ct).(0) in
   let v = List.fold_left Rq.add c0 partials in
   Bgv.decode_noisy ctx v

@@ -3,5 +3,4 @@
 let c = Obs.Metrics.counter "adhoc.counter"
 let g = Mycelium_obs.Obs.Metrics.gauge "adhoc.gauge"
 let h = Obs.Metrics.histogram "adhoc.histogram"
-let s = Obs.Timeseries.register "adhoc.series"
 let ok = Obs.Metrics.counter Obs.Names.bgv_encrypts

@@ -13,14 +13,11 @@
    lint_fixtures/analyze/.analyze_fixtures.objs/byte and the copied
    sources (for suppression comments) resolve from source root "..".
 
-   The cache cells exercise the persistent summary cache end to end:
-   cold run summarizes everything, warm run hits on every module and
-   reports identical violations, and flipping one cmt's digest
-   re-summarizes exactly that module.
-
    The unused-export cells check how a reference resolves, on
-   hand-built summaries and on the refs_aliases fixture; the cli cells
-   run analyze_main for its exit status. *)
+   hand-built summaries and on the refs_aliases fixture; the run cells
+   check what one run reads (callers for references only, a unit once,
+   the tree as it is now); the cli cells run analyze_main for its exit
+   status. *)
 
 module A = Mycelium_lint.Analyze
 module L = Mycelium_lint.Lint
@@ -157,7 +154,7 @@ let test_json_report () =
   checkb "serializes" true (String.length (Json.to_string j) > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Summary cache: warm hits, digest invalidation                       *)
+(* Private copies of fixture build files                               *)
 (* ------------------------------------------------------------------ *)
 
 let read_bytes path =
@@ -171,8 +168,8 @@ let write_bytes path s =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
 
 (* A private directory holding copies of the named fixture build files,
-   so a cell can pick which units a run sees, or scribble on one,
-   without perturbing dune's build tree. *)
+   so a cell can pick which units a run sees without perturbing dune's
+   build tree. *)
 let with_copies names f =
   let dir = Filename.temp_file "mycelium_analyze" ".d" in
   Sys.remove dir;
@@ -187,42 +184,6 @@ let with_copies names f =
           write_bytes (Filename.concat dir n) (read_bytes (Filename.concat fixture_root n)))
         names;
       f dir)
-
-let with_cmt_copy f =
-  let cmts =
-    Sys.readdir fixture_root |> Array.to_list
-    |> List.filter (fun n -> Filename.check_suffix n ".cmt")
-    |> List.sort String.compare
-  in
-  with_copies cmts (fun dir -> f dir (List.length cmts))
-
-let test_cache_warm_and_invalidation () =
-  with_cmt_copy (fun dir n ->
-      let cache = Filename.concat dir "summaries.cache" in
-      let run () = A.run ~cache ~source_root:".." ~roots:[ dir ] () in
-      let cold = run () in
-      checki "cold run summarizes every module" n cold.A.stats.A.sa_summarized;
-      checki "cold run has no hits" 0 cold.A.stats.A.sa_cache_hits;
-      let warm = run () in
-      checki "warm run hits every module" n warm.A.stats.A.sa_cache_hits;
-      checki "warm run summarizes nothing" 0 warm.A.stats.A.sa_summarized;
-      Alcotest.check sites "warm violations identical"
-        (site_list cold.A.report.L.violations)
-        (site_list warm.A.report.L.violations);
-      Alcotest.check sites "warm suppressions identical"
-        (site_list cold.A.report.L.suppressed)
-        (site_list warm.A.report.L.suppressed);
-      (* flip one cmt's digest: a trailing byte changes Digest.file but
-         not what Cmt_format.read_cmt parses *)
-      let victim = Filename.concat dir "analyze_fixtures__Fire_pool_purity.cmt" in
-      checkb "victim exists" true (Sys.file_exists victim);
-      write_bytes victim (read_bytes victim ^ "\x00");
-      let stale = run () in
-      checki "exactly the flipped module re-summarizes" 1 stale.A.stats.A.sa_summarized;
-      checki "the rest still hit" (n - 1) stale.A.stats.A.sa_cache_hits;
-      Alcotest.check sites "violations unchanged after re-summary"
-        (site_list cold.A.report.L.violations)
-        (site_list stale.A.report.L.violations))
 
 (* ------------------------------------------------------------------ *)
 (* unused-export: what counts as a reference                           *)
@@ -341,37 +302,66 @@ let test_callers_count () =
             [ ("unused-export", 7) ]
             (unused_sites (A.run ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] ()))))
 
-(* The cache keeps each interface's exports and each caller's
-   references with the digest of its file, so a warm run reads no
-   typedtree at all. *)
-let test_warm_reads_no_typedtree () =
-  with_copies fire_export (fun roots ->
-      with_copies caller_of_called (fun callers ->
-          let cache = Filename.concat roots "summaries.cache" in
-          let run () = A.run ~cache ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] () in
-          let cold = run () in
-          checki "cold: the cmt, the cmti and the caller are read" 3 cold.A.stats.A.sa_summarized;
-          let warm = run () in
-          checki "warm: all three hit" 3 warm.A.stats.A.sa_cache_hits;
-          checki "warm: nothing is read" 0 warm.A.stats.A.sa_summarized;
-          Alcotest.check sites "warm unused-export sites identical" (unused_sites cold)
-            (unused_sites warm)))
+(* ------------------------------------------------------------------ *)
+(* What one run reads                                                  *)
+(* ------------------------------------------------------------------ *)
 
-(* A caller is cached with its references only; that entry must not
-   stand in for a root's full summary, or the privacy rules would
-   silently see a module without functions. *)
-let test_caller_entry_not_a_summary () =
+let pool_purity = [ "analyze_fixtures__Fire_pool_purity.cmt" ]
+
+let functions_of unit (res : A.result) =
+  List.filter (String.starts_with ~prefix:(unit ^ ".")) res.A.functions
+
+(* A caller directory is read for its references alone: none of its
+   functions joins the table and no privacy rule runs over them, while
+   the same file under a root is summarized and checked. *)
+let test_caller_is_no_root () =
   with_copies fire_export (fun roots ->
-      with_copies caller_of_called (fun callers ->
-          let cache = Filename.concat roots "summaries.cache" in
-          ignore (A.run ~cache ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] ());
-          let as_root = A.run ~cache ~source_root:".." ~roots:[ callers ] () in
-          checki "the former caller is summarized afresh" 1 as_root.A.stats.A.sa_summarized;
-          checki "its references-only entry is not a hit" 0 as_root.A.stats.A.sa_cache_hits;
-          checkb "its function is in the table" true
-            (List.mem "Analyze_fixtures.Suppressed_unused_export.uncalled" as_root.A.functions);
-          let again = A.run ~cache ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] () in
-          checki "a full summary serves a caller" 3 again.A.stats.A.sa_cache_hits))
+      with_copies pool_purity (fun callers ->
+          let as_caller = A.run ~source_root:".." ~callers:[ callers ] ~roots:[ roots ] () in
+          checki "only the root's module is summarized" 1 as_caller.A.stats.A.sa_modules;
+          Alcotest.check names "no caller function in the table" []
+            (functions_of "Analyze_fixtures.Fire_pool_purity" as_caller);
+          Alcotest.check sites "no rule fires in a caller" []
+            (site_list (only "fire_pool_purity.ml" as_caller.A.report.L.violations));
+          let as_root = A.run ~source_root:".." ~roots:[ callers ] () in
+          checkb "as a root its functions are in the table" true
+            (functions_of "Analyze_fixtures.Fire_pool_purity" as_root <> []);
+          Alcotest.check sites "and pool-purity fires" [ ("pool-purity", 15) ]
+            (site_list (only "fire_pool_purity.ml" as_root.A.report.L.violations))))
+
+(* One unit found under two roots (two build contexts) is summarized
+   once: its functions are not doubled. *)
+let test_unit_read_once () =
+  with_copies pool_purity (fun a ->
+      with_copies pool_purity (fun b ->
+          let one = A.run ~source_root:".." ~roots:[ a ] () in
+          let two = A.run ~source_root:".." ~roots:[ a; b ] () in
+          checki "one module from two copies" 1 two.A.stats.A.sa_modules;
+          Alcotest.check names "the same functions" one.A.functions two.A.functions;
+          Alcotest.check sites "the same violations" (site_list one.A.report.L.violations)
+            (site_list two.A.report.L.violations)))
+
+(* A run keeps nothing for the next: a unit taken out of the tree takes
+   its violation with it, and put back, brings it back. *)
+let test_rerun_reads_afresh () =
+  let build_files =
+    Sys.readdir fixture_root |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".cmt" || Filename.check_suffix n ".cmti")
+  in
+  with_copies build_files (fun dir ->
+      let run () = (A.run ~source_root:".." ~roots:[ dir ] ()).A.report.L.violations in
+      let all = (Lazy.force result).A.report.L.violations in
+      Alcotest.check sites "the copies report what the build tree does" (site_list all)
+        (site_list (run ()));
+      let victim = Filename.concat dir "analyze_fixtures__Fire_pool_purity.cmt" in
+      let saved = read_bytes victim in
+      Sys.remove victim;
+      let others = List.filter (fun (v : L.violation) -> Filename.basename v.file <> "fire_pool_purity.ml") all in
+      checki "the fixture fires once" 1 (List.length all - List.length others);
+      Alcotest.check sites "without the unit, its violation is gone" (site_list others)
+        (site_list (run ()));
+      write_bytes victim saved;
+      Alcotest.check sites "put back, it fires again" (site_list all) (site_list (run ())))
 
 (* ------------------------------------------------------------------ *)
 (* The CLI's exit status                                               *)
@@ -441,12 +431,6 @@ let () =
           Alcotest.test_case "rule-table" `Quick test_rule_table;
         ] );
       ("json", [ Alcotest.test_case "report-shape" `Quick test_json_report ]);
-      ( "summary-cache",
-        [
-          Alcotest.test_case "warm-and-invalidation" `Quick test_cache_warm_and_invalidation;
-          Alcotest.test_case "warm run reads no typedtree" `Quick test_warm_reads_no_typedtree;
-          Alcotest.test_case "caller entry is not a summary" `Quick test_caller_entry_not_a_summary;
-        ] );
       ( "unused-export",
         [
           Alcotest.test_case "own unit is no caller" `Quick test_own_unit_no_caller;
@@ -458,6 +442,12 @@ let () =
           Alcotest.test_case "nested signatures" `Quick test_nested_signature_exports;
           Alcotest.test_case "exports counted" `Quick test_exports_counted;
           Alcotest.test_case "callers count" `Quick test_callers_count;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "a caller is no root" `Quick test_caller_is_no_root;
+          Alcotest.test_case "a unit under two roots is read once" `Quick test_unit_read_once;
+          Alcotest.test_case "each run reads the tree afresh" `Quick test_rerun_reads_afresh;
         ] );
       ( "cli",
         [

@@ -199,16 +199,29 @@ let test_histogram () =
   Obs.Metrics.observe h 1.0;
   checki "disabled observe is a no-op" 7 (Obs.Metrics.histogram_count h)
 
+(* The value [metrics_table] prints for [name], if it prints one. *)
+let table_value name =
+  List.find_map
+    (fun line ->
+      match List.filter (fun w -> w <> "") (String.split_on_char ' ' line) with
+      | [ n; v ] when String.equal n name -> Some v
+      | _ -> None)
+    (String.split_on_char '\n' (Obs.metrics_table ()))
+
 let test_counter_gauge () =
   let c = Obs.Metrics.counter "test.counter" in
-  let g = Obs.Metrics.gauge "test.gauge" in
   Obs.with_enabled (fun () ->
       Obs.reset ();
       Obs.Metrics.incr c;
-      Obs.Metrics.add c 4;
-      Obs.Metrics.set g 2.5);
+      Obs.Metrics.add c 4);
   checki "counter accumulates" 5 (Obs.Metrics.value c);
-  checkb "gauge holds the last value" true (Obs.Metrics.gauge_value g = 2.5);
+  (* A gauge is a level: it shows what its source reports when the
+     table is read. *)
+  let level = ref 1.0 in
+  Obs.Sampler.register_source ~name:"test-gauge" (fun () -> [ ("test.gauge", !level) ]);
+  level := 2.5;
+  checkb "gauge holds the last value" true (table_value "test.gauge" = Some "2.500");
+  Obs.Sampler.register_source ~name:"test-gauge" (fun () -> []);
   Obs.Metrics.incr c;
   checki "disabled incr is a no-op" 5 (Obs.Metrics.value c);
   checkb "same name returns the same metric" true
@@ -245,101 +258,127 @@ let test_crypto_byte_counters () =
   checki "chacha20.bytes: nothing while disabled" 385 (Obs.Metrics.value chacha)
 
 (* ------------------------------------------------------------------ *)
-(* Time-series rings and the background sampler                        *)
+(* Levels and the Prometheus exposition                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_timeseries_ring () =
-  let s = Obs.Timeseries.register ~capacity:4 "test.ring" in
-  checki "ring capacity" 4 (Obs.Timeseries.capacity s);
-  checkb "empty last" true (Obs.Timeseries.last s = None);
-  (* Points arrive the way every series gets them: one per sample of a
-     registered source. *)
-  let i = ref 0 in
-  Obs.Sampler.register_source ~name:"test-ring" (fun () ->
-      incr i;
-      [ ("test.ring", float_of_int !i) ]);
-  for _ = 1 to 10 do
-    Obs.Sampler.sample_once ()
-  done;
-  Obs.Sampler.register_source ~name:"test-ring" (fun () -> []);
-  checki "total counts every record" 10 (Obs.Timeseries.total s);
-  let pts = Obs.Timeseries.points s in
-  checki "window holds capacity points" 4 (Array.length pts);
-  checkb "oldest-first window is 7..10" true
-    (Array.map snd pts = [| 7.; 8.; 9.; 10. |]);
-  (match Obs.Timeseries.last s with
-  | Some (_, v) -> checkb "last is the newest" true (v = 10.)
-  | None -> Alcotest.fail "last missing");
-  (* timestamps monotone non-decreasing *)
-  let ts = Array.map fst pts in
-  Array.iteri (fun i t -> if i > 0 then checkb "ns monotone" true (ts.(i - 1) <= t)) ts;
-  checkb "register is lookup-or-create" true
-    (Obs.Timeseries.total (Obs.Timeseries.register "test.ring") = 10)
+let exposition () =
+  let path = Filename.temp_file "obs_prom" ".txt" in
+  Obs.write_prometheus path;
+  String.split_on_char '\n' (read_and_remove path)
 
-let test_sampler_sources () =
-  let calls = ref 0 in
-  Obs.Sampler.register_source ~name:"test-src" (fun () ->
-      incr calls;
-      [ ("test.sampled", float_of_int !calls) ]);
-  checkb "source registered" true (List.mem "test-src" (Obs.Sampler.source_names ()));
-  (* replace-by-name: a second registration under the same name wins *)
-  Obs.Sampler.register_source ~name:"test-src" (fun () ->
-      incr calls;
-      [ ("test.sampled", float_of_int !calls) ]);
-  let before = List.length (Obs.Sampler.source_names ()) in
-  Obs.Sampler.register_source ~name:"test-src" (fun () -> [ ("test.sampled", 0.) ]);
-  checki "replacement does not grow the registry" before
+(* A level is read from its owner when it is exported, whether or not
+   tracing is on: the one-domain pool, a record literal, reports its
+   size as well as a spawned pool does, and [reset] does not stale it. *)
+let test_levels_current_at_export () =
+  let domains n =
+    Pool.with_domains n (fun () ->
+        Obs.reset ();
+        List.mem (Printf.sprintf "mycelium_pool_domains %d" n) (exposition ()))
+  in
+  checkb "one domain exports 1" true (domains 1);
+  checkb "two domains export 2" true (domains 2);
+  let level = ref 7.25 in
+  Obs.Sampler.register_source ~name:"test-level" (fun () -> [ ("test.level", 0.) ]);
+  let sources = List.length (Obs.Sampler.source_names ()) in
+  Obs.Sampler.register_source ~name:"test-level" (fun () -> [ ("test.level", !level) ]);
+  checki "a second registration under a name replaces the first" sources
     (List.length (Obs.Sampler.source_names ()));
-  Obs.Sampler.sample_once ();
-  let gc = Obs.Timeseries.register "gc.heap_words" in
-  checkb "gc series sampled" true (Obs.Timeseries.total gc > 0);
-  let s = Obs.Timeseries.register "test.sampled" in
-  checkb "registered source sampled" true (Obs.Timeseries.total s > 0);
-  (* A raising source is swallowed, not propagated. *)
   Obs.Sampler.register_source ~name:"test-broken" (fun () -> failwith "boom");
-  Obs.Sampler.sample_once ();
-  (* background thread: start, let it tick, stop; idempotent stop *)
-  let t0 = Obs.Sampler.tick_count () in
-  Obs.Sampler.start ~period_s:0.001 ();
-  checkb "sampler active" true (Obs.Sampler.active ());
-  Thread.delay 0.05;
-  Obs.Sampler.stop ();
-  Obs.Sampler.stop ();
-  checkb "sampler stopped" false (Obs.Sampler.active ());
-  checkb "ticker advanced" true (Obs.Sampler.tick_count () > t0)
+  checkb "a registered level is in the table" true (table_value "test.level" = Some "7.250");
+  checkb "and in the exposition" true (List.mem "mycelium_test_level 7.25" (exposition ()));
+  level := 3.;
+  let lines = exposition () in
+  checkb "each export reads it afresh" true (List.mem "mycelium_test_level 3" lines);
+  Obs.Sampler.register_source ~name:"test-level" (fun () -> []);
+  Obs.Sampler.register_source ~name:"test-broken" (fun () -> []);
+  let types =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
+        | _ -> None)
+      lines
+  in
+  let names = List.map fst types in
+  checki "each # TYPE name appears once" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  checkb "the heap is a gauge family" true
+    (List.mem ("mycelium_gc_heap_words", "gauge") types);
+  checkb "faults.* are counters only" true
+    (List.for_all
+       (fun (name, kind) ->
+         (not (String.starts_with ~prefix:"mycelium_faults_" name)) || String.equal kind "counter")
+       types);
+  checkb "no mycelium_timeseries line" false
+    (List.exists (String.starts_with ~prefix:"mycelium_timeseries") lines)
 
-(* The mixnet and faults sources hold their simulator and injector
-   weakly: once the caller drops them, a full major collection frees
-   both, and sampling goes on without them. *)
-let test_dropped_source_owners_collected () =
-  let sim = Weak.create 1 and inj = Weak.create 1 in
+(* The mixnet source holds its simulator weakly: once the caller drops
+   it, a full major collection frees it, and exports go on without
+   it. *)
+let test_dropped_source_owner_collected () =
+  let sim = Weak.create 1 in
   let[@inline never] create () =
     Weak.set sim 0
       (Some
          (Sim.create
-            { Sim.default_config with Sim.n_devices = 30; degree = 2; hops = 2; replicas = 2; fast_setup = true; fast_keys = true }));
-    Weak.set inj 0 (Some (Injector.create (Fault_plan.make ~drop_rate:0.5 ~seed:3L ())))
+            { Sim.default_config with Sim.n_devices = 30; degree = 2; hops = 2; replicas = 2; fast_setup = true; fast_keys = true }))
   in
   create ();
-  checkb "mixnet and faults sources registered" true
-    (List.for_all (fun n -> List.mem n (Obs.Sampler.source_names ())) [ "mixnet"; "faults" ]);
+  checkb "mixnet source registered" true (List.mem "mixnet" (Obs.Sampler.source_names ()));
   Gc.full_major ();
   checkb "simulator freed" false (Weak.check sim 0);
-  checkb "injector freed" false (Weak.check inj 0);
-  Obs.Sampler.sample_once ()
+  ignore (Obs.metrics_table ())
+
+(* The value the exposition gives family [name], if it gives one. *)
+let exported lines name =
+  List.find_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ n; v ] when String.equal n name -> Some v
+      | _ -> None)
+    lines
+
+(* A live simulator's footprint levels are the ones [Sim.footprint]
+   reports, read when the metrics are exported: paths set up after one
+   export show in the next. *)
+let test_mixnet_levels_exported () =
+  let sim =
+    Sim.create
+      { Sim.default_config with Sim.n_devices = 30; degree = 2; hops = 2; replicas = 2; fast_setup = true; fast_keys = true }
+  in
+  let agree what =
+    let lines = exposition () and fp = Sim.footprint sim in
+    List.iter
+      (fun (family, v) ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s: %s" what family)
+          (Some (string_of_int v)) (exported lines family))
+      [
+        ("mycelium_mixnet_established_paths", fp.Sim.established_paths);
+        ("mycelium_mixnet_arena_bytes", fp.Sim.arena_bytes);
+        ("mycelium_mixnet_route_entries", fp.Sim.route_entries);
+        ("mycelium_mixnet_mailboxes_in_use", fp.Sim.mailboxes_in_use);
+      ];
+    checkb (what ^ ": levels are gauges") true
+      (List.mem "# TYPE mycelium_mixnet_established_paths gauge" lines)
+  in
+  agree "fresh simulator";
+  let (_ : Sim.setup_stats) = Sim.setup_paths sim in
+  checkb "paths were set up" true ((Sim.footprint sim).Sim.established_paths > 0);
+  agree "after set-up";
+  let (_ : Sim.round_stats) = Sim.run_query_round sim ~payload:(Bytes.make 16 'p') in
+  agree "after a round"
 
 let test_prometheus_export () =
   Obs.with_enabled (fun () ->
       Obs.reset ();
       Obs.Metrics.incr (Obs.Metrics.counter "test.prom.counter");
-      Obs.Metrics.set (Obs.Metrics.gauge "test.prom.gauge") 2.5;
+      Obs.Sampler.register_source ~name:"test-prom" (fun () -> [ ("test.prom.gauge", 2.5) ]);
       let h = Obs.Metrics.histogram ~buckets:[| 1.; 2. |] "test.prom.hist" in
       List.iter (Obs.Metrics.observe h) [ 0.5; 1.5; 3.0 ];
-      Obs.Sampler.register_source ~name:"test-prom" (fun () -> [ ("test.prom.series", 7.25) ]);
-      Obs.Sampler.sample_once ();
-      Obs.Sampler.register_source ~name:"test-prom" (fun () -> []);
       let path = Filename.temp_file "obs_prom" ".txt" in
       Obs.write_prometheus path;
+      Obs.Sampler.register_source ~name:"test-prom" (fun () -> []);
       let s = read_and_remove path in
       let has needle =
         let nl = String.length needle and sl = String.length s in
@@ -352,9 +391,7 @@ let test_prometheus_export () =
       checkb "histogram TYPE line" true (has "# TYPE mycelium_test_prom_hist histogram");
       checkb "cumulative le bucket" true (has "mycelium_test_prom_hist_bucket{le=\"2\"} 2");
       checkb "+Inf bucket" true (has "mycelium_test_prom_hist_bucket{le=\"+Inf\"} 3");
-      checkb "histogram count" true (has "mycelium_test_prom_hist_count 3");
-      checkb "timeseries family" true
-        (has "mycelium_timeseries{series=\"test.prom.series\"} 7.25"))
+      checkb "histogram count" true (has "mycelium_test_prom_hist_count 3"))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
@@ -541,6 +578,34 @@ let test_worker_stats () =
           checkb "exceptions_caught advanced" true (e2 > e1);
           checki "exception metric agrees" (e2 - e0)
             Obs.Metrics.(value (counter "pool.task_exceptions"))))
+
+(* The pool's work is counted once, by its counters; the one level it
+   reports is its size. *)
+let test_pool_counts_once () =
+  Obs.with_enabled (fun () ->
+      Obs.reset ();
+      Pool.with_domains 2 (fun () ->
+          let pool = Pool.default () in
+          let (_ : int array) = Pool.mapi_array pool (fun i () -> busy_work i) (Array.make 64 ()) in
+          let chunks = Obs.Metrics.(value (counter Obs.Names.pool_chunks_run)) in
+          checkb "chunks were run" true (chunks > 0);
+          let lines = exposition () in
+          checkb "chunk count is a counter family" true
+            (List.mem "# TYPE mycelium_pool_chunks_run counter" lines);
+          Alcotest.(check (option string))
+            "exported chunk count" (Some (string_of_int chunks))
+            (exported lines "mycelium_pool_chunks_run");
+          Alcotest.(check (list string))
+            "the pool's one gauge is its size" [ "mycelium_pool_domains" ]
+            (List.filter_map
+               (fun l ->
+                 match String.split_on_char ' ' l with
+                 | [ "#"; "TYPE"; name; "gauge" ] when String.starts_with ~prefix:"mycelium_pool_" name ->
+                   Some name
+                 | _ -> None)
+               lines);
+          Alcotest.(check (option string)) "its size" (Some "2")
+            (exported lines "mycelium_pool_domains")))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end acceptance: identical results, valid exported trace      *)
@@ -756,12 +821,12 @@ let () =
           Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
           Alcotest.test_case "sha256 and chacha20 byte counters" `Quick test_crypto_byte_counters;
         ] );
-      ( "timeseries",
+      ( "levels",
         [
-          Alcotest.test_case "ring window" `Quick test_timeseries_ring;
-          Alcotest.test_case "sampler sources and ticker" `Quick test_sampler_sources;
-          Alcotest.test_case "dropped simulator and injector collected" `Quick
-            test_dropped_source_owners_collected;
+          Alcotest.test_case "levels current at export" `Quick test_levels_current_at_export;
+          Alcotest.test_case "live simulator footprint exported" `Quick test_mixnet_levels_exported;
+          Alcotest.test_case "dropped simulator collected" `Quick
+            test_dropped_source_owner_collected;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_export;
         ] );
       ( "recorder",
@@ -776,7 +841,10 @@ let () =
           Alcotest.test_case "sampled spans" `Quick test_sampler;
         ] );
       ( "pool",
-        [ Alcotest.test_case "worker stats invariant" `Quick test_worker_stats ] );
+        [
+          Alcotest.test_case "worker stats invariant" `Quick test_worker_stats;
+          Alcotest.test_case "work counted once, size the one level" `Quick test_pool_counts_once;
+        ] );
       ( "acceptance",
         [
           Alcotest.test_case "identical release on/off and across domains" `Slow

@@ -2,9 +2,8 @@
    stack (DESIGN.md §15).
 
    Input is the set of [.cmt] files dune already produces for every
-   module; [Summarize] turns each into a symbolic per-function summary
-   (cached against the cmt digest + [Policy.digest]), and this module
-   runs the whole-repo phases on top:
+   module; [Summarize] turns each into a symbolic per-function summary,
+   and this module runs the whole-repo phases on top:
 
      1. name resolution — call sites recorded against open-bound
         sibling modules ("Committee.decrypt_batch" seen from inside
@@ -18,9 +17,9 @@
         facts observed at every call site, so a sink reached inside a
         helper fires with the taint its callers actually pass;
      4. the rule checks — dp-release, budget-order, epsilon-flow from
-        the fixpoint results, pool-purity straight from the cached
-        per-module findings, unused-export from the cached interface
-        and reference sets;
+        the fixpoint results, pool-purity straight from the per-module
+        findings, unused-export from the interface and reference
+        sets;
      5. suppression filtering, shared comment syntax and machinery
         with the syntactic linter ([Lint.scan_comment_suppressions]).
 
@@ -34,12 +33,8 @@
 
 module Json = Mycelium_obs.Obs.Json
 
-let version = "mycelium-analyze/2"
-
 type stats = {
   sa_modules : int;  (** cmt files analysed (after unit dedup) *)
-  sa_summarized : int;  (** summaries computed this run (cache misses) *)
-  sa_cache_hits : int;
   sa_functions : int;
   sa_exports : int;  (** values the interfaces under the roots export *)
   sa_conc_rounds : int;
@@ -77,48 +72,6 @@ let find_cmts path acc = find_files ~suffix:".cmt" path acc
    of the program. *)
 let repo_roots = [ "lib"; "bin" ]
 let repo_callers = [ "bench"; "benchmark"; "examples"; "tools" ]
-
-(* ------------------------------------------------------------------ *)
-(* Summary cache                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* One Marshal'd file: header (analyzer version, policy digest) +
-   entries keyed by cmt/cmti path, each pinned to the file's digest.
-   A header mismatch — new analyzer, edited policy — drops the whole
-   cache; a digest mismatch re-reads just that file.  A warm run
-   reads no typedtree. *)
-
-type cached =
-  | Summary of Taint.msummary  (* a unit under the roots *)
-  | Refs of Taint.msummary  (* a caller: references only *)
-  | Exports of Taint.isummary
-
-type centry = { ce_digest : Digest.t; ce_data : cached }
-
-let load_cache path : (string, centry) Hashtbl.t =
-  let empty () = Hashtbl.create 64 in
-  if not (Sys.file_exists path) then empty ()
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> (Marshal.from_channel ic : string * string * (string * centry) list))
-    with
-    | v, p, entries when String.equal v version && String.equal p Policy.digest ->
-      let t = empty () in
-      List.iter (fun (k, e) -> Hashtbl.replace t k e) entries;
-      t
-    | _ -> empty ()
-    | exception _ -> empty ()
-
-let save_cache path (t : (string, centry) Hashtbl.t) =
-  let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t [] in
-  let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (version, Policy.digest, entries) [])
 
 (* ------------------------------------------------------------------ *)
 (* The global function table                                          *)
@@ -600,72 +553,34 @@ let check_unused_exports (intfs : Taint.isummary list) (users : Taint.msummary l
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run ?cache ?(source_root = ".") ?(callers = []) ~roots () : result =
+let run ?(source_root = ".") ?(callers = []) ~roots () : result =
   let files suffix dirs =
     List.concat_map (fun r -> find_files ~suffix r []) dirs |> List.sort_uniq String.compare
   in
-  let ctbl =
-    match cache with Some p -> load_cache p | None -> Hashtbl.create 16
-  in
-  let hits = ref 0 and misses = ref 0 in
-  (* [fits] says whether a cached entry serves this read *)
-  let read ~fits compute path =
-    let digest = Digest.file path in
-    match Hashtbl.find_opt ctbl path with
-    | Some e when String.equal e.ce_digest digest && fits e.ce_data ->
-      incr hits;
-      Some e.ce_data
-    | _ -> (
-      match try compute path with _ -> None with
-      | Some d ->
-        incr misses;
-        Hashtbl.replace ctbl path { ce_digest = digest; ce_data = d };
-        Some d
-      | None -> None)
-  in
+  (* a file the typedtree reader refuses is skipped *)
+  let read f path = try f path with _ -> None in
   let summaries = ref [] and users = ref [] and intfs = ref [] in
   let seen_units = Hashtbl.create 64 in
   List.iter
     (fun path ->
-      match
-        read
-          ~fits:(function Summary _ -> true | Refs _ | Exports _ -> false)
-          (fun p -> Option.map (fun ms -> Summary ms) (Summarize.of_cmt ~summarize:true p))
-          path
-      with
-      | Some (Summary ms) ->
+      match read (Summarize.of_cmt ~summarize:true) path with
+      | Some ms ->
         users := ms :: !users;
         if not (Hashtbl.mem seen_units ms.Taint.m_unit) then begin
           Hashtbl.replace seen_units ms.Taint.m_unit ();
           summaries := ms :: !summaries
         end
-      | _ -> ())
+      | None -> ())
     (files ".cmt" roots);
   (* every copy of a caller counts: its references are a union *)
   List.iter
     (fun path ->
-      match
-        read
-          ~fits:(function Summary _ | Refs _ -> true | Exports _ -> false)
-          (fun p -> Option.map (fun ms -> Refs ms) (Summarize.of_cmt ~summarize:false p))
-          path
-      with
-      | Some (Summary ms | Refs ms) -> users := ms :: !users
-      | _ -> ())
+      Option.iter (fun ms -> users := ms :: !users) (read (Summarize.of_cmt ~summarize:false) path))
     (files ".cmt" callers);
   List.iter
-    (fun path ->
-      match
-        read
-          ~fits:(function Exports _ -> true | Summary _ | Refs _ -> false)
-          (fun p -> Option.map (fun i -> Exports i) (Summarize.of_cmti p))
-          path
-      with
-      | Some (Exports i) -> intfs := i :: !intfs
-      | _ -> ())
+    (fun path -> Option.iter (fun i -> intfs := i :: !intfs) (read Summarize.of_cmti path))
     (files ".cmti" roots);
   let summaries = List.rev !summaries and intfs = List.rev !intfs in
-  Option.iter (fun p -> save_cache p ctbl) cache;
   (* global function table *)
   let funs : (string, gf) Hashtbl.t = Hashtbl.create 512 in
   let order = ref [] in
@@ -760,8 +675,6 @@ let run ?cache ?(source_root = ".") ?(callers = []) ~roots () : result =
     stats =
       {
         sa_modules = List.length summaries;
-        sa_summarized = !misses;
-        sa_cache_hits = !hits;
         sa_functions = List.length order;
         sa_exports = List.fold_left (fun n i -> n + List.length i.Taint.i_vals) 0 intfs;
         sa_conc_rounds = conc_rounds;
@@ -792,18 +705,6 @@ let json_of_result (res : result) =
       ("modules", Json.Int s.sa_modules);
       ("functions", Json.Int s.sa_functions);
       ("exports", Json.Int s.sa_exports);
-      ( "cache",
-        Json.Obj
-          [
-            ("hits", Json.Int s.sa_cache_hits);
-            ("summarized", Json.Int s.sa_summarized);
-            ( "hit_rate",
-              Json.Num
-                (if s.sa_cache_hits + s.sa_summarized = 0 then 0.
-                 else
-                   float_of_int s.sa_cache_hits
-                   /. float_of_int (s.sa_cache_hits + s.sa_summarized)) );
-          ] );
       ( "fixpoint",
         Json.Obj
           [
@@ -842,13 +743,7 @@ let stats_of_result (res : result) =
   let s = res.stats in
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "modules summarized:  %d (cache hits %d, hit rate %.0f%%)\n"
-       s.sa_summarized s.sa_cache_hits
-       (if s.sa_cache_hits + s.sa_summarized = 0 then 0.
-        else
-          100.
-          *. float_of_int s.sa_cache_hits
-          /. float_of_int (s.sa_cache_hits + s.sa_summarized)));
+    (Printf.sprintf "modules summarized:  %d\n" s.sa_modules);
   Buffer.add_string b
     (Printf.sprintf "functions:           %d\n" s.sa_functions);
   Buffer.add_string b

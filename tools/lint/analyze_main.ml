@@ -1,7 +1,7 @@
 (* mycelium-analyze CLI.
 
      analyze_main.exe [--root DIR] [--source-root DIR] [--json PATH|-]
-                      [--cache PATH] [--stats] [ROOT...]
+                      [--stats] [ROOT...]
 
    With no ROOT, the rules check the repository's lib/ and bin/ and
    read bench/, benchmark/, examples/ and tools/ for callers
@@ -10,29 +10,28 @@
    sets: the rules check them, and only they count as callers.  Each
    directory is a build tree — typically run from [_build/default] via
    [--root] — and one that holds no [.cmt] is an error, so a sweep
-   cannot go empty unnoticed.  [--cache] points at the persistent
-   summary cache; [--stats] prints the summary/cache/rule table.
-   Exits non-zero when unsuppressed violations remain. *)
+   cannot go empty unnoticed.  Every run reads each [.cmt] and [.cmti]
+   afresh.  [--stats] prints the summary/rule table.  Exits non-zero
+   when unsuppressed violations remain. *)
 
 module A = Mycelium_lint.Analyze
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse roots json cache stats srcroot = function
+  let rec parse roots json stats srcroot = function
     | "--root" :: dir :: rest ->
       Sys.chdir dir;
-      parse roots json cache stats srcroot rest
-    | "--source-root" :: dir :: rest -> parse roots json cache stats dir rest
-    | "--json" :: path :: rest -> parse roots (Some path) cache stats srcroot rest
-    | "--cache" :: path :: rest -> parse roots json (Some path) stats srcroot rest
-    | "--stats" :: rest -> parse roots json cache true srcroot rest
+      parse roots json stats srcroot rest
+    | "--source-root" :: dir :: rest -> parse roots json stats dir rest
+    | "--json" :: path :: rest -> parse roots (Some path) stats srcroot rest
+    | "--stats" :: rest -> parse roots json true srcroot rest
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
       prerr_endline ("mycelium-analyze: unknown option " ^ arg);
       exit 2
-    | root :: rest -> parse (root :: roots) json cache stats srcroot rest
-    | [] -> (List.rev roots, json, cache, stats, srcroot)
+    | root :: rest -> parse (root :: roots) json stats srcroot rest
+    | [] -> (List.rev roots, json, stats, srcroot)
   in
-  let roots, json, cache, stats, source_root = parse [] None None false "." args in
+  let roots, json, stats, source_root = parse [] None false "." args in
   let roots, callers =
     if roots = [] then (A.repo_roots, A.repo_callers) else (roots, [])
   in
@@ -58,7 +57,7 @@ let () =
     r
   in
   let roots = List.map locate roots and callers = List.map locate callers in
-  let res = A.run ?cache ~source_root ~callers ~roots () in
+  let res = A.run ~source_root ~callers ~roots () in
   print_string (A.console_of_result res);
   if stats then print_string (A.stats_of_result res);
   (match json with

@@ -312,19 +312,17 @@ let obs_guard ~file str =
 (* Rule 4b: obs-guard — the metric-name registry                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Library and CLI code must draw metric and time-series names from
-   [Obs.Names] instead of inline string literals: the registry is what
-   keeps the Prometheus exposition, the sampler sources and the
-   DESIGN.md §8 taxonomy in sync, and a literal typo silently forks a
-   series.  Bench and test zones keep their ad-hoc names.  Reported
-   under the obs-guard rule id (it is the same contract), so the
-   existing suppression comments apply. *)
+(* Library and CLI code must draw metric names from [Obs.Names]
+   instead of inline string literals: the registry is what keeps the
+   Prometheus exposition, the level sources and the DESIGN.md §8
+   taxonomy in sync, and a literal typo silently forks a metric.
+   Bench and test zones keep their ad-hoc names.  Reported under the
+   obs-guard rule id (it is the same contract), so the existing
+   suppression comments apply. *)
 
 let obs_register_heads path =
   match List.rev path with
-  | ("counter" | "gauge" | "histogram") :: "Metrics" :: ("Obs" :: _ | [])
-  | "register" :: "Timeseries" :: ("Obs" :: _ | []) ->
-    true
+  | ("counter" | "gauge" | "histogram") :: "Metrics" :: ("Obs" :: _ | []) -> true
   | _ -> false
 
 let obs_metric_names ~file str =

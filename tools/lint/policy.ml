@@ -340,39 +340,3 @@ let repo_names =
 
 let repo_prefixes =
   List.filter (String.starts_with ~prefix:"Mycelium_") (neutral_prefixes @ crypto_prefixes)
-
-(* ------------------------------------------------------------------ *)
-(* Policy digest                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Folded into the summary-cache key together with the analyzer
-   version: editing the policy invalidates every cached summary. *)
-let digest =
-  let b = Buffer.create 1024 in
-  List.iter (fun (n, l) -> Buffer.add_string b (n ^ "=" ^ Taint.level_name l)) sources;
-  List.iter
-    (fun (n, tf) ->
-      Buffer.add_string b n;
-      Array.iter (fun r -> Buffer.add_string b (string_of_int r)) tf)
-    sanitizers;
-  List.iter (fun (n, d) -> Buffer.add_string b (n ^ ":" ^ d)) sinks;
-  List.iter (fun (n, i) -> Buffer.add_string b (n ^ "#" ^ string_of_int i)) charges;
-  List.iter (Buffer.add_string b) neutrals;
-  List.iter (Buffer.add_string b) neutral_prefixes;
-  List.iter (Buffer.add_string b) passthroughs;
-  List.iter (Buffer.add_string b) comparisons;
-  List.iter (Buffer.add_string b) env_readers;
-  List.iter (Buffer.add_string b) serve_entries;
-  List.iter (Buffer.add_string b) crypto_names;
-  List.iter (Buffer.add_string b) crypto_prefixes;
-  List.iter (Buffer.add_string b) crypto_contribution;
-  List.iter (Buffer.add_string b) assume_charged;
-  List.iter (Buffer.add_string b) pool_entries;
-  List.iter
-    (fun w ->
-      Buffer.add_string b
-        (Printf.sprintf "%s/%d/%s/%s" w.w_fn w.w_target
-           (match w.w_value with Some i -> string_of_int i | None -> "-")
-           (match w.w_index with Some i -> string_of_int i | None -> "-")))
-    writers;
-  Digest.to_hex (Digest.string (Buffer.contents b))

@@ -4,7 +4,7 @@
    nested-module-level) binding, a symbolic summary — result sym,
    call-site table, mutable-cell table — plus the module's
    pool-purity findings, which are purely local and therefore decided
-   here so they cache with the summary.  A second, shallow pass
+   here, with the summary.  A second, shallow pass
    collects the value paths the unit names, and an interface's
    typedtree gives its exported [val]s: the two inputs of
    unused-export.

@@ -12,7 +12,7 @@
    touched user data.  Join goes toward [Secret].
 
    Sanitizers are monotone maps on the chain, represented as
-   4-element rank tables so they compose and marshal trivially:
+   4-element rank tables so they compose trivially:
    clip sends Secret to Clipped and fixes everything else; noise
    sends Clipped to Noised but leaves Secret alone — noise applied
    to unclipped data has unbounded sensitivity and sanitizes
@@ -22,9 +22,8 @@
    Per-function facts are *symbolic*: a [sym] is a tree over the
    function's parameters, its call sites (by index into the
    function's site table) and its mutable cells, so a module can be
-   summarized once, cached against its cmt digest, and evaluated
-   later against whatever the rest of the repo turns out to pass
-   in.  Evaluation happens in [Analyze]'s global fixpoint; the
+   summarized once and evaluated later against whatever the rest of
+   the repo turns out to pass in.  Evaluation happens in [Analyze]'s global fixpoint; the
    concrete summary [conc] a fixpoint round produces for a function
    is affine: a base fact joined with, per parameter, a rank table
    and an epsilon-passthrough bit. *)
@@ -150,7 +149,7 @@ type fsummary = {
   fs_line : int;
 }
 
-(* A module summary: what the cache stores per cmt.  A unit read only
+(* A module summary: what the analyzer reads out of one cmt.  A unit read only
    for its references (a caller outside the checked roots) has empty
    [m_funs] and [m_pool]. *)
 type msummary = {
@@ -163,7 +162,7 @@ type msummary = {
          sorted; a module used whole ends with a dot *)
 }
 
-(* An interface summary: what the cache stores per cmti — the [val]s
+(* An interface summary: what the analyzer reads out of one cmti — the [val]s
    it exports, nested signatures included, with their lines. *)
 type isummary = {
   i_unit : string;
