@@ -76,29 +76,30 @@ let keygen ctx rng =
   Rq.force_eval s;
   ({ s }, { p0; p1 = a })
 
+(* c0 = p0·u + (t·e1 + m) and c1 = p1·u + t·e2, with u, e1 and e2
+   drawn in that order.  t·e1 + m and t·e2 are summed as integers
+   (|t·e| <= t·eta fits an int) and each is lifted once: the lift is
+   exact mod every prime, so the residues are those of lifting the
+   terms and adding in R_q.  Rq.mul_add_centered then lifts and
+   transforms u once per limb and each error sum straight into the
+   ciphertext's own rows, so an encryption allocates its 2L output rows
+   and the three coefficient arrays, and nothing else of size N. *)
 let encrypt ctx rng pk pt =
   if Obs.enabled () then Obs.Metrics.incr m_encrypts;
   let m = plaintext_coeffs ctx pt in
-  let u = Rq.sample_ternary ctx.basis rng in
+  let u = Rq.sample_ternary_coeffs ctx.basis rng in
   let eta = ctx.p.Params.error_eta in
   let t = ctx.p.Params.plain_modulus in
   let n = Rns.degree ctx.basis in
   let e1 = Array.make n 0 and e2 = Array.make n 0 in
   Rng.fill_centered_binomial rng ~eta e1;
   Rng.fill_centered_binomial rng ~eta e2;
-  (* t·e1 + m and t·e2 are summed as integers (|t·e| <= t·eta fits an
-     int) and each is lifted once: the lift is exact mod every prime,
-     so the residues are those of lifting the terms and adding in R_q.
-     t·e1 + m is then the one forward transform c0 needs beyond u's
-     (the transform is linear and its outputs canonical). *)
   for i = 0 to n - 1 do
     e1.(i) <- t * e1.(i);
     e2.(i) <- t * e2.(i)
   done;
   Array.iteri (fun i c -> e1.(i) <- e1.(i) + c) m;
-  let c0 = Rq.add (Rq.mul pk.p0 u) (Rq.of_centered_coeffs ctx.basis e1) in
-  let c1 = Rq.add (Rq.mul pk.p1 u) (Rq.of_centered_coeffs ctx.basis e2) in
-  { comps = [| c0; c1 |] }
+  { comps = Rq.mul_add_centered ~u [| (pk.p0, e1); (pk.p1, e2) |] }
 
 let encrypt_value ctx rng pk v =
   encrypt ctx rng pk

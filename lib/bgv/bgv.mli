@@ -54,6 +54,10 @@ val relin_keygen : ctx -> Mycelium_util.Rng.t -> secret_key -> max_degree:int ->
     involved. *)
 
 val encrypt : ctx -> Mycelium_util.Rng.t -> public_key -> Plaintext.t -> ciphertext
+(** [(c0, c1) = (p0 u + (t e1 + m), p1 u + t e2)] with u ternary and
+    e1, e2 centered binomial, drawn from [rng] in that order. Both
+    components are in [Eval]; the public key is read, never converted
+    (keygen leaves it in [Eval]). *)
 
 val encrypt_value : ctx -> Mycelium_util.Rng.t -> public_key -> int -> ciphertext
 (** [encrypt_value ctx rng pk a] encrypts the monomial x^a — the §4.1

@@ -115,32 +115,22 @@ let synthetic_dest field v : Schema.vertex_data =
 (* Building                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let encrypt_with_proof srs ctx rng pk exponent =
-  let p = Bgv.params ctx in
-  let pt =
-    Plaintext.monomial ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree
-      ~exponent
-  in
+let encrypt_with_proof srs ctx rng pk pt =
   let seed = Rng.int64 rng in
   let ct = Bgv.encrypt ctx (Rng.create seed) pk pt in
   match Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed ct with
   | Some proof -> (ct, proof)
-  | None -> assert false (* honest monomials are always admissible *)
+  | None -> assert false (* honest monomials and zero are always admissible *)
 
-let encrypt_zero_with_proof srs ctx rng pk =
+let monomial ctx exponent =
   let p = Bgv.params ctx in
-  let pt = Plaintext.zero ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree in
-  let seed = Rng.int64 rng in
-  let ct = Bgv.encrypt ctx (Rng.create seed) pk pt in
-  match Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed ct with
-  | Some proof -> (ct, proof)
-  | None -> assert false
+  Plaintext.monomial ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree ~exponent
 
 let build srs ctx rng pk info ~dest ~edge =
   let payload = row_payload info ~dest ~edge in
   match cross_field info with
   | None ->
-    let ct, proof = encrypt_with_proof srs ctx rng pk payload in
+    let ct, proof = encrypt_with_proof srs ctx rng pk (monomial ctx payload) in
     { ciphertexts = [| ct |]; proofs = [| proof |] }
   | Some field ->
     let l = Analysis.field_slots field in
@@ -148,7 +138,7 @@ let build srs ctx rng pk info ~dest ~edge =
     let pairs =
       Array.init l (fun v ->
           let e = match m with Some b when Int.equal b v -> payload | _ -> 0 in
-          encrypt_with_proof srs ctx rng pk e)
+          encrypt_with_proof srs ctx rng pk (monomial ctx e))
     in
     { ciphertexts = Array.map fst pairs; proofs = Array.map snd pairs }
 
@@ -259,8 +249,10 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
   let groups = info.Analysis.layout.Analysis.group_count in
   if not (Semantics.origin_gate info self) then begin
     (* §4.4 final processing: a gated-out origin contributes Enc(0). *)
-    let ct, proof = encrypt_zero_with_proof srs ctx rng pk in
-    Ok (ct, proof)
+    let p = Bgv.params ctx in
+    Ok
+      (encrypt_with_proof srs ctx rng pk
+         (Plaintext.zero ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree))
   end
   else begin
     let field = cross_field info in
@@ -290,7 +282,7 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
       end
       else b
     in
-    let own_ct, _own_proof = encrypt_with_proof srs ctx rng pk own_exponent in
+    let own_ct, _own_proof = encrypt_with_proof srs ctx rng pk (monomial ctx own_exponent) in
     let own_idx = push own_ct in
     let own_group = Semantics.accumulation_group info own_ctx_row in
     let specs = Array.make effective_groups [] in
@@ -329,7 +321,7 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
     let fillers =
       Array.init effective_groups (fun g ->
           if specs.(g) = [] then begin
-            let ct, _ = encrypt_with_proof srs ctx rng pk 0 in
+            let ct, _ = encrypt_with_proof srs ctx rng pk (monomial ctx 0) in
             let idx = push ct in
             add_spec g (Direct idx);
             Some idx

@@ -1,7 +1,10 @@
 (* Montgomery Bigarray NTT kernels: the ring kernels behind Rq.
 
    The negacyclic transform over the twiddle tables of Ntt.tables,
-   engineered for throughput on the critical path:
+   engineered for throughput on the critical path; one copy of the
+   forward butterflies (forward_stages) serves both forward_into and
+   encryption's fused lift_mul_add, which lifts signed coefficients
+   straight into the workspace and multiply-adds in its copy out:
 
    - Montgomery reduction with R = 2^62 instead of Shoup quotients;
      twiddles are stored in the Montgomery domain (w*R mod p), so the
@@ -16,7 +19,8 @@
      and n^-1 scaling (inverse) passes, so every output is the
      canonical residue (test_ringops pins them with known answers).
    - A flat unboxed Bigarray workspace per domain with unchecked
-     accesses.
+     accesses (2n long once lift_mul_add has run: its second half
+     holds the transformed mask).
 
    The hand-inlined lazy Montgomery product of x < 4p by a
    Montgomery-domain constant wm < p is (p < 2^30 keeps every
@@ -82,100 +86,110 @@ let scratch n =
 external ba_get : ba -> int -> int = "%caml_ba_unsafe_ref_1"
 external ba_set : ba -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 
-(* Cooley–Tukey forward.  Stages m = 1, 2, ..., n/2 fused in
-   consecutive pairs; when log_n is odd the last stage (m = n/2,
-   adjacent pairs) runs alone as radix-2.  Loop invariant: workspace
-   values < 4p; each butterfly reduces its additive inputs to < 2p
-   with a branchless subtract-by-2p ("d + (d asr 62 land 2p)"), the
-   Montgomery products of values < 4p land in [0, p], and sums /
-   shifted differences land back below 4p. *)
+(* Cooley–Tukey forward stages, in place on the first n entries of
+   the workspace.  Stages m = 1, 2, ..., n/2 fused in consecutive
+   pairs; when log_n is odd the last stage (m = n/2, adjacent pairs)
+   runs alone as radix-2.  Loop invariant: workspace values < 4p; each
+   butterfly reduces its additive inputs to < 2p with a branchless
+   subtract-by-2p ("d + (d asr 62 land 2p)"), the Montgomery products
+   of values < 4p land in [0, p], and sums / shifted differences land
+   back below 4p.  Inputs must be < 4p; outputs are < 4p and every
+   caller canonicalises them in its copy-out. *)
+let forward_stages t w =
+  let p = t.p and n = t.n in
+  let pni = t.neg_p_inv in
+  let p2 = 2 * p in
+  let psi = t.psi_m in
+  let m = ref 1 and len = ref (n / 2) in
+  while !len >= 2 do
+    let m_v = !m and l = !len in
+    let h = l / 2 in
+    for i = 0 to m_v - 1 do
+      let w1 = ba_get psi (m_v + i) in
+      let w2 = ba_get psi ((2 * m_v) + (2 * i)) in
+      let w3 = ba_get psi ((2 * m_v) + (2 * i) + 1) in
+      let base = 2 * i * l in
+      for j = base to base + h - 1 do
+        let a = ba_get w j in
+        let b = ba_get w (j + h) in
+        let c = ba_get w (j + l) in
+        let d = ba_get w (j + l + h) in
+        (* Stage m: (a, c) and (b, d) against w1. *)
+        let x0 = c * w1 in
+        let m0 = (x0 * pni) land mask62 in
+        let t0 = (((x0 + ((m0 land mask31) * p)) lsr 31) + ((m0 lsr 31) * p)) lsr 31 in
+        let x1 = d * w1 in
+        let m1 = (x1 * pni) land mask62 in
+        let t1 = (((x1 + ((m1 land mask31) * p)) lsr 31) + ((m1 lsr 31) * p)) lsr 31 in
+        let ar = a - p2 in
+        let ar = ar + ((ar asr 62) land p2) in
+        let br = b - p2 in
+        let br = br + ((br asr 62) land p2) in
+        let u0 = ar + t0 in
+        let v0 = ar - t0 + p2 in
+        let u1 = br + t1 in
+        let v1 = br - t1 + p2 in
+        (* Stage 2m: (u0, u1) against w2; (v0, v1) against w3. *)
+        let x2 = u1 * w2 in
+        let m2 = (x2 * pni) land mask62 in
+        let s0 = (((x2 + ((m2 land mask31) * p)) lsr 31) + ((m2 lsr 31) * p)) lsr 31 in
+        let x3 = v1 * w3 in
+        let m3 = (x3 * pni) land mask62 in
+        let s1 = (((x3 + ((m3 land mask31) * p)) lsr 31) + ((m3 lsr 31) * p)) lsr 31 in
+        let u0r = u0 - p2 in
+        let u0r = u0r + ((u0r asr 62) land p2) in
+        let v0r = v0 - p2 in
+        let v0r = v0r + ((v0r asr 62) land p2) in
+        ba_set w j (u0r + s0);
+        ba_set w (j + h) (u0r - s0 + p2);
+        ba_set w (j + l) (v0r + s1);
+        ba_set w (j + l + h) (v0r - s1 + p2)
+      done
+    done;
+    m := m_v * 4;
+    len := l / 4
+  done;
+  if !len = 1 then begin
+    (* Lone final radix-2 stage: m = n/2, adjacent pairs. *)
+    let m_v = n / 2 in
+    for i = 0 to m_v - 1 do
+      let wt = ba_get psi (m_v + i) in
+      let j = 2 * i in
+      let u = ba_get w j in
+      let x = ba_get w (j + 1) in
+      let x0 = x * wt in
+      let m0 = (x0 * pni) land mask62 in
+      let v = (((x0 + ((m0 land mask31) * p)) lsr 31) + ((m0 lsr 31) * p)) lsr 31 in
+      let ur = u - p2 in
+      let ur = ur + ((ur asr 62) land p2) in
+      ba_set w j (ur + v);
+      ba_set w (j + 1) (ur - v + p2)
+    done
+  end
+
+(* Canonicalise a forward-stage output: [0, 4p) -> [0, p), two
+   branchless conditional subtractions. *)
+let[@inline] canonical p p2 x =
+  let x = x - p2 in
+  let x = x + ((x asr 62) land p2) in
+  let x = x - p in
+  x + ((x asr 62) land p)
+
 let forward_into t ~src ~dst =
   let p = t.p and n = t.n in
   if Array.length src <> n || Array.length dst <> n then
     invalid_arg "Mont_backend.forward: wrong length";
   if n = 1 then (if dst != src then dst.(0) <- src.(0))
   else begin
-    let pni = t.neg_p_inv in
     let p2 = 2 * p in
-    let psi = t.psi_m in
     let w = scratch n in
     for i = 0 to n - 1 do
       ba_set w i (Array.unsafe_get src i)
     done;
-    let m = ref 1 and len = ref (n / 2) in
-    while !len >= 2 do
-      let m_v = !m and l = !len in
-      let h = l / 2 in
-      for i = 0 to m_v - 1 do
-        let w1 = ba_get psi (m_v + i) in
-        let w2 = ba_get psi ((2 * m_v) + (2 * i)) in
-        let w3 = ba_get psi ((2 * m_v) + (2 * i) + 1) in
-        let base = 2 * i * l in
-        for j = base to base + h - 1 do
-          let a = ba_get w j in
-          let b = ba_get w (j + h) in
-          let c = ba_get w (j + l) in
-          let d = ba_get w (j + l + h) in
-          (* Stage m: (a, c) and (b, d) against w1. *)
-          let x0 = c * w1 in
-          let m0 = (x0 * pni) land mask62 in
-          let t0 = (((x0 + ((m0 land mask31) * p)) lsr 31) + ((m0 lsr 31) * p)) lsr 31 in
-          let x1 = d * w1 in
-          let m1 = (x1 * pni) land mask62 in
-          let t1 = (((x1 + ((m1 land mask31) * p)) lsr 31) + ((m1 lsr 31) * p)) lsr 31 in
-          let ar = a - p2 in
-          let ar = ar + ((ar asr 62) land p2) in
-          let br = b - p2 in
-          let br = br + ((br asr 62) land p2) in
-          let u0 = ar + t0 in
-          let v0 = ar - t0 + p2 in
-          let u1 = br + t1 in
-          let v1 = br - t1 + p2 in
-          (* Stage 2m: (u0, u1) against w2; (v0, v1) against w3. *)
-          let x2 = u1 * w2 in
-          let m2 = (x2 * pni) land mask62 in
-          let s0 = (((x2 + ((m2 land mask31) * p)) lsr 31) + ((m2 lsr 31) * p)) lsr 31 in
-          let x3 = v1 * w3 in
-          let m3 = (x3 * pni) land mask62 in
-          let s1 = (((x3 + ((m3 land mask31) * p)) lsr 31) + ((m3 lsr 31) * p)) lsr 31 in
-          let u0r = u0 - p2 in
-          let u0r = u0r + ((u0r asr 62) land p2) in
-          let v0r = v0 - p2 in
-          let v0r = v0r + ((v0r asr 62) land p2) in
-          ba_set w j (u0r + s0);
-          ba_set w (j + h) (u0r - s0 + p2);
-          ba_set w (j + l) (v0r + s1);
-          ba_set w (j + l + h) (v0r - s1 + p2)
-        done
-      done;
-      m := m_v * 4;
-      len := l / 4
-    done;
-    if !len = 1 then begin
-      (* Lone final radix-2 stage: m = n/2, adjacent pairs. *)
-      let m_v = n / 2 in
-      for i = 0 to m_v - 1 do
-        let wt = ba_get psi (m_v + i) in
-        let j = 2 * i in
-        let u = ba_get w j in
-        let x = ba_get w (j + 1) in
-        let x0 = x * wt in
-        let m0 = (x0 * pni) land mask62 in
-        let v = (((x0 + ((m0 land mask31) * p)) lsr 31) + ((m0 lsr 31) * p)) lsr 31 in
-        let ur = u - p2 in
-        let ur = ur + ((ur asr 62) land p2) in
-        ba_set w j (ur + v);
-        ba_set w (j + 1) (ur - v + p2)
-      done
-    end;
-    (* Canonicalise [0, 4p) -> [0, p) fused with the copy out. *)
+    forward_stages t w;
+    (* Canonicalisation fused with the copy out. *)
     for i = 0 to n - 1 do
-      let x = ba_get w i in
-      let x = x - p2 in
-      let x = x + ((x asr 62) land p2) in
-      let x = x - p in
-      let x = x + ((x asr 62) land p) in
-      Array.unsafe_set dst i x
+      Array.unsafe_set dst i (canonical p p2 (ba_get w i))
     done
   end
 
@@ -279,6 +293,46 @@ let inverse_into t ~src ~dst =
 
 let forward t a = forward_into t ~src:a ~dst:a
 let inverse t a = inverse_into t ~src:a ~dst:a
+
+(* BGV encryption's c_k = a_k * u + e_k for one limb, with u and every
+   e_k given as signed coefficients.  Each lift (the one conditional
+   add of p that Rq.of_centered_coeffs applies, or the division for a
+   value outside [-p, p)) writes straight into the workspace, so no
+   transform needs a copy in.  The transform of u is canonicalised into
+   the second half of the workspace; each e_k's transform is
+   canonicalised in the copy out, which also forms a_k * u mod p and
+   adds the two with Rq.add's conditional subtraction, straight into
+   dst_k.  The residues are those of lifting, transforming, multiplying
+   and adding in separate passes. *)
+let lift_into t w coeffs =
+  let p = t.p in
+  for i = 0 to t.n - 1 do
+    let c = Array.unsafe_get coeffs i in
+    ba_set w i (if c >= p || c < -p then Modarith.reduce p c else c + ((c asr 62) land p))
+  done
+
+let lift_mul_add t ~u terms =
+  let p = t.p and n = t.n in
+  let ok r = Array.length r = n in
+  if not (ok u && Array.for_all (fun (a, e, dst) -> ok a && ok e && ok dst) terms) then
+    invalid_arg "Mont_backend.lift_mul_add: wrong length";
+  let p2 = 2 * p in
+  let w = scratch (2 * n) in
+  lift_into t w u;
+  forward_stages t w;
+  for i = 0 to n - 1 do
+    ba_set w (n + i) (canonical p p2 (ba_get w i))
+  done;
+  Array.iter
+    (fun (a, e, dst) ->
+      lift_into t w e;
+      forward_stages t w;
+      for i = 0 to n - 1 do
+        let m = Array.unsafe_get a i * ba_get w (n + i) mod p in
+        let d = m + canonical p p2 (ba_get w i) - p in
+        Array.unsafe_set dst i (d + ((d asr 62) land p))
+      done)
+    terms
 
 (* Pointwise products are exact single reductions here as in Ntt;
    the Montgomery trick only pays inside the butterflies, where one

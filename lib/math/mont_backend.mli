@@ -6,7 +6,8 @@
     radix-4 butterflies (two radix-2 stages fused per memory pass) and
     unchecked accesses into a flat unboxed [Bigarray] workspace held
     per domain. Every butterfly output is canonically reduced to
-    [\[0, p)].
+    [\[0, p)]. {!forward_into} and BGV encryption's fused
+    {!lift_mul_add} run the same forward butterfly stages.
 
     Callers normally reach this through {!Rq}. *)
 
@@ -36,6 +37,18 @@ val forward_into : plan -> src:int array -> dst:int array -> unit
 
 val inverse_into : plan -> src:int array -> dst:int array -> unit
 (** Inverse counterpart of {!forward_into}. *)
+
+val lift_mul_add : plan -> u:int array -> (int array * int array * int array) array -> unit
+(** [lift_mul_add plan ~u [| (a_1, e_1, dst_1); ... |]] writes into
+    every [dst_k] the evaluation-domain row [a_k * û + ê_k], where [û]
+    and [ê_k] are the forward transforms of the signed coefficient
+    arrays [u] and [e_k] lifted mod p (as {!Rq.of_centered_coeffs}
+    lifts) and [a_k] is an evaluation-domain row: BGV encryption for one
+    limb. [u] is lifted and transformed once; each [e_k] is lifted
+    straight into the workspace, transformed, and combined in the
+    canonicalising copy out. The residues equal those of transforming,
+    multiplying ({!pointwise_into}) and adding in separate passes. Every
+    array has length [degree]. *)
 
 val pointwise_into : plan -> dst:int array -> int array -> int array -> unit
 (** Coordinate-wise product of two evaluation-domain arrays into [dst]

@@ -273,6 +273,42 @@ let mul_impl a b =
   in
   { basis = a.basis; st = { repr = Eval; rows } }
 
+(* Encryption's c_k = a_k * u + e_k with u and the e_k as signed
+   coefficients: one Mont_backend.lift_mul_add pass per limb lifts and
+   transforms u once and each e_k into its output row, so the only rows
+   allocated are the outputs.  The counters read what the separate
+   lift, transform, multiply and add would have counted: L transforms
+   for u and for each e_k, L limb multiplies for each a_k. *)
+let mul_add_centered ~u terms =
+  let k = Array.length terms in
+  if k = 0 then invalid_arg "Rq.mul_add_centered: no terms";
+  let basis = (fst terms.(0)).basis in
+  let n = Rns.degree basis in
+  if Array.length u <> n then invalid_arg "Rq.mul_add_centered: wrong length";
+  let a_rows =
+    Array.map
+      (fun (a, e) ->
+        if not (Rns.equal a.basis basis) then invalid_arg "Rq.mul_add_centered: basis mismatch";
+        if Array.length e <> n then invalid_arg "Rq.mul_add_centered: wrong length";
+        force_eval a;
+        a.st.rows)
+      terms
+  in
+  let plans = Rns.plans basis in
+  let l = Array.length plans in
+  if Obs.enabled () then begin
+    Obs.Metrics.add m_limb_transforms (l * (k + 1));
+    Obs.Metrics.add m_limb_ntt_muls (l * k)
+  end;
+  let out = Array.init k (fun _ -> Array.init l (fun _ -> Array.make n 0)) in
+  ignore
+    (pmapi ~min_degree:ntt_par_degree basis
+       (fun j plan ->
+         Mont_backend.lift_mul_add plan ~u
+           (Array.mapi (fun i (_, e) -> (a_rows.(i).(j), e, out.(i).(j))) terms))
+       plans);
+  Array.map (fun rows -> { basis; st = { repr = Eval; rows } }) out
+
 let mul a b =
   if not (Obs.enabled ()) then mul_impl a b
   else begin
@@ -361,13 +397,15 @@ let random_uniform basis rng =
   in
   { basis; st = { repr = Coeff; rows } }
 
-let sample_ternary basis rng =
+let sample_ternary_coeffs basis rng =
   let coeffs = Array.make (Rns.degree basis) 0 in
   Rng.fill_int rng 3 coeffs;
   for i = 0 to Array.length coeffs - 1 do
     coeffs.(i) <- coeffs.(i) - 1
   done;
-  of_centered_coeffs basis coeffs
+  coeffs
+
+let sample_ternary basis rng = of_centered_coeffs basis (sample_ternary_coeffs basis rng)
 
 let sample_cbd basis ~eta rng =
   let coeffs = Array.make (Rns.degree basis) 0 in

@@ -85,6 +85,20 @@ val mul : t -> t -> t
     per value) and multiplies coordinate-wise per limb; the result
     stays in [Eval]. *)
 
+val mul_add_centered : u:int array -> (t * int array) array -> t array
+(** [mul_add_centered ~u [| (a_1, e_1); ...; (a_k, e_k) |]] is
+    [| a_1 * u + e_1; ...; a_k * u + e_k |] with [u] and every [e_i]
+    given as signed coefficients of length N and lifted as
+    {!of_centered_coeffs} lifts them: BGV encryption's
+    [c_i = p_i * u + (t * e_i + m)]. The residues are those of
+    [add (mul a_i (of_centered_coeffs b u)) (of_centered_coeffs b e_i)],
+    computed in one fused pass per limb
+    ({!Mont_backend.lift_mul_add}) that allocates only the [k * L]
+    output rows. Forces every [a_i] to [Eval] (all share one basis);
+    the results are [Eval]. Counts [(k + 1) * L] limb transforms and
+    [k * L] limb multiplies, as the separate ops would, but opens no
+    [rq.mul] span. *)
+
 val dot : t array -> t array -> t
 (** [dot a b = sum_i a.(i) * b.(i)], fused: each limb runs one
     multiply-accumulate pass per term into a single accumulator row.
@@ -108,6 +122,11 @@ val random_uniform : Rns.t -> Mycelium_util.Rng.t -> t
 val sample_ternary : Rns.t -> Mycelium_util.Rng.t -> t
 (** Coefficients uniform in {-1, 0, 1}; the BGV secret-key
     distribution. *)
+
+val sample_ternary_coeffs : Rns.t -> Mycelium_util.Rng.t -> int array
+(** The N signed coefficients {!sample_ternary} lifts, drawn the same
+    way: [sample_ternary b rng = of_centered_coeffs b
+    (sample_ternary_coeffs b rng)]. *)
 
 val sample_cbd : Rns.t -> eta:int -> Mycelium_util.Rng.t -> t
 (** Centered binomial with parameter eta (variance eta/2): the error

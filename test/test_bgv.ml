@@ -9,6 +9,8 @@ module Bgv = Mycelium_bgv.Bgv
 module Rq = Mycelium_math.Rq
 module Rns = Mycelium_math.Rns
 module Sha256 = Mycelium_crypto.Sha256
+module Pool = Mycelium_parallel.Pool
+module Obs = Mycelium_obs.Obs
 module Hex = Testkit.Hex
 
 let checkb = Alcotest.(check bool)
@@ -516,7 +518,31 @@ let golden_digests ctx sk pk =
 let check_goldens name expected actual =
   Alcotest.(check (list (pair string string))) name expected actual
 
-let test_encrypt_goldens_medium () =
+(* Recorded at the commit before encrypt lifted, transformed and
+   multiply-added in one pass per limb. *)
+let test_encrypt_goldens_small () =
+  let ctx = Lazy.force ctx_small in
+  let sk, pk = Lazy.force keys_small in
+  check_goldens "test_small encryptions"
+    [
+      ("seed 301 zero", "2735df203a85192d78df23f616f160a8a64849a73cf3a4ff770d68ee12aa4cb2");
+      ("seed 301 x^0", "46b1c6ad4418f159a1c0a5874bb4f95317bbafb9f23607f80e5a2fa5937b0cf8");
+      ("seed 301 x^(N-1)", "9ee68ab7a17311605603903304d773d4ab5d564f303b1ecebaa499757f2ae3a3");
+      ("seed 301 dense t-1", "ae4abde0c2ef7b91d81eae1dd77a9957f243636c60b57377f3c762802b39635e");
+      ("seed 302 zero", "bca5ca4a949c52a3fb2bd0b4f8a7cb72ab3016e481a2a98b05e99d5a46270a0e");
+      ("seed 302 x^0", "416a613636ac3d80c44ee5688556c97908e0e5d602eb082e40f2ae2d427a3fd5");
+      ("seed 302 x^(N-1)", "6ca2f3d0f1307b9ba3ccd1045c5ce268fa09b02fad257c673c1f97a4c4df6d6d");
+      ("seed 302 dense t-1", "6ca621f9eade54ad323effcf5ae70ccd746f2e808f89ac0dd686d7834b7150b4");
+      ("seed 303 zero", "f89b050c8ca1a9d709260f96cb4240eb7192ec2db0ead28daf047577022bd898");
+      ("seed 303 x^0", "af051b93611a26b7d4b53a739e91ccb200ba9cf19d4e02384b917a53b85594c3");
+      ("seed 303 x^(N-1)", "82db9f8948f57a8c31b69a3859560a3d9b59dc88aade3d746a767e74254c4f33");
+      ("seed 303 dense t-1", "5ecd2038caa44164e6490b207ae52eca5c8acdd6dd96ddbebb66381886d3de66");
+    ]
+    (golden_digests ctx sk pk)
+
+(* At two domains N = 1024 takes the limb-parallel branch, whose limbs
+   must land by index on the same bytes. *)
+let test_encrypt_goldens_medium ~domains () =
   let ctx = Lazy.force ctx_medium in
   let sk, pk = Lazy.force keys_medium in
   check_goldens "test_medium encryptions"
@@ -534,7 +560,7 @@ let test_encrypt_goldens_medium () =
       ("seed 303 x^(N-1)", "646ca03ec7ccf1b2a6e7d4cb2b831592464ddeeaebec8029f530f75733b3a9a6");
       ("seed 303 dense t-1", "77f08e7567998ceb2bbebc1ecc338c9104fe6d1e68f1cfc5f641e57b02507745");
     ]
-    (golden_digests ctx sk pk)
+    (Pool.with_domains domains (fun () -> golden_digests ctx sk pk))
 
 (* t = 2^30 lies above every 28-bit prime, so lifting the plaintext and
    scaling the errors by t take the general reduction, not the
@@ -573,6 +599,50 @@ let test_relinearized_golden () =
   check_goldens "relinearized product"
     [ ("x^3 * x^5", "35fe4c7040e785af8013021d900cd6b6a0d1555f855a1987c0ff565015ec748c") ]
     [ ("x^3 * x^5", wire_digest prod) ]
+
+(* ------------------------------------------------------------------ *)
+(* What an encryption costs                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* An encryption allocates its 2L output rows, the three coefficient
+   arrays it draws and a few small blocks: at most twice the words of
+   the ciphertext it returns.  Lifting, transforming, multiplying and
+   adding in separate passes, each into fresh rows, allocated about
+   5.3 times as much. *)
+let test_encrypt_allocation () =
+  let ctx = Lazy.force ctx_medium in
+  let _, pk = Lazy.force keys_medium in
+  Obs.disable ();
+  Pool.with_domains 1 (fun () ->
+      let ct = Bgv.encrypt_value ctx (Rng.create 307L) pk 3 in
+      let ct_words =
+        Array.fold_left
+          (fun acc c ->
+            Array.fold_left (fun acc row -> acc + Array.length row + 1) acc (Rq.residues c))
+          0 (Bgv.components ct)
+      in
+      let rng = Rng.create 308L in
+      let words = Testkit.allocated_words (fun () -> ignore (Bgv.encrypt_value ctx rng pk 3)) in
+      checkb
+        (Printf.sprintf "%.0f words for a %d-word ciphertext" words ct_words)
+        true
+        (words <= 2. *. float_of_int ct_words))
+
+(* Traced, one encryption counts what the separate ops counted: L
+   transforms for u and for each of the two error sums, L limb
+   multiplies for each public-key component, one encryption. *)
+let test_encrypt_counters () =
+  let ctx = Lazy.force ctx_medium in
+  let _, pk = Lazy.force keys_medium in
+  let l = Array.length (Rns.primes (Bgv.basis ctx)) in
+  let names = [ Obs.Names.rq_limb_transforms; Obs.Names.rq_limb_ntt_muls; Obs.Names.bgv_encrypts ] in
+  let values () = List.map (fun name -> Obs.Metrics.value (Obs.Metrics.counter name)) names in
+  let before = values () in
+  Obs.with_enabled (fun () -> ignore (Bgv.encrypt_value ctx (Rng.create 309L) pk 3));
+  Alcotest.(check (list int))
+    "rq.limb_transforms, rq.limb_ntt_muls, bgv.encrypts"
+    [ 3 * l; 2 * l; 1 ]
+    (List.map2 ( - ) (values ()) before)
 
 (* ------------------------------------------------------------------ *)
 (* Threshold-decryption hooks                                          *)
@@ -639,9 +709,19 @@ let () =
         ] );
       ( "goldens",
         [
-          Alcotest.test_case "test_medium encryptions" `Quick test_encrypt_goldens_medium;
+          Alcotest.test_case "test_small encryptions" `Quick test_encrypt_goldens_small;
+          Alcotest.test_case "test_medium encryptions" `Quick
+            (test_encrypt_goldens_medium ~domains:1);
+          Alcotest.test_case "test_medium encryptions, 2 domains" `Quick
+            (test_encrypt_goldens_medium ~domains:2);
           Alcotest.test_case "t = 2^30 encryptions" `Quick test_encrypt_goldens_wide_t;
           Alcotest.test_case "relinearized product" `Quick test_relinearized_golden;
+        ] );
+      ( "encrypt-cost",
+        [
+          Alcotest.test_case "allocates at most twice its ciphertext" `Quick
+            test_encrypt_allocation;
+          Alcotest.test_case "counts 3L transforms, 2L multiplies" `Quick test_encrypt_counters;
         ] );
       ( "threshold-hooks",
         [

@@ -264,6 +264,54 @@ let test_add_sub_reference () =
           against "sub reversed" (Rq.sub y x) Modarith.sub rows_b rows_a)
         [ Rq.Coeff; Rq.Eval ])
 
+(* The fused lift, transform and multiply-add behind Bgv.encrypt gives,
+   residue for residue, what lifting, multiplying and adding in
+   separate ops gives: for one to three terms, a mask and errors that
+   open with the values around every prime and around the int range
+   (the lifts Modarith.reduce takes) and continue wide at random, and
+   multiplicands resident in either domain. *)
+let test_mul_add_centered_reference () =
+  with_param_bases (fun b ->
+      let rng = Rng.create 50L in
+      let n = Rns.degree b in
+      let specials =
+        List.concat_map
+          (fun p -> [ 0; 1; -1; p - 1; p; p + 1; -p; -p - 1; 2 * p ])
+          (Array.to_list (Rns.primes b))
+        @ [ 1 lsl 40; -(1 lsl 40); max_int; min_int ]
+      in
+      let coeffs () =
+        let h = Array.of_list specials in
+        Array.init n (fun i ->
+            if i < Array.length h then h.(i)
+            else Rng.int rng (1 lsl 32) - (1 lsl 31))
+      in
+      for k = 1 to 3 do
+        let u = coeffs () in
+        let terms =
+          Array.init k (fun i ->
+              let a = Rq.random_uniform b rng in
+              if i mod 2 = 0 then Rq.force_eval a;
+              (a, coeffs ()))
+        in
+        let out = Rq.mul_add_centered ~u terms in
+        Array.iteri
+          (fun i (a, e) ->
+            let expected =
+              Rq.add (Rq.mul a (Rq.of_centered_coeffs b u)) (Rq.of_centered_coeffs b e)
+            in
+            checkb "resident in Eval" true (Rq.repr_of out.(i) = Rq.Eval);
+            Alcotest.(check (array (array int)))
+              (Printf.sprintf "%d terms, term %d" k i)
+              (Rq.residues expected) (Rq.residues out.(i)))
+          terms
+      done;
+      let a = Rq.random_uniform b rng in
+      Alcotest.check_raises "no terms" (Invalid_argument "Rq.mul_add_centered: no terms")
+        (fun () -> ignore (Rq.mul_add_centered ~u:(coeffs ()) [||]));
+      Alcotest.check_raises "short mask" (Invalid_argument "Rq.mul_add_centered: wrong length")
+        (fun () -> ignore (Rq.mul_add_centered ~u:(Array.make (n - 1) 0) [| (a, coeffs ()) |])))
+
 (* BGV layer: fresh ciphertexts are Eval-resident, products decrypt
    correctly, serialization preserves the representation tag, and the
    decrypted plaintext does not depend on the resident domain. *)
@@ -549,6 +597,8 @@ let () =
             test_of_centered_coeffs_reference;
           Alcotest.test_case "mul_scalar vs Modarith" `Quick test_mul_scalar_reference;
           Alcotest.test_case "add and sub vs Modarith" `Quick test_add_sub_reference;
+          Alcotest.test_case "mul_add_centered vs separate ops" `Quick
+            test_mul_add_centered_reference;
         ] );
       ( "montgomery",
         (Alcotest.test_case "forward known answers, N=16" `Quick test_forward_vectors
