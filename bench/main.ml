@@ -30,7 +30,7 @@
    executable; the gate (`dune build @slow`) and its recording run the
    same sections (README.md, "Benching and regression"):
      dune build
-     ./_build/default/bench/main.exe --only telemetry,serving,ringops,mixnet,micro \
+     ./_build/default/bench/main.exe --only serving,ringops,mixnet,micro \
        --json > baseline.json && mv baseline.json bench/baseline.json *)
 
 module Figures = Mycelium_costmodel.Figures
@@ -306,59 +306,13 @@ let () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: recorder throughput, ledger appends                      *)
+(* Telemetry: ledger appends                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The telemetry layer has two costs worth tracking: the flight
-   recorder's lock-free note path and the ledger's append+flush.  The
-   first is gated as an in-run ratio: the recorder's note loop over a
-   reference loop that builds the same detail, reads the same clock and
-   stores into a plain array ring, at most 3x (it reads about 1.5, and
-   4.5 with the note's body run five times over).
-
-   Host speed drifts by more than the overhead being measured, so the
-   two loops run interleaved: each repetition times both back to back,
-   starting from a different one each time, and the gate reads the
-   median over repetitions of that repetition's ratio. *)
+(* The audit ledger's append+flush, timed and printed; no cell is
+   gated on it. *)
 let () =
   section "telemetry" (fun () ->
-      let reps = 11 in
-      (* The hot [note] path (fetch_and_add plus a slot write) at a
-         realistic detail size, ring wrapping freely. *)
-      Obs.Recorder.enable ~capacity:4096 ();
-      let n_events = 200_000 in
-      let plain = Array.make 4096 (0, 0., []) in
-      let timed f =
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0
-      in
-      let recorder () =
-        for i = 1 to n_events do
-          Obs.Recorder.note ~detail:[ ("round", Int i); ("source", Int 7) ] "bench.event"
-        done
-      and reference () =
-        for i = 1 to n_events do
-          plain.(i land 4095) <- (i, Unix.gettimeofday (), [ ("round", Int i); ("source", Int 7) ])
-        done
-      in
-      let rec_times = Array.make reps 0. and ratios = Array.make reps 0. in
-      for r = 0 to reps - 1 do
-        let rec_s, ref_s =
-          if r mod 2 = 0 then
-            let a = timed recorder in
-            (a, timed reference)
-          else
-            let b = timed reference in
-            (timed recorder, b)
-        in
-        rec_times.(r) <- rec_s;
-        ratios.(r) <- rec_s /. ref_s
-      done;
-      let rec_s = Stats.median rec_times and rec_ratio = Stats.median ratios in
-      let events_per_s = float_of_int n_events /. rec_s in
-      Obs.Recorder.disable ();
-      Obs.Recorder.clear ();
       (* Ledger append: one realistic record per call, flushed each
          time (the durability the audit trail promises). *)
       let path = Filename.temp_file "mycelium_bench_ledger" ".jsonl" in
@@ -392,19 +346,10 @@ let () =
       Obs.Ledger.close l;
       Sys.remove path;
       let append_us = led_s *. 1e6 /. float_of_int n_rec in
-      gate "telemetry/recorder_ratio" Gate.Lower rec_ratio ~limit:3.0;
       say "\n";
-      say "=== Telemetry: flight recorder / audit ledger ===\n";
-      say "  (medians of %d interleaved repetitions)\n" reps;
-      say "  recorder note       %8.0f ns/event  (%.2f M events/s, %.2fx the plain-store loop)\n"
-        (rec_s *. 1e9 /. float_of_int n_events)
-        (events_per_s /. 1e6) rec_ratio;
+      say "=== Telemetry: audit ledger ===\n";
       say "  ledger append       %8.2f us/record (flushed)\n" append_us;
       [
-        ("recorder_repetitions", Int reps);
-        ("recorder_events_per_s", Num events_per_s);
-        ("recorder_event_ns", Num (rec_s *. 1e9 /. float_of_int n_events));
-        ("recorder_reference_ratio", Num rec_ratio);
         ("ledger_append_us", Num append_us);
         ("ledger_records", Int n_rec);
       ])

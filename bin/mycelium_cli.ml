@@ -19,7 +19,6 @@ module Corpus = Mycelium_query.Corpus
 module Ast = Mycelium_query.Ast
 module Params = Mycelium_bgv.Params
 module Runtime = Mycelium_core.Runtime
-module Engine = Mycelium_baseline.Engine
 module Obs = Mycelium_obs.Obs
 module Serve = Mycelium_serve.Serve
 module Accountant = Mycelium_serve.Accountant
@@ -93,7 +92,10 @@ let run_cmd =
   let epsilon = Arg.(value & opt float 1.0 & info [ "epsilon" ] ~doc:"Privacy epsilon (0 = exact, non-private).") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
   let plaintext =
-    Arg.(value & flag & info [ "plaintext" ] ~doc:"Use the clear-text baseline engine instead.")
+    Arg.(
+      value & flag
+      & info [ "plaintext" ]
+          ~doc:"Evaluate the query in the clear with the reference semantics instead (exact, no noise).")
   in
   let trace_file =
     Arg.(
@@ -102,7 +104,8 @@ let run_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record a trace of the run and write it to $(docv) in Chrome trace_event \
-             format (open in Perfetto or about://tracing). Enables the lib/obs \
+             format (open in Perfetto or about://tracing), whatever the query's outcome: \
+             a refused or failed query leaves its trace too. Enables the lib/obs \
              instrumentation; results are identical either way.")
   in
   let metrics =
@@ -123,16 +126,6 @@ let run_cmd =
             "Append one audit record per query to $(docv) (JSONL; summarize with \
              $(b,mycelium audit)). Results are identical either way.")
   in
-  let flight_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight" ] ~docv:"FILE"
-          ~doc:
-            "Arm the flight recorder: structured events (spans, fault injections, \
-             retries, decryption fallbacks) are kept in a bounded ring and dumped to \
-             $(docv) when a fault fires or the process exits.")
-  in
   let prometheus_file =
     Arg.(
       value
@@ -144,7 +137,7 @@ let run_cmd =
              pool size, mixnet footprint) read as gauges at the time of writing.")
   in
   let run population degree epsilon seed plaintext trace_file metrics ledger_file
-      flight_file prometheus_file src =
+      prometheus_file src =
     let src = resolve_query src in
     let rng = Rng.create (Int64.of_int seed) in
     let graph =
@@ -161,15 +154,12 @@ let run_cmd =
         match Analysis.analyze ~degree_bound:degree q with
         | Error e -> Printf.eprintf "analysis error: %s\n" e; 1
         | Ok info ->
-          print_result (Engine.run info graph);
+          print_result
+            (Semantics.decode info
+               (Array.map float_of_int (Semantics.global_histogram info graph)));
           0)
     end
     else begin
-      (match flight_file with
-      | Some path ->
-        Obs.Recorder.enable ();
-        Obs.Recorder.arm path
-      | None -> ());
       let sys =
         init_runtime
           { Runtime.default_config with
@@ -180,46 +170,57 @@ let run_cmd =
           }
           graph
       in
-      match Runtime.run_query ~epsilon:eps sys src with
-      | Ok r ->
-        print_result r.Runtime.result;
-        Printf.printf "(origins: %d, discarded: %d, committee generation: %d)\n"
-          r.Runtime.origins_included r.Runtime.discarded_contributions
-          r.Runtime.committee_generation;
-        (match trace_file with
-        | Some path ->
-          Obs.write_chrome_trace path;
-          Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
-        | None -> ());
+      (* The trace is the run's post-mortem: it is written whatever the
+         outcome, a refusal or an exception included.  A trace that
+         cannot be written is reported without masking that outcome,
+         and the run exits 1. *)
+      let trace_lost = ref false in
+      let write_trace () =
+        Option.iter
+          (fun path ->
+            match Obs.write_chrome_trace path with
+            | () -> Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
+            | exception Sys_error m ->
+              Printf.eprintf "trace not written: %s\n" m;
+              trace_lost := true)
+          trace_file
+      in
+      let code =
+        Fun.protect ~finally:write_trace (fun () ->
+            match Runtime.run_query ~epsilon:eps sys src with
+            | Ok r ->
+              print_result r.Runtime.result;
+              Printf.printf "(origins: %d, discarded: %d, committee generation: %d)\n"
+                r.Runtime.origins_included r.Runtime.discarded_contributions
+                r.Runtime.committee_generation;
+              0
+            | Error (Runtime.Parse_error m) -> Printf.eprintf "parse error: %s\n" m; 1
+            | Error (Runtime.Analysis_error m) -> Printf.eprintf "analysis error: %s\n" m; 1
+            | Error (Runtime.Infeasible m) -> Printf.eprintf "infeasible: %s\n" m; 1
+            | Error (Runtime.Budget_exhausted v) ->
+              Printf.eprintf "budget exhausted (%.2f left)\n" v; 1
+            | Error (Runtime.Invalid_epsilon e) ->
+              Printf.eprintf "invalid epsilon %g (must be finite and positive)\n" e; 1
+            | Error (Runtime.Pipeline_error m) -> Printf.eprintf "pipeline error: %s\n" m; 1)
+      in
+      if code = 0 then begin
         if metrics then print_string (Obs.metrics_table ());
         (match prometheus_file with
         | Some path ->
           Obs.write_prometheus path;
           Printf.printf "(prometheus exposition written to %s)\n" path
         | None -> ());
-        (match flight_file with
-        | Some path ->
-          Obs.Recorder.flush ();
-          Printf.printf "(flight recorder: %d events, dump at %s)\n"
-            (Obs.Recorder.recorded ()) path
-        | None -> ());
-        (match ledger_file with
+        match ledger_file with
         | Some path -> Printf.printf "(audit ledger appended to %s)\n" path
-        | None -> ());
-        0
-      | Error (Runtime.Parse_error m) -> Printf.eprintf "parse error: %s\n" m; 1
-      | Error (Runtime.Analysis_error m) -> Printf.eprintf "analysis error: %s\n" m; 1
-      | Error (Runtime.Infeasible m) -> Printf.eprintf "infeasible: %s\n" m; 1
-      | Error (Runtime.Budget_exhausted v) -> Printf.eprintf "budget exhausted (%.2f left)\n" v; 1
-      | Error (Runtime.Invalid_epsilon e) ->
-        Printf.eprintf "invalid epsilon %g (must be finite and positive)\n" e; 1
-      | Error (Runtime.Pipeline_error m) -> Printf.eprintf "pipeline error: %s\n" m; 1
+        | None -> ()
+      end;
+      if !trace_lost then 1 else code
     end
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ population $ degree $ epsilon $ seed $ plaintext $ trace_file $ metrics
-      $ ledger_file $ flight_file $ prometheus_file $ query_arg)
+      $ ledger_file $ prometheus_file $ query_arg)
 
 (* --- serve --------------------------------------------------------- *)
 

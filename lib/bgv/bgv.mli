@@ -36,6 +36,10 @@ type public_key
 type relin_key
 (** Key-switching keys for s^2 .. s^max; built by {!relin_keygen}. *)
 
+val relin_max_degree : relin_key -> int
+(** The highest ciphertext degree the key relinearizes: the
+    [max_degree] it was built with. *)
+
 (* lint: allow unused-export — test_bgv reads the key's size back *)
 val relin_key_pairs : relin_key -> int
 (** Key pairs held: (max_degree - 1) x L, one per power of s and per

@@ -89,11 +89,19 @@ let rotate_committee cfg comm ~population =
   let generation = Committee.generation comm + 1 in
   Committee.rotate comm (Rng.keyed cfg.seed Rng.Committee_rotation [ generation ]) ~population
 
-(* The relinearization key's degree.  The default covers every 1-hop
-   product (degree d + 1: the origin's row and d neighbor rows) with
-   room to spare; admission refuses any shape whose degree exceeds
-   it. *)
-let relin_degree cfg = match cfg.relin_degree with Some d -> d | None -> cfg.degree_bound + 3
+(* The relinearization key's degree.  An origin's product has degree
+   d^hops + 1 (one row per vertex of its ball), and the noise model
+   admits d^hops up to [Analysis.max_multiplications]; the default key
+   reaches the largest such product and no further (at least degree 2),
+   so admission never refuses a feasible shape for the key's sake. *)
+let relin_degree cfg =
+  match cfg.relin_degree with
+  | Some k -> k
+  | None ->
+    let budget = Analysis.max_multiplications cfg.params and d = cfg.degree_bound in
+    (* the largest d^h, h >= 1, within the budget; 0 when d alone is over *)
+    let rec widest m = if d > 1 && m <= budget / d then widest (m * d) else m in
+    max 2 (1 + if d <= budget then widest d else 0)
 
 let init cfg graph =
   Params.validate cfg.params;
@@ -324,7 +332,7 @@ let validate_query t query =
     (* An origin's product multiplies at most one row per vertex of its
        ball, the origin's own included: degree multiplications + 1,
        which the aggregator's relinearization key must reach. *)
-    let degree = info.Analysis.multiplications + 1 and key = relin_degree t.cfg in
+    let degree = info.Analysis.multiplications + 1 and key = Bgv.relin_max_degree t.relin in
     if degree > key then
       Error
         (Infeasible

@@ -32,12 +32,15 @@ type config = {
       (** the runtime overrides [n_devices], [degree] and [seed] with
           the population, [degree_bound] and its own [seed] *)
   relin_degree : int option;
-      (** relinearization-key degree bound; default d+3. An origin's
-          product has degree [multiplications + 1] (d^hops + 1: one row
-          per vertex of its ball), and {!validate_query} refuses as
-          [Infeasible], before any charge, a query whose degree exceeds
-          the key's: the default covers every 1-hop shape, and Q1 at
-          d = 2 needs 5. *)
+      (** relinearization-key degree bound. An origin's product has
+          degree [multiplications + 1] (d^hops + 1: one row per vertex
+          of its ball), and {!validate_query} refuses as [Infeasible],
+          before any charge, a query whose degree exceeds the key's.
+          The default is the largest degree admission can let through
+          at [params]: 1 + the largest d^h (h >= 1) within
+          {!Mycelium_query.Analysis.max_multiplications}, and at least
+          2 (5 at test_small with d = 4, 7 at test_medium with
+          d = 6). *)
   accounting : Mycelium_dp.Dp.accounting;
       (** budget accountant: Basic sequential composition (the paper's
           conservative default) or Advanced composition (§4.4's

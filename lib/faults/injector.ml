@@ -5,10 +5,10 @@ module Obs = Mycelium_obs.Obs
    the tracing/metrics view of a run.  Metric updates are no-ops while
    tracing is disabled; the report itself is always exact.
 
-   Each injected fault is additionally noted in the flight recorder
-   and [trigger]ed, so an armed recorder turns a chaos failure into a
-   replayable post-mortem dump.  Both calls are one atomic load while
-   the recorder is off. *)
+   Each injected fault is also an [Obs.instant] with its details, so a
+   traced chaos run shows every fault, in order, inside the span where
+   it happened.  Both calls are one atomic load while tracing is
+   off. *)
 let m_substituted = Obs.Metrics.counter Obs.Names.faults_substituted_contributions
 let m_dropped = Obs.Metrics.counter Obs.Names.faults_dropped_messages
 let m_delayed = Obs.Metrics.counter Obs.Names.faults_delayed_messages
@@ -46,11 +46,6 @@ let empty_report =
 
 let report_equal a b = a = b
 
-(* Note a fault event and signal the recorder's post-mortem latch. *)
-let recorded kind detail =
-  Obs.Recorder.note ~detail kind;
-  Obs.Recorder.trigger ()
-
 type t = { plan : Fault_plan.t; mutable r : report }
 
 let create plan = { plan; r = empty_report }
@@ -75,8 +70,8 @@ let send t ~round ~source ~dest =
           };
         Obs.Metrics.incr m_dropped;
         Obs.Metrics.add m_backoff backoff;
-        recorded "fault.drop"
-          [
+        Obs.instant "fault.drop"
+          ~attrs:[
             ("round", Obs.Json.Int round);
             ("source", Obs.Json.Int source);
             ("dest", Obs.Json.Int dest);
@@ -88,8 +83,8 @@ let send t ~round ~source ~dest =
       else begin
         t.r <- { t.r with channel_retries = t.r.channel_retries + 1 };
         Obs.Metrics.incr m_retries;
-        recorded "fault.retry"
-          [
+        Obs.instant "fault.retry"
+          ~attrs:[
             ("round", Obs.Json.Int round);
             ("source", Obs.Json.Int source);
             ("dest", Obs.Json.Int dest);
@@ -103,13 +98,13 @@ let send t ~round ~source ~dest =
       t.r <- { t.r with backoff_units = t.r.backoff_units + backoff };
       Obs.Metrics.add m_backoff backoff;
       if backoff > 0 then
-        recorded "fault.backoff"
-          [ ("round", Obs.Json.Int round); ("units", Obs.Json.Int backoff) ];
+        Obs.instant "fault.backoff"
+          ~attrs:[ ("round", Obs.Json.Int round); ("units", Obs.Json.Int backoff) ];
       if Fault_plan.send_delay t.plan ~round ~source ~dest > 0 then begin
         t.r <- { t.r with delayed_messages = t.r.delayed_messages + 1 };
         Obs.Metrics.incr m_delayed;
-        recorded "fault.delay"
-          [
+        Obs.instant "fault.delay"
+          ~attrs:[
             ("round", Obs.Json.Int round);
             ("source", Obs.Json.Int source);
             ("dest", Obs.Json.Int dest);
@@ -123,31 +118,31 @@ let send t ~round ~source ~dest =
 let note_dropped t =
   t.r <- { t.r with dropped_messages = t.r.dropped_messages + 1 };
   Obs.Metrics.incr m_dropped;
-  recorded "fault.drop" []
+  Obs.instant "fault.drop"
 
 let note_substituted t =
   t.r <- { t.r with substituted_contributions = t.r.substituted_contributions + 1 };
   Obs.Metrics.incr m_substituted;
-  recorded "fault.substituted" []
+  Obs.instant "fault.substituted"
 
 let note_excluded_committee t n =
   t.r <- { t.r with excluded_committee_members = t.r.excluded_committee_members + n };
   Obs.Metrics.add m_excluded n;
-  if n > 0 then recorded "fault.excluded_committee" [ ("members", Obs.Json.Int n) ]
+  if n > 0 then Obs.instant "fault.excluded_committee" ~attrs:[ ("members", Obs.Json.Int n) ]
 
 let note_forged_rejected t =
   t.r <- { t.r with forged_rejected = t.r.forged_rejected + 1 };
   Obs.Metrics.incr m_forged_rejected;
-  recorded "fault.forged_rejected" []
+  Obs.instant "fault.forged_rejected"
 
 let note_aggregator_restart t =
   t.r <- { t.r with aggregator_restarts = t.r.aggregator_restarts + 1 };
   Obs.Metrics.incr m_restarts;
-  recorded "fault.aggregator_restart" []
+  Obs.instant "fault.aggregator_restart"
 
 let note_decryption_attempts t n =
   t.r <- { t.r with decryption_attempts = t.r.decryption_attempts + n };
   Obs.Metrics.add m_decrypt_attempts n;
   (* Only an actual fallback (more than one threshold-decryption
      attempt) is a fault-class event. *)
-  if n > 1 then recorded "decrypt.fallback" [ ("attempts", Obs.Json.Int n) ]
+  if n > 1 then Obs.instant "decrypt.fallback" ~attrs:[ ("attempts", Obs.Json.Int n) ]

@@ -1,24 +1,25 @@
 (* Structured tracing, metrics and levels for the query pipeline.
 
    Design constraints (see DESIGN.md §8 and §13):
-   - The disabled path of every instrumentation point is a single load
-     of one atomic flag plus a branch; no allocation, no clock read, no
-     atomic write happens unless that subsystem is on.  Spans check
-     [live_flag] (tracing or the flight recorder), metric updates check
-     [enabled_flag], and [Recorder.note] checks the recorder flag.
-     Levels (heap words, the pool's size, a simulator's footprint) cost
-     instrumented code nothing: their owners register a source, and the
-     exporters read every source when they run.  The flags are
-     write-once configuration: set from the environment at startup or
-     by [enable] / [Recorder.enable] before a run, never mid-phase.
-   - Span recording is per-domain: each domain owns a growable buffer
-     reached through Domain.DLS, so instrumented code inside Pool
-     workers records without taking any lock (the global registry
-     mutex is touched once per domain, at first use).
+   - The disabled path of every instrumentation point (spans, instants
+     and metric updates) is a single load of [enabled_flag] plus a
+     branch; no allocation, no clock read, no atomic write happens
+     unless tracing is on.  Levels (heap words, the pool's size, a
+     simulator's footprint) cost instrumented code nothing: their
+     owners register a source, and the exporters read every source
+     when they run.  The flag is write-once configuration: set from the
+     environment at startup or by [enable] before a run, never
+     mid-phase.
+   - The per-domain span buffers are the one event store: a span is an
+     interval, an instant (an injected fault, say) a closed span of
+     zero length.  Each domain owns a growable buffer reached through
+     Domain.DLS, so instrumented code inside Pool workers records
+     without taking any lock (the global registry mutex is touched once
+     per domain, at first use).
    - Observability never draws from any [Rng.t] and never feeds back
      into results: query output, DP noise and degradation reports are
-     byte-identical with tracing and the recorder on or off.
-     Timestamps exist only in exported traces. *)
+     byte-identical with tracing on or off.  Timestamps exist only in
+     exported traces. *)
 
 (* ------------------------------------------------------------------ *)
 (* JSON (the one encoder/parser in the tree; bench and the exporters   *)
@@ -134,8 +135,8 @@ module Json = struct
 
   (* Maximum container nesting the parser accepts.  The recursive
      descent would otherwise turn "[[[[…" into a stack overflow — a
-     hard crash rather than an [Error] — and the flight-recorder /
-     ledger files make the parser load-bearing for untrusted input. *)
+     hard crash rather than an [Error] — and the ledger files make the
+     parser load-bearing for untrusted input. *)
   let max_depth = 512
 
   (* A small strict parser, enough to round-trip everything the emitter
@@ -370,19 +371,6 @@ let env_truthy var =
 
 let enabled_flag = Atomic.make (env_truthy "MYCELIUM_TRACE")
 
-(* Flight-recorder switch lives next to the tracing switch so the span
-   fast path can check one derived flag (below) for both. *)
-let recorder_flag = Atomic.make (env_truthy "MYCELIUM_RECORDER")
-
-(* [live_flag] = tracing or recording: the single load on the span fast
-   path.  Recomputed by every flag setter (they are rare, configuration
-   events); never flipped mid-phase. *)
-let live_flag =
-  Atomic.make (Atomic.get enabled_flag || Atomic.get recorder_flag)
-
-let refresh_live () =
-  Atomic.set live_flag (Atomic.get enabled_flag || Atomic.get recorder_flag)
-
 let enabled () = Atomic.get enabled_flag
 
 (* Trace epoch: all span timestamps are seconds since the last enable
@@ -390,18 +378,14 @@ let enabled () = Atomic.get enabled_flag
 let epoch = Atomic.make (now ())
 
 let now_s () = now () -. Atomic.get epoch
-let elapsed_ns () = int_of_float (now_s () *. 1e9)
 
 let enable () =
   if not (Atomic.get enabled_flag) then begin
     Atomic.set epoch (now ());
     Atomic.set enabled_flag true
-  end;
-  refresh_live ()
+  end
 
-let disable () =
-  Atomic.set enabled_flag false;
-  refresh_live ()
+let disable () = Atomic.set enabled_flag false
 
 (* ------------------------------------------------------------------ *)
 (* Metric-name registry                                                *)
@@ -471,144 +455,6 @@ module Names = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A lock-free bounded ring of the last N structured events.  Writers
-   claim a slot with one [fetch_and_add] and store an immutable event
-   record into it; a torn read can at worst surface a slightly stale
-   event in a dump (each slot holds either [None] or one complete
-   event, never a partial one).  The ring is dumped to a self-contained
-   JSON file automatically when a fault fires ([trigger], wired into
-   [Injector]) and when the process dies (at_exit / uncaught-exception
-   handler at the bottom of this file). *)
-module Recorder = struct
-  type event = {
-    ev_seq : int;  (* global claim order *)
-    ev_ns : int;  (* nanoseconds since the trace epoch *)
-    ev_dom : int;  (* recording domain *)
-    ev_kind : string;
-    ev_detail : (string * Json.t) list;
-  }
-
-  let default_capacity = 1024
-  let ring : event option array Atomic.t = Atomic.make (Array.make default_capacity None)
-  let cursor = Atomic.make 0
-
-  let recording () = Atomic.get recorder_flag
-  let capacity () = Array.length (Atomic.get ring)
-
-  let set_capacity n =
-    if n < 1 then invalid_arg "Obs.Recorder: capacity must be >= 1";
-    Atomic.set ring (Array.make n None);
-    Atomic.set cursor 0
-
-  let clear () =
-    Atomic.set ring (Array.make (capacity ()) None);
-    Atomic.set cursor 0
-
-  (* Armed dump path + post-mortem state.  [dirty] is set by every
-     [note] so an exit-time [flush] rewrites the file with the final
-     ring; [fired] makes the first fault after [arm] write immediately
-     (the dump survives even a later hard crash). *)
-  let dump_path : string option Atomic.t =
-    Atomic.make
-      (match Sys.getenv_opt "MYCELIUM_RECORDER_DUMP" with
-      | Some p when not (String.equal p "") -> Some p
-      | Some _ | None -> None)
-
-  let dirty = Atomic.make false
-  let fired = Atomic.make false
-
-  let enable ?capacity () =
-    (match capacity with Some n -> set_capacity n | None -> ());
-    Atomic.set recorder_flag true;
-    refresh_live ()
-
-  let disable () =
-    Atomic.set recorder_flag false;
-    refresh_live ()
-
-  let note ?(detail = []) kind =
-    if Atomic.get recorder_flag then begin
-      let r = Atomic.get ring in
-      let seq = Atomic.fetch_and_add cursor 1 in
-      r.(seq mod Array.length r) <-
-        Some
-          {
-            ev_seq = seq;
-            ev_ns = elapsed_ns ();
-            ev_dom = (Domain.self () :> int);
-            ev_kind = kind;
-            ev_detail = detail;
-          };
-      Atomic.set dirty true
-    end
-
-  let events () =
-    let r = Atomic.get ring in
-    Array.to_list r
-    |> List.filter_map Fun.id
-    |> List.sort (fun a b -> Int.compare a.ev_seq b.ev_seq)
-
-  let recorded () = Atomic.get cursor
-
-  let event_json e =
-    Json.Obj
-      [
-        ("seq", Json.Int e.ev_seq);
-        ("ns", Json.Int e.ev_ns);
-        ("dom", Json.Int e.ev_dom);
-        ("kind", Json.Str e.ev_kind);
-        ("detail", Json.Obj e.ev_detail);
-      ]
-
-  let to_json () =
-    let total = Atomic.get cursor in
-    Json.Obj
-      [
-        ("schema", Json.Str "mycelium-flight/1");
-        ("capacity", Json.Int (capacity ()));
-        ("recorded", Json.Int total);
-        ("dropped", Json.Int (max 0 (total - capacity ())));
-        ("events", Json.List (List.map event_json (events ())));
-      ]
-
-  let write path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> Json.to_channel oc (to_json ()))
-
-  let arm path =
-    Atomic.set dump_path (Some path);
-    Atomic.set fired false;
-    Atomic.set dirty false
-
-  let disarm () = Atomic.set dump_path None
-
-  (* Dump failures must never mask the fault that triggered them. *)
-  let try_write p = try write p with Sys_error _ -> ()
-
-  let flush () =
-    match Atomic.get dump_path with
-    | Some p when Atomic.get dirty ->
-      Atomic.set dirty false;
-      try_write p
-    | Some _ | None -> ()
-
-  let trigger () =
-    if Atomic.get recorder_flag then begin
-      Atomic.set dirty true;
-      match Atomic.get dump_path with
-      | Some p when Atomic.compare_and_set fired false true ->
-        Atomic.set dirty false;
-        try_write p
-      | Some _ | None -> ()
-    end
-end
-
-(* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -655,8 +501,11 @@ let push b sp =
   b.items.(b.len) <- sp;
   b.len <- b.len + 1
 
-let record_enter name attrs =
-  let b = my_buf () in
+(* Push one span starting now on the domain buffer [b], at its current
+   depth: open (its end NaN until [traced] closes it) or, for an
+   instant, already closed at zero length. *)
+let record b ~closed name attrs =
+  let t = now () -. Atomic.get epoch in
   let sp =
     {
       sp_name = name;
@@ -664,43 +513,36 @@ let record_enter name attrs =
       sp_dom = b.dom_id;
       sp_depth = b.depth;
       sp_seq = b.seq;
-      sp_start = now () -. Atomic.get epoch;
-      sp_end = Float.nan;
+      sp_start = t;
+      sp_end = (if closed then t else Float.nan);
     }
   in
   push b sp;
   b.seq <- b.seq + 1;
+  sp
+
+let traced attrs name f =
+  let b = my_buf () in
+  let sp = record b ~closed:false name attrs in
   b.depth <- b.depth + 1;
-  (b, sp)
-
-let record_exit (b, sp) =
-  b.depth <- b.depth - 1;
-  sp.sp_end <- now () -. Atomic.get epoch
-
-let span_slow attrs name f =
-  let tracing = Atomic.get enabled_flag in
-  let recording = Recorder.recording () in
-  if recording then Recorder.note ~detail:[ ("name", Json.Str name) ] "span.open";
-  let t0 = if recording then now () else 0. in
-  let open_sp = if tracing then Some (record_enter name attrs) else None in
   Fun.protect
     ~finally:(fun () ->
-      (match open_sp with Some o -> record_exit o | None -> ());
-      if recording then
-        Recorder.note
-          ~detail:
-            [ ("name", Json.Str name); ("ms", Json.Num ((now () -. t0) *. 1e3)) ]
-          "span.close")
+      b.depth <- b.depth - 1;
+      sp.sp_end <- now () -. Atomic.get epoch)
     f
 
 let span ?(attrs = []) name f =
-  if not (Atomic.get live_flag) then f () else span_slow attrs name f
+  if not (Atomic.get enabled_flag) then f () else traced attrs name f
+
+(* An instant nests inside whatever span is open around it and exports
+   through the same buffer and the same Chrome event as a span. *)
+let instant ?(attrs = []) name =
+  if Atomic.get enabled_flag then ignore (record (my_buf ()) ~closed:true name attrs)
 
 (* Hot-op sampling: record one span for every [every]-th call through
    the sampler; all other calls (and every call while disabled) just
    run [f].  The counter only advances while tracing is on, so the
-   disabled path stays a branch.  Sampled hot-op spans are trace-only:
-   they never land in the flight recorder. *)
+   disabled path stays a branch. *)
 type sampler = { every : int; calls : int Atomic.t }
 
 let sampler ~every =
@@ -711,11 +553,7 @@ let sampled_span s ?(attrs = []) name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let k = Atomic.fetch_and_add s.calls 1 in
-    if k mod s.every = 0 then begin
-      let open_sp = record_enter name attrs in
-      Fun.protect ~finally:(fun () -> record_exit open_sp) f
-    end
-    else f ()
+    if k mod s.every = 0 then traced attrs name f else f ()
   end
 
 let all_spans () =
@@ -930,10 +768,9 @@ end
 (* Reset / scoping                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Clear every recorded span and metric value (registrations survive;
-   the flight-recorder ring is left alone — it is a post-mortem
-   artifact cleared explicitly via [Recorder.clear]).  Must only be
-   called while no instrumented parallel work is in flight. *)
+(* Clear every recorded span and metric value (registrations
+   survive).  Must only be called while no instrumented parallel work
+   is in flight. *)
 let reset () =
   Mutex.lock registry_mutex;
   let bufs = !registry in
@@ -1194,20 +1031,3 @@ module Ledger = struct
       budget_remaining = !budget_remaining;
     }
 end
-
-(* ------------------------------------------------------------------ *)
-(* Process hooks                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Flight-recorder dumps survive process death: the armed dump file is
-   rewritten from the final ring at exit, and an uncaught exception is
-   recorded as its own event before the default handler prints it.
-   Both are no-ops unless the recorder ran with a dump path armed. *)
-let () =
-  at_exit Recorder.flush;
-  Printexc.set_uncaught_exception_handler (fun exn bt ->
-      Recorder.note ~detail:[ ("exn", Json.Str (Printexc.to_string exn)) ]
-        "process.uncaught";
-      Recorder.trigger ();
-      Recorder.flush ();
-      Printexc.default_uncaught_exception_handler exn bt)

@@ -2,36 +2,33 @@
     (DESIGN.md §8 and §13).
 
     {b The overhead contract.}  Every instrumentation point —
-    [span], [sampled_span], and each [Metrics] update — starts with a
-    single load of one atomic flag and a conditional branch.  While the
-    relevant subsystem is disabled nothing else happens: no allocation,
-    no clock read, no atomic write.  [span] checks a derived flag that
-    is on when tracing {e or} the flight recorder is on; metric updates
-    and [sampled_span] check the tracing flag; [Recorder.note] checks
-    the recorder flag.  Levels add no work to instrumented code: the
-    exporters read them from their [Sampler] sources.  The flags are
-    write-once configuration ([MYCELIUM_TRACE] / [MYCELIUM_RECORDER]
-    at startup, or the corresponding enable functions before a run);
-    they are never flipped mid-phase.
+    [span], [sampled_span], [instant], and each [Metrics] update —
+    starts with a single load of the tracing flag and a conditional
+    branch.  While tracing is off nothing else happens: no allocation,
+    no clock read, no atomic write.  Levels add no work to instrumented
+    code: the exporters read them from their [Sampler] sources.  The
+    flag is write-once configuration ([MYCELIUM_TRACE] at startup, or
+    [enable] before a run); it is never flipped mid-phase.
 
-    {b Domain safety.}  Spans are recorded into a per-domain buffer
+    {b One event store.}  Spans are recorded into a per-domain buffer
     reached through [Domain.DLS]; recording takes no lock (a global
     registry mutex is touched once per domain, on its first span), so
-    instrumented code is safe inside [Pool] workers.  Metrics are
-    shared [Atomic] cells, the flight recorder is a lock-free ring.
-    Exporters ([write_chrome_trace], [metrics_table], the Prometheus
-    dump) read every domain's buffer and must only be called while no
-    instrumented parallel work is in flight.
+    instrumented code is safe inside [Pool] workers.  An event without
+    duration — an injected fault, a decryption fallback — is an
+    [instant]: a closed span of zero length in the same buffer, so a
+    trace shows it inside the span where it happened.  Metrics are
+    shared [Atomic] cells.  Exporters ([write_chrome_trace],
+    [metrics_table], the Prometheus dump) read every domain's buffer
+    and must only be called while no instrumented parallel work is in
+    flight.
 
     {b Determinism.}  Observability never draws from an [Rng.t] and
     never feeds back into computation: query results, DP noise and
-    degradation reports are byte-identical with tracing and the
-    recorder on or off.  Timestamps exist only in exported traces,
-    never in results. *)
+    degradation reports are byte-identical with tracing on or off.
+    Timestamps exist only in exported traces, never in results. *)
 
 (** Minimal JSON — the one encoder (and parser) in the tree; the bench
-    harness, the exporters, the flight recorder and the audit ledger
-    share it. *)
+    harness, the exporters and the audit ledger share it. *)
 module Json : sig
   type t =
     | Null
@@ -49,8 +46,7 @@ module Json : sig
 
   val parse : string -> (t, string) result
   (** Strict parser covering everything [to_string] emits; used by the
-      exporter round-trip tests and the ledger / flight-recorder
-      readers.  [\uXXXX] escapes decode to UTF-8; surrogate pairs
+      exporter round-trip tests and the ledger reader.  [\uXXXX] escapes decode to UTF-8; surrogate pairs
       combine into one code point, and lone or misordered surrogates
       are rejected.  Nesting deeper than a fixed bound is an [Error],
       not a stack overflow. *)
@@ -73,10 +69,9 @@ val with_enabled : (unit -> 'a) -> 'a
 (** Run with tracing forced on, restoring the previous state after. *)
 
 val reset : unit -> unit
-(** Clear all recorded spans and metric values (registrations survive;
-    the flight-recorder ring is kept — clear it with [Recorder.clear])
-    and restart the trace epoch.  Only call while no instrumented
-    parallel work is in flight. *)
+(** Clear all recorded spans (instants included) and metric values
+    (registrations survive) and restart the trace epoch.  Only call
+    while no instrumented parallel work is in flight. *)
 
 val now_s : unit -> float
 (** Seconds since the trace epoch (wall clock; diagnostic only — never
@@ -139,9 +134,17 @@ type span = {
 
 val span : ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f], recording a hierarchical span around it
-    when tracing is enabled and a [span.open]/[span.close] event pair
-    in the flight recorder when that is enabled.  Exceptions propagate;
-    the span is closed either way. *)
+    when tracing is enabled.  Exceptions propagate; the span is closed
+    either way. *)
+
+val instant : ?attrs:(string * Json.t) list -> string -> unit
+(** [instant name] records, when tracing is enabled, a closed span of
+    zero length on the calling domain's buffer at its current depth:
+    nested in the enclosing span, in call order among its siblings.
+    [Injector] marks each injected fault this way ([fault.drop],
+    [fault.retry], [fault.backoff], [fault.delay], [fault.substituted],
+    [fault.excluded_committee], [fault.forged_rejected],
+    [fault.aggregator_restart], [decrypt.fallback]). *)
 
 type sampler
 
@@ -150,7 +153,6 @@ val sampler : every:int -> sampler
     record one span per [every] calls instead of one per call. *)
 
 val sampled_span : sampler -> ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** Trace-only (hot-op spans never land in the flight recorder). *)
 
 (* lint: allow unused-export — test_obs reads the recorded spans back *)
 val all_spans : unit -> span list
@@ -211,66 +213,6 @@ module Sampler : sig
   (* lint: allow unused-export — test_obs reads the registered sources
      back *)
   val source_names : unit -> string list
-end
-
-(** {1 Flight recorder} *)
-
-(** A lock-free bounded ring of the last N structured events — span
-    open/close, fault injections, retry/backoff decisions, threshold-
-    decryption fallbacks — dumped to a self-contained JSON file when a
-    fault fires ([trigger], wired into [Injector]) and when the process
-    dies (at_exit / uncaught-exception handler).  Enable with
-    [MYCELIUM_RECORDER=1]; arm the dump file with
-    [MYCELIUM_RECORDER_DUMP=<path>] or [arm]. *)
-module Recorder : sig
-  type event = {
-    ev_seq : int;  (** global claim order *)
-    ev_ns : int;  (** nanoseconds since the trace epoch *)
-    ev_dom : int;  (** recording domain *)
-    ev_kind : string;
-    ev_detail : (string * Json.t) list;
-  }
-
-  val enable : ?capacity:int -> unit -> unit
-  (** Turn the recorder on; [capacity] (default 1024) resizes and
-      clears the ring first. *)
-
-  val disable : unit -> unit
-
-  (* lint: allow unused-export — test_obs reads the switch back *)
-  val recording : unit -> bool
-
-  (* lint: allow unused-export — test_obs reads the ring size back *)
-  val capacity : unit -> int
-
-  val clear : unit -> unit
-
-  val note : ?detail:(string * Json.t) list -> string -> unit
-  (** Record one event; a single flag load + branch while disabled. *)
-
-  val arm : string -> unit
-  (** Arm automatic dumps to the given path (resets the
-      first-fault-writes-immediately latch). *)
-
-  (* lint: allow unused-export — test_obs and test_faults disarm the
-     dump path they armed, so no exit-time rewrite outlives the test *)
-  val disarm : unit -> unit
-
-  val trigger : unit -> unit
-  (** Signal that a fault fired: the first trigger after [arm] writes
-      the dump immediately; later events are folded into the exit-time
-      rewrite. *)
-
-  val flush : unit -> unit
-  (** Rewrite the armed dump from the current ring if anything was
-      recorded since the last write. *)
-
-  (* lint: allow unused-export — test_obs reads the ring back *)
-  val events : unit -> event list
-  (** Ring contents, oldest first. *)
-
-  val recorded : unit -> int
-  (** Events ever noted (>= ring length). *)
 end
 
 (** {1 Audit ledger} *)

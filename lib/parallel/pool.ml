@@ -226,7 +226,6 @@ let current_domains () = resolve ()
 let sequential = { size = 1; state = None; workers = []; stats = make_stats 1 }
 let current = ref sequential
 let current_mutex = Mutex.create ()
-let exit_hook = ref false
 
 (* The live default pool's size, read when metrics are exported; it
    never forces the pool to be (re)built. *)
@@ -244,11 +243,7 @@ let default () =
     let want = resolve () in
     if not (Int.equal (!current).size want) then begin
       shutdown !current;
-      current := create ~domains:want;
-      if not !exit_hook then begin
-        exit_hook := true;
-        at_exit (fun () -> shutdown !current)
-      end
+      current := create ~domains:want
     end;
     let p = !current in
     Mutex.unlock current_mutex;

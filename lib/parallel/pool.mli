@@ -68,8 +68,9 @@ val init : t -> int -> (int -> 'a) -> 'a array
 val default : unit -> t
 (** The shared pool, (re)sized on demand to the resolved domain count:
     [domains - 1] spawned workers plus the submitting domain, or a
-    purely sequential pool that spawns nothing at one domain.  Worker
-    domains are joined automatically at process exit. *)
+    purely sequential pool that spawns nothing at one domain.  A
+    resize joins the old pool's workers; at process exit the idle
+    workers end with the process, with no exit hook. *)
 
 (* lint: allow unused-export — the determinism suites (test_crypto,
    test_faults, test_obs, test_parallel, test_serve) pin the pool size *)

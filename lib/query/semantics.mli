@@ -1,9 +1,11 @@
 (** Reference semantics for queries over a contact graph.
 
-    This is the ground truth that both engines share: the plaintext
-    baseline ([Mycelium_baseline]) evaluates it directly, and the HE
-    engine ([Mycelium_core]) must produce exactly the same histogram
-    (before noise). It mirrors the protocol's structure:
+    This is the ground truth the HE engine ([Mycelium_core]) must
+    reproduce exactly (before noise), and the plaintext evaluation
+    itself: [decode info (Array.map float_of_int (global_histogram info
+    g))] is a query's exact answer in the clear, which
+    [mycelium run --plaintext] prints and the §7 figure times as the
+    GraphX stand-in. It mirrors the protocol's structure:
 
     - the [neigh(k)] table has a row per BFS-reachable member of the
       origin's k-hop neighborhood plus the origin itself; the [edge]

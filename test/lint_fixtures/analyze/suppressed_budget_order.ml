@@ -1,13 +1,13 @@
-(* [Fire_budget_order.serve_entry_uncharged], silenced. *)
+(* [Fire_budget_order.serve_entry_uncharged], silenced: the same
+   pre-charge hash, under a suppression comment. *)
 
-module Bgv = Mycelium_bgv.Bgv
-module Params = Mycelium_bgv.Params
+module Sha256 = Mycelium_crypto.Sha256
 module Dp = Mycelium_dp.Dp
 
 let serve_entry_uncharged budget eps =
   (* lint: allow budget-order — fixture: deliberate pre-charge crypto,
      proves the suppression machinery silences analyzer rules *)
-  let ctx = Bgv.make_ctx Params.paper in
+  let digest = Sha256.digest_string "request" in
   match Dp.budget_charge budget eps with
-  | Ok () -> Some ctx
+  | Ok () -> Some digest
   | Error (`Exhausted _) -> None

@@ -59,7 +59,7 @@ let test_dp_release_fires () =
 
 let test_budget_order_fires () =
   let r = (Lazy.force result).A.report in
-  Alcotest.check sites "crypto before the charge, at the make_ctx"
+  Alcotest.check sites "a crypto kernel before the charge, at the hash"
     [ ("budget-order", 12) ]
     (site_list (only "fire_budget_order.ml" r.L.violations));
   checki "serve_entry_charged is silent" 1
@@ -397,8 +397,10 @@ let test_cli_suppressed_only () =
    renamed source or sink would drop out of dp-release without a
    sound, so every exact name must be a function the analyzer finds in
    the real lib/ build tree, and every prefix must match one. *)
+let lib_result = lazy (A.run ~roots:[ "../lib" ] ())
+
 let test_policy_names_resolve () =
-  let res = A.run ~roots:[ "../lib" ] () in
+  let res = Lazy.force lib_result in
   checkb "the lib build tree was read" true (res.A.functions <> []);
   let found = Hashtbl.create 1024 in
   List.iter (fun n -> Hashtbl.replace found n ()) res.A.functions;
@@ -412,6 +414,54 @@ let test_policy_names_resolve () =
       if not (List.exists (String.starts_with ~prefix) res.A.functions) then
         Alcotest.failf "Policy prefix %s matches no function in lib/" prefix)
     P.repo_prefixes
+
+(* budget-order counts a function as crypto/gather work when its calls
+   reach a kernel module ([Policy.crypto_kernels]).  Over the real
+   lib/ tree, every function the policy once listed by hand (by name,
+   or by the [Bgv.], mixnet and [Summation_tree.] prefixes) reaches
+   one, but [Contribution.of_bytes]: a bounds-checked wire decoder that
+   hashes and transforms nothing (its callers in the mixnet gather do
+   reach a kernel).  It and the O(1) accessors admission reads before
+   the charge are not crypto work. *)
+let test_crypto_work_reaches_kernels () =
+  let res = Lazy.force lib_result in
+  let crypto = Hashtbl.create 512 in
+  List.iter (fun n -> Hashtbl.replace crypto n ()) res.A.crypto_work;
+  List.iter
+    (fun name ->
+      if not (Hashtbl.mem crypto name) then Alcotest.failf "%s reaches no crypto kernel" name)
+    [
+      "Mycelium_core.Runtime.run_batch";
+      "Mycelium_core.Runtime.run_query";
+      "Mycelium_core.Runtime.run_query_ast";
+      "Mycelium_core.Committee.decrypt_and_release";
+      "Mycelium_core.Committee.decrypt_batch";
+      "Mycelium_core.Committee.genesis";
+      "Mycelium_core.Committee.rotate";
+      "Mycelium_core.Contribution.build";
+      "Mycelium_core.Contribution.build_malicious";
+      "Mycelium_core.Contribution.verify";
+      "Mycelium_core.Contribution.aggregate_subtree";
+      "Mycelium_core.Contribution.aggregate_origin";
+      "Mycelium_bgv.Bgv.encrypt";
+      "Mycelium_bgv.Bgv.mul";
+      "Mycelium_bgv.Bgv.relinearize";
+      "Mycelium_mixnet.Sim.run_query_round";
+      "Mycelium_core.Summation_tree.build";
+    ];
+  List.iter
+    (fun name ->
+      checkb (name ^ " is a function of lib/") true (List.mem name res.A.functions);
+      if Hashtbl.mem crypto name then Alcotest.failf "%s counts as crypto work" name)
+    [
+      "Mycelium_bgv.Bgv.degree";
+      "Mycelium_bgv.Bgv.params";
+      "Mycelium_bgv.Bgv.plain_modulus";
+      "Mycelium_bgv.Bgv.relin_max_degree";
+      "Mycelium_core.Contribution.wire_size";
+      "Mycelium_core.Contribution.sequence_length";
+      "Mycelium_core.Contribution.of_bytes";
+    ]
 
 let () =
   Alcotest.run "mycelium-analyze"
@@ -455,5 +505,10 @@ let () =
           Alcotest.test_case "violations exit 1" `Quick test_cli_violations;
           Alcotest.test_case "suppressed only exits 0" `Quick test_cli_suppressed_only;
         ] );
-      ("policy", [ Alcotest.test_case "names resolve in lib" `Quick test_policy_names_resolve ]);
+      ( "policy",
+        [
+          Alcotest.test_case "names resolve in lib" `Quick test_policy_names_resolve;
+          Alcotest.test_case "crypto work reaches a kernel" `Quick
+            test_crypto_work_reaches_kernels;
+        ] );
     ]

@@ -542,13 +542,13 @@ let test_parallel_domains_identical () =
     [ 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder under chaos                                         *)
+(* Fault events in the trace                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Every injected fault notes an event and triggers the armed
-   recorder, so each fault class must leave a parseable post-mortem
-   dump carrying its own event kind. *)
-let flight_classes =
+(* Every injected fault is an [Obs.instant], so each fault class must
+   leave its own kind in a traced chaos run: a zero-length span, in
+   injection order, that the Chrome export names too. *)
+let fault_classes =
   [
     ("drop", Fault_plan.make ~drop_rate:0.5 ~seed:chaos_seed (), "fault.drop");
     ("delay", Fault_plan.make ~delay_rate:0.5 ~seed:chaos_seed (), "fault.delay");
@@ -562,66 +562,123 @@ let flight_classes =
       "fault.aggregator_restart" );
   ]
 
-let test_chaos_flight_dumps () =
-  List.iter
-    (fun (name, plan, kind) ->
-      let path = Filename.temp_file "chaos_flight" ".json" in
-      Sys.remove path;
-      Obs.Recorder.enable ~capacity:4096 ();
-      Obs.Recorder.arm path;
-      let _sys, (_ : Runtime.query_result) = run_chaos plan in
-      Obs.Recorder.flush ();
-      Obs.Recorder.disarm ();
-      Obs.Recorder.disable ();
-      Obs.Recorder.clear ();
-      checkb (name ^ ": dump produced") true (Sys.file_exists path);
+let fault_kinds =
+  [
+    "fault.drop"; "fault.retry"; "fault.backoff"; "fault.delay"; "fault.substituted";
+    "fault.excluded_committee"; "fault.forged_rejected"; "fault.aggregator_restart";
+    "decrypt.fallback";
+  ]
+
+let is_fault (s : Obs.span) = List.mem s.Obs.sp_name fault_kinds
+
+(* A chaos run with tracing on: its report, its spans and its Chrome
+   export, re-parsed. *)
+let traced_chaos plan =
+  Obs.with_enabled (fun () ->
+      Obs.reset ();
+      let _sys, r = run_chaos plan in
+      let spans = Obs.all_spans () in
+      let path = Filename.temp_file "chaos_trace" ".json" in
+      Obs.write_chrome_trace path;
       let ic = open_in_bin path in
       let s = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Sys.remove path;
+      Obs.reset ();
       match Json.parse s with
-      | Error e -> Alcotest.failf "%s: dump does not re-parse: %s" name e
-      | Ok doc ->
-        checkb (name ^ ": flight schema") true
-          (Json.member "schema" doc = Some (Json.Str "mycelium-flight/1"));
-        let kinds =
-          match Json.member "events" doc with
-          | Some (Json.List evs) ->
-            List.filter_map
-              (fun e ->
-                match Json.member "kind" e with Some (Json.Str k) -> Some k | _ -> None)
-              evs
-          | _ -> Alcotest.failf "%s: dump has no events array" name
-        in
-        checkb (name ^ ": dump carries " ^ kind) true (List.mem kind kinds))
-    flight_classes
+      | Error e -> Alcotest.failf "the Chrome export does not re-parse: %s" e
+      | Ok doc -> (r.Runtime.degradation, spans, doc))
 
-let test_recorder_identical_releases () =
-  (* The recorder rides the same contract as tracing: enabling it must
-     not move a single released byte, at any domain count. *)
+let test_chaos_faults_traced () =
+  List.iter
+    (fun (name, plan, kind) ->
+      let rep, spans, doc = traced_chaos plan in
+      let faults = List.filter is_fault spans in
+      let count k = List.length (List.filter (fun s -> s.Obs.sp_name = k) faults) in
+      checkb (name ^ ": the trace carries " ^ kind) true (count kind > 0);
+      List.iter
+        (fun s ->
+          checkb (name ^ ": a fault is a closed zero-length span") true
+            (Float.equal s.Obs.sp_start s.Obs.sp_end);
+          if s.Obs.sp_depth > 0 then
+            checkb (name ^ ": a nested fault sits inside its enclosing span") true
+              (List.exists
+                 (fun p ->
+                   p.Obs.sp_dom = s.Obs.sp_dom
+                   && p.Obs.sp_depth = s.Obs.sp_depth - 1
+                   && p.Obs.sp_start <= s.Obs.sp_start
+                   && s.Obs.sp_end <= p.Obs.sp_end)
+                 spans))
+        faults;
+      (* The runtime notes faults on the calling domain, one after the
+         other: the trace lists them in the order they were injected. *)
+      let rec injection_order = function
+        | a :: (b :: _ as rest) ->
+          a.Obs.sp_dom = b.Obs.sp_dom && a.Obs.sp_seq < b.Obs.sp_seq && injection_order rest
+        | _ -> true
+      in
+      checkb (name ^ ": faults in injection order") true (injection_order faults);
+      (* One instant per fault the report counts. *)
+      checki (name ^ ": one fault.drop per dropped message") rep.Injector.dropped_messages
+        (count "fault.drop");
+      checki (name ^ ": one fault.retry per retry") rep.Injector.channel_retries
+        (count "fault.retry");
+      checki (name ^ ": one fault.delay per delayed message") rep.Injector.delayed_messages
+        (count "fault.delay");
+      checki (name ^ ": one fault.substituted per substitution")
+        rep.Injector.substituted_contributions (count "fault.substituted");
+      checki (name ^ ": one fault.forged_rejected per rejection") rep.Injector.forged_rejected
+        (count "fault.forged_rejected");
+      checki (name ^ ": one fault.aggregator_restart per restart")
+        rep.Injector.aggregator_restarts (count "fault.aggregator_restart");
+      (* The export holds the same faults in the same order. *)
+      let exported =
+        match Json.member "traceEvents" doc with
+        | Some (Json.List evs) ->
+          List.filter_map
+            (fun e ->
+              match Json.member "name" e with
+              | Some (Json.Str n) when List.mem n fault_kinds -> Some n
+              | _ -> None)
+            evs
+        | _ -> Alcotest.failf "%s: the export has no traceEvents array" name
+      in
+      checkb (name ^ ": the export names " ^ kind) true (List.mem kind exported);
+      checkb (name ^ ": the export lists the faults in order") true
+        (exported = List.map (fun s -> s.Obs.sp_name) faults))
+    fault_classes
+
+let test_tracing_identical_releases () =
+  (* Recording faults in the trace must not move a single released
+     byte, at any domain count. *)
   let plan =
     Fault_plan.make ~drop_rate:0.2 ~churn_rate:0.1 ~forge_rate:0.1
       ~crashed_committee:[ 2 ] ~aggregator_restarts:1 ~seed:chaos_seed ()
   in
-  let run ~recorder domains =
+  let run ~trace domains =
     Pool.with_domains domains (fun () ->
-        if recorder then Obs.Recorder.enable ~capacity:4096 ();
-        let _sys, r = run_chaos plan in
-        if recorder then begin
-          checkb "chaos run recorded events" true (Obs.Recorder.recorded () > 0);
-          Obs.Recorder.disable ();
-          Obs.Recorder.clear ()
-        end;
-        (r.Runtime.noisy_bins, r.Runtime.degradation))
+        let release () =
+          let _sys, r = run_chaos plan in
+          (r.Runtime.noisy_bins, r.Runtime.degradation)
+        in
+        if not trace then release ()
+        else
+          Obs.with_enabled (fun () ->
+              Obs.reset ();
+              let out = release () in
+              checkb "the traced chaos run recorded faults" true
+                (List.exists is_fault (Obs.all_spans ()));
+              Obs.reset ();
+              out))
   in
-  let bins1, rep1 = run ~recorder:false 1 in
+  let bins1, rep1 = run ~trace:false 1 in
   List.iter
     (fun d ->
-      let off_bins, off_rep = run ~recorder:false d in
-      let on_bins, on_rep = run ~recorder:true d in
-      checkb (Printf.sprintf "recorder off: identical at %d domains" d) true
+      let off_bins, off_rep = run ~trace:false d in
+      let on_bins, on_rep = run ~trace:true d in
+      checkb (Printf.sprintf "tracing off: identical at %d domains" d) true
         (off_bins = bins1 && Injector.report_equal off_rep rep1);
-      checkb (Printf.sprintf "recorder on: identical at %d domains" d) true
+      checkb (Printf.sprintf "tracing on: identical at %d domains" d) true
         (on_bins = bins1 && Injector.report_equal on_rep rep1))
     [ 1; 2; 8 ]
 
@@ -678,10 +735,10 @@ let () =
             test_mixnet_arena_domains_identical;
           Alcotest.test_case "no faults, empty report" `Quick test_no_faults_empty_report;
         ] );
-      ( "flight-recorder",
+      ( "tracing",
         [
-          Alcotest.test_case "dump per fault class" `Quick test_chaos_flight_dumps;
-          Alcotest.test_case "recorder on/off identical releases" `Quick
-            test_recorder_identical_releases;
+          Alcotest.test_case "faults traced per fault class" `Quick test_chaos_faults_traced;
+          Alcotest.test_case "tracing on/off identical releases" `Quick
+            test_tracing_identical_releases;
         ] );
     ]

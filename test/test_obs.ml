@@ -1,6 +1,7 @@
-(* Observability suite (DESIGN.md §8): span recording under the domain
-   pool, histogram bucket math, exporter round-trips through the shared
-   JSON codec, and the acceptance contract — query results, DP noise
+(* Observability suite (DESIGN.md §8): span and instant recording under
+   the domain pool, histogram bucket math, exporter round-trips through
+   the shared JSON codec, the trace the built CLI leaves on a refused
+   query, and the acceptance contract — query results, DP noise
    and degradation reports are byte-identical with tracing off or on,
    at any domain count.
 
@@ -394,70 +395,63 @@ let test_prometheus_export () =
       checkb "histogram count" true (has "mycelium_test_prom_hist_count 3"))
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder                                                     *)
+(* Instants                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_recorder_ring () =
-  Obs.Recorder.enable ~capacity:8 ();
-  checkb "recording" true (Obs.Recorder.recording ());
-  checki "capacity applied" 8 (Obs.Recorder.capacity ());
-  for i = 1 to 20 do
-    Obs.Recorder.note ~detail:[ ("i", Json.Int i) ] "test.ev"
-  done;
-  checki "recorded counts every note" 20 (Obs.Recorder.recorded ());
-  let evs = Obs.Recorder.events () in
-  checki "ring keeps the last capacity events" 8 (List.length evs);
-  let seqs = List.map (fun (e : Obs.Recorder.event) -> e.Obs.Recorder.ev_seq) evs in
-  checkb "oldest-first, the final window" true (seqs = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  (* The dump a trigger writes round-trips through the hardened
-     parser. *)
-  let path = Filename.temp_file "obs_ring" ".json" in
-  Obs.Recorder.arm path;
-  Obs.Recorder.trigger ();
-  Obs.Recorder.disarm ();
-  (match Json.parse (read_and_remove path) with
-  | Error e -> Alcotest.failf "dump does not re-parse: %s" e
-  | Ok doc ->
-    checkb "schema" true (Json.member "schema" doc = Some (Json.Str "mycelium-flight/1"));
-    checkb "dropped = recorded - window" true (Json.member "dropped" doc = Some (Json.Int 12)));
-  (* Disabled note is a no-op. *)
-  Obs.Recorder.disable ();
-  Obs.Recorder.note "test.ghost";
-  checki "disabled note records nothing" 20 (Obs.Recorder.recorded ());
-  Obs.Recorder.clear ()
+let test_instant () =
+  Obs.with_enabled (fun () ->
+      Obs.reset ();
+      Obs.span "outer" (fun () -> Obs.instant ~attrs:[ ("round", Json.Int 3) ] "test.instant");
+      match Obs.all_spans () with
+      | [ outer; inst ] ->
+        checkb "the enclosing span sorts first" true (outer.Obs.sp_name = "outer");
+        checkb "the instant is named" true (inst.Obs.sp_name = "test.instant");
+        checkb "closed at zero length" true (Float.equal inst.Obs.sp_start inst.Obs.sp_end);
+        checkb "attributes kept" true (inst.Obs.sp_attrs = [ ("round", Json.Int 3) ]);
+        checki "one level below the enclosing span" (outer.Obs.sp_depth + 1) inst.Obs.sp_depth;
+        checkb "inside the enclosing span, on its domain" true
+          (inst.Obs.sp_dom = outer.Obs.sp_dom
+          && outer.Obs.sp_start <= inst.Obs.sp_start
+          && inst.Obs.sp_end <= outer.Obs.sp_end)
+      | spans -> Alcotest.failf "expected a span and one instant, got %d spans" (List.length spans));
+  Obs.disable ();
+  let before = Obs.span_count () in
+  Obs.instant "test.ghost";
+  checki "a disabled instant records nothing" before (Obs.span_count ())
 
-let test_recorder_autodump () =
-  let path = Filename.temp_file "obs_flight" ".json" in
+(* ------------------------------------------------------------------ *)
+(* The CLI's trace                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [mycelium run --trace F] writes F whatever the query's outcome: Q1
+   at the CLI's defaults (d = 4 on test_small) is refused as
+   infeasible, exits 1, and leaves a trace of the runtime's bring-up.
+   An F that cannot be written is reported, and the run still exits 1
+   rather than dying on the write. *)
+let test_cli_trace_on_refusal () =
+  let run_q1 path =
+    Sys.command
+      (Filename.quote_command "../bin/mycelium_cli.exe" ~stdout:Filename.null
+         ~stderr:Filename.null [ "run"; "--trace"; path; "Q1" ])
+  in
+  let path = Filename.temp_file "cli_trace" ".json" in
+  (* a regular file cannot be a directory of the path *)
+  checki "an unwritable trace exits 1" 1 (run_q1 (Filename.concat path "trace.json"));
   Sys.remove path;
-  Obs.Recorder.enable ~capacity:16 ();
-  Obs.Recorder.arm path;
-  checkb "no dump before any trigger" false (Sys.file_exists path);
-  Obs.Recorder.note ~detail:[ ("round", Json.Int 1) ] "fault.drop";
-  Obs.Recorder.trigger ();
-  checkb "first trigger writes immediately" true (Sys.file_exists path);
-  (* Later events fold into the exit-time rewrite via flush. *)
-  Obs.Recorder.note "fault.retry";
-  Obs.Recorder.flush ();
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  Obs.Recorder.disarm ();
-  Obs.Recorder.disable ();
-  Obs.Recorder.clear ();
-  match Json.parse s with
-  | Error e -> Alcotest.failf "auto-dump does not re-parse: %s" e
+  checki "the refused query exits 1" 1 (run_q1 path);
+  checkb "the trace was written" true (Sys.file_exists path);
+  match Json.parse (read_and_remove path) with
+  | Error e -> Alcotest.failf "the trace does not parse: %s" e
   | Ok doc ->
-    let kinds =
-      match Json.member "events" doc with
+    let names =
+      match Json.member "traceEvents" doc with
       | Some (Json.List evs) ->
         List.filter_map
-          (fun e -> match Json.member "kind" e with Some (Json.Str k) -> Some k | _ -> None)
+          (fun e -> match Json.member "name" e with Some (Json.Str n) -> Some n | _ -> None)
           evs
-      | _ -> Alcotest.fail "dump has no events array"
+      | _ -> Alcotest.fail "the trace has no traceEvents array"
     in
-    checkb "dump holds the fault event" true (List.mem "fault.drop" kinds);
-    checkb "flush folded the later event in" true (List.mem "fault.retry" kinds)
+    checkb "the trace holds runtime.init" true (List.mem "runtime.init" names)
 
 (* ------------------------------------------------------------------ *)
 (* Span recording under the pool                                       *)
@@ -829,11 +823,10 @@ let () =
             test_dropped_source_owner_collected;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_export;
         ] );
-      ( "recorder",
-        [
-          Alcotest.test_case "bounded ring and dump" `Quick test_recorder_ring;
-          Alcotest.test_case "armed auto-dump" `Quick test_recorder_autodump;
-        ] );
+      ( "instants",
+        [ Alcotest.test_case "a closed zero-length span, nested" `Quick test_instant ] );
+      ( "cli",
+        [ Alcotest.test_case "run --trace writes on refusal" `Quick test_cli_trace_on_refusal ] );
       ( "spans",
         [
           Alcotest.test_case "nesting and order at 8 domains" `Quick test_span_nesting;

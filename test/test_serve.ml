@@ -1,15 +1,16 @@
 (* Serving-layer suite (DESIGN.md §14): the admission accountant under
    concurrent submitters, the encrypted-aggregate cache's hit ≡ miss
    byte-identity, and the acceptance cell of the batching design —
-   a workload released through batch-8 serving is byte-identical, per
-   member, to the same workload released one query at a time, with
-   faults injected, at 1/2/8 domains, tracing on or off. *)
+   a workload released through batch-3 serving at 8 domains with
+   tracing on is byte-identical, per member, to the same workload
+   released one query at a time, with faults injected. *)
 
 module Rng = Mycelium_util.Rng
 module Dp = Mycelium_dp.Dp
 module Cg = Mycelium_graph.Contact_graph
 module Epidemic = Mycelium_graph.Epidemic
 module Corpus = Mycelium_query.Corpus
+module Analysis = Mycelium_query.Analysis
 module Params = Mycelium_bgv.Params
 module Runtime = Mycelium_core.Runtime
 module Sim = Mycelium_mixnet.Sim
@@ -230,12 +231,18 @@ let test_user_budget_gates_admission () =
 (* An aggregate the relinearization key cannot reduce is refused at
    admission, before any charge, through both entry points: Q1 at
    d = 3 multiplies d^2 + 1 = 10 rows, test_wide's noise model admits
-   that many multiplications, and the default key (d + 3 = 6) would
-   raise at the aggregator after the charge. *)
+   that many multiplications, and a key of degree 6 would raise at the
+   aggregator after the charge.  (The default key reaches degree 10
+   here and admits Q1, so the key is set explicitly.) *)
 let test_aggregate_beyond_relin_key_refused () =
   let rt =
     Runtime.init
-      { Runtime.default_config with Runtime.params = Testkit.test_wide; degree_bound = 3 }
+      {
+        Runtime.default_config with
+        Runtime.params = Testkit.test_wide;
+        degree_bound = 3;
+        relin_degree = Some 6;
+      }
       (small_graph ~n:12 ~d:3 ())
   in
   let q1 = Corpus.find "Q1" in
@@ -264,6 +271,36 @@ let test_aggregate_beyond_relin_key_refused () =
   | Serve.Queued _, _ -> Alcotest.fail "Serve.submit queued Q1 at d = 3");
   checkb "user uncharged" true (Accountant.spent (Serve.accountant srv) ~user:"alice" = 0.);
   checki "nothing pending" 0 (Serve.pending_count srv)
+
+(* The default key reaches every aggregate admission lets through: at
+   each parameter set and degree bound below, no corpus query that the
+   noise model admits is refused for the key's sake (past
+   [Analysis.feasible], [Infeasible] is the key's refusal). *)
+let test_default_relin_key_admits_feasible () =
+  List.iter
+    (fun (params, pname, d) ->
+      let rt =
+        Runtime.init
+          { Runtime.default_config with Runtime.params; degree_bound = d }
+          (small_graph ~n:12 ~d ())
+      in
+      List.iter
+        (fun (c : Corpus.entry) ->
+          match Analysis.analyze ~degree_bound:d c.Corpus.query with
+          | Error _ -> ()
+          | Ok info -> (
+            match (Analysis.feasible info params, Runtime.validate_query rt c.Corpus.query) with
+            | Ok (), Error (Runtime.Infeasible m) ->
+              Alcotest.failf "%s at %s, d = %d: refused (%s)" c.Corpus.id pname d m
+            | Ok (), (Ok _ | Error _) | Error _, _ -> ()))
+        Corpus.all)
+    [
+      (Params.test_small, "test_small", 2);
+      (Params.test_small, "test_small", 3);
+      (Params.test_small, "test_small", 4);
+      (Params.test_medium, "test_medium", 2);
+      (Params.test_medium, "test_medium", 6);
+    ]
 
 (* The NaN probe through [Serve.submit]: an epsilon that is not finite
    and positive (or infinity) is a typed rejection before any charge,
@@ -396,32 +433,55 @@ let test_cache_eviction_deterministic () =
 (* Batched ≡ sequential acceptance cell                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole's correctness bar: the full faulted workload, released
-   through batch-8 serving (one shared mixnet round, one shared
-   decryption session, warm cache) is byte-identical per member to the
-   one-at-a-time release — at 1, 2 and 8 domains, tracing on or off. *)
+(* The batching design's correctness bar: the full faulted workload
+   released one query at a time, and released again through serving
+   that changes everything batching can change at once — batch 3 at 8
+   domains, tracing on — is byte-identical per member.  Batch 3 splits
+   the six members into two chunks with committee rotations between
+   them: the first chunk defers its duplicate Q5 to a second pass, and
+   the second chunk hits the cache the first one filled.  Tracing
+   records every injected fault, so the traced run is the one that
+   could move a byte. *)
 let test_batched_equals_sequential () =
-  let run ?(trace = false) ~batch_size ~domains () =
-    Pool.with_domains domains (fun () ->
-        let _, _, rs = run_workload ~trace ~batch_size ~cache_capacity:64 () in
+  let sequential =
+    Pool.with_domains 1 (fun () ->
+        let _, _, rs = run_workload ~batch_size:1 ~cache_capacity:64 () in
         List.map released rs)
   in
-  let sequential = run ~batch_size:1 ~domains:1 () in
   checki "sequential run released everything" 6 (List.length sequential);
-  let batched = run ~batch_size:8 ~domains:1 () in
-  checkb "batch-8 ≡ batch-1, per member" true (batched = sequential);
-  List.iter
-    (fun domains ->
-      checkb
-        (Printf.sprintf "batch-8 at %d domains ≡ sequential" domains)
-        true
-        (run ~batch_size:8 ~domains () = sequential))
-    [ 2; 8 ];
-  checkb "tracing does not move released bytes" true
-    (run ~trace:true ~batch_size:8 ~domains:1 () = sequential);
-  (* An intermediate batch size chunks the same members differently
-     but releases the same bytes. *)
-  checkb "batch-3 ≡ sequential" true (run ~batch_size:3 ~domains:1 () = sequential)
+  let batched, faults_traced =
+    Pool.with_domains 8 (fun () ->
+        Obs.with_enabled (fun () ->
+            Obs.reset ();
+            let _, _, rs = run_workload ~trace:true ~batch_size:3 ~cache_capacity:64 () in
+            let faults =
+              List.exists
+                (fun sp -> String.starts_with ~prefix:"fault." sp.Obs.sp_name)
+                (Obs.all_spans ())
+            in
+            Obs.reset ();
+            (rs, faults)))
+  in
+  checkb "the traced run recorded its faults" true faults_traced;
+  checkb "batch 3 at 8 domains, traced ≡ sequential, per member" true
+    (List.map released batched = sequential);
+  checkb "cache hits: the deferred duplicate and the second chunk's repeats" true
+    (List.map (fun r -> r.Serve.cache_hit) batched = [ false; false; true; false; true; true ]);
+  let generations =
+    List.map
+      (fun r ->
+        match r.Serve.outcome with
+        | Ok qr -> qr.Runtime.committee_generation
+        | Error _ -> Alcotest.failf "member %d errored" r.Serve.seq)
+      batched
+  in
+  match generations with
+  | [ g0; g1; g2; g3; g4; g5 ] ->
+    checkb "the first chunk's first pass shares one session" true (g0 = g1);
+    checkb "its duplicate decrypts after a rotation" true (g2 > g1);
+    checkb "the second chunk shares one session after another rotation" true
+      (g3 > g2 && g3 = g4 && g4 = g5)
+  | _ -> Alcotest.fail "six members expected"
 
 (* One execution path: [Runtime.run_query] is a batch of one, so a
    single query through the faulted mixnet is released exactly like
@@ -568,6 +628,8 @@ let () =
           Alcotest.test_case "invalid epsilon rejected" `Quick test_invalid_epsilon_rejected;
           Alcotest.test_case "aggregate beyond the relin key refused" `Quick
             test_aggregate_beyond_relin_key_refused;
+          Alcotest.test_case "default relin key admits every feasible shape" `Quick
+            test_default_relin_key_admits_feasible;
         ] );
       ( "cache",
         [
@@ -580,7 +642,7 @@ let () =
         ] );
       ( "batching",
         [
-          Alcotest.test_case "batched ≡ sequential, faults on, 1/2/8 domains" `Quick
+          Alcotest.test_case "batched ≡ sequential, faults on, traced at 8 domains" `Quick
             test_batched_equals_sequential;
           Alcotest.test_case "single query ≡ served member, faulted mixnet" `Quick
             test_single_query_equals_served_member;

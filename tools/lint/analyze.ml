@@ -45,6 +45,8 @@ type result = {
   report : Lint.report;
   stats : stats;
   functions : string list;  (** canonical names of every summarized binding, sorted *)
+  crypto_work : string list;
+      (** the summarized bindings whose calls reach a crypto kernel, sorted *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -419,9 +421,10 @@ let check_epsilon_flow (f : gf) sites acc =
     acc sites
 
 (* budget-order: on serve entry paths, no call transitively reaching
-   crypto/gather work may precede the first call transitively reaching
-   an accountant charge.  Sites reaching both count as charging;
-   reachability does not traverse [Policy.assume_charged]. *)
+   crypto/gather work (a call into a [Policy.crypto_kernels] module)
+   may precede the first call transitively reaching an accountant
+   charge.  Sites reaching both count as charging; reachability does
+   not traverse [Policy.assume_charged]. *)
 let reach_sets (table : (string * site list) list) =
   let is_charge n =
     match Policy.classify n with Some (Policy.Charge _) -> true | _ -> false
@@ -450,8 +453,7 @@ let reach_sets (table : (string * site list) list) =
   in
   (reaches is_charge, reaches Policy.is_crypto, is_charge)
 
-let check_budget_order funs (by_name : (string * site list) list) acc =
-  let charge_set, crypto_set, is_charge = reach_sets by_name in
+let check_budget_order funs (charge_set, crypto_set, is_charge) by_name acc =
   let site_reaches set pred s =
     (not (Policy.is_assume_charged s.s_fn)) && (pred s.s_fn || Hashtbl.mem set s.s_fn)
   in
@@ -621,13 +623,14 @@ let run ?(source_root = ".") ?(callers = []) ~roots () : result =
   let ctx_rounds = ctx_fixpoint funs with_sites in
   (* checks *)
   let by_name = List.map (fun (f, s) -> (f.g_name, s)) with_sites in
+  let ((_, crypto_set, _) as reach) = reach_sets by_name in
   let raw = ref [] in
   List.iter
     (fun (f, sites) ->
       raw := check_dp_release f sites !raw;
       raw := check_epsilon_flow f sites !raw)
     with_sites;
-  raw := check_budget_order funs by_name !raw;
+  raw := check_budget_order funs reach by_name !raw;
   List.iter
     (fun (ms : Taint.msummary) ->
       List.iter
@@ -681,6 +684,11 @@ let run ?(source_root = ".") ?(callers = []) ~roots () : result =
         sa_ctx_rounds = ctx_rounds;
       };
     functions = List.sort String.compare (List.map (fun f -> f.g_name) order);
+    crypto_work =
+      List.sort String.compare
+        (List.filter_map
+           (fun f -> if Hashtbl.mem crypto_set f.g_name then Some f.g_name else None)
+           order);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -218,39 +218,15 @@ let is_serve_entry name =
   in
   String.starts_with ~prefix:serve_entry_prefix base
 
-(* The expensive work a charge must precede. *)
-let crypto_names =
-  [
-    "Mycelium_core.Runtime.run_batch";
-    "Mycelium_core.Runtime.run_query";
-    "Mycelium_core.Runtime.run_query_ast";
-    "Mycelium_core.Committee.decrypt_and_release";
-    "Mycelium_core.Committee.decrypt_batch";
-    "Mycelium_core.Committee.genesis";
-    "Mycelium_core.Committee.rotate";
-  ]
+(* The expensive work a charge must precede is the work that runs on
+   the kernels: the ring arithmetic and the symmetric crypto.  Any
+   function whose calls reach one of these is crypto/gather work
+   ([Analyze.reach_sets] closes over the call graph), so an O(1)
+   accessor of a BGV key or a query's layout is not, whatever module
+   it lives in. *)
+let crypto_kernels = [ "Mycelium_math.Mont_backend."; "Mycelium_crypto." ]
 
-(* Contribution is deliberately NOT a whole-module prefix: it mixes
-   the expensive per-row ciphertext work (below) with pure query-shape
-   accessors ([sequence_length], [wire_size]) that admission-time
-   validation legitimately calls before any charge. *)
-let crypto_prefixes =
-  [ "Mycelium_bgv.Bgv."; "Mycelium_mixnet."; "Mycelium_core.Summation_tree." ]
-
-let crypto_contribution =
-  [
-    "Mycelium_core.Contribution.build";
-    "Mycelium_core.Contribution.build_malicious";
-    "Mycelium_core.Contribution.verify";
-    "Mycelium_core.Contribution.aggregate_subtree";
-    "Mycelium_core.Contribution.aggregate_origin";
-    "Mycelium_core.Contribution.of_bytes";
-  ]
-
-let is_crypto name =
-  List.mem name crypto_names
-  || List.mem name crypto_contribution
-  || List.exists (fun p -> String.starts_with ~prefix:p name) crypto_prefixes
+let is_crypto name = List.exists (fun p -> String.starts_with ~prefix:p name) crypto_kernels
 
 (* Paths whose members were already charged at their own admission:
    [Serve.drain]/[run_chunk] flush queries that each paid
@@ -335,8 +311,7 @@ let repo_names =
   List.filter
     (String.starts_with ~prefix:"Mycelium_")
     (List.map fst sources @ List.map fst sanitizers @ List.map fst sinks
-   @ List.map fst charges @ neutrals @ serve_entries @ crypto_names
-   @ crypto_contribution @ assume_charged @ pool_entries)
+   @ List.map fst charges @ neutrals @ serve_entries @ assume_charged @ pool_entries)
 
 let repo_prefixes =
-  List.filter (String.starts_with ~prefix:"Mycelium_") (neutral_prefixes @ crypto_prefixes)
+  List.filter (String.starts_with ~prefix:"Mycelium_") (neutral_prefixes @ crypto_kernels)
