@@ -46,14 +46,27 @@ let print_result = function
     Array.iter (fun (label, v) -> Printf.printf "%-16s %.3f\n" label v) groups
 
 (* [Runtime.init] refuses a configuration it cannot bring up (a
-   population smaller than the committee) before any key is generated;
-   the command prints why and exits 1. *)
+   population smaller than the committee) before any key is generated,
+   and fails on a ledger path it cannot open; the command prints why
+   and exits 1. *)
 let init_runtime cfg graph =
   match Runtime.init cfg graph with
   | sys -> sys
   | exception Invalid_argument m ->
     Printf.eprintf "%s\n" m;
     exit 1
+  | exception Sys_error m ->
+    Printf.eprintf "ledger not opened: %s\n" m;
+    exit 1
+
+(* Write an export to its path, or say on stderr why it could not be
+   written (the message names the path); false when it was not. *)
+let export what write path =
+  match write path with
+  | () -> true
+  | exception Sys_error m ->
+    Printf.eprintf "%s not written: %s\n" what m;
+    false
 
 (* --- analyze ------------------------------------------------------- *)
 
@@ -160,12 +173,12 @@ let run_cmd =
           0)
     end
     else begin
+      if trace_file <> None || metrics || prometheus_file <> None then Obs.enable ();
       let sys =
         init_runtime
           { Runtime.default_config with
             Runtime.params = Params.test_small;
             degree_bound = degree;
-            trace = trace_file <> None || metrics || prometheus_file <> None;
             ledger = ledger_file
           }
           graph
@@ -178,11 +191,9 @@ let run_cmd =
       let write_trace () =
         Option.iter
           (fun path ->
-            match Obs.write_chrome_trace path with
-            | () -> Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
-            | exception Sys_error m ->
-              Printf.eprintf "trace not written: %s\n" m;
-              trace_lost := true)
+            if export "trace" Obs.write_chrome_trace path then
+              Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
+            else trace_lost := true)
           trace_file
       in
       let code =
@@ -203,18 +214,18 @@ let run_cmd =
               Printf.eprintf "invalid epsilon %g (must be finite and positive)\n" e; 1
             | Error (Runtime.Pipeline_error m) -> Printf.eprintf "pipeline error: %s\n" m; 1)
       in
+      let prometheus_lost = ref false in
       if code = 0 then begin
         if metrics then print_string (Obs.metrics_table ());
-        (match prometheus_file with
-        | Some path ->
-          Obs.write_prometheus path;
-          Printf.printf "(prometheus exposition written to %s)\n" path
-        | None -> ());
-        match ledger_file with
-        | Some path -> Printf.printf "(audit ledger appended to %s)\n" path
-        | None -> ()
+        Option.iter
+          (fun path ->
+            if export "prometheus exposition" Obs.write_prometheus path then
+              Printf.printf "(prometheus exposition written to %s)\n" path
+            else prometheus_lost := true)
+          prometheus_file;
+        Option.iter (Printf.printf "(audit ledger appended to %s)\n") ledger_file
       end;
-      if !trace_lost then 1 else code
+      if !trace_lost || !prometheus_lost then 1 else code
     end
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -317,7 +328,13 @@ let serve_cmd =
   let run workload population degree seed batch_size deadline cache_capacity user_budget
       no_budget trace_file metrics ledger_file =
     let lines =
-      let ic = open_in workload in
+      let ic =
+        match open_in workload with
+        | ic -> ic
+        | exception Sys_error m ->
+          Printf.eprintf "serve: %s\n" m;
+          exit 1
+      in
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
@@ -347,6 +364,7 @@ let serve_cmd =
         rng
     in
     let (_ : Epidemic.outcome) = Epidemic.run Epidemic.default_config rng graph in
+    if trace_file <> None || metrics then Obs.enable ();
     let sys =
       init_runtime
         { Runtime.default_config with
@@ -354,7 +372,6 @@ let serve_cmd =
           degree_bound = degree;
           seed = Int64.of_int seed;
           epsilon_budget = Float.max_float;
-          trace = trace_file <> None || metrics;
           ledger = ledger_file
         }
         graph
@@ -408,16 +425,16 @@ let serve_cmd =
         Printf.printf "(budget %-12s spent %.6g of %.6g)\n" user (Accountant.spent acct ~user)
           (Accountant.per_user_total acct))
       (Accountant.users acct);
-    (match trace_file with
-    | Some path ->
-      Obs.write_chrome_trace path;
-      Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
-    | None -> ());
+    let trace_lost = ref false in
+    Option.iter
+      (fun path ->
+        if export "trace" Obs.write_chrome_trace path then
+          Printf.printf "(trace: %d spans written to %s)\n" (Obs.span_count ()) path
+        else trace_lost := true)
+      trace_file;
     if metrics then print_string (Obs.metrics_table ());
-    (match ledger_file with
-    | Some path -> Printf.printf "(audit ledger appended to %s)\n" path
-    | None -> ());
-    0
+    Option.iter (Printf.printf "(audit ledger appended to %s)\n") ledger_file;
+    if !trace_lost then 1 else 0
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
@@ -434,7 +451,7 @@ let audit_cmd =
   let run file =
     match Obs.Ledger.read file with
     | Error e ->
-      Printf.eprintf "audit: %s: %s\n" file e;
+      Printf.eprintf "audit: %s\n" e;
       1
     | Ok records ->
       let s = Obs.Ledger.summarize records in
@@ -457,6 +474,12 @@ let audit_cmd =
               (if runs = 1 then " " else "s")
               eps)
           s.Obs.Ledger.by_name
+      end;
+      if s.Obs.Ledger.stage_s <> [] then begin
+        Printf.printf "seconds per stage:\n";
+        List.iter
+          (fun (stage, seconds) -> Printf.printf "  %-24s %12.6f\n" stage seconds)
+          s.Obs.Ledger.stage_s
       end;
       0
   in

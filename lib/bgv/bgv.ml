@@ -171,7 +171,7 @@ let mul a b =
   if not (Obs.enabled ()) then mul_impl a b
   else begin
     Obs.Metrics.incr m_ct_muls;
-    Obs.sampled_span ct_mul_sampler "bgv.mul"
+    Obs.sampled_span ct_mul_sampler Obs.Names.bgv_mul
       ~attrs:
         [ ("da", Obs.Json.Int (Array.length a.comps));
           ("db", Obs.Json.Int (Array.length b.comps)) ]

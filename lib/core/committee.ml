@@ -10,7 +10,6 @@ module Analysis = Mycelium_query.Analysis
 module Semantics = Mycelium_query.Semantics
 module Ast = Mycelium_query.Ast
 module Zkp = Mycelium_zkp.Zkp
-module Obs = Mycelium_obs.Obs
 
 type t = {
   ctx : Bgv.ctx;
@@ -134,14 +133,6 @@ type batch_member = {
    [b_noise_rng], never a shared stream — so released bytes cannot
    depend on who else shared the session. *)
 let decrypt_batch ?churn ?max_attempts ?excluded t rng ctx ~members =
-  Obs.span "committee.decrypt_batch"
-    ~attrs:
-      [
-        ("size", Obs.Json.Int t.size);
-        ("threshold", Obs.Json.Int t.thresh);
-        ("members", Obs.Json.Int (List.length members));
-      ]
-  @@ fun () ->
   match members with
   | [] -> invalid_arg "Committee.decrypt_batch: empty batch"
   | members ->

@@ -33,16 +33,10 @@ type config = {
   faults : Fault_plan.t option;
       (** deterministic fault plan injected into every query this
           runtime executes; [None] disables injection entirely *)
-  trace : bool;
-      (** enable the lib/obs tracing + metrics registry for this
-          process ([MYCELIUM_TRACE=1] also enables it). Never affects
-          results: spans and metrics observe the pipeline but do not
-          touch its Rng streams or data. *)
   ledger : string option;
-      (** append one audit record per query to this JSONL file
-          ([MYCELIUM_LEDGER=<path>] overrides; see DESIGN.md §13 for
-          the schema).  Like tracing, the ledger observes the pipeline
-          and never feeds back into results. *)
+      (** append one audit record per query to this JSONL file (see
+          DESIGN.md §13 for the schema).  Like tracing, the ledger
+          observes the pipeline and never feeds back into results. *)
 }
 
 let default_config =
@@ -58,7 +52,6 @@ let default_config =
     relin_degree = None;
     accounting = Dp.Basic;
     faults = None;
-    trace = false;
     ledger = None;
   }
 
@@ -115,8 +108,7 @@ let init cfg graph =
   if not (cfg.byzantine_fraction >= 0. && cfg.byzantine_fraction <= 1.) then
     invalid_arg
       (Printf.sprintf "Runtime.init: byzantine_fraction %g is outside [0, 1]" cfg.byzantine_fraction);
-  if cfg.trace then Obs.enable ();
-  Obs.span "runtime.init" @@ fun () ->
+  Obs.span Obs.Names.runtime_init @@ fun () ->
   (* Graphs loaded from external data may exceed d; the sensitivity
      analysis (§3.2) needs every vertex at degree <= d, so clip
      deterministically instead of running with broken sensitivity. *)
@@ -160,10 +152,7 @@ let init cfg graph =
     bulletin = Bulletin.create ();
     mixnet;
     mixnet_ready = false;
-    ledger =
-      (match Sys.getenv_opt "MYCELIUM_LEDGER" with
-      | Some p when not (String.equal p "") -> Some (Obs.Ledger.open_ p)
-      | Some _ | None -> Option.map Obs.Ledger.open_ cfg.ledger);
+    ledger = Option.map Obs.Ledger.open_ cfg.ledger;
     queries_run = 0;
   }
 
@@ -291,26 +280,54 @@ let gather_rows t ~qid inj info =
     built;
   (rows, !discarded, 0, 0)
 
-(* Wall-clock phase durations and the charge latch for the audit
-   ledger.  Diagnostic only: filled in as the pipeline runs, read once
-   when the ledger record is written, never fed back into results. *)
-type phase_times = {
-  mutable gather_s : float;
-  mutable aggregate_s : float;
-  mutable summation_s : float;
-  mutable decrypt_s : float;
+(* The stages a batch member runs after admission, in the order they
+   run.  Each is one span in the trace and one duration in the
+   member's ledger row, under the same name (DESIGN.md §8, §13). *)
+type stage =
+  | Gather  (* [gather_rows], or the batch's mixnet round *)
+  | Aggregate  (* per-origin aggregation on the pool *)
+  | Sumtree_build  (* [Summation_tree.build] and the bulletin post *)
+  | Sumtree_audit  (* the probe audit and the restart drill *)
+  | Relinearize  (* the deferred relinearization (§5) *)
+  | Decrypt  (* the batch's shared [Committee.decrypt_batch] session *)
+  | Rotate  (* the hand-off after a released batch *)
+
+let stages = [| Gather; Aggregate; Sumtree_build; Sumtree_audit; Relinearize; Decrypt; Rotate |]
+
+(* A stage's slot in a member's durations (its position in [stages])
+   and its name, the span's and the ledger key's. *)
+let stage_slot = function
+  | Gather -> (0, "query.gather")
+  | Aggregate -> (1, "query.aggregate")
+  | Sumtree_build -> (2, "summation_tree.build")
+  | Sumtree_audit -> (3, "summation_tree.audit")
+  | Relinearize -> (4, "bgv.relinearize")
+  | Decrypt -> (5, "committee.decrypt_batch")
+  | Rotate -> (6, "committee.rotate")
+
+(* A member's stage durations (seconds, by slot; 0 for a stage it
+   skipped) and the charge latch, for the audit ledger.
+   Diagnostic only: filled in as the pipeline runs, read once when the
+   ledger row is written, never fed back into results. *)
+type timing = {
+  stage_s : float array;
   mutable charged : bool;
       (* set exactly when [Dp.budget_charge] succeeds, so the ledger
          reflects spend even for queries that fail after the charge *)
 }
 
-(* Run one pipeline phase under its span and return its result with
-   its wall-clock duration, which the ledger needs whether or not
-   tracing is on; the span itself is recorded only while it is. *)
-let phase ?attrs name f =
+(* Run [f] as [stage] under its span, and credit its wall time, which
+   the ledger needs whether or not tracing is on, to the members of
+   [shares] in proportion to their weights: a member's own stage is
+   [[ (timing, 1.) ]], and a stage the batch shares is split. *)
+let phase shares ?attrs stage f =
+  let slot, name = stage_slot stage in
   let t0 = Obs.now_s () in
   let r = Obs.span ?attrs name f in
-  (r, Obs.now_s () -. t0)
+  let dt = Obs.now_s () -. t0 in
+  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. shares in
+  List.iter (fun (tm, w) -> tm.stage_s.(slot) <- dt *. (w /. total)) shares;
+  r
 
 (* Static admission checks of [run_batch], exported so the serving
    layer can validate before it charges: analysis, parameter
@@ -382,11 +399,8 @@ type prepared = {
    The gathered counters arrive as separate arguments, not as the
    gather tuple, so nothing keeps [rows] reachable once the
    aggregation pool is done with them. *)
-let aggregate_phase t ~qid ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
+let prepare t ~qid ~tm inj info ~rows ~discarded_rows ~losses ~bytes =
   let n = Cg.population t.graph in
-  let discarded = ref discarded_rows in
-  let origin_cts = ref [] in
-  let origins_included = ref 0 in
   (* Multi-hop local aggregation follows the §4.4 spanning tree:
      vertices at distance k send their (verified) contributions to
      their upstream neighbors, interior vertices multiply children with
@@ -467,91 +481,98 @@ let aggregate_phase t ~qid ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
      in the sequential merge below, in ascending-origin order, so the
      degradation report is identical at any domain count. *)
   let pool = Pool.default () in
-  let outcomes, dt =
-    phase "query.aggregate" ~attrs:[ ("origins", Obs.Json.Int n) ] @@ fun () ->
-    Pool.init pool n (fun origin ->
-        let rng = Rng.keyed t.cfg.seed Rng.Origin_aggregate [ qid; origin ] in
-        if Injector.device_offline inj ~device:origin then
-          (* Offline origin: the aggregator substitutes the §6.3 default
-             value — an encryption of zero — so the leaf count (and every
-             honest device's audit position) is unchanged. *)
-          `Substituted (Bgv.encrypt_zero_polynomial t.ctx rng t.pk)
-        else if t.byzantine.(origin) || Injector.contribution_forged inj ~device:origin
-        then begin
-          let bad = Contribution.build_malicious t.ctx rng t.pk info ~exponent:2 ~coeff:999 in
-          let forged = Zkp.forge rng in
-          (* The aggregator checks the transcript proof and discards. *)
-          if
-            Zkp.verify_transcript t.srs ~label:"origin-aggregation"
-              ~context:(Bytes.of_string info.Analysis.query.Ast.name)
-              ~inputs:[ bad.Contribution.ciphertexts.(0) ]
-              ~output:bad.Contribution.ciphertexts.(0) forged
-          then `Forged_accepted bad.Contribution.ciphertexts.(0)
-          else `Forged_rejected t.byzantine.(origin)
-        end
-        else if info.Analysis.query.Ast.hops > 1 then begin
-          match tree_aggregate ~rng origin with
-          | Ok ct, dropped -> `Included (ct, dropped)
-          | Error _, dropped -> `Failed dropped
-        end
-        else begin
-          match
-            Contribution.aggregate_origin t.srs t.ctx rng t.pk info
-              ~self:(Cg.vertex t.graph origin)
-              ~rows:(List.map (fun (_, e, r) -> (e, r)) rows.(origin))
-          with
-          | Ok (ct, _proof) -> `Included (ct, 0)
-          | Error _ -> `Failed 0
-        end)
+  let own = [ (tm, 1.) ] in
+  let origin_cts, origins_included, discarded =
+    phase own Aggregate ~attrs:[ ("origins", Obs.Json.Int n) ] @@ fun () ->
+    let outcomes =
+      Pool.init pool n (fun origin ->
+          let rng = Rng.keyed t.cfg.seed Rng.Origin_aggregate [ qid; origin ] in
+          if Injector.device_offline inj ~device:origin then
+            (* Offline origin: the aggregator substitutes the §6.3 default
+               value — an encryption of zero — so the leaf count (and every
+               honest device's audit position) is unchanged. *)
+            `Substituted (Bgv.encrypt_zero_polynomial t.ctx rng t.pk)
+          else if t.byzantine.(origin) || Injector.contribution_forged inj ~device:origin
+          then begin
+            let bad = Contribution.build_malicious t.ctx rng t.pk info ~exponent:2 ~coeff:999 in
+            let forged = Zkp.forge rng in
+            (* The aggregator checks the transcript proof and discards. *)
+            if
+              Zkp.verify_transcript t.srs ~label:"origin-aggregation"
+                ~context:(Bytes.of_string info.Analysis.query.Ast.name)
+                ~inputs:[ bad.Contribution.ciphertexts.(0) ]
+                ~output:bad.Contribution.ciphertexts.(0) forged
+            then `Forged_accepted bad.Contribution.ciphertexts.(0)
+            else `Forged_rejected t.byzantine.(origin)
+          end
+          else if info.Analysis.query.Ast.hops > 1 then begin
+            match tree_aggregate ~rng origin with
+            | Ok ct, dropped -> `Included (ct, dropped)
+            | Error _, dropped -> `Failed dropped
+          end
+          else begin
+            match
+              Contribution.aggregate_origin t.srs t.ctx rng t.pk info
+                ~self:(Cg.vertex t.graph origin)
+                ~rows:(List.map (fun (_, e, r) -> (e, r)) rows.(origin))
+            with
+            | Ok (ct, _proof) -> `Included (ct, 0)
+            | Error _ -> `Failed 0
+          end)
+    in
+    let discarded = ref discarded_rows in
+    let origin_cts = ref [] in
+    let origins_included = ref 0 in
+    Array.iter
+      (function
+        | `Substituted ct ->
+          Injector.note_substituted inj;
+          origin_cts := ct :: !origin_cts
+        | `Forged_accepted ct -> origin_cts := ct :: !origin_cts
+        | `Forged_rejected byzantine ->
+          incr discarded;
+          if not byzantine then Injector.note_forged_rejected inj
+        | `Included (ct, dropped) ->
+          discarded := !discarded + dropped;
+          incr origins_included;
+          origin_cts := ct :: !origin_cts
+        | `Failed dropped ->
+          discarded := !discarded + dropped;
+          incr discarded)
+      outcomes;
+    (!origin_cts, !origins_included, !discarded)
   in
-  ph.aggregate_s <- dt;
-  Array.iter
-    (function
-      | `Substituted ct ->
-        Injector.note_substituted inj;
-        origin_cts := ct :: !origin_cts
-      | `Forged_accepted ct -> origin_cts := ct :: !origin_cts
-      | `Forged_rejected byzantine ->
-        incr discarded;
-        if not byzantine then Injector.note_forged_rejected inj
-      | `Included (ct, dropped) ->
-        discarded := !discarded + dropped;
-        incr origins_included;
-        origin_cts := ct :: !origin_cts
-      | `Failed dropped ->
-        discarded := !discarded + dropped;
-        incr discarded)
-    outcomes;
-  match !origin_cts with
+  match origin_cts with
   | [] -> Error (Pipeline_error "no valid origin contributions")
   | _ ->
     (* Summation tree (§4.2): the aggregator sums up a committed binary
        tree so every device can audit that its contribution is included
        exactly once; the root goes on the bulletin board. *)
-    let leaves = Array.of_list !origin_cts in
-    let tree, dt =
-      phase "query.summation"
-        ~attrs:[ ("leaves", Obs.Json.Int (Array.length leaves)) ]
-        (fun () -> Summation_tree.build leaves)
-    in
-    ph.summation_s <- dt;
-    ignore (Bulletin.post t.bulletin ~author:"aggregator" (Summation_tree.root_hash tree));
-    (* Play one device's audit as a self-check of the commitment. *)
-    let probe =
-      Rng.int (Rng.keyed t.cfg.seed Rng.Audit_probe [ qid ]) (Array.length leaves)
-    in
-    if
-      not
-        (Summation_tree.verify_audit leaves.(probe)
-           ~root_hash:(Summation_tree.root_hash tree)
-           ~root_sum:(Summation_tree.root_sum tree)
-           ~leaf_count:(Summation_tree.leaf_count tree)
-           (Summation_tree.audit tree probe))
-    then failwith "Runtime: summation-tree audit failed (aggregator bug)";
-    (* Aggregator-restart drill: each injected crash rebuilds the tree
-       from the durable leaves; the recovered tree must commit to the
-       identical root or the aggregator would fail its own audits. *)
+    let leaves = Array.of_list origin_cts in
     let tree =
+      phase own Sumtree_build ~attrs:[ ("leaves", Obs.Json.Int (Array.length leaves)) ]
+      @@ fun () ->
+      let tree = Summation_tree.build leaves in
+      ignore (Bulletin.post t.bulletin ~author:"aggregator" (Summation_tree.root_hash tree));
+      tree
+    in
+    let tree =
+      phase own Sumtree_audit @@ fun () ->
+      (* Play one device's audit as a self-check of the commitment. *)
+      let probe =
+        Rng.int (Rng.keyed t.cfg.seed Rng.Audit_probe [ qid ]) (Array.length leaves)
+      in
+      if
+        not
+          (Summation_tree.verify_audit leaves.(probe)
+             ~root_hash:(Summation_tree.root_hash tree)
+             ~root_sum:(Summation_tree.root_sum tree)
+             ~leaf_count:(Summation_tree.leaf_count tree)
+             (Summation_tree.audit tree probe))
+      then failwith "Runtime: summation-tree audit failed (aggregator bug)";
+      (* Aggregator-restart drill: each injected crash rebuilds the tree
+         from the durable leaves; the recovered tree must commit to the
+         identical root or the aggregator would fail its own audits. *)
       match t.cfg.faults with
       | Some plan when plan.Fault_plan.aggregator_restarts > 0 ->
         let recovered = ref tree in
@@ -571,14 +592,15 @@ let aggregate_phase t ~qid ~ph inj info ~rows ~discarded_rows ~losses ~bytes =
     let sum = Summation_tree.root_sum tree in
     (* Deferred relinearization at the aggregator (§5). *)
     let linear =
+      phase own Relinearize @@ fun () ->
       if Bgv.degree sum <= 1 then sum else Bgv.relinearize t.ctx t.relin sum
     in
     Ok
       {
         p_info = info;
         p_ct = linear;
-        p_origins_included = !origins_included;
-        p_discarded = !discarded;
+        p_origins_included = origins_included;
+        p_discarded = discarded;
         p_mixnet_losses = losses;
         p_mixnet_bytes = bytes;
         p_degradation = Injector.report inj;
@@ -604,7 +626,7 @@ let degradation_json (r : Injector.report) =
    including queries that failed after the charge.  (It also keeps the
    encoding total: epsilon = infinity is never charged, and IEEE
    infinities are not representable in JSON.) *)
-let ledger_entry t ~qid ~query ~epsilon ~ph res =
+let ledger_entry t ~qid ~query ~epsilon ~tm res =
   let open Obs.Json in
   let status, error_kind =
     match res with
@@ -656,20 +678,20 @@ let ledger_entry t ~qid ~query ~epsilon ~ph res =
        ("name", Str query.Ast.name);
        ("hops", Int query.Ast.hops);
        ("status", Str status);
-       ("charged", Bool ph.charged);
-       ("epsilon", if ph.charged then Num epsilon else Null);
+       ("charged", Bool tm.charged);
+       ("epsilon", if tm.charged then Num epsilon else Null);
        ("degree_bound", Int t.cfg.degree_bound);
      ]
     @ accounting_fields
     @ [
-        ( "phases",
+        ( "stages",
           Obj
-            [
-              ("gather_s", Num ph.gather_s);
-              ("aggregate_s", Num ph.aggregate_s);
-              ("summation_s", Num ph.summation_s);
-              ("decrypt_s", Num ph.decrypt_s);
-            ] );
+            (Array.to_list
+               (Array.map
+                  (fun st ->
+                    let slot, name = stage_slot st in
+                    (name, Num tm.stage_s.(slot)))
+                  stages)) );
       ]
     @ result_fields
     @ [
@@ -865,24 +887,10 @@ let run_batch t items =
   | _ :: _ ->
     let items = Array.of_list items in
     let k = Array.length items in
-    let qids =
-      Array.map
-        (fun _ ->
-          t.queries_run <- t.queries_run + 1;
-          t.queries_run)
-        items
-    in
-    let phs =
-      Array.map
-        (fun _ ->
-          {
-            gather_s = 0.;
-            aggregate_s = 0.;
-            summation_s = 0.;
-            decrypt_s = 0.;
-            charged = false;
-          })
-        items
+    let qids = Array.init k (fun i -> t.queries_run + 1 + i) in
+    t.queries_run <- t.queries_run + k;
+    let tms =
+      Array.map (fun _ -> { stage_s = Array.make (Array.length stages) 0.; charged = false }) items
     in
     (* Admission: the epsilon check, static validation, then the budget
        charge — all in submission order, so the rejection order under a
@@ -903,7 +911,7 @@ let run_batch t items =
             else begin
               match Dp.budget_charge t.budget it.bi_epsilon with
               | Ok () ->
-                phs.(i).charged <- true;
+                tms.(i).charged <- true;
                 Ok info
               | Error (`Exhausted r) -> Error (Budget_exhausted r)
             end)
@@ -923,15 +931,12 @@ let run_batch t items =
        decisions are already coordinate-pure (never round-counter
        dependent), in the aggregation loop below. *)
     let mix_members =
-      match t.mixnet with
-      | None -> []
-      | Some _ ->
-        List.filter_map
-          (fun i ->
-            match (states.(i), items.(i).bi_cached) with
-            | Ok info, None when info.Analysis.query.Ast.hops = 1 -> Some (i, info)
-            | Ok _, _ | Error _, _ -> None)
-          (List.init k Fun.id)
+      List.filter_map
+        (fun i ->
+          match (states.(i), items.(i).bi_cached) with
+          | Ok info, None when info.Analysis.query.Ast.hops = 1 -> Some (i, info)
+          | Ok _, _ | Error _, _ -> None)
+        (List.init k Fun.id)
     in
     let gathered = Array.make k None in
     (match (t.mixnet, mix_members) with
@@ -939,28 +944,24 @@ let run_batch t items =
       let members =
         Array.of_list (List.map (fun (i, info) -> (qids.(i), info, injs.(i))) mix_members)
       in
-      let per, dt =
-        phase "query.gather"
+      (* The shared round-trip's wall clock is attributed in
+         proportion to each member's share of the frame bytes. *)
+      let shares =
+        List.map
+          (fun (i, info) -> (tms.(i), float_of_int (Contribution.wire_size t.ctx info + 4)))
+          mix_members
+      in
+      let per =
+        phase shares Gather
           ~attrs:[ ("members", Obs.Json.Int (Array.length members)) ]
           (fun () -> gather_rows_mixnet_batch t mix members)
       in
-      let weights =
-        List.map (fun (_, info) -> Contribution.wire_size t.ctx info + 4) mix_members
-      in
-      let total_w = List.fold_left ( + ) 0 weights in
-      List.iteri
-        (fun j (i, _) ->
-          (* The shared round-trip's wall clock is attributed in
-             proportion to each member's share of the frame bytes. *)
-          phs.(i).gather_s <-
-            dt *. float_of_int (List.nth weights j) /. float_of_int total_w;
-          gathered.(i) <- Some per.(j))
-        mix_members
+      List.iteri (fun j (i, _) -> gathered.(i) <- Some per.(j)) mix_members
     | Some _, [] | None, _ -> ());
     (* Aggregation per member, in member order: each member's summation
        tree is its own, measured individually — only the genuinely
-       shared phases (the gather round-trip, the decryption session)
-       are split.  A member on the abstract channel gathers right
+       shared stages (the mixnet round-trip, the decryption session and
+       the rotation after it) are split.  A member on the abstract channel gathers right
        before its own aggregation, so only one member's rows are live
        at a time; its rows come from keyed streams and its faults from
        its own injector, so the order cannot move a released byte. *)
@@ -979,29 +980,30 @@ let run_batch t items =
               gathered.(i) <- None;
               g
             | None ->
-              let g, dt =
-                phase "query.gather"
-                  ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
-                  (fun () -> gather_rows t ~qid:qids.(i) injs.(i) info)
-              in
-              phs.(i).gather_s <- dt;
-              g
+              phase [ (tms.(i), 1.) ] Gather
+                ~attrs:[ ("hops", Obs.Json.Int info.Analysis.query.Ast.hops) ]
+                (fun () -> gather_rows t ~qid:qids.(i) injs.(i) info)
           in
           match
-            aggregate_phase t ~qid:qids.(i) ~ph:phs.(i) injs.(i) info ~rows ~discarded_rows
-              ~losses ~bytes
+            prepare t ~qid:qids.(i) ~tm:tms.(i) injs.(i) info ~rows ~discarded_rows ~losses
+              ~bytes
           with
           | Ok p -> prepareds.(i) <- Some p
           | Error e -> states.(i) <- Error e)
         | Error _, _ -> ())
       items;
     (* One committee threshold-decryption session for the whole batch,
-       cached members included. *)
-    let results = Array.make k None in
+       cached members included; it releases every member still
+       admitted, or fails them all. *)
+    let out =
+      Array.map
+        (function
+          | Error e -> Error e
+          | Ok _ -> Error (Pipeline_error "batch member was not decrypted"))
+        states
+    in
     let decrypt_idx =
-      List.filter_map
-        (fun i -> match prepareds.(i) with Some p -> Some (i, p) | None -> None)
-        (List.init k Fun.id)
+      List.filter_map (fun i -> Option.map (fun p -> (i, p)) prepareds.(i)) (List.init k Fun.id)
     in
     (match decrypt_idx with
     | [] -> ()
@@ -1012,11 +1014,6 @@ let run_batch t items =
       let excluded =
         Fault_plan.crashed_members plan ~size:(Committee.committee_size t.comm)
       in
-      List.iter
-        (fun (i, _) ->
-          if Injector.active injs.(i) then
-            Injector.note_excluded_committee injs.(i) (List.length excluded))
-        decrypt_idx;
       let members =
         List.map
           (fun (i, p) ->
@@ -1028,10 +1025,13 @@ let run_batch t items =
               p.p_ct ))
           decrypt_idx
       in
-      let total_bins =
-        List.fold_left
-          (fun acc (_, p) -> acc + p.p_info.Analysis.layout.Analysis.total_bins)
-          0 decrypt_idx
+      (* The shared session's wall clock, and the hand-off's after it,
+         are attributed in proportion to each member's share of the
+         concatenated plaintext windows. *)
+      let shares =
+        List.map
+          (fun (i, p) -> (tms.(i), float_of_int p.p_info.Analysis.layout.Analysis.total_bins))
+          decrypt_idx
       in
       (* Recruitment and smudging are keyed by the batch, never by the
          committee generation: a failed session leaves the generation
@@ -1039,33 +1039,38 @@ let run_batch t items =
          ciphertext with the same noise, which would expose the
          shares. *)
       let session = Rng.keyed t.cfg.seed Rng.Decrypt_session [ qids.(0) ] in
-      let res, dt =
-        phase "query.decrypt"
-          ~attrs:[ ("members", Obs.Json.Int (List.length members)) ]
-          (fun () -> Committee.decrypt_batch ~excluded t.comm session t.ctx ~members)
+      let res =
+        phase shares Decrypt
+          ~attrs:
+            [
+              ("size", Obs.Json.Int t.cfg.committee_size);
+              ("threshold", Obs.Json.Int t.cfg.committee_threshold);
+              ("members", Obs.Json.Int (List.length members));
+            ]
+        @@ fun () ->
+        List.iter
+          (fun (i, _) -> Injector.note_excluded_committee injs.(i) (List.length excluded))
+          decrypt_idx;
+        let res = Committee.decrypt_batch ~excluded t.comm session t.ctx ~members in
+        Result.iter
+          (List.iter2
+             (fun (i, _) (release : Committee.release) ->
+               if Injector.active injs.(i) then
+                 Injector.note_decryption_attempts injs.(i) release.Committee.attempts)
+             decrypt_idx)
+          res;
+        res
       in
-      List.iter
-        (fun (i, p) ->
-          (* The shared session's wall clock is attributed in proportion
-             to each member's share of the concatenated plaintext
-             windows. *)
-          phs.(i).decrypt_s <-
-            dt
-            *. float_of_int p.p_info.Analysis.layout.Analysis.total_bins
-            /. float_of_int total_bins)
-        decrypt_idx;
       (match res with
-      | Error e ->
-        List.iter (fun (i, _) -> states.(i) <- Error (Pipeline_error e)) decrypt_idx
+      | Error e -> List.iter (fun (i, _) -> out.(i) <- Error (Pipeline_error e)) decrypt_idx
       | Ok releases ->
-        t.comm <- rotate_committee t.cfg t.comm ~population:(Cg.population t.graph);
+        phase shares Rotate (fun () ->
+            t.comm <- rotate_committee t.cfg t.comm ~population:(Cg.population t.graph));
         let mix_hops =
           match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
         in
         List.iter2
           (fun (i, p) (release : Committee.release) ->
-            if Injector.active injs.(i) then
-              Injector.note_decryption_attempts injs.(i) release.Committee.attempts;
             let degradation =
               (* A cache hit never re-runs gather, so its degradation
                  report is the frozen snapshot of the execution that
@@ -1075,8 +1080,8 @@ let run_batch t items =
               | Some cached -> cached.p_degradation
               | None -> Injector.report injs.(i)
             in
-            results.(i) <-
-              Some
+            out.(i) <-
+              Ok
                 ( {
                     info = p.p_info;
                     result = release.Committee.result;
@@ -1092,18 +1097,10 @@ let run_batch t items =
                   },
                   p ))
           decrypt_idx releases));
-    let out =
-      List.init k (fun i ->
-          match results.(i) with
-          | Some rp -> Ok rp
-          | None -> (
-            match states.(i) with
-            | Error e -> Error e
-            | Ok _ -> Error (Pipeline_error "batch member was not decrypted")))
-    in
+    let out = Array.to_list out in
     (* One mycelium-ledger/1 row per batch member, in submission order,
        with its own charged epsilon and its (proportionally attributed)
-       phase durations — summing the "epsilon" field over the ledger
+       stage durations — summing the "epsilon" field over the ledger
        still reproduces [Dp.budget_spent] bit for bit. *)
     (match t.ledger with
     | Some l ->
@@ -1112,7 +1109,7 @@ let run_batch t items =
           let res = Result.map (fun (r, _) -> r) res in
           Obs.Ledger.append l
             (ledger_entry t ~qid:qids.(i) ~query:items.(i).bi_query
-               ~epsilon:items.(i).bi_epsilon ~ph:phs.(i) res))
+               ~epsilon:items.(i).bi_epsilon ~tm:tms.(i) res))
         out
     | None -> ());
     out

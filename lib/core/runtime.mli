@@ -58,25 +58,24 @@ type config = {
           shares, and aggregator restarts rebuild the summation tree
           from its durable leaves. What actually fired is returned in
           [query_result.degradation]. *)
-  trace : bool;
-      (** enable the lib/obs tracing + metrics registry for this
-          process (the [MYCELIUM_TRACE] environment variable also
-          enables it); default [false]. Spans cover the pipeline
-          phases ([runtime.init], [query.gather], [query.aggregate],
-          [query.summation], [query.decrypt]) and the layers below
-          them — see DESIGN.md §8 for the taxonomy. Observability
-          never affects results: query results, DP noise and
-          degradation reports are byte-identical with tracing on or
-          off. *)
   ledger : string option;
       (** append one audit record per executed query — budget charge,
-          clipping and degree bounds, per-phase wall-clock, degradation
-          report, mixnet bytes and committee shares used — to this
-          JSONL file (schema ["mycelium-ledger/1"]; DESIGN.md §13);
-          default [None]. The [MYCELIUM_LEDGER] environment variable
-          overrides it. Summarize with [mycelium audit <file>]. Like
-          tracing, the ledger observes the pipeline and never feeds
-          back into results. *)
+          clipping and degree bounds, the wall time of each pipeline
+          stage, degradation report, mixnet bytes and committee shares
+          used — to this JSONL file (schema ["mycelium-ledger/1"];
+          DESIGN.md §13); default [None]. Summarize with
+          [mycelium audit <file>]. The ledger observes the pipeline and
+          never feeds back into results.
+
+          Tracing has no field here: it is the process-wide
+          {!Mycelium_obs.Obs.enable} (or [MYCELIUM_TRACE=1]). A traced
+          query records [runtime.init] at bring-up, then one span per
+          stage it runs — [query.gather], [query.aggregate],
+          [summation_tree.build], [summation_tree.audit],
+          [bgv.relinearize], [committee.decrypt_batch],
+          [committee.rotate] — with the layers below them as children
+          (DESIGN.md §8). Query results, DP noise and degradation
+          reports are byte-identical with tracing on or off. *)
 }
 
 val default_config : config
@@ -216,8 +215,10 @@ val run_batch :
     through the mixnet), per-member aggregation, then one shared
     {!Committee.decrypt_batch} session and a single committee rotation.
     Each member gets its own [mycelium-ledger/1] row with its own
-    charged epsilon; the genuinely shared phase durations (gather
-    round-trip, decryption session) are attributed proportionally —
-    by frame-byte share for gather, by plaintext-window share for
-    decryption — while per-member phases are measured individually.
-    Returns the member's {!prepared} so a caller can cache it. *)
+    charged epsilon and the wall time of each of its stages, 0 for a
+    stage it skipped (a cache hit starts at decryption). The stages
+    the batch shares are attributed proportionally: the mixnet gather
+    by frame-byte share, the decryption session and the rotation
+    after it by plaintext-window share; every other stage is measured
+    per member. Returns the member's {!prepared} so a caller can cache
+    it. *)

@@ -32,7 +32,6 @@ let promote_hash h =
 let build leaves =
   let n = Array.length leaves in
   if n = 0 then invalid_arg "Summation_tree.build: no leaves";
-  Obs.span "sumtree.build" ~attrs:[ ("leaves", Obs.Json.Int n) ] @@ fun () ->
   (* Sibling pairs within a level are independent (a sum plus a hash
      each); parallelise per pair index.  Levels stay strictly ordered,
      so the committed tree is identical at any domain count.
@@ -45,7 +44,7 @@ let build leaves =
      deterministic pipeline reproduces exactly on rebuild and audit. *)
   let pool = Pool.default () in
   let level0 =
-    Obs.span "sumtree.level" ~attrs:[ ("level", Obs.Json.Int 0); ("width", Obs.Json.Int n) ]
+    Obs.span Obs.Names.sumtree_level ~attrs:[ ("level", Obs.Json.Int 0); ("width", Obs.Json.Int n) ]
     @@ fun () -> Pool.map_array pool (fun ct -> { sum = ct; hash = leaf_hash ct }) leaves
   in
   let rec up acc level =
@@ -53,7 +52,7 @@ let build leaves =
     else begin
       let w = Array.length level in
       let next =
-        Obs.span "sumtree.level"
+        Obs.span Obs.Names.sumtree_level
           ~attrs:
             [ ("level", Obs.Json.Int (List.length acc + 1));
               ("width", Obs.Json.Int ((w + 1) / 2)) ]

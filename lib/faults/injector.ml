@@ -70,7 +70,7 @@ let send t ~round ~source ~dest =
           };
         Obs.Metrics.incr m_dropped;
         Obs.Metrics.add m_backoff backoff;
-        Obs.instant "fault.drop"
+        Obs.instant Obs.Names.fault_drop
           ~attrs:[
             ("round", Obs.Json.Int round);
             ("source", Obs.Json.Int source);
@@ -83,7 +83,7 @@ let send t ~round ~source ~dest =
       else begin
         t.r <- { t.r with channel_retries = t.r.channel_retries + 1 };
         Obs.Metrics.incr m_retries;
-        Obs.instant "fault.retry"
+        Obs.instant Obs.Names.fault_retry
           ~attrs:[
             ("round", Obs.Json.Int round);
             ("source", Obs.Json.Int source);
@@ -98,12 +98,12 @@ let send t ~round ~source ~dest =
       t.r <- { t.r with backoff_units = t.r.backoff_units + backoff };
       Obs.Metrics.add m_backoff backoff;
       if backoff > 0 then
-        Obs.instant "fault.backoff"
+        Obs.instant Obs.Names.fault_backoff
           ~attrs:[ ("round", Obs.Json.Int round); ("units", Obs.Json.Int backoff) ];
       if Fault_plan.send_delay t.plan ~round ~source ~dest > 0 then begin
         t.r <- { t.r with delayed_messages = t.r.delayed_messages + 1 };
         Obs.Metrics.incr m_delayed;
-        Obs.instant "fault.delay"
+        Obs.instant Obs.Names.fault_delay
           ~attrs:[
             ("round", Obs.Json.Int round);
             ("source", Obs.Json.Int source);
@@ -118,31 +118,31 @@ let send t ~round ~source ~dest =
 let note_dropped t =
   t.r <- { t.r with dropped_messages = t.r.dropped_messages + 1 };
   Obs.Metrics.incr m_dropped;
-  Obs.instant "fault.drop"
+  Obs.instant Obs.Names.fault_drop
 
 let note_substituted t =
   t.r <- { t.r with substituted_contributions = t.r.substituted_contributions + 1 };
   Obs.Metrics.incr m_substituted;
-  Obs.instant "fault.substituted"
+  Obs.instant Obs.Names.fault_substituted
 
 let note_excluded_committee t n =
   t.r <- { t.r with excluded_committee_members = t.r.excluded_committee_members + n };
   Obs.Metrics.add m_excluded n;
-  if n > 0 then Obs.instant "fault.excluded_committee" ~attrs:[ ("members", Obs.Json.Int n) ]
+  if n > 0 then Obs.instant Obs.Names.fault_excluded_committee ~attrs:[ ("members", Obs.Json.Int n) ]
 
 let note_forged_rejected t =
   t.r <- { t.r with forged_rejected = t.r.forged_rejected + 1 };
   Obs.Metrics.incr m_forged_rejected;
-  Obs.instant "fault.forged_rejected"
+  Obs.instant Obs.Names.fault_forged_rejected
 
 let note_aggregator_restart t =
   t.r <- { t.r with aggregator_restarts = t.r.aggregator_restarts + 1 };
   Obs.Metrics.incr m_restarts;
-  Obs.instant "fault.aggregator_restart"
+  Obs.instant Obs.Names.fault_aggregator_restart
 
 let note_decryption_attempts t n =
   t.r <- { t.r with decryption_attempts = t.r.decryption_attempts + n };
   Obs.Metrics.add m_decrypt_attempts n;
   (* Only an actual fallback (more than one threshold-decryption
      attempt) is a fault-class event. *)
-  if n > 1 then Obs.instant "decrypt.fallback" ~attrs:[ ("attempts", Obs.Json.Int n) ]
+  if n > 1 then Obs.instant Obs.Names.decrypt_fallback ~attrs:[ ("attempts", Obs.Json.Int n) ]

@@ -313,7 +313,7 @@ let mul a b =
   if not (Obs.enabled ()) then mul_impl a b
   else begin
     Obs.Metrics.add m_limb_ntt_muls (Array.length (Rns.primes a.basis));
-    Obs.sampled_span mul_sampler "rq.mul"
+    Obs.sampled_span mul_sampler Obs.Names.rq_mul
       ~attrs:[ ("degree", Obs.Json.Int (Rns.degree a.basis)) ]
       (fun () -> mul_impl a b)
   end
@@ -349,7 +349,7 @@ let dot a b =
   if not (Obs.enabled ()) then dot_impl a b
   else begin
     Obs.Metrics.add m_limb_ntt_muls (Array.length a * Array.length (Rns.primes a.(0).basis));
-    Obs.sampled_span dot_sampler "rq.dot"
+    Obs.sampled_span dot_sampler Obs.Names.rq_dot
       ~attrs:[ ("terms", Obs.Json.Int (Array.length a)) ]
       (fun () -> dot_impl a b)
   end

@@ -423,7 +423,7 @@ let establish_path t ~source ~dest ~msg_id =
   end
 
 let setup_paths ?targets t =
-  Obs.span "mixnet.setup" ~attrs:[ ("hops", Obs.Json.Int t.cfg.hops) ] @@ fun () ->
+  Obs.span Obs.Names.mixnet_setup ~attrs:[ ("hops", Obs.Json.Int t.cfg.hops) ] @@ fun () ->
   let targets = match targets with Some x -> x | None -> default_targets t in
   let requested = ref 0 and established = ref 0 and failed = ref 0 and complaints = ref 0 in
   Array.iteri
@@ -931,7 +931,7 @@ let run_query_round_impl t ~payload_of =
   and p_src = t.p_src
   and p_dst = t.p_dst in
   let wrap_res =
-    Obs.span "mixnet.deposit" @@ fun () ->
+    Obs.span Obs.Names.mixnet_deposit @@ fun () ->
     Pool.map_array pool
       (fun (gi, pids, offs) ->
         let p0 = pids.(0) in
@@ -981,7 +981,7 @@ let run_query_round_impl t ~payload_of =
       ~dst:t.arena_next ~dst_pos:off ~length:t.body_len
   in
   for stage = 1 to k do
-    Obs.span "mixnet.stage" ~attrs:[ ("stage", Obs.Json.Int stage) ] @@ fun () ->
+    Obs.span Obs.Names.mixnet_stage ~attrs:[ ("stage", Obs.Json.Int stage) ] @@ fun () ->
     let new_base = t.next_sid in
     ensure_arena_next t (stage_counts.(stage) * t.body_len);
     let dep_route = Ivec.create () in  (* deposit order -> packed route *)
@@ -1097,7 +1097,7 @@ let run_query_round_impl t ~payload_of =
     groups;
   let arena_in = t.arena_cur and base_in = t.cur_base and blen = t.body_len in
   let opened =
-    Obs.span "mixnet.pickup" @@ fun () ->
+    Obs.span Obs.Names.mixnet_pickup @@ fun () ->
     Pool.map_array pool
       (fun (pid, sid) ->
         let key = link_key seed p_base.(pid) k in
@@ -1149,7 +1149,7 @@ let run_query_round_impl t ~payload_of =
   }
 
 let run_query_round_with t ~payload_of =
-  Obs.span "mixnet.round" ~attrs:[ ("hops", Obs.Json.Int t.cfg.hops) ] @@ fun () ->
+  Obs.span Obs.Names.mixnet_round ~attrs:[ ("hops", Obs.Json.Int t.cfg.hops) ] @@ fun () ->
   let stats = run_query_round_impl t ~payload_of in
   if Obs.enabled () then begin
     Obs.Metrics.add m_dummies stats.dummies_uploaded;

@@ -391,11 +391,13 @@ let disable () = Atomic.set enabled_flag false
 (* Metric-name registry                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every metric or level name used by library code is declared
-   here; mycelium-lint's obs-guard rule flags registrations that pass a
-   bare string literal instead of one of these constants, so the full
-   vocabulary of exported names stays greppable in one place.  Bench
-   and test executables are free zones and may register ad-hoc names. *)
+(* Every metric, level and span name used by library code is declared
+   here, except the runtime's stage spans, which the runtime's one
+   stage list names; mycelium-lint's obs-guard rule flags a
+   registration, span or instant that passes a bare string literal
+   instead of one of these constants, so the full vocabulary of
+   exported names stays greppable in one place.  Bench and test
+   executables are free zones and may use ad-hoc names. *)
 module Names = struct
   (* lib/math — ring layer *)
   let rq_limb_ntt_muls = "rq.limb_ntt_muls"
@@ -444,6 +446,30 @@ module Names = struct
   let serve_cache_hits = "serve.cache_hits"
   let serve_cache_misses = "serve.cache_misses"
   let serve_cache_evictions = "serve.cache_evictions"
+
+  (* Spans other than the runtime's stages *)
+  let runtime_init = "runtime.init"
+  let sumtree_level = "sumtree.level"
+  let pool_job = "pool.job"
+  let mixnet_setup = "mixnet.setup"
+  let mixnet_round = "mixnet.round"
+  let mixnet_deposit = "mixnet.deposit"
+  let mixnet_stage = "mixnet.stage"
+  let mixnet_pickup = "mixnet.pickup"
+  let rq_mul = "rq.mul"
+  let rq_dot = "rq.dot"
+  let bgv_mul = "bgv.mul"
+
+  (* Instants: each fault [Injector] injects *)
+  let fault_drop = "fault.drop"
+  let fault_retry = "fault.retry"
+  let fault_backoff = "fault.backoff"
+  let fault_delay = "fault.delay"
+  let fault_substituted = "fault.substituted"
+  let fault_excluded_committee = "fault.excluded_committee"
+  let fault_forged_rejected = "fault.forged_rejected"
+  let fault_aggregator_restart = "fault.aggregator_restart"
+  let decrypt_fallback = "decrypt.fallback"
 
   (* The built-in levels (Gc.quick_stat) *)
   let gc_top_heap_words = "gc.top_heap_words"
@@ -956,7 +982,7 @@ module Ledger = struct
               else begin
                 match Result.bind (Json.parse line) check_row with
                 | Ok j -> go (lineno + 1) (j :: acc)
-                | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+                | Error msg -> Error (Printf.sprintf "%s: line %d: %s" path lineno msg)
               end
           in
           go 1 [])
@@ -969,6 +995,7 @@ module Ledger = struct
     epsilon_spent : float;  (* sum of charged per-query epsilons *)
     uncharged : int;  (* infinite-epsilon (uncharged) queries *)
     by_name : (string * int * float) list;  (* query name, runs, epsilon *)
+    stage_s : (string * float) list;  (* stage name, summed seconds *)
     budget_total : float option;
     budget_remaining : float option;
   }
@@ -980,6 +1007,8 @@ module Ledger = struct
     let uncharged = ref 0 in
     let by_name : (string, int * float) Hashtbl.t = Hashtbl.create 8 in
     let name_order = ref [] in
+    let stage_s : (string, float) Hashtbl.t = Hashtbl.create 8 in
+    let stage_order = ref [] in
     let budget_total = ref None and budget_remaining = ref None in
     List.iter
       (fun e ->
@@ -1007,6 +1036,18 @@ module Ledger = struct
           if n = 0 then name_order := name :: !name_order;
           Hashtbl.replace by_name name (n + 1, s +. (if charged then eps else 0.))
         | Some _ | None -> ());
+        (match Json.member "stages" e with
+        | Some (Json.Obj kvs) ->
+          List.iter
+            (fun (stage, v) ->
+              match (num_of v, Hashtbl.find_opt stage_s stage) with
+              | Some dt, Some sum -> Hashtbl.replace stage_s stage (sum +. dt)
+              | Some dt, None ->
+                stage_order := stage :: !stage_order;
+                Hashtbl.replace stage_s stage dt
+              | None, _ -> ())
+            kvs
+        | Some _ | None -> ());
         (match Option.bind (Json.member "budget_total" e) num_of with
         | Some f -> budget_total := Some f
         | None -> ());
@@ -1027,6 +1068,7 @@ module Ledger = struct
             let n, s = Hashtbl.find by_name name in
             (name, n, s))
           !name_order;
+      stage_s = List.rev_map (fun stage -> (stage, Hashtbl.find stage_s stage)) !stage_order;
       budget_total = !budget_total;
       budget_remaining = !budget_remaining;
     }

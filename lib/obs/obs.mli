@@ -77,12 +77,14 @@ val now_s : unit -> float
 (** Seconds since the trace epoch (wall clock; diagnostic only — never
     feed this into results). *)
 
-(** {1 Metric-name registry} *)
+(** {1 Name registry} *)
 
-(** Every metric and level name used by library code, in one
-    module: registrations in [lib/] and [bin/] must draw names from
-    here (enforced by mycelium-lint's obs-guard rule); bench and test
-    executables may register ad-hoc names. *)
+(** Every metric, level and span name used by library code, in one
+    module; the one exception is the runtime's stage spans, named once
+    in the runtime's stage list (DESIGN.md §8).  Registrations, spans
+    and instants in [lib/] and [bin/] must draw names from here or from
+    that list (enforced by mycelium-lint's obs-guard rule); bench and
+    test executables may use ad-hoc names. *)
 module Names : sig
   val rq_limb_ntt_muls : string
   val rq_limb_transforms : string
@@ -118,6 +120,26 @@ module Names : sig
   val serve_cache_hits : string
   val serve_cache_misses : string
   val serve_cache_evictions : string
+  val runtime_init : string
+  val sumtree_level : string
+  val pool_job : string
+  val mixnet_setup : string
+  val mixnet_round : string
+  val mixnet_deposit : string
+  val mixnet_stage : string
+  val mixnet_pickup : string
+  val rq_mul : string
+  val rq_dot : string
+  val bgv_mul : string
+  val fault_drop : string
+  val fault_retry : string
+  val fault_backoff : string
+  val fault_delay : string
+  val fault_substituted : string
+  val fault_excluded_committee : string
+  val fault_forged_rejected : string
+  val fault_aggregator_restart : string
+  val decrypt_fallback : string
 end
 
 (** {1 Spans} *)
@@ -234,11 +256,11 @@ module Ledger : sig
   val close : t -> unit
 
   val read : string -> (Json.t list, string) result
-  (** Parse every non-empty line; the first malformed line is an
-      [Error] naming its line number.  A line is malformed if it is not
-      JSON, not an object with ["schema":"mycelium-ledger/1"], or a
-      ["charged":true] row whose ["epsilon"] is not a finite number
-      > 0. *)
+  (** Parse every non-empty line.  Each [Error] names the path: a file
+      that cannot be opened, or the first malformed line by its line
+      number.  A line is malformed if it is not JSON, not an object
+      with ["schema":"mycelium-ledger/1"], or a ["charged":true] row
+      whose ["epsilon"] is not a finite number > 0. *)
 
   type summary = {
     records : int;
@@ -249,6 +271,10 @@ module Ledger : sig
     uncharged : int;  (** infinite-epsilon (uncharged) ok queries *)
     by_name : (string * int * float) list;
         (** query name, runs, epsilon charged — first-seen order *)
+    stage_s : (string * float) list;
+        (** each numeric member of the rows' ["stages"] objects, summed
+            by stage name (seconds), in first-seen order; a row without
+            ["stages"] adds nothing *)
     budget_total : float option;  (** from the last record carrying it *)
     budget_remaining : float option;
   }

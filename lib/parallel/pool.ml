@@ -153,7 +153,7 @@ let run_chunks t ~chunks f =
         f c
       done
     | Some st ->
-      Obs.span "pool.job" ~attrs:[ ("chunks", Obs.Json.Int chunks) ] @@ fun () ->
+      Obs.span Obs.Names.pool_job ~attrs:[ ("chunks", Obs.Json.Int chunks) ] @@ fun () ->
       Mutex.lock st.mutex;
       st.job <- Some f;
       st.n_chunks <- chunks;

@@ -19,6 +19,9 @@ module Runtime = Mycelium_core.Runtime
 module Contribution = Mycelium_core.Contribution
 module Sim = Mycelium_mixnet.Sim
 module Dp = Mycelium_dp.Dp
+module Elgamal = Mycelium_crypto.Elgamal
+module Aead = Mycelium_crypto.Aead
+module Obs = Mycelium_obs.Obs
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -508,6 +511,84 @@ let test_decoder_mutants () =
     (fun (what, m) -> refused ("contribution, " ^ what) (Contribution.of_bytes ctx) m)
     contribution_mutants
 
+(* A seeded mutation fuzz over every decoder of untrusted bytes: from
+   one valid encoding each, mutants with one to three defects — bit
+   flips, byte overwrites, truncations, extensions, and 4-byte fields
+   at an aligned offset set to 0, -1 or 2^31 - 1 (the length fields of
+   the wire formats sit at such offsets).  Every call returns its
+   typed result without raising, and the AEAD refuses every mutant
+   that differs from the sealed bytes.  A failure names the seed, the
+   decoder and the mutant's index; each decoder's mutants come from
+   their own stream of the seed. *)
+let test_decoder_fuzz () =
+  let seed = 0x5eed_f022L and per_decoder = 2000 in
+  let ctx = Bgv.make_ctx fast_params in
+  let rng = Rng.create 17L in
+  let _, pk = Bgv.keygen ctx rng in
+  let srs = Mycelium_zkp.Zkp.setup rng in
+  let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find "Q5").Corpus.query in
+  let dest = { Schema.infected = true; t_inf = Some 2; age = 35; household = 1 } in
+  let c = Contribution.build srs ctx rng pk info ~dest ~edge:None in
+  let pub, priv = Elgamal.generate rng in
+  let key = Rng.bytes rng 32 and msg = Bytes.of_string "a mailbox's onion layer" in
+  let sealed = Aead.seal ~key ~round:3 msg in
+  let ledger_row =
+    {|{"schema":"mycelium-ledger/1","query":1,"name":"Q5","hops":1,"status":"ok","charged":true,"epsilon":0.5,"degree_bound":4,"accounting":"basic","stages":{"query.gather":0.0123,"query.aggregate":0.0456,"summation_tree.build":0.0078,"summation_tree.audit":0.0004,"bgv.relinearize":0.0021,"committee.decrypt_batch":0.0009,"committee.rotate":0.0011},"sensitivity":22.0,"clip":null,"influence_bound":11,"committee":{"size":10,"threshold":4,"shares_used":5,"generation":2},"budget_total":10.0,"budget_spent":0.5,"budget_remaining":9.5}|}
+  in
+  let always f b = ignore (f b); true in
+  let decoders =
+    [
+      ("Bgv.deserialize", Bgv.serialize c.Contribution.ciphertexts.(0), always (Bgv.deserialize ctx));
+      ("Contribution.of_bytes", Contribution.to_bytes c, always (Contribution.of_bytes ctx));
+      ( "Zkp.proof_of_bytes",
+        Mycelium_zkp.Zkp.proof_to_bytes c.Contribution.proofs.(0),
+        always Mycelium_zkp.Zkp.proof_of_bytes );
+      ("Elgamal.pub_of_bytes", Elgamal.pub_to_bytes pub, always Elgamal.pub_of_bytes);
+      ("Elgamal.decrypt", Elgamal.encrypt rng pub msg, always (Elgamal.decrypt priv));
+      ( "Aead.open_",
+        sealed,
+        fun b -> Bytes.equal b sealed || Option.is_none (Aead.open_ ~key ~round:3 b) );
+      ("Json.parse", Bytes.of_string ledger_row, always (fun b -> Obs.Json.parse (Bytes.to_string b)));
+      ( "Parser.parse",
+        Bytes.of_string (Corpus.find "Q5").Corpus.sql,
+        always (fun b -> Mycelium_query.Parser.parse (Bytes.to_string b)) );
+    ]
+  in
+  let mutate rng b =
+    let n = Bytes.length b in
+    match Rng.int rng 5 with
+    | 0 when n > 0 ->
+      let b = Bytes.copy b and i = Rng.int rng n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8)));
+      b
+    | 1 when n > 0 ->
+      let b = Bytes.copy b in
+      Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256));
+      b
+    | 2 when n > 0 -> Bytes.sub b 0 (Rng.int rng n)
+    | 3 -> Bytes.cat b (Rng.bytes rng (1 + Rng.int rng 16))
+    | 4 when n >= 4 ->
+      let b = Bytes.copy b in
+      let v = [| 0l; -1l; Int32.max_int |].(Rng.int rng 3) in
+      Bytes.set_int32_le b (4 * Rng.int rng (n / 4)) v;
+      b
+    | _ -> Bytes.cat b (Bytes.make 1 '\x00')
+  in
+  List.iteri
+    (fun d (name, valid, decode) ->
+      checkb (name ^ ": the valid encoding decodes") true (decode valid);
+      let rng = Rng.create (Rng.mix64 seed (Int64.of_int d)) in
+      for i = 0 to per_decoder - 1 do
+        let rec defects k b = if k = 0 then b else defects (k - 1) (mutate rng b) in
+        let mutant = defects (1 + Rng.int rng 3) valid in
+        match decode mutant with
+        | true -> ()
+        | false -> Alcotest.failf "seed %Ld, %s, mutant %d: accepted" seed name i
+        | exception e ->
+          Alcotest.failf "seed %Ld, %s, mutant %d: raised %s" seed name i (Printexc.to_string e)
+      done)
+    decoders
+
 (* ------------------------------------------------------------------ *)
 (* Summation tree                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -996,6 +1077,7 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_contribution_wire_roundtrip;
           Alcotest.test_case "wire size" `Quick test_contribution_wire_size;
           Alcotest.test_case "decoder mutants" `Quick test_decoder_mutants;
+          Alcotest.test_case "decoder fuzz" `Quick test_decoder_fuzz;
         ] );
       ( "summation-tree",
         [

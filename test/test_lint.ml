@@ -92,11 +92,13 @@ let test_obs_guard_fires () =
 let test_obs_names_fires () =
   (* The registry half of obs-guard, live in the plain-lib zone: every
      registration head (counter/gauge/histogram, bare or fully
-     qualified) with an inline literal fires; the Obs.Names-drawn
-     registration on the last line stays silent. *)
+     qualified), span, instant and sampled span named with an inline
+     literal fires; the Obs.Names-drawn names on the last three lines
+     stay silent. *)
   let r = Lazy.force lib_report in
   Alcotest.check sites "obs-names sites"
-    [ ("obs-guard", 3); ("obs-guard", 4); ("obs-guard", 5) ]
+    [ ("obs-guard", 3); ("obs-guard", 4); ("obs-guard", 5); ("obs-guard", 6);
+      ("obs-guard", 7); ("obs-guard", 8) ]
     (site_list (only "fire_obs_names.ml" r.violations));
   (* The PR9 serving-layer names: only the ad-hoc literal fires; the
      four serve.* registrations drawn from Obs.Names stay silent. *)
@@ -155,7 +157,7 @@ let test_suppressions_are_counted () =
     [ ("interface", 4) ]
     (site_list (only "suppressed_interface.mli" r.suppressed));
   Alcotest.check sites "obs-names suppression recorded"
-    [ ("obs-guard", 5) ]
+    [ ("obs-guard", 5); ("obs-guard", 9); ("obs-guard", 13); ("obs-guard", 17) ]
     (site_list (only "suppressed_obs_names.ml" r.suppressed));
   Alcotest.check sites "obs-names serve suppression recorded"
     [ ("obs-guard", 5) ]

@@ -1,9 +1,10 @@
 (* Observability suite (DESIGN.md §8): span and instant recording under
    the domain pool, histogram bucket math, exporter round-trips through
    the shared JSON codec, the trace the built CLI leaves on a refused
-   query, and the acceptance contract — query results, DP noise
-   and degradation reports are byte-identical with tracing off or on,
-   at any domain count.
+   query and its refusal of paths it cannot open, the stage spans and
+   the ledger's stage durations, and the acceptance contract — query
+   results, DP noise and degradation reports are byte-identical with
+   tracing off or on, at any domain count.
 
    The @obs dune alias runs this twice: once plainly and once under
    MYCELIUM_DOMAINS=8, so every cell also executes with spans landing
@@ -109,6 +110,16 @@ let test_json_depth_limit () =
   match Json.parse (deep_obj 5000) with
   | Ok _ -> Alcotest.fail "parser accepted 5000 levels of object nesting"
   | Error _ -> ()
+
+(* How many times [needle] occurs in [s], without overlaps. *)
+let occurrences s needle =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.equal (String.sub s i n) needle then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
 
 (* The whole of a file, removed afterwards. *)
 let read_and_remove path =
@@ -381,11 +392,7 @@ let test_prometheus_export () =
       Obs.write_prometheus path;
       Obs.Sampler.register_source ~name:"test-prom" (fun () -> []);
       let s = read_and_remove path in
-      let has needle =
-        let nl = String.length needle and sl = String.length s in
-        let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-        go 0
-      in
+      let has needle = occurrences s needle > 0 in
       checkb "counter TYPE line" true (has "# TYPE mycelium_test_prom_counter counter");
       checkb "counter sample" true (has "mycelium_test_prom_counter 1");
       checkb "gauge sample" true (has "mycelium_test_prom_gauge 2.5");
@@ -427,17 +434,51 @@ let test_instant () =
    at the CLI's defaults (d = 4 on test_small) is refused as
    infeasible, exits 1, and leaves a trace of the runtime's bring-up.
    An F that cannot be written is reported, and the run still exits 1
-   rather than dying on the write. *)
+   rather than dying on the write.  So is every other path the CLI
+   opens: it is named on stderr, and the command exits 1 instead of
+   with cmdliner's uncaught-exception status. *)
 let test_cli_trace_on_refusal () =
-  let run_q1 path =
-    Sys.command
-      (Filename.quote_command "../bin/mycelium_cli.exe" ~stdout:Filename.null
-         ~stderr:Filename.null [ "run"; "--trace"; path; "Q1" ])
+  let cli ?(stdout = Filename.null) ?(stderr = Filename.null) args =
+    Sys.command (Filename.quote_command "../bin/mycelium_cli.exe" ~stdout ~stderr args)
   in
+  let run_q1 path = cli [ "run"; "--trace"; path; "Q1" ] in
   let path = Filename.temp_file "cli_trace" ".json" in
   (* a regular file cannot be a directory of the path *)
-  checki "an unwritable trace exits 1" 1 (run_q1 (Filename.concat path "trace.json"));
-  Sys.remove path;
+  let below name = Filename.concat path name in
+  checki "an unwritable trace exits 1" 1 (run_q1 (below "trace.json"));
+  let workload = Filename.temp_file "cli_workload" ".jsonl" in
+  let oc = open_out workload in
+  output_string oc {|{"user":"alice","epsilon":0.5,"query":"Q5"}|};
+  close_out oc;
+  let err = Filename.temp_file "cli_stderr" ".txt" in
+  List.iter
+    (fun (what, args, named) ->
+      let code = cli ~stderr:err args in
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      checki (what ^ " exits 1") 1 code;
+      checkb (what ^ " names " ^ named) true (occurrences msg named > 0);
+      checki (what ^ ": no uncaught exception") 0 (occurrences msg "uncaught exception"))
+    [
+      ("run --ledger", [ "run"; "--ledger"; below "l.jsonl"; "Q5" ], below "l.jsonl");
+      ("run --prometheus", [ "run"; "--prometheus"; below "m.prom"; "Q5" ], below "m.prom");
+      ("serve --ledger", [ "serve"; "--ledger"; below "l.jsonl"; workload ], below "l.jsonl");
+      ("serve --trace", [ "serve"; "--trace"; below "t.json"; workload ], below "t.json");
+      ("serve, a missing workload", [ "serve"; below "w.jsonl" ], below "w.jsonl");
+    ];
+  checki "audit of a missing ledger exits 1" 1 (cli ~stderr:err [ "audit"; below "l.jsonl" ]);
+  checki "audit names the missing ledger once" 1
+    (occurrences (In_channel.with_open_bin err In_channel.input_all) (below "l.jsonl"));
+  (* On a readable ledger, audit ends with each stage's total. *)
+  let ledger = Filename.temp_file "cli_ledger" ".jsonl" in
+  let row = {|{"schema":"mycelium-ledger/1","charged":false,"stages":{"query.gather":0.25,"committee.rotate":0.5}}|} in
+  Out_channel.with_open_bin ledger (fun oc -> output_string oc (row ^ "\n" ^ row ^ "\n"));
+  checki "audit of a ledger exits 0" 0 (cli ~stdout:err [ "audit"; ledger ]);
+  let report = In_channel.with_open_bin err In_channel.input_all in
+  List.iter
+    (fun line -> checkb ("audit prints " ^ line) true (occurrences report line = 1))
+    [ "seconds per stage:"; "  query.gather                 0.500000";
+      "  committee.rotate             1.000000" ];
+  List.iter Sys.remove [ workload; err; ledger; path ];
   checki "the refused query exits 1" 1 (run_q1 path);
   checkb "the trace was written" true (Sys.file_exists path);
   match Json.parse (read_and_remove path) with
@@ -619,14 +660,13 @@ let plan =
   Fault_plan.make ~drop_rate:0.1 ~churn_rate:0.1 ~crashed_committee:[ 2 ]
     ~aggregator_restarts:1 ~seed:2024L ()
 
-let run_q ~trace () =
+let run_q () =
   let sys =
     Runtime.init
       { Runtime.default_config with
         Runtime.params = Params.test_small;
         degree_bound = 4;
-        faults = Some plan;
-        trace
+        faults = Some plan
       }
       (small_graph ())
   in
@@ -641,29 +681,33 @@ let same_release (a : Runtime.query_result) (b : Runtime.query_result) =
 
 let test_identical_on_off () =
   Obs.disable ();
-  let base = run_q ~trace:false () in
+  let base = run_q () in
   Obs.reset ();
-  let traced = run_q ~trace:true () in
-  Obs.disable ();
+  let traced = Obs.with_enabled run_q in
   checkb "tracing on/off releases are identical" true (same_release base traced);
   (* And across domain counts with tracing on. *)
   List.iter
     (fun d ->
       Obs.reset ();
-      let r = Pool.with_domains d (fun () -> run_q ~trace:true ()) in
-      Obs.disable ();
+      let r = Pool.with_domains d (fun () -> Obs.with_enabled run_q) in
       checkb (Printf.sprintf "identical at %d domains (traced)" d) true
         (same_release base r))
     [ 1; 2; 8 ]
 
+let stage_names =
+  [ "query.gather"; "query.aggregate"; "summation_tree.build"; "summation_tree.audit";
+    "bgv.relinearize"; "committee.decrypt_batch"; "committee.rotate" ]
+
 let test_exported_trace () =
   Obs.disable ();
   Obs.reset ();
-  let (_ : Runtime.query_result) = run_q ~trace:true () in
-  let path = Filename.temp_file "obs_trace" ".json" in
-  Obs.write_chrome_trace path;
-  let s = read_and_remove path in
-  Obs.disable ();
+  let s =
+    Obs.with_enabled (fun () ->
+        let (_ : Runtime.query_result) = run_q () in
+        let path = Filename.temp_file "obs_trace" ".json" in
+        Obs.write_chrome_trace path;
+        read_and_remove path)
+  in
   match Json.parse s with
   | Error e -> Alcotest.failf "exported trace does not re-parse: %s" e
   | Ok doc ->
@@ -679,9 +723,50 @@ let test_exported_trace () =
         events
     in
     List.iter
-      (fun phase ->
-        checkb ("trace contains " ^ phase) true (List.mem phase names))
-      [ "runtime.init"; "query.gather"; "query.aggregate"; "query.summation"; "query.decrypt" ]
+      (fun stage ->
+        checkb ("trace contains " ^ stage) true (List.mem stage names))
+      ("runtime.init" :: stage_names)
+
+(* A traced fresh query, faults included, is [runtime.init] and then
+   one span per stage, in order, on the calling domain: every layer
+   span and every fault instant nests inside a stage, and the old
+   wrapper spans are gone. *)
+let test_stages_are_the_top_spans () =
+  let top_spans ~params ~degree_bound ?(population = 16) ?faults query =
+    let rng = Rng.create 4242L in
+    let graph =
+      Cg.generate
+        { Cg.default_config with Cg.population; degree_bound; extra_contact_rate = 1.5 }
+        rng
+    in
+    let (_ : Epidemic.outcome) = Epidemic.run Epidemic.default_config rng graph in
+    Obs.disable ();
+    Obs.reset ();
+    Obs.with_enabled (fun () ->
+        let sys =
+          Runtime.init { Runtime.default_config with Runtime.params; degree_bound; faults } graph
+        in
+        (match Runtime.run_query ~epsilon:1.0 sys (Corpus.find query).Corpus.sql with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.failf "%s failed" query);
+        let spans = Obs.all_spans () in
+        let init = List.find (fun sp -> sp.Obs.sp_name = "runtime.init") spans in
+        List.iter
+          (fun gone ->
+            checkb (gone ^ " is gone") false (List.exists (fun sp -> sp.Obs.sp_name = gone) spans))
+          [ "query.summation"; "query.decrypt"; "sumtree.build" ];
+        List.filter_map
+          (fun sp ->
+            if sp.Obs.sp_dom = init.Obs.sp_dom && sp.Obs.sp_depth = 0 then Some sp.Obs.sp_name
+            else None)
+          spans)
+  in
+  Alcotest.(check (list string))
+    "Q5 at test_small, faults on" ("runtime.init" :: stage_names)
+    (top_spans ~params:Params.test_small ~degree_bound:4 ~faults:plan "Q5");
+  Alcotest.(check (list string))
+    "Q1 at test_medium, d = 2" ("runtime.init" :: stage_names)
+    (top_spans ~params:Params.test_medium ~degree_bound:2 ~population:12 "Q1")
 
 (* ------------------------------------------------------------------ *)
 (* Audit ledger: exact budget accounting                                *)
@@ -702,8 +787,10 @@ let test_ledger_exact_totals () =
       (small_graph ())
   in
   let q = (Corpus.find "Q5").Corpus.sql in
+  let t0 = Obs.now_s () in
   checkb "first charged query ok" true
     (Result.is_ok (Runtime.run_query ~epsilon:1.0 sys q));
+  let wall = Obs.now_s () -. t0 in
   checkb "infinite-epsilon query ok" true
     (Result.is_ok (Runtime.run_query ~epsilon:infinity sys q));
   checkb "second charged query ok" true
@@ -754,7 +841,25 @@ let test_ledger_exact_totals () =
   checkb "by_name covers each query name" true
     (List.length s.Obs.Ledger.by_name >= 1);
   let total_runs = List.fold_left (fun a (_, n, _) -> a + n) 0 s.Obs.Ledger.by_name in
-  checki "by_name runs sum to the record count" 6 total_runs
+  checki "by_name runs sum to the record count" 6 total_runs;
+  (* Every row times the seven stages, and the first query's stages,
+     run one after another inside the call, fit in its wall time. *)
+  let stages r =
+    match Json.member "stages" r with
+    | Some (Json.Obj kvs) ->
+      List.map
+        (function k, Json.Num f -> (k, f) | k, _ -> Alcotest.failf "stage %s is not a number" k)
+        kvs
+    | _ -> Alcotest.fail "ledger row lacks stages"
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check (list string)) "the seven stages, in order" stage_names
+        (List.map fst (stages r)))
+    records;
+  let first = List.fold_left (fun acc (_, dt) -> acc +. dt) 0. (stages (List.hd records)) in
+  checkb (Printf.sprintf "stages (%.6f s) within the call (%.6f s)" first wall) true
+    (first > 0. && first <= wall)
 
 (* The reader refuses a row summarize could not trust, naming its
    line: each bad row below sits at its own line of an otherwise valid
@@ -771,23 +876,23 @@ let test_ledger_rejects_bad_rows () =
     close_out oc;
     let r = Obs.Ledger.read path in
     Sys.remove path;
-    r
+    (path, r)
   in
   (match read_lines [ charged "0.5"; uncharged ] with
-  | Ok rows ->
+  | _, Ok rows ->
     checkb "valid ledger sums" true
       ((Obs.Ledger.summarize rows).Obs.Ledger.epsilon_spent = 0.5)
-  | Error e -> Alcotest.failf "valid ledger refused: %s" e);
+  | _, Error e -> Alcotest.failf "valid ledger refused: %s" e);
   let needs_eps = "charged row needs a finite epsilon > 0" in
   let not_ours = "not a mycelium-ledger/1 row" in
   List.iteri
     (fun k (bad, reason) ->
       (* k + 1 valid rows before the bad one, one after. *)
       let lines = List.init (k + 1) (fun _ -> charged "0.5") @ [ bad; uncharged ] in
-      let expected = Printf.sprintf "line %d: %s" (k + 2) reason in
       match read_lines lines with
-      | Ok _ -> Alcotest.failf "accepted %s" bad
-      | Error e -> Alcotest.(check string) bad expected e)
+      | _, Ok _ -> Alcotest.failf "accepted %s" bad
+      | path, Error e ->
+        Alcotest.(check string) bad (Printf.sprintf "%s: line %d: %s" path (k + 2) reason) e)
     [
       (charged {|"x"|}, needs_eps);
       (charged "-5", needs_eps);
@@ -844,6 +949,8 @@ let () =
             test_identical_on_off;
           Alcotest.test_case "exported trace re-parses with all phases" `Slow
             test_exported_trace;
+          Alcotest.test_case "the stages are the top-level spans" `Slow
+            test_stages_are_the_top_spans;
         ] );
       ( "ledger",
         [

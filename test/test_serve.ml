@@ -52,7 +52,7 @@ let mix_cfg =
     verify_every = 0;
   }
 
-let serve_runtime ?(trace = false) ?ledger ?(faults = true) () =
+let serve_runtime ?ledger ?(faults = true) () =
   let plan =
     Fault_plan.make ~drop_rate:0.2 ~churn_rate:0.1 ~crashed_committee:[ 2 ] ~seed:7L ()
   in
@@ -63,7 +63,6 @@ let serve_runtime ?(trace = false) ?ledger ?(faults = true) () =
       degree_bound = 4;
       faults = (if faults then Some plan else None);
       route_through_mixnet = Some mix_cfg;
-      trace;
       ledger;
     }
   in
@@ -79,8 +78,8 @@ let workload =
     [ ("alice", "Q5"); ("bob", "Q4"); ("carol", "Q5"); ("alice", "Q8");
       ("bob", "Q5"); ("carol", "Q4") ]
 
-let run_workload ?(trace = false) ?ledger ~batch_size ~cache_capacity () =
-  let rt = serve_runtime ~trace ?ledger () in
+let run_workload ?ledger ~batch_size ~cache_capacity () =
+  let rt = serve_runtime ?ledger () in
   let config = { Serve.default_config with Serve.batch_size; cache_capacity } in
   let srv = Serve.create ~config rt in
   let responses = ref [] in
@@ -453,7 +452,7 @@ let test_batched_equals_sequential () =
     Pool.with_domains 8 (fun () ->
         Obs.with_enabled (fun () ->
             Obs.reset ();
-            let _, _, rs = run_workload ~trace:true ~batch_size:3 ~cache_capacity:64 () in
+            let _, _, rs = run_workload ~batch_size:3 ~cache_capacity:64 () in
             let faults =
               List.exists
                 (fun sp -> String.starts_with ~prefix:"fault." sp.Obs.sp_name)
@@ -607,7 +606,49 @@ let test_batch_ledger_rows_audit_bit_for_bit () =
   Alcotest.(check (list string))
     "rows carry the admitted corpus names"
     [ "Q4"; "Q4"; "Q5"; "Q5"; "Q5"; "Q8" ]
-    (List.sort String.compare names)
+    (List.sort String.compare names);
+  (* Every row times the seven stages.  A cache hit starts at the
+     shared decryption, so its row reads 0 for the five stages before
+     it; a fresh member's row times all seven. *)
+  let rows =
+    List.map
+      (fun r ->
+        match Obs.Json.member "stages" r with
+        | Some (Obs.Json.Obj kvs) ->
+          List.map
+            (function
+              | k, Obs.Json.Num f -> (k, f)
+              | k, _ -> Alcotest.failf "stage %s is not a number" k)
+            kvs
+        | _ -> Alcotest.fail "ledger row lacks stages")
+      records
+  in
+  let stage_names =
+    [ "query.gather"; "query.aggregate"; "summation_tree.build"; "summation_tree.audit";
+      "bgv.relinearize"; "committee.decrypt_batch"; "committee.rotate" ]
+  in
+  List.iter
+    (fun r -> Alcotest.(check (list string)) "the seven stages, in order" stage_names (List.map fst r))
+    rows;
+  let timed first last r =
+    List.for_all (fun (_, dt) -> dt > 0.) (List.filteri (fun i _ -> i >= first && i <= last) r)
+  in
+  let skipped_to_decryption r =
+    List.for_all (fun (_, dt) -> Float.equal dt 0.) (List.filteri (fun i _ -> i < 5) r)
+  in
+  let hits, fresh = List.partition skipped_to_decryption rows in
+  checki "a row reading 0 before decryption per cache hit"
+    (List.length (List.filter (fun r -> r.Serve.cache_hit) responses))
+    (List.length hits);
+  checkb "a cache hit's decryption and rotation are timed" true (List.for_all (timed 5 6) hits);
+  checkb "a fresh member times every stage" true (List.for_all (timed 0 6) fresh);
+  let sums =
+    List.map
+      (fun name -> (name, List.fold_left (fun acc r -> acc +. List.assoc name r) 0. rows))
+      stage_names
+  in
+  checkb "summarize's stage totals are the sums over the rows" true
+    (s.Obs.Ledger.stage_s = sums)
 
 let () =
   Alcotest.run "serve"

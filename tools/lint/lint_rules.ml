@@ -312,18 +312,24 @@ let obs_guard ~file str =
 (* Rule 4b: obs-guard — the metric-name registry                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Library and CLI code must draw metric names from [Obs.Names]
+(* Library and CLI code must draw metric, span and instant names from
+   [Obs.Names] (or, for the runtime's stages, from its one stage list)
    instead of inline string literals: the registry is what keeps the
-   Prometheus exposition, the level sources and the DESIGN.md §8
-   taxonomy in sync, and a literal typo silently forks a metric.
-   Bench and test zones keep their ad-hoc names.  Reported under the
-   obs-guard rule id (it is the same contract), so the existing
-   suppression comments apply. *)
+   Prometheus exposition, the level sources, the trace and the
+   DESIGN.md §8 taxonomy in sync, and a literal typo silently forks a
+   metric or a span.  Bench and test zones keep their ad-hoc names.
+   Reported under the obs-guard rule id (it is the same contract), so
+   the existing suppression comments apply. *)
 
+(* The position of the name among a head's unlabelled arguments:
+   first for a registration, a span or an instant, second for a
+   sampled span, whose first is its sampler. *)
 let obs_register_heads path =
   match List.rev path with
-  | ("counter" | "gauge" | "histogram") :: "Metrics" :: ("Obs" :: _ | []) -> true
-  | _ -> false
+  | ("counter" | "gauge" | "histogram") :: "Metrics" :: ("Obs" :: _ | []) -> Some 0
+  | ("span" | "instant") :: "Obs" :: _ -> Some 0
+  | "sampled_span" :: "Obs" :: _ -> Some 1
+  | _ -> None
 
 let obs_metric_names ~file str =
   let out = ref [] in
@@ -333,18 +339,19 @@ let obs_metric_names ~file str =
       expr =
         (fun self e ->
           (match e.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-            when obs_register_heads (norm_path txt) -> (
+          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
             let unlabelled =
-              List.find_opt (function Asttypes.Nolabel, _ -> true | _ -> false) args
+              List.filter_map (function Asttypes.Nolabel, a -> Some a | _ -> None) args
             in
-            match unlabelled with
-            | Some (_, { pexp_desc = Pexp_constant (Pconst_string _); pexp_loc; _ }) ->
+            match
+              Option.bind (obs_register_heads (norm_path txt)) (List.nth_opt unlabelled)
+            with
+            | Some { pexp_desc = Pexp_constant (Pconst_string _); pexp_loc; _ } ->
               out :=
                 viol "obs-guard" file pexp_loc
-                  "metric registered with an inline string literal; draw the name \
-                   from Obs.Names so the registry, the Prometheus exposition and \
-                   DESIGN.md §8 stay in sync"
+                  "metric, span or instant named with an inline string literal; \
+                   draw the name from Obs.Names so the registry, the Prometheus \
+                   exposition, the trace and DESIGN.md §8 stay in sync"
                 :: !out
             | _ -> ())
           | _ -> ());
